@@ -16,20 +16,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-## lint: toolchain gates first (gofmt, go vet), then the custom tiers
-## (syntactic tlbcheck -lint, typed+ssa tlbvet) — a stock-tool finding
-## should fail before any whole-program analysis spins up
+## lint: toolchain gates first (gofmt, go vet), then the static tier
+## (tlbvet) — a stock-tool finding should fail before any whole-program
+## analysis spins up
 lint:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/tlbcheck -lint ./...
 	$(GO) run ./cmd/tlbvet
 
-## vet: both type-checked analysis tiers (typedlint + the ssa IR analyzers:
-## flush obligations, lock order, ipistate DFA, detflow taint, parallelsafe,
-## mhp may-happen-in-parallel, lockset race-discipline proofs, and the
-## fabproof numeric obligations over the async fabric)
+## vet: the static tier alone — every internal/sanitizer/ssa analyzer
+## (banned imports, cost constants, observer purity, flush obligations,
+## lock order, ipistate DFA, detflow taint, parallelsafe, mhp
+## may-happen-in-parallel, lockset race-discipline proofs, and the
+## fabproof numeric obligations over the async fabric) off one typecheck
 vet:
 	$(GO) run ./cmd/tlbvet
 
@@ -81,8 +81,10 @@ cover:
 bench:
 	./scripts/bench.sh
 
-## check: everything CI runs (build, tests, race, lint, sanitizer, HB model, faults)
-check: build test race lint sanitize racemodel faultcheck
+## check: the gates CI runs (build, tests, race, lint, sanitizer and HB
+## model under faults); scripts/ci.sh adds coverage, the proof tables and
+## the -parallel byte-identity gates
+check: build test race lint faultcheck
 
 clean:
 	$(GO) clean ./...

@@ -14,23 +14,7 @@
 // edge (locks, IPI send/ack, context switches), or it is reported as a
 // data race in the protocol model.
 //
-// With -lint it instead runs the repo-invariant static analyzers
-// (internal/sanitizer/lint): no wall-clock or global-PRNG use, no literal
-// cycle costs outside the cost model, no time charged inside map
-// iteration, observational hooks stay pure, and race-instrumented shared
-// state is only touched through its accessors.
-//
-// With -vet it runs both type-checked analysis tiers (the same engines as
-// cmd/tlbvet): internal/sanitizer/typedlint — named-constant cycle costs,
-// disguised banned imports, hooks that mutate observed state — and
-// internal/sanitizer/ssa — undischarged flush obligations, static
-// lock-order cycles, the ipistate shootdown-lifecycle DFA, the detflow
-// nondeterminism-taint proof, the parallelsafe restore-discipline proof,
-// the concurrency-proof pair (mhp may-happen-in-parallel contexts
-// plus lockset discharge proofs for every race-instrumented field), and
-// the fabproof numeric tier (abstract-interpretation proofs of the async
-// fabric's ring bounds, counter monotonicity and coalescing soundness),
-// all interprocedural over an SSA IR.
+// The static-analysis tier lives in cmd/tlbvet.
 //
 // Usage:
 //
@@ -39,8 +23,6 @@
 //	tlbcheck -run fig6,table3    # specific experiments
 //	tlbcheck -race-model         # happens-before race check of the suite
 //	tlbcheck -faults light       # sanitize under an injected fault schedule
-//	tlbcheck -lint ./...         # syntactic static analyzers only
-//	tlbcheck -vet                # typed static analyzers only
 package main
 
 import (
@@ -53,17 +35,12 @@ import (
 	"shootdown/internal/fault"
 	"shootdown/internal/race"
 	"shootdown/internal/sanitizer"
-	"shootdown/internal/sanitizer/lint"
-	"shootdown/internal/sanitizer/ssa"
-	"shootdown/internal/sanitizer/typedlint"
 	"shootdown/internal/sched"
 	"shootdown/internal/workload"
 )
 
 func main() {
 	var (
-		doLint    = flag.Bool("lint", false, "run the syntactic static analyzers instead of the sanitized simulation")
-		doVet     = flag.Bool("vet", false, "run the type-checked static analyzers instead of the sanitized simulation")
 		raceModel = flag.Bool("race-model", false, "run the happens-before race detector instead of the sanitizer")
 		quick     = flag.Bool("quick", false, "shrink experiment iteration counts (CI size)")
 		run       = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
@@ -92,62 +69,10 @@ func main() {
 		defer restore()
 	}
 
-	if *doLint {
-		os.Exit(runLint(flag.Args()))
-	}
-	if *doVet {
-		os.Exit(runVet())
-	}
 	if *raceModel {
 		os.Exit(runRaceModel(*run, *quick, *seed, *verbose, faultSpec))
 	}
 	os.Exit(runSanitized(*run, *quick, *seed, *verbose, faultSpec))
-}
-
-func runVet() int {
-	// Both static tiers share one load+typecheck and fan out on the sched
-	// pool; the merged report is re-sorted so -parallel never changes it.
-	m, err := typedlint.LoadModule()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
-		return 2
-	}
-	var findings []lint.Finding
-	for _, fs := range sched.Collect(2, func(i int) []lint.Finding {
-		if i == 0 {
-			return typedlint.CheckModule(m).Findings
-		}
-		return ssa.CheckModule(m).Findings
-	}) {
-		findings = append(findings, fs...)
-	}
-	typedlint.SortFindings(findings)
-	for _, f := range findings {
-		fmt.Println(f)
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "tlbcheck: %d vet finding(s)\n", len(findings))
-		return 1
-	}
-	fmt.Println("tlbcheck: vet clean")
-	return 0
-}
-
-func runLint(patterns []string) int {
-	findings, err := lint.CheckTree(patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
-		return 2
-	}
-	for _, f := range findings {
-		fmt.Println(f)
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "tlbcheck: %d lint finding(s)\n", len(findings))
-		return 1
-	}
-	fmt.Println("tlbcheck: lint clean")
-	return 0
 }
 
 func runSanitized(run string, quick bool, seed uint64, verbose bool, faults fault.Spec) int {

@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"shootdown/internal/core"
@@ -38,7 +39,7 @@ import (
 	"shootdown/internal/pagetable"
 	"shootdown/internal/race"
 	"shootdown/internal/sanitizer"
-	"shootdown/internal/sanitizer/typedlint"
+	"shootdown/internal/sanitizer/ssa"
 	"shootdown/internal/sched"
 	"shootdown/internal/sim"
 	"shootdown/internal/syscalls"
@@ -129,21 +130,28 @@ func main() {
 }
 
 // printSuppressionAudit cross-references failures with the static tier:
-// the typed analyzers (internal/sanitizer/typedlint) may hold findings
-// that were deliberately silenced with "obligation-transferred:" markers.
-// A coherence violation whose path runs through one of those sites means
-// the marker's justification is wrong — the analyzer saw the missing
-// flush and was told to stand down. Best-effort: when the module source
-// is not reachable from the working directory the audit is skipped (the
-// fuzz failure itself is the headline).
+// its analyzers may hold findings that were deliberately silenced with
+// "obligation-transferred:", "lock-free-by-design:" or
+// "bounded-by-design:" markers. A coherence violation whose path runs
+// through one of those sites means the marker's justification is wrong —
+// the analyzer saw the problem and was told to stand down. Best-effort:
+// when the module source is not reachable from the working directory the
+// audit is skipped (the fuzz failure itself is the headline).
 func printSuppressionAudit() {
-	res, err := typedlint.Check()
-	if err != nil || len(res.Suppressions) == 0 {
+	if res, err := ssa.Check(); err == nil {
+		writeSuppressionAudit(os.Stderr, res.Suppressions)
+	}
+}
+
+// writeSuppressionAudit prints one audit line per suppression, under a
+// header; nothing when the tier holds no suppressions.
+func writeSuppressionAudit(w io.Writer, sups []ssa.Suppression) {
+	if len(sups) == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "note: the static tier holds %d suppressed finding(s); if a violating seed's path runs through one, its marker is wrong:\n", len(res.Suppressions))
-	for _, s := range res.Suppressions {
-		fmt.Fprintf(os.Stderr, "  %s:%d: %s suppressed: %s\n", s.File, s.Line, s.Analyzer, s.Reason)
+	fmt.Fprintf(w, "note: the static tier holds %d suppressed finding(s); if a violating seed's path runs through one, its marker is wrong:\n", len(sups))
+	for _, s := range sups {
+		fmt.Fprintf(w, "  %s:%d: %s suppressed: %s\n", s.File, s.Line, s.Analyzer, s.Reason)
 	}
 }
 

@@ -1,9 +1,14 @@
-// Command tlbvet runs the static-analysis tiers over the module: the
-// typed tier (internal/sanitizer/typedlint — whole-module typechecking on
-// stdlib go/types only) and the ssa tier (internal/sanitizer/ssa — a
-// def-use/SSA IR with interprocedural summaries over a fixpoint call
-// graph). Between them:
+// Command tlbvet is the repository's static-analysis front door: it loads
+// and typechecks the module once (stdlib go/types only) and runs every
+// analyzer of internal/sanitizer/ssa over it — a def-use/SSA IR with
+// interprocedural summaries over a fixpoint call graph:
 //
+//   - determinism: banned imports (time, math/rand) by path, catching
+//     aliased/dot/blank forms
+//   - costliteral: constant cycle costs (literals, named constants and
+//     thin Delay wrappers) outside the cost model
+//   - observerpurity: hooks mutating observed or package-level state,
+//     including through mutating method calls and local aliases
 //   - flushobligation: every restrictive page-table mutation's returned
 //     mm.FlushRange must reach a shootdown discharge on every path, be
 //     returned to the caller, or carry an "obligation-transferred:" marker
@@ -12,6 +17,11 @@
 //   - ipistate: typestate DFA for the shootdown request lifecycle
 //     (new → kicked → waited → acked/timeout-recovery → discharged,
 //     with deferred-discharge and enqueue-transfer edges)
+//   - detflow: nondeterminism-taint — time.Now, math/rand, map-range
+//     order and select arms must never reach simulated state, digests,
+//     stats or event timestamps, and no time is charged inside a map range
+//   - parallelsafe: whole-program restore-discipline proof for
+//     package-level vars in simulated packages
 //   - mhp: may-happen-in-parallel contexts over every spawn edge
 //     (Engine.Go procs, Task bodies, IPI handlers, deferred-flush
 //     closures, sched pool fan-out); blocking calls in IPI-handler
@@ -22,43 +32,26 @@
 //     BrokenEarlyAck violation must surface as exactly one witness; the
 //     per-entry statuses are the RACE_XVAL cross-validation artifact
 //   - fabproof: numeric abstract-interpretation proofs for the async
-//     shootdown fabric — ring appends bounded by the declared capacity
-//     with overflow provably collapsing to a full flush, posted/acked
-//     sequence and TLB-generation monotonicity, watchdog retry caps,
-//     coalescing soundness as interval containment (the seeded
-//     BrokenCoalesceShrink coverage loss must surface as exactly one
-//     witness), callback-fires-exactly-once including the FreedTables
-//     synchronous fallback, and ring-entry well-formedness. The
+//     shootdown fabric — ring bounds, overflow collapse, sequence and
+//     generation monotonicity, retry caps, coalescing soundness (the
+//     seeded BrokenCoalesceShrink coverage loss must surface as exactly
+//     one witness), callback-once and ring-entry well-formedness. The
 //     per-obligation statuses are the FABPROOF artifact
-//   - detflow: nondeterminism-taint — time.Now, math/rand, map-range
-//     order and select arms must never reach simulated state, digests,
-//     stats or event timestamps
-//   - parallelsafe: whole-program restore-discipline proof for
-//     package-level vars in simulated packages
 //   - stalemarker: suppression markers nothing consumed are findings
-//     ("obligation-transferred:" and "lock-free-by-design:" alike)
-//   - costliteral: constant cycle costs (including named constants and
-//     thin Delay wrappers) outside the cost model
-//   - determinism: banned imports (time, math/rand) by path, catching
-//     aliased/dot/blank forms
-//   - observerpurity: hooks mutating observed state, including through
-//     mutating method calls and local aliases
 //
 // Output is sorted by file, line and analyzer, so it is byte-identical
-// regardless of scheduling (-parallel only changes wall clock, never
-// bytes); per-analyzer wall-clock timings appear only in a footer after
-// the deterministic report (and as timings_ms in -json). Exit status:
-// 0 clean, 1 findings, 2 on a load/typecheck error.
+// from run to run; per-analyzer wall-clock timings appear only in a
+// footer after the deterministic report (and as timings_ms in -json).
+// Exit status: 0 clean, 1 findings, 2 on a load/typecheck error.
 //
 // Usage:
 //
-//	tlbvet                  # vet the enclosing module (both tiers)
+//	tlbvet                  # vet the enclosing module
 //	tlbvet -json            # machine-readable report (CI artifact)
-//	tlbvet -parallel 8      # fan the tiers out over 8 workers
 //	tlbvet -suppressions    # also list documented suppressions
 //	tlbvet -xval FILE       # write the race cross-validation table
 //	tlbvet -fabproof FILE   # write the fabric obligation proof table
-//	tlbvet -only a,b        # run only the named analyzers (one typecheck)
+//	tlbvet -only a,b        # run only the named analyzers
 package main
 
 import (
@@ -69,103 +62,62 @@ import (
 	"sort"
 	"strings"
 
-	"shootdown/internal/sanitizer/lint"
 	"shootdown/internal/sanitizer/ssa"
-	"shootdown/internal/sanitizer/typedlint"
-	"shootdown/internal/sched"
 )
 
 // report is the -json shape; field names are part of the CI contract
 // (ci.sh publishes it as VET_findings.json).
 type report struct {
-	Findings     []lint.Finding          `json:"findings"`
-	Suppressions []typedlint.Suppression `json:"suppressions"`
+	Findings     []ssa.Finding     `json:"findings"`
+	Suppressions []ssa.Suppression `json:"suppressions"`
 	// Witnesses are expected rediscoveries of config-seeded faults (the
-	// lockset tier's BrokenEarlyAck cross-validation).
-	Witnesses []lint.Finding `json:"witnesses"`
+	// lockset and fabproof cross-validation).
+	Witnesses []ssa.Finding `json:"witnesses"`
 	// XVal is the race cross-validation table: one row per registry
 	// entry with its static discharge status.
 	XVal []ssa.XValRow `json:"xval"`
 	// FabRows is the fabric obligation proof table: one row per fabproof
 	// obligation with its status (proven / waived / unproven).
 	FabRows []ssa.FabRow `json:"fabproof"`
-	// FuncsVisited records per-analyzer whole-program coverage for the
-	// ssa tier, so dashboards can spot a silently narrowed walk.
+	// FuncsVisited records per-analyzer whole-program coverage, so
+	// dashboards can spot a silently narrowed walk.
 	FuncsVisited map[string]int `json:"funcs_visited"`
-	// TimingsMS is per-analyzer wall-clock milliseconds across both
-	// tiers. Diagnostics only: never part of the sorted report sections.
+	// TimingsMS is per-analyzer wall-clock milliseconds. Diagnostics
+	// only: never part of the sorted report sections.
 	TimingsMS map[string]float64 `json:"timings_ms"`
 }
 
 func main() {
 	var (
-		sups     = flag.Bool("suppressions", false, "list documented suppressions after findings")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON on stdout")
-		parallel = flag.Int("parallel", 0, "worker count for fanning out the analysis tiers (0 = GOMAXPROCS)")
-		xvalOut  = flag.String("xval", "", "write the race cross-validation table (RACE_XVAL) to this file")
-		fabOut   = flag.String("fabproof", "", "write the fabric obligation proof table (FABPROOF) to this file")
-		only     = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
+		sups    = flag.Bool("suppressions", false, "list documented suppressions after findings")
+		jsonOut = flag.Bool("json", false, "emit the report as JSON on stdout")
+		xvalOut = flag.String("xval", "", "write the race cross-validation table (RACE_XVAL) to this file")
+		fabOut  = flag.String("fabproof", "", "write the fabric obligation proof table (FABPROOF) to this file")
+		only    = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	)
 	flag.Parse()
-	sched.SetWorkers(*parallel)
 
-	typedNames, ssaNames, runTyped, runSSA, err := partitionOnly(*only)
+	names, err := parseOnly(*only)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlbvet: %v\n", err)
 		os.Exit(2)
 	}
-
-	// Both tiers share one load+typecheck, then fan out on the pool. The
-	// merged report is re-sorted, so worker count never changes the bytes.
-	m, err := typedlint.LoadModule()
+	m, err := ssa.LoadModule()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlbvet: %v\n", err)
 		os.Exit(2)
 	}
+	r := ssa.CheckModuleOnly(m, names)
+	// Empty sections encode as [] rather than null in -json.
 	rep := report{
-		Findings:     []lint.Finding{},
-		Suppressions: []typedlint.Suppression{},
-		Witnesses:    []lint.Finding{},
-		TimingsMS:    make(map[string]float64),
+		Findings:     append([]ssa.Finding{}, r.Findings...),
+		Suppressions: append([]ssa.Suppression{}, r.Suppressions...),
+		Witnesses:    append([]ssa.Finding{}, r.Witnesses...),
+		XVal:         r.XVal,
+		FabRows:      r.FabRows,
+		FuncsVisited: r.FuncsVisited,
+		TimingsMS:    r.Timings,
 	}
-	results := sched.Collect(2, func(i int) *report {
-		if i == 0 {
-			if !runTyped {
-				return &report{}
-			}
-			r := typedlint.CheckModuleOnly(m, typedNames)
-			return &report{Findings: r.Findings, Suppressions: r.Suppressions, TimingsMS: r.Timings}
-		}
-		if !runSSA {
-			return &report{}
-		}
-		r := ssa.CheckModuleOnly(m, ssaNames)
-		return &report{
-			Findings: r.Findings, Suppressions: r.Suppressions,
-			Witnesses: r.Witnesses, XVal: r.XVal, FabRows: r.FabRows,
-			FuncsVisited: r.FuncsVisited, TimingsMS: r.Timings,
-		}
-	})
-	for _, r := range results {
-		rep.Findings = append(rep.Findings, r.Findings...)
-		rep.Suppressions = append(rep.Suppressions, r.Suppressions...)
-		rep.Witnesses = append(rep.Witnesses, r.Witnesses...)
-		if r.XVal != nil {
-			rep.XVal = r.XVal
-		}
-		if r.FabRows != nil {
-			rep.FabRows = r.FabRows
-		}
-		if r.FuncsVisited != nil {
-			rep.FuncsVisited = r.FuncsVisited
-		}
-		for name, ms := range r.TimingsMS {
-			rep.TimingsMS[name] += ms
-		}
-	}
-	typedlint.SortFindings(rep.Findings)
-	typedlint.SortSuppressions(rep.Suppressions)
-	typedlint.SortFindings(rep.Witnesses)
 
 	if *xvalOut != "" {
 		if err := os.WriteFile(*xvalOut, []byte(renderXVal(rep)), 0o644); err != nil {
@@ -273,37 +225,23 @@ func renderFabproof(rep report) string {
 	return b.String()
 }
 
-// partitionOnly splits a comma-separated -only list between the typed and
-// ssa tiers, validating every name against the registered analyzers.
-func partitionOnly(only string) (typedNames, ssaNames []string, runTyped, runSSA bool, err error) {
-	if strings.TrimSpace(only) == "" {
-		return nil, nil, true, true, nil
-	}
-	inTyped := map[string]bool{}
-	for _, n := range typedlint.Analyzers() {
-		inTyped[n] = true
-	}
-	inSSA := map[string]bool{}
+// parseOnly splits a comma-separated -only list, validating every name
+// against the registered analyzers (nil means all of them).
+func parseOnly(only string) ([]string, error) {
+	known := map[string]bool{}
 	for _, n := range ssa.Analyzers() {
-		inSSA[n] = true
+		known[n] = true
 	}
+	var names []string
 	for _, raw := range strings.Split(only, ",") {
 		n := strings.TrimSpace(raw)
 		if n == "" {
 			continue
 		}
-		switch {
-		case inTyped[n]:
-			typedNames = append(typedNames, n)
-		case inSSA[n]:
-			ssaNames = append(ssaNames, n)
-		default:
-			var known []string
-			known = append(known, typedlint.Analyzers()...)
-			known = append(known, ssa.Analyzers()...)
-			return nil, nil, false, false,
-				fmt.Errorf("-only: unknown analyzer %q (known: %s)", n, strings.Join(known, ", "))
+		if !known[n] {
+			return nil, fmt.Errorf("-only: unknown analyzer %q (known: %s)", n, strings.Join(ssa.Analyzers(), ", "))
 		}
+		names = append(names, n)
 	}
-	return typedNames, ssaNames, len(typedNames) > 0, len(ssaNames) > 0, nil
+	return names, nil
 }

@@ -6,8 +6,9 @@ import (
 
 // TestRaceModelQuickSuite runs every registered experiment under the
 // happens-before checker: the shipped protocol must be race-free in every
-// configuration the suite covers. This is the in-tree version of the CI
-// gate `tlbcheck -race-model -quick`.
+// configuration the suite covers. This is CI's gate for the unfaulted
+// suite (`tlbcheck -race-model -quick` runs the same check from the
+// command line).
 func TestRaceModelQuickSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("race-model suite is not short")

@@ -6,8 +6,9 @@ import (
 
 // TestSanitizedQuickSuite runs every registered experiment under the
 // shadow-oracle checker: the seed experiment suite must be coherent — zero
-// stale translations, no unacked IPIs, no lock inversions. This is the
-// in-tree version of the CI gate `tlbcheck -quick`.
+// stale translations, no unacked IPIs, no lock inversions. This is CI's
+// gate for the unfaulted suite (`tlbcheck -quick` runs the same check from
+// the command line).
 func TestSanitizedQuickSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sanitized suite is not short")

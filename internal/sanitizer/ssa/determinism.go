@@ -1,14 +1,14 @@
-package typedlint
+package ssa
 
 import (
 	"fmt"
 	"strings"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
-// bannedImports mirrors the syntactic analyzer's list; the typed pass
-// checks the import path of every ImportSpec, so aliased (`import t
+// determinism: no wall-clock (time) or global-PRNG (math/rand) imports in
+// non-test code — simulated time comes from sim.Engine and randomness from
+// the seeded internal/sim generator, so every run is replayable. The check
+// keys on the import path of every ImportSpec, so aliased (`import t
 // "time"`), dot and blank imports are all caught — the name an importer
 // binds is irrelevant to what the package does.
 var bannedImports = map[string]string{
@@ -17,13 +17,21 @@ var bannedImports = map[string]string{
 	"math/rand/v2": "the global PRNG breaks replayability; use the seeded generator in internal/sim",
 }
 
-func checkDeterminismTyped(ctx *modCtx) ([]lint.Finding, []Suppression) {
-	var out []lint.Finding
+// inDeterminismScope reports whether rel's imports are subject to the
+// determinism ban. The static-analysis toolchain itself is exempt — the
+// analyzers time their own wall-clock for the CI budget attribution and
+// never run inside a simulation — but its testdata fixtures stay in
+// scope, because fixtures exist to prove the ban fires.
+func inDeterminismScope(rel string) bool {
+	return !strings.HasPrefix(rel, "internal/sanitizer/") || strings.Contains(rel, "/testdata/")
+}
+
+func checkDeterminism(ctx *modCtx) ([]Finding, []Suppression) {
+	var out []Finding
 	for _, p := range ctx.pkgs {
 		for i, f := range p.Files {
 			rel := p.FileNames[i]
-			if !lint.InDeterminismScope(rel) {
-				// The analyzer tier times itself; see lint.InDeterminismScope.
+			if !inDeterminismScope(rel) {
 				continue
 			}
 			for _, imp := range f.Imports {
@@ -42,7 +50,7 @@ func checkDeterminismTyped(ctx *modCtx) ([]lint.Finding, []Suppression) {
 				default:
 					form = fmt.Sprintf("aliased import (as %q)", imp.Name.Name)
 				}
-				out = append(out, lint.Finding{
+				out = append(out, Finding{
 					File: rel, Line: ctx.m.Fset.Position(imp.Pos()).Line,
 					Analyzer: "determinism",
 					Msg:      fmt.Sprintf("%s of %q: %s", form, path, why),

@@ -2,10 +2,10 @@ package ssa
 
 import (
 	"fmt"
+	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
 // detflow proves the parallel-harness guarantee statically: experiment
@@ -25,12 +25,15 @@ import (
 // Sinks:
 //
 //   - stores into simulated state — a field of a type declared in a
-//     lint.ParallelScope package, or a package-level var of one (this
-//     covers stats: counters are simulated state too)
+//     parallelScope package, or a package-level var of one (this covers
+//     stats: counters are simulated state too)
 //   - arguments to any module function whose name contains "Digest"
 //     (StateDigest and friends must be replay-stable by definition)
 //   - event timestamps: sim.Proc.Delay, sim.Cond.WaitTimeout,
-//     sim.Engine.At, sim.Engine.After
+//     sim.Engine.At, sim.Engine.After — and any call of those inside a
+//     map range, whatever its argument: map order decides which
+//     iteration charges time first, so even a constant cost reorders
+//     the events interleaved with it
 //
 // Sanitizer: passing a value to sort.* kills iteration-order taint — the
 // canonical fix for map-range nondeterminism is collect-then-sort, and
@@ -73,16 +76,19 @@ type dfAnalysis struct {
 	// fields some unit stored a tainted value into.
 	globalTaint map[string]string
 	fieldTaint  map[*types.Var]string
+	// mapRanges caches the map-range loop bodies of each declaration.
+	mapRanges map[*ast.FuncDecl][]*ast.BlockStmt
 }
 
 // checkDetFlow runs the nondeterminism-taint analysis.
-func checkDetFlow(ctx *modCtx) ([]lint.Finding, []Suppression) {
+func checkDetFlow(ctx *modCtx) ([]Finding, []Suppression) {
 	a := &dfAnalysis{
 		ctx:         ctx,
 		prog:        ctx.program(),
 		sums:        make(map[*types.Func]*dfSummary),
 		globalTaint: make(map[string]string),
 		fieldTaint:  make(map[*types.Var]string),
+		mapRanges:   make(map[*ast.FuncDecl][]*ast.BlockStmt),
 	}
 	// Fixpoint over summaries and global/field taint.
 	for round := 0; round < 12; round++ {
@@ -106,7 +112,7 @@ func checkDetFlow(ctx *modCtx) ([]lint.Finding, []Suppression) {
 		}
 	}
 	// Final pass: report sinks.
-	var findings []lint.Finding
+	var findings []Finding
 	seen := make(map[string]bool)
 	report := func(f *Func, v *Value, msg string) {
 		file, line := a.ctx.posLine(f.Decl, v.Pos)
@@ -115,7 +121,7 @@ func checkDetFlow(ctx *modCtx) ([]lint.Finding, []Suppression) {
 			return
 		}
 		seen[key] = true
-		findings = append(findings, lint.Finding{
+		findings = append(findings, Finding{
 			File: file, Line: line, Analyzer: "detflow", Msg: msg,
 		})
 	}
@@ -418,19 +424,54 @@ func (a *dfAnalysis) reportSinks(f *Func, taint map[*Value]string, report func(*
 					}
 				}
 			}
-			if idx, ok := timingSinkArg(call.Callee); ok && idx < len(call.Args) && taint[call.Args[idx]] != "" {
+			idx, ok := timingSinkArg(call.Callee)
+			switch {
+			case !ok || idx >= len(call.Args):
+			case taint[call.Args[idx]] != "":
 				report(f, call, fmt.Sprintf(
 					"nondeterministic value (%s) used as an event timestamp in %s — simulated time must come from the deterministic engine",
 					taint[call.Args[idx]], call.Callee.Name()))
+			case a.inMapRange(f, call.Pos):
+				report(f, call, fmt.Sprintf(
+					"%s inside iteration over a map: map order is random, so the interleaving of charged time becomes irreproducible — iterate a sorted copy",
+					call.Callee.Name()))
 			}
 		}
 	}
 }
 
+// inMapRange reports whether pos lies in the body of a range over a map
+// anywhere in the declaration enclosing f (so literal units nested in
+// such a loop body count too). The map ranges of each declaration are
+// collected once.
+func (a *dfAnalysis) inMapRange(f *Func, pos token.Pos) bool {
+	decl := f.Decl.Decl
+	bodies, ok := a.mapRanges[decl]
+	if !ok {
+		ast.Inspect(decl.Body, func(n ast.Node) bool {
+			if rng, ok := n.(*ast.RangeStmt); ok {
+				if t := f.Decl.Pkg.Info.TypeOf(rng.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						bodies = append(bodies, rng.Body)
+					}
+				}
+			}
+			return true
+		})
+		a.mapRanges[decl] = bodies
+	}
+	for _, b := range bodies {
+		if b.Pos() <= pos && pos < b.End() {
+			return true
+		}
+	}
+	return false
+}
+
 // simulatedStateDesc names the simulated-state location addr writes, or ""
 // when the store target is not simulated state. A location is simulated
 // state when it is (a field chain or element of) a package-level var or
-// struct type declared in a lint.ParallelScope package.
+// struct type declared in a parallelScope package.
 func simulatedStateDesc(addr *Value) string {
 	for v := addr; v != nil; {
 		switch v.Kind {
@@ -463,7 +504,7 @@ func simulatedPkg(pkg *types.Package) bool {
 	if pkg == nil || !strings.HasPrefix(pkg.Path(), modPath+"/") {
 		return false
 	}
-	return lint.InParallelScope(strings.TrimPrefix(pkg.Path(), modPath+"/") + "/")
+	return inParallelScope(strings.TrimPrefix(pkg.Path(), modPath+"/") + "/")
 }
 
 // moduleFunc reports whether fn is declared inside the module.

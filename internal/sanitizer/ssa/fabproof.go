@@ -56,8 +56,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
 // FabRow is one line of the FABPROOF cross-validation report: a fabric
@@ -78,7 +76,7 @@ type FabRow struct {
 
 // fabResult carries the fabproof analyzer's extra outputs to Result.
 type fabResult struct {
-	witnesses []lint.Finding
+	witnesses []Finding
 	rows      []FabRow
 }
 
@@ -220,9 +218,9 @@ type fabAnalysis struct {
 	prog *Program
 	sums *absSummaries
 
-	findings  []lint.Finding
+	findings  []Finding
 	sups      []Suppression
-	witnesses []lint.Finding
+	witnesses []Finding
 	rows      []FabRow
 	reported  map[string]bool
 	rowBad    map[string]bool
@@ -233,7 +231,7 @@ type fabAnalysis struct {
 	freedNeed map[*Func][]token.Pos
 }
 
-func checkFabproof(ctx *modCtx) ([]lint.Finding, []Suppression) {
+func checkFabproof(ctx *modCtx) ([]Finding, []Suppression) {
 	fa := &fabAnalysis{
 		ctx: ctx, prog: ctx.program(),
 		reported:  make(map[string]bool),
@@ -1126,7 +1124,7 @@ func (fa *fabAnalysis) checkMergeEnd(fb *fabric, e *absEnv, pos token.Pos, p0, p
 		key := fmt.Sprintf("%s:%d", file, line)
 		if !witnessSeen[key] {
 			witnessSeen[key] = true
-			fa.witnesses = append(fa.witnesses, lint.Finding{
+			fa.witnesses = append(fa.witnesses, Finding{
 				File: file, Line: line, Analyzer: "fabproof",
 				Msg: fmt.Sprintf("coalesce coverage loss seeded by the config-planted %s variant: the merged ring entry adopts the newer end and stops covering the older entry's tail — the exact shrink the shadow-TLB oracle convicts as a stale translation", bk),
 			})
@@ -1276,7 +1274,7 @@ func (fa *fabAnalysis) problem(fb *fabric, prop string, f *Func, pos token.Pos, 
 		fa.rowWaived[rk] = true
 		return
 	}
-	fa.findings = append(fa.findings, lint.Finding{
+	fa.findings = append(fa.findings, Finding{
 		File: file, Line: line, Analyzer: "fabproof", Msg: msg,
 	})
 	fa.rowBad[rk] = true

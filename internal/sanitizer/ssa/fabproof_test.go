@@ -3,8 +3,6 @@ package ssa
 import (
 	"strings"
 	"testing"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
 func TestFabproofUnboundedAppendFires(t *testing.T) {
@@ -59,7 +57,7 @@ func TestFabproofBrokenCoalesceWitness(t *testing.T) {
 	if len(res.Findings) != 0 {
 		t.Fatalf("module should be clean, got %v", res.Findings)
 	}
-	var fabWits []lint.Finding
+	var fabWits []Finding
 	for _, w := range res.Witnesses {
 		if w.Analyzer == "fabproof" {
 			fabWits = append(fabWits, w)

@@ -6,8 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
 // flushobligation enforces the paper's §3 safety contract statically:
@@ -103,7 +101,7 @@ func (d dischargeSet) mark(fn *types.Func, idx int) bool {
 func (d dischargeSet) has(fn *types.Func, idx int) bool { return fn != nil && d[fn][idx] }
 
 // checkFlushObligation runs the analyzer over the whole module.
-func checkFlushObligation(ctx *modCtx) ([]lint.Finding, []Suppression) {
+func checkFlushObligation(ctx *modCtx) ([]Finding, []Suppression) {
 	funcs := allFuncs(ctx.pkgs)
 	discharging := seedDischargers(ctx)
 
@@ -127,7 +125,7 @@ func checkFlushObligation(ctx *modCtx) ([]lint.Finding, []Suppression) {
 	// literal as its own unit (a daemon's Task.Fn closure or a
 	// kernelSection body runs later with its own control flow; its
 	// obligations are not the installing function's).
-	var findings []lint.Finding
+	var findings []Finding
 	var sups []Suppression
 	for _, fd := range funcs {
 		analyzeObligations(ctx, fd, nil, discharging, &findings, &sups)
@@ -235,7 +233,7 @@ type oblAnalysis struct {
 	fd          FuncDecl
 	info        *types.Info
 	discharging dischargeSet
-	findings    *[]lint.Finding
+	findings    *[]Finding
 	sups        *[]Suppression
 	// unitName names the analyzed body in exit-leak reports (the declared
 	// function, or "the function literal in <func>").
@@ -247,7 +245,7 @@ type oblAnalysis struct {
 	leaks map[int]bool
 }
 
-func newOblAnalysis(ctx *modCtx, fd FuncDecl, discharging dischargeSet, findings *[]lint.Finding, sups *[]Suppression) *oblAnalysis {
+func newOblAnalysis(ctx *modCtx, fd FuncDecl, discharging dischargeSet, findings *[]Finding, sups *[]Suppression) *oblAnalysis {
 	return &oblAnalysis{
 		ctx: ctx, fd: fd, info: fd.Pkg.Info, discharging: discharging,
 		findings: findings, sups: sups, unitName: fd.Decl.Name.Name,
@@ -259,7 +257,7 @@ func newOblAnalysis(ctx *modCtx, fd FuncDecl, discharging dischargeSet, findings
 // when non-empty, seeds the listed FlushRange parameters as obligations
 // (summary mode: findings/sups are nil and the leaked indices are
 // returned). In reporting mode findings and suppressions are appended.
-func analyzeObligations(ctx *modCtx, fd FuncDecl, seedIdx []int, discharging dischargeSet, findings *[]lint.Finding, sups *[]Suppression) map[int]bool {
+func analyzeObligations(ctx *modCtx, fd FuncDecl, seedIdx []int, discharging dischargeSet, findings *[]Finding, sups *[]Suppression) map[int]bool {
 	a := newOblAnalysis(ctx, fd, discharging, findings, sups)
 	entry := make(oblState)
 	sig := fd.Obj.Type().(*types.Signature)
@@ -616,7 +614,7 @@ func (a *oblAnalysis) report(ob *obligation, msg string) {
 		return
 	}
 	a.seen[key] = true
-	*a.findings = append(*a.findings, lint.Finding{
+	*a.findings = append(*a.findings, Finding{
 		File: ob.file, Line: ob.line, Analyzer: "flushobligation", Msg: msg,
 	})
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
 // ipistate is the typestate checker for the shootdown request lifecycle.
@@ -138,12 +136,12 @@ type ipiAnalysis struct {
 	// returnsLive marks module functions whose result carries freshly
 	// kicked requests (CallMany wrappers).
 	returnsLive map[*types.Func]bool
-	findings    []lint.Finding
+	findings    []Finding
 	reported    map[string]bool
 	origins     map[*Value]map[*Value]bool
 }
 
-func checkIPIState(ctx *modCtx) ([]lint.Finding, []Suppression) {
+func checkIPIState(ctx *modCtx) ([]Finding, []Suppression) {
 	prog := ctx.program()
 	ia := &ipiAnalysis{
 		ctx: ctx, prog: prog,
@@ -561,7 +559,7 @@ func (ia *ipiAnalysis) report(f *Func, pos token.Pos, analyzer, format string, a
 		return
 	}
 	ia.reported[key] = true
-	ia.findings = append(ia.findings, lint.Finding{
+	ia.findings = append(ia.findings, Finding{
 		File: file, Line: line, Analyzer: analyzer, Msg: msg,
 	})
 }

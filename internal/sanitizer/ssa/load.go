@@ -1,4 +1,4 @@
-package typedlint
+package ssa
 
 import (
 	"fmt"
@@ -14,12 +14,12 @@ import (
 	"strings"
 )
 
-// ModulePath is the import path of the module this checker analyzes. The
+// modPath is the import path of the module this checker analyzes. The
 // loader is module-aware so it stays stdlib-only: the source importer that
 // ships with go/importer resolves GOROOT packages but knows nothing about
 // modules, so imports under this prefix are typechecked from the local
 // tree instead.
-const ModulePath = "shootdown"
+const modPath = "shootdown"
 
 // Package is one typechecked package of the module.
 type Package struct {
@@ -37,7 +37,7 @@ type Package struct {
 	Info *types.Info
 }
 
-// Module is the fully loaded and typechecked target of the typed analyzers.
+// Module is the fully loaded and typechecked target of the analyzers.
 type Module struct {
 	// Root is the absolute module root directory.
 	Root string
@@ -67,7 +67,7 @@ func newInfo() *types.Info {
 
 // LoadModule discovers, parses and typechecks every non-test package under
 // the module root (ascending from the working directory to the nearest
-// go.mod). It is the front door for the typed analyzers.
+// go.mod).
 func LoadModule() (*Module, error) {
 	root, err := findModuleRoot()
 	if err != nil {
@@ -137,23 +137,23 @@ func (m *Module) packageDirs() ([]string, error) {
 func (m *Module) importPathOf(dir string) string {
 	rel, err := filepath.Rel(m.Root, dir)
 	if err != nil || rel == "." {
-		return ModulePath
+		return modPath
 	}
-	return ModulePath + "/" + filepath.ToSlash(rel)
+	return modPath + "/" + filepath.ToSlash(rel)
 }
 
 // dirOf maps a module import path to its absolute directory.
 func (m *Module) dirOf(path string) string {
-	if path == ModulePath {
+	if path == modPath {
 		return m.Root
 	}
-	return filepath.Join(m.Root, filepath.FromSlash(strings.TrimPrefix(path, ModulePath+"/")))
+	return filepath.Join(m.Root, filepath.FromSlash(strings.TrimPrefix(path, modPath+"/")))
 }
 
 // Import implements types.Importer: module-internal paths load from the
 // local tree; everything else delegates to the GOROOT source importer.
 func (m *Module) Import(path string) (*types.Package, error) {
-	if path == ModulePath || strings.HasPrefix(path, ModulePath+"/") {
+	if path == modPath || strings.HasPrefix(path, modPath+"/") {
 		p, err := m.load(path)
 		if err != nil {
 			return nil, err
@@ -167,7 +167,7 @@ func (m *Module) Import(path string) (*types.Package, error) {
 func (m *Module) load(path string) (*Package, error) {
 	if p, ok := m.byPath[path]; ok {
 		if p == nil {
-			return nil, fmt.Errorf("typedlint: import cycle through %s", path)
+			return nil, fmt.Errorf("ssa: import cycle through %s", path)
 		}
 		return p, nil
 	}
@@ -195,7 +195,7 @@ func (m *Module) load(path string) (*Package, error) {
 	}
 	if len(files) == 0 {
 		delete(m.byPath, path)
-		return nil, fmt.Errorf("typedlint: no Go files in %s", dir)
+		return nil, fmt.Errorf("ssa: no Go files in %s", dir)
 	}
 	p := &Package{Path: path, Files: files, FileNames: names, Info: newInfo()}
 	if p.Dir, err = filepath.Rel(m.Root, dir); err != nil {
@@ -205,7 +205,7 @@ func (m *Module) load(path string) (*Package, error) {
 	cfg := types.Config{Importer: m}
 	p.Types, err = cfg.Check(path, m.Fset, files, p.Info)
 	if err != nil {
-		return nil, fmt.Errorf("typedlint: typecheck %s: %v", path, err)
+		return nil, fmt.Errorf("ssa: typecheck %s: %v", path, err)
 	}
 	m.byPath[path] = p
 	return p, nil
@@ -228,7 +228,7 @@ func (m *Module) LoadFixture(file string) (*Package, error) {
 		rel = filepath.Base(full)
 	}
 	p := &Package{
-		Path:      ModulePath + "/fixture/" + f.Name.Name,
+		Path:      modPath + "/fixture/" + f.Name.Name,
 		Dir:       filepath.ToSlash(filepath.Dir(rel)),
 		Files:     []*ast.File{f},
 		FileNames: []string{filepath.ToSlash(rel)},
@@ -236,7 +236,7 @@ func (m *Module) LoadFixture(file string) (*Package, error) {
 	}
 	cfg := types.Config{Importer: m}
 	if p.Types, err = cfg.Check(p.Path, m.Fset, p.Files, p.Info); err != nil {
-		return nil, fmt.Errorf("typedlint: typecheck fixture %s: %v", file, err)
+		return nil, fmt.Errorf("ssa: typecheck fixture %s: %v", file, err)
 	}
 	return p, nil
 }
@@ -253,8 +253,173 @@ func findModuleRoot() (string, error) {
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("typedlint: no go.mod above %s", dir)
+			return "", fmt.Errorf("ssa: no go.mod above %s", dir)
 		}
 		dir = parent
 	}
+}
+
+// --- shared typed helpers ---
+
+// FileOf returns the file (and its module-relative name) containing pos.
+func (p *Package) FileOf(pos token.Pos) (*ast.File, string) {
+	for i, f := range p.Files {
+		if f.FileStart <= pos && pos <= f.FileEnd {
+			return f, p.FileNames[i]
+		}
+	}
+	return nil, ""
+}
+
+// FuncDecl pairs a declaration with its package for module-wide passes.
+type FuncDecl struct {
+	Pkg  *Package
+	File string
+	Decl *ast.FuncDecl
+	Obj  *types.Func
+}
+
+// allFuncs lists every function declaration with a body across pkgs, in
+// deterministic (package, file, source) order.
+func allFuncs(pkgs []*Package) []FuncDecl {
+	var out []FuncDecl
+	for _, p := range pkgs {
+		for i, f := range p.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				obj, _ := p.Info.Defs[fd.Name].(*types.Func)
+				if obj == nil {
+					continue
+				}
+				out = append(out, FuncDecl{Pkg: p, File: p.FileNames[i], Decl: fd, Obj: obj})
+			}
+		}
+	}
+	return out
+}
+
+// unwrap strips parentheses and value-preserving conversions, so
+// "uint64(x)" and "(x)" alias x for whole-argument matching.
+func unwrap(info *types.Info, e ast.Expr) ast.Expr {
+	for {
+		switch v := e.(type) {
+		case *ast.ParenExpr:
+			e = v.X
+		case *ast.CallExpr:
+			// A conversion parses as a call whose Fun is a type.
+			if len(v.Args) == 1 && info.Types[v.Fun].IsType() {
+				e = v.Args[0]
+				continue
+			}
+			return e
+		default:
+			return e
+		}
+	}
+}
+
+// calleeFunc resolves a call to its *types.Func (methods, interface
+// methods and plain functions). Returns nil for builtins, conversions and
+// function-typed values.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				return fn
+			}
+		}
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
+}
+
+// identObj resolves an expression to the variable object it denotes
+// (plain identifiers only; selectors and index expressions return nil).
+func identObj(info *types.Info, e ast.Expr) *types.Var {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, _ := info.ObjectOf(id).(*types.Var)
+	return v
+}
+
+// namedType unwraps pointers and returns the named type of t, or nil.
+func namedType(t types.Type) *types.Named {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// isNamed reports whether t (after pointer unwrap) is the named type
+// pkgPath.name.
+func isNamed(t types.Type, pkgPath, name string) bool {
+	n := namedType(t)
+	if n == nil || n.Obj().Pkg() == nil {
+		return false
+	}
+	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
+}
+
+// buildImplMap maps each interface method declared in the module to the
+// concrete module methods implementing it.
+func buildImplMap(pkgs []*Package) map[*types.Func][]*types.Func {
+	out := make(map[*types.Func][]*types.Func)
+	var ifaces []*types.Named
+	for _, p := range pkgs {
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok {
+				if _, isIface := n.Underlying().(*types.Interface); isIface {
+					ifaces = append(ifaces, n)
+				}
+			}
+		}
+	}
+	for _, p := range pkgs {
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			if _, isIface := named.Underlying().(*types.Interface); isIface {
+				continue
+			}
+			for _, in := range ifaces {
+				iface := in.Underlying().(*types.Interface)
+				if !types.Implements(types.NewPointer(named), iface) {
+					continue
+				}
+				for i := 0; i < iface.NumMethods(); i++ {
+					m := iface.Method(i)
+					impl, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, p.Types, m.Name())
+					if fn, ok := impl.(*types.Func); ok {
+						out[m] = append(out[m], fn)
+					}
+				}
+			}
+		}
+	}
+	return out
 }

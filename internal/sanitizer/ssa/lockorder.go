@@ -7,8 +7,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
 // lockorder is a static lockdep: it computes, over the whole call graph,
@@ -106,7 +104,7 @@ func (s *lockSummary) equal(o *lockSummary) bool {
 }
 
 // checkLockOrder runs the static lockdep.
-func checkLockOrder(ctx *modCtx) ([]lint.Finding, []Suppression) {
+func checkLockOrder(ctx *modCtx) ([]Finding, []Suppression) {
 	lo := &lockOrder{
 		ctx:       ctx,
 		summaries: make(map[*types.Func]*lockSummary),
@@ -185,7 +183,7 @@ func checkLockOrder(ctx *modCtx) ([]lint.Finding, []Suppression) {
 	}
 	sort.Strings(nodes)
 
-	var findings []lint.Finding
+	var findings []Finding
 	reported := make(map[string]bool)
 	for _, start := range nodes {
 		cycle := findCycle(start, adj)
@@ -198,7 +196,7 @@ func checkLockOrder(ctx *modCtx) ([]lint.Finding, []Suppression) {
 		}
 		reported[key] = true
 		site := edges[edge{cycle[0], cycle[1%len(cycle)]}]
-		findings = append(findings, lint.Finding{
+		findings = append(findings, Finding{
 			File: site.file, Line: site.line, Analyzer: "lockorder",
 			Msg: fmt.Sprintf("lock-acquisition-order cycle: %s -> %s: two tasks taking these locks in opposite orders can deadlock; pick one global order",
 				strings.Join(cycle, " -> "), cycle[0]),

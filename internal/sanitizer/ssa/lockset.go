@@ -8,7 +8,6 @@ import (
 	"go/types"
 
 	"shootdown/internal/race"
-	"shootdown/internal/sanitizer/lint"
 )
 
 // lockset is the RacerD-style discharge prover for the dynamic race
@@ -81,16 +80,16 @@ type locksetAnalysis struct {
 	// sites collects resolved detector calls per registry key.
 	sites map[string][]*lockSite
 
-	findings  []lint.Finding
+	findings  []Finding
 	sups      []Suppression
-	witnesses []lint.Finding
+	witnesses []Finding
 	reported  map[string]bool
 	// entryBad / entryWaived drive the per-entry XVal status.
 	entryBad    map[string]bool
 	entryWaived map[string]bool
 }
 
-func checkLockset(ctx *modCtx) ([]lint.Finding, []Suppression) {
+func checkLockset(ctx *modCtx) ([]Finding, []Suppression) {
 	la := &locksetAnalysis{
 		ctx: ctx, prog: ctx.program(), mhp: ctx.buildMHP(),
 		entries:     race.Registry(),
@@ -339,7 +338,7 @@ func (la *locksetAnalysis) checkEarlyAcks(e race.Field, readUnits map[*Func]bool
 							continue
 						}
 						witnessSeen[key] = true
-						la.witnesses = append(la.witnesses, lint.Finding{
+						la.witnesses = append(la.witnesses, Finding{
 							File: file, Line: line, Analyzer: "lockset",
 							Msg: fmt.Sprintf("unprotected access to %q seeded by %s: early ack forced on while %s.%s is set — the exact schedule the dynamic model reports as a race on this field", e.Key, e.SeededBy, e.GuardStruct, e.Guard),
 						})
@@ -599,7 +598,7 @@ func (la *locksetAnalysis) problem(entryKey string, f *Func, pos token.Pos, form
 		}
 		return
 	}
-	la.findings = append(la.findings, lint.Finding{
+	la.findings = append(la.findings, Finding{
 		File: file, Line: line, Analyzer: "lockset", Msg: msg,
 	})
 	if entryKey != "" {

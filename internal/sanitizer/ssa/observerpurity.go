@@ -1,4 +1,4 @@
-package typedlint
+package ssa
 
 import (
 	"fmt"
@@ -6,19 +6,27 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
-// observerpurity (typed tier): hooks must be purely observational. The
-// syntactic pass (internal/sanitizer/lint/purity.go) catches direct
-// assignments through a hook parameter; this pass additionally catches
+// observerpurity: hooks must be purely observational. A hook that mutates
+// the state handed to it or package-level state silently changes protocol
+// behaviour only when a checker is attached, which is exactly the class of
+// bug the race detector's cycle-identical guarantee (internal/race) exists
+// to exclude. Hook literals are recognized at three kinds of installation
+// site: assignment to a field whose name ends in "Hook", a field value in
+// a composite literal of a type named *Observer or *Probe, and an argument
+// to SetObserver, SetProbe or SetBootHook. Inside a hook body the analyzer
+// flags
 //
-//   - mutation through method calls: a hook body that calls a method on
-//     observed state is flagged when module-wide summaries prove the
-//     method (transitively) writes through its receiver — e.g.
-//     sem.NoteContention() bumps the semaphore's contention counter even
-//     though no assignment appears at the hook site; and
+//   - writes (assignment, ++/--) through a hook parameter or a package-level
+//     variable; writes to captured function-locals stay legal, since
+//     accumulating results in the installing function is the sanctioned
+//     pattern (see sanitizer.Attach and experiments.RunRace);
+//   - mutation through method calls: a call on observed state is flagged
+//     when module-wide summaries prove the method (transitively) writes
+//     through its receiver — e.g. sem.NoteContention() bumps the
+//     semaphore's contention counter though no assignment appears at the
+//     hook site; and
 //   - aliasing: `s := e.Sem; s.NoteContention()` taints s because it was
 //     derived from a hook parameter, so laundering the state through a
 //     local does not escape the rule.
@@ -31,13 +39,12 @@ import (
 //   - workload.SetBootHook bodies are exempt from the method-call rule:
 //     the boot hook runs before the world starts, and attaching
 //     instrumentation there (k.EnableRace(d), f.EnableRace()) is its
-//     designed purpose. Direct writes through the parameter are still
-//     flagged, same as the syntactic tier.
+//     designed purpose. Direct writes are still flagged.
 var pureDeclPkgs = []string{
-	ModulePath + "/internal/race",
-	ModulePath + "/internal/trace",
-	ModulePath + "/internal/stats",
-	ModulePath + "/internal/sanitizer",
+	modPath + "/internal/race",
+	modPath + "/internal/trace",
+	modPath + "/internal/stats",
+	modPath + "/internal/sanitizer",
 }
 
 func inPurePkg(fn *types.Func) bool {
@@ -53,12 +60,11 @@ func inPurePkg(fn *types.Func) bool {
 	return false
 }
 
-// checkObserverPurityTyped runs the typed observer-purity analyzer.
-func checkObserverPurityTyped(ctx *modCtx) ([]lint.Finding, []Suppression) {
+func checkObserverPurity(ctx *modCtx) ([]Finding, []Suppression) {
 	mut := buildMutatingSummaries(ctx)
-	impls := BuildImplMap(ctx.pkgs)
-	var out []lint.Finding
-	for _, fd := range AllFuncs(ctx.pkgs) {
+	impls := buildImplMap(ctx.pkgs)
+	var out []Finding
+	for _, fd := range allFuncs(ctx.pkgs) {
 		info := fd.Pkg.Info
 		ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
 			for _, h := range hookLits(info, n) {
@@ -73,7 +79,7 @@ func checkObserverPurityTyped(ctx *modCtx) ([]lint.Finding, []Suppression) {
 // hookInstall is one recognized hook literal plus its installation kind.
 type hookInstall struct {
 	lit  *ast.FuncLit
-	boot bool // installed via workload.SetBootHook
+	boot bool // installed via SetBootHook
 }
 
 // hookLits returns the hook function literals n installs, resolved with
@@ -96,11 +102,7 @@ func hookLits(info *types.Info, n ast.Node) []hookInstall {
 			}
 		}
 	case *ast.CompositeLit:
-		tv, ok := info.Types[v]
-		if !ok {
-			return nil
-		}
-		named := NamedType(tv.Type)
+		named := namedType(info.TypeOf(v))
 		if named == nil {
 			return nil
 		}
@@ -109,16 +111,14 @@ func hookLits(info *types.Info, n ast.Node) []hookInstall {
 			return nil
 		}
 		for _, el := range v.Elts {
-			kv, ok := el.(*ast.KeyValueExpr)
-			if !ok {
-				continue
-			}
-			if lit, ok := kv.Value.(*ast.FuncLit); ok {
-				out = append(out, hookInstall{lit: lit})
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				if lit, ok := kv.Value.(*ast.FuncLit); ok {
+					out = append(out, hookInstall{lit: lit})
+				}
 			}
 		}
 	case *ast.CallExpr:
-		fn := CalleeFunc(info, v)
+		fn := calleeFunc(info, v)
 		if fn == nil {
 			return nil
 		}
@@ -127,10 +127,9 @@ func hookLits(info *types.Info, n ast.Node) []hookInstall {
 		default:
 			return nil
 		}
-		boot := fn.Name() == "SetBootHook"
 		for _, arg := range v.Args {
 			if lit, ok := arg.(*ast.FuncLit); ok {
-				out = append(out, hookInstall{lit: lit, boot: boot})
+				out = append(out, hookInstall{lit: lit, boot: fn.Name() == "SetBootHook"})
 			}
 		}
 	}
@@ -138,7 +137,7 @@ func hookLits(info *types.Info, n ast.Node) []hookInstall {
 }
 
 // checkHookLit flags impure statements inside one hook literal.
-func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]bool, impls map[*types.Func][]*types.Func) []lint.Finding {
+func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]bool, impls map[*types.Func][]*types.Func) []Finding {
 	info := fd.Pkg.Info
 
 	// Taint: the hook's parameters, plus locals derived from them.
@@ -166,8 +165,7 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 				if src == nil || !taint[src] {
 					continue
 				}
-				dst := IdentObj(info, as.Lhs[i])
-				if dst != nil && !taint[dst] {
+				if dst := identObj(info, as.Lhs[i]); dst != nil && !taint[dst] {
 					taint[dst] = true
 					changed = true
 				}
@@ -176,13 +174,23 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 		})
 	}
 
-	var out []lint.Finding
-	report := func(pos token.Pos, target, how string) {
-		out = append(out, lint.Finding{
+	var out []Finding
+	report := func(pos token.Pos, what string) {
+		out = append(out, Finding{
 			File: fd.File, Line: ctx.m.Fset.Position(pos).Line,
 			Analyzer: "observerpurity",
-			Msg:      fmt.Sprintf("hook mutates observed state %q %s; observers must be purely observational", target, how),
+			Msg:      "hook mutates " + what + "; observers must be purely observational",
 		})
+	}
+	write := func(lhs ast.Expr) {
+		root := rootVar(info, lhs)
+		switch {
+		case root == nil:
+		case taint[root]:
+			report(lhs.Pos(), fmt.Sprintf("observed state %q (write through hook parameter)", root.Name()))
+		case root.Pkg() != nil && root.Parent() == root.Pkg().Scope():
+			report(lhs.Pos(), fmt.Sprintf("package-level variable %q", root.Name()))
+		}
 	}
 	isMutating := func(fn *types.Func) bool {
 		if inPurePkg(fn) {
@@ -202,23 +210,18 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 	ast.Inspect(h.lit.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.AssignStmt:
-			if v.Tok == token.DEFINE {
-				return true
-			}
-			for _, lhs := range v.Lhs {
-				if root := rootVar(info, lhs); root != nil && taint[root] {
-					report(lhs.Pos(), root.Name(), "(write through hook parameter)")
+			if v.Tok != token.DEFINE {
+				for _, lhs := range v.Lhs {
+					write(lhs)
 				}
 			}
 		case *ast.IncDecStmt:
-			if root := rootVar(info, v.X); root != nil && taint[root] {
-				report(v.X.Pos(), root.Name(), "(write through hook parameter)")
-			}
+			write(v.X)
 		case *ast.CallExpr:
 			if h.boot {
 				return true // boot hooks attach instrumentation by design
 			}
-			fn := CalleeFunc(info, v)
+			fn := calleeFunc(info, v)
 			if fn == nil || !isMutating(fn) {
 				return true
 			}
@@ -227,7 +230,7 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 				return true
 			}
 			if root := rootVar(info, sel.X); root != nil && taint[root] {
-				report(v.Pos(), root.Name(), fmt.Sprintf("via call to mutating method %s", fn.Name()))
+				report(v.Pos(), fmt.Sprintf("observed state %q via call to mutating method %s", root.Name(), fn.Name()))
 			}
 		}
 		return true
@@ -239,7 +242,7 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 // methods write through their receiver — directly (field assignment or
 // ++/--) or by calling another mutating method on receiver-rooted state.
 func buildMutatingSummaries(ctx *modCtx) map[*types.Func]bool {
-	funcs := AllFuncs(ctx.pkgs)
+	funcs := allFuncs(ctx.pkgs)
 	mut := make(map[*types.Func]bool)
 	for changed := true; changed; {
 		changed = false
@@ -247,15 +250,7 @@ func buildMutatingSummaries(ctx *modCtx) map[*types.Func]bool {
 			if mut[fd.Obj] {
 				continue
 			}
-			sig := fd.Obj.Type().(*types.Signature)
-			if sig.Recv() == nil {
-				continue
-			}
-			recvVar := receiverVar(fd)
-			if recvVar == nil {
-				continue
-			}
-			if methodMutates(fd, recvVar, mut) {
+			if recv := receiverVar(fd); recv != nil && methodMutates(fd, recv, mut) {
 				mut[fd.Obj] = true
 				changed = true
 			}
@@ -264,16 +259,14 @@ func buildMutatingSummaries(ctx *modCtx) map[*types.Func]bool {
 	return mut
 }
 
-// receiverVar returns the *types.Var bound to fd's receiver name.
+// receiverVar returns the *types.Var bound to fd's receiver name (nil for
+// plain functions and anonymous receivers, which cannot be written
+// through).
 func receiverVar(fd FuncDecl) *types.Var {
-	if fd.Decl.Recv == nil || len(fd.Decl.Recv.List) == 0 {
+	if fd.Decl.Recv == nil || len(fd.Decl.Recv.List) == 0 || len(fd.Decl.Recv.List[0].Names) == 0 {
 		return nil
 	}
-	names := fd.Decl.Recv.List[0].Names
-	if len(names) == 0 {
-		return nil // anonymous receiver cannot be written through
-	}
-	v, _ := fd.Pkg.Info.Defs[names[0]].(*types.Var)
+	v, _ := fd.Pkg.Info.Defs[fd.Decl.Recv.List[0].Names[0]].(*types.Var)
 	return v
 }
 
@@ -281,6 +274,15 @@ func receiverVar(fd FuncDecl) *types.Var {
 // current fixpoint state.
 func methodMutates(fd FuncDecl, recvVar *types.Var, mut map[*types.Func]bool) bool {
 	info := fd.Pkg.Info
+	// writesThrough: a write to the bare receiver variable itself rebinds a
+	// local copy; only writes through it (selector/index/deref) mutate the
+	// object.
+	writesThrough := func(e ast.Expr) bool {
+		if _, bare := ast.Unparen(e).(*ast.Ident); bare {
+			return false
+		}
+		return rootVar(info, e) == recvVar
+	}
 	found := false
 	ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
 		if found {
@@ -292,47 +294,26 @@ func methodMutates(fd FuncDecl, recvVar *types.Var, mut map[*types.Func]bool) bo
 				return true
 			}
 			for _, lhs := range v.Lhs {
-				// A write to the bare receiver variable itself rebinds a
-				// local copy; only writes through it (selector/index/deref)
-				// mutate the object.
-				if _, bare := ast.Unparen(lhs).(*ast.Ident); bare {
-					continue
-				}
-				if root := rootVar(info, lhs); root == recvVar {
-					found = true
-					return false
-				}
+				found = found || writesThrough(lhs)
 			}
 		case *ast.IncDecStmt:
-			if _, bare := ast.Unparen(v.X).(*ast.Ident); bare {
-				return true
-			}
-			if root := rootVar(info, v.X); root == recvVar {
-				found = true
-				return false
-			}
+			found = writesThrough(v.X)
 		case *ast.CallExpr:
-			fn := CalleeFunc(info, v)
-			if fn == nil || !mut[fn] {
-				return true
-			}
-			sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if root := rootVar(info, sel.X); root == recvVar {
-				found = true
-				return false
+			if fn := calleeFunc(info, v); fn != nil && mut[fn] {
+				if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok {
+					found = rootVar(info, sel.X) == recvVar
+				}
 			}
 		}
-		return true
+		return !found
 	})
 	return found
 }
 
-// rootVar walks selector/index/star/paren chains to the base identifier
-// and resolves it to a variable (nil when the chain bottoms out in a call
-// result, a package name or anything else that is not a variable).
+// rootVar walks selector/index/star/paren chains to the base variable: a
+// local, a parameter, or a package-level variable (including one named
+// through its package, pkg.V). It returns nil when the chain bottoms out
+// in a call result or anything else that is not a variable.
 func rootVar(info *types.Info, e ast.Expr) *types.Var {
 	for {
 		switch v := e.(type) {
@@ -340,8 +321,12 @@ func rootVar(info *types.Info, e ast.Expr) *types.Var {
 			obj, _ := info.ObjectOf(v).(*types.Var)
 			return obj
 		case *ast.SelectorExpr:
-			// x in pkg.X is a package name, not a variable; ObjectOf on the
-			// base ident sorts that out below.
+			if id, ok := v.X.(*ast.Ident); ok {
+				if _, isPkg := info.ObjectOf(id).(*types.PkgName); isPkg {
+					obj, _ := info.ObjectOf(v.Sel).(*types.Var)
+					return obj
+				}
+			}
 			e = v.X
 		case *ast.IndexExpr:
 			e = v.X

@@ -6,16 +6,17 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"shootdown/internal/sanitizer/lint"
 )
 
-// parallelsafe is the whole-program successor to lint's syntactic
-// parallelsafety rule. The syntactic tier sees one file at a time, so the
-// tree used to carry "parallel-safe:" waivers on package-level vars whose
-// safety argument (a save/restore setter discipline) it could not check.
-// This analyzer proves the discipline over the SSA form of the entire
-// module:
+// parallelsafe guards the scheduler's core assumption (internal/sched):
+// every simulated world is self-contained, so experiment cells may run
+// concurrently and still produce byte-identical results. A mutable
+// package-level variable in a simulated package is cross-world shared
+// state — two concurrently booted machines would observe each other,
+// which is both a data race under `go test -race` and a determinism leak.
+// Immutable error sentinels (every initializer is errors.New or
+// fmt.Errorf) are exempt; for every other var the analyzer proves a
+// save/restore setter discipline over the SSA form of the entire module:
 //
 //   - every store to the var must happen inside a restore-disciplined
 //     setter — a function that saves the old value into a local, writes
@@ -30,6 +31,57 @@ import (
 // downgrades those findings to suppressions, exactly like the
 // obligation-transferred flow in flushobligation.
 const parallelSafeMarker = "parallel-safe:"
+
+// parallelScope lists the module-relative directory prefixes that make up
+// the simulated world — the packages whose state must be self-contained
+// for experiment cells to run concurrently. detflow shares this
+// definition of "simulated state".
+var parallelScope = []string{
+	"internal/apic/", "internal/cache/", "internal/core/",
+	"internal/daemons/", "internal/fault/", "internal/kernel/",
+	"internal/mach/", "internal/mm/", "internal/pagetable/",
+	"internal/sim/", "internal/smp/", "internal/stats/",
+	"internal/syscalls/", "internal/tlb/", "internal/virt/",
+	"internal/workload/",
+}
+
+// inParallelScope reports whether the module-relative path rel lies
+// inside a simulated package.
+func inParallelScope(rel string) bool {
+	for _, p := range parallelScope {
+		if strings.HasPrefix(rel, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// isErrorSentinel reports whether every initializer of the spec is an
+// errors.New or fmt.Errorf call — the immutable error-identity pattern.
+func isErrorSentinel(vs *ast.ValueSpec) bool {
+	if len(vs.Values) == 0 || len(vs.Values) != len(vs.Names) {
+		return false
+	}
+	for _, v := range vs.Values {
+		call, ok := v.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		if !ok {
+			return false
+		}
+		if !(pkg.Name == "errors" && sel.Sel.Name == "New") &&
+			!(pkg.Name == "fmt" && sel.Sel.Name == "Errorf") {
+			return false
+		}
+	}
+	return true
+}
 
 // psVar is one package-level var in a simulated package.
 type psVar struct {
@@ -49,7 +101,7 @@ type psStore struct {
 
 // checkParallelSafe proves restore discipline for package-level vars in
 // simulated packages and retires stale parallel-safe markers.
-func checkParallelSafe(ctx *modCtx) ([]lint.Finding, []Suppression) {
+func checkParallelSafe(ctx *modCtx) ([]Finding, []Suppression) {
 	prog := ctx.program()
 	vars := collectSimGlobals(ctx)
 	if len(vars) == 0 {
@@ -87,7 +139,7 @@ func checkParallelSafe(ctx *modCtx) ([]lint.Finding, []Suppression) {
 		}
 	})
 
-	var findings []lint.Finding
+	var findings []Finding
 	var sups []Suppression
 	for _, v := range vars {
 		var bad []psStore
@@ -99,7 +151,7 @@ func checkParallelSafe(ctx *modCtx) ([]lint.Finding, []Suppression) {
 		}
 		switch {
 		case len(bad) == 0 && v.marker:
-			findings = append(findings, lint.Finding{
+			findings = append(findings, Finding{
 				File: v.file, Line: v.markerLine, Analyzer: "parallelsafe",
 				Msg: fmt.Sprintf("stale %q marker on %q: every store is inside a restore-disciplined setter, proven whole-program; delete the marker", parallelSafeMarker, v.obj.Name()),
 			})
@@ -110,7 +162,7 @@ func checkParallelSafe(ctx *modCtx) ([]lint.Finding, []Suppression) {
 		case len(bad) > 0:
 			for _, st := range bad {
 				file, line := ctx.posLine(st.unit.Decl, st.instr.Pos)
-				findings = append(findings, lint.Finding{
+				findings = append(findings, Finding{
 					File: file, Line: line, Analyzer: "parallelsafe",
 					Msg: fmt.Sprintf("package-level var %q written outside a restore-disciplined setter: worlds run concurrently under internal/sched, so this store races across experiment cells", v.obj.Name()),
 				})
@@ -121,11 +173,11 @@ func checkParallelSafe(ctx *modCtx) ([]lint.Finding, []Suppression) {
 }
 
 // collectSimGlobals lists the mutable package-level vars declared in
-// simulated packages, skipping error sentinels.
+// simulated packages (and fixtures), skipping error sentinels.
 func collectSimGlobals(ctx *modCtx) []*psVar {
 	var out []*psVar
 	for _, p := range ctx.pkgs {
-		if !lint.InParallelScope(p.Dir + "/") {
+		if dir := p.Dir + "/"; !inParallelScope(dir) && !inFixture(dir) {
 			continue
 		}
 		for i, f := range p.Files {
@@ -138,7 +190,7 @@ func collectSimGlobals(ctx *modCtx) []*psVar {
 				declReason, declOK := markerReason(gd.Doc)
 				for _, spec := range gd.Specs {
 					vs, ok := spec.(*ast.ValueSpec)
-					if !ok || lint.IsErrorSentinel(vs) {
+					if !ok || isErrorSentinel(vs) {
 						continue
 					}
 					reason, has := declReason, declOK

@@ -1,5 +1,8 @@
-// Fixture: hooks that mutate observed or package-level state.
-package fixture
+// Fixture: hooks that mutate observed or package-level state. The
+// observerpurity analyzer must report exactly four findings: two writes
+// through a hook parameter, one package-level write, and one write in a
+// boot hook.
+package purityfix
 
 type world struct {
 	Cycles uint64

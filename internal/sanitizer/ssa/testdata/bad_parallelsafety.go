@@ -1,4 +1,8 @@
-package fixture
+// Fixture: cross-world mutable state in a simulated package. The
+// parallelsafe analyzer must report exactly four findings, one per
+// undisciplined store in touch, and record one suppression for the
+// marker-waived hook.
+package parallelfix
 
 import (
 	"errors"
@@ -7,9 +11,9 @@ import (
 
 // flushCount is cross-world mutable state: two concurrently booted
 // machines would increment the same counter.
-var flushCount int // want finding
+var flushCount int
 
-var lastWorld, bootSeq = "", 0 // want 2 findings
+var lastWorld, bootSeq = "", 0
 
 // ErrBadFlush is an immutable error sentinel: allowed.
 var ErrBadFlush = errors.New("fixture: bad flush")
@@ -26,9 +30,22 @@ var hook func()
 
 var (
 	// tick is mutable even though it hides in a group with a sentinel.
-	tick    uint64 // want finding
+	tick    uint64
 	ErrTick = errors.New("fixture: tick")
 )
+
+// faultSpec is written only through a restore-disciplined setter: allowed.
+var faultSpec string
+
+func setFaultSpec(s string) func() {
+	prev := faultSpec
+	faultSpec = s
+	return func() { faultSpec = prev }
+}
+
+func setHook(fn func()) {
+	hook = fn
+}
 
 func touch() {
 	flushCount++
@@ -41,4 +58,5 @@ func touch() {
 	_ = errors.Is(ErrStale, ErrBadFlush)
 	_ = ErrWrapped
 	_ = ErrTick
+	_ = faultSpec
 }

@@ -1,7 +1,7 @@
 // Fixture: the sanctioned shapes around nondeterminism sources. The
 // detflow analyzer must stay silent — map iteration order is sanitized by
 // sorting before anything derived from it reaches a digest, and event
-// timestamps come from constants, not the wall clock.
+// timestamps come from the cost model, not the wall clock.
 package detfixok
 
 import (
@@ -28,6 +28,6 @@ func sortedDigest(byCPU map[mach.CPU]*mm.AddressSpace) string {
 	return workload.StateDigest(spaces)
 }
 
-func deterministicDelay(p *sim.Proc) {
-	p.Delay(100)
+func deterministicDelay(p *sim.Proc, c *mach.CostModel) {
+	p.Delay(c.Invlpg)
 }

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary describes a sample.
@@ -57,27 +56,6 @@ func SummarizeUint64(xs []uint64) Summary {
 // String renders "mean ± std".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.0f ± %.0f", s.Mean, s.Std)
-}
-
-// Percentile returns the p-th percentile (0-100) of xs using
-// nearest-rank on a sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	ys := append([]float64(nil), xs...)
-	sort.Float64s(ys)
-	if p <= 0 {
-		return ys[0]
-	}
-	if p >= 100 {
-		return ys[len(ys)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(ys)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return ys[rank]
 }
 
 // Speedup returns baseline/value: >1 means value is faster (smaller).

@@ -38,26 +38,6 @@ func TestSummarizeUint64(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Fatalf("empty = %v", got)
-	}
-	// The input must not be reordered.
-	if xs[0] != 5 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
 func TestSpeedupReduction(t *testing.T) {
 	if got := Speedup(200, 100); !approx(got, 2) {
 		t.Fatalf("speedup = %v", got)

@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI gate: build, tests, race detector, repo-invariant lint, and the
-# shadow-oracle coherence sanitizer over the seed experiment suite.
-# Fails on the first broken step. Mirrors `make check`.
+# CI gate: build, tests, race detector, the static-analysis tier, and the
+# shadow-oracle coherence sanitizer and race model over the experiment
+# suite under fault injection. Fails on the first broken step. Mirrors
+# `make check`; the GitHub workflow runs this script.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -65,10 +66,8 @@ rm -f coverage.out
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> tlbcheck -lint ./..."
-go run ./cmd/tlbcheck -lint ./...
-
-# The whole static tier — typedlint plus the ssa analyzers (flush
+# The static tier — every internal/sanitizer/ssa analyzer off one
+# typecheck (banned imports, cost constants, observer purity, flush
 # obligations, lock order, the ipistate shootdown DFA, the detflow
 # nondeterminism-taint proof, the parallelsafe restore-discipline proof,
 # the mhp may-happen-in-parallel contexts and the lockset race-discipline
@@ -78,7 +77,7 @@ go run ./cmd/tlbcheck -lint ./...
 # machine-readable report lands in VET_findings.json as a CI artifact,
 # and the tier carries a wall-clock budget: the whole-program analyses
 # must stay interactive (< 60s) or they will rot out of the edit loop.
-echo "==> tlbvet (typed + ssa static analysis)"
+echo "==> tlbvet (static analysis)"
 vet_start=$(date +%s)
 if ! go run ./cmd/tlbvet -json -xval RACE_XVAL.txt -fabproof FABPROOF.txt > VET_findings.json 2> VET_errors.txt; then
     cat VET_errors.txt VET_findings.json
@@ -119,16 +118,13 @@ if grep -q 'unproven' FABPROOF.txt; then
     exit 1
 fi
 
-echo "==> tlbcheck (sanitized experiment suite)"
-go run ./cmd/tlbcheck -quick -v
-
-echo "==> tlbcheck -race-model (happens-before race check)"
-go run ./cmd/tlbcheck -race-model -quick -v
-
-# The same oracle stack must stay clean when every machine runs under an
+# The oracle stack must stay clean when every machine runs under an
 # injected fault schedule: dropped/delayed kicks, stalled responders,
 # spurious evictions, PCID recycling and preemption storms, recovered by
-# the timeout/rekick/degrade path.
+# the timeout/rekick/degrade path. The unfaulted suites need no stage of
+# their own: go test already runs them (TestSanitizedQuickSuite,
+# TestRaceModelQuickSuite), and the cmd/tlbcheck golden report tests
+# cover the CLI.
 echo "==> tlbcheck -faults light (sanitized suite under fault injection)"
 go run ./cmd/tlbcheck -quick -faults light -v
 
