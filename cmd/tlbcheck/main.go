@@ -23,6 +23,7 @@
 //	tlbcheck -run fig6,table3    # specific experiments
 //	tlbcheck -race-model         # happens-before race check of the suite
 //	tlbcheck -faults light       # sanitize under an injected fault schedule
+//	tlbcheck -quick -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -33,6 +34,7 @@ import (
 
 	"shootdown/internal/experiments"
 	"shootdown/internal/fault"
+	"shootdown/internal/prof"
 	"shootdown/internal/race"
 	"shootdown/internal/sanitizer"
 	"shootdown/internal/sched"
@@ -49,6 +51,7 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "experiment-cell worker count (0 = GOMAXPROCS); reports are identical at any setting")
 		faults    = flag.String("faults", "none", "fault schedule for every simulated machine: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides, e.g. 'light,drop=0.3'")
 		tlbmode   = flag.String("tlbmode", "", "shootdown dispatch tier override for every cell: sync or async (default: as each experiment configures)")
+		profiles  = prof.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	sched.SetWorkers(*parallel)
@@ -69,10 +72,23 @@ func main() {
 		defer restore()
 	}
 
-	if *raceModel {
-		os.Exit(runRaceModel(*run, *quick, *seed, *verbose, faultSpec))
+	if err := profiles.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
+		os.Exit(2)
 	}
-	os.Exit(runSanitized(*run, *quick, *seed, *verbose, faultSpec))
+	var code int
+	if *raceModel {
+		code = runRaceModel(*run, *quick, *seed, *verbose, faultSpec)
+	} else {
+		code = runSanitized(*run, *quick, *seed, *verbose, faultSpec)
+	}
+	if err := profiles.Stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
+		if code == 0 {
+			code = 2
+		}
+	}
+	os.Exit(code)
 }
 
 func runSanitized(run string, quick bool, seed uint64, verbose bool, faults fault.Spec) int {

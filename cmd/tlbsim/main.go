@@ -9,6 +9,7 @@
 //	tlbsim -exp table4 -csv
 //	tlbsim -exp faults -quick        # fault-injection sweep
 //	tlbsim -exp fig6 -faults light   # any experiment under a fault schedule
+//	tlbsim -exp fig10 -quick -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"shootdown/internal/experiments"
 	"shootdown/internal/fault"
 	"shootdown/internal/mach"
+	"shootdown/internal/prof"
 	"shootdown/internal/sched"
 	"shootdown/internal/sim"
 	"shootdown/internal/workload"
@@ -37,6 +39,7 @@ func main() {
 		tlbmode  = flag.String("tlbmode", "", "shootdown dispatch tier override for every cell: sync or async (default: as each experiment configures)")
 		topo     = flag.String("topo", "", "machine topology for every cell: 'default', a preset CPU count (56, 256, 512, 1024) or SxCxT[xN] (default: the paper's 56-CPU testbed)")
 		engine   = flag.String("engine", "", "event-scheduler implementation: wheel or heap (default: wheel); both realize the identical event order")
+		profiles = prof.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	sched.SetWorkers(*parallel)
@@ -98,15 +101,20 @@ func main() {
 		names = experiments.Names()
 	}
 	reg := experiments.Registry()
-	opts := experiments.Options{Quick: *quick, Seed: *seed}
 	for _, name := range names {
-		runner, ok := reg[name]
-		if !ok {
+		if _, ok := reg[name]; !ok {
 			fmt.Fprintf(os.Stderr, "tlbsim: unknown experiment %q; try -list\n", name)
 			os.Exit(1)
 		}
+	}
+	if err := profiles.Start(); err != nil {
+		fmt.Fprintf(os.Stderr, "tlbsim: %v\n", err)
+		os.Exit(2)
+	}
+	opts := experiments.Options{Quick: *quick, Seed: *seed}
+	for _, name := range names {
 		fmt.Fprintf(os.Stderr, "running %s...\n", name)
-		for _, tab := range runner(opts) {
+		for _, tab := range reg[name](opts) {
 			if *csv {
 				fmt.Print(tab.CSV())
 			} else {
@@ -114,5 +122,9 @@ func main() {
 			}
 			fmt.Println()
 		}
+	}
+	if err := profiles.Stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "tlbsim: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -155,7 +155,11 @@ type Table struct {
 	tablePages int
 	// leaves counts present leaf entries.
 	leaves int
-	obs    func(Change)
+	// free holds table pages released by Unmap for Map to reuse. A page
+	// is released only once live drops to 0, when every entry is zero,
+	// so it is reused as is.
+	free []*node
+	obs  func(Change)
 
 	// rt, when non-nil, is the attached happens-before checker; pteVar is
 	// the variable name PTE accesses are tracked under. One variable
@@ -251,7 +255,7 @@ func (t *Table) Map(va, frame uint64, size Size, flags Flags) error {
 				// A huge leaf sits where we need an intermediate table.
 				return fmt.Errorf("%w: huge page at %#x", ErrAlreadyMapped, va)
 			}
-			n.children[idx] = &node{}
+			n.children[idx] = t.newNode()
 			n.live++
 			t.tablePages++
 		}
@@ -266,6 +270,18 @@ func (t *Table) Map(va, frame uint64, size Size, flags Flags) error {
 	t.leaves++
 	t.notify(va, size, PTE{}, n.ptes[idx])
 	return nil
+}
+
+// newNode returns a zeroed table page, reusing a released one if any.
+func (t *Table) newNode() *node {
+	k := len(t.free)
+	if k == 0 {
+		return &node{}
+	}
+	n := t.free[k-1]
+	t.free[k-1] = nil
+	t.free = t.free[:k-1]
+	return n
 }
 
 // Walk translates va. It does not modify Accessed/Dirty bits; the MMU model
@@ -416,6 +432,7 @@ func (t *Table) unmapRec(n *node, va uint64, level int) (freed bool, err error) 
 		n.children[idx] = nil
 		n.live--
 		t.tablePages--
+		t.free = append(t.free, child)
 		freed = true
 	}
 	return freed, nil

@@ -156,6 +156,78 @@ func TestFreedTables(t *testing.T) {
 	}
 }
 
+// TestFreedTablesAreReused: the table pages an Unmap releases go on the
+// free list, and the next Map that needs pages takes them back zeroed,
+// with TablePages and the freedTables signal exactly as without reuse.
+// Warm map/unmap cycles then allocate nothing.
+func TestFreedTablesAreReused(t *testing.T) {
+	pt := New()
+	if err := pt.Map(0x1000, 1, Size4K, Write); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Map(0x2000, 2, Size4K, Write); err != nil {
+		t.Fatal(err)
+	}
+	ptPage := pt.root.children[0].children[0].children[0]
+	for _, va := range []uint64{0x1000, 0x2000} {
+		if _, err := pt.Unmap(va); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pt.TablePages() != 0 || len(pt.free) != 3 {
+		t.Fatalf("after unmap: TablePages = %d, free = %d; want 0, 3", pt.TablePages(), len(pt.free))
+	}
+	for _, n := range pt.free {
+		if *n != (node{}) {
+			t.Fatal("released table page is not zero")
+		}
+	}
+
+	// Map elsewhere: the same three pages come back, with no stale entry.
+	const va = 5<<30 | 7<<21 | 3<<12
+	if err := pt.Map(va, 9, Size4K, Write); err != nil {
+		t.Fatal(err)
+	}
+	if pt.TablePages() != 3 || len(pt.free) != 0 {
+		t.Fatalf("after remap: TablePages = %d, free = %d; want 3, 0", pt.TablePages(), len(pt.free))
+	}
+	reused := false
+	for _, n := range []*node{pt.root.children[0], pt.root.children[0].children[5], pt.root.children[0].children[5].children[7]} {
+		reused = reused || n == ptPage
+	}
+	if !reused {
+		t.Fatal("Map allocated a fresh page instead of reusing a released one")
+	}
+	for _, probe := range []uint64{0x1000, 0x2000, va + PageSize4K} {
+		if _, err := pt.Walk(probe); !errors.Is(err, ErrNotMapped) {
+			t.Fatalf("walk %#x after reuse: %v, want ErrNotMapped", probe, err)
+		}
+	}
+
+	// freedTables is reported as before: not while a sibling remains.
+	if err := pt.Map(va+PageSize4K, 10, Size4K, Write); err != nil {
+		t.Fatal(err)
+	}
+	if freed, err := pt.Unmap(va); err != nil || freed {
+		t.Fatalf("unmap with sibling mapped: freed = %v, err = %v", freed, err)
+	}
+	if freed, err := pt.Unmap(va + PageSize4K); err != nil || !freed {
+		t.Fatalf("unmap of last page: freed = %v, err = %v", freed, err)
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := pt.Map(va, 9, Size4K, Write); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pt.Unmap(va); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm map/unmap cycle allocated %v objects, want 0", allocs)
+	}
+}
+
 func TestUnmapRange(t *testing.T) {
 	pt := New()
 	for i := uint64(0); i < 8; i++ {

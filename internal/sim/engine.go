@@ -3,11 +3,13 @@
 //
 // The engine maintains a virtual clock measured in CPU cycles and an event
 // heap ordered by (time, insertion sequence). Simulated activities run as
-// processes (Proc): goroutines that execute strictly one at a time, handing
-// control back to the engine whenever they block (Delay, Cond.Wait, ...).
-// Because at most one goroutine runs at any instant and ties in the event
-// heap are broken by insertion order, a simulation with a fixed seed is
-// fully deterministic.
+// processes (Proc): coroutines (iter.Pull) that execute strictly one at a
+// time, handing control back to the engine whenever they block (Delay,
+// Cond.Wait, ...). The engine and a process pass the running thread to
+// each other directly (the runtime's coroutine switch), so no switch goes
+// through the Go scheduler. Because at most one process runs at any
+// instant and ties in the event heap are broken by insertion order, a
+// simulation with a fixed seed is fully deterministic.
 //
 // The package is the foundation for every other simulated component in this
 // repository: cores, TLBs, APICs and kernel code are all expressed as
@@ -173,12 +175,11 @@ func (q *heapQueue) nextTime() (Time, bool) {
 // cooperatively and never run in parallel with the engine or each other.
 // Distinct Engines share nothing and may run concurrently.
 type Engine struct {
-	now   Time
-	q     eventQueue
-	kind  EngineKind
-	seq   uint64
-	sched chan struct{}
-	rng   *Rand
+	now  Time
+	q    eventQueue
+	kind EngineKind
+	seq  uint64
+	rng  *Rand
 
 	// free is the event free list: every fired or drained-cancelled event
 	// is recycled here, so steady-state scheduling (Delay, Yield, cond
@@ -189,7 +190,6 @@ type Engine struct {
 	procs     []*Proc
 	procErr   error
 	current   *Proc
-	draining  bool
 }
 
 // NewEngine returns an engine with the clock at zero and a deterministic
@@ -215,10 +215,9 @@ func NewEngineKind(kind EngineKind, seed uint64) *Engine {
 		panic(fmt.Sprintf("sim: unknown engine kind %q", kind))
 	}
 	return &Engine{
-		q:     q,
-		kind:  kind,
-		sched: make(chan struct{}),
-		rng:   NewRand(seed),
+		q:    q,
+		kind: kind,
+		rng:  NewRand(seed),
 	}
 }
 
@@ -304,22 +303,23 @@ func (e *Engine) RunUntil(horizon Time) {
 	}
 }
 
-// errShutdown is the poison delivered to parked processes during Shutdown;
-// yielding processes re-panic with it, and the proc trampoline swallows it.
+// errShutdown is the poison a parked process unwinds with during Shutdown:
+// its yield reports false and re-panics with it, and the proc trampoline
+// swallows it.
 var errShutdown = errors.New("sim: engine shut down")
 
 // Shutdown drains the engine after the simulation is over: every process
 // that is still blocked (on a Delay that will never elapse under a panicked
-// run, a Cond with no future signal, an idle CPU loop, ...) is woken one
-// last time and unwound, so its goroutine exits. Without this, every booted
-// machine parks its per-CPU loops forever — across thousands of pooled runs
-// that is an unbounded goroutine leak.
+// run, a Cond with no future signal, an idle CPU loop, ...) is stopped and
+// unwound, so its coroutine exits. Without this, every booted machine parks
+// its per-CPU loops forever — across thousands of pooled runs that is an
+// unbounded goroutine leak. A process that blocks again while unwinding
+// (a deferred Delay, say) is poisoned again, so it cannot re-park.
 //
 // Shutdown must be called from the goroutine that drives the engine, after
 // Run/RunUntil returned or panicked. The engine must not be used afterwards.
 // It is idempotent, and LiveProcs reports 0 once it returns.
 func (e *Engine) Shutdown() {
-	e.draining = true
 	// Index loop: a dying process could in principle spawn another during
 	// unwind; appended procs are drained in the same pass.
 	for i := 0; i < len(e.procs); i++ {
@@ -327,8 +327,15 @@ func (e *Engine) Shutdown() {
 		if p.done {
 			continue
 		}
-		e.resume(p)
+		e.current = p
+		p.stop()
+		if !p.done {
+			// Never started: stop skipped the body and its bookkeeping.
+			p.done = true
+			e.liveProcs--
+		}
 	}
+	e.current = nil
 	e.procs = nil
 	if e.q != nil {
 		e.q.clear()
@@ -343,11 +350,10 @@ func (e *Engine) Shutdown() {
 // lock acquisitions, PTE writes — to the simulated actor performing them.
 func (e *Engine) Current() *Proc { return e.current }
 
-// resume hands control to p and blocks until p yields back.
+// resume switches to p's coroutine and returns when p blocks or returns.
 func (e *Engine) resume(p *Proc) {
 	prev := e.current
 	e.current = p
-	p.wake <- struct{}{}
-	<-e.sched
+	p.next()
 	e.current = prev
 }

@@ -124,7 +124,10 @@ func TestEngineChurnScalesFlat(t *testing.T) {
 	t.Fatal(last)
 }
 
-// event scheduling plus the two channel handoffs of a cooperative switch.
+// BenchmarkProcDelay measures one Delay round trip of a process: event
+// scheduling plus the two coroutine switches of a cooperative block (the
+// process yields to the engine, the engine's next() resumes it). It must
+// stay at 0 allocs/op.
 func BenchmarkProcDelay(b *testing.B) {
 	e := NewEngine(1)
 	e.Go("worker", func(p *Proc) {
@@ -139,7 +142,8 @@ func BenchmarkProcDelay(b *testing.B) {
 }
 
 // BenchmarkProcPingPong measures two processes alternating via a Cond —
-// the signal/wakeup pattern the simulated kernel's CPU loops use.
+// the signal/wakeup pattern the simulated kernel's CPU loops use. Like
+// BenchmarkProcDelay it must stay at 0 allocs/op.
 func BenchmarkProcPingPong(b *testing.B) {
 	e := NewEngine(1)
 	c := e.NewCond()
@@ -189,5 +193,56 @@ func TestDelayIsAllocationFree(t *testing.T) {
 	allocs := after.Mallocs - before.Mallocs
 	if allocs > 500 {
 		t.Fatalf("10000 warm Delay round trips allocated %d objects, want ~0", allocs)
+	}
+}
+
+// TestCondWaitIsAllocationFree extends TestDelayIsAllocationFree to every
+// Cond blocking path: Wait woken by Signal, WaitTimeout both signaled and
+// timed out, and Wait woken by Broadcast. Waiter state lives in the Proc,
+// the timeout callback is bound once per process and the FIFO keeps its
+// backing array, so warm rounds allocate nothing. A per-wait waiter and
+// timeout closure would cost about 9000 objects here, far above the gate.
+func TestCondWaitIsAllocationFree(t *testing.T) {
+	const rounds = 1100
+	e := NewEngine(1)
+	c := e.NewCond()
+	var signaled, timedOut, woken int
+	e.Go("waiter", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			c.Wait(p)                // Signal at +1
+			if c.WaitTimeout(p, 5) { // Signal at +2
+				signaled++
+			}
+			if !c.WaitTimeout(p, 2) { // expires at +4
+				timedOut++
+			}
+			c.Wait(p) // Broadcast at +5
+			woken++
+		}
+	})
+	e.Go("driver", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			p.Delay(1)
+			c.Signal()
+			p.Delay(1)
+			c.Signal()
+			p.Delay(3)
+			c.Broadcast()
+			p.Delay(5)
+		}
+	})
+	// Warm up: the first rounds grow the event queue, free list and FIFO.
+	e.RunUntil(1000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.RunUntil(11_000)
+	runtime.ReadMemStats(&after)
+	e.Run()
+	e.Shutdown()
+	if signaled != rounds || timedOut != rounds || woken != rounds {
+		t.Fatalf("signaled/timed out/woken = %d/%d/%d, want %d each", signaled, timedOut, woken, rounds)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs > 100 {
+		t.Fatalf("1000 warm Cond rounds allocated %d objects, want ~0", allocs)
 	}
 }

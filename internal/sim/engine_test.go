@@ -138,6 +138,25 @@ func TestProcPanicPropagates(t *testing.T) {
 	e.Run()
 }
 
+// TestProcPanicNamesProc: the error Run re-panics with names the process
+// whose body panicked, not only the cause.
+func TestProcPanicNamesProc(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("idle", func(p *Proc) { e.NewCond().Wait(p) })
+	e.Go("cpu7", func(p *Proc) {
+		p.Delay(1)
+		panic("kaboom")
+	})
+	defer func() {
+		err, _ := recover().(error)
+		if err == nil || !strings.Contains(err.Error(), `proc "cpu7" panicked: kaboom`) {
+			t.Fatalf("Run panicked with %v, want the cause attributed to cpu7", err)
+		}
+		e.Shutdown()
+	}()
+	e.Run()
+}
+
 func TestCondSignalFIFO(t *testing.T) {
 	e := NewEngine(1)
 	c := e.NewCond()
@@ -158,6 +177,45 @@ func TestCondSignalFIFO(t *testing.T) {
 	e.Run()
 	if len(order) != 2 || order[0] != "w1" || order[1] != "w2" {
 		t.Fatalf("order = %v, want [w1 w2]", order)
+	}
+}
+
+// TestCondTimeoutFromMiddleKeepsFIFO: a WaitTimeout waiter that expires
+// between two plain waiters leaves the queue in order, and its next Wait
+// joins at the tail.
+func TestCondTimeoutFromMiddleKeepsFIFO(t *testing.T) {
+	e := NewEngine(1)
+	c := e.NewCond()
+	var order []string
+	e.Go("w1", func(p *Proc) {
+		c.Wait(p)
+		order = append(order, "w1")
+	})
+	e.Go("w2", func(p *Proc) {
+		if c.WaitTimeout(p, 5) {
+			t.Error("w2 signaled before its timeout")
+		}
+		order = append(order, "w2:timeout")
+		c.Wait(p)
+		order = append(order, "w2")
+	})
+	e.Go("w3", func(p *Proc) {
+		c.Wait(p)
+		order = append(order, "w3")
+	})
+	e.Go("signaler", func(p *Proc) {
+		p.Delay(10)
+		if c.Waiters() != 3 {
+			t.Errorf("Waiters = %d at signal time, want 3", c.Waiters())
+		}
+		c.Signal()
+		c.Signal()
+		c.Signal()
+	})
+	e.Run()
+	want := "w2:timeout,w1,w3,w2"
+	if got := strings.Join(order, ","); got != want {
+		t.Fatalf("order = %s, want %s", got, want)
 	}
 }
 

@@ -86,9 +86,32 @@ func TestShutdownIdempotent(t *testing.T) {
 	}
 }
 
-// TestShutdownReleasesGoroutines verifies the goroutines actually exit (not
-// just the bookkeeping): the global goroutine count returns to its
-// pre-engine level after Shutdown.
+// TestShutdownUnwindsProcThatBlocksAgain: a process that blocks again
+// while unwinding (here a deferred Delay) is poisoned again instead of
+// re-parking, so Shutdown still leaves no live process behind.
+func TestShutdownUnwindsProcThatBlocksAgain(t *testing.T) {
+	e := NewEngine(1)
+	c := e.NewCond()
+	unwound := false
+	e.Go("stubborn", func(p *Proc) {
+		defer func() { unwound = true }()
+		defer p.Delay(5)
+		c.Wait(p)
+	})
+	e.Run()
+	e.Shutdown()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs after Shutdown = %d, want 0", e.LiveProcs())
+	}
+	if !unwound {
+		t.Fatal("defers above the re-blocking Delay did not run")
+	}
+}
+
+// TestShutdownReleasesGoroutines verifies the coroutines actually exit (not
+// just the bookkeeping): each parked proc holds one goroutine, and all of
+// them are gone the moment Shutdown returns, because a coroutine's exit is
+// synchronous with its stop.
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 10; round++ {
@@ -98,17 +121,13 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 			e.Go("parked", func(p *Proc) { c.Wait(p) })
 		}
 		e.Run()
+		parked := runtime.NumGoroutine()
 		e.Shutdown()
-	}
-	// The unwound goroutines finish asynchronously after their final
-	// channel send; yield until they exit.
-	var after int
-	for i := 0; i < 20000; i++ {
-		after = runtime.NumGoroutine()
-		if after <= before+2 {
-			return
+		if exited := parked - runtime.NumGoroutine(); exited != 16 {
+			t.Fatalf("round %d: %d goroutines exited in Shutdown, want the 16 parked procs", round, exited)
 		}
-		runtime.Gosched()
 	}
-	t.Fatalf("goroutines: %d before, %d after 160 drained procs", before, after)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before, %d after 160 drained procs", before, after)
+	}
 }
