@@ -8,51 +8,24 @@
 //	shootdown-trace                         # baseline, cross socket
 //	shootdown-trace -config all -ptes 10
 //	shootdown-trace -config concurrent,earlyack -placement same-socket
+//	shootdown-trace -config concurrent+earlyack+async
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"shootdown/internal/core"
 	"shootdown/internal/kernel"
 	"shootdown/internal/mach"
 	"shootdown/internal/mm"
 	"shootdown/internal/pagetable"
-	"shootdown/internal/sim"
 	"shootdown/internal/syscalls"
+	"shootdown/internal/workload"
 )
-
-func parseConfig(s string) (core.Config, error) {
-	var cfg core.Config
-	if s == "" || s == "baseline" {
-		return cfg, nil
-	}
-	if s == "all" {
-		return core.AllGeneral(), nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "concurrent":
-			cfg.ConcurrentFlush = true
-		case "earlyack":
-			cfg.EarlyAck = true
-		case "cacheline":
-			cfg.CachelineConsolidation = true
-		case "incontext":
-			cfg.InContextFlush = true
-		case "cow":
-			cfg.AvoidCoWFlush = true
-		case "batching":
-			cfg.UserspaceBatching = true
-		default:
-			return cfg, fmt.Errorf("unknown optimization %q", part)
-		}
-	}
-	return cfg, nil
-}
 
 func parsePlacement(s string) (mach.Placement, error) {
 	for _, p := range mach.Placements() {
@@ -64,38 +37,46 @@ func parsePlacement(s string) (mach.Placement, error) {
 }
 
 func main() {
-	var (
-		configStr = flag.String("config", "baseline", "comma-separated optimizations (concurrent,earlyack,cacheline,incontext,cow,batching), or 'baseline'/'all'")
-		placement = flag.String("placement", "cross-socket", "responder placement: same-core, same-socket, cross-socket")
-		ptes      = flag.Int("ptes", 1, "PTEs flushed by the shootdown")
-		unsafe    = flag.Bool("unsafe", false, "disable PTI (the paper's 'unsafe' mode)")
-	)
-	flag.Parse()
-
-	cfg, err := parseConfig(*configStr)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		fmt.Fprintln(os.Stderr, "shootdown-trace:", err)
 		os.Exit(1)
+	}
+}
+
+// run parses args, simulates one shootdown and writes its timeline to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("shootdown-trace", flag.ContinueOnError)
+	var (
+		configStr = fs.String("config", "baseline", "optimizations joined by '+' or ',' (concurrent, earlyack, cacheline, incontext, cow, batching, serialized, lazy, hwmsg, async), or 'baseline'/'all'")
+		placement = fs.String("placement", "cross-socket", "responder placement: same-core, same-socket, cross-socket")
+		ptes      = fs.Int("ptes", 1, "PTEs flushed by the shootdown")
+		unsafe    = fs.Bool("unsafe", false, "disable PTI (the paper's 'unsafe' mode)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	cfg, err := core.ParseConfig(*configStr)
+	if err != nil {
+		return err
 	}
 	pl, err := parsePlacement(*placement)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "shootdown-trace:", err)
-		os.Exit(1)
+		return err
 	}
 
-	eng := sim.NewEngine(1)
-	kcfg := kernel.DefaultConfig()
-	kcfg.PTI = !*unsafe
-	kcfg.ConsolidatedCachelines = cfg.CachelineConsolidation
-	k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
-	f, err := core.NewFlusher(k, cfg)
+	w, err := workload.Boot(workload.Machine{
+		Mode: workload.Mode(!*unsafe), Core: cfg, Seed: 1, Topo: mach.DefaultTopology(),
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "shootdown-trace:", err)
-		os.Exit(1)
+		return err
 	}
-	k.SetFlusher(f)
+	defer w.Close()
+	k := w.K
 	rec := k.EnableTrace()
-	k.Start()
 
 	as := k.NewAddressSpace()
 	respCPU := k.Topo.ResponderFor(0, pl)
@@ -122,10 +103,11 @@ func main() {
 		if err := syscalls.MadviseDontneed(ctx, v.Start, uint64(*ptes)*pg); err != nil {
 			panic(err)
 		}
-		fmt.Printf("madvise(DONTNEED, %d pages) took %d cycles (config: %s, %s, PTI=%v)\n\n",
-			*ptes, ctx.P.Now()-start, cfg, pl, kcfg.PTI)
+		fmt.Fprintf(stdout, "madvise(DONTNEED, %d pages) took %d cycles (config: %s, %s, PTI=%v)\n\n",
+			*ptes, ctx.P.Now()-start, cfg, pl, k.Cfg.PTI)
 		stop = true
 	}})
-	eng.Run()
-	rec.Write(os.Stdout)
+	w.Eng.Run()
+	rec.Write(stdout)
+	return nil
 }

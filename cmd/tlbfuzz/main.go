@@ -43,6 +43,7 @@ import (
 	"shootdown/internal/sched"
 	"shootdown/internal/sim"
 	"shootdown/internal/syscalls"
+	"shootdown/internal/workload"
 )
 
 const pg = pagetable.PageSize4K
@@ -200,31 +201,24 @@ func fuzzOne(seed uint64, opsPerThread int, verbose bool, spec fault.Spec, tlbmo
 	}
 	pti := r.Uint64()&1 == 0
 
-	eng := sim.NewEngine(seed)
-	defer eng.Shutdown()
-	kcfg := kernel.DefaultConfig()
-	kcfg.PTI = pti
-	kcfg.ConsolidatedCachelines = cfg.CachelineConsolidation
-	k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
-	// The happens-before checker validates the synchronization structure of
-	// every run alongside the shadow-oracle coherence check below.
-	rd := race.New(eng)
-	k.EnableRace(rd)
-	var pl *fault.Plane
-	if !spec.Zero() || spec.NoRetry {
-		pl = fault.New(seed, spec)
-		k.SetFaultPlane(pl)
-	}
-	f, err := core.NewFlusher(k, cfg)
+	world, err := workload.Boot(workload.Machine{
+		Mode: workload.Mode(pti), Core: cfg, Seed: seed, Faults: spec, Topo: mach.DefaultTopology(),
+	})
 	if err != nil {
 		return []string{err.Error()}, ""
 	}
+	defer world.Close()
+	eng, k, f, pl := world.Eng, world.K, world.F, world.Fault
+	// The happens-before checker validates the synchronization structure of
+	// every run alongside the shadow-oracle coherence check below. The
+	// flusher was built before it; re-wire its own sync objects.
+	rd := race.New(eng)
+	k.EnableRace(rd)
+	f.EnableRace()
 	// The shadow-oracle sanitizer checks every TLB hit against the page
 	// tables *during* the run — far stronger than the end-state snapshot
 	// check below, which only sees what survived to quiescence.
 	chk := sanitizer.Attach(k, f, sanitizer.Config{})
-	k.SetFlusher(f)
-	k.Start()
 
 	as := k.NewAddressSpace()
 	file := k.NewFile("fuzz", 64*pg)

@@ -23,7 +23,6 @@ import (
 	"shootdown/internal/mach"
 	"shootdown/internal/prof"
 	"shootdown/internal/sched"
-	"shootdown/internal/sim"
 	"shootdown/internal/workload"
 )
 
@@ -38,7 +37,6 @@ func main() {
 		faults   = flag.String("faults", "none", "fault schedule for every simulated machine: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides")
 		tlbmode  = flag.String("tlbmode", "", "shootdown dispatch tier override for every cell: sync or async (default: as each experiment configures)")
 		topo     = flag.String("topo", "", "machine topology for every cell: 'default', a preset CPU count (56, 256, 512, 1024) or SxCxT[xN] (default: the paper's 56-CPU testbed)")
-		engine   = flag.String("engine", "", "event-scheduler implementation: wheel or heap (default: wheel); both realize the identical event order")
 		profiles = prof.Register(flag.CommandLine)
 	)
 	flag.Parse()
@@ -66,15 +64,6 @@ func main() {
 			os.Exit(2)
 		}
 		restore := workload.SetTopology(t)
-		defer restore()
-	}
-	kind, err := sim.ParseEngineKind(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlbsim: %v\n", err)
-		os.Exit(2)
-	}
-	if *engine != "" {
-		restore := workload.SetEngineKind(kind)
 		defer restore()
 	}
 	if !spec.Zero() || spec.NoRetry {

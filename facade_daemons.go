@@ -34,25 +34,25 @@ func (t *Thread) MMapHuge(length uint64, prot Prot) (*mm.VMA, error) {
 // anonymous pages, shooting down the stale translations (with early acks
 // suppressed, since collapse frees page-table pages).
 func (m *Machine) StartKhugepaged(p *Process, v *mm.VMA, cpu CPU, interval uint64, rounds int) *Daemon {
-	return daemons.Khugepaged(m.k, cpu, p.as, v, interval, rounds)
+	return daemons.Khugepaged(m.w.K, cpu, p.as, v, interval, rounds)
 }
 
 // StartKsmd runs a memory-deduplication daemon on cpu. candidates
 // nominates pairs of equal-content anonymous pages to merge (the
 // simulation does not model page contents).
 func (m *Machine) StartKsmd(p *Process, candidates func() (va1, va2 uint64, ok bool), cpu CPU, interval uint64, rounds int) *Daemon {
-	return daemons.Ksmd(m.k, cpu, p.as, candidates, interval, rounds)
+	return daemons.Ksmd(m.w.K, cpu, p.as, candidates, interval, rounds)
 }
 
 // StartKswapd runs a reclaim daemon on cpu, evicting up to batch clean
 // page-cache mappings of file per sweep.
 func (m *Machine) StartKswapd(p *Process, file *mm.File, cpu CPU, batch int, interval uint64, rounds int) *Daemon {
-	return daemons.Kswapd(m.k, cpu, p.as, file, batch, interval, rounds)
+	return daemons.Kswapd(m.w.K, cpu, p.as, file, batch, interval, rounds)
 }
 
 // StartNumaBalancer runs a NUMA-balancing daemon on cpu over v,
 // alternating ProtNone hint rounds (change_prot_numa) with migration
 // rounds.
 func (m *Machine) StartNumaBalancer(p *Process, v *mm.VMA, cpu CPU, migrate int, interval uint64, rounds int) *Daemon {
-	return daemons.NumaBalancer(m.k, cpu, p.as, v, migrate, interval, rounds)
+	return daemons.NumaBalancer(m.w.K, cpu, p.as, v, migrate, interval, rounds)
 }

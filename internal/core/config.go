@@ -21,7 +21,10 @@
 //     return to user space.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Config toggles the paper's optimizations. The zero value is the baseline
 // Linux 5.2.8 protocol.
@@ -124,35 +127,85 @@ func All() Config {
 	return c
 }
 
-// String lists the enabled optimizations.
+// configFlag names one Config toggle.
+type configFlag struct {
+	name string
+	on   *bool
+}
+
+// flags is the one name table behind String and ParseConfig: every
+// toggle, in String's order, bound to c's field.
+func (c *Config) flags() []configFlag {
+	return []configFlag{
+		{"concurrent", &c.ConcurrentFlush},
+		{"earlyack", &c.EarlyAck},
+		{"cacheline", &c.CachelineConsolidation},
+		{"incontext", &c.InContextFlush},
+		{"cow", &c.AvoidCoWFlush},
+		{"batching", &c.UserspaceBatching},
+		{"serialized", &c.SerializedIPIs},
+		{"lazy", &c.LazyRemote},
+		{"hwmsg", &c.HWMessageIPI},
+		{"async", &c.AsyncShootdown},
+		{"BROKEN-earlyack", &c.BrokenEarlyAck},
+		{"BROKEN-ackdrain", &c.BrokenAckBeforeDrain},
+		{"BROKEN-coalesce", &c.BrokenCoalesceShrink},
+	}
+}
+
+// String lists the enabled optimizations, joined by "+", or "baseline".
+// ParseConfig is its inverse.
 func (c Config) String() string {
 	out := ""
-	add := func(on bool, name string) {
-		if !on {
-			return
+	for _, f := range c.flags() {
+		if !*f.on {
+			continue
 		}
 		if out != "" {
 			out += "+"
 		}
-		out += name
+		out += f.name
 	}
-	add(c.ConcurrentFlush, "concurrent")
-	add(c.EarlyAck, "earlyack")
-	add(c.CachelineConsolidation, "cacheline")
-	add(c.InContextFlush, "incontext")
-	add(c.AvoidCoWFlush, "cow")
-	add(c.UserspaceBatching, "batching")
-	add(c.SerializedIPIs, "serialized")
-	add(c.LazyRemote, "lazy")
-	add(c.HWMessageIPI, "hwmsg")
-	add(c.AsyncShootdown, "async")
-	add(c.BrokenEarlyAck, "BROKEN-earlyack")
-	add(c.BrokenAckBeforeDrain, "BROKEN-ackdrain")
-	add(c.BrokenCoalesceShrink, "BROKEN-coalesce")
 	if out == "" {
 		return "baseline"
 	}
 	return out
+}
+
+// ParseConfig reads a config as String writes it: optimization names
+// joined by "+" (or ","), or "baseline" (also "") for the zero config.
+// "all" names AllGeneral, the four §3 techniques of the figures' "all"
+// bars. ParseConfig(c.String()) == c for every c.
+func ParseConfig(s string) (Config, error) {
+	var c Config
+	switch s {
+	case "", "baseline":
+		return c, nil
+	case "all":
+		return AllGeneral(), nil
+	}
+	for _, name := range strings.Split(strings.ReplaceAll(s, ",", "+"), "+") {
+		name = strings.TrimSpace(name)
+		if !c.set(name) {
+			names := []string{"baseline", "all"}
+			for _, f := range c.flags() {
+				names = append(names, f.name)
+			}
+			return Config{}, fmt.Errorf("core: unknown optimization %q (have %s)", name, strings.Join(names, ", "))
+		}
+	}
+	return c, nil
+}
+
+// set turns on the toggle called name, reporting whether one exists.
+func (c *Config) set(name string) bool {
+	for _, f := range c.flags() {
+		if f.name == name {
+			*f.on = true
+			return true
+		}
+	}
+	return false
 }
 
 // CumulativeConfigs returns the paper's presentation order: baseline, then

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"shootdown/internal/sched"
-	"shootdown/internal/sim"
-	"shootdown/internal/workload"
 )
 
 // renderSuite renders the named experiments exactly as `tlbsim -exp all
@@ -25,53 +23,36 @@ func renderSuite(names []string, seed uint64) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelOutputBitIdentical is the scheduler's and the event
-// engine's joint acceptance contract: the rendered experiment suite is
-// byte-identical at one worker and at eight, under the timer wheel and
-// under the reference binary heap, across several seeds. Scope comes
-// from parallelCheckScope, which shrinks under `go test -race` (the full
-// suite ×4 variants ×seeds is too slow at race-detector overhead; the
-// reduced set still covers every fan-out shape: cells, nested seed
-// averaging, probes, daemons).
+// TestParallelOutputBitIdentical is the scheduler's acceptance contract:
+// the rendered experiment suite is byte-identical at one worker and at
+// eight, across several seeds. Scope comes from parallelCheckScope, which
+// shrinks under `go test -race` (the full suite ×2 worker counts ×seeds
+// is too slow at race-detector overhead; the reduced set still covers
+// every fan-out shape: cells, nested seed averaging, probes, daemons).
 func TestParallelOutputBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite comparison is slow; run without -short")
 	}
 	names, seeds := parallelCheckScope()
-	render := func(kind sim.EngineKind, workers int, seed uint64) []byte {
-		// The engine-kind setter's pool-idle precondition holds: renders
-		// run one at a time, and each drains its fan-out before returning.
-		restoreKind := workload.SetEngineKind(kind)
-		defer restoreKind()
+	render := func(workers int, seed uint64) []byte {
 		prev := sched.SetWorkers(workers)
 		defer sched.SetWorkers(prev)
 		return renderSuite(names, seed)
 	}
 	for _, seed := range seeds {
-		ref := render(sim.EngineWheel, 1, seed)
-		for _, variant := range []struct {
-			name    string
-			kind    sim.EngineKind
-			workers int
-		}{
-			{"wheel/workers=8", sim.EngineWheel, 8},
-			{"heap/workers=1", sim.EngineHeap, 1},
-			{"heap/workers=8", sim.EngineHeap, 8},
-		} {
-			got := render(variant.kind, variant.workers, seed)
-			if bytes.Equal(ref, got) {
-				continue
-			}
-			rl := bytes.Split(ref, []byte("\n"))
-			gl := bytes.Split(got, []byte("\n"))
-			for i := 0; i < len(rl) && i < len(gl); i++ {
-				if !bytes.Equal(rl[i], gl[i]) {
-					t.Fatalf("seed %d: %s diverges from wheel/workers=1 at line %d:\n  ref: %s\n  got: %s",
-						seed, variant.name, i+1, rl[i], gl[i])
-				}
-			}
-			t.Fatalf("seed %d: %s output length differs: %d vs %d bytes",
-				seed, variant.name, len(ref), len(got))
+		ref := render(1, seed)
+		got := render(8, seed)
+		if bytes.Equal(ref, got) {
+			continue
 		}
+		rl := bytes.Split(ref, []byte("\n"))
+		gl := bytes.Split(got, []byte("\n"))
+		for i := 0; i < len(rl) && i < len(gl); i++ {
+			if !bytes.Equal(rl[i], gl[i]) {
+				t.Fatalf("seed %d: workers=8 diverges from workers=1 at line %d:\n  ref: %s\n  got: %s",
+					seed, i+1, rl[i], gl[i])
+			}
+		}
+		t.Fatalf("seed %d: workers=8 output length differs: %d vs %d bytes", seed, len(ref), len(got))
 	}
 }

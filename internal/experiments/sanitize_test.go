@@ -66,3 +66,29 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatal("unknown experiment not rejected")
 	}
 }
+
+// TestExtensionsCheckEveryMachine: every machine the extensions experiment
+// boots — the §6 message-IPI, §7 fracture-hint and §2.1 PCID probes
+// included — goes through the boot hook, so the sanitizer and the race
+// model each check all 20 and find them clean.
+func TestExtensionsCheckEveryMachine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("checked extensions suite is not short")
+	}
+	const machines = 20
+	o := Options{Quick: true, Seed: 1, Sanitize: true}
+	_, sum, err := Run("extensions", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Worlds != machines || !sum.OK() {
+		t.Errorf("sanitizer checked %d machines, want %d:\n%s", sum.Worlds, machines, sum.Report())
+	}
+	_, rsum, err := RunRace("extensions", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rsum.Worlds != machines || !rsum.OK() {
+		t.Errorf("race model checked %d machines, want %d:\n%s", rsum.Worlds, machines, rsum.Report())
+	}
+}

@@ -235,7 +235,7 @@ func (k *Kernel) ForkAddressSpace(parent *mm.AddressSpace) (*mm.AddressSpace, mm
 // EnableRace attaches the happens-before checker to the machine: the SMP
 // layer reports IPI edges, and every address space created afterwards
 // reports generation, cpumask, semaphore and page-table accesses. Call
-// before creating address spaces (typically right after New).
+// before creating address spaces (typically right after boot).
 func (k *Kernel) EnableRace(d *race.Detector) {
 	k.Race = d
 	k.SMP.SetRaceDetector(d)
@@ -252,7 +252,7 @@ func (k *Kernel) SetFaultPlane(pl *fault.Plane) {
 }
 
 // EnableTrace attaches a protocol-event recorder (see internal/trace) and
-// returns it. Call before Start.
+// returns it. Call before Run.
 func (k *Kernel) EnableTrace() *trace.Recorder {
 	k.Trace = trace.New(k.Eng)
 	k.SMP.AckHook = func(target mach.CPU, early bool) {

@@ -2,13 +2,13 @@
 // with a cooperative process model.
 //
 // The engine maintains a virtual clock measured in CPU cycles and an event
-// heap ordered by (time, insertion sequence). Simulated activities run as
-// processes (Proc): coroutines (iter.Pull) that execute strictly one at a
-// time, handing control back to the engine whenever they block (Delay,
-// Cond.Wait, ...). The engine and a process pass the running thread to
+// queue ordered by (time, insertion sequence): a hierarchical timer wheel
+// (wheel.go). Simulated activities run as processes (Proc): coroutines
+// (iter.Pull) that execute strictly one at a time, handing control back to
+// the engine whenever they block (Delay, Cond.Wait, ...). The engine and a process pass the running thread to
 // each other directly (the runtime's coroutine switch), so no switch goes
 // through the Go scheduler. Because at most one process runs at any
-// instant and ties in the event heap are broken by insertion order, a
+// instant and ties in the event queue are broken by insertion order, a
 // simulation with a fixed seed is fully deterministic.
 //
 // The package is the foundation for every other simulated component in this
@@ -49,125 +49,6 @@ func (ev *Event) Cancel() { ev.cancelled = true }
 // Cancelled reports whether Cancel was called on the event.
 func (ev *Event) Cancelled() bool { return ev.cancelled }
 
-// eventQueue is the engine's pending-event store, ordered by (at, seq).
-// Two implementations exist: the binary min-heap below (EngineHeap) and
-// the hierarchical timer wheel in wheel.go (EngineWheel, the default).
-// Both realize the exact same total order, so the engine's event schedule
-// — and therefore every simulation output — is identical under either;
-// TestEngineKindsEquivalent and the experiment-level equivalence sweep
-// hold them to that.
-type eventQueue interface {
-	// push inserts ev. Events pushed at equal times must pop in push
-	// order (At allocates strictly increasing seq, so (at, seq) is the
-	// total order).
-	push(ev *Event)
-	// nextTime returns the timestamp of the minimum pending event. It
-	// must not disturb queue state observable through pop order.
-	nextTime() (Time, bool)
-	// pop removes and returns the minimum event.
-	pop() *Event
-	// len returns the number of pending events (cancelled included).
-	len() int
-	// clear drops all state so the queue retains no event references.
-	clear()
-}
-
-// EngineKind names an eventQueue implementation.
-type EngineKind string
-
-const (
-	// EngineHeap is the binary min-heap scheduler (the original
-	// implementation; ns/event grows with log of pending events).
-	EngineHeap EngineKind = "heap"
-	// EngineWheel is the hierarchical timer wheel (wheel.go): O(1)
-	// pushes and batched same-timestamp dispatch keep ns/event flat as
-	// machine width grows. The default.
-	EngineWheel EngineKind = "wheel"
-)
-
-// ParseEngineKind validates a -engine flag value.
-func ParseEngineKind(s string) (EngineKind, error) {
-	switch EngineKind(s) {
-	case EngineHeap, EngineWheel:
-		return EngineKind(s), nil
-	case "":
-		return EngineWheel, nil
-	}
-	return "", fmt.Errorf("sim: unknown engine kind %q (have %q, %q)", s, EngineHeap, EngineWheel)
-}
-
-// eventHeap is a binary min-heap ordered by (at, seq). It is implemented
-// concretely — not via container/heap — so that pushes and pops stay free
-// of interface boxing: this is the hottest data structure in the
-// repository (every Delay of every simulated process passes through it).
-type eventHeap []*Event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-// push appends ev and restores the heap property (sift-up).
-func (h *eventHeap) push(ev *Event) {
-	*h = append(*h, ev)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum event (sift-down).
-func (h *eventHeap) pop() *Event {
-	s := *h
-	n := len(s) - 1
-	min := s[0]
-	s[0] = s[n]
-	s[n] = nil
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		child := l
-		if r := l + 1; r < n && s.less(r, l) {
-			child = r
-		}
-		if !s.less(child, i) {
-			break
-		}
-		s[i], s[child] = s[child], s[i]
-		i = child
-	}
-	return min
-}
-
-// heapQueue adapts eventHeap to the eventQueue interface.
-type heapQueue struct {
-	h eventHeap
-}
-
-func (q *heapQueue) push(ev *Event) { q.h.push(ev) }
-func (q *heapQueue) pop() *Event    { return q.h.pop() }
-func (q *heapQueue) len() int       { return len(q.h) }
-func (q *heapQueue) clear()         { q.h = nil }
-func (q *heapQueue) nextTime() (Time, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].at, true
-}
-
 // Engine is a deterministic discrete-event simulator.
 //
 // An Engine must be driven from a single goroutine via Run or RunUntil.
@@ -175,11 +56,10 @@ func (q *heapQueue) nextTime() (Time, bool) {
 // cooperatively and never run in parallel with the engine or each other.
 // Distinct Engines share nothing and may run concurrently.
 type Engine struct {
-	now  Time
-	q    eventQueue
-	kind EngineKind
-	seq  uint64
-	rng  *Rand
+	now Time
+	q   timerWheel
+	seq uint64
+	rng *Rand
 
 	// free is the event free list: every fired or drained-cancelled event
 	// is recycled here, so steady-state scheduling (Delay, Yield, cond
@@ -193,36 +73,10 @@ type Engine struct {
 }
 
 // NewEngine returns an engine with the clock at zero and a deterministic
-// random source derived from seed, using the default (timer-wheel) event
-// scheduler.
+// random source derived from seed.
 func NewEngine(seed uint64) *Engine {
-	return NewEngineKind(EngineWheel, seed)
+	return &Engine{rng: NewRand(seed)}
 }
-
-// NewEngineKind returns an engine using the named event scheduler. Both
-// kinds realize the identical (time, insertion-seq) event order, so they
-// are output-equivalent; the wheel keeps ns/event flat on wide machines
-// while the heap remains as the reference implementation.
-func NewEngineKind(kind EngineKind, seed uint64) *Engine {
-	var q eventQueue
-	switch kind {
-	case EngineHeap:
-		q = &heapQueue{}
-	case EngineWheel, "":
-		kind = EngineWheel
-		q = newTimerWheel()
-	default:
-		panic(fmt.Sprintf("sim: unknown engine kind %q", kind))
-	}
-	return &Engine{
-		q:    q,
-		kind: kind,
-		rng:  NewRand(seed),
-	}
-}
-
-// Kind returns the engine's event-scheduler implementation.
-func (e *Engine) Kind() EngineKind { return e.kind }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -231,12 +85,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *Rand { return e.rng }
 
 // Pending returns the number of events (cancelled or not) still queued.
-func (e *Engine) Pending() int {
-	if e.q == nil {
-		return 0
-	}
-	return e.q.len()
-}
+func (e *Engine) Pending() int { return e.q.len() }
 
 // LiveProcs returns the number of processes that have been started and have
 // not yet returned.
@@ -273,7 +122,7 @@ func (e *Engine) release(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// Run executes events until the heap is empty. Processes that are blocked on
+// Run executes events until the queue is empty. Processes that are blocked on
 // conditions with no future signal are left blocked; Run returns when no
 // event can advance the simulation further. If a process panicked, Run
 // re-panics with its error.
@@ -337,9 +186,7 @@ func (e *Engine) Shutdown() {
 	}
 	e.current = nil
 	e.procs = nil
-	if e.q != nil {
-		e.q.clear()
-	}
+	e.q.clear()
 	e.free = nil
 	e.procErr = nil
 }

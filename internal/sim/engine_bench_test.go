@@ -8,7 +8,7 @@ import (
 
 // The event loop is the hottest path in the repository: every Delay of
 // every simulated process passes through it. These benchmarks lock in the
-// concrete-heap + free-list implementation: ns/event and (above all)
+// timer-wheel + free-list implementation: ns/event and (above all)
 // allocs/event must stay flat. Run with -benchmem.
 
 // BenchmarkEventLoop measures raw schedule+dispatch throughput: a single
@@ -33,37 +33,14 @@ func BenchmarkEventLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkEventHeapChurn measures the heap under fan-out: k events in
-// flight at all times, pushed at deterministic pseudo-random offsets, so
-// sift-up/down actually move elements.
-func BenchmarkEventHeapChurn(b *testing.B) {
-	const fanout = 64
-	e := NewEngine(1)
-	r := NewRand(7)
-	n := 0
-	var step func()
-	step = func() {
-		if n < b.N {
-			n++
-			e.After(r.Uint64n(1000)+1, step)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < fanout; i++ {
-		e.After(r.Uint64n(1000)+1, step)
-	}
-	e.Run()
-}
-
-// benchEngineChurn drives one engine kind with `width` events in flight
+// benchEngineChurn drives the engine with `width` events in flight
 // at all times — the pending-event population of a machine with that many
 // CPUs (each CPU model keeps roughly one timer outstanding). Delays are
 // drawn up to 5000 cycles, the scale of the simulated kernel's IPI and
 // cacheline costs, so the wheel's level-0 fast path and its cascades are
 // both on the measured path.
-func benchEngineChurn(b *testing.B, kind EngineKind, width int) {
-	e := NewEngineKind(kind, 1)
+func benchEngineChurn(b *testing.B, width int) {
+	e := NewEngine(1)
 	r := NewRand(7)
 	n := 0
 	var step func()
@@ -81,17 +58,15 @@ func benchEngineChurn(b *testing.B, kind EngineKind, width int) {
 	e.Run()
 }
 
-// BenchmarkEngineChurn is the scale-out grid bench.sh records: both
-// event-queue implementations at 56-, 256- and 512-CPU event populations.
-// ns/event must stay flat as the population grows (the wheel's point) and
-// allocs/event must stay zero (the free list's point).
+// BenchmarkEngineChurn is the scale-out grid bench.sh records: the
+// engine at 56-, 256- and 512-CPU event populations. ns/event must stay
+// flat as the population grows (the wheel's point) and allocs/event must
+// stay zero (the free list's point).
 func BenchmarkEngineChurn(b *testing.B) {
-	for _, kind := range []EngineKind{EngineWheel, EngineHeap} {
-		for _, width := range []int{56, 256, 512} {
-			b.Run(fmt.Sprintf("%s/cpus=%d", kind, width), func(b *testing.B) {
-				benchEngineChurn(b, kind, width)
-			})
-		}
+	for _, width := range []int{56, 256, 512} {
+		b.Run(fmt.Sprintf("cpus=%d", width), func(b *testing.B) {
+			benchEngineChurn(b, width)
+		})
 	}
 }
 
@@ -106,7 +81,7 @@ func TestEngineChurnScalesFlat(t *testing.T) {
 		t.Skip("benchmarking is slow; run without -short")
 	}
 	measure := func(width int) (nsPerOp float64, allocsPerOp int64) {
-		r := testing.Benchmark(func(b *testing.B) { benchEngineChurn(b, EngineWheel, width) })
+		r := testing.Benchmark(func(b *testing.B) { benchEngineChurn(b, width) })
 		return float64(r.NsPerOp()), r.AllocsPerOp()
 	}
 	var last string
@@ -179,7 +154,7 @@ func TestDelayIsAllocationFree(t *testing.T) {
 			total++
 		}
 	})
-	// Warm up: the first window grows the heap slice and free list.
+	// Warm up: the first window grows the wheel's slots and free list.
 	e.RunUntil(1000)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

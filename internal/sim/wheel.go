@@ -2,7 +2,9 @@ package sim
 
 import "math/bits"
 
-// Hierarchical timer wheel: the EngineWheel eventQueue.
+// Hierarchical timer wheel: the engine's event queue, ordered by (at,
+// seq). At allocates strictly increasing seq, so events pushed at equal
+// times pop in push order.
 //
 // The wheel divides the 64-bit virtual clock into eight byte-wide levels
 // of 256 slots each, so the full Time range is representable and there is
@@ -85,8 +87,6 @@ type timerWheel struct {
 	spare []*Event
 }
 
-func newTimerWheel() *timerWheel { return &timerWheel{} }
-
 // levelOf returns the wheel level for timestamp at relative to cur.
 func (w *timerWheel) levelOf(at Time) int {
 	d := uint64(at ^ w.cur)
@@ -96,6 +96,7 @@ func (w *timerWheel) levelOf(at Time) int {
 	return (bits.Len64(d) - 1) / wheelBits
 }
 
+// push files ev at its level and slot.
 func (w *timerWheel) push(ev *Event) {
 	l := w.levelOf(ev.at)
 	idx := int(uint8(ev.at >> (uint(l) * wheelBits)))
@@ -106,6 +107,7 @@ func (w *timerWheel) push(ev *Event) {
 	w.count++
 }
 
+// len returns the number of pending events (cancelled included).
 func (w *timerWheel) len() int { return w.count }
 
 // nextTime returns the minimum pending timestamp without advancing the
@@ -184,6 +186,7 @@ func (w *timerWheel) pop() *Event {
 	}
 }
 
+// clear drops all state so the wheel retains no event references.
 func (w *timerWheel) clear() {
 	*w = timerWheel{}
 }

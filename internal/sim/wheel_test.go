@@ -5,67 +5,157 @@ import (
 	"testing"
 )
 
-// TestWheelHeapOrderEquivalence drives the two eventQueue implementations
-// with identical random schedules — including same-timestamp bursts,
-// cancellations and inserts from inside callbacks — and requires the
-// exact same firing order.
+// TestWheelHeapOrderEquivalence is the wheel's differential test: one
+// random sequence of push, nextTime and pop drives the timer wheel and the
+// reference binary heap (heap_test.go) side by side, and every pop and
+// every nextTime must agree. The sequence mixes same-timestamp bursts,
+// pushes at the just-popped time, horizon peeks that pop nothing (so later
+// pushes land below the peeked minimum, as after a RunUntil), and
+// far-future pushes whose pops cascade through the upper levels.
 func TestWheelHeapOrderEquivalence(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var w timerWheel
+		var h eventHeap
+		var seq uint64
+		var now Time // time of the last pop: the engine never schedules earlier
+		push := func(at Time) {
+			seq++
+			w.push(&Event{at: at, seq: seq})
+			h.push(&Event{at: at, seq: seq})
+		}
+		peek := func(step int) {
+			wt, wok := w.nextTime()
+			ht, hok := h.nextTime()
+			if wt != ht || wok != hok {
+				t.Fatalf("seed %d step %d: nextTime wheel (%d, %v), heap (%d, %v)", seed, step, wt, wok, ht, hok)
+			}
+		}
+		pop := func(step int) {
+			peek(step)
+			if w.len() != len(h) {
+				t.Fatalf("seed %d step %d: len wheel %d, heap %d", seed, step, w.len(), len(h))
+			}
+			if len(h) == 0 {
+				return
+			}
+			we, he := w.pop(), h.pop()
+			if we.at != he.at || we.seq != he.seq {
+				t.Fatalf("seed %d step %d: pop wheel (%d, seq %d), heap (%d, seq %d)",
+					seed, step, we.at, we.seq, he.at, he.seq)
+			}
+			now = we.at
+		}
+		for step := 0; step < 4000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				var d Time
+				switch rng.Intn(5) {
+				case 0: // at the just-popped time
+				case 1:
+					d = Time(rng.Intn(3))
+				case 2:
+					d = Time(rng.Intn(300))
+				case 3:
+					d = Time(rng.Intn(100_000))
+				default: // far future: filed high, cascades on the way down
+					d = Time(rng.Int63n(1 << 40))
+				}
+				n := 1
+				if rng.Intn(6) == 0 {
+					n += rng.Intn(20) // same-timestamp burst
+				}
+				for i := 0; i < n; i++ {
+					push(now + d)
+				}
+			case op < 6:
+				peek(step) // a horizon check that pops nothing
+			default:
+				pop(step)
+			}
+		}
+		for len(h) > 0 || w.len() > 0 {
+			pop(-1)
+		}
+	}
+}
+
+// TestEngineRandomScheduleOrder drives the engine itself with random
+// schedules — cancellations, callbacks that schedule at the current
+// instant or nearby, RunUntil horizons — and checks the firing order
+// against the (time, scheduling order) contract: no live event is lost,
+// no cancelled one fires, time never goes back, and ties fire in the
+// order they were scheduled.
+func TestEngineRandomScheduleOrder(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		runKind := func(kind EngineKind) []int {
-			rng := rand.New(rand.NewSource(seed))
-			e := NewEngineKind(kind, 1)
-			var order []int
-			id := 0
-			var evs []*Event
-			var schedule func(depth int) func()
-			schedule = func(depth int) func() {
-				me := id
-				id++
-				return func() {
-					order = append(order, me)
-					// From inside a callback, sometimes schedule more
-					// work at the current instant or nearby.
-					if depth < 2 && rng.Intn(3) == 0 {
-						for i := 0; i < rng.Intn(3); i++ {
-							evs = append(evs, e.After(uint64(rng.Intn(4)), schedule(depth+1)))
-						}
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine(1)
+		type fired struct {
+			id int
+			at Time
+		}
+		var order []fired
+		var evs []*Event
+		var cancelled []bool
+		var schedule func(d uint64, depth int)
+		schedule = func(d uint64, depth int) {
+			id := len(evs)
+			cancelled = append(cancelled, false)
+			evs = append(evs, e.After(d, func() {
+				order = append(order, fired{id, e.Now()})
+				evs[id] = nil // fired: the handle is recycled
+				if depth < 2 && rng.Intn(3) == 0 {
+					for i := 0; i < rng.Intn(3); i++ {
+						schedule(uint64(rng.Intn(4)), depth+1)
 					}
 				}
-			}
-			for i := 0; i < 300; i++ {
-				// Mix of short, clustered and far-future delays so all
-				// wheel levels and cascades are exercised.
-				var d uint64
-				switch rng.Intn(4) {
-				case 0:
-					d = uint64(rng.Intn(3)) // same/near timestamp bursts
-				case 1:
-					d = uint64(rng.Intn(200))
-				case 2:
-					d = uint64(rng.Intn(100_000))
-				default:
-					d = uint64(rng.Intn(50_000_000))
-				}
-				evs = append(evs, e.After(d, schedule(0)))
-				if rng.Intn(10) == 0 && len(evs) > 0 {
-					evs[rng.Intn(len(evs))].Cancel()
-				}
-				if rng.Intn(20) == 0 {
-					e.Run()
-				}
-			}
-			e.Run()
-			return order
+			}))
 		}
-		heapOrder := runKind(EngineHeap)
-		wheelOrder := runKind(EngineWheel)
-		if len(heapOrder) != len(wheelOrder) {
-			t.Fatalf("seed %d: fired %d events under heap, %d under wheel", seed, len(heapOrder), len(wheelOrder))
+		for i := 0; i < 300; i++ {
+			var d uint64
+			switch rng.Intn(4) {
+			case 0:
+				d = uint64(rng.Intn(3))
+			case 1:
+				d = uint64(rng.Intn(200))
+			case 2:
+				d = uint64(rng.Intn(100_000))
+			default:
+				d = uint64(rng.Intn(50_000_000))
+			}
+			schedule(d, 0)
+			if rng.Intn(10) == 0 {
+				if id := rng.Intn(len(evs)); evs[id] != nil {
+					evs[id].Cancel()
+					evs[id] = nil
+					cancelled[id] = true
+				}
+			}
+			switch rng.Intn(20) {
+			case 0:
+				e.Run()
+			case 1:
+				e.RunUntil(e.Now() + Time(rng.Intn(1000)))
+			}
 		}
-		for i := range heapOrder {
-			if heapOrder[i] != wheelOrder[i] {
-				t.Fatalf("seed %d: firing order diverges at %d: heap %d, wheel %d",
-					seed, i, heapOrder[i], wheelOrder[i])
+		e.Run()
+		seen := make([]bool, len(cancelled))
+		for i, f := range order {
+			if cancelled[f.id] {
+				t.Fatalf("seed %d: cancelled event %d fired", seed, f.id)
+			}
+			seen[f.id] = true
+			if i == 0 {
+				continue
+			}
+			prev := order[i-1]
+			if f.at < prev.at || (f.at == prev.at && f.id < prev.id) {
+				t.Fatalf("seed %d: event %d at %d fired after event %d at %d", seed, f.id, f.at, prev.id, prev.at)
+			}
+		}
+		for id, ok := range seen {
+			if !ok && !cancelled[id] {
+				t.Fatalf("seed %d: live event %d never fired", seed, id)
 			}
 		}
 	}
@@ -76,7 +166,7 @@ func TestWheelHeapOrderEquivalence(t *testing.T) {
 // up to the (later) pending minimum, because the caller may then legally
 // schedule between the horizon and that minimum.
 func TestWheelHorizonThenEarlierInsert(t *testing.T) {
-	e := NewEngineKind(EngineWheel, 1)
+	e := NewEngine(1)
 	var order []string
 	e.At(10, func() { order = append(order, "t10") })
 	e.At(1_000_000, func() { order = append(order, "far") })
@@ -105,7 +195,7 @@ func TestWheelHorizonThenEarlierInsert(t *testing.T) {
 // one timestamp fire in scheduling order, including ones added to the
 // batch's timestamp from inside a callback of that same batch.
 func TestWheelSameTimestampSeqOrder(t *testing.T) {
-	e := NewEngineKind(EngineWheel, 1)
+	e := NewEngine(1)
 	var order []int
 	for i := 0; i < 50; i++ {
 		i := i
@@ -138,7 +228,7 @@ func TestWheelSameTimestampSeqOrder(t *testing.T) {
 // TestWheelShutdownDrains checks the poison-unwind drain path under the
 // wheel: parked processes are unwound and the queue retains nothing.
 func TestWheelShutdownDrains(t *testing.T) {
-	e := NewEngineKind(EngineWheel, 1)
+	e := NewEngine(1)
 	e.Go("sleeper", func(p *Proc) {
 		p.Delay(1 << 40) // far future, never reached
 	})
@@ -157,30 +247,5 @@ func TestWheelShutdownDrains(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending after Shutdown = %d, want 0", e.Pending())
-	}
-}
-
-// TestParseEngineKind covers the flag parser.
-func TestParseEngineKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want EngineKind
-		ok   bool
-	}{
-		{"heap", EngineHeap, true},
-		{"wheel", EngineWheel, true},
-		{"", EngineWheel, true},
-		{"calendar", "", false},
-	} {
-		got, err := ParseEngineKind(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Fatalf("ParseEngineKind(%q) = %q, %v", tc.in, got, err)
-		}
-	}
-	if NewEngine(1).Kind() != EngineWheel {
-		t.Fatal("NewEngine default is not the wheel")
-	}
-	if NewEngineKind(EngineHeap, 1).Kind() != EngineHeap {
-		t.Fatal("NewEngineKind(heap) lost its kind")
 	}
 }

@@ -15,6 +15,13 @@ import (
 // shootdowns) and the paper's discussed-but-unbuilt ideas (§6 hardware
 // message IPIs, §7 paravirtual fracture hint).
 
+// bootProbe boots a safe-mode probe machine under the package-wide fault
+// schedule and topology, like NewWorld, with kernel knobs no protocol
+// config implies.
+func bootProbe(cfg core.Config, kcfg kernel.Config, seed uint64) *World {
+	return mustBoot(Machine{Mode: Safe, Core: cfg, Seed: seed, Faults: worldFaults, Topo: effectiveTopology(), Kernel: kcfg})
+}
+
 // ContentionConfig drives concurrent initiators that shoot each other
 // down, to compare Linux's concurrent shootdowns against a global
 // shootdown mutex.
@@ -153,17 +160,9 @@ type HWMessageProbeResult struct {
 // RunHWMessageProbe measures one shootdown's initiator latency and total
 // cacheline transfers with/without the hardware extension.
 func RunHWMessageProbe(hw bool, seed uint64) HWMessageProbeResult {
-	eng := newWorldEngine(seed)
-	defer eng.Shutdown()
-	kcfg := kernel.DefaultConfig()
-	kcfg.HWMessageIPI = hw
-	k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
-	f, err := core.NewFlusher(k, core.Config{HWMessageIPI: hw})
-	if err != nil {
-		panic(err)
-	}
-	k.SetFlusher(f)
-	k.Start()
+	w := bootProbe(core.Config{HWMessageIPI: hw}, kernel.Config{}, seed)
+	defer w.Close()
+	k := w.K
 	as := k.NewAddressSpace()
 	stop := false
 	var out HWMessageProbeResult
@@ -192,7 +191,7 @@ func RunHWMessageProbe(hw bool, seed uint64) HWMessageProbeResult {
 		}
 		stop = true
 	}})
-	eng.Run()
+	w.Eng.Run()
 	return out
 }
 
@@ -206,18 +205,9 @@ type ParavirtProbeResult struct {
 // RunParavirtProbe runs a nested-paging guest madvise with fractured
 // translations cached.
 func RunParavirtProbe(hint bool, pages int, seed uint64) ParavirtProbeResult {
-	eng := newWorldEngine(seed)
-	defer eng.Shutdown()
-	kcfg := kernel.DefaultConfig()
-	kcfg.NestedPaging = true
-	kcfg.ParavirtFractureHint = hint
-	k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
-	f, err := core.NewFlusher(k, core.Config{})
-	if err != nil {
-		panic(err)
-	}
-	k.SetFlusher(f)
-	k.Start()
+	w := bootProbe(core.Config{}, kernel.Config{NestedPaging: true, ParavirtFractureHint: hint}, seed)
+	defer w.Close()
+	k := w.K
 	as := k.NewAddressSpace()
 	var out ParavirtProbeResult
 	k.CPU(0).Spawn(&kernel.Task{Name: "guest", MM: as, Fn: func(ctx *kernel.Ctx) {
@@ -242,8 +232,8 @@ func RunParavirtProbe(hint bool, pages int, seed uint64) ParavirtProbeResult {
 		}
 		out.MadviseCycles = uint64(ctx.P.Now() - start)
 	}})
-	eng.Run()
-	out.FullFlushes = f.Stats().ParavirtFullFlushes
+	w.Eng.Run()
+	out.FullFlushes = w.F.Stats().ParavirtFullFlushes
 	return out
 }
 
@@ -259,17 +249,9 @@ type PCIDProbeResult struct {
 // working set per slice (§2.1: PCIDs let the TLB cache multiple address
 // spaces, so a process's entries survive its neighbour's time slice).
 func RunPCIDProbe(disablePCID bool, slices, pages int, seed uint64) PCIDProbeResult {
-	eng := newWorldEngine(seed)
-	defer eng.Shutdown()
-	kcfg := kernel.DefaultConfig()
-	kcfg.DisablePCID = disablePCID
-	k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
-	f, err := core.NewFlusher(k, core.Config{})
-	if err != nil {
-		panic(err)
-	}
-	k.SetFlusher(f)
-	k.Start()
+	w := bootProbe(core.Config{}, kernel.Config{DisablePCID: disablePCID}, seed)
+	defer w.Close()
+	k := w.K
 
 	asA := k.NewAddressSpace()
 	asB := k.NewAddressSpace()
@@ -317,7 +299,7 @@ func RunPCIDProbe(disablePCID bool, slices, pages int, seed uint64) PCIDProbeRes
 		k.CPU(0).Spawn(mkSlice(asA, &vaA, false))
 		k.CPU(0).Spawn(mkSlice(asB, &vaB, s == slices-1))
 	}
-	eng.Run()
+	w.Eng.Run()
 	st := k.CPU(0).TLB.Stats()
 	return PCIDProbeResult{Makespan: uint64(end - start), TLBMisses: st.Misses}
 }

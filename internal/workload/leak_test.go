@@ -7,7 +7,6 @@ import (
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
-	"shootdown/internal/sim"
 )
 
 // TestWorkloadsLeakNoProcs is the goroutine-leak contract: every workload
@@ -20,28 +19,18 @@ import (
 // stalls park initiators in the retry loop mid-run, and Shutdown has to
 // unwind those too. The whole suite therefore repeats under a light
 // schedule and under the drop-heavy one that exercises the recovery path
-// hardest — and, for the unfaulted pass, under both event-scheduler
-// implementations, pinning the Shutdown drain on the timer wheel's
-// cascades as well as the reference heap.
+// hardest.
 func TestWorkloadsLeakNoProcs(t *testing.T) {
-	for _, variant := range []struct {
-		specName string
-		engine   sim.EngineKind
-	}{
-		{"none", sim.EngineWheel},
-		{"none", sim.EngineHeap},
-		{"light", sim.EngineWheel},
-		{"drop", sim.EngineWheel},
-	} {
-		spec, ok := fault.Preset(variant.specName)
+	for _, specName := range []string{"none", "light", "drop"} {
+		spec, ok := fault.Preset(specName)
 		if !ok {
-			t.Fatalf("unknown fault preset %q", variant.specName)
+			t.Fatalf("unknown fault preset %q", specName)
 		}
-		t.Run(fmt.Sprintf("faults=%s/engine=%s", variant.specName, variant.engine), func(t *testing.T) {
+		// The engine=wheel level keeps the subtest names stable for
+		// -run filters; the timer wheel is the only event queue.
+		t.Run(fmt.Sprintf("faults=%s/engine=wheel", specName), func(t *testing.T) {
 			restoreSpec := SetFaultSpec(spec)
 			defer restoreSpec()
-			restoreKind := SetEngineKind(variant.engine)
-			defer restoreKind()
 
 			var mu sync.Mutex
 			var worlds []*World
@@ -97,6 +86,15 @@ func TestWorkloadsLeakNoProcs(t *testing.T) {
 			})
 			check("lazyprobe", func() {
 				RunLazyProbe(Safe, core.Config{}, 1)
+			})
+			check("hwmsgprobe", func() {
+				RunHWMessageProbe(true, 1)
+			})
+			check("paravirtprobe", func() {
+				RunParavirtProbe(true, 4, 1)
+			})
+			check("pcidprobe", func() {
+				RunPCIDProbe(true, 2, 8, 1)
 			})
 			check("daemonstorm", func() {
 				RunDaemonStorm(DaemonStormConfig{Mode: Safe, AppThreads: 2, Rounds: 10, Seed: 1})

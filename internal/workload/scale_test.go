@@ -7,7 +7,6 @@ import (
 	"shootdown/internal/fault"
 	"shootdown/internal/mach"
 	"shootdown/internal/sched"
-	"shootdown/internal/sim"
 )
 
 // TestScenariosMetamorphicWide extends the metamorphic contract to the
@@ -65,11 +64,11 @@ func TestScenariosMetamorphicWide(t *testing.T) {
 	}
 }
 
-// TestServerDeterministicAcrossEngines pins the scale workload itself:
-// the same server configuration must produce identical results under the
-// timer wheel and the reference heap, at every width, and the cluster-ack
-// aggregation must engage exactly on the machines wider than 128 CPUs.
-func TestServerDeterministicAcrossEngines(t *testing.T) {
+// TestServerScalesAcrossWidths pins the scale workload itself: at every
+// width the server serves every event, generates shootdown traffic, and
+// engages the cluster-ack aggregation exactly on the machines wider than
+// 128 CPUs.
+func TestServerScalesAcrossWidths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-CPU cells are slow; run without -short")
 	}
@@ -82,25 +81,16 @@ func TestServerDeterministicAcrossEngines(t *testing.T) {
 			Mode: Safe, Topo: topo, TasksPerCPU: 1, Connections: 1 << 12,
 			EventsPerTask: 6, RecycleEvery: 3, RemapEvery: 5, Recyclers: 8, Seed: 7,
 		}
-		runKind := func(kind string) ServerResult {
-			restore := SetEngineKind(sim.EngineKind(kind))
-			defer restore()
-			return RunServer(cfg)
+		res := RunServer(cfg)
+		if res.Events != width*cfg.EventsPerTask {
+			t.Errorf("width %d: served %d events, want %d", width, res.Events, width*cfg.EventsPerTask)
 		}
-		wheel := runKind("wheel")
-		heap := runKind("heap")
-		if wheel != heap {
-			t.Errorf("width %d: wheel %+v != heap %+v", width, wheel, heap)
+		if res.Shootdowns == 0 || res.ICRWrites == 0 {
+			t.Errorf("width %d: no shootdown traffic: %+v", width, res)
 		}
-		if wheel.Events != width*cfg.EventsPerTask {
-			t.Errorf("width %d: served %d events, want %d", width, wheel.Events, width*cfg.EventsPerTask)
-		}
-		if wheel.Shootdowns == 0 || wheel.ICRWrites == 0 {
-			t.Errorf("width %d: no shootdown traffic: %+v", width, wheel)
-		}
-		if engaged := wheel.ClusterAckStores > 0; engaged != (width > 128) {
+		if engaged := res.ClusterAckStores > 0; engaged != (width > 128) {
 			t.Errorf("width %d: cluster ack aggregation engaged=%v, want %v (%+v)",
-				width, engaged, width > 128, wheel)
+				width, engaged, width > 128, res)
 		}
 	}
 }

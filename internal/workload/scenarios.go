@@ -345,7 +345,7 @@ func RunScenario(s Scenario, mode Mode, seed uint64, spec fault.Spec) string {
 // through it concurrently, which the package-wide SetTopology override
 // (pool-idle precondition) could not express.
 func RunScenarioTopo(s Scenario, mode Mode, seed uint64, spec fault.Spec, topo mach.Topology) string {
-	w := NewTopoWorld(mode, core.All(), seed, spec, topo)
+	w := mustBoot(Machine{Mode: mode, Core: core.All(), Seed: seed, Faults: spec, Topo: topo})
 	defer w.Close()
 	spaces := s.Run(w)
 	return StateDigest(spaces)

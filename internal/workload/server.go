@@ -124,7 +124,7 @@ func RunServer(cfg ServerConfig) ServerResult {
 	if topo == (mach.Topology{}) {
 		topo = effectiveTopology()
 	}
-	w := NewTopoWorld(cfg.Mode, cfg.Core, cfg.Seed, worldFaults, topo)
+	w := mustBoot(Machine{Mode: cfg.Mode, Core: cfg.Core, Seed: cfg.Seed, Faults: worldFaults, Topo: topo})
 	defer w.Close()
 
 	numCPUs := topo.NumCPUs()

@@ -43,10 +43,12 @@ func (m Mode) String() string {
 	return "unsafe"
 }
 
-// bootHook, when non-nil, observes every World right after boot, before
-// any task is spawned. tlbcheck uses it to attach the coherence sanitizer
-// to every machine an experiment creates. Hooks must be observational:
-// they may install observers but not advance simulated time.
+// bootHook, when non-nil, observes every World that Boot assembles, as
+// its last step: the CPU run loops have started and no task has been
+// spawned. tlbcheck uses it to attach the coherence sanitizer or the race
+// model to every machine an experiment creates, extension probes
+// included. Hooks must be observational: they may install observers but
+// not advance simulated time.
 //
 // Writes go through SetBootHook's save/restore discipline, proven
 // whole-program by the ssa tier's parallelsafe analyzer.
@@ -61,9 +63,9 @@ func SetBootHook(fn func(*World)) (restore func()) {
 }
 
 // worldFaults is the fault schedule applied to every world booted through
-// NewWorld (the zero Spec injects nothing). It parameterizes whole suites
-// — experiments, tlbcheck, tlbfuzz — without threading a spec through
-// every cell constructor.
+// NewWorld and the extension probes (the zero Spec injects nothing). It
+// parameterizes whole suites — experiments, tlbcheck — without threading
+// a spec through every cell constructor.
 //
 // Writes go through SetFaultSpec's save/restore discipline, proven
 // whole-program by the ssa tier's parallelsafe analyzer.
@@ -77,12 +79,12 @@ func SetFaultSpec(spec fault.Spec) (restore func()) {
 	return func() { worldFaults = prev }
 }
 
-// worldTLBMode overrides the shootdown dispatch tier of every world booted
-// through NewWorld/NewFaultWorld: "" leaves configs as built, "sync"
-// clears the async fabric knobs, "async" sets AsyncShootdown — except on
-// configs carrying SerializedIPIs or LazyRemote, which model competing
-// dispatch disciplines and keep their own tier. The -tlbmode flag of
-// tlbsim, tlbcheck and tlbfuzz lands here.
+// worldTLBMode overrides the shootdown dispatch tier of every world Boot
+// assembles: "" leaves configs as built, "sync" clears the async fabric
+// knobs, "async" sets AsyncShootdown — except on configs carrying
+// SerializedIPIs or LazyRemote, which model competing dispatch
+// disciplines and keep their own tier. The -tlbmode flag of tlbsim and
+// tlbcheck lands here.
 //
 // Writes go through SetTLBMode's save/restore discipline, proven
 // whole-program by the ssa tier's parallelsafe analyzer.
@@ -111,10 +113,10 @@ func applyTLBMode(cfg core.Config) core.Config {
 }
 
 // worldTopology overrides the machine layout of every world booted
-// through NewWorld/NewFaultWorld; the zero Topology means
-// mach.DefaultTopology(). The -topo flag of tlbsim lands here, and the
-// scale experiment uses it to sweep 56/256/512-CPU machines through the
-// unchanged workload constructors.
+// through NewWorld/NewFaultWorld and the extension probes; the zero
+// Topology means mach.DefaultTopology(). The -topo flag of tlbsim lands
+// here; the scale experiment instead passes each cell's topology
+// explicitly (ServerConfig.Topo), so its widths run concurrently.
 //
 // Writes go through SetTopology's save/restore discipline, proven
 // whole-program by the ssa tier's parallelsafe analyzer.
@@ -137,32 +139,6 @@ func effectiveTopology() mach.Topology {
 	return worldTopology
 }
 
-// worldEngineKind overrides the event-scheduler implementation of every
-// world booted through NewWorld/NewFaultWorld: "" means the sim package
-// default (the timer wheel); "heap" selects the reference binary heap.
-// Both kinds realize the identical event order, so this knob exists for
-// the heap-vs-wheel equivalence sweeps and benchmarks, not for outputs.
-//
-// Writes go through SetEngineKind's save/restore discipline, proven
-// whole-program by the ssa tier's parallelsafe analyzer.
-var worldEngineKind sim.EngineKind
-
-// SetEngineKind installs the package-wide event-scheduler selection and
-// returns a restore function reinstating the previous one.
-func SetEngineKind(kind sim.EngineKind) (restore func()) {
-	prev := worldEngineKind
-	worldEngineKind = kind
-	return func() { worldEngineKind = prev }
-}
-
-// newWorldEngine boots an engine honouring the package-wide kind.
-func newWorldEngine(seed uint64) *sim.Engine {
-	if worldEngineKind == "" {
-		return sim.NewEngine(seed)
-	}
-	return sim.NewEngineKind(worldEngineKind, seed)
-}
-
 // Close shuts the world's engine down, unwinding every parked process
 // (idle CPU loops, the flusher) so their goroutines exit. Call it after
 // the last read of simulation state; the world is unusable afterwards.
@@ -176,36 +152,75 @@ func NewWorld(mode Mode, cfg core.Config, seed uint64) *World {
 
 // NewFaultWorld boots a machine with an explicit fault schedule, bypassing
 // the package-wide spec (so cells with different schedules can run
-// concurrently). The plane is keyed by the same seed as the engine:
-// (seed, spec) fully determines the machine's behaviour.
+// concurrently).
 func NewFaultWorld(mode Mode, cfg core.Config, seed uint64, spec fault.Spec) *World {
-	return NewTopoWorld(mode, cfg, seed, spec, effectiveTopology())
+	return mustBoot(Machine{Mode: mode, Core: cfg, Seed: seed, Faults: spec, Topo: effectiveTopology()})
 }
 
-// NewTopoWorld boots a machine with an explicit topology, bypassing the
-// package-wide override (so cells with different machine widths can run
-// concurrently under the parallel scheduler, which the global setters'
-// pool-idle precondition forbids).
-func NewTopoWorld(mode Mode, cfg core.Config, seed uint64, spec fault.Spec, topo mach.Topology) *World {
-	cfg = applyTLBMode(cfg)
-	eng := newWorldEngine(seed)
-	kcfg := kernel.DefaultConfig()
-	kcfg.PTI = bool(mode)
+// Machine is everything that determines a booted machine. Boot is the one
+// place a Machine becomes a running World: every simulated machine in the
+// repository is assembled there.
+type Machine struct {
+	Mode Mode
+	Core core.Config
+	Seed uint64
+	// Faults is the fault schedule (the zero Spec injects nothing). The
+	// plane is keyed by Seed, so (Seed, Faults) fully determines the
+	// machine's behaviour.
+	Faults fault.Spec
+	// Topo is the machine layout; Boot rejects an invalid one, the zero
+	// Topology included. Differently sized machines can boot concurrently
+	// under the parallel scheduler, which the package-wide SetTopology
+	// override (pool-idle precondition) cannot express.
+	Topo mach.Topology
+	// Kernel carries the kernel knobs no protocol config implies (nested
+	// paging, the §7 fracture hint, PCIDs); its zero value is the default
+	// kernel. Boot sets PTI from Mode and the SMP layout
+	// (ConsolidatedCachelines, HWMessageIPI) from Core, so the kernel and
+	// the protocol cannot disagree on it.
+	Kernel kernel.Config
+}
+
+// Boot assembles and starts the machine m describes: engine, the
+// package-wide dispatch-tier override, kernel, flusher, fault plane, CPU
+// run loops, then the boot hook. Tools that attach their own checkers or
+// recorders do so on the returned World, before running its engine. Boot
+// returns an error for an invalid topology or a protocol config the
+// flusher rejects.
+func Boot(m Machine) (*World, error) {
+	if err := m.Topo.Validate(); err != nil {
+		return nil, err
+	}
+	cfg := applyTLBMode(m.Core)
+	kcfg := m.Kernel
+	kcfg.PTI = bool(m.Mode)
 	kcfg.ConsolidatedCachelines = cfg.CachelineConsolidation
-	k := kernel.New(eng, topo, mach.DefaultCosts(), kcfg)
+	kcfg.HWMessageIPI = cfg.HWMessageIPI
+	eng := sim.NewEngine(m.Seed)
+	k := kernel.New(eng, m.Topo, mach.DefaultCosts(), kcfg)
 	f, err := core.NewFlusher(k, cfg)
 	if err != nil {
-		panic(fmt.Sprintf("workload: %v", err))
+		return nil, err
 	}
 	k.SetFlusher(f)
 	w := &World{Eng: eng, K: k, F: f}
-	if !spec.Zero() || spec.NoRetry {
-		w.Fault = fault.New(seed, spec)
+	if !m.Faults.Zero() || m.Faults.NoRetry {
+		w.Fault = fault.New(m.Seed, m.Faults)
 		k.SetFaultPlane(w.Fault)
 	}
 	k.Start()
 	if bootHook != nil {
 		bootHook(w)
+	}
+	return w, nil
+}
+
+// mustBoot is Boot for the package's own workloads, whose machines are
+// valid by construction: an error there is a bug, so it panics.
+func mustBoot(m Machine) *World {
+	w, err := Boot(m)
+	if err != nil {
+		panic(fmt.Sprintf("workload: %v", err))
 	}
 	return w
 }

@@ -6,8 +6,8 @@
 # wall-clock of each, plus sync-vs-async dispatch-tier cells (the same
 # experiments re-run under -tlbmode sync and -tlbmode async) and the
 # sim package's event-loop microbenchmarks (ns/event and allocs/event).
-# Emits BENCH_parallel.json in the repo root; CI uploads it as an
-# artifact.
+# Emits BENCH_parallel.json in the repo root and fails if the file does
+# not parse as JSON; CI uploads it as an artifact.
 #
 # The outputs of the two runs are byte-compared along the way: a speedup
 # that changes results would be a bug, not a feature.
@@ -24,7 +24,8 @@ TLBSIM=$(mktemp -t tlbsim.XXXXXX)
 SERIAL_OUT=$(mktemp -t tlbsim-serial.XXXXXX)
 PARALLEL_OUT=$(mktemp -t tlbsim-parallel.XXXXXX)
 BENCH_OUT=$(mktemp -t simbench.XXXXXX)
-trap 'rm -f "$TLBSIM" "$SERIAL_OUT" "$PARALLEL_OUT" "$BENCH_OUT"' EXIT
+JSONCHECK=$(mktemp -d -t jsoncheck.XXXXXX)
+trap 'rm -rf "$TLBSIM" "$SERIAL_OUT" "$PARALLEL_OUT" "$BENCH_OUT" "$JSONCHECK"' EXIT
 
 echo "==> building tlbsim" >&2
 ${GO} build -o "$TLBSIM" ./cmd/tlbsim
@@ -85,15 +86,13 @@ loop_allocs=$(echo "$loop_line" | awk '{print $7}')
 delay_ns=$(echo "$delay_line" | awk '{print $3}')
 delay_allocs=$(echo "$delay_line" | awk '{print $7}')
 
-# Scale grid: "BenchmarkEngineChurn/wheel/cpus=512-8  N  42.1 ns/op  0 B/op  0 allocs/op"
-# -> one row per (engine, cpus) cell; ns/event must stay flat with width
-# and allocs/event must stay 0 (the tier-2 test TestEngineChurnScalesFlat
+# Scale grid: "BenchmarkEngineChurn/cpus=512-8  N  42.1 ns/op  0 B/op  0 allocs/op"
+# -> one row per width; ns/event must stay flat with width and
+# allocs/event must stay 0 (the tier-2 test TestEngineChurnScalesFlat
 # enforces both; this just records the numbers).
 churn_json=$(grep '^BenchmarkEngineChurn/' "$BENCH_OUT" | awk '{
-    split($1, parts, "/")
-    engine = parts[2]
-    cpus = parts[3]; sub(/^cpus=/, "", cpus); sub(/-[0-9]+$/, "", cpus)
-    printf "%s{\"engine\":\"%s\",\"cpus\":%s,\"ns_per_event\":%s,\"allocs_per_event\":%s}", sep, engine, cpus, $3, $7
+    cpus = $1; sub(/^.*\/cpus=/, "", cpus); sub(/-[0-9]+$/, "", cpus)
+    printf "%s{\"cpus\":%s,\"ns_per_event\":%s,\"allocs_per_event\":%s}", sep, cpus, $3, $7
     sep = ","
 }')
 
@@ -107,6 +106,36 @@ churn_json=$(grep '^BenchmarkEngineChurn/' "$BENCH_OUT" | awk '{
     printf '  "engine_churn": [%s]\n' "$churn_json"
     printf '}\n'
 } >"$OUT"
+
+# The artifact is only worth uploading if it parses: a benchmark renamed
+# out from under the greps above would leave empty fields behind.
+cat >"$JSONCHECK/main.go" <<'EOF'
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+)
+
+func main() {
+	b, err := io.ReadAll(os.Stdin)
+	var v any
+	if err == nil {
+		err = json.Unmarshal(b, &v)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+EOF
+if ! ${GO} run "$JSONCHECK/main.go" <"$OUT"; then
+    echo "bench.sh: $OUT is not valid JSON" >&2
+    cat "$OUT" >&2
+    exit 1
+fi
 
 echo "==> wrote $OUT" >&2
 cat "$OUT"

@@ -32,7 +32,6 @@ import (
 	"shootdown/internal/mm"
 	"shootdown/internal/pagetable"
 	"shootdown/internal/report"
-	"shootdown/internal/sim"
 	"shootdown/internal/syscalls"
 	"shootdown/internal/trace"
 	"shootdown/internal/workload"
@@ -93,7 +92,6 @@ type machineOpts struct {
 	cfg  Config
 	seed uint64
 	topo mach.Topology
-	cost *mach.CostModel
 }
 
 // WithMode selects safe/unsafe operation (default Safe).
@@ -115,65 +113,57 @@ func WithTopology(sockets, coresPerSocket, threadsPerCore int) Option {
 
 // Machine is a booted simulated machine.
 type Machine struct {
-	eng *sim.Engine
-	k   *kernel.Kernel
-	f   *core.Flusher
+	w *workload.World
 }
 
-// NewMachine boots a machine.
+// NewMachine boots a machine. It returns an error for an invalid topology
+// or an unsupported protocol config.
 func NewMachine(opts ...Option) (*Machine, error) {
-	o := machineOpts{mode: Safe, seed: 1, topo: mach.DefaultTopology(), cost: mach.DefaultCosts()}
+	o := machineOpts{mode: Safe, seed: 1, topo: mach.DefaultTopology()}
 	for _, fn := range opts {
 		fn(&o)
 	}
-	eng := sim.NewEngine(o.seed)
-	kcfg := kernel.DefaultConfig()
-	kcfg.PTI = bool(o.mode)
-	kcfg.ConsolidatedCachelines = o.cfg.CachelineConsolidation
-	k := kernel.New(eng, o.topo, o.cost, kcfg)
-	f, err := core.NewFlusher(k, o.cfg)
+	w, err := workload.Boot(workload.Machine{Mode: o.mode, Core: o.cfg, Seed: o.seed, Topo: o.topo})
 	if err != nil {
 		return nil, err
 	}
-	k.SetFlusher(f)
-	k.Start()
-	return &Machine{eng: eng, k: k, f: f}, nil
+	return &Machine{w: w}, nil
 }
 
 // NumCPUs returns the logical CPU count.
-func (m *Machine) NumCPUs() int { return m.k.Topo.NumCPUs() }
+func (m *Machine) NumCPUs() int { return m.w.K.Topo.NumCPUs() }
 
 // EnableTrace turns on protocol-event recording and returns the recorder.
 // Call before spawning threads.
-func (m *Machine) EnableTrace() *trace.Recorder { return m.k.EnableTrace() }
+func (m *Machine) EnableTrace() *trace.Recorder { return m.w.K.EnableTrace() }
 
 // Run executes the simulation until no event can make progress (all
 // spawned threads finished or are idle).
-func (m *Machine) Run() { m.eng.Run() }
+func (m *Machine) Run() { m.w.Eng.Run() }
 
 // Close shuts the machine down, unwinding the parked per-CPU kernel loops
 // so their goroutines exit. Call it after the last Stats/Interrupted read;
 // the machine is unusable afterwards.
-func (m *Machine) Close() { m.eng.Shutdown() }
+func (m *Machine) Close() { m.w.Close() }
 
 // Now returns the current virtual time in cycles.
-func (m *Machine) Now() uint64 { return uint64(m.eng.Now()) }
+func (m *Machine) Now() uint64 { return uint64(m.w.Eng.Now()) }
 
 // Stats returns protocol counters for the whole machine.
-func (m *Machine) Stats() core.Stats { return m.f.Stats() }
+func (m *Machine) Stats() core.Stats { return m.w.F.Stats() }
 
 // Interrupted returns the cycles cpu spent handling shootdown IPIs while
 // running a thread.
-func (m *Machine) Interrupted(cpu CPU) uint64 { return m.k.CPU(cpu).Interrupted }
+func (m *Machine) Interrupted(cpu CPU) uint64 { return m.w.K.CPU(cpu).Interrupted }
 
 // NewProcess creates a process (one address space).
 func (m *Machine) NewProcess(name string) *Process {
-	return &Process{m: m, name: name, as: m.k.NewAddressSpace()}
+	return &Process{m: m, name: name, as: m.w.K.NewAddressSpace()}
 }
 
 // NewFile creates a simulated file for memory-mapped I/O.
 func (m *Machine) NewFile(name string, size uint64) *mm.File {
-	return m.k.NewFile(name, size)
+	return m.w.K.NewFile(name, size)
 }
 
 // Process is a simulated process: an address space plus its threads.
@@ -198,7 +188,7 @@ func (pr *Process) Go(cpu CPU, name string, fn func(*Thread)) *kernel.Task {
 			fn(&Thread{proc: pr, ctx: ctx})
 		},
 	}
-	pr.m.k.CPU(cpu).Spawn(task)
+	pr.m.w.K.CPU(cpu).Spawn(task)
 	return task
 }
 

@@ -69,10 +69,27 @@ func TestMachineOptions(t *testing.T) {
 
 func TestMismatchedConfigRejected(t *testing.T) {
 	// NewMachine wires the SMP layout from the config, so this cannot
-	// actually mismatch — verify it constructs for both layouts.
-	for _, cfg := range []Config{Baseline(), {CachelineConsolidation: true}} {
-		if _, err := NewMachine(WithConfig(cfg)); err != nil {
+	// actually mismatch — verify it constructs for every layout.
+	for _, cfg := range []Config{Baseline(), {CachelineConsolidation: true}, {HWMessageIPI: true}} {
+		m, err := NewMachine(WithConfig(cfg))
+		if err != nil {
 			t.Fatal(err)
+		}
+		m.Close()
+	}
+}
+
+// TestNewMachineReturnsErrors: malformed options come back as errors, not
+// panics.
+func TestNewMachineReturnsErrors(t *testing.T) {
+	for name, opt := range map[string]Option{
+		"zero topology":     WithTopology(0, 0, 0),
+		"negative topology": WithTopology(2, -1, 2),
+		"competing tiers":   WithConfig(Config{AsyncShootdown: true, SerializedIPIs: true}),
+	} {
+		if m, err := NewMachine(opt); err == nil {
+			m.Close()
+			t.Errorf("%s: NewMachine returned no error", name)
 		}
 	}
 }
