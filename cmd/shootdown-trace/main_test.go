@@ -9,9 +9,10 @@ import (
 )
 
 // TestTraceGolden pins the timeline byte for byte for the two documented
-// invocations, `-config baseline` and `-config all -ptes 3`: a diff means
-// config parsing, machine assembly or the protocol changed what the trace
-// shows.
+// invocations, `-config baseline` and `-config all -ptes 3`, plus the
+// async fabric's notes and the lazy path, which records no shootdown-end:
+// a diff means config parsing, machine assembly, the protocol or the
+// trace rendering changed what the trace shows.
 func TestTraceGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -19,6 +20,8 @@ func TestTraceGolden(t *testing.T) {
 	}{
 		{"baseline.golden", []string{"-config", "baseline"}},
 		{"all_ptes3.golden", []string{"-config", "all", "-ptes", "3"}},
+		{"async_ptes3.golden", []string{"-config", "async", "-ptes", "3"}},
+		{"lazy_ptes3.golden", []string{"-config", "lazy", "-ptes", "3"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			var out bytes.Buffer

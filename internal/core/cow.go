@@ -30,7 +30,7 @@ func (f *Flusher) CoWFixup(ctx *kernel.Ctx, as *mm.AddressSpace, res mm.FaultRes
 		Stride: pagetable.Size4K, NewGen: newGen,
 	}
 
-	f.shootBegin(c.ID, info)
+	f.ShootBegin.Emit(Shootdown{c.ID, info})
 	targets := f.pickTargets(ctx, as, info)
 	earlyAck := f.Cfg.EarlyAck // CoW never frees page tables
 
@@ -38,10 +38,11 @@ func (f *Flusher) CoWFixup(ctx *kernel.Ctx, as *mm.AddressSpace, res mm.FaultRes
 	// ITLB entries); a stale local generation is handled inside cowLocal.
 	useTrick := f.Cfg.AvoidCoWFlush && !res.Executable
 
-	k.Trace.Record(c.ID, trace.CoWEvent, "va %#x trick=%v exec=%v", res.VA, useTrick, res.Executable)
+	k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.CoWEvent,
+		Start: res.VA, Trick: useTrick, Exec: res.Executable})
 	if targets.Empty() {
 		f.cowLocal(ctx, as, info, useTrick)
-		f.shootEnd(c.ID, info)
+		f.ShootEnd.Emit(Shootdown{c.ID, info})
 		return
 	}
 	f.stats.Shootdowns++
@@ -55,7 +56,7 @@ func (f *Flusher) CoWFixup(ctx *kernel.Ctx, as *mm.AddressSpace, res mm.FaultRes
 		rs := k.SMP.CallMany(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine)
 		c.WaitRequests(p, rs)
 	}
-	f.shootEnd(c.ID, info)
+	f.ShootEnd.Emit(Shootdown{c.ID, info})
 }
 
 func (f *Flusher) cowInfoLine(ctx *kernel.Ctx) *cache.Line {

@@ -7,6 +7,7 @@ import (
 	"shootdown/internal/kernel"
 	"shootdown/internal/mach"
 	"shootdown/internal/mm"
+	"shootdown/internal/obs"
 	"shootdown/internal/pagetable"
 	"shootdown/internal/sim"
 	"shootdown/internal/smp"
@@ -62,34 +63,19 @@ type Flusher struct {
 	// (FreeBSD's smp_ipi_mtx).
 	ipiMtx *mm.RWSem
 
-	probe *Probe
+	// ShootBegin fires once per FlushAfter/CoWFixup after the flush
+	// descriptor is built. ShootEnd fires when the flush obligation is
+	// discharged from the initiator's point of view: after all acks for
+	// an IPI shootdown, at batch completion for an async one, immediately
+	// for local-only and lazy-deferred flushes.
+	ShootBegin, ShootEnd obs.Hook[Shootdown]
 }
 
-// Probe observes shootdown lifecycle events. ShootBegin fires once per
-// FlushAfter/CoWFixup after the flush descriptor is built; ShootEnd fires
-// when the flush obligation is discharged from the initiator's point of
-// view — after all acks for an IPI shootdown, immediately for local-only
-// and lazy-deferred flushes. Callbacks must be purely observational (no
-// Delay, no protocol mutation) so a probed run stays cycle-identical to an
-// unprobed one.
-type Probe struct {
-	ShootBegin func(cpu mach.CPU, info *FlushInfo)
-	ShootEnd   func(cpu mach.CPU, info *FlushInfo)
-}
-
-// SetProbe installs (or, with nil, removes) the lifecycle probe.
-func (f *Flusher) SetProbe(pr *Probe) { f.probe = pr }
-
-func (f *Flusher) shootBegin(cpu mach.CPU, info *FlushInfo) {
-	if f.probe != nil && f.probe.ShootBegin != nil {
-		f.probe.ShootBegin(cpu, info)
-	}
-}
-
-func (f *Flusher) shootEnd(cpu mach.CPU, info *FlushInfo) {
-	if f.probe != nil && f.probe.ShootEnd != nil {
-		f.probe.ShootEnd(cpu, info)
-	}
+// Shootdown identifies one flush obligation: its initiating CPU and its
+// descriptor.
+type Shootdown struct {
+	CPU  mach.CPU
+	Info *FlushInfo
 }
 
 // IPIMutex returns the SerializedIPIs global mutex (nil unless that
@@ -177,9 +163,9 @@ func (f *Flusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.FlushRa
 		Full: spanPages > uint64(k.Cfg.FullFlushThreshold),
 	}
 
-	k.Trace.Record(c.ID, trace.ShootBegin, "mm %d gen %d range [%#x,%#x) full=%v freed=%v",
-		as.ID, newGen, info.Start, info.End, info.Full, info.FreedTables)
-	f.shootBegin(c.ID, info)
+	k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.ShootBegin, MM: uint64(as.ID), Gen: newGen,
+		Start: info.Start, End: info.End, Full: info.Full, Freed: info.FreedTables})
+	f.ShootBegin.Emit(Shootdown{c.ID, info})
 	targets := f.pickTargets(ctx, as, info)
 
 	earlyAck := f.Cfg.EarlyAck && !info.FreedTables
@@ -197,7 +183,7 @@ func (f *Flusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.FlushRa
 		f.stats.LocalOnly++
 		f.localFlush(ctx, info, nil)
 		f.notePTFree(info)
-		f.shootEnd(c.ID, info)
+		f.ShootEnd.Emit(Shootdown{c.ID, info})
 		return
 	}
 
@@ -231,7 +217,7 @@ func (f *Flusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.FlushRa
 			f.stats.LazyDeferred++
 		}
 		f.notePTFree(info)
-		f.shootEnd(c.ID, info)
+		f.ShootEnd.Emit(Shootdown{c.ID, info})
 		return
 	}
 	f.stats.Shootdowns++
@@ -253,21 +239,21 @@ func (f *Flusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.FlushRa
 	if f.Cfg.ConcurrentFlush {
 		// §3.1: IPIs first; the local flush overlaps their delivery.
 		reqs := k.SMP.CallMany(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine)
-		k.Trace.Record(c.ID, trace.IPISent, "targets %v (early-ack=%v)", targets, earlyAck)
+		k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.IPISent, Targets: targets, Early: earlyAck})
 		f.localFlush(ctx, info, reqs)
-		k.Trace.Record(c.ID, trace.LocalFlush, "done (overlapped with IPIs)")
+		k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.LocalFlush, Text: "done (overlapped with IPIs)"})
 		c.WaitRequests(p, reqs)
 	} else {
 		// Baseline: local flush, then IPIs, then synchronous wait.
 		f.localFlush(ctx, info, nil)
-		k.Trace.Record(c.ID, trace.LocalFlush, "done (before IPIs)")
+		k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.LocalFlush, Text: "done (before IPIs)"})
 		reqs := k.SMP.CallMany(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine)
-		k.Trace.Record(c.ID, trace.IPISent, "targets %v (early-ack=%v)", targets, earlyAck)
+		k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.IPISent, Targets: targets, Early: earlyAck})
 		c.WaitRequests(p, reqs)
 	}
-	k.Trace.Record(c.ID, trace.ShootEnd, "all acks received")
+	k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.ShootEnd, Text: "all acks received"})
 	f.notePTFree(info)
-	f.shootEnd(c.ID, info)
+	f.ShootEnd.Emit(Shootdown{c.ID, info})
 }
 
 // asyncFlush is the fabric tier of FlushAfter: post the range to every
@@ -288,12 +274,12 @@ func (f *Flusher) asyncFlush(ctx *kernel.Ctx, info *FlushInfo, targets mach.CPUM
 	k.SMP.PostAsync(p, from, targets, inv, func(*sim.Proc) {
 		// Runs in the last-acking responder's context; observational
 		// bookkeeping only.
-		k.Trace.Record(from, trace.ShootEnd, "async batch acked")
-		f.shootEnd(from, info)
+		k.Trace.Emit(trace.Event{CPU: from, Kind: trace.ShootEnd, Text: "async batch acked"})
+		f.ShootEnd.Emit(Shootdown{from, info})
 	})
-	k.Trace.Record(from, trace.IPISent, "async post to %v", targets)
+	k.Trace.Emit(trace.Event{CPU: from, Kind: trace.IPISent, Targets: targets, Fabric: true})
 	f.localFlush(ctx, info, nil)
-	k.Trace.Record(from, trace.LocalFlush, "done (fabric in flight)")
+	k.Trace.Emit(trace.Event{CPU: from, Kind: trace.LocalFlush, Text: "done (fabric in flight)"})
 }
 
 // drainApply is the batch applier the fabric calls from DrainFabric, on
@@ -337,7 +323,7 @@ func (f *Flusher) applyInval(p *sim.Proc, rc *kernel.CPU, inv *smp.Inval) {
 		p.Delay(k.Cost.CR3WriteFlush)
 		rc.TLB.FlushAllNonGlobal()
 		f.stats.RemoteFull++
-		k.Trace.Record(rc.ID, trace.RemoteFlush, "fabric flush_all")
+		k.Trace.Emit(trace.Event{CPU: rc.ID, Kind: trace.RemoteFlush, Text: "fabric flush_all"})
 		return
 	}
 	as := inv.AS.(*mm.AddressSpace)
@@ -345,7 +331,7 @@ func (f *Flusher) applyInval(p *sim.Proc, rc *kernel.CPU, inv *smp.Inval) {
 		// Switched out since posting; the switch-in generation check
 		// flushes before the mm's entries become reachable again.
 		f.stats.RemoteSkipped++
-		k.Trace.Record(rc.ID, trace.RemoteFlush, "fabric skip: mm not loaded")
+		k.Trace.Emit(trace.Event{CPU: rc.ID, Kind: trace.RemoteFlush, Text: "fabric skip: mm not loaded"})
 		return
 	}
 	p.Delay(k.Dir.Read(rc.ID, k.MMGenLine(as)))
@@ -374,7 +360,8 @@ func (f *Flusher) applyInval(p *sim.Proc, rc *kernel.CPU, inv *smp.Inval) {
 		f.stats.RemoteFull++
 	}
 	p.Delay(k.Dir.Write(rc.ID, k.SMP.GenLine(rc.ID)))
-	k.Trace.Record(rc.ID, trace.RemoteFlush, "fabric mm %d through gen %d", as.ID, inv.GenHi)
+	k.Trace.Emit(trace.Event{CPU: rc.ID, Kind: trace.RemoteFlush,
+		MM: uint64(as.ID), Gen: inv.GenHi, Fabric: true})
 }
 
 // strideSize maps an Inval's stride in bytes back to the page size.
@@ -421,7 +408,7 @@ func (f *Flusher) pickTargets(ctx *kernel.Ctx, as *mm.AddressSpace, info *FlushI
 		p.Delay(k.Dir.Read(c.ID, k.SMP.LazyLine(cpu)))
 		if rc.Lazy() {
 			f.stats.LazySkips++
-			k.Trace.Record(c.ID, trace.TargetSkipped, "cpu%d lazy", cpu)
+			k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.TargetSkipped, Peer: cpu, Text: "lazy"})
 			continue
 		}
 		if f.Cfg.UserspaceBatching {
@@ -429,12 +416,12 @@ func (f *Flusher) pickTargets(ctx *kernel.Ctx, as *mm.AddressSpace, info *FlushI
 			if rc.InBatchedSyscall() {
 				f.queueBatched(rc, info)
 				f.stats.BatchedSkips++
-				k.Trace.Record(c.ID, trace.TargetSkipped, "cpu%d in batched syscall", cpu)
+				k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.TargetSkipped, Peer: cpu, Text: "in batched syscall"})
 				continue
 			}
 		}
 		targets.Set(cpu)
-		k.Trace.Record(c.ID, trace.TargetPicked, "cpu%d", cpu)
+		k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.TargetPicked, Peer: cpu})
 	}
 	return targets
 }
@@ -448,14 +435,14 @@ func (f *Flusher) remoteFlushFn(p *sim.Proc, cpu mach.CPU, payload any) {
 		// cached but unreachable, and the switch-in generation check will
 		// flush them before use.
 		f.stats.RemoteSkipped++
-		f.K.Trace.Record(cpu, trace.RemoteFlush, "skipped: mm not loaded")
+		f.K.Trace.Emit(trace.Event{CPU: cpu, Kind: trace.RemoteFlush, Text: "skipped: mm not loaded"})
 		return
 	}
 	// Until the flush completes, this CPU's TLB may still walk the
 	// about-to-be-freed page-table pages.
 	f.readPTFree(info)
 	f.flushOnCPU(p, rc, info, false)
-	f.K.Trace.Record(cpu, trace.RemoteFlush, "mm %d through gen %d", info.AS.ID, info.NewGen)
+	f.K.Trace.Emit(trace.Event{CPU: cpu, Kind: trace.RemoteFlush, MM: uint64(info.AS.ID), Gen: info.NewGen})
 }
 
 // localFlush performs the initiator-side flush. reqs is non-nil only under

@@ -32,6 +32,9 @@ func TestRaceModelQuickSuite(t *testing.T) {
 			if !sum.OK() {
 				t.Fatalf("data races in the modeled protocol:\n%s", sum.Report())
 			}
+			if reportGoldens[name] {
+				compareReport(t, "race_"+name+".golden", sum.Report())
+			}
 			totalAcquires += sum.Stats.Acquires
 			totalReads += sum.Stats.Reads
 		})

@@ -1,8 +1,39 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// reportGoldens names the experiments whose checked quick-run reports are
+// pinned byte for byte: extensions boots every probe machine and async
+// drives the fabric, so together they pin what the checkers' subscribers
+// see (PTE changes, hits, redundant flushes, IPI requests, shootdowns and
+// sync edges).
+var reportGoldens = map[string]bool{"extensions": true, "async": true}
+
+// compareReport checks report against testdata/<name>; -update rewrites it.
+func compareReport(t *testing.T, name, report string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(report), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report != string(want) {
+		t.Errorf("report drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, report, want)
+	}
+}
 
 // TestSanitizedQuickSuite runs every registered experiment under the
 // shadow-oracle checker: the seed experiment suite must be coherent — zero
@@ -34,6 +65,9 @@ func TestSanitizedQuickSuite(t *testing.T) {
 			}
 			if !sum.OK() {
 				t.Fatalf("coherence violations:\n%s", sum.Report())
+			}
+			if reportGoldens[name] {
+				compareReport(t, "sanitize_"+name+".golden", sum.Report())
 			}
 			totalHits += sum.Stats.TLBHits
 			totalWindows += sum.Stats.ObligationsOpened

@@ -135,16 +135,14 @@ func (c *CPU) SetLocalGen(as *mm.AddressSpace, gen uint64) {
 }
 
 // enterUser marks the transition to user mode. Every site that sets
-// inUser funnels through it so the kernel's UserReturnHook sees all
+// inUser funnels through it so the kernel's UserReturn hook sees all
 // return-to-user transitions.
 func (c *CPU) enterUser() {
 	c.inUser = true
 	// Return-to-user is the §4.2 backstop event: advance the CPU's vector
 	// clock so later epochs are distinguishable from pre-return ones.
 	c.K.Race.ReturnToUser()
-	if c.K.UserReturnHook != nil {
-		c.K.UserReturnHook(c)
-	}
+	c.K.UserReturn.Emit(c)
 }
 
 // ResetCounters zeroes measurement counters (between benchmark phases).
@@ -351,7 +349,8 @@ func (c *CPU) ServiceIRQs(p *sim.Proc) {
 		} else {
 			p.Delay(c.K.Cost.IRQEntryKernel)
 		}
-		c.K.Trace.Record(c.ID, trace.IRQEnter, "vector %#x from cpu%d (user=%v)", irq.Vector, irq.From, fromUser)
+		c.K.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.IRQEnter,
+			Vector: uint8(irq.Vector), Peer: irq.From, User: fromUser})
 		// Any kernel entry is a LATR sweep point, and — under the async
 		// tier — a whole-batch fabric drain point: the ring is popped and
 		// applied before the vector dispatch below even looks at the CSQ.
@@ -378,7 +377,7 @@ func (c *CPU) ServiceIRQs(p *sim.Proc) {
 			}
 			c.enterUser()
 		}
-		c.K.Trace.Record(c.ID, trace.IRQExit, "")
+		c.K.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.IRQExit})
 		c.IRQsHandled++
 		if c.curTask != nil {
 			c.Interrupted += uint64(p.Now() - start)

@@ -112,7 +112,7 @@ func (c *CPU) runDeferredUserFlushes(p *sim.Proc) {
 			c.TLB.FlushPCID(as.UserPCID)
 		}
 		c.FullUserFlushes++
-		c.K.Trace.Record(c.ID, trace.DeferredFlush, "full user-PCID flush on CR3 reload")
+		c.K.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.DeferredFlush, Full: true})
 		c.duFull = false
 		c.duValid = false
 		return
@@ -132,7 +132,7 @@ func (c *CPU) runDeferredUserFlushes(p *sim.Proc) {
 	c.TLB.InvalidateWalkCache()
 	// Spectre-v1 guard on the flush loop (§3.4).
 	p.Delay(c.K.Cost.Lfence)
-	c.K.Trace.Record(c.ID, trace.DeferredFlush, "INVLPG range [%#x,%#x)", c.duStart, c.duEnd)
+	c.K.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.DeferredFlush, Start: c.duStart, End: c.duEnd})
 	c.duValid = false
 }
 

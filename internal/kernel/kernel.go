@@ -19,6 +19,7 @@ import (
 	"shootdown/internal/fault"
 	"shootdown/internal/mach"
 	"shootdown/internal/mm"
+	"shootdown/internal/obs"
 	"shootdown/internal/pagetable"
 	"shootdown/internal/race"
 	"shootdown/internal/sim"
@@ -104,8 +105,10 @@ type Kernel struct {
 	nextMM  mm.ID
 	mmLines map[mm.ID]*mmLinePair
 
-	// Trace, when non-nil, records protocol events (see internal/trace).
-	Trace *trace.Recorder
+	// Trace carries the protocol timeline's events (see internal/trace)
+	// except acks, which the SMP layer publishes on SMP.Acked;
+	// EnableTrace subscribes a recorder to both.
+	Trace obs.Hook[trace.Event]
 
 	// Race, when non-nil, is the attached happens-before checker (see
 	// internal/race). All hooks are observational: a race-checked run is
@@ -118,15 +121,13 @@ type Kernel struct {
 	// final state, which is what the metamorphic tests check.
 	Fault *fault.Plane
 
-	// ASHook, when non-nil, observes every address space created through
-	// the kernel (NewAddressSpace and ForkAddressSpace, after the child's
-	// page tables are populated). The sanitizer uses it to seed shadow
-	// state and install observers. Must be purely observational.
-	ASHook func(as *mm.AddressSpace)
-	// UserReturnHook, when non-nil, fires every time a CPU transitions to
-	// user mode (after deferred user flushes ran). Must be purely
-	// observational.
-	UserReturnHook func(c *CPU)
+	// ASCreated fires for every address space created through the kernel
+	// (NewAddressSpace and ForkAddressSpace, after the child's page tables
+	// are populated); the sanitizer seeds its shadow state and subscribes
+	// to the new space's hooks from it. UserReturn fires every time a CPU
+	// transitions to user mode, after deferred user flushes ran.
+	ASCreated  obs.Hook[*mm.AddressSpace]
+	UserReturn obs.Hook[*CPU]
 }
 
 // mmLinePair holds the contended cachelines of one mm_struct: the TLB
@@ -207,9 +208,7 @@ func (k *Kernel) NewAddressSpace() *mm.AddressSpace {
 	sem := mm.NewRWSem(k.Eng, fmt.Sprintf("mmap_sem[%d]", k.nextMM))
 	as := mm.NewAddressSpace(k.nextMM, k.Alloc, sem)
 	as.EnableRace(k.Race)
-	if k.ASHook != nil {
-		k.ASHook(as)
-	}
+	k.ASCreated.Emit(as)
 	return as
 }
 
@@ -226,9 +225,7 @@ func (k *Kernel) ForkAddressSpace(parent *mm.AddressSpace) (*mm.AddressSpace, mm
 	sem := mm.NewRWSem(k.Eng, fmt.Sprintf("mmap_sem[%d]", k.nextMM))
 	child, fr, st := parent.Fork(k.nextMM, sem)
 	child.EnableRace(k.Race)
-	if k.ASHook != nil {
-		k.ASHook(child)
-	}
+	k.ASCreated.Emit(child)
 	return child, fr, st
 }
 
@@ -251,14 +248,16 @@ func (k *Kernel) SetFaultPlane(pl *fault.Plane) {
 	k.SMP.SetFaultPlane(pl)
 }
 
-// EnableTrace attaches a protocol-event recorder (see internal/trace) and
-// returns it. Call before Run.
+// EnableTrace subscribes a new protocol-event recorder (see
+// internal/trace) to k.Trace, and to SMP.Acked for the responders' ack
+// events, and returns it. Call before Run; each call adds a recorder.
 func (k *Kernel) EnableTrace() *trace.Recorder {
-	k.Trace = trace.New(k.Eng)
-	k.SMP.AckHook = func(target mach.CPU, early bool) {
-		k.Trace.Record(target, trace.Ack, "early=%v", early)
-	}
-	return k.Trace
+	r := trace.New(k.Eng)
+	k.Trace.Add(r.Observe)
+	k.SMP.Acked.Add(func(req *smp.Request) {
+		r.Observe(trace.Event{CPU: req.Target(), Kind: trace.Ack, Early: req.AckEarly})
+	})
+	return r
 }
 
 // Start spawns every CPU's run loop. Call once, before Engine.Run.

@@ -59,7 +59,7 @@ func (ctx *Ctx) EnterSyscall() {
 	}
 	c.inUser = false
 	c.K.chargeEntry(ctx.P)
-	c.K.Trace.Record(c.ID, trace.SyscallEnter, "")
+	c.K.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.SyscallEnter})
 	// Any kernel entry is a LATR sweep point (lazy-shootdown extension).
 	c.DrainLazyWork(ctx.P)
 }
@@ -79,7 +79,7 @@ func (ctx *Ctx) ExitSyscall() {
 		p.Delay(c.K.Cost.PTITrampoline)
 	}
 	c.enterUser()
-	c.K.Trace.Record(c.ID, trace.SyscallExit, "")
+	c.K.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.SyscallExit})
 	// Back in user mode: deliver anything that arrived during the exit.
 	c.ServiceIRQs(p)
 }

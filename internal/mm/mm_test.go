@@ -2,6 +2,7 @@ package mm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"shootdown/internal/pagetable"
@@ -408,4 +409,42 @@ func TestRWSemMisuse(t *testing.T) {
 		sem.UpRead(p)
 	})
 	eng.Run()
+}
+
+// TestRWSemUncontendedReadAllocatesNothing: with no race detector and no
+// subscriber, an uncontended read acquire/release pair costs no
+// allocation (the detector's sync name is built once, when it attaches).
+func TestRWSemUncontendedReadAllocatesNothing(t *testing.T) {
+	sem := NewRWSem(sim.NewEngine(1), "mmap_sem[1]")
+	if n := testing.AllocsPerRun(100, func() {
+		if !sem.TryDownRead() {
+			t.Fatal("uncontended TryDownRead failed")
+		}
+		sem.UpRead(nil)
+	}); n != 0 {
+		t.Fatalf("TryDownRead/UpRead allocated %v times per pair, want 0", n)
+	}
+}
+
+// TestRWSemHooksSeeEveryTransition: Acquired and Released fire once per
+// acquisition and release, for every subscriber, after the state change.
+func TestRWSemHooksSeeEveryTransition(t *testing.T) {
+	sem := NewRWSem(sim.NewEngine(1), "s")
+	var log []string
+	for _, who := range []string{"a", "b"} {
+		sem.Acquired.Add(func(s *RWSem) {
+			if s.Readers() == 0 && !s.HeldForWrite() {
+				t.Error("Acquired fired before the acquisition took effect")
+			}
+			log = append(log, who+"+")
+		})
+		sem.Released.Add(func(s *RWSem) { log = append(log, who+"-") })
+	}
+	sem.TryDownRead()
+	sem.UpRead(nil)
+	sem.TryDownWrite()
+	sem.UpWrite(nil)
+	if got, want := fmt.Sprint(log), "[a+ b+ a- b- a+ b+ a- b-]"; got != want {
+		t.Fatalf("hook log = %s, want %s", got, want)
+	}
 }

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"shootdown/internal/obs"
 	"shootdown/internal/race"
 	"shootdown/internal/sim"
 )
@@ -20,43 +21,34 @@ type RWSem struct {
 	// Contended counts acquisitions that had to wait (for reports).
 	Contended uint64
 
-	obs *SemObserver
-	// rt, when non-nil, receives acquire/release happens-before edges.
-	// Separate from obs so the lockdep observer and the race detector can
-	// coexist.
-	rt *race.Detector
-}
+	// Acquired fires after every successful acquisition (the Try variants
+	// included), Released after every release; lock-order checkers
+	// subscribe to both.
+	Acquired, Released obs.Hook[*RWSem]
 
-// SemObserver receives lock-event notifications for deadlock/lock-order
-// checkers. Acquired fires after a successful acquisition (including the
-// Try variants), Released after a release. Callbacks must be purely
-// observational.
-type SemObserver struct {
-	Acquired func(s *RWSem, write bool)
-	Released func(s *RWSem, write bool)
+	// rt, when non-nil, receives acquire/release happens-before edges on
+	// the registry sync raceName.
+	rt       *race.Detector
+	raceName string
 }
-
-// SetObserver installs (or, with nil, removes) the lock-event observer.
-func (s *RWSem) SetObserver(o *SemObserver) { s.obs = o }
 
 // EnableRace attaches the happens-before checker: every acquisition joins
 // the clocks of past releases, every release publishes the holder's clock.
 // Read-side releases join (rather than overwrite) the semaphore's clock,
 // so concurrent readers all stay ordered before the next writer.
-func (s *RWSem) EnableRace(d *race.Detector) { s.rt = d }
-
-func (s *RWSem) acquired(write bool) {
-	s.rt.AcquireName("sem:" + s.name)
-	if s.obs != nil && s.obs.Acquired != nil {
-		s.obs.Acquired(s, write)
-	}
+func (s *RWSem) EnableRace(d *race.Detector) {
+	s.rt = d
+	s.raceName = "sem:" + s.name
 }
 
-func (s *RWSem) released(write bool) {
-	s.rt.ReleaseName("sem:" + s.name)
-	if s.obs != nil && s.obs.Released != nil {
-		s.obs.Released(s, write)
-	}
+func (s *RWSem) acquired() {
+	s.rt.AcquireName(s.raceName)
+	s.Acquired.Emit(s)
+}
+
+func (s *RWSem) released() {
+	s.rt.ReleaseName(s.raceName)
+	s.Released.Emit(s)
 }
 
 // NewRWSem returns an unlocked semaphore.
@@ -73,7 +65,7 @@ func (s *RWSem) TryDownRead() bool {
 		return false
 	}
 	s.readers++
-	s.acquired(false)
+	s.acquired()
 	return true
 }
 
@@ -83,7 +75,7 @@ func (s *RWSem) TryDownWrite() bool {
 		return false
 	}
 	s.writer = true
-	s.acquired(true)
+	s.acquired()
 	return true
 }
 
@@ -103,7 +95,7 @@ func (s *RWSem) DownRead(p *sim.Proc) {
 		s.changed.Wait(p)
 	}
 	s.readers++
-	s.acquired(false)
+	s.acquired()
 }
 
 // UpRead releases a read acquisition.
@@ -115,7 +107,7 @@ func (s *RWSem) UpRead(p *sim.Proc) {
 	if s.readers == 0 {
 		s.changed.Broadcast()
 	}
-	s.released(false)
+	s.released()
 }
 
 // DownWrite acquires the semaphore exclusively.
@@ -125,7 +117,7 @@ func (s *RWSem) DownWrite(p *sim.Proc) {
 		s.changed.Wait(p)
 	}
 	s.writer = true
-	s.acquired(true)
+	s.acquired()
 }
 
 // UpWrite releases an exclusive acquisition.
@@ -135,7 +127,7 @@ func (s *RWSem) UpWrite(p *sim.Proc) {
 	}
 	s.writer = false
 	s.changed.Broadcast()
-	s.released(true)
+	s.released()
 }
 
 // HeldForWrite reports whether a writer currently holds the semaphore.

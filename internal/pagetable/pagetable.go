@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 
+	"shootdown/internal/obs"
 	"shootdown/internal/race"
 )
 
@@ -159,7 +160,10 @@ type Table struct {
 	// is released only once live drops to 0, when every entry is zero,
 	// so it is reused as is.
 	free []*node
-	obs  func(Change)
+
+	// Changed fires after every leaf-PTE mutation (Map, SetFlags,
+	// ClearFlags, Remap, Unmap).
+	Changed obs.Hook[Change]
 
 	// rt, when non-nil, is the attached happens-before checker; pteVar is
 	// the variable name PTE accesses are tracked under. One variable
@@ -182,11 +186,6 @@ type Change struct {
 	Old, New PTE
 }
 
-// SetObserver installs (or, with nil, removes) a callback fired after
-// every leaf-PTE mutation (Map, SetFlags, ClearFlags, Remap, Unmap). The
-// callback must not mutate the table.
-func (t *Table) SetObserver(fn func(Change)) { t.obs = fn }
-
 // EnableRace attaches the happens-before checker; prefix scopes the
 // table's variable name (typically the owning mm).
 func (t *Table) EnableRace(d *race.Detector, prefix string) {
@@ -202,9 +201,7 @@ func (t *Table) notify(va uint64, size Size, old, new PTE) {
 	// read-modify-write (native_set_pte and friends are atomic stores;
 	// the radix bookkeeping is protected by the callers' mmap_sem).
 	t.rt.AtomicRMW(t.pteVar)
-	if t.obs != nil {
-		t.obs(Change{VA: va &^ (size.Bytes() - 1), Size: size, Old: old, New: new})
-	}
+	t.Changed.Emit(Change{VA: va &^ (size.Bytes() - 1), Size: size, Old: old, New: new})
 }
 
 // raceLoad reports a page-walk-style read of the table.

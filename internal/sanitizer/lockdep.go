@@ -27,26 +27,23 @@ type lockdep struct {
 	adj      map[string][]string // acquisition-order edges, append order = discovery order
 	edgeSeen map[[2]string]bool
 	reported map[[2]string]bool
-	shared   *mm.SemObserver
 }
 
 func newLockdep(c *Checker) *lockdep {
-	ld := &lockdep{
+	return &lockdep{
 		c:        c,
 		held:     make(map[*sim.Proc][]*mm.RWSem),
 		adj:      make(map[string][]string),
 		edgeSeen: make(map[[2]string]bool),
 		reported: make(map[[2]string]bool),
 	}
-	ld.shared = &mm.SemObserver{
-		Acquired: func(s *mm.RWSem, write bool) { ld.acquired(s) },
-		Released: func(s *mm.RWSem, write bool) { ld.released(s) },
-	}
-	return ld
 }
 
-// observer returns the SemObserver to install on a watched semaphore.
-func (ld *lockdep) observer() *mm.SemObserver { return ld.shared }
+// watch subscribes the checker to s's acquisitions and releases.
+func (ld *lockdep) watch(s *mm.RWSem) {
+	s.Acquired.Add(ld.acquired)
+	s.Released.Add(ld.released)
+}
 
 func (ld *lockdep) acquired(s *mm.RWSem) {
 	p := ld.c.K.Eng.Current()

@@ -4,16 +4,20 @@
 // letting a core translate through a stale entry (§5 of the paper
 // describes the debug mechanism Linux needed for exactly this).
 //
-// Attached to a kernel, the checker maintains a ground-truth shadow copy of
-// every tracked address space's page tables, fed by page-table mutation
-// observers. Each restrictive PTE change (unmap, frame change, permission
-// removal) opens a *flush obligation*: until the covering shootdown
-// completes, stale TLB hits on the changed page are legal — that is the
-// protocol's inherent (and bounded) staleness window. A TLB hit that
-// contradicts the shadow page table outside any open obligation is a
-// stale-translation violation, reported with the full event trace: who
-// changed the PTE, which shootdown should have covered it, and how the
-// window was closed.
+// Attached to a kernel, the checker is a plain subscriber to the layers'
+// obs.Hook observation points (address-space creation, leaf-PTE changes,
+// TLB hits and flushes, queued IPIs, shootdown begin and end, returns to
+// user mode, rwsem acquire and release), so any number of checkers and
+// the trace recorder can watch one kernel side by side. It maintains a
+// ground-truth shadow copy of every tracked address space's page tables,
+// fed by the page tables' Changed hooks. Each restrictive PTE change
+// (unmap, frame change, permission removal) opens a *flush obligation*:
+// until the covering shootdown completes, stale TLB hits on the changed
+// page are legal — that is the protocol's inherent (and bounded)
+// staleness window. A TLB hit that contradicts the shadow page table
+// outside any open obligation is a stale-translation violation, reported
+// with the full event trace: who changed the PTE, which shootdown should
+// have covered it, and how the window was closed.
 //
 // The checker also counts redundant flushes (invalidations that removed
 // nothing — the paper's headline waste), verifies every queued IPI request
@@ -21,8 +25,8 @@
 // (forbidden by §3.2), and runs a lockdep-style lock-order check over
 // mm/rwsem instances.
 //
-// All hooks are purely observational: they never advance simulated time,
-// so a checked run is cycle-identical to an unchecked one.
+// All subscribers are purely observational: they never advance simulated
+// time, so a checked run is cycle-identical to an unchecked one.
 package sanitizer
 
 import (
@@ -32,7 +36,6 @@ import (
 	"shootdown/internal/apic"
 	"shootdown/internal/core"
 	"shootdown/internal/kernel"
-	"shootdown/internal/mach"
 	"shootdown/internal/mm"
 	"shootdown/internal/pagetable"
 	"shootdown/internal/sim"
@@ -134,9 +137,8 @@ type pcidRef struct {
 }
 
 type reqRec struct {
-	req  *smp.Request
-	from mach.CPU
-	at   sim.Time
+	smp.Call
+	at sim.Time
 }
 
 type vioKey struct {
@@ -169,10 +171,11 @@ type Checker struct {
 	result *Summary
 }
 
-// Attach installs the checker on a booted (or booting) kernel. f may be
-// nil when the flusher is not a *core.Flusher; shootdown-window tracking
-// then falls back to the return-to-user backstop alone. Attach chains any
-// hooks already installed (e.g. the trace recorder's ack hook).
+// Attach subscribes the checker to a booted (or booting) kernel's hooks.
+// f may be nil when the flusher is not a *core.Flusher; shootdown-window
+// tracking then falls back to the return-to-user backstop alone. Other
+// subscribers (the trace recorder, further checkers) keep receiving
+// every event. Address spaces created before Attach are not tracked.
 func Attach(k *kernel.Kernel, f *core.Flusher, cfg Config) *Checker {
 	if cfg.MaxViolations <= 0 {
 		cfg.MaxViolations = 64
@@ -189,85 +192,51 @@ func Attach(k *kernel.Kernel, f *core.Flusher, cfg Config) *Checker {
 	}
 	c.locks = newLockdep(c)
 
-	prevAS := k.ASHook
-	k.ASHook = func(as *mm.AddressSpace) {
-		if prevAS != nil {
-			prevAS(as)
-		}
-		c.trackAS(as)
-	}
-	prevUR := k.UserReturnHook
-	k.UserReturnHook = func(cpu *kernel.CPU) {
-		if prevUR != nil {
-			prevUR(cpu)
-		}
-		c.onUserReturn(cpu)
-	}
-	prevCall := k.SMP.CallHook
-	k.SMP.CallHook = func(from mach.CPU, req *smp.Request) {
-		if prevCall != nil {
-			prevCall(from, req)
-		}
-		c.onCall(from, req)
-	}
+	k.ASCreated.Add(func(as *mm.AddressSpace) {
+		sh := newShadow(as)
+		c.shadows[as.ID] = sh
+		c.byPCID[as.KernelPCID] = pcidRef{sh, false}
+		c.byPCID[as.UserPCID] = pcidRef{sh, true}
+		as.PT.Changed.Add(func(ch pagetable.Change) { c.onChange(sh, ch) })
+		c.locks.watch(as.MmapSem)
+	})
+	k.UserReturn.Add(c.onUserReturn)
+	k.SMP.Queued.Add(c.onCall)
 	if f != nil {
-		f.SetProbe(&core.Probe{
-			ShootBegin: func(cpu mach.CPU, info *core.FlushInfo) {
-				c.stats.Shootdowns++
-				c.begins[info] = k.Eng.Now()
-			},
-			ShootEnd: c.onShootEnd,
+		f.ShootBegin.Add(func(s core.Shootdown) {
+			c.stats.Shootdowns++
+			c.begins[s.Info] = k.Eng.Now()
 		})
+		f.ShootEnd.Add(c.onShootEnd)
 		if m := f.IPIMutex(); m != nil {
-			m.SetObserver(c.locks.observer())
+			c.locks.watch(m)
 		}
 	}
 	for _, cpu := range k.CPUs() {
-		cpu := cpu
-		cpu.TLB.SetObserver(&tlb.Observer{
-			Hit: func(pcid tlb.PCID, va uint64, e tlb.Entry) { c.onHit(cpu, pcid, va, e) },
-			FlushPage: func(pcid tlb.PCID, va uint64, removed int) {
-				c.stats.SelectiveFlushes++
-				if removed == 0 {
-					c.stats.RedundantSelective++
-				}
-			},
-			FlushPCID: func(pcid tlb.PCID, removed int) {
-				c.stats.FullFlushes++
-				if removed == 0 {
-					c.stats.RedundantFull++
-				}
-			},
-			FlushAll: func(globals bool, removed int) {
-				c.stats.FullFlushes++
-				if removed == 0 {
-					c.stats.RedundantFull++
-				}
-			},
-		})
+		cpu.TLB.Hit.Add(func(h tlb.Hit) { c.onHit(cpu, h) })
+		cpu.TLB.Flushed.Add(c.onFlush)
 	}
 	return c
 }
 
-// TrackAddressSpace registers an address space created before Attach (the
-// kernel's ASHook covers every one created after).
-func (c *Checker) TrackAddressSpace(as *mm.AddressSpace) { c.trackAS(as) }
+// onFlush counts a flush, and whether it was redundant (removed nothing).
+func (c *Checker) onFlush(fl tlb.Flush) {
+	if fl.Full {
+		c.stats.FullFlushes++
+		if fl.Removed == 0 {
+			c.stats.RedundantFull++
+		}
+		return
+	}
+	c.stats.SelectiveFlushes++
+	if fl.Removed == 0 {
+		c.stats.RedundantSelective++
+	}
+}
 
 // WatchSem adds a semaphore to the lock-order checker (address-space
 // mmap_sems and the flusher's IPI mutex are watched automatically).
-func (c *Checker) WatchSem(s *mm.RWSem) { s.SetObserver(c.locks.observer()) }
-
-func (c *Checker) trackAS(as *mm.AddressSpace) {
-	if _, ok := c.shadows[as.ID]; ok {
-		return
-	}
-	sh := newShadow(as)
-	c.shadows[as.ID] = sh
-	c.byPCID[as.KernelPCID] = pcidRef{sh, false}
-	c.byPCID[as.UserPCID] = pcidRef{sh, true}
-	as.PT.SetObserver(func(ch pagetable.Change) { c.onChange(sh, ch) })
-	as.MmapSem.SetObserver(c.locks.observer())
-}
+func (c *Checker) WatchSem(s *mm.RWSem) { c.locks.watch(s) }
 
 // currentCPU resolves the executing simulated process to its kernel CPU
 // (-1 when the mutation came from a non-CPU process or from the event
@@ -340,9 +309,10 @@ func classify(ch pagetable.Change) (restrictive bool, kind string) {
 	return false, ""
 }
 
-func (c *Checker) onShootEnd(cpu mach.CPU, info *core.FlushInfo) {
+func (c *Checker) onShootEnd(s core.Shootdown) {
+	info := s.Info
 	closedBy := fmt.Sprintf("shootdown (initiator cpu%d, gen %d, range [%#x,%#x), full=%v)",
-		cpu, info.NewGen, info.Start, info.End, info.Full)
+		s.CPU, info.NewGen, info.Start, info.End, info.Full)
 	now := c.K.Eng.Now()
 	beginAt, tracked := c.begins[info]
 	delete(c.begins, info)
@@ -423,7 +393,8 @@ func (c *Checker) coveredInFlight(key obKey, ob *obligation) bool {
 	return false
 }
 
-func (c *Checker) onCall(from mach.CPU, req *smp.Request) {
+func (c *Checker) onCall(call smp.Call) {
+	from, req := call.From, call.Req
 	c.stats.IPIRequests++
 	if req.AckEarly {
 		if fi, ok := req.Payload.(*core.FlushInfo); ok && fi.FreedTables {
@@ -432,11 +403,11 @@ func (c *Checker) onCall(from mach.CPU, req *smp.Request) {
 					from, req.Target(), fi.AS.ID, fi.Start, fi.End))
 		}
 	}
-	c.reqs = append(c.reqs, reqRec{req, from, c.K.Eng.Now()})
+	c.reqs = append(c.reqs, reqRec{call, c.K.Eng.Now()})
 	if len(c.reqs) > 8192 {
 		kept := c.reqs[:0]
 		for _, r := range c.reqs {
-			if !r.req.Done() {
+			if !r.Req.Done() {
 				kept = append(kept, r)
 			}
 		}
@@ -444,7 +415,8 @@ func (c *Checker) onCall(from mach.CPU, req *smp.Request) {
 	}
 }
 
-func (c *Checker) onHit(cpu *kernel.CPU, pcid tlb.PCID, va uint64, e tlb.Entry) {
+func (c *Checker) onHit(cpu *kernel.CPU, h tlb.Hit) {
+	pcid, va, e := h.PCID, h.VA, h.Entry
 	c.stats.TLBHits++
 	ref, ok := c.byPCID[pcid]
 	if !ok {
@@ -540,10 +512,10 @@ func (c *Checker) Finish() *Summary {
 		return c.result
 	}
 	for _, r := range c.reqs {
-		if !r.req.Done() {
-			c.addViolation("unacked-ipi", int(r.req.Target()),
+		if !r.Req.Done() {
+			c.addViolation("unacked-ipi", int(r.Req.Target()),
 				fmt.Sprintf("unacked-ipi: flush request queued by cpu%d for cpu%d at t=%d was never acknowledged (early-ack=%v)",
-					r.from, r.req.Target(), r.at, r.req.AckEarly))
+					r.From, r.Req.Target(), r.at, r.Req.AckEarly))
 		}
 	}
 	for _, cpu := range c.K.CPUs() {
@@ -616,6 +588,3 @@ func (c *Checker) verifyShadows() {
 
 // Stats returns the counters accumulated so far.
 func (c *Checker) Stats() Stats { return c.stats }
-
-// OpenObligations returns the number of flush windows still open.
-func (c *Checker) OpenObligations() int { return len(c.open) }

@@ -165,15 +165,20 @@ func (brokenFlusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.Flus
 func (brokenFlusher) CoWFixup(ctx *kernel.Ctx, as *mm.AddressSpace, res mm.FaultResult) {}
 func (brokenFlusher) BatchingEnabled() bool                                             { return false }
 
-// TestBrokenFlusherCaughtExactlyOnce: with a flusher that elides the
-// required shootdown, the single stale re-read on the responder CPU must
-// produce exactly one stale-translation violation.
-func TestBrokenFlusherCaughtExactlyOnce(t *testing.T) {
+// runBrokenFlusher runs the broken-flusher scenario with n checkers
+// attached to one kernel and returns their finished summaries: the
+// responder CPU re-reads a page the initiator unmapped, and no shootdown
+// ever arrives.
+func runBrokenFlusher(t *testing.T, n int) []*sanitizer.Summary {
+	t.Helper()
 	eng := sim.NewEngine(3)
 	kcfg := kernel.DefaultConfig()
 	kcfg.PTI = false
 	k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
-	chk := sanitizer.Attach(k, nil, sanitizer.Config{})
+	chks := make([]*sanitizer.Checker, n)
+	for i := range chks {
+		chks[i] = sanitizer.Attach(k, nil, sanitizer.Config{})
+	}
 	k.SetFlusher(brokenFlusher{})
 	k.Start()
 
@@ -222,8 +227,17 @@ func TestBrokenFlusherCaughtExactlyOnce(t *testing.T) {
 	if !resp.Done() || !init.Done() {
 		t.Fatal("tasks did not finish")
 	}
+	sums := make([]*sanitizer.Summary, n)
+	for i, chk := range chks {
+		sums[i] = chk.Finish()
+	}
+	return sums
+}
 
-	sum := chk.Finish()
+// checkOneStaleRead asserts sum holds exactly the one stale-translation
+// violation of the broken-flusher scenario.
+func checkOneStaleRead(t *testing.T, sum *sanitizer.Summary) {
+	t.Helper()
 	if len(sum.Violations) != 1 {
 		t.Fatalf("violations = %d, want exactly 1:\n%s", len(sum.Violations), sum.Report())
 	}
@@ -235,6 +249,30 @@ func TestBrokenFlusherCaughtExactlyOnce(t *testing.T) {
 		if !strings.Contains(v.Msg, want) {
 			t.Errorf("violation message missing %q:\n%s", want, v.Msg)
 		}
+	}
+}
+
+// TestBrokenFlusherCaughtExactlyOnce: with a flusher that elides the
+// required shootdown, the single stale re-read on the responder CPU must
+// produce exactly one stale-translation violation.
+func TestBrokenFlusherCaughtExactlyOnce(t *testing.T) {
+	checkOneStaleRead(t, runBrokenFlusher(t, 1)[0])
+}
+
+// TestSecondCheckerKeepsFirstSubscribed: attaching a second checker to the
+// same kernel adds a subscriber to every hook instead of replacing the
+// first checker's, so both see every PTE change and TLB hit and both
+// report the stale translation.
+func TestSecondCheckerKeepsFirstSubscribed(t *testing.T) {
+	sums := runBrokenFlusher(t, 2)
+	for _, sum := range sums {
+		checkOneStaleRead(t, sum)
+	}
+	if sums[0].Stats != sums[1].Stats {
+		t.Fatalf("checkers disagree:\nfirst:  %+v\nsecond: %+v", sums[0].Stats, sums[1].Stats)
+	}
+	if st := sums[0].Stats; st.PTEChanges == 0 || st.TLBHits == 0 {
+		t.Fatalf("first checker saw no PTE changes or hits: %+v", st)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // shadow is the checker's ground-truth copy of one address space's leaf
-// page tables, maintained from the mutation observer. Two maps because a
+// page tables, maintained from the table's Changed hook. Two maps because a
 // 4K and a 2M leaf can never cover the same address simultaneously (the
 // radix tree holds either a PT or a huge PD entry).
 type shadow struct {
@@ -22,7 +22,7 @@ type shadow struct {
 
 // newShadow seeds the shadow from the current page-table contents, so
 // address spaces populated before the checker saw them (fork children get
-// their leaves copied before the AS hook fires) start consistent.
+// their leaves copied before ASCreated fires) start consistent.
 func newShadow(as *mm.AddressSpace) *shadow {
 	sh := &shadow{
 		as:  as,

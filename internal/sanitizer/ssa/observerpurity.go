@@ -8,15 +8,17 @@ import (
 	"strings"
 )
 
+// obsPkg declares Hook, whose Add is the one hook installation site.
+const obsPkg = modPath + "/internal/obs"
+
 // observerpurity: hooks must be purely observational. A hook that mutates
 // the state handed to it or package-level state silently changes protocol
 // behaviour only when a checker is attached, which is exactly the class of
 // bug the race detector's cycle-identical guarantee (internal/race) exists
-// to exclude. Hook literals are recognized at three kinds of installation
-// site: assignment to a field whose name ends in "Hook", a field value in
-// a composite literal of a type named *Observer or *Probe, and an argument
-// to SetObserver, SetProbe or SetBootHook. Inside a hook body the analyzer
-// flags
+// to exclude. Hook literals are recognized at their one installation
+// shape: a function literal passed to (*obs.Hook).Add, the subscription
+// every observation point shares, or to SetBootHook. Inside a hook body
+// the analyzer flags
 //
 //   - writes (assignment, ++/--) through a hook parameter or a package-level
 //     variable; writes to captured function-locals stay legal, since
@@ -33,14 +35,17 @@ import (
 //
 // Two carve-outs keep the rule aligned with the simulator's contract:
 //
-//   - Methods declared in the instrumentation packages (race, trace,
+//   - Methods declared in the instrumentation packages (obs, race, trace,
 //     stats, sanitizer) are pure by convention — recording into the
-//     observer's own ledger is what observers are for.
+//     observer's own ledger is what observers are for, and subscribing
+//     to a new object's hooks (the sanitizer does so for every address
+//     space it is told about) only grows a subscriber list.
 //   - workload.SetBootHook bodies are exempt from the method-call rule:
 //     the boot hook runs before the world starts, and attaching
 //     instrumentation there (k.EnableRace(d), f.EnableRace()) is its
 //     designed purpose. Direct writes are still flagged.
 var pureDeclPkgs = []string{
+	obsPkg,
 	modPath + "/internal/race",
 	modPath + "/internal/trace",
 	modPath + "/internal/stats",
@@ -67,8 +72,8 @@ func checkObserverPurity(ctx *modCtx) ([]Finding, []Suppression) {
 	for _, fd := range allFuncs(ctx.pkgs) {
 		info := fd.Pkg.Info
 		ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
-			for _, h := range hookLits(info, n) {
-				out = append(out, checkHookLit(ctx, fd, h, mut, impls)...)
+			if lit, boot := hookLit(info, n); lit != nil {
+				out = append(out, checkHookLit(ctx, fd, lit, boot, mut, impls)...)
 			}
 			return true
 		})
@@ -76,73 +81,35 @@ func checkObserverPurity(ctx *modCtx) ([]Finding, []Suppression) {
 	return out, nil
 }
 
-// hookInstall is one recognized hook literal plus its installation kind.
-type hookInstall struct {
-	lit  *ast.FuncLit
-	boot bool // installed via SetBootHook
-}
-
-// hookLits returns the hook function literals n installs, resolved with
-// type information (so an Observer composite literal is recognized by its
-// named type, not by what the file happens to call it).
-func hookLits(info *types.Info, n ast.Node) []hookInstall {
-	var out []hookInstall
-	switch v := n.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range v.Lhs {
-			if i >= len(v.Rhs) {
-				break
-			}
-			sel, ok := lhs.(*ast.SelectorExpr)
-			if !ok || !strings.HasSuffix(sel.Sel.Name, "Hook") {
-				continue
-			}
-			if lit, ok := v.Rhs[i].(*ast.FuncLit); ok {
-				out = append(out, hookInstall{lit: lit})
-			}
-		}
-	case *ast.CompositeLit:
-		named := namedType(info.TypeOf(v))
-		if named == nil {
-			return nil
-		}
-		name := named.Obj().Name()
-		if !strings.HasSuffix(name, "Observer") && !strings.HasSuffix(name, "Probe") {
-			return nil
-		}
-		for _, el := range v.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				if lit, ok := kv.Value.(*ast.FuncLit); ok {
-					out = append(out, hookInstall{lit: lit})
-				}
-			}
-		}
-	case *ast.CallExpr:
-		fn := calleeFunc(info, v)
-		if fn == nil {
-			return nil
-		}
-		switch fn.Name() {
-		case "SetObserver", "SetProbe", "SetBootHook":
-		default:
-			return nil
-		}
-		for _, arg := range v.Args {
-			if lit, ok := arg.(*ast.FuncLit); ok {
-				out = append(out, hookInstall{lit: lit, boot: fn.Name() == "SetBootHook"})
-			}
-		}
+// hookLit returns the function literal n installs as a hook — n calls
+// (*obs.Hook).Add, recognized by its receiver type rather than by what the
+// file happens to call the hook, or SetBootHook — and whether it is a boot
+// hook.
+func hookLit(info *types.Info, n ast.Node) (lit *ast.FuncLit, boot bool) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return nil, false
 	}
-	return out
+	fn := calleeFunc(info, call)
+	if fn == nil {
+		return nil, false
+	}
+	boot = fn.Name() == "SetBootHook"
+	recv := fn.Type().(*types.Signature).Recv()
+	if !boot && (fn.Name() != "Add" || recv == nil || !isNamed(recv.Type(), obsPkg, "Hook")) {
+		return nil, false
+	}
+	lit, _ = call.Args[0].(*ast.FuncLit)
+	return lit, boot
 }
 
 // checkHookLit flags impure statements inside one hook literal.
-func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]bool, impls map[*types.Func][]*types.Func) []Finding {
+func checkHookLit(ctx *modCtx, fd FuncDecl, lit *ast.FuncLit, boot bool, mut map[*types.Func]bool, impls map[*types.Func][]*types.Func) []Finding {
 	info := fd.Pkg.Info
 
 	// Taint: the hook's parameters, plus locals derived from them.
 	taint := make(map[*types.Var]bool)
-	for _, field := range h.lit.Type.Params.List {
+	for _, field := range lit.Type.Params.List {
 		for _, id := range field.Names {
 			if v, ok := info.Defs[id].(*types.Var); ok {
 				taint[v] = true
@@ -152,7 +119,7 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 	// Alias closure (flow-insensitive; alias-of-alias converges).
 	for changed := true; changed; {
 		changed = false
-		ast.Inspect(h.lit.Body, func(n ast.Node) bool {
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
 			if !ok {
 				return true
@@ -196,7 +163,7 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 		if inPurePkg(fn) {
 			return false
 		}
-		if mut[fn] {
+		if mut[fn.Origin()] { // a generic method's summary is its origin's
 			return true
 		}
 		for _, impl := range impls[fn] { // interface method: any impl
@@ -207,7 +174,7 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 		return false
 	}
 
-	ast.Inspect(h.lit.Body, func(n ast.Node) bool {
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.AssignStmt:
 			if v.Tok != token.DEFINE {
@@ -218,7 +185,7 @@ func checkHookLit(ctx *modCtx, fd FuncDecl, h hookInstall, mut map[*types.Func]b
 		case *ast.IncDecStmt:
 			write(v.X)
 		case *ast.CallExpr:
-			if h.boot {
+			if boot {
 				return true // boot hooks attach instrumentation by design
 			}
 			fn := calleeFunc(info, v)
@@ -299,7 +266,7 @@ func methodMutates(fd FuncDecl, recvVar *types.Var, mut map[*types.Func]bool) bo
 		case *ast.IncDecStmt:
 			found = writesThrough(v.X)
 		case *ast.CallExpr:
-			if fn := calleeFunc(info, v); fn != nil && mut[fn] {
+			if fn := calleeFunc(info, v); fn != nil && mut[fn.Origin()] {
 				if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok {
 					found = rootVar(info, sel.X) == recvVar
 				}

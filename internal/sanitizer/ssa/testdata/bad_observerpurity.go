@@ -4,18 +4,16 @@
 // boot hook.
 package purityfix
 
+import "shootdown/internal/obs"
+
 type world struct {
 	Cycles uint64
 }
 
+// kernelT mimics a layer exposing observation points.
 type kernelT struct {
-	ASHook func(w *world)
-}
-
-// Probe mimics the observer types the simulator exposes.
-type Probe struct {
-	ShootBegin func(w *world)
-	ShootEnd   func(w *world)
+	ASCreated            obs.Hook[*world]
+	ShootBegin, ShootEnd obs.Hook[*world]
 }
 
 var globalCount int
@@ -24,22 +22,19 @@ func SetBootHook(fn func(w *world)) {}
 
 func install(k *kernelT) {
 	seen := 0
-	k.ASHook = func(w *world) {
+	k.ASCreated.Add(func(w *world) {
 		w.Cycles = 0  // BAD: mutates observed state through the parameter
 		globalCount++ // BAD: mutates a package-level variable
 		seen++        // ok: captured local accumulator is the sanctioned pattern
-	}
-	pr := &Probe{
-		ShootBegin: func(w *world) {
-			w.Cycles++ // BAD: mutates observed state
-		},
-		ShootEnd: func(w *world) {
-			local := 0
-			local++ // ok: hook-local state
-			_ = local
-		},
-	}
-	_ = pr
+	})
+	k.ShootBegin.Add(func(w *world) {
+		w.Cycles++ // BAD: mutates observed state
+	})
+	k.ShootEnd.Add(func(w *world) {
+		local := 0
+		local++ // ok: hook-local state
+		_ = local
+	})
 	_ = seen
 	SetBootHook(func(w *world) {
 		w.Cycles = 7 // BAD: mutates observed state

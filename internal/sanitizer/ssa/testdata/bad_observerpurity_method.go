@@ -11,9 +11,9 @@ import (
 )
 
 func installImpure(k *kernel.Kernel) {
-	k.ASHook = func(as *mm.AddressSpace) {
+	k.ASCreated.Add(func(as *mm.AddressSpace) {
 		as.KernelPCID = 0
 		sem := as.MmapSem
 		sem.NoteContention()
-	}
+	})
 }

@@ -24,6 +24,7 @@ import (
 	"shootdown/internal/cache"
 	"shootdown/internal/fault"
 	"shootdown/internal/mach"
+	"shootdown/internal/obs"
 	"shootdown/internal/race"
 	"shootdown/internal/sim"
 )
@@ -197,13 +198,17 @@ type Layer struct {
 	// recovery path in the kernel's wait loop).
 	fault *fault.Plane
 
-	// AckHook, when non-nil, observes every acknowledgement (used by the
-	// trace recorder).
-	AckHook func(target mach.CPU, early bool)
-	// CallHook, when non-nil, observes every request as it is queued in
-	// CallMany (used by the sanitizer to track IPI protocol obligations).
-	// It must be purely observational.
-	CallHook func(from mach.CPU, req *Request)
+	// Queued fires for every request CallMany queues (the sanitizer
+	// tracks IPI protocol obligations with it); Acked fires when a target
+	// acknowledges a request, before the initiator can observe it.
+	Queued obs.Hook[Call]
+	Acked  obs.Hook[*Request]
+}
+
+// Call is one request queued by an initiator.
+type Call struct {
+	From mach.CPU
+	Req  *Request
 }
 
 // New builds the SMP layer. consolidated selects the paper's cacheline
@@ -343,9 +348,7 @@ func (l *Layer) CallMany(p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn Ha
 			doneCond: l.eng.NewCond(),
 		}
 		l.stats.Calls++
-		if l.CallHook != nil {
-			l.CallHook(from, req)
-		}
+		l.Queued.Emit(Call{from, req})
 		if l.rt != nil {
 			// Send edge: everything the initiator did before queueing
 			// happens-before the responder's handler.
@@ -611,9 +614,7 @@ func (l *Layer) ack(p *sim.Proc, cpu mach.CPU, req *Request) {
 		l.rt.Release(req.hb)
 	}
 	req.acked = true
-	if l.AckHook != nil {
-		l.AckHook(cpu, req.AckEarly)
-	}
+	l.Acked.Emit(req)
 	if req.onDone != nil {
 		req.onDone()
 	}

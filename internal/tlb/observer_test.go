@@ -14,10 +14,10 @@ func fill(t *TLB, pcid PCID, va uint64, frame uint64, global bool) {
 }
 
 // TestSnapshotDuringFlushPCIDSeesNoHalfClearedState: the sanitizer (and
-// any observer) snapshots the TLB from inside flush callbacks. The
-// callback contract is that it fires only after the flush fully applied:
-// a Snapshot taken inside the FlushPCID observer must contain no entry of
-// the flushed PCID, and everything else must be intact.
+// any observer) snapshots the TLB from inside flush subscribers. The
+// contract is that Flushed fires only after the flush fully applied: a
+// Snapshot taken inside the subscriber of a FlushPCID must contain no
+// entry of the flushed PCID, and everything else must be intact.
 func TestSnapshotDuringFlushPCIDSeesNoHalfClearedState(t *testing.T) {
 	// Cap must hold all 9 fills: evictions would skew the removed counts.
 	tl := New(Config{Cap4K: 16, Cap2M: 4, PWCSize: 4})
@@ -28,41 +28,39 @@ func TestSnapshotDuringFlushPCIDSeesNoHalfClearedState(t *testing.T) {
 	fill(tl, 2, 0x100000, 999, true) // global: stored under GlobalTag
 
 	called := 0
-	tl.SetObserver(&Observer{
-		FlushPCID: func(pcid PCID, removed int) {
-			called++
-			if pcid != 2 {
-				t.Errorf("flushed pcid = %d, want 2", pcid)
+	tl.Flushed.Add(func(f Flush) {
+		called++
+		if !f.Full || f.PCID != 2 {
+			t.Errorf("flush = %+v, want a full flush of pcid 2", f)
+		}
+		if f.Removed != 4 {
+			t.Errorf("removed = %d, want 4", f.Removed)
+		}
+		var left2, left3, global int
+		for _, se := range tl.Snapshot() {
+			switch se.PCID {
+			case 2:
+				left2++
+			case 3:
+				left3++
+			case GlobalTag:
+				global++
 			}
-			if removed != 4 {
-				t.Errorf("removed = %d, want 4", removed)
-			}
-			var left2, left3, global int
-			for _, se := range tl.Snapshot() {
-				switch se.PCID {
-				case 2:
-					left2++
-				case 3:
-					left3++
-				case GlobalTag:
-					global++
-				}
-			}
-			if left2 != 0 {
-				t.Errorf("snapshot mid-callback still has %d entries of flushed pcid", left2)
-			}
-			if left3 != 4 || global != 1 {
-				t.Errorf("flush disturbed other spaces: pcid3=%d global=%d", left3, global)
-			}
-			// Lookups from inside the callback agree with the snapshot.
-			if _, ok := tl.Lookup(2, 0); ok {
-				t.Error("lookup mid-callback still hits flushed pcid")
-			}
-		},
+		}
+		if left2 != 0 {
+			t.Errorf("snapshot mid-callback still has %d entries of flushed pcid", left2)
+		}
+		if left3 != 4 || global != 1 {
+			t.Errorf("flush disturbed other spaces: pcid3=%d global=%d", left3, global)
+		}
+		// Lookups from inside the callback agree with the snapshot.
+		if _, ok := tl.Lookup(2, 0); ok {
+			t.Error("lookup mid-callback still hits flushed pcid")
+		}
 	})
 	tl.FlushPCID(2)
 	if called != 1 {
-		t.Fatalf("FlushPCID observer fired %d times, want 1", called)
+		t.Fatalf("FlushPCID emitted %d flush events, want 1", called)
 	}
 }
 
@@ -74,13 +72,14 @@ func TestFlushPageObserverCountsAndState(t *testing.T) {
 	fill(tl, 3, 0x1000, 2, false)
 
 	var got []int
-	tl.SetObserver(&Observer{
-		FlushPage: func(pcid PCID, va uint64, removed int) {
-			got = append(got, removed)
-			if _, ok := tl.Lookup(pcid, va); ok {
-				t.Error("entry survived into its own flush callback")
-			}
-		},
+	tl.Flushed.Add(func(f Flush) {
+		if f.Full {
+			t.Errorf("selective flush reported as full: %+v", f)
+		}
+		got = append(got, f.Removed)
+		if _, ok := tl.Lookup(f.PCID, f.VA); ok {
+			t.Error("entry survived into its own flush callback")
+		}
 	})
 	tl.FlushPage(2, 0x1000) // removes pcid 2's entry only
 	tl.FlushPage(2, 0x1000) // redundant: removes nothing
@@ -96,56 +95,48 @@ func TestFlushPageObserverCountsAndState(t *testing.T) {
 	}
 }
 
-// TestFlushAllObserverVariants: FlushAllNonGlobal keeps globals (and says
-// so), FlushEverything drops them too.
+// TestFlushAllObserverVariants: FlushAllNonGlobal keeps globals,
+// FlushEverything drops them too, and both report one full flush with its
+// true removal count.
 func TestFlushAllObserverVariants(t *testing.T) {
 	tl := small()
 	fill(tl, 2, 0x1000, 1, false)
 	fill(tl, 2, 0x100000, 2, true)
 
-	type ev struct {
-		globals bool
-		removed int
-	}
-	var evs []ev
-	tl.SetObserver(&Observer{
-		FlushAll: func(globals bool, removed int) {
-			evs = append(evs, ev{globals, removed})
-			if globals && tl.Len() != 0 {
-				t.Error("FlushEverything callback sees leftover entries")
-			}
-		},
+	var evs []Flush
+	tl.Flushed.Add(func(f Flush) {
+		evs = append(evs, f)
+		if len(evs) == 2 && tl.Len() != 0 {
+			t.Error("FlushEverything callback sees leftover entries")
+		}
 	})
 	tl.FlushAllNonGlobal()
 	if n := tl.Len(); n != 1 {
 		t.Fatalf("globals dropped by non-global flush: len=%d", n)
 	}
 	tl.FlushEverything()
-	if len(evs) != 2 || evs[0] != (ev{false, 1}) || evs[1] != (ev{true, 1}) {
+	full := Flush{Full: true, Removed: 1}
+	if len(evs) != 2 || evs[0] != full || evs[1] != full {
 		t.Fatalf("events = %+v", evs)
 	}
 }
 
 // TestHitAndFillObservers: every successful Lookup reports the returned
-// entry; every Fill reports the tag it stored under (GlobalTag for global
-// pages) so observers can maintain an exact mirror.
+// entry; fills and misses emit nothing.
 func TestHitAndFillObservers(t *testing.T) {
 	tl := small()
-	var fills []PCID
 	hits := 0
-	tl.SetObserver(&Observer{
-		Fill: func(pcid PCID, e Entry) { fills = append(fills, pcid) },
-		Hit: func(pcid PCID, va uint64, e Entry) {
-			hits++
-			if va != 0x1000 || e.Frame != 7 {
-				t.Errorf("hit reported va=%#x frame=%d", va, e.Frame)
-			}
-		},
+	tl.Hit.Add(func(h Hit) {
+		hits++
+		if h.PCID != 2 || h.VA != 0x1000 || h.Entry.Frame != 7 {
+			t.Errorf("hit reported %+v", h)
+		}
 	})
+	tl.Flushed.Add(func(f Flush) { t.Errorf("fill emitted a flush: %+v", f) })
 	fill(tl, 2, 0x1000, 7, false)
 	fill(tl, 2, 0x200000, 8, true)
-	if len(fills) != 2 || fills[0] != 2 || fills[1] != GlobalTag {
-		t.Fatalf("fill tags = %v, want [2 GlobalTag]", fills)
+	if hits != 0 {
+		t.Fatalf("fills emitted %d hits", hits)
 	}
 	if _, ok := tl.Lookup(2, 0x1000); !ok {
 		t.Fatal("lookup missed")
@@ -159,9 +150,9 @@ func TestHitAndFillObservers(t *testing.T) {
 }
 
 // TestFractureEscalationReportsAsFullFlush: under the fracture rule a
-// selective flush escalates to a full flush; observers must see the
-// FlushAll event (with the true removal count), not a FlushPage event —
-// this is exactly the accounting the sanitizer's redundancy stats rely on.
+// selective flush escalates to a full flush; observers must see one full
+// flush (with the true removal count), not a selective one — this is
+// exactly the accounting the sanitizer's redundancy stats rely on.
 func TestFractureEscalationReportsAsFullFlush(t *testing.T) {
 	tl := New(Config{Cap4K: 8, Cap2M: 4, PWCSize: 4, FractureRule: true})
 	// A fractured fill: 2M guest page backed by 4K host pages.
@@ -172,14 +163,15 @@ func TestFractureEscalationReportsAsFullFlush(t *testing.T) {
 	fill(tl, 2, 0x400000, 3, false)
 
 	pageEvents, allEvents := 0, 0
-	tl.SetObserver(&Observer{
-		FlushPage: func(pcid PCID, va uint64, removed int) { pageEvents++ },
-		FlushAll: func(globals bool, removed int) {
-			allEvents++
-			if globals || removed != 2 {
-				t.Errorf("escalated flush: globals=%v removed=%d", globals, removed)
-			}
-		},
+	tl.Flushed.Add(func(f Flush) {
+		if !f.Full {
+			pageEvents++
+			return
+		}
+		allEvents++
+		if f.Removed != 2 {
+			t.Errorf("escalated flush removed %d, want 2", f.Removed)
+		}
 	})
 	tl.FlushPage(2, 0x400000)
 	if pageEvents != 0 || allEvents != 1 {

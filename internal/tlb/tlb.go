@@ -9,7 +9,10 @@
 // walk costs lives in the kernel layer.
 package tlb
 
-import "shootdown/internal/pagetable"
+import (
+	"shootdown/internal/obs"
+	"shootdown/internal/pagetable"
+)
 
 // PCID is a process-context identifier tagging TLB entries with their
 // address space (x86 allows 4096 of them; Linux uses a small rotation).
@@ -95,34 +98,36 @@ type TLB struct {
 	fractured bool
 
 	stats Stats
-	obs   *Observer
+
+	// Hit fires on every successful Lookup; Flushed after every
+	// invalidation, once it has fully taken effect, so an observer never
+	// sees a half-applied flush.
+	Hit     obs.Hook[Hit]
+	Flushed obs.Hook[Flush]
 }
 
-// Observer receives notifications about TLB activity. Every callback fires
-// after the state change it describes has fully taken effect, so an
-// observer can never see a half-applied flush. Callbacks must be purely
-// observational: they must not mutate the TLB or advance simulated time,
-// or a checked run would diverge from an unchecked one. Nil fields are
-// skipped.
-type Observer struct {
-	// Hit fires on a successful Lookup with the probing PCID and the entry
-	// that satisfied it (possibly a global entry under GlobalTag).
-	Hit func(pcid PCID, va uint64, e Entry)
-	// Fill fires after an entry is inserted, with the tag it was stored
-	// under (GlobalTag for global entries).
-	Fill func(pcid PCID, e Entry)
-	// FlushPage fires after a single-address invalidation; removed counts
-	// the entries actually dropped (0 means the flush was redundant).
-	FlushPage func(pcid PCID, va uint64, removed int)
-	// FlushPCID fires after a full per-PCID invalidation.
-	FlushPCID func(pcid PCID, removed int)
-	// FlushAll fires after FlushAllNonGlobal (globals=false) or
-	// FlushEverything (globals=true), including fracture-rule escalations.
-	FlushAll func(globals bool, removed int)
+// Hit is a successful Lookup: the probing PCID and address, and the entry
+// that satisfied them (possibly a global entry).
+type Hit struct {
+	PCID  PCID
+	VA    uint64
+	Entry Entry
 }
 
-// SetObserver installs (or, with nil, removes) the activity observer.
-func (t *TLB) SetObserver(o *Observer) { t.obs = o }
+// Flush is one completed invalidation.
+type Flush struct {
+	// Full marks a whole-context or all-context flush (FlushPCID,
+	// FlushAllNonGlobal, FlushEverything, and selective flushes the
+	// fracture rule escalated); FlushPage leaves it false.
+	Full bool
+	// PCID is the flushed context (FlushPage and FlushPCID only), VA the
+	// flushed page (FlushPage only).
+	PCID PCID
+	VA   uint64
+	// Removed counts the entries actually dropped; 0 means the flush was
+	// redundant.
+	Removed int
+}
 
 type ringSlot struct {
 	key entryKey
@@ -180,9 +185,7 @@ func (t *TLB) Lookup(pcid PCID, va uint64) (Entry, bool) {
 
 func (t *TLB) hit(pcid PCID, va uint64, e *Entry) Entry {
 	t.stats.Hits++
-	if t.obs != nil && t.obs.Hit != nil {
-		t.obs.Hit(pcid, va, *e)
-	}
+	t.Hit.Emit(Hit{pcid, va, *e})
 	return *e
 }
 
@@ -216,17 +219,14 @@ func (t *TLB) Fill(pcid PCID, e Entry) {
 		t.e4k[key] = &e
 		t.ring4k = append(t.ring4k, ringSlot{key, e.seq})
 	}
-	if t.obs != nil && t.obs.Fill != nil {
-		t.obs.Fill(pcid, e)
-	}
 }
 
 // EvictPage silently drops any cached entries (both size classes, and
 // matching global entries) covering (pcid, va) — a spurious conflict
 // eviction, injected by the fault plane to model TLB pressure the
 // simulator's capacity rings would not produce on their own. Like capacity
-// evictions it fires no observer callback: evictions only ever shrink the
-// cached set, so no coherence obligation can depend on them.
+// evictions it emits no event: evictions only ever shrink the cached set,
+// so no coherence obligation can depend on them.
 func (t *TLB) EvictPage(pcid PCID, va uint64) {
 	for _, k := range [...]entryKey{
 		{pcid, vpn4k(va)}, {globalSpace, vpn4k(va)},
@@ -300,9 +300,7 @@ func (t *TLB) FlushPage(pcid PCID, va uint64) {
 			removed++
 		}
 	}
-	if t.obs != nil && t.obs.FlushPage != nil {
-		t.obs.FlushPage(pcid, va, removed)
-	}
+	t.Flushed.Emit(Flush{PCID: pcid, VA: va, Removed: removed})
 }
 
 // FlushPCID removes all non-global entries tagged pcid (MOV-to-CR3 without
@@ -328,9 +326,7 @@ func (t *TLB) FlushPCID(pcid PCID) {
 	if t.nonGlobalEmpty() {
 		t.fractured = false
 	}
-	if t.obs != nil && t.obs.FlushPCID != nil {
-		t.obs.FlushPCID(pcid, removed)
-	}
+	t.Flushed.Emit(Flush{Full: true, PCID: pcid, Removed: removed})
 }
 
 // FlushAllNonGlobal removes every non-global entry regardless of PCID
@@ -351,9 +347,7 @@ func (t *TLB) FlushAllNonGlobal() {
 		}
 	}
 	t.fractured = false
-	if t.obs != nil && t.obs.FlushAll != nil {
-		t.obs.FlushAll(false, removed)
-	}
+	t.Flushed.Emit(Flush{Full: true, Removed: removed})
 }
 
 // FlushEverything removes all entries including globals (INVPCID
@@ -364,9 +358,7 @@ func (t *TLB) FlushEverything() {
 	clear(t.e4k)
 	clear(t.e2m)
 	t.fractured = false
-	if t.obs != nil && t.obs.FlushAll != nil {
-		t.obs.FlushAll(true, removed)
-	}
+	t.Flushed.Emit(Flush{Full: true, Removed: removed})
 }
 
 func (t *TLB) nonGlobalEmpty() bool {

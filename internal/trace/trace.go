@@ -1,6 +1,8 @@
-// Package trace records timestamped protocol events so a single shootdown
-// can be rendered as an annotated timeline (cmd/shootdown-trace) and tests
-// can assert on protocol event ordering.
+// Package trace defines the protocol timeline: the typed events the kernel
+// and the shootdown protocol emit through kernel.Kernel.Trace (an
+// obs.Hook), and Recorder, the subscriber that timestamps them so a single
+// shootdown can be rendered as an annotated timeline (cmd/shootdown-trace)
+// and tests can assert on protocol event ordering.
 package trace
 
 import (
@@ -12,38 +14,89 @@ import (
 	"shootdown/internal/sim"
 )
 
-// Kind classifies an event.
+// Kind classifies an event. The comment on each kind lists the Event
+// fields its note renders.
 type Kind string
 
-// Event kinds recorded by the kernel and shootdown layers.
+// Event kinds emitted by the kernel and shootdown layers.
 const (
 	SyscallEnter  Kind = "syscall-enter"
 	SyscallExit   Kind = "syscall-exit"
-	ShootBegin    Kind = "shootdown-begin"
-	TargetPicked  Kind = "target"
-	TargetSkipped Kind = "target-skip"
-	IPISent       Kind = "ipi-send"
-	LocalFlush    Kind = "local-flush"
-	IRQEnter      Kind = "irq-enter"
-	RemoteFlush   Kind = "remote-flush"
-	Ack           Kind = "ack"
+	ShootBegin    Kind = "shootdown-begin" // MM, Gen, Start, End, Full, Freed
+	TargetPicked  Kind = "target"          // Peer
+	TargetSkipped Kind = "target-skip"     // Peer, Text (why)
+	IPISent       Kind = "ipi-send"        // Targets, Early; Fabric for an async post
+	LocalFlush    Kind = "local-flush"     // Text
+	IRQEnter      Kind = "irq-enter"       // Vector, Peer (sender), User
+	RemoteFlush   Kind = "remote-flush"    // MM, Gen, Fabric; or Text alone
+	Ack           Kind = "ack"             // Early
 	IRQExit       Kind = "irq-exit"
-	WaitDone      Kind = "wait-done"
-	ShootEnd      Kind = "shootdown-end"
-	DeferredFlush Kind = "deferred-user-flush"
-	CoWEvent      Kind = "cow"
+	ShootEnd      Kind = "shootdown-end"       // Text
+	DeferredFlush Kind = "deferred-user-flush" // Start, End; or Full alone
+	CoWEvent      Kind = "cow"                 // Start (the page), Trick, Exec
 )
 
-// Event is one recorded occurrence.
+// Event is one protocol occurrence. Emitters set CPU, Kind and the
+// operands their kind renders; a Recorder stamps At on receipt.
 type Event struct {
 	At   sim.Time
 	CPU  mach.CPU
 	Kind Kind
-	Note string
+
+	MM, Gen    uint64 // address-space ID and TLB generation
+	Start, End uint64 // virtual range
+	Targets    mach.CPUMask
+	Peer       mach.CPU // the CPU the event concerns, or the IPI sender
+	Vector     uint8
+	// Flags: a full flush, one that frees page tables, an early ack, an
+	// interrupt taken in user mode, the async fabric tier, and a CoW
+	// fault handled by the write trick, on an executable page.
+	Full, Freed, Early, User, Fabric, Trick, Exec bool
+
+	Text string // an operand-free variant's wording
 }
 
-// Recorder accumulates events. A nil *Recorder is valid and records
-// nothing, so call sites need no guards.
+// Note renders the event's annotation, as the timeline prints it.
+func (e Event) Note() string {
+	switch e.Kind {
+	case ShootBegin:
+		return fmt.Sprintf("mm %d gen %d range [%#x,%#x) full=%v freed=%v",
+			e.MM, e.Gen, e.Start, e.End, e.Full, e.Freed)
+	case TargetPicked:
+		return fmt.Sprintf("cpu%d", e.Peer)
+	case TargetSkipped:
+		return fmt.Sprintf("cpu%d %s", e.Peer, e.Text)
+	case IPISent:
+		if e.Fabric {
+			return fmt.Sprintf("async post to %v", e.Targets)
+		}
+		return fmt.Sprintf("targets %v (early-ack=%v)", e.Targets, e.Early)
+	case IRQEnter:
+		return fmt.Sprintf("vector %#x from cpu%d (user=%v)", e.Vector, e.Peer, e.User)
+	case RemoteFlush:
+		switch {
+		case e.Text != "":
+			return e.Text
+		case e.Fabric:
+			return fmt.Sprintf("fabric mm %d through gen %d", e.MM, e.Gen)
+		}
+		return fmt.Sprintf("mm %d through gen %d", e.MM, e.Gen)
+	case Ack:
+		return fmt.Sprintf("early=%v", e.Early)
+	case DeferredFlush:
+		if e.Full {
+			return "full user-PCID flush on CR3 reload"
+		}
+		return fmt.Sprintf("INVLPG range [%#x,%#x)", e.Start, e.End)
+	case CoWEvent:
+		return fmt.Sprintf("va %#x trick=%v exec=%v", e.Start, e.Trick, e.Exec)
+	}
+	return e.Text
+}
+
+// Recorder accumulates the events it observes; subscribe its Observe
+// method to a trace hook (kernel.Kernel.EnableTrace does). The read
+// methods are nil-safe.
 type Recorder struct {
 	events []Event
 	eng    *sim.Engine
@@ -52,14 +105,12 @@ type Recorder struct {
 // New returns a recorder reading timestamps from eng.
 func New(eng *sim.Engine) *Recorder { return &Recorder{eng: eng} }
 
-// Record appends an event; nil-safe.
-func (r *Recorder) Record(cpu mach.CPU, kind Kind, format string, args ...any) {
-	if r == nil {
-		return
-	}
-	r.events = append(r.events, Event{
-		At: r.eng.Now(), CPU: cpu, Kind: kind, Note: fmt.Sprintf(format, args...),
-	})
+// Observe records e, stamped with the current simulated time. It copies
+// the target mask, so the emitter keeps ownership of its own.
+func (r *Recorder) Observe(e Event) {
+	e.At = r.eng.Now()
+	e.Targets = e.Targets.Clone()
+	r.events = append(r.events, e)
 }
 
 // Events returns the recorded events in order.
@@ -70,7 +121,7 @@ func (r *Recorder) Events() []Event {
 	return r.events
 }
 
-// Reset clears the recording; nil-safe.
+// Reset clears the recording.
 func (r *Recorder) Reset() {
 	if r != nil {
 		r.events = r.events[:0]
@@ -101,7 +152,7 @@ func (r *Recorder) Write(w io.Writer) {
 	t0 := evs[0].At
 	for _, e := range evs {
 		fmt.Fprintf(w, "%8d  +%-7d cpu%-3d %-20s %s\n",
-			e.At, e.At-t0, e.CPU, e.Kind, e.Note)
+			e.At, e.At-t0, e.CPU, e.Kind, e.Note())
 	}
 }
 
