@@ -65,3 +65,18 @@ func TestParseConfigRejectsUnknown(t *testing.T) {
 		t.Fatalf("error %v does not name the unknown optimization", err)
 	}
 }
+
+// FuzzParseConfig: no config string panics, and ParseConfig inverts
+// String on every config it accepts.
+func FuzzParseConfig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		c, err := ParseConfig(in)
+		if err != nil {
+			return
+		}
+		again, err := ParseConfig(c.String())
+		if err != nil || again != c {
+			t.Fatalf("ParseConfig(%q) = %+v, but ParseConfig(%q) = %+v, %v", in, c, c.String(), again, err)
+		}
+	})
+}

@@ -291,7 +291,7 @@ func Parse(in string) (Spec, error) {
 		}
 		pStr, maxStr, hasMax := strings.Cut(val, ":")
 		p, err := strconv.ParseFloat(pStr, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN fails both comparisons
 			return Spec{}, fmt.Errorf("fault: %s wants a probability in [0,1], got %q", key, pStr)
 		}
 		var max uint64

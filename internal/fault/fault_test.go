@@ -223,11 +223,35 @@ func TestParseErrors(t *testing.T) {
 		"dropburst=x",
 		"stall=0.5:abc",
 		"frob=0.5",
+		// NaN is neither below 0 nor above 1, but no probability: the
+		// spec would arm recovery yet render as "", naming another run.
+		"drop=NaN",
+		"delay=nan:100",
+		"evict=-NaN",
+		"stall=+Inf:5",
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q): want error, got none", in)
 		}
 	}
+}
+
+// FuzzParse: no schedule string panics, and an accepted spec's String()
+// re-parses to the same String() — the repro line names the run that ran.
+// Strings, not structs, are compared: "dropburst=3" alone parses to a
+// spec that renders as "none", which re-parses to the zero spec. The seed
+// corpus under testdata/fuzz includes NaN probabilities.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := Parse(in)
+		if err != nil {
+			return
+		}
+		again, err := Parse(s.String())
+		if err != nil || again.String() != s.String() {
+			t.Fatalf("Parse(%q).String() = %q re-parses to %q, %v", in, s.String(), again.String(), err)
+		}
+	})
 }
 
 func TestSpecZero(t *testing.T) {

@@ -63,6 +63,27 @@ func TestParseTopology(t *testing.T) {
 	}
 }
 
+// FuzzParseTopology: no flag value panics, an accepted topology has
+// between 1 and MaxCPUs CPUs, and its canonical spelling re-parses to the
+// same spelling (not the same struct: "4x32x2x1" and "4x32x2" are one
+// machine). The seed corpus under testdata/fuzz includes components
+// whose product wraps int.
+func FuzzParseTopology(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		topo, err := ParseTopology(in)
+		if err != nil {
+			return
+		}
+		if n := topo.NumCPUs(); n < 1 || n > MaxCPUs {
+			t.Fatalf("ParseTopology(%q) = %+v with %d CPUs", in, topo, n)
+		}
+		again, err := ParseTopology(topo.Spec())
+		if err != nil || again.Spec() != topo.Spec() {
+			t.Fatalf("ParseTopology(%q).Spec() = %q re-parses to %q, %v", in, topo.Spec(), again.Spec(), err)
+		}
+	})
+}
+
 // TestSNCDomains pins the sub-NUMA cluster geometry on the 512-CPU
 // preset (8 sockets x 32 cores x 2 SMT, SNC-2: 16 cores = 32 CPUs per
 // cluster, two clusters per socket) and the monolithic default.

@@ -41,8 +41,13 @@ func DefaultTopology() Topology {
 
 // Validate reports whether the topology is usable.
 func (t Topology) Validate() error {
-	if t.Sockets < 1 || t.CoresPerSocket < 1 || t.ThreadsPerCore < 1 {
+	if t.Sockets < 1 || t.CoresPerSocket < 1 || t.ThreadsPerCore < 1 || t.SNCPerSocket < 0 {
 		return fmt.Errorf("mach: invalid topology %+v", t)
+	}
+	// Bound each factor before multiplying: unchecked components can wrap
+	// NumCPUs to zero or a negative count.
+	if t.Sockets > MaxCPUs || t.CoresPerSocket > MaxCPUs || t.ThreadsPerCore > MaxCPUs {
+		return fmt.Errorf("mach: topology %+v has a component above the %d-CPU mask limit", t, MaxCPUs)
 	}
 	if t.SNCPerSocket > 1 && t.CoresPerSocket%t.SNCPerSocket != 0 {
 		return fmt.Errorf("mach: SNCPerSocket %d does not divide CoresPerSocket %d",

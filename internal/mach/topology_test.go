@@ -209,6 +209,29 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
+// TestParseTopologyRejectsOverflow: components whose product wraps must be
+// rejected before NumCPUs multiplies them. 2^32 squared wraps to 0 CPUs,
+// which runs a machine out of memory, and 3037000500 squared wraps
+// negative, which panics in makeslice.
+func TestParseTopologyRejectsOverflow(t *testing.T) {
+	for _, in := range []string{
+		"4294967296x4294967296x1",
+		"3037000500x3037000500x1",
+		"1x1x9223372036854775807",
+		"4097x1x1",
+		"1x4097x1",
+		"1x1x4097",
+		"2x2x2x-2",
+	} {
+		if topo, err := ParseTopology(in); err == nil {
+			t.Errorf("ParseTopology(%q) = %+v (%d CPUs), want an error", in, topo, topo.NumCPUs())
+		}
+	}
+	if topo, err := ParseTopology("4096x1x1"); err != nil || topo.NumCPUs() != MaxCPUs {
+		t.Errorf("ParseTopology(4096x1x1) = %+v, %v; want the %d-CPU limit accepted", topo, err, MaxCPUs)
+	}
+}
+
 func TestResponderForPanics(t *testing.T) {
 	topo := Topology{Sockets: 1, CoresPerSocket: 4, ThreadsPerCore: 1}
 	assertPanics := func(name string, fn func()) {

@@ -140,6 +140,17 @@ var (
 	ErrOutOfRange = errors.New("pagetable: address out of range")
 )
 
+// notMappedError is ErrNotMapped at one address. A walk miss is routine —
+// the kernel takes the page fault on any error and never reads the text —
+// so the error is a plain value that formats only when printed.
+type notMappedError uint64
+
+func (va notMappedError) Error() string {
+	return fmt.Sprintf("%v: %#x", ErrNotMapped, uint64(va))
+}
+
+func (notMappedError) Unwrap() error { return ErrNotMapped }
+
 type node struct {
 	ptes     [EntriesPerTable]PTE
 	children [EntriesPerTable]*node
@@ -313,12 +324,12 @@ func (t *Table) Walk(va uint64) (Translation, error) {
 		}
 		child := n.children[idx]
 		if child == nil {
-			return Translation{}, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+			return Translation{}, notMappedError(va)
 		}
 		n = child
 		steps++
 	}
-	return Translation{}, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+	return Translation{}, notMappedError(va)
 }
 
 // leaf returns the node and index of the present leaf covering va.
@@ -335,11 +346,11 @@ func (t *Table) leaf(va uint64) (*node, int, Size, error) {
 			return n, idx, size, nil
 		}
 		if n.children[idx] == nil {
-			return nil, 0, 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+			return nil, 0, 0, notMappedError(va)
 		}
 		n = n.children[idx]
 	}
-	return nil, 0, 0, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+	return nil, 0, 0, notMappedError(va)
 }
 
 // SetFlags ors extra flag bits into the leaf PTE covering va.
@@ -419,7 +430,7 @@ func (t *Table) unmapRec(n *node, va uint64, level int) (freed bool, err error) 
 	}
 	child := n.children[idx]
 	if child == nil {
-		return false, fmt.Errorf("%w: %#x", ErrNotMapped, va)
+		return false, notMappedError(va)
 	}
 	freed, err = t.unmapRec(child, va, level-1)
 	if err != nil {

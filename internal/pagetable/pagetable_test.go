@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -32,6 +33,39 @@ func TestMapWalkUnmap4K(t *testing.T) {
 	}
 	if _, err := pt.Walk(0x1000); !errors.Is(err, ErrNotMapped) {
 		t.Fatalf("walk after unmap: %v", err)
+	}
+}
+
+// TestNotMappedError pins the walk-miss error: every miss site (Walk at
+// the root and below it, the leaf lookup behind SetFlags, Unmap's descent)
+// still matches ErrNotMapped, prints exactly the text the formatted error
+// printed, and costs at most one allocation, not a formatted string.
+func TestNotMappedError(t *testing.T) {
+	pt := New()
+	if err := pt.Map(0x200000, 7, Size4K, Write); err != nil {
+		t.Fatal(err)
+	}
+	misses := []struct {
+		name string
+		va   uint64
+		miss func(va uint64) error
+	}{
+		{"walk at root", 0x7f0000001000, func(va uint64) error { _, err := pt.Walk(va); return err }},
+		{"walk below root", 0x203000, func(va uint64) error { _, err := pt.Walk(va); return err }},
+		{"leaf", 0x7f0000002000, func(va uint64) error { return pt.SetFlags(va, Accessed) }},
+		{"unmap", 0x204000, func(va uint64) error { _, err := pt.Unmap(va); return err }},
+	}
+	for _, m := range misses {
+		err := m.miss(m.va)
+		if !errors.Is(err, ErrNotMapped) {
+			t.Fatalf("%s: %v is not ErrNotMapped", m.name, err)
+		}
+		if want := fmt.Errorf("%w: %#x", ErrNotMapped, m.va).Error(); err.Error() != want {
+			t.Fatalf("%s: Error() = %q, want %q", m.name, err.Error(), want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = m.miss(m.va) }); allocs > 1 {
+			t.Fatalf("%s: a miss allocates %v objects, want at most 1", m.name, allocs)
+		}
 	}
 }
 

@@ -1,0 +1,324 @@
+package sim
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// switchDelay is Delay without event elision: the always-switch body,
+// kept here as the reference the differential test compares against.
+func switchDelay(p *Proc, d uint64) {
+	if d == 0 {
+		return
+	}
+	p.eng.After(d, p.resumeFn)
+	p.yield()
+}
+
+// Program operations of the differential test.
+const (
+	opDelay        = iota // Delay(arg)
+	opDelayTie            // Delay to exactly the next queued event's time
+	opDelayNearTie        // Delay to one cycle before or after it
+	opDelayHorizon        // Delay to the running horizon, -1, 0 or +1
+	opWait                // Cond.Wait
+	opWaitTimeout         // Cond.WaitTimeout(arg)
+	opSignal              // Cond.Signal
+	opBroadcast           // Cond.Broadcast
+	opAt                  // Engine.At(now+arg) with a callback that may wake a cond
+	opCancel              // cancel a pending callback event
+	opCancelHead          // queue an event at the head, cancel it, Delay past it
+	opYield               // Proc.Yield
+	numOps
+)
+
+type diffOp struct {
+	kind int
+	arg  uint64
+	cond int
+	// sel picks among runtime alternatives (which handle to cancel,
+	// which callback action, which side of a tie) so the program is
+	// fixed data: both runs read the same choices.
+	sel int
+}
+
+// diffEntry is one line of a run's log: who did step at what time. who is
+// a proc index, or -1-n for callback n; step -1 marks a proc's unwind.
+type diffEntry struct {
+	at   Time
+	who  int
+	step int
+}
+
+// diffResult is everything the two runs must agree on, plus how often the
+// program cancelled an event at the head of the queue.
+type diffResult struct {
+	log   []diffEntry
+	nows  []Time // Now() after every RunUntil, then after Shutdown
+	lives []int  // LiveProcs() after every RunUntil, then after Shutdown
+
+	cancelledHeads int
+}
+
+func genDiffProgram(rng *rand.Rand) [][]diffOp {
+	procs := make([][]diffOp, 2+rng.Intn(5))
+	for i := range procs {
+		ops := make([]diffOp, 20+rng.Intn(40))
+		for j := range ops {
+			op := diffOp{kind: rng.Intn(numOps), cond: rng.Intn(3), sel: rng.Intn(1 << 16)}
+			switch rng.Intn(4) {
+			case 0:
+				op.arg = uint64(rng.Intn(3))
+			case 1:
+				op.arg = uint64(1 + rng.Intn(40))
+			case 2:
+				op.arg = uint64(1 + rng.Intn(600))
+			default:
+				op.arg = uint64(1 + rng.Intn(70_000))
+			}
+			ops[j] = op
+		}
+		procs[i] = ops
+	}
+	return procs
+}
+
+// runDiffProgram runs prog on a fresh engine with delay as the Delay
+// implementation, driving it through RunUntil horizons drawn from seed.
+func runDiffProgram(prog [][]diffOp, seed int64, delay func(*Proc, uint64)) diffResult {
+	e := NewEngine(1)
+	conds := []*Cond{e.NewCond(), e.NewCond(), e.NewCond()}
+	var res diffResult
+	logf := func(who, step int) { res.log = append(res.log, diffEntry{e.Now(), who, step}) }
+
+	type pending struct {
+		id int
+		ev *Event
+	}
+	var live []pending // scheduled callbacks that have neither fired nor been cancelled
+	drop := func(id int) {
+		live = slices.DeleteFunc(live, func(pe pending) bool { return pe.id == id })
+	}
+	callbacks := 0
+	// at schedules callback n at t and files it as live.
+	var at func(t Time, cond, sel int) pending
+	at = func(t Time, cond, sel int) pending {
+		id := callbacks
+		callbacks++
+		ev := e.At(t, func() {
+			logf(-1-id, 0)
+			drop(id)
+			switch sel % 4 {
+			case 1:
+				conds[cond].Signal()
+			case 2:
+				conds[cond].Broadcast()
+			case 3:
+				if sel%16 == 3 { // a short chain, sometimes at the same instant
+					at(e.Now()+Time(sel%3), cond, sel/4)
+				}
+			}
+		})
+		live = append(live, pending{id, ev})
+		return pending{id, ev}
+	}
+
+	for i, ops := range prog {
+		e.Go("p", func(p *Proc) {
+			defer logf(i, -1)
+			if i%2 == 0 {
+				// Unwinding under Shutdown must park and be poisoned here,
+				// not advance the clock.
+				defer delay(p, 7)
+			}
+			for step, op := range ops {
+				logf(i, step)
+				next, queued := e.q.nextTime()
+				switch op.kind {
+				case opDelay:
+					delay(p, op.arg)
+				case opDelayTie:
+					if queued && next > e.now {
+						delay(p, uint64(next-e.now))
+					} else {
+						delay(p, op.arg)
+					}
+				case opDelayNearTie:
+					if queued && next > e.now+1 {
+						delay(p, uint64(next-e.now)-1+uint64(op.sel%3)) // -1, 0 or +1
+					} else {
+						delay(p, op.arg)
+					}
+				case opDelayHorizon:
+					if h := e.horizon; h > e.now+1 && h < ^Time(0) {
+						delay(p, uint64(h-e.now)-1+uint64(op.sel%3))
+					} else {
+						delay(p, op.arg)
+					}
+				case opWait:
+					conds[op.cond].Wait(p)
+				case opWaitTimeout:
+					conds[op.cond].WaitTimeout(p, op.arg)
+				case opSignal:
+					conds[op.cond].Signal()
+				case opBroadcast:
+					conds[op.cond].Broadcast()
+				case opAt:
+					at(e.now+Time(op.arg), op.cond, op.sel)
+				case opCancel:
+					if len(live) > 0 {
+						pe := live[op.sel%len(live)]
+						pe.ev.Cancel()
+						drop(pe.id)
+					}
+				case opCancelHead:
+					if !queued || next > e.now+1 {
+						pe := at(e.now+1, op.cond, op.sel)
+						if h, _ := e.q.nextTime(); h != pe.ev.at {
+							panic("sim: opCancelHead's event is not at the head")
+						}
+						pe.ev.Cancel()
+						drop(pe.id)
+						res.cancelledHeads++
+						delay(p, 1+op.arg%3)
+					} else {
+						delay(p, op.arg)
+					}
+				case opYield:
+					p.Yield()
+				}
+				logf(i, step)
+			}
+		})
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	for round := 0; round < 400 && e.Pending() > 0; round++ {
+		h := e.Now()
+		next, _ := e.q.nextTime()
+		switch rng.Intn(6) {
+		case 0: // at the next event: a blocked Delay's now+d when it is the head
+		case 1:
+			h = next - 1 // just below
+		case 2:
+			h = next + 1 // just above
+		case 3:
+			h += Time(rng.Intn(50))
+		case 4:
+			h += Time(rng.Intn(20_000))
+		default:
+			h = ^Time(0)
+		}
+		if rng.Intn(6) == 0 {
+			h = next
+		}
+		e.RunUntil(h)
+		res.nows = append(res.nows, e.Now())
+		res.lives = append(res.lives, e.LiveProcs())
+		if rng.Intn(4) == 0 {
+			conds[rng.Intn(len(conds))].Broadcast()
+		}
+	}
+	e.Run()
+	res.nows = append(res.nows, e.Now())
+	res.lives = append(res.lives, e.LiveProcs())
+	e.Shutdown()
+	res.nows = append(res.nows, e.Now())
+	res.lives = append(res.lives, e.LiveProcs())
+	return res
+}
+
+// TestDelayElisionDifferential proves event elision exact: one seeded
+// random program — 2 to 6 procs mixing Delay (ties at exactly now+d, one
+// cycle either side, and targets at, just below and just above the
+// running horizon), Cond Wait/WaitTimeout/Signal/Broadcast, Engine.At
+// callbacks that wake conds or chain more events, cancellations of pending
+// callbacks and of an event at the head of the queue, and Yield — runs
+// under RunUntil horizons at, just below and above the next queued event,
+// once with Delay and once with the always-switch reference. The log of
+// (time, proc, step), Now() after every RunUntil and LiveProcs() must
+// match. The run also checks that every case the rule distinguishes
+// occurred, so a program generator that drifts cannot pass vacuously.
+func TestDelayElisionDifferential(t *testing.T) {
+	// The cases the rule distinguishes: Delays that elide, ties at now+d
+	// that must switch, Delays held back only by the horizon, and
+	// cancelled events at the head of the queue.
+	var cov struct{ elided, ties, pastHorizon, cancelledHeads int }
+	counting := func(p *Proc, d uint64) {
+		e := p.eng
+		if t := e.now + Time(d); d > 0 && t > e.now {
+			next, ok := e.q.nextTime()
+			switch {
+			case ok && next < t:
+			case ok && next == t:
+				cov.ties++
+			case t > e.horizon:
+				cov.pastHorizon++
+			default:
+				cov.elided++
+			}
+		}
+		p.Delay(d)
+	}
+	seeds := 300
+	if testing.Short() {
+		seeds = 60
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		prog := genDiffProgram(rand.New(rand.NewSource(seed)))
+		got := runDiffProgram(prog, seed, counting)
+		want := runDiffProgram(prog, seed, switchDelay)
+		cov.cancelledHeads += got.cancelledHeads
+		if i := firstDiff(got.log, want.log); i >= 0 {
+			t.Fatalf("seed %d: logs diverge at entry %d of %d/%d: elided %+v, switched %+v",
+				seed, i, len(got.log), len(want.log), entryAt(got.log, i), entryAt(want.log, i))
+		}
+		if i := firstDiff(got.nows, want.nows); i >= 0 {
+			t.Fatalf("seed %d: Now() after RunUntil %d: elided %v, switched %v", seed, i, got.nows, want.nows)
+		}
+		if i := firstDiff(got.lives, want.lives); i >= 0 {
+			t.Fatalf("seed %d: LiveProcs() after RunUntil %d: elided %v, switched %v", seed, i, got.lives, want.lives)
+		}
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.elided == 0 || cov.ties == 0 || cov.pastHorizon == 0 || cov.cancelledHeads == 0 {
+		t.Fatalf("program missed a case of the rule: %+v", cov)
+	}
+}
+
+func firstDiff[T comparable](a, b []T) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+func entryAt(log []diffEntry, i int) any {
+	if i < len(log) {
+		return log[i]
+	}
+	return "end of log"
+}
+
+// TestDelayOverflowSwitches: a Delay whose now+d wraps is not elided, so
+// it panics on scheduling into the past exactly as the switching path does.
+func TestDelayOverflowSwitches(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("wrap", func(p *Proc) {
+		p.Delay(10)
+		p.Delay(^uint64(0))
+	})
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("Delay past the end of time did not panic")
+		}
+		e.Shutdown()
+	}()
+	e.Run()
+}

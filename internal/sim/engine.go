@@ -11,6 +11,18 @@
 // instant and ties in the event queue are broken by insertion order, a
 // simulation with a fixed seed is fully deterministic.
 //
+// Event elision: a process that calls Delay(d) is the only runner until the
+// next queued event. When that event is strictly later than now+d and
+// now+d is within the running RunUntil's horizon, nothing can run in
+// between, so Delay sets the clock to now+d and returns with no resume
+// event, no sequence number and no switch. The elided resume event would
+// have been the very next event dispatched, so every schedule is the one
+// the always-switch path produces (TestDelayElisionDifferential). A queued
+// event at exactly now+d forces the switch: it was scheduled first, so it
+// holds the lower sequence number and runs before the process resumes.
+// Outside RunUntil the horizon is zero, so a process unwinding under
+// Shutdown still parks and is poisoned.
+//
 // The package is the foundation for every other simulated component in this
 // repository: cores, TLBs, APICs and kernel code are all expressed as
 // processes and events on a shared Engine.
@@ -70,6 +82,10 @@ type Engine struct {
 	procs     []*Proc
 	procErr   error
 	current   *Proc
+
+	// horizon is RunUntil's horizon while it runs and zero otherwise: the
+	// latest time a Delay may advance the clock to without a switch.
+	horizon Time
 }
 
 // NewEngine returns an engine with the clock at zero and a deterministic
@@ -131,8 +147,10 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= horizon. The clock stops at
-// the last executed event (it does not jump to horizon).
+// the last executed event or elided Delay (it does not jump to horizon).
 func (e *Engine) RunUntil(horizon Time) {
+	e.horizon = horizon
+	defer func() { e.horizon = 0 }()
 	for e.q.len() > 0 {
 		if t, ok := e.q.nextTime(); !ok || t > horizon {
 			return

@@ -99,10 +99,11 @@ func TestEngineChurnScalesFlat(t *testing.T) {
 	t.Fatal(last)
 }
 
-// BenchmarkProcDelay measures one Delay round trip of a process: event
-// scheduling plus the two coroutine switches of a cooperative block (the
-// process yields to the engine, the engine's next() resumes it). It must
-// stay at 0 allocs/op.
+// BenchmarkProcDelay measures an elided Delay: one process on an empty
+// queue, so every Delay finds nothing due before now+d and advances the
+// clock with no event and no switch (see the package doc). It must stay
+// at 0 allocs/op. It times that fast path, not a switch;
+// BenchmarkProcDelaySwitch measures the switch.
 func BenchmarkProcDelay(b *testing.B) {
 	e := NewEngine(1)
 	e.Go("worker", func(p *Proc) {
@@ -113,7 +114,38 @@ func BenchmarkProcDelay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+	b.StopTimer()
 	e.Shutdown()
+	if e.seq != 1 {
+		b.Fatalf("%d events scheduled besides the spawn, want every Delay elided", e.seq-1)
+	}
+}
+
+// BenchmarkProcDelaySwitch measures one switching Delay round trip: event
+// scheduling plus the two coroutine switches of a cooperative block (the
+// process yields to the engine, the engine's next() resumes it). Two
+// processes run in lockstep, so every Delay finds the other's resume
+// queued at or before now+d (a tie, for the second of each pair) and must
+// switch. It must stay at 0 allocs/op.
+func BenchmarkProcDelaySwitch(b *testing.B) {
+	e := NewEngine(1)
+	n := 0
+	for _, name := range []string{"a", "b"} {
+		e.Go(name, func(p *Proc) {
+			for n < b.N {
+				n++
+				p.Delay(1)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	e.Shutdown()
+	if events := e.seq - 2; events != uint64(b.N) {
+		b.Fatalf("%d resume events for %d Delays, want every Delay to switch", events, b.N)
+	}
 }
 
 // BenchmarkProcPingPong measures two processes alternating via a Cond —
@@ -140,34 +172,52 @@ func BenchmarkProcPingPong(b *testing.B) {
 	e.Shutdown()
 }
 
-// TestDelayIsAllocationFree locks in the free-list win: once the engine is
-// warm, a Delay round trip performs no heap allocation for its event (the
-// pre-bound resume closure and recycled Event cover it). The threshold
+// TestDelayIsAllocationFree locks in the free-list win on both Delay
+// paths: once the engine is warm, neither an elided Delay (one process,
+// empty queue) nor a switching one (two processes in lockstep, as in
+// BenchmarkProcDelaySwitch) performs a heap allocation — the pre-bound
+// resume closure and recycled Event cover the switch. The threshold
 // tolerates incidental runtime allocations but would catch any regression
-// back to one-allocation-per-event (10000 would fail loudly).
+// back to one allocation per Delay (10000 would fail loudly).
 func TestDelayIsAllocationFree(t *testing.T) {
-	e := NewEngine(1)
-	total := 0
-	e.Go("worker", func(p *Proc) {
-		for i := 0; i < 11_000; i++ {
-			p.Delay(1)
-			total++
-		}
-	})
-	// Warm up: the first window grows the wheel's slots and free list.
-	e.RunUntil(1000)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	e.RunUntil(11_000)
-	runtime.ReadMemStats(&after)
-	e.Run()
-	e.Shutdown()
-	if total != 11_000 {
-		t.Fatalf("ran %d delays, want 11000", total)
-	}
-	allocs := after.Mallocs - before.Mallocs
-	if allocs > 500 {
-		t.Fatalf("10000 warm Delay round trips allocated %d objects, want ~0", allocs)
+	for _, tc := range []struct {
+		name  string
+		procs int
+	}{{"elided", 1}, {"switching", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const delays = 11_000
+			e := NewEngine(1)
+			total := 0
+			for i := 0; i < tc.procs; i++ {
+				e.Go("worker", func(p *Proc) {
+					for total < delays {
+						total++
+						p.Delay(1)
+					}
+				})
+			}
+			// Warm up: the first window grows the wheel's slots and free list.
+			e.RunUntil(1000 / Time(tc.procs))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e.RunUntil(delays / Time(tc.procs))
+			runtime.ReadMemStats(&after)
+			e.Run()
+			e.Shutdown()
+			if total != delays {
+				t.Fatalf("ran %d delays, want %d", total, delays)
+			}
+			// Elided Delays schedule nothing; only a Delay that a window's
+			// horizon stops switches.
+			events := e.seq - uint64(tc.procs)
+			if tc.procs == 1 && events > 2 || tc.procs == 2 && events != delays {
+				t.Fatalf("%s: %d resume events for %d delays", tc.name, events, delays)
+			}
+			allocs := after.Mallocs - before.Mallocs
+			if allocs > 500 {
+				t.Fatalf("10000 warm Delay round trips allocated %d objects, want ~0", allocs)
+			}
+		})
 	}
 }
 

@@ -88,11 +88,23 @@ func (p *Proc) yield() {
 }
 
 // Delay advances the process by d cycles of uninterruptible work or sleep.
+// When no queued event (cancelled ones included) is due at or before
+// now+d and now+d is within the running RunUntil's horizon, Delay moves
+// the clock itself and returns without a switch (event elision, see the
+// package doc).
 func (p *Proc) Delay(d uint64) {
 	if d == 0 {
 		return
 	}
-	p.eng.After(d, p.resumeFn)
+	e := p.eng
+	// t > e.now rules out overflow; next == t is a tie, which must switch.
+	if t := e.now + Time(d); t > e.now && t <= e.horizon {
+		if next, ok := e.q.nextTime(); !ok || next > t {
+			e.now = t
+			return
+		}
+	}
+	e.After(d, p.resumeFn)
 	p.yield()
 }
 

@@ -76,15 +76,23 @@ done
 exp_json=${exp_json%,}
 
 echo "==> event-loop microbenchmarks" >&2
-${GO} test -run '^$' -bench 'BenchmarkEventLoop|BenchmarkProcDelay|BenchmarkEngineChurn' -benchmem ./internal/sim/ >"$BENCH_OUT"
+${GO} test -run '^$' -bench '^(BenchmarkEventLoop|BenchmarkProcDelay|BenchmarkProcDelaySwitch|BenchmarkEngineChurn)$' -benchmem ./internal/sim/ >"$BENCH_OUT"
 
-# "BenchmarkEventLoop  85503980  12.64 ns/op  0 B/op  0 allocs/op"
-loop_line=$(grep '^BenchmarkEventLoop' "$BENCH_OUT" | head -1)
-delay_line=$(grep '^BenchmarkProcDelay' "$BENCH_OUT" | head -1)
+# bench_line <name>: the result line of exactly that benchmark,
+# "BenchmarkEventLoop-8  85503980  12.64 ns/op  0 B/op  0 allocs/op"
+# (the -N GOMAXPROCS suffix is absent at GOMAXPROCS=1).
+bench_line() { grep -E "^$1(-[0-9]+)?[[:space:]]" "$BENCH_OUT" | head -1; }
+loop_line=$(bench_line BenchmarkEventLoop)
+delay_line=$(bench_line BenchmarkProcDelay)
+switch_line=$(bench_line BenchmarkProcDelaySwitch)
 loop_ns=$(echo "$loop_line" | awk '{print $3}')
 loop_allocs=$(echo "$loop_line" | awk '{print $7}')
+# ns_per_delay is the elided Delay (one proc, nothing else queued);
+# ns_per_delay_switch is the Delay that must switch coroutines.
 delay_ns=$(echo "$delay_line" | awk '{print $3}')
 delay_allocs=$(echo "$delay_line" | awk '{print $7}')
+switch_ns=$(echo "$switch_line" | awk '{print $3}')
+switch_allocs=$(echo "$switch_line" | awk '{print $7}')
 
 # Scale grid: "BenchmarkEngineChurn/cpus=512-8  N  42.1 ns/op  0 B/op  0 allocs/op"
 # -> one row per width; ns/event must stay flat with width and
@@ -101,8 +109,8 @@ churn_json=$(grep '^BenchmarkEngineChurn/' "$BENCH_OUT" | awk '{
     printf '  "workers": %s,\n' "$WORKERS"
     printf '  "note": "speedup needs spare cores: on a 1-CPU host parallel==serial by design; outputs are byte-identical at every worker count",\n'
     printf '  "experiments": [%s],\n' "$exp_json"
-    printf '  "event_loop": {"ns_per_event": %s, "allocs_per_event": %s, "ns_per_delay": %s, "allocs_per_delay": %s},\n' \
-        "$loop_ns" "$loop_allocs" "$delay_ns" "$delay_allocs"
+    printf '  "event_loop": {"ns_per_event": %s, "allocs_per_event": %s, "ns_per_delay": %s, "allocs_per_delay": %s, "ns_per_delay_switch": %s, "allocs_per_delay_switch": %s},\n' \
+        "$loop_ns" "$loop_allocs" "$delay_ns" "$delay_allocs" "$switch_ns" "$switch_allocs"
     printf '  "engine_churn": [%s]\n' "$churn_json"
     printf '}\n'
 } >"$OUT"

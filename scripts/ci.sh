@@ -27,6 +27,13 @@ go vet ./...
 echo "==> go test ./..."
 go test ./...
 
+# bench/ is a module of its own, so the root go test skips it. Its smoke
+# test checks the first cells of every workload against their golden
+# lines, the exactness gate for any engine change; it takes about a
+# second.
+echo "==> go -C bench test ./..."
+go -C bench test ./...
+
 # Coverage floor for the fault-injection plane, the layers it perturbs,
 # and the dynamic race model: the recovery protocol and async fabric
 # (smp), the faultable IPI fabric (apic), the coalescing/address-space
