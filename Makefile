@@ -72,9 +72,10 @@ fuzz:
 	$(GO) run ./cmd/tlbfuzz -runs 25 -faults heavy
 
 ## cover: coverage summary for the fault plane, the layers it perturbs,
-## and the dynamic race model the static lockset tier cross-validates
+## the dynamic race model the static lockset tier cross-validates, and
+## the TLB every simulated memory access goes through
 cover:
-	$(GO) test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/
+	$(GO) test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/
 	$(GO) tool cover -func=coverage.out
 
 ## bench: parallel-harness wall-clock + event-loop allocs -> BENCH_parallel.json

@@ -93,9 +93,10 @@ func (c Combined) Entry() tlb.Entry {
 
 // BuildLinear populates guest and host tables for a linear region of
 // `bytes` starting at gva 0 and gpa 0, with the given guest and host page
-// sizes. It returns the number of guest leaf pages mapped. Frames are
-// assigned sequentially from the allocators.
-func (n *NestedPT) BuildLinear(bytes uint64, guestSize, hostSize pagetable.Size, galloc, halloc *pagetable.FrameAlloc) (int, error) {
+// sizes. It returns the number of guest leaf pages mapped. The guest
+// layout is the identity (GPA == GVA); host frames are assigned
+// sequentially from halloc.
+func (n *NestedPT) BuildLinear(bytes uint64, guestSize, hostSize pagetable.Size, halloc *pagetable.FrameAlloc) (int, error) {
 	gstep := guestSize.Bytes()
 	for va := uint64(0); va < bytes; va += gstep {
 		// GPA == GVA (identity guest-physical layout).
@@ -117,6 +118,5 @@ func (n *NestedPT) BuildLinear(bytes uint64, guestSize, hostSize pagetable.Size,
 			}
 		}
 	}
-	_ = galloc
 	return int(bytes / gstep), nil
 }

@@ -15,7 +15,7 @@ const (
 func build(t *testing.T, bytes uint64, gs, hs pagetable.Size) *NestedPT {
 	t.Helper()
 	n := New()
-	if _, err := n.BuildLinear(bytes, gs, hs, pagetable.NewFrameAlloc(), pagetable.NewFrameAlloc()); err != nil {
+	if _, err := n.BuildLinear(bytes, gs, hs, pagetable.NewFrameAlloc()); err != nil {
 		t.Fatal(err)
 	}
 	return n

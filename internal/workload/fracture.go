@@ -70,8 +70,7 @@ func RunFracture(cfg FractureConfig) (FractureResult, error) {
 
 	if cfg.VM {
 		n := virt.New()
-		if _, err := n.BuildLinear(cfg.BufferBytes, cfg.GuestSize, cfg.HostSize,
-			pagetable.NewFrameAlloc(), pagetable.NewFrameAlloc()); err != nil {
+		if _, err := n.BuildLinear(cfg.BufferBytes, cfg.GuestSize, cfg.HostSize, pagetable.NewFrameAlloc()); err != nil {
 			return FractureResult{}, err
 		}
 		// The combined entry granularity is the smaller page size.

@@ -51,8 +51,12 @@ go -C bench test ./...
 # cpumask and the timer-wheel scheduler are load-bearing for every
 # simulation at every width, and both carry property/equivalence suites
 # that must keep exercising them in isolation.
-echo "==> coverage floor (fault, smp, apic, mm, race, sanitizer/ssa, mach, sim >= 80%; smp >= 92%)"
-go test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ > COVERAGE.txt
+# tlb joins the floor with its flat capacity classes: every simulated
+# memory access goes through it, and its differential test against the
+# map-and-ring TLB it replaced must keep reaching the probe, eviction and
+# flush paths.
+echo "==> coverage floor (fault, smp, apic, mm, race, sanitizer/ssa, mach, sim, tlb >= 80%; smp >= 92%)"
+go test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/ > COVERAGE.txt
 go tool cover -func=coverage.out >> COVERAGE.txt
 cat COVERAGE.txt
 awk '
