@@ -72,10 +72,11 @@ fuzz:
 	$(GO) run ./cmd/tlbfuzz -runs 25 -faults heavy
 
 ## cover: coverage summary for the fault plane, the layers it perturbs,
-## the dynamic race model the static lockset tier cross-validates, and
-## the TLB every simulated memory access goes through
+## the dynamic race model the static lockset tier cross-validates, the
+## TLB every simulated memory access goes through, and the cacheline
+## directory every shootdown's cacheline cost comes from
 cover:
-	$(GO) test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/
+	$(GO) test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/ ./internal/cache/
 	$(GO) tool cover -func=coverage.out
 
 ## bench: parallel-harness wall-clock + event-loop allocs -> BENCH_parallel.json

@@ -134,7 +134,7 @@ func (d *Directory) Read(cpu mach.CPU, l *Line) uint64 {
 		if l.sharers.Has(cpu) {
 			return d.cost.L1Hit
 		}
-		dist := d.nearestHolder(cpu, l.sharers)
+		dist := d.topo.NearestIn(cpu, l.sharers)
 		l.sharers.Set(cpu)
 		d.recordTransfer(l, dist)
 		return d.cost.TransferCost(dist)
@@ -143,8 +143,11 @@ func (d *Directory) Read(cpu mach.CPU, l *Line) uint64 {
 			return d.cost.L1Hit
 		}
 		dist := d.topo.DistanceBetween(cpu, l.owner)
-		// Owner downgrades to Shared; reader joins.
-		l.sharers = mach.MaskOf(l.owner, cpu)
+		// Owner downgrades to Shared; reader joins. The sharer mask is
+		// refilled in place, so a warm line allocates nothing.
+		l.sharers.Reset()
+		l.sharers.Set(l.owner)
+		l.sharers.Set(cpu)
 		l.state = Shared
 		d.recordTransfer(l, dist)
 		return d.cost.TransferCost(dist)
@@ -175,14 +178,14 @@ func (d *Directory) Write(cpu mach.CPU, l *Line) uint64 {
 		} else {
 			// Invalidate every other copy; the farthest holder dominates
 			// the RFO latency.
-			dist := d.farthestHolder(cpu, l.sharers.Without(cpu))
+			dist := d.topo.FarthestIn(cpu, l.sharers)
 			d.recordTransfer(l, dist)
 			cycles = d.cost.TransferCost(dist)
 		}
 	}
 	l.state = Modified
 	l.owner = cpu
-	l.sharers = mach.CPUMask{}
+	l.sharers.Reset()
 	return cycles
 }
 
@@ -195,27 +198,4 @@ func (d *Directory) Atomic(cpu mach.CPU, l *Line) uint64 {
 func (d *Directory) recordTransfer(l *Line, dist mach.Distance) {
 	l.transfers++
 	d.stats.TransfersByDist[dist]++
-}
-
-func (d *Directory) nearestHolder(cpu mach.CPU, holders mach.CPUMask) mach.Distance {
-	best := mach.DistCross
-	for _, h := range holders.CPUs() {
-		if dd := d.topo.DistanceBetween(cpu, h); dd < best {
-			best = dd
-		}
-	}
-	return best
-}
-
-func (d *Directory) farthestHolder(cpu mach.CPU, holders mach.CPUMask) mach.Distance {
-	if holders.Empty() {
-		return mach.DistSelf
-	}
-	worst := mach.DistSelf
-	for _, h := range holders.CPUs() {
-		if dd := d.topo.DistanceBetween(cpu, h); dd > worst {
-			worst = dd
-		}
-	}
-	return worst
 }

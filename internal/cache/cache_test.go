@@ -212,3 +212,43 @@ func TestWriteOwnershipProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// broadcastRound is the widest sharing a shootdown produces on one line:
+// CPU 0 writes it, then every other CPU reads it.
+func broadcastRound(d *Directory, l *Line, n int) {
+	d.Write(0, l)
+	for cpu := 1; cpu < n; cpu++ {
+		d.Read(mach.CPU(cpu), l)
+	}
+}
+
+func newDir512(tb testing.TB) (*Directory, int) {
+	tb.Helper()
+	topo, err := mach.ScaleTopology(512)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return New(topo, mach.DefaultCosts()), topo.NumCPUs()
+}
+
+// TestBroadcastReadAllocs pins a warm broadcast round at zero allocations:
+// the line keeps its sharer storage across rounds, and the distance
+// queries never copy the mask.
+func TestBroadcastReadAllocs(t *testing.T) {
+	d, n := newDir512(t)
+	l := d.NewLine("broadcast")
+	if allocs := testing.AllocsPerRun(10, func() { broadcastRound(d, l, n) }); allocs != 0 {
+		t.Fatalf("warm broadcast round allocated %.0f times, want 0", allocs)
+	}
+}
+
+func BenchmarkBroadcastRead512(b *testing.B) {
+	d, n := newDir512(b)
+	l := d.NewLine("broadcast")
+	broadcastRound(d, l, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		broadcastRound(d, l, n)
+	}
+}

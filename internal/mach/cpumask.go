@@ -20,10 +20,10 @@ const MaxCPUs = 4096
 // O(NumCPUs). CPU ids must lie in [0, MaxCPUs); Set, Clear, Has and MaskOf
 // panic otherwise instead of silently corrupting a neighbouring word.
 //
-// Mutating methods (Set, Clear) have reference semantics: a mask assigned
-// or passed by value shares its word storage with the original, so callers
-// must only mutate masks they own (freshly built, or obtained via Clone).
-// All value-returning operators (And, Or, AndNot, Without, Clone) return
+// Mutating methods (Set, Clear, Reset) have reference semantics: a mask
+// assigned or passed by value shares its word storage with the original, so
+// callers must only mutate masks they own (freshly built, or obtained via
+// Clone). All value-returning operators (And, Or, AndNot, Clone) return
 // masks with fresh storage.
 type CPUMask struct {
 	w       []uint64
@@ -86,6 +86,15 @@ func (m *CPUMask) Clear(cpu CPU) {
 	if m.w[wi] == 0 {
 		m.summary &^= 1 << uint(wi)
 	}
+}
+
+// Reset empties the mask in place. It keeps the word storage, so later Sets
+// below the mask's current capacity do not allocate.
+func (m *CPUMask) Reset() {
+	for s := m.summary; s != 0; s &^= s & -s {
+		m.w[bits.TrailingZeros64(s)] = 0
+	}
+	m.summary = 0
 }
 
 // Has reports whether cpu is in the mask.
@@ -186,11 +195,28 @@ func (m CPUMask) AndNot(o CPUMask) CPUMask {
 	return out
 }
 
-// Without returns a copy of m with cpu removed; m is unchanged.
-func (m CPUMask) Without(cpu CPU) CPUMask {
-	out := m.Clone()
-	out.Clear(cpu)
-	return out
+// AnyIn reports whether the mask holds a CPU with id in [lo, hi). It masks
+// the range's first and last words and reads the words between them from
+// the summary, so it costs O(1) and allocates nothing. Ids outside
+// [0, MaxCPUs) are never members, so the range may extend past them.
+func (m CPUMask) AnyIn(lo, hi CPU) bool {
+	if lo < 0 {
+		lo = 0
+	}
+	if top := CPU(len(m.w) * 64); hi > top {
+		hi = top
+	}
+	if lo >= hi {
+		return false
+	}
+	first, last := int(lo)/64, int(hi-1)/64
+	head := ^uint64(0) << (uint(lo) % 64)      // ids >= lo in word first
+	tail := ^uint64(0) >> (63 - uint(hi-1)%64) // ids < hi in word last
+	if first == last {
+		return m.w[first]&head&tail != 0
+	}
+	between := (uint64(1)<<uint(last) - 1) &^ (uint64(1)<<uint(first+1) - 1)
+	return m.w[first]&head != 0 || m.w[last]&tail != 0 || m.summary&between != 0
 }
 
 // ForEach calls fn for each member of the mask in ascending order without

@@ -132,12 +132,6 @@ func TestCPUMaskEquivalenceRandomOps(t *testing.T) {
 				}
 				if step%97 == 0 {
 					sameMembers(t, "step", m, ref, capacity)
-					w := m.Without(cpu)
-					wref := ref
-					wref.clear(cpu)
-					sameMembers(t, "Without", w, wref, capacity)
-					// Without must not touch the receiver.
-					sameMembers(t, "Without-receiver", m, ref, capacity)
 				}
 			}
 			sameMembers(t, "final", m, ref, capacity)
@@ -240,7 +234,6 @@ func TestCPUMaskOutOfRangePanics(t *testing.T) {
 		mustPanic("Set", func() { m.Set(cpu) })
 		mustPanic("Clear", func() { m.Clear(cpu) })
 		mustPanic("Has", func() { _ = m.Has(cpu) })
-		mustPanic("Without", func() { _ = m.Without(cpu) })
 		mustPanic("MaskOf", func() { _ = MaskOf(cpu) })
 	}
 	// In-range ids above the old 128 hard cap must now just work.
@@ -262,7 +255,7 @@ func TestCPUMaskCloneIsolation(t *testing.T) {
 	if orig.Has(2) || !orig.Has(65) || orig.Count() != 3 {
 		t.Fatalf("Clone shares storage with original: %v", orig)
 	}
-	for _, derived := range []CPUMask{orig.And(orig), orig.Or(orig), orig.AndNot(CPUMask{}), orig.Without(1)} {
+	for _, derived := range []CPUMask{orig.And(orig), orig.Or(orig), orig.AndNot(CPUMask{})} {
 		derived.Set(63)
 		if orig.Has(63) {
 			t.Fatalf("derived mask aliases original: %v", orig)

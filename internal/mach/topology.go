@@ -225,6 +225,50 @@ func (t Topology) DistanceBetween(a, b CPU) Distance {
 	}
 }
 
+// NearestIn returns the smallest DistanceBetween(cpu, c) over the members c
+// of m, or DistCross when m is empty. Ids are numbered socket-major,
+// core-major, thread-minor, so each distance class around cpu is a
+// contiguous id range (its core, then its socket, then the rest) and the
+// answer comes from a few range tests on m, without walking its members or
+// allocating.
+func (t Topology) NearestIn(cpu CPU, m CPUMask) Distance {
+	coreLo, coreHi, sockLo, sockHi := t.ranges(cpu)
+	switch {
+	case m.Has(cpu):
+		return DistSelf
+	case m.AnyIn(coreLo, coreHi):
+		return DistSMT
+	case m.AnyIn(sockLo, sockHi):
+		return DistSocket
+	}
+	return DistCross
+}
+
+// FarthestIn returns the largest DistanceBetween(cpu, c) over the members c
+// of m other than cpu, or DistSelf when there is none. It tests the same
+// id ranges as NearestIn, from the outermost class inward.
+func (t Topology) FarthestIn(cpu CPU, m CPUMask) Distance {
+	coreLo, coreHi, sockLo, sockHi := t.ranges(cpu)
+	switch {
+	case m.AnyIn(0, sockLo) || m.AnyIn(sockHi, MaxCPUs):
+		return DistCross
+	case m.AnyIn(sockLo, coreLo) || m.AnyIn(coreHi, sockHi):
+		return DistSocket
+	case m.AnyIn(coreLo, cpu) || m.AnyIn(cpu+1, coreHi):
+		return DistSMT
+	}
+	return DistSelf
+}
+
+// ranges returns the id ranges [coreLo, coreHi) of cpu's physical core and
+// [sockLo, sockHi) of its socket.
+func (t Topology) ranges(cpu CPU) (coreLo, coreHi, sockLo, sockHi CPU) {
+	coreLo = CPU(t.CoreOf(cpu) * t.ThreadsPerCore)
+	perSocket := t.CoresPerSocket * t.ThreadsPerCore
+	sockLo = CPU(t.SocketOf(cpu) * perSocket)
+	return coreLo, coreLo + CPU(t.ThreadsPerCore), sockLo, sockLo + CPU(perSocket)
+}
+
 // Placement names the initiator/responder placements used throughout the
 // paper's microbenchmarks (Figures 5-8).
 type Placement int

@@ -55,8 +55,12 @@ go -C bench test ./...
 # memory access goes through it, and its differential test against the
 # map-and-ring TLB it replaced must keep reaching the probe, eviction and
 # flush paths.
-echo "==> coverage floor (fault, smp, apic, mm, race, sanitizer/ssa, mach, sim, tlb >= 80%; smp >= 92%)"
-go test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/ > COVERAGE.txt
+# cache joins the floor with sharer distance by id range: every
+# shootdown's cacheline cost comes from its directory, and its
+# differential test against the per-sharer walk it replaced must keep
+# reaching every state transition.
+echo "==> coverage floor (fault, smp, apic, mm, race, sanitizer/ssa, mach, sim, tlb, cache >= 80%; smp >= 92%)"
+go test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/ ./internal/cache/ > COVERAGE.txt
 go tool cover -func=coverage.out >> COVERAGE.txt
 cat COVERAGE.txt
 awk '
