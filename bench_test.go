@@ -170,7 +170,7 @@ func BenchmarkSerializedIPIContention(b *testing.B) {
 func BenchmarkLazyRemoteShootdown(b *testing.B) {
 	var r workload.LazyProbeResult
 	for i := 0; i < b.N; i++ {
-		r = workload.RunLazyProbe(workload.Safe, core.Config{LazyRemote: true}, uint64(i+1))
+		r = workload.RunLazyProbe(workload.Template{}, workload.Safe, core.Config{LazyRemote: true}, uint64(i+1))
 	}
 	b.ReportMetric(float64(r.MadviseCycles), "sim-madvise-cycles")
 }
@@ -178,7 +178,7 @@ func BenchmarkLazyRemoteShootdown(b *testing.B) {
 func BenchmarkHWMessageIPI(b *testing.B) {
 	var r workload.HWMessageProbeResult
 	for i := 0; i < b.N; i++ {
-		r = workload.RunHWMessageProbe(true, uint64(i+1))
+		r = workload.RunHWMessageProbe(workload.Template{}, true, uint64(i+1))
 	}
 	b.ReportMetric(float64(r.Transfers), "sim-cacheline-transfers")
 }
@@ -186,7 +186,7 @@ func BenchmarkHWMessageIPI(b *testing.B) {
 func BenchmarkParavirtFractureHint(b *testing.B) {
 	var r workload.ParavirtProbeResult
 	for i := 0; i < b.N; i++ {
-		r = workload.RunParavirtProbe(true, 16, uint64(i+1))
+		r = workload.RunParavirtProbe(workload.Template{}, true, 16, uint64(i+1))
 	}
 	b.ReportMetric(float64(r.MadviseCycles), "sim-madvise-cycles")
 }

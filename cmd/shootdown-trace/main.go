@@ -68,9 +68,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	w, err := workload.Boot(workload.Machine{
-		Mode: workload.Mode(!*unsafe), Core: cfg, Seed: 1, Topo: mach.DefaultTopology(),
-	})
+	w, err := workload.Boot(workload.Machine{Mode: workload.Mode(!*unsafe), Core: cfg, Seed: 1})
 	if err != nil {
 		return err
 	}

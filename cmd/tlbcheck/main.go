@@ -56,31 +56,27 @@ func main() {
 	flag.Parse()
 	sched.SetWorkers(*parallel)
 
-	faultSpec, err := fault.Parse(*faults)
+	// The machine flags fill the one template every cell boots.
+	base := workload.Template{TLBMode: *tlbmode}
+	var err error
+	if base.Faults, err = fault.Parse(*faults); err == nil {
+		err = workload.CheckTLBMode(base.TLBMode)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
 		os.Exit(2)
-	}
-	switch *tlbmode {
-	case "", "sync", "async":
-	default:
-		fmt.Fprintf(os.Stderr, "tlbcheck: -tlbmode must be sync or async\n")
-		os.Exit(2)
-	}
-	if *tlbmode != "" {
-		restore := workload.SetTLBMode(*tlbmode)
-		defer restore()
 	}
 
 	if err := profiles.Start(); err != nil {
 		fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
 		os.Exit(2)
 	}
+	opts := experiments.Options{Quick: *quick, Seed: *seed, Base: base}
 	var code int
 	if *raceModel {
-		code = runRaceModel(*run, *quick, *seed, *verbose, faultSpec)
+		code = runRaceModel(*run, opts, *verbose)
 	} else {
-		code = runSanitized(*run, *quick, *seed, *verbose, faultSpec)
+		code = runSanitized(*run, opts, *verbose)
 	}
 	if err := profiles.Stop(); err != nil {
 		fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
@@ -91,12 +87,11 @@ func main() {
 	os.Exit(code)
 }
 
-func runSanitized(run string, quick bool, seed uint64, verbose bool, faults fault.Spec) int {
+func runSanitized(run string, opts experiments.Options, verbose bool) int {
 	names := experiments.Names()
 	if !strings.EqualFold(run, "all") {
 		names = strings.Split(run, ",")
 	}
-	opts := experiments.Options{Quick: quick, Seed: seed, Sanitize: true, Faults: faults}
 	summaries := make([]*sanitizer.Summary, 0, len(names))
 	total := &sanitizer.Summary{}
 	for _, name := range names {
@@ -104,7 +99,7 @@ func runSanitized(run string, quick bool, seed uint64, verbose bool, faults faul
 		if verbose {
 			fmt.Fprintf(os.Stderr, "checking %s...\n", name)
 		}
-		_, sum, err := experiments.Run(name, opts)
+		_, sum, err := experiments.RunSanitized(name, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
 			return 2
@@ -127,12 +122,11 @@ func runSanitized(run string, quick bool, seed uint64, verbose bool, faults faul
 	return 0
 }
 
-func runRaceModel(run string, quick bool, seed uint64, verbose bool, faults fault.Spec) int {
+func runRaceModel(run string, opts experiments.Options, verbose bool) int {
 	names := experiments.Names()
 	if !strings.EqualFold(run, "all") {
 		names = strings.Split(run, ",")
 	}
-	opts := experiments.Options{Quick: quick, Seed: seed, Faults: faults}
 	total := &race.Summary{}
 	for _, name := range names {
 		name = strings.TrimSpace(name)

@@ -202,7 +202,7 @@ func fuzzOne(seed uint64, opsPerThread int, verbose bool, spec fault.Spec, tlbmo
 	pti := r.Uint64()&1 == 0
 
 	world, err := workload.Boot(workload.Machine{
-		Mode: workload.Mode(pti), Core: cfg, Seed: seed, Faults: spec, Topo: mach.DefaultTopology(),
+		Base: workload.Template{Faults: spec}, Mode: workload.Mode(pti), Core: cfg, Seed: seed,
 	})
 	if err != nil {
 		return []string{err.Error()}, ""

@@ -42,35 +42,18 @@ func main() {
 	flag.Parse()
 	sched.SetWorkers(*parallel)
 
-	spec, err := fault.Parse(*faults)
+	// The three machine flags fill the one template every cell boots.
+	base := workload.Template{TLBMode: *tlbmode}
+	var err error
+	if base.Faults, err = fault.Parse(*faults); err == nil {
+		err = workload.CheckTLBMode(base.TLBMode)
+	}
+	if err == nil {
+		base.Topo, err = mach.ParseTopology(*topo)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlbsim: %v\n", err)
 		os.Exit(2)
-	}
-	switch *tlbmode {
-	case "", "sync", "async":
-	default:
-		fmt.Fprintf(os.Stderr, "tlbsim: -tlbmode must be sync or async\n")
-		os.Exit(2)
-	}
-	if *tlbmode != "" {
-		restore := workload.SetTLBMode(*tlbmode)
-		defer restore()
-	}
-	if *topo != "" {
-		t, err := mach.ParseTopology(*topo)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tlbsim: %v\n", err)
-			os.Exit(2)
-		}
-		restore := workload.SetTopology(t)
-		defer restore()
-	}
-	if !spec.Zero() || spec.NoRetry {
-		// Installed once, before any experiment boots a world; restored on
-		// exit only for symmetry — the process ends right after.
-		restore := workload.SetFaultSpec(spec)
-		defer restore()
 	}
 
 	if *list || *exp == "" {
@@ -100,7 +83,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlbsim: %v\n", err)
 		os.Exit(2)
 	}
-	opts := experiments.Options{Quick: *quick, Seed: *seed}
+	opts := experiments.Options{Quick: *quick, Seed: *seed, Base: base}
 	for _, name := range names {
 		fmt.Fprintf(os.Stderr, "running %s...\n", name)
 		for _, tab := range reg[name](opts) {

@@ -43,7 +43,7 @@ func ablationSingles(o Options) *report.Table {
 	}
 	results := sched.Collect(len(singles), func(i int) workload.MicroResult {
 		return workload.RunMicro(workload.MicroConfig{
-			Mode: workload.Safe, Core: singles[i], Placement: mach.PlaceCrossSocket,
+			Base: o.Base, Mode: workload.Safe, Core: singles[i], Placement: mach.PlaceCrossSocket,
 			PTEs: 10, Iterations: iters, Warmup: 5, Runs: runs, Seed: o.seed(),
 		})
 	})
@@ -76,7 +76,7 @@ func ablationEarlyAckSuppression(o Options) *report.Table {
 func runAckProbe(kind string, o Options) (early, late, suppressed uint64) {
 	cfg := core.Config{ConcurrentFlush: true, EarlyAck: true}
 	r := workload.RunAckProbe(workload.AckProbeConfig{
-		Mode: workload.Safe, Core: cfg, UseMunmap: kind == "munmap",
+		Base: o.Base, Mode: workload.Safe, Core: cfg, UseMunmap: kind == "munmap",
 		Iterations: 20, Seed: o.seed(),
 	})
 	return r.EarlyAcks, r.LateAcks, r.Suppressed
@@ -99,7 +99,7 @@ func ablationInContextInteraction(o Options) *report.Table {
 	}
 	for _, c := range cases {
 		r, flushed := workload.RunMicroWithStats(workload.MicroConfig{
-			Mode: workload.Safe, Core: c.cfg, Placement: mach.PlaceCrossSocket,
+			Base: o.Base, Mode: workload.Safe, Core: c.cfg, Placement: mach.PlaceCrossSocket,
 			PTEs: 10, Iterations: iters, Warmup: 5, Runs: runs, Seed: o.seed(),
 		})
 		tab.AddRow(c.name, r.Initiator.String(), fmt.Sprint(flushed))

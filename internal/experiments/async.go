@@ -53,7 +53,7 @@ func asyncMicroTable(o Options) *report.Table {
 		pt := ptes[(i/len(placements))%len(ptes)]
 		pl := placements[i%len(placements)]
 		return workload.RunMicro(workload.MicroConfig{
-			Mode: workload.Safe, Core: cc, Placement: pl, PTEs: pt,
+			Base: o.Base, Mode: workload.Safe, Core: cc, Placement: pl, PTEs: pt,
 			Iterations: iters, Warmup: 5, Runs: runs, Seed: o.seed(),
 		})
 	})
@@ -92,7 +92,7 @@ func asyncSysbenchTable(o Options) *report.Table {
 	}
 	cells := sched.Collect(len(threads)*len(configs), func(i int) workload.SysbenchResult {
 		return runSysbenchAveraged(workload.SysbenchConfig{
-			Mode: workload.Safe, Core: configs[i%len(configs)], Threads: threads[i/len(configs)],
+			Base: o.Base, Mode: workload.Safe, Core: configs[i%len(configs)], Threads: threads[i/len(configs)],
 			HotPages: 2048, WritesPerSync: 64, Syncs: syncs,
 			ComputePerWrite: 8000, Seed: o.seed(),
 		}, o)
@@ -119,7 +119,9 @@ func asyncFaultTable(o Options) *report.Table {
 		outstanding int
 	}
 	run := func(cfg core.Config, spec fault.Spec, s workload.Scenario) cell {
-		w := workload.NewFaultWorld(workload.Safe, cfg, o.seed(), spec)
+		base := o.Base
+		base.Faults = spec
+		w := workload.MustBoot(workload.Machine{Base: base, Mode: workload.Safe, Core: cfg, Seed: o.seed()})
 		defer w.Close()
 		spaces := s.Run(w)
 		return cell{

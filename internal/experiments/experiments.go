@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"shootdown/internal/core"
-	"shootdown/internal/fault"
 	"shootdown/internal/mach"
 	"shootdown/internal/pagetable"
 	"shootdown/internal/report"
@@ -20,22 +19,19 @@ import (
 	"shootdown/internal/workload"
 )
 
-// Options tune experiment scale.
+// Options tune experiment scale and name the machine every cell boots.
 type Options struct {
 	// Quick shrinks iteration counts and sweep ranges for fast runs
 	// (benchmarks and CI); the full setting matches the paper's sweeps.
 	Quick bool
 	// Seed derives all run seeds.
 	Seed uint64
-	// Sanitize attaches the shadow-oracle coherence checker (see
-	// internal/sanitizer) to every machine the experiment boots. Only
-	// honoured by Run; direct Runner calls stay unchecked.
-	Sanitize bool
-	// Faults is the fault schedule injected into every machine the
-	// experiment boots (zero injects nothing). Honoured by Run and
-	// RunRace, which install it as the package-wide workload spec for the
-	// duration of the experiment; direct Runner calls stay unfaulted.
-	Faults fault.Spec
+	// Base is the machine template every cell boots: the fault schedule,
+	// topology and dispatch-tier override that tlbsim's and tlbcheck's
+	// -faults, -topo and -tlbmode flags fill. The faults and async sweeps
+	// replace its schedule per cell, and the scale sweep its topology.
+	// The zero Template is the paper's unfaulted testbed.
+	Base workload.Template
 }
 
 // DefaultOptions returns the full-scale settings.
@@ -126,7 +122,7 @@ func microFigure(o Options, mode workload.Mode, ptes int, title string) []*repor
 	results := sched.Collect(len(configs)*len(placements), func(i int) workload.MicroResult {
 		cc, pl := configs[i/len(placements)], placements[i%len(placements)]
 		return workload.RunMicro(workload.MicroConfig{
-			Mode: mode, Core: cc, Placement: pl, PTEs: ptes,
+			Base: o.Base, Mode: mode, Core: cc, Placement: pl, PTEs: ptes,
 			Iterations: iters, Warmup: 5, Runs: runs, Seed: o.seed(),
 		})
 	})
@@ -206,7 +202,7 @@ func Table3(o Options) []*report.Table {
 			cc = configs[len(configs)-1]
 		}
 		return workload.RunMicro(workload.MicroConfig{
-			Mode: mode, Core: cc, Placement: mach.PlaceCrossSocket,
+			Base: o.Base, Mode: mode, Core: cc, Placement: mach.PlaceCrossSocket,
 			PTEs: ptesList[i/4], Iterations: iters, Warmup: 5, Runs: runs, Seed: o.seed(),
 		})
 	})
@@ -253,7 +249,7 @@ func Fig9(o Options) []*report.Table {
 	results := sched.Collect(len(modes)*3, func(i int) stats.Summary {
 		mode := modes[i/3]
 		return workload.RunCoW(workload.CoWConfig{
-			Mode: mode, Core: cfgsFor(mode)[i%3], Pages: pages, Runs: runs, Seed: o.seed(),
+			Base: o.Base, Mode: mode, Core: cfgsFor(mode)[i%3], Pages: pages, Runs: runs, Seed: o.seed(),
 		})
 	})
 	for mi, mode := range modes {
@@ -287,7 +283,7 @@ func Fig10(o Options) []*report.Table {
 		// One job per (thread count, config) cell, reassembled row-major.
 		cells := sched.Collect(len(threads)*len(configs), func(i int) workload.SysbenchResult {
 			return runSysbenchAveraged(workload.SysbenchConfig{
-				Mode: mode, Core: configs[i%len(configs)], Threads: threads[i/len(configs)],
+				Base: o.Base, Mode: mode, Core: configs[i%len(configs)], Threads: threads[i/len(configs)],
 				HotPages: 2048, WritesPerSync: 64, Syncs: syncs,
 				ComputePerWrite: 8000, Seed: o.seed(),
 			}, o)
@@ -348,7 +344,7 @@ func Fig11(o Options) []*report.Table {
 		// One job per (core count, config) cell, reassembled row-major.
 		cells := sched.Collect(len(cores)*len(configs), func(i int) workload.ApacheResult {
 			return workload.RunApache(workload.ApacheConfig{
-				Mode: mode, Core: configs[i%len(configs)], Cores: cores[i/len(configs)],
+				Base: o.Base, Mode: mode, Core: configs[i%len(configs)], Cores: cores[i/len(configs)],
 				RequestsPerCore: reqs,
 				FilePages:       3, ParseCycles: 52000, SendCycles: 40000,
 				OfferedInterArrival: 13333, Seed: o.seed(),

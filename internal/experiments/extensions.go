@@ -37,7 +37,7 @@ func extSerialized(o Options) *report.Table {
 	// Cell i: initiator count i/2, serialized on odd indices.
 	results := sched.Collect(len(inits)*2, func(i int) uint64 {
 		return workload.RunContention(workload.ContentionConfig{
-			Mode: workload.Safe, Core: core.Config{SerializedIPIs: i%2 == 1},
+			Base: o.Base, Mode: workload.Safe, Core: core.Config{SerializedIPIs: i%2 == 1},
 			Initiators: inits[i/2], Iterations: iters, Seed: o.seed(),
 		})
 	})
@@ -60,7 +60,7 @@ func extLazy(o Options) *report.Table {
 		if i == 1 {
 			cfg = core.Config{LazyRemote: true}
 		}
-		return workload.RunLazyProbe(workload.Safe, cfg, o.seed())
+		return workload.RunLazyProbe(o.Base, workload.Safe, cfg, o.seed())
 	})
 	sync, lazy := probes[0], probes[1]
 	tab.AddRow("synchronous (paper/Linux)", report.Cycles(float64(sync.MadviseCycles)), sync.Deferred, sync.StaleWindow)
@@ -75,7 +75,7 @@ func extHWMessage(o Options) *report.Table {
 		Header: []string{"shootdown data path", "initiator cycles", "cacheline transfers"},
 	}
 	probes := sched.Collect(2, func(i int) workload.HWMessageProbeResult {
-		return workload.RunHWMessageProbe(i == 1, o.seed())
+		return workload.RunHWMessageProbe(o.Base, i == 1, o.seed())
 	})
 	sw, hw := probes[0], probes[1]
 	tab.AddRow("shared memory (CFD/CSQ/info)", report.Cycles(float64(sw.InitCycles)), sw.Transfers)
@@ -91,7 +91,7 @@ func extParavirt(o Options) *report.Table {
 	}
 	pageCounts := []int{4, 8, 16, 32}
 	results := sched.Collect(len(pageCounts)*2, func(i int) workload.ParavirtProbeResult {
-		return workload.RunParavirtProbe(i%2 == 1, pageCounts[i/2], o.seed())
+		return workload.RunParavirtProbe(o.Base, i%2 == 1, pageCounts[i/2], o.seed())
 	})
 	for i, pages := range pageCounts {
 		no, yes := results[i*2], results[i*2+1]
@@ -125,7 +125,7 @@ func Daemons(o Options) []*report.Table {
 	// stay adjacent and the per-config mean reduces over a contiguous span.
 	cells := sched.Collect(len(configs)*seeds, func(i int) workload.DaemonStormResult {
 		return workload.RunDaemonStorm(workload.DaemonStormConfig{
-			Mode: workload.Safe, Core: configs[i/seeds], AppThreads: 4, Rounds: rounds,
+			Base: o.Base, Mode: workload.Safe, Core: configs[i/seeds], AppThreads: 4, Rounds: rounds,
 			Seed: o.seed() + uint64(i%seeds)*7919,
 		})
 	})
@@ -165,7 +165,7 @@ func extPCID(o Options) *report.Table {
 		slices = 8
 	}
 	probes := sched.Collect(2, func(i int) workload.PCIDProbeResult {
-		return workload.RunPCIDProbe(i == 1, slices, pages, o.seed())
+		return workload.RunPCIDProbe(o.Base, i == 1, slices, pages, o.seed())
 	})
 	with, without := probes[0], probes[1]
 	tab.AddRow("no PCID (pre-Westmere)", report.Cycles(float64(without.Makespan)), without.TLBMisses, "1.000x")

@@ -43,7 +43,9 @@ func FaultSweep(o Options) []*report.Table {
 			panic(fmt.Sprintf("experiments: unknown fault preset %q", specNames[(i/nScen)%nSpec]))
 		}
 		s := scenarios[i%nScen]
-		w := workload.NewFaultWorld(mode, core.All(), o.seed(), spec)
+		base := o.Base
+		base.Faults = spec
+		w := workload.MustBoot(workload.Machine{Base: base, Mode: mode, Core: core.All(), Seed: o.seed()})
 		defer w.Close()
 		spaces := s.Run(w)
 		bus := w.K.Bus.Stats()

@@ -18,12 +18,6 @@ func RunRace(name string, o Options) ([]*report.Table, *race.Summary, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	// Install the fault schedule before any world boots; the pool is idle
-	// here, which is SetFaultSpec's parallel-safety precondition.
-	if !o.Faults.Zero() || o.Faults.NoRetry {
-		restore := workload.SetFaultSpec(o.Faults)
-		defer restore()
-	}
 	// Worlds boot concurrently under the parallel scheduler; guard the
 	// shared slice. Merge sums order-independent counters, so the summary
 	// stays deterministic at any worker count.

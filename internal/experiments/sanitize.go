@@ -9,27 +9,19 @@ import (
 	"shootdown/internal/workload"
 )
 
-// Run executes the named experiment from the registry. When o.Sanitize is
-// set, the shadow-oracle coherence checker is attached to every machine
-// the experiment boots and the merged summary is returned alongside the
-// tables; otherwise the summary is nil.
+// RunSanitized executes the named experiment from the registry with the
+// shadow-oracle coherence checker (internal/sanitizer) attached to every
+// machine the experiment boots, returning the merged summary alongside
+// the tables. The checker is purely observational, so the tables are
+// identical to an unchecked run.
 //
 // The lazy-shootdown extension (core.Config.LazyRemote) is granted its
 // designed staleness window: hits on CPUs with queued lazy work are legal
 // for that machine (see sanitizer.Config.AllowLazyWindow).
-func Run(name string, o Options) ([]*report.Table, *sanitizer.Summary, error) {
+func RunSanitized(name string, o Options) ([]*report.Table, *sanitizer.Summary, error) {
 	runner, ok := Registry()[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
-	}
-	// Install the fault schedule before any world boots; the pool is idle
-	// here, which is SetFaultSpec's parallel-safety precondition.
-	if !o.Faults.Zero() || o.Faults.NoRetry {
-		restore := workload.SetFaultSpec(o.Faults)
-		defer restore()
-	}
-	if !o.Sanitize {
-		return runner(o), nil, nil
 	}
 	// Worlds boot concurrently under the parallel scheduler; the hook is
 	// the one cross-world touch point, so the slice needs a lock. Merge is

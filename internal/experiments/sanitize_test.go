@@ -48,15 +48,12 @@ func TestSanitizedQuickSuite(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			tables, sum, err := Run(name, Options{Quick: true, Seed: 1, Sanitize: true})
+			tables, sum, err := RunSanitized(name, Options{Quick: true, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(tables) == 0 {
 				t.Fatal("experiment produced no tables")
-			}
-			if sum == nil {
-				t.Fatal("no summary despite Sanitize")
 			}
 			// table4 is a bare-TLB fracture study: no kernel is booted, so
 			// there is no machine to check.
@@ -81,22 +78,8 @@ func TestSanitizedQuickSuite(t *testing.T) {
 	}
 }
 
-// TestSanitizeOffReturnsNilSummary: the flag gates the checker entirely.
-func TestSanitizeOffReturnsNilSummary(t *testing.T) {
-	tables, sum, err := Run("fig5", Options{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != nil {
-		t.Fatal("summary returned without Sanitize")
-	}
-	if len(tables) == 0 {
-		t.Fatal("no tables")
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, _, err := Run("nope", Options{}); err == nil {
+	if _, _, err := RunSanitized("nope", Options{}); err == nil {
 		t.Fatal("unknown experiment not rejected")
 	}
 }
@@ -110,8 +93,8 @@ func TestExtensionsCheckEveryMachine(t *testing.T) {
 		t.Skip("checked extensions suite is not short")
 	}
 	const machines = 20
-	o := Options{Quick: true, Seed: 1, Sanitize: true}
-	_, sum, err := Run("extensions", o)
+	o := Options{Quick: true, Seed: 1}
+	_, sum, err := RunSanitized("extensions", o)
 	if err != nil {
 		t.Fatal(err)
 	}

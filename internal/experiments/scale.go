@@ -17,10 +17,9 @@ import (
 // is width-sensitive: at 512 CPUs a full-width storm crosses 32 x2APIC
 // clusters and the ack wait touches hundreds of cache lines, which is
 // exactly where the cluster-fanned ICR writes and the per-cluster ack
-// aggregation (smp.ClusterAckStores) start to matter. Each cell is an
-// independent simulation with an explicit topology, so the sweep runs
-// under the parallel scheduler without touching the package-wide
-// topology override.
+// aggregation (smp.ClusterAckStores) start to matter. Each cell boots the
+// suite's template with its own topology in place of the template's, so
+// the widths run side by side under the parallel scheduler.
 func ScaleSweep(o Options) []*report.Table {
 	cpus := []int{56, 256, 512}
 	syncCfg, asyncCfg := asyncTierConfigs()
@@ -31,6 +30,7 @@ func ScaleSweep(o Options) []*report.Table {
 
 	srv := func(topo mach.Topology, cc core.Config) workload.ServerConfig {
 		cfg := workload.DefaultServerConfig()
+		cfg.Base = o.Base
 		cfg.Core = cc
 		cfg.Topo = topo
 		cfg.Seed = o.seed()

@@ -16,6 +16,7 @@ import (
 // workers. An offered-load cap models the wrk generator's fixed request
 // rate.
 type ApacheConfig struct {
+	Base Template
 	Mode Mode
 	Core core.Config
 	// Cores is the number of server cores (one worker per physical core,
@@ -67,7 +68,7 @@ func RunApache(cfg ApacheConfig) ApacheResult {
 	if cfg.FilePages <= 0 {
 		cfg.FilePages = 3
 	}
-	w := NewWorld(cfg.Mode, cfg.Core, cfg.Seed)
+	w := cfg.Base.boot(cfg.Mode, cfg.Core, cfg.Seed)
 	defer w.Close()
 	as := w.K.NewAddressSpace()
 	file := w.K.NewFile("htdocs", uint64(cfg.FilePages)*pg)

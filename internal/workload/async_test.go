@@ -192,7 +192,7 @@ func runAsyncCoalesceTouch(w *World) {
 func TestBrokenCoalesceShrinkCaughtExactlyOnce(t *testing.T) {
 	cfg := asyncAll()
 	cfg.BrokenCoalesceShrink = true
-	w := NewFaultWorld(Safe, cfg, 7, coalesceFaults)
+	w := Template{Faults: coalesceFaults}.boot(Safe, cfg, 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
 	runAsyncCoalesceTouch(w)
@@ -212,7 +212,7 @@ func TestBrokenCoalesceShrinkCaughtExactlyOnce(t *testing.T) {
 // program under the sound merge must flush the full merged span, so
 // the oracle sees a coherent protocol.
 func TestAsyncCoalesceTouchClean(t *testing.T) {
-	w := NewFaultWorld(Safe, asyncAll(), 7, coalesceFaults)
+	w := Template{Faults: coalesceFaults}.boot(Safe, asyncAll(), 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
 	runAsyncCoalesceTouch(w)

@@ -14,6 +14,7 @@ import (
 // file, and the visible time of each write — including the page fault — is
 // measured.
 type CoWConfig struct {
+	Base Template
 	Mode Mode
 	Core core.Config
 	// Pages is the number of CoW events per run.
@@ -45,7 +46,7 @@ func RunCoW(cfg CoWConfig) stats.Summary {
 }
 
 func runCoWOnce(cfg CoWConfig, seed uint64) float64 {
-	w := NewWorld(cfg.Mode, cfg.Core, seed)
+	w := cfg.Base.boot(cfg.Mode, cfg.Core, seed)
 	defer w.Close()
 	as := w.K.NewAddressSpace()
 	file := w.K.NewFile("cow-data", uint64(cfg.Pages)*pg)

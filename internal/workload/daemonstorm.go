@@ -16,6 +16,7 @@ import (
 // while ksmd, khugepaged, kswapd and the NUMA balancer mutate their page
 // tables — the §2.1 flush sources beyond system calls.
 type DaemonStormConfig struct {
+	Base Template
 	Mode Mode
 	Core core.Config
 	// AppThreads work on socket-0 CPUs.
@@ -49,7 +50,7 @@ func RunDaemonStorm(cfg DaemonStormConfig) DaemonStormResult {
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 60
 	}
-	w := NewWorld(cfg.Mode, cfg.Core, cfg.Seed)
+	w := cfg.Base.boot(cfg.Mode, cfg.Core, cfg.Seed)
 	defer w.Close()
 	k := w.K
 	as := k.NewAddressSpace()

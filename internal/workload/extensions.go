@@ -15,17 +15,11 @@ import (
 // shootdowns) and the paper's discussed-but-unbuilt ideas (§6 hardware
 // message IPIs, §7 paravirtual fracture hint).
 
-// bootProbe boots a safe-mode probe machine under the package-wide fault
-// schedule and topology, like NewWorld, with kernel knobs no protocol
-// config implies.
-func bootProbe(cfg core.Config, kcfg kernel.Config, seed uint64) *World {
-	return mustBoot(Machine{Mode: Safe, Core: cfg, Seed: seed, Faults: worldFaults, Topo: effectiveTopology(), Kernel: kcfg})
-}
-
 // ContentionConfig drives concurrent initiators that shoot each other
 // down, to compare Linux's concurrent shootdowns against a global
 // shootdown mutex.
 type ContentionConfig struct {
+	Base       Template
 	Mode       Mode
 	Core       core.Config
 	Initiators int
@@ -42,7 +36,7 @@ func RunContention(cfg ContentionConfig) uint64 {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 15
 	}
-	w := NewWorld(cfg.Mode, cfg.Core, cfg.Seed)
+	w := cfg.Base.boot(cfg.Mode, cfg.Core, cfg.Seed)
 	defer w.Close()
 	as := w.K.NewAddressSpace()
 	stop := false
@@ -96,9 +90,9 @@ type LazyProbeResult struct {
 }
 
 // RunLazyProbe measures initiator latency and probes the §2.3.2 stale
-// window under the given config (compare LazyRemote on/off).
-func RunLazyProbe(mode Mode, cfg core.Config, seed uint64) LazyProbeResult {
-	w := NewWorld(mode, cfg, seed)
+// window on base under the given config (compare LazyRemote on/off).
+func RunLazyProbe(base Template, mode Mode, cfg core.Config, seed uint64) LazyProbeResult {
+	w := base.boot(mode, cfg, seed)
 	defer w.Close()
 	as := w.K.NewAddressSpace()
 	var out LazyProbeResult
@@ -158,9 +152,10 @@ type HWMessageProbeResult struct {
 }
 
 // RunHWMessageProbe measures one shootdown's initiator latency and total
-// cacheline transfers with/without the hardware extension.
-func RunHWMessageProbe(hw bool, seed uint64) HWMessageProbeResult {
-	w := bootProbe(core.Config{HWMessageIPI: hw}, kernel.Config{}, seed)
+// cacheline transfers on a safe-mode base with/without the hardware
+// extension.
+func RunHWMessageProbe(base Template, hw bool, seed uint64) HWMessageProbeResult {
+	w := base.boot(Safe, core.Config{HWMessageIPI: hw}, seed)
 	defer w.Close()
 	k := w.K
 	as := k.NewAddressSpace()
@@ -203,9 +198,10 @@ type ParavirtProbeResult struct {
 }
 
 // RunParavirtProbe runs a nested-paging guest madvise with fractured
-// translations cached.
-func RunParavirtProbe(hint bool, pages int, seed uint64) ParavirtProbeResult {
-	w := bootProbe(core.Config{}, kernel.Config{NestedPaging: true, ParavirtFractureHint: hint}, seed)
+// translations cached, on a safe-mode base.
+func RunParavirtProbe(base Template, hint bool, pages int, seed uint64) ParavirtProbeResult {
+	w := MustBoot(Machine{Base: base, Mode: Safe, Seed: seed,
+		Kernel: kernel.Config{NestedPaging: true, ParavirtFractureHint: hint}})
 	defer w.Close()
 	k := w.K
 	as := k.NewAddressSpace()
@@ -245,11 +241,12 @@ type PCIDProbeResult struct {
 	TLBMisses uint64
 }
 
-// RunPCIDProbe ping-pongs two processes on one CPU, each touching a
-// working set per slice (§2.1: PCIDs let the TLB cache multiple address
-// spaces, so a process's entries survive its neighbour's time slice).
-func RunPCIDProbe(disablePCID bool, slices, pages int, seed uint64) PCIDProbeResult {
-	w := bootProbe(core.Config{}, kernel.Config{DisablePCID: disablePCID}, seed)
+// RunPCIDProbe ping-pongs two processes on one CPU of a safe-mode base,
+// each touching a working set per slice (§2.1: PCIDs let the TLB cache
+// multiple address spaces, so a process's entries survive its
+// neighbour's time slice).
+func RunPCIDProbe(base Template, disablePCID bool, slices, pages int, seed uint64) PCIDProbeResult {
+	w := MustBoot(Machine{Base: base, Mode: Safe, Seed: seed, Kernel: kernel.Config{DisablePCID: disablePCID}})
 	defer w.Close()
 	k := w.K
 

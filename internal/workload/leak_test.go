@@ -1,12 +1,12 @@
 package workload
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
+	"shootdown/internal/mach"
 )
 
 // TestWorkloadsLeakNoProcs is the goroutine-leak contract: every workload
@@ -19,19 +19,42 @@ import (
 // stalls park initiators in the retry loop mid-run, and Shutdown has to
 // unwind those too. The whole suite therefore repeats under a light
 // schedule and under the drop-heavy one that exercises the recovery path
-// hardest.
+// hardest, and once more on a 32-CPU async machine. Every captured world
+// must carry its template's fault schedule, topology and tier.
 func TestWorkloadsLeakNoProcs(t *testing.T) {
-	for _, specName := range []string{"none", "light", "drop"} {
-		spec, ok := fault.Preset(specName)
+	// Each iteration is one machine template; the last is not the default
+	// machine, so every runner must boot its template, not the testbed.
+	templates := []struct {
+		faults, topo, tlbmode string
+	}{
+		{"none", "", ""},
+		{"light", "", ""},
+		{"drop", "", ""},
+		{"light", "2x8x2", "async"},
+	}
+	for _, tc := range templates {
+		spec, ok := fault.Preset(tc.faults)
 		if !ok {
-			t.Fatalf("unknown fault preset %q", specName)
+			t.Fatalf("unknown fault preset %q", tc.faults)
+		}
+		// The zero topology stands for the paper's testbed.
+		var topo mach.Topology
+		want := mach.DefaultTopology()
+		if tc.topo != "" {
+			var err error
+			if topo, err = mach.ParseTopology(tc.topo); err != nil {
+				t.Fatal(err)
+			}
+			want = topo
 		}
 		// The engine=wheel level keeps the subtest names stable for
 		// -run filters; the timer wheel is the only event queue.
-		t.Run(fmt.Sprintf("faults=%s/engine=wheel", specName), func(t *testing.T) {
-			restoreSpec := SetFaultSpec(spec)
-			defer restoreSpec()
-
+		name := "faults=" + tc.faults
+		if tc.topo != "" {
+			name += ",topo=" + tc.topo + ",tlbmode=" + tc.tlbmode
+		}
+		t.Run(name+"/engine=wheel", func(t *testing.T) {
+			base := Template{Faults: spec, Topo: topo, TLBMode: tc.tlbmode}
 			var mu sync.Mutex
 			var worlds []*World
 			restore := SetBootHook(func(w *World) {
@@ -56,6 +79,15 @@ func TestWorkloadsLeakNoProcs(t *testing.T) {
 						if w.Fault.Active() != !spec.Zero() {
 							t.Errorf("world %d of %d: fault plane attached=%v, spec zero=%v", i, len(worlds), w.Fault.Active(), spec.Zero())
 						}
+						if w.Fault.Spec() != spec {
+							t.Errorf("world %d of %d: fault schedule %q, want %q", i, len(worlds), w.Fault.Spec(), spec)
+						}
+						if w.K.Topo != want {
+							t.Errorf("world %d of %d: topology %s, want %s", i, len(worlds), w.K.Topo.Spec(), want.Spec())
+						}
+						if w.F.Cfg.AsyncShootdown != (tc.tlbmode == "async") {
+							t.Errorf("world %d of %d: booted %s under tlbmode %q", i, len(worlds), w.F.Cfg, tc.tlbmode)
+						}
 						if n := w.Eng.LiveProcs(); n != 0 {
 							t.Errorf("world %d of %d: %d live procs after workload returned", i, len(worlds), n)
 						}
@@ -64,48 +96,48 @@ func TestWorkloadsLeakNoProcs(t *testing.T) {
 			}
 
 			check("micro", func() {
-				RunMicro(MicroConfig{Mode: Safe, PTEs: 1, Iterations: 5, Warmup: 1, Runs: 2, Seed: 1})
+				RunMicro(MicroConfig{Base: base, Mode: Safe, PTEs: 1, Iterations: 5, Warmup: 1, Runs: 2, Seed: 1})
 			})
 			check("cow", func() {
-				RunCoW(CoWConfig{Mode: Safe, Pages: 8, Runs: 2, Seed: 1})
+				RunCoW(CoWConfig{Base: base, Mode: Safe, Pages: 8, Runs: 2, Seed: 1})
 			})
 			check("sysbench", func() {
-				RunSysbench(SysbenchConfig{Mode: Safe, Threads: 2, HotPages: 64, WritesPerSync: 4, Syncs: 2, ComputePerWrite: 1000, Seed: 1})
+				RunSysbench(SysbenchConfig{Base: base, Mode: Safe, Threads: 2, HotPages: 64, WritesPerSync: 4, Syncs: 2, ComputePerWrite: 1000, Seed: 1})
 			})
 			check("apache", func() {
-				RunApache(ApacheConfig{Mode: Safe, Cores: 2, RequestsPerCore: 4, FilePages: 2, ParseCycles: 5000, SendCycles: 5000, Seed: 1})
+				RunApache(ApacheConfig{Base: base, Mode: Safe, Cores: 2, RequestsPerCore: 4, FilePages: 2, ParseCycles: 5000, SendCycles: 5000, Seed: 1})
 			})
 			check("ackprobe", func() {
-				RunAckProbe(AckProbeConfig{Mode: Safe, Iterations: 4, Seed: 1})
+				RunAckProbe(AckProbeConfig{Base: base, Mode: Safe, Iterations: 4, Seed: 1})
 			})
 			check("microstats", func() {
-				RunMicroWithStats(MicroConfig{Mode: Safe, PTEs: 1, Iterations: 5, Warmup: 1, Seed: 1})
+				RunMicroWithStats(MicroConfig{Base: base, Mode: Safe, PTEs: 1, Iterations: 5, Warmup: 1, Seed: 1})
 			})
 			check("contention", func() {
-				RunContention(ContentionConfig{Mode: Safe, Initiators: 2, Iterations: 4, Seed: 1})
+				RunContention(ContentionConfig{Base: base, Mode: Safe, Initiators: 2, Iterations: 4, Seed: 1})
 			})
 			check("lazyprobe", func() {
-				RunLazyProbe(Safe, core.Config{}, 1)
+				RunLazyProbe(base, Safe, core.Config{}, 1)
 			})
 			check("hwmsgprobe", func() {
-				RunHWMessageProbe(true, 1)
+				RunHWMessageProbe(base, true, 1)
 			})
 			check("paravirtprobe", func() {
-				RunParavirtProbe(true, 4, 1)
+				RunParavirtProbe(base, true, 4, 1)
 			})
 			check("pcidprobe", func() {
-				RunPCIDProbe(true, 2, 8, 1)
+				RunPCIDProbe(base, true, 2, 8, 1)
 			})
 			check("daemonstorm", func() {
-				RunDaemonStorm(DaemonStormConfig{Mode: Safe, AppThreads: 2, Rounds: 10, Seed: 1})
+				RunDaemonStorm(DaemonStormConfig{Base: base, Mode: Safe, AppThreads: 2, Rounds: 10, Seed: 1})
 			})
 			check("server", func() {
-				RunServer(ServerConfig{Mode: Safe, TasksPerCPU: 1, Connections: 1 << 10,
+				RunServer(ServerConfig{Base: base, Mode: Safe, TasksPerCPU: 1, Connections: 1 << 10,
 					EventsPerTask: 4, RecycleEvery: 2, RemapEvery: 3, Recyclers: 2, Seed: 1})
 			})
 			check("scenarios", func() {
 				for _, s := range Scenarios() {
-					RunScenario(s, Safe, 1, spec)
+					RunScenario(base, s, Safe, 1)
 				}
 			})
 		})

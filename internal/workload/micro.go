@@ -18,6 +18,7 @@ const pg = pagetable.PageSize4K
 // region, touches PTEs pages, and madvises them away, while a responder
 // thread busy-waits on another CPU of the chosen placement.
 type MicroConfig struct {
+	Base      Template
 	Mode      Mode
 	Core      core.Config
 	Placement mach.Placement
@@ -83,7 +84,7 @@ func RunMicro(cfg MicroConfig) MicroResult {
 }
 
 func runMicroOnce(cfg MicroConfig, seed uint64) (initMean, respMean float64) {
-	w := NewWorld(cfg.Mode, cfg.Core, seed)
+	w := cfg.Base.boot(cfg.Mode, cfg.Core, seed)
 	defer w.Close()
 	return runMicroOn(w, cfg)
 }

@@ -12,6 +12,7 @@ import (
 // triggered either by madvise (tables kept, early ack allowed) or munmap
 // (tables freed, early ack suppressed).
 type AckProbeConfig struct {
+	Base       Template
 	Mode       Mode
 	Core       core.Config
 	UseMunmap  bool
@@ -32,7 +33,7 @@ func RunAckProbe(cfg AckProbeConfig) AckProbeResult {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 20
 	}
-	w := NewWorld(cfg.Mode, cfg.Core, cfg.Seed)
+	w := cfg.Base.boot(cfg.Mode, cfg.Core, cfg.Seed)
 	defer w.Close()
 	as := w.K.NewAddressSpace()
 	stop := false
@@ -86,7 +87,7 @@ func RunMicroWithStats(cfg MicroConfig) (MicroResult, uint64) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 50
 	}
-	w := NewWorld(cfg.Mode, cfg.Core, cfg.Seed)
+	w := cfg.Base.boot(cfg.Mode, cfg.Core, cfg.Seed)
 	defer w.Close()
 	initMean, respMean := runMicroOn(w, cfg)
 	return MicroResult{

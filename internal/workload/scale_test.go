@@ -13,9 +13,9 @@ import (
 // scale-out machines: on 256- and 512-CPU topologies, faults may change
 // when everything happens, never what the memory ends up being. Every
 // scenario's final-state digest under the light and heavy schedules must
-// match the fault-free run at the same width. Cells carry their topology
-// explicitly (RunScenarioTopo), so the whole sweep fans out under the
-// parallel scheduler without touching the package-wide override.
+// match the fault-free run at the same width. Each cell's template
+// carries its topology, so the whole sweep fans out under the parallel
+// scheduler.
 func TestScenariosMetamorphicWide(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wide-topology sweep is slow; run without -short")
@@ -44,14 +44,14 @@ func TestScenariosMetamorphicWide(t *testing.T) {
 			v.errs = append(v.errs, err.Error())
 			return v
 		}
-		base := RunScenarioTopo(c.s, Safe, 1, fault.Spec{}, topo)
+		base := RunScenario(Template{Topo: topo}, c.s, Safe, 1)
 		for _, name := range specs {
 			spec, ok := fault.Preset(name)
 			if !ok {
 				v.errs = append(v.errs, fmt.Sprintf("unknown preset %q", name))
 				continue
 			}
-			if d := RunScenarioTopo(c.s, Safe, 1, spec, topo); d != base {
+			if d := RunScenario(Template{Faults: spec, Topo: topo}, c.s, Safe, 1); d != base {
 				v.errs = append(v.errs, fmt.Sprintf("digest under %s faults = %s, fault-free = %s", name, d, base))
 			}
 		}

@@ -8,7 +8,6 @@ import (
 
 	"shootdown/internal/core"
 	"shootdown/internal/daemons"
-	"shootdown/internal/fault"
 	"shootdown/internal/kernel"
 	"shootdown/internal/mach"
 	"shootdown/internal/mm"
@@ -331,21 +330,13 @@ func StateDigest(spaces []*mm.AddressSpace) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// RunScenario boots a world with an explicit fault schedule under the
-// fully-optimized protocol, runs the scenario, and returns the
-// final-state digest (the engine is shut down before returning). This is
-// the metamorphic primitive: for any (mode, seed), the digest must be
-// identical across all fault schedules.
-func RunScenario(s Scenario, mode Mode, seed uint64, spec fault.Spec) string {
-	return RunScenarioTopo(s, mode, seed, spec, effectiveTopology())
-}
-
-// RunScenarioTopo is RunScenario on an explicit machine topology: the
-// wide-topology metamorphic suite sweeps 256- and 512-CPU machines
-// through it concurrently, which the package-wide SetTopology override
-// (pool-idle precondition) could not express.
-func RunScenarioTopo(s Scenario, mode Mode, seed uint64, spec fault.Spec, topo mach.Topology) string {
-	w := mustBoot(Machine{Mode: mode, Core: core.All(), Seed: seed, Faults: spec, Topo: topo})
+// RunScenario boots base under the fully-optimized protocol, runs the
+// scenario, and returns the final-state digest (the engine is shut down
+// before returning). This is the metamorphic primitive: for any (mode,
+// seed) on one topology, the digest must be identical across all fault
+// schedules.
+func RunScenario(base Template, s Scenario, mode Mode, seed uint64) string {
+	w := base.boot(mode, core.All(), seed)
 	defer w.Close()
 	spaces := s.Run(w)
 	return StateDigest(spaces)

@@ -51,9 +51,9 @@ func TestScenariosMetamorphic(t *testing.T) {
 	got := sched.Collect(len(cells), func(i int) verdict {
 		c := cells[i]
 		v := verdict{name: fmt.Sprintf("%s/%s/seed=%d", c.s.Name, c.mode, c.seed)}
-		base := RunScenario(c.s, c.mode, c.seed, fault.Spec{})
+		base := RunScenario(Template{}, c.s, c.mode, c.seed)
 		// Replay check: the same (seed, spec) must reproduce itself.
-		if again := RunScenario(c.s, c.mode, c.seed, fault.Spec{}); again != base {
+		if again := RunScenario(Template{}, c.s, c.mode, c.seed); again != base {
 			v.errs = append(v.errs, fmt.Sprintf("fault-free run not reproducible: %s vs %s", base, again))
 		}
 		for _, name := range specs {
@@ -62,7 +62,7 @@ func TestScenariosMetamorphic(t *testing.T) {
 				v.errs = append(v.errs, fmt.Sprintf("unknown preset %q", name))
 				continue
 			}
-			if d := RunScenario(c.s, c.mode, c.seed, spec); d != base {
+			if d := RunScenario(Template{Faults: spec}, c.s, c.mode, c.seed); d != base {
 				v.errs = append(v.errs, fmt.Sprintf("digest under %s faults = %s, fault-free = %s", name, d, base))
 			}
 		}
@@ -115,7 +115,7 @@ func runOneShootdown(w *World) (initiatorDone bool) {
 // flush request whose IPI was lost and never re-sent.
 func TestBrokenNoRetryCaughtExactlyOnce(t *testing.T) {
 	spec := mustPreset(t, "broken")
-	w := NewFaultWorld(Safe, core.All(), 7, spec)
+	w := Template{Faults: spec}.boot(Safe, core.All(), 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
 	if runOneShootdown(w) {
@@ -139,7 +139,7 @@ func TestBrokenNoRetryCaughtExactlyOnce(t *testing.T) {
 // lands, and the sanitizer sees a fully acknowledged protocol.
 func TestRecoveryRedeliversDroppedKick(t *testing.T) {
 	spec := fault.Spec{DropP: 1}
-	w := NewFaultWorld(Safe, core.All(), 7, spec)
+	w := Template{Faults: spec}.boot(Safe, core.All(), 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
 	if !runOneShootdown(w) {
@@ -173,7 +173,7 @@ func TestScenariosOracleCleanUnderFaults(t *testing.T) {
 	for _, s := range Scenarios() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			w := NewFaultWorld(Safe, core.All(), 3, spec)
+			w := Template{Faults: spec}.boot(Safe, core.All(), 3)
 			defer w.Close()
 			chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
 			det := race.New(w.Eng)

@@ -19,10 +19,11 @@ import (
 // traffic (buffer recycling via MADV_DONTNEED and mapping churn via
 // munmap), not task-switch overhead.
 type ServerConfig struct {
+	Base Template
 	Mode Mode
 	Core core.Config
-	// Topo is the machine; the zero value uses the package-wide
-	// topology (default: the paper's 56-CPU testbed).
+	// Topo, when nonzero, replaces Base's topology: the scale sweep and
+	// the benchmark set each cell's machine width here.
 	Topo mach.Topology
 	// TasksPerCPU workers are spawned on every logical CPU.
 	TasksPerCPU int
@@ -120,14 +121,14 @@ func RunServer(cfg ServerConfig) ServerResult {
 	if cfg.ProcessCycles == 0 {
 		cfg.ProcessCycles = 3000
 	}
-	topo := cfg.Topo
-	if topo == (mach.Topology{}) {
-		topo = effectiveTopology()
+	base := cfg.Base
+	if cfg.Topo != (mach.Topology{}) {
+		base.Topo = cfg.Topo
 	}
-	w := mustBoot(Machine{Mode: cfg.Mode, Core: cfg.Core, Seed: cfg.Seed, Faults: worldFaults, Topo: topo})
+	w := base.boot(cfg.Mode, cfg.Core, cfg.Seed)
 	defer w.Close()
 
-	numCPUs := topo.NumCPUs()
+	numCPUs := w.K.Topo.NumCPUs()
 	tasks := numCPUs * cfg.TasksPerCPU
 	if cfg.Connections < tasks {
 		cfg.Connections = tasks

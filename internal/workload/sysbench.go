@@ -14,6 +14,7 @@ import (
 // call fdatasync, whose writeback write-protects the dirty pages and
 // triggers TLB shootdowns to every thread of the process.
 type SysbenchConfig struct {
+	Base Template
 	Mode Mode
 	Core core.Config
 	// Threads is the worker count; all are pinned to one NUMA node, as in
@@ -66,7 +67,7 @@ func RunSysbench(cfg SysbenchConfig) SysbenchResult {
 	if cfg.HotPages <= 0 {
 		cfg.HotPages = 2048
 	}
-	w := NewWorld(cfg.Mode, cfg.Core, cfg.Seed)
+	w := cfg.Base.boot(cfg.Mode, cfg.Core, cfg.Seed)
 	defer w.Close()
 	as := w.K.NewAddressSpace()
 	// A 3 GiB file as in the paper; only the hot region is ever touched.

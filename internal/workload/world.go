@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 
 	"shootdown/internal/core"
@@ -50,8 +51,9 @@ func (m Mode) String() string {
 // included. Hooks must be observational: they may install observers but
 // not advance simulated time.
 //
-// Writes go through SetBootHook's save/restore discipline, proven
-// whole-program by the ssa tier's parallelsafe analyzer.
+// It is the package's one mutable global. Writes go through SetBootHook's
+// save/restore discipline, proven whole-program by the ssa tier's
+// parallelsafe analyzer.
 var bootHook func(*World)
 
 // SetBootHook installs fn as the world boot hook and returns a restore
@@ -62,81 +64,41 @@ func SetBootHook(fn func(*World)) (restore func()) {
 	return func() { bootHook = prev }
 }
 
-// worldFaults is the fault schedule applied to every world booted through
-// NewWorld and the extension probes (the zero Spec injects nothing). It
-// parameterizes whole suites — experiments, tlbcheck — without threading
-// a spec through every cell constructor.
-//
-// Writes go through SetFaultSpec's save/restore discipline, proven
-// whole-program by the ssa tier's parallelsafe analyzer.
-var worldFaults fault.Spec
-
-// SetFaultSpec installs spec as the schedule for every subsequently booted
-// world and returns a restore function reinstating the previous one.
-func SetFaultSpec(spec fault.Spec) (restore func()) {
-	prev := worldFaults
-	worldFaults = spec
-	return func() { worldFaults = prev }
+// Template is the machine a whole suite shares: what the -faults, -topo
+// and -tlbmode flags of tlbsim and tlbcheck describe. Every runner boots
+// its config's template with the run's own mode, protocol config, seed
+// and kernel knobs, so differently shaped suites can run side by side.
+// The zero Template is the paper's testbed, unfaulted, with every config
+// keeping its own dispatch tier.
+type Template struct {
+	// Faults is the fault schedule (the zero Spec injects nothing). The
+	// plane is keyed by the run's seed, so (Seed, Faults) fully
+	// determines the machine's behaviour.
+	Faults fault.Spec
+	// Topo is the machine layout; the zero Topology is the paper's
+	// 56-CPU testbed, mach.DefaultTopology().
+	Topo mach.Topology
+	// TLBMode overrides the shootdown dispatch tier: "" leaves each
+	// config as built, "sync" clears the async fabric knobs, "async" sets
+	// AsyncShootdown — except on configs carrying SerializedIPIs or
+	// LazyRemote, which model competing dispatch disciplines and keep
+	// their own tier. CheckTLBMode rejects any other value.
+	TLBMode string
 }
 
-// worldTLBMode overrides the shootdown dispatch tier of every world Boot
-// assembles: "" leaves configs as built, "sync" clears the async fabric
-// knobs, "async" sets AsyncShootdown — except on configs carrying
-// SerializedIPIs or LazyRemote, which model competing dispatch
-// disciplines and keep their own tier. The -tlbmode flag of tlbsim and
-// tlbcheck lands here.
-//
-// Writes go through SetTLBMode's save/restore discipline, proven
-// whole-program by the ssa tier's parallelsafe analyzer.
-var worldTLBMode string
-
-// SetTLBMode installs the package-wide dispatch-tier override ("", "sync"
-// or "async") and returns a restore function reinstating the previous one.
-func SetTLBMode(mode string) (restore func()) {
-	prev := worldTLBMode
-	worldTLBMode = mode
-	return func() { worldTLBMode = prev }
-}
-
-// applyTLBMode rewrites cfg per the package-wide override.
-func applyTLBMode(cfg core.Config) core.Config {
-	switch worldTLBMode {
-	case "sync":
-		cfg.AsyncShootdown = false
-		cfg.BrokenAckBeforeDrain = false
-	case "async":
-		if !cfg.SerializedIPIs && !cfg.LazyRemote {
-			cfg.AsyncShootdown = true
-		}
+// CheckTLBMode reports an error for a dispatch-tier override other than
+// "", "sync" or "async". Boot and the -tlbmode flags share it.
+func CheckTLBMode(mode string) error {
+	switch mode {
+	case "", "sync", "async":
+		return nil
 	}
-	return cfg
+	return errors.New("-tlbmode must be sync or async")
 }
 
-// worldTopology overrides the machine layout of every world booted
-// through NewWorld/NewFaultWorld and the extension probes; the zero
-// Topology means mach.DefaultTopology(). The -topo flag of tlbsim lands
-// here; the scale experiment instead passes each cell's topology
-// explicitly (ServerConfig.Topo), so its widths run concurrently.
-//
-// Writes go through SetTopology's save/restore discipline, proven
-// whole-program by the ssa tier's parallelsafe analyzer.
-var worldTopology mach.Topology
-
-// SetTopology installs the package-wide machine layout for every
-// subsequently booted world and returns a restore function reinstating
-// the previous one. The zero Topology restores the default machine.
-func SetTopology(topo mach.Topology) (restore func()) {
-	prev := worldTopology
-	worldTopology = topo
-	return func() { worldTopology = prev }
-}
-
-// effectiveTopology resolves the package-wide override.
-func effectiveTopology() mach.Topology {
-	if worldTopology == (mach.Topology{}) {
-		return mach.DefaultTopology()
-	}
-	return worldTopology
+// boot boots t with one run's mode, protocol config and seed.
+func (t Template) boot(mode Mode, cfg core.Config, seed uint64) *World {
+	return MustBoot(Machine{Base: t, Mode: mode, Core: cfg, Seed: seed})
 }
 
 // Close shuts the world's engine down, unwinding every parked process
@@ -144,35 +106,22 @@ func effectiveTopology() mach.Topology {
 // the last read of simulation state; the world is unusable afterwards.
 func (w *World) Close() { w.Eng.Shutdown() }
 
-// NewWorld boots a machine with the given safety mode and protocol config,
-// under the package-wide fault schedule (none by default).
+// NewWorld boots the zero Template, the paper's unfaulted testbed, with
+// the given safety mode, protocol config and seed.
 func NewWorld(mode Mode, cfg core.Config, seed uint64) *World {
-	return NewFaultWorld(mode, cfg, seed, worldFaults)
-}
-
-// NewFaultWorld boots a machine with an explicit fault schedule, bypassing
-// the package-wide spec (so cells with different schedules can run
-// concurrently).
-func NewFaultWorld(mode Mode, cfg core.Config, seed uint64, spec fault.Spec) *World {
-	return mustBoot(Machine{Mode: mode, Core: cfg, Seed: seed, Faults: spec, Topo: effectiveTopology()})
+	return Template{}.boot(mode, cfg, seed)
 }
 
 // Machine is everything that determines a booted machine. Boot is the one
 // place a Machine becomes a running World: every simulated machine in the
 // repository is assembled there.
 type Machine struct {
+	// Base is the suite-wide part: fault schedule, topology and
+	// dispatch-tier override.
+	Base Template
 	Mode Mode
 	Core core.Config
 	Seed uint64
-	// Faults is the fault schedule (the zero Spec injects nothing). The
-	// plane is keyed by Seed, so (Seed, Faults) fully determines the
-	// machine's behaviour.
-	Faults fault.Spec
-	// Topo is the machine layout; Boot rejects an invalid one, the zero
-	// Topology included. Differently sized machines can boot concurrently
-	// under the parallel scheduler, which the package-wide SetTopology
-	// override (pool-idle precondition) cannot express.
-	Topo mach.Topology
 	// Kernel carries the kernel knobs no protocol config implies (nested
 	// paging, the §7 fracture hint, PCIDs); its zero value is the default
 	// kernel. Boot sets PTI from Mode and the SMP layout
@@ -181,31 +130,47 @@ type Machine struct {
 	Kernel kernel.Config
 }
 
-// Boot assembles and starts the machine m describes: engine, the
-// package-wide dispatch-tier override, kernel, flusher, fault plane, CPU
-// run loops, then the boot hook. Tools that attach their own checkers or
-// recorders do so on the returned World, before running its engine. Boot
-// returns an error for an invalid topology or a protocol config the
-// flusher rejects.
+// Boot assembles and starts the machine m describes: engine, kernel,
+// flusher under the template's tier override, fault plane, CPU run loops,
+// then the boot hook. Tools that attach their own checkers or recorders
+// do so on the returned World, before running its engine. Boot returns an
+// error for an invalid topology or tier override, or a protocol config
+// the flusher rejects.
 func Boot(m Machine) (*World, error) {
-	if err := m.Topo.Validate(); err != nil {
+	topo := m.Base.Topo
+	if topo == (mach.Topology{}) {
+		topo = mach.DefaultTopology()
+	}
+	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := applyTLBMode(m.Core)
+	if err := CheckTLBMode(m.Base.TLBMode); err != nil {
+		return nil, err
+	}
+	cfg := m.Core
+	switch m.Base.TLBMode {
+	case "sync":
+		cfg.AsyncShootdown = false
+		cfg.BrokenAckBeforeDrain = false
+	case "async":
+		if !cfg.SerializedIPIs && !cfg.LazyRemote {
+			cfg.AsyncShootdown = true
+		}
+	}
 	kcfg := m.Kernel
 	kcfg.PTI = bool(m.Mode)
 	kcfg.ConsolidatedCachelines = cfg.CachelineConsolidation
 	kcfg.HWMessageIPI = cfg.HWMessageIPI
 	eng := sim.NewEngine(m.Seed)
-	k := kernel.New(eng, m.Topo, mach.DefaultCosts(), kcfg)
+	k := kernel.New(eng, topo, mach.DefaultCosts(), kcfg)
 	f, err := core.NewFlusher(k, cfg)
 	if err != nil {
 		return nil, err
 	}
 	k.SetFlusher(f)
 	w := &World{Eng: eng, K: k, F: f}
-	if !m.Faults.Zero() || m.Faults.NoRetry {
-		w.Fault = fault.New(m.Seed, m.Faults)
+	if faults := m.Base.Faults; !faults.Zero() || faults.NoRetry {
+		w.Fault = fault.New(m.Seed, faults)
 		k.SetFaultPlane(w.Fault)
 	}
 	k.Start()
@@ -215,9 +180,10 @@ func Boot(m Machine) (*World, error) {
 	return w, nil
 }
 
-// mustBoot is Boot for the package's own workloads, whose machines are
-// valid by construction: an error there is a bug, so it panics.
-func mustBoot(m Machine) *World {
+// MustBoot is Boot for machines valid by construction, such as the
+// package's own workloads and the experiment cells: an error there is a
+// bug, so it panics.
+func MustBoot(m Machine) *World {
 	w, err := Boot(m)
 	if err != nil {
 		panic(fmt.Sprintf("workload: %v", err))

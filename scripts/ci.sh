@@ -184,4 +184,19 @@ if [ "$scale_elapsed" -ge 120 ]; then
     exit 1
 fi
 
+# Machine template: -topo, -tlbmode and -faults fill the one template
+# (workload.Template) every experiment cell boots, so the whole quick
+# suite runs on a 32-CPU async machine under the light schedule. As
+# everywhere, the report must be byte-identical at any worker count.
+echo "==> tlbsim -exp all -topo 2x8x2 -tlbmode async -faults light (-parallel 1 vs 8)"
+template_flags="-exp all -quick -topo 2x8x2 -tlbmode async -faults light"
+go run ./cmd/tlbsim $template_flags -parallel 1 > TEMPLATE_1.txt
+go run ./cmd/tlbsim $template_flags -parallel 8 > TEMPLATE_8.txt
+if ! cmp -s TEMPLATE_1.txt TEMPLATE_8.txt; then
+    echo "template gate: output differs between -parallel 1 and -parallel 8"
+    diff TEMPLATE_1.txt TEMPLATE_8.txt || true
+    exit 1
+fi
+rm -f TEMPLATE_1.txt TEMPLATE_8.txt
+
 echo "CI: all gates passed"

@@ -84,30 +84,23 @@ func AllGeneral() Config { return core.AllGeneral() }
 // AllOptimizations enables everything in the paper.
 func AllOptimizations() Config { return core.All() }
 
-// Option configures NewMachine.
-type Option func(*machineOpts)
-
-type machineOpts struct {
-	mode Mode
-	cfg  Config
-	seed uint64
-	topo mach.Topology
-}
+// Option configures NewMachine by writing the machine it boots.
+type Option func(*workload.Machine)
 
 // WithMode selects safe/unsafe operation (default Safe).
-func WithMode(m Mode) Option { return func(o *machineOpts) { o.mode = m } }
+func WithMode(m Mode) Option { return func(o *workload.Machine) { o.Mode = m } }
 
 // WithConfig selects the protocol optimizations (default baseline).
-func WithConfig(c Config) Option { return func(o *machineOpts) { o.cfg = c } }
+func WithConfig(c Config) Option { return func(o *workload.Machine) { o.Core = c } }
 
 // WithSeed sets the deterministic simulation seed (default 1).
-func WithSeed(s uint64) Option { return func(o *machineOpts) { o.seed = s } }
+func WithSeed(s uint64) Option { return func(o *workload.Machine) { o.Seed = s } }
 
 // WithTopology overrides the machine layout (default: 2 sockets x 14
 // cores x 2 SMT threads, the paper's testbed).
 func WithTopology(sockets, coresPerSocket, threadsPerCore int) Option {
-	return func(o *machineOpts) {
-		o.topo = mach.Topology{Sockets: sockets, CoresPerSocket: coresPerSocket, ThreadsPerCore: threadsPerCore}
+	return func(o *workload.Machine) {
+		o.Base.Topo = mach.Topology{Sockets: sockets, CoresPerSocket: coresPerSocket, ThreadsPerCore: threadsPerCore}
 	}
 }
 
@@ -119,11 +112,16 @@ type Machine struct {
 // NewMachine boots a machine. It returns an error for an invalid topology
 // or an unsupported protocol config.
 func NewMachine(opts ...Option) (*Machine, error) {
-	o := machineOpts{mode: Safe, seed: 1, topo: mach.DefaultTopology()}
+	o := workload.Machine{Base: workload.Template{Topo: mach.DefaultTopology()}, Mode: Safe, Seed: 1}
 	for _, fn := range opts {
 		fn(&o)
 	}
-	w, err := workload.Boot(workload.Machine{Mode: o.mode, Core: o.cfg, Seed: o.seed, Topo: o.topo})
+	// Boot reads a zero topology as the default machine; here only
+	// WithTopology(0, 0, 0) can leave one, and that is invalid.
+	if err := o.Base.Topo.Validate(); err != nil {
+		return nil, err
+	}
+	w, err := workload.Boot(o)
 	if err != nil {
 		return nil, err
 	}
