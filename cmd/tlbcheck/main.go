@@ -50,7 +50,7 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-experiment progress")
 		parallel  = flag.Int("parallel", 0, "experiment-cell worker count (0 = GOMAXPROCS); reports are identical at any setting")
 		faults    = flag.String("faults", "none", "fault schedule for every simulated machine: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides, e.g. 'light,drop=0.3'")
-		tlbmode   = flag.String("tlbmode", "", "shootdown dispatch tier override for every cell: sync or async (default: as each experiment configures)")
+		tlbmode   = flag.String("tlbmode", "", "shootdown dispatch tier override for every cell except the async and scale sweeps, which compare the tiers: sync or async (default: as each experiment configures)")
 		profiles  = prof.Register(flag.CommandLine)
 	)
 	flag.Parse()

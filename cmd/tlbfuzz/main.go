@@ -27,7 +27,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"shootdown/internal/core"
@@ -39,7 +38,6 @@ import (
 	"shootdown/internal/pagetable"
 	"shootdown/internal/race"
 	"shootdown/internal/sanitizer"
-	"shootdown/internal/sanitizer/ssa"
 	"shootdown/internal/sched"
 	"shootdown/internal/sim"
 	"shootdown/internal/syscalls"
@@ -123,37 +121,10 @@ func main() {
 		}
 	}
 	if failures > 0 {
-		printSuppressionAudit()
 		fmt.Fprintf(os.Stderr, "tlbfuzz: %d/%d runs violated coherence\n", failures, len(seeds))
 		os.Exit(1)
 	}
 	fmt.Printf("tlbfuzz: %d runs, coherence held in all\n", len(seeds))
-}
-
-// printSuppressionAudit cross-references failures with the static tier:
-// its analyzers may hold findings that were deliberately silenced with
-// "obligation-transferred:", "lock-free-by-design:" or
-// "bounded-by-design:" markers. A coherence violation whose path runs
-// through one of those sites means the marker's justification is wrong —
-// the analyzer saw the problem and was told to stand down. Best-effort:
-// when the module source is not reachable from the working directory the
-// audit is skipped (the fuzz failure itself is the headline).
-func printSuppressionAudit() {
-	if res, err := ssa.Check(); err == nil {
-		writeSuppressionAudit(os.Stderr, res.Suppressions)
-	}
-}
-
-// writeSuppressionAudit prints one audit line per suppression, under a
-// header; nothing when the tier holds no suppressions.
-func writeSuppressionAudit(w io.Writer, sups []ssa.Suppression) {
-	if len(sups) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "note: the static tier holds %d suppressed finding(s); if a violating seed's path runs through one, its marker is wrong:\n", len(sups))
-	for _, s := range sups {
-		fmt.Fprintf(w, "  %s:%d: %s suppressed: %s\n", s.File, s.Line, s.Analyzer, s.Reason)
-	}
 }
 
 func randomConfig(r *sim.Rand, tlbmode string) core.Config {

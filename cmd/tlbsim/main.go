@@ -35,7 +35,7 @@ func main() {
 		list     = flag.Bool("list", false, "list available experiments")
 		parallel = flag.Int("parallel", 0, "experiment-cell worker count (0 = GOMAXPROCS); output is identical at any setting")
 		faults   = flag.String("faults", "none", "fault schedule for every simulated machine: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides")
-		tlbmode  = flag.String("tlbmode", "", "shootdown dispatch tier override for every cell: sync or async (default: as each experiment configures)")
+		tlbmode  = flag.String("tlbmode", "", "shootdown dispatch tier override for every cell except the async and scale sweeps, which compare the tiers: sync or async (default: as each experiment configures)")
 		topo     = flag.String("topo", "", "machine topology for every cell: 'default', a preset CPU count (56, 256, 512, 1024) or SxCxT[xN] (default: the paper's 56-CPU testbed)")
 		profiles = prof.Register(flag.CommandLine)
 	)

@@ -10,8 +10,8 @@
 //   - observerpurity: hooks mutating observed or package-level state,
 //     including through mutating method calls and local aliases
 //   - flushobligation: every restrictive page-table mutation's returned
-//     mm.FlushRange must reach a shootdown discharge on every path, be
-//     returned to the caller, or carry an "obligation-transferred:" marker
+//     mm.FlushRange must reach a shootdown discharge on every path or be
+//     returned to the caller
 //   - lockorder: static lockdep — acquisition-order cycles between
 //     mm.RWSem lock classes anywhere in the call graph
 //   - ipistate: typestate DFA for the shootdown request lifecycle
@@ -37,7 +37,8 @@
 //     seeded BrokenCoalesceShrink coverage loss must surface as exactly
 //     one witness), callback-once and ring-entry well-formedness. The
 //     per-obligation statuses are the FABPROOF artifact
-//   - stalemarker: suppression markers nothing consumed are findings
+//
+// Every finding is unconditional: no source comment waives one.
 //
 // Output is sorted by file, line and analyzer, so it is byte-identical
 // from run to run; per-analyzer wall-clock timings appear only in a
@@ -48,7 +49,6 @@
 //
 //	tlbvet                  # vet the enclosing module
 //	tlbvet -json            # machine-readable report (CI artifact)
-//	tlbvet -suppressions    # also list documented suppressions
 //	tlbvet -xval FILE       # write the race cross-validation table
 //	tlbvet -fabproof FILE   # write the fabric obligation proof table
 //	tlbvet -only a,b        # run only the named analyzers
@@ -68,8 +68,7 @@ import (
 // report is the -json shape; field names are part of the CI contract
 // (ci.sh publishes it as VET_findings.json).
 type report struct {
-	Findings     []ssa.Finding     `json:"findings"`
-	Suppressions []ssa.Suppression `json:"suppressions"`
+	Findings []ssa.Finding `json:"findings"`
 	// Witnesses are expected rediscoveries of config-seeded faults (the
 	// lockset and fabproof cross-validation).
 	Witnesses []ssa.Finding `json:"witnesses"`
@@ -77,7 +76,7 @@ type report struct {
 	// entry with its static discharge status.
 	XVal []ssa.XValRow `json:"xval"`
 	// FabRows is the fabric obligation proof table: one row per fabproof
-	// obligation with its status (proven / waived / unproven).
+	// obligation with its status (proven / unproven).
 	FabRows []ssa.FabRow `json:"fabproof"`
 	// FuncsVisited records per-analyzer whole-program coverage, so
 	// dashboards can spot a silently narrowed walk.
@@ -89,7 +88,6 @@ type report struct {
 
 func main() {
 	var (
-		sups    = flag.Bool("suppressions", false, "list documented suppressions after findings")
 		jsonOut = flag.Bool("json", false, "emit the report as JSON on stdout")
 		xvalOut = flag.String("xval", "", "write the race cross-validation table (RACE_XVAL) to this file")
 		fabOut  = flag.String("fabproof", "", "write the fabric obligation proof table (FABPROOF) to this file")
@@ -111,7 +109,6 @@ func main() {
 	// Empty sections encode as [] rather than null in -json.
 	rep := report{
 		Findings:     append([]ssa.Finding{}, r.Findings...),
-		Suppressions: append([]ssa.Suppression{}, r.Suppressions...),
 		Witnesses:    append([]ssa.Finding{}, r.Witnesses...),
 		XVal:         r.XVal,
 		FabRows:      r.FabRows,
@@ -150,11 +147,6 @@ func main() {
 	}
 	for _, w := range rep.Witnesses {
 		fmt.Printf("%s:%d: %s: witness: %s\n", w.File, w.Line, w.Analyzer, w.Msg)
-	}
-	if *sups {
-		for _, s := range rep.Suppressions {
-			fmt.Printf("%s:%d: %s: suppressed: %s\n", s.File, s.Line, s.Analyzer, s.Reason)
-		}
 	}
 	printTimings(rep.TimingsMS)
 	if len(rep.Findings) > 0 {
@@ -207,8 +199,7 @@ func renderXVal(rep report) string {
 
 // renderFabproof formats the fabric obligation table published as
 // FABPROOF.txt: one row per fabproof obligation. CI fails on any
-// "unproven" row — a fabric invariant the numeric tier cannot discharge
-// and no bounded-by-design waiver covers.
+// "unproven" row — a fabric invariant the numeric tier cannot discharge.
 func renderFabproof(rep report) string {
 	var b strings.Builder
 	b.WriteString("# FABPROOF: static proof status of every async-fabric obligation\n")

@@ -1,0 +1,48 @@
+package main
+
+import (
+	"encoding/json"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestParseOnly: -only accepts registered analyzers, trimmed, and rejects
+// any name Analyzers does not list.
+func TestParseOnly(t *testing.T) {
+	names, err := parseOnly(" lockset,,fabproof ")
+	if err != nil || !reflect.DeepEqual(names, []string{"lockset", "fabproof"}) {
+		t.Fatalf("parseOnly = %v, %v; want [lockset fabproof]", names, err)
+	}
+	if names, err := parseOnly(""); err != nil || names != nil {
+		t.Fatalf("empty -only = %v, %v; want every analyzer (nil)", names, err)
+	}
+	for _, bad := range []string{"stalemarker", "lockset,stalemarker", "Lockset"} {
+		if _, err := parseOnly(bad); err == nil || !strings.Contains(err.Error(), "unknown analyzer") {
+			t.Errorf("parseOnly(%q) error = %v, want unknown analyzer", bad, err)
+		}
+	}
+}
+
+// TestJSONReportKeys pins the top-level keys of the -json report, which
+// CI publishes as VET_findings.json.
+func TestJSONReportKeys(t *testing.T) {
+	b, err := json.Marshal(report{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(b, &top); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range top {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"fabproof", "findings", "funcs_visited", "timings_ms", "witnesses", "xval"}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("report keys = %v, want %v", keys, want)
+	}
+}

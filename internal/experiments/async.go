@@ -31,8 +31,11 @@ func asyncTierConfigs() (syncCfg, asyncCfg core.Config) {
 // sweep shows it across thread counts on the writeback-heavy workload,
 // and the fault sweep proves the tier changes no final state while its
 // ring counters expose coalescing, overflow collapse and the watchdog's
-// rekick/degrade recovery under injected kick loss.
+// rekick/degrade recovery under injected kick loss. The sweep compares
+// the two tiers, so each cell keeps its own tier and the template's
+// -tlbmode override does not apply.
 func AsyncSweep(o Options) []*report.Table {
+	o.Base.TLBMode = ""
 	return []*report.Table{asyncMicroTable(o), asyncSysbenchTable(o), asyncFaultTable(o)}
 }
 

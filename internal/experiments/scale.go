@@ -18,9 +18,11 @@ import (
 // clusters and the ack wait touches hundreds of cache lines, which is
 // exactly where the cluster-fanned ICR writes and the per-cluster ack
 // aggregation (smp.ClusterAckStores) start to matter. Each cell boots the
-// suite's template with its own topology in place of the template's, so
-// the widths run side by side under the parallel scheduler.
+// suite's template with its own topology and tier in place of the
+// template's, so the widths run side by side under the parallel scheduler
+// and -tlbmode cannot collapse the two tiers into one.
 func ScaleSweep(o Options) []*report.Table {
+	o.Base.TLBMode = ""
 	cpus := []int{56, 256, 512}
 	syncCfg, asyncCfg := asyncTierConfigs()
 	tiers := []struct {

@@ -62,7 +62,7 @@ type costParam struct {
 	idx int // index into the signature's params
 }
 
-func checkCostLiteral(ctx *modCtx) ([]Finding, []Suppression) {
+func checkCostLiteral(ctx *modCtx) []Finding {
 	funcs := allFuncs(ctx.pkgs)
 
 	// Fixpoint: a parameter is cost-like when its function passes it whole
@@ -149,5 +149,5 @@ func checkCostLiteral(ctx *modCtx) ([]Finding, []Suppression) {
 			}
 		})
 	}
-	return out, nil
+	return out
 }

@@ -26,7 +26,7 @@ func inDeterminismScope(rel string) bool {
 	return !strings.HasPrefix(rel, "internal/sanitizer/") || strings.Contains(rel, "/testdata/")
 }
 
-func checkDeterminism(ctx *modCtx) ([]Finding, []Suppression) {
+func checkDeterminism(ctx *modCtx) []Finding {
 	var out []Finding
 	for _, p := range ctx.pkgs {
 		for i, f := range p.Files {
@@ -58,5 +58,5 @@ func checkDeterminism(ctx *modCtx) ([]Finding, []Suppression) {
 			}
 		}
 	}
-	return out, nil
+	return out
 }

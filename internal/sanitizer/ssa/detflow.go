@@ -81,7 +81,7 @@ type dfAnalysis struct {
 }
 
 // checkDetFlow runs the nondeterminism-taint analysis.
-func checkDetFlow(ctx *modCtx) ([]Finding, []Suppression) {
+func checkDetFlow(ctx *modCtx) []Finding {
 	a := &dfAnalysis{
 		ctx:         ctx,
 		prog:        ctx.program(),
@@ -132,7 +132,7 @@ func checkDetFlow(ctx *modCtx) ([]Finding, []Suppression) {
 		taint := a.localTaint(f)
 		a.reportSinks(f, taint, report)
 	})
-	return findings, nil
+	return findings
 }
 
 // localTaint computes the taint label of every value in f under the

@@ -42,11 +42,10 @@ package ssa
 // Fabrics are discovered structurally, not by name binding to one
 // package: a struct with a slice-typed ring field plus posted/acked
 // sequence counters and a full-flush flag is a fabric, so fixtures
-// exercise the prover with their own rings. Obligations the engine
-// cannot discharge can carry a "bounded-by-design:" waiver marker;
-// stalemarker flags any such marker nothing consumed. The per-obligation
-// rows (proven/waived/unproven) form the FABPROOF artifact CI fails on,
-// mirroring RACE_XVAL.
+// exercise the prover with their own rings. An obligation the engine
+// cannot discharge is a finding. The per-obligation rows
+// (proven/unproven) form the FABPROOF artifact CI fails on, mirroring
+// RACE_XVAL.
 
 import (
 	"fmt"
@@ -67,8 +66,8 @@ type FabRow struct {
 	Subject string
 	// Property is the one-line obligation statement.
 	Property string
-	// Status is "proven", "waived" (a bounded-by-design marker covers
-	// the failing site) or "unproven" (an undischarged finding; CI fails).
+	// Status is "proven" or "unproven" (an undischarged finding; CI
+	// fails).
 	Status string
 	// Detail is the one-line proof summary.
 	Detail string
@@ -219,24 +218,21 @@ type fabAnalysis struct {
 	sums *absSummaries
 
 	findings  []Finding
-	sups      []Suppression
 	witnesses []Finding
 	rows      []FabRow
 	reported  map[string]bool
 	rowBad    map[string]bool
-	rowWaived map[string]bool
 
 	// freedNeed collects post-call sites whose enclosing unit could not
 	// prove the freed-clear fact locally (phase-two caller propagation).
 	freedNeed map[*Func][]token.Pos
 }
 
-func checkFabproof(ctx *modCtx) ([]Finding, []Suppression) {
+func checkFabproof(ctx *modCtx) []Finding {
 	fa := &fabAnalysis{
 		ctx: ctx, prog: ctx.program(),
-		reported:  make(map[string]bool),
-		rowBad:    make(map[string]bool),
-		rowWaived: make(map[string]bool),
+		reported: make(map[string]bool),
+		rowBad:   make(map[string]bool),
 	}
 	fa.sums = newAbsSummaries(fa.prog)
 	visited := 0
@@ -255,7 +251,7 @@ func checkFabproof(ctx *modCtx) ([]Finding, []Suppression) {
 	ctx.fabRes = &fabResult{witnesses: fa.witnesses, rows: fa.rows}
 	sortFindings(fa.findings)
 	sortFindings(fa.witnesses)
-	return fa.findings, fa.sups
+	return fa.findings
 }
 
 // --- discovery ---
@@ -1253,8 +1249,7 @@ func blockPos(b *IRBlock, f *Func) token.Pos {
 	return pos
 }
 
-// problem records one obligation failure: waived into a suppression when
-// a "bounded-by-design:" marker covers the line, a finding otherwise.
+// problem records one obligation failure as a finding.
 func (fa *fabAnalysis) problem(fb *fabric, prop string, f *Func, pos token.Pos, format string, args ...any) {
 	rk := prop + "|" + fb.subject(prop)
 	file, line := "internal/smp/fabric.go", 1
@@ -1267,13 +1262,6 @@ func (fa *fabAnalysis) problem(fb *fabric, prop string, f *Func, pos token.Pos, 
 		return
 	}
 	fa.reported[key] = true
-	if reason, ok := fa.ctx.fabMarkerFor(file, line); ok {
-		fa.sups = append(fa.sups, Suppression{
-			File: file, Line: line, Analyzer: "fabproof", Reason: reason,
-		})
-		fa.rowWaived[rk] = true
-		return
-	}
 	fa.findings = append(fa.findings, Finding{
 		File: file, Line: line, Analyzer: "fabproof", Msg: msg,
 	})
@@ -1285,9 +1273,6 @@ func (fa *fabAnalysis) appendRows(fb *fabric, c *fabCounts) {
 		subject := fb.subject(prop)
 		rk := prop + "|" + subject
 		status := "proven"
-		if fa.rowWaived[rk] {
-			status = "waived"
-		}
 		if fa.rowBad[rk] {
 			status = "unproven"
 		}

@@ -27,8 +27,6 @@ import (
 //   - It is RELEASED on paths where no flush is needed: the error edge of
 //     the paired error result, the true edge of fr.Empty(), panicking
 //     paths, and — per element — a `range` over an obligation slice.
-//   - A `// obligation-transferred: <why>` marker on or above the
-//     creating line waives the check and is recorded as a Suppression.
 //
 // Any path from a creation to the function's exit with the obligation
 // still live is a finding: a restrictive PTE change some interleaving can
@@ -101,7 +99,7 @@ func (d dischargeSet) mark(fn *types.Func, idx int) bool {
 func (d dischargeSet) has(fn *types.Func, idx int) bool { return fn != nil && d[fn][idx] }
 
 // checkFlushObligation runs the analyzer over the whole module.
-func checkFlushObligation(ctx *modCtx) ([]Finding, []Suppression) {
+func checkFlushObligation(ctx *modCtx) []Finding {
 	funcs := allFuncs(ctx.pkgs)
 	discharging := seedDischargers(ctx)
 
@@ -112,7 +110,7 @@ func checkFlushObligation(ctx *modCtx) ([]Finding, []Suppression) {
 	for changed := true; changed; {
 		changed = false
 		for _, c := range candidates {
-			leaks := analyzeObligations(ctx, c.fd, c.seedIdx, discharging, nil, nil)
+			leaks := analyzeObligations(ctx, c.fd, c.seedIdx, discharging, nil)
 			for _, idx := range c.seedIdx {
 				if !leaks[idx] && discharging.mark(c.fd.Obj, idx) {
 					changed = true
@@ -126,16 +124,15 @@ func checkFlushObligation(ctx *modCtx) ([]Finding, []Suppression) {
 	// kernelSection body runs later with its own control flow; its
 	// obligations are not the installing function's).
 	var findings []Finding
-	var sups []Suppression
 	for _, fd := range funcs {
-		analyzeObligations(ctx, fd, nil, discharging, &findings, &sups)
+		analyzeObligations(ctx, fd, nil, discharging, &findings)
 		for _, lit := range funcLitsIn(fd.Decl.Body) {
-			a := newOblAnalysis(ctx, fd, discharging, &findings, &sups)
+			a := newOblAnalysis(ctx, fd, discharging, &findings)
 			a.unitName = "the function literal in " + fd.Decl.Name.Name
 			a.analyzeBody(lit.Body, nil)
 		}
 	}
-	return findings, sups
+	return findings
 }
 
 // funcLitsIn lists every function literal nested anywhere in body.
@@ -234,7 +231,6 @@ type oblAnalysis struct {
 	info        *types.Info
 	discharging dischargeSet
 	findings    *[]Finding
-	sups        *[]Suppression
 	// unitName names the analyzed body in exit-leak reports (the declared
 	// function, or "the function literal in <func>").
 	unitName string
@@ -245,20 +241,20 @@ type oblAnalysis struct {
 	leaks map[int]bool
 }
 
-func newOblAnalysis(ctx *modCtx, fd FuncDecl, discharging dischargeSet, findings *[]Finding, sups *[]Suppression) *oblAnalysis {
+func newOblAnalysis(ctx *modCtx, fd FuncDecl, discharging dischargeSet, findings *[]Finding) *oblAnalysis {
 	return &oblAnalysis{
 		ctx: ctx, fd: fd, info: fd.Pkg.Info, discharging: discharging,
-		findings: findings, sups: sups, unitName: fd.Decl.Name.Name,
+		findings: findings, unitName: fd.Decl.Name.Name,
 		seen: make(map[string]bool), leaks: make(map[int]bool),
 	}
 }
 
 // analyzeObligations runs the must-discharge dataflow over fd. seedIdx,
 // when non-empty, seeds the listed FlushRange parameters as obligations
-// (summary mode: findings/sups are nil and the leaked indices are
-// returned). In reporting mode findings and suppressions are appended.
-func analyzeObligations(ctx *modCtx, fd FuncDecl, seedIdx []int, discharging dischargeSet, findings *[]Finding, sups *[]Suppression) map[int]bool {
-	a := newOblAnalysis(ctx, fd, discharging, findings, sups)
+// (summary mode: findings is nil and the leaked indices are returned). In
+// reporting mode findings are appended.
+func analyzeObligations(ctx *modCtx, fd FuncDecl, seedIdx []int, discharging dischargeSet, findings *[]Finding) map[int]bool {
+	a := newOblAnalysis(ctx, fd, discharging, findings)
 	entry := make(oblState)
 	sig := fd.Obj.Type().(*types.Signature)
 	for _, idx := range seedIdx {
@@ -463,11 +459,6 @@ func (a *oblAnalysis) birth(call *ast.CallExpr, lhs []ast.Expr, positions []int,
 	file, line := a.fileRel(call.Pos()), pos.Line
 	desc := callDesc(call)
 
-	if reason, ok := a.ctx.markerFor(file, line); ok {
-		a.suppress(file, line, reason)
-		return
-	}
-
 	sig := calleeFunc(a.info, call).Type().(*types.Signature)
 	// Pair the error result's variable, if the call returns one.
 	var errVar *types.Var
@@ -484,7 +475,7 @@ func (a *oblAnalysis) birth(call *ast.CallExpr, lhs []ast.Expr, positions []int,
 		ob := &obligation{file: file, line: line, desc: desc, errVar: errVar, paramIdx: -1}
 		lv := identObj(a.info, lhs[i])
 		if lv == nil || lv.Name() == "_" {
-			a.report(ob, fmt.Sprintf("flush obligation from %s is discarded; pass it to the Flusher, return it, or document why with an %q marker", desc, transferMarker))
+			a.report(ob, fmt.Sprintf("flush obligation from %s is discarded; pass it to the Flusher or return it", desc))
 			continue
 		}
 		st[lv] = ob
@@ -513,12 +504,8 @@ func (a *oblAnalysis) scanCalls(n ast.Node, st oblState, consumed bool) {
 		a.dischargeCallArgs(call, st)
 		if positions := a.creationResults(call); positions != nil && call != rootCall {
 			file, line := a.fileRel(call.Pos()), a.ctx.m.Fset.Position(call.Pos()).Line
-			if reason, ok := a.ctx.markerFor(file, line); ok {
-				a.suppress(file, line, reason)
-			} else {
-				ob := &obligation{file: file, line: line, desc: callDesc(call), paramIdx: -1}
-				a.report(ob, fmt.Sprintf("flush obligation from %s is discarded; pass it to the Flusher, return it, or document why with an %q marker", ob.desc, transferMarker))
-			}
+			ob := &obligation{file: file, line: line, desc: callDesc(call), paramIdx: -1}
+			a.report(ob, fmt.Sprintf("flush obligation from %s is discarded; pass it to the Flusher or return it", ob.desc))
 		}
 		return true
 	})
@@ -598,8 +585,8 @@ func (a *oblAnalysis) leak(ob *obligation) {
 		a.leaks[ob.paramIdx] = true
 		return
 	}
-	a.report(ob, fmt.Sprintf("flush obligation from %s may reach %s's exit undischarged: some path performs a restrictive page-table mutation without a TLB shootdown (pass the FlushRange to the Flusher, return it, or add an %q marker)",
-		ob.desc, a.unitName, transferMarker))
+	a.report(ob, fmt.Sprintf("flush obligation from %s may reach %s's exit undischarged: some path performs a restrictive page-table mutation without a TLB shootdown (pass the FlushRange to the Flusher or return it)",
+		ob.desc, a.unitName))
 }
 
 func (a *oblAnalysis) report(ob *obligation, msg string) {
@@ -616,20 +603,6 @@ func (a *oblAnalysis) report(ob *obligation, msg string) {
 	a.seen[key] = true
 	*a.findings = append(*a.findings, Finding{
 		File: ob.file, Line: ob.line, Analyzer: "flushobligation", Msg: msg,
-	})
-}
-
-func (a *oblAnalysis) suppress(file string, line int, reason string) {
-	if a.sups == nil {
-		return
-	}
-	key := fmt.Sprintf("sup:%s:%d", file, line)
-	if a.seen[key] {
-		return
-	}
-	a.seen[key] = true
-	*a.sups = append(*a.sups, Suppression{
-		File: file, Line: line, Analyzer: "flushobligation", Reason: reason,
 	})
 }
 

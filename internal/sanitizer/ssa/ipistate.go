@@ -141,7 +141,7 @@ type ipiAnalysis struct {
 	origins     map[*Value]map[*Value]bool
 }
 
-func checkIPIState(ctx *modCtx) ([]Finding, []Suppression) {
+func checkIPIState(ctx *modCtx) []Finding {
 	prog := ctx.program()
 	ia := &ipiAnalysis{
 		ctx: ctx, prog: prog,
@@ -164,7 +164,7 @@ func checkIPIState(ctx *modCtx) ([]Finding, []Suppression) {
 	})
 	ctx.visited["ipistate"] = visited
 	sortFindings(ia.findings)
-	return ia.findings, nil
+	return ia.findings
 }
 
 // seedPrimitives installs the protocol root summaries.

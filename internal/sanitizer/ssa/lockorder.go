@@ -104,7 +104,7 @@ func (s *lockSummary) equal(o *lockSummary) bool {
 }
 
 // checkLockOrder runs the static lockdep.
-func checkLockOrder(ctx *modCtx) ([]Finding, []Suppression) {
+func checkLockOrder(ctx *modCtx) []Finding {
 	lo := &lockOrder{
 		ctx:       ctx,
 		summaries: make(map[*types.Func]*lockSummary),
@@ -202,7 +202,7 @@ func checkLockOrder(ctx *modCtx) ([]Finding, []Suppression) {
 				strings.Join(cycle, " -> "), cycle[0]),
 		})
 	}
-	return findings, nil
+	return findings
 }
 
 // findCycle returns a cycle through start, or nil.

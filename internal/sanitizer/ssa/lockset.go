@@ -36,9 +36,6 @@ import (
 // exist exactly once, at the seeded site. Zero witnesses would mean the
 // static tier lost the bug the dynamic tier still sees; more than one
 // would mean a real violation is hiding behind the seeded one.
-//
-// Accesses the prover cannot justify can carry a "lock-free-by-design:"
-// waiver marker; stalemarker flags any such marker nothing consumed.
 
 const racePkg = modPath + "/internal/race"
 
@@ -50,8 +47,8 @@ type XValRow struct {
 	Var string
 	// Discipline is the declared synchronization discipline.
 	Discipline string
-	// Status is "proven", "waived" (discharged by a lock-free-by-design
-	// marker) or "unproven" (an undischarged finding exists; CI fails).
+	// Status is "proven" or "unproven" (an undischarged finding exists;
+	// CI fails).
 	Status string
 	// Detail is the one-line proof summary (site counts, witness site).
 	Detail string
@@ -81,22 +78,19 @@ type locksetAnalysis struct {
 	sites map[string][]*lockSite
 
 	findings  []Finding
-	sups      []Suppression
 	witnesses []Finding
 	reported  map[string]bool
-	// entryBad / entryWaived drive the per-entry XVal status.
-	entryBad    map[string]bool
-	entryWaived map[string]bool
+	// entryBad drives the per-entry XVal status.
+	entryBad map[string]bool
 }
 
-func checkLockset(ctx *modCtx) ([]Finding, []Suppression) {
+func checkLockset(ctx *modCtx) []Finding {
 	la := &locksetAnalysis{
 		ctx: ctx, prog: ctx.program(), mhp: ctx.buildMHP(),
-		entries:     race.Registry(),
-		sites:       make(map[string][]*lockSite),
-		reported:    make(map[string]bool),
-		entryBad:    make(map[string]bool),
-		entryWaived: make(map[string]bool),
+		entries:  race.Registry(),
+		sites:    make(map[string][]*lockSite),
+		reported: make(map[string]bool),
+		entryBad: make(map[string]bool),
 	}
 	visited := 0
 	la.prog.eachUnit(func(f *Func) {
@@ -115,7 +109,7 @@ func checkLockset(ctx *modCtx) ([]Finding, []Suppression) {
 	la.ctx.lockRes = &lockResult{witnesses: la.witnesses, xval: la.xvalRows()}
 	sortFindings(la.findings)
 	sortFindings(la.witnesses)
-	return la.findings, la.sups
+	return la.findings
 }
 
 // collectSites resolves every Detector call in f to its registry entry.
@@ -574,10 +568,8 @@ func (la *locksetAnalysis) fieldVar(e race.Field) *types.Var {
 	return nil
 }
 
-// problem records one discipline violation: waived into a suppression
-// when a "lock-free-by-design:" marker covers the line, a finding
-// otherwise. Position-less problems (registry-level mismatches) anchor
-// at the registry file.
+// problem records one discipline violation as a finding. Position-less
+// problems (registry-level mismatches) anchor at the registry file.
 func (la *locksetAnalysis) problem(entryKey string, f *Func, pos token.Pos, format string, args ...any) {
 	file, line := "internal/race/registry.go", 1
 	if f != nil && pos.IsValid() {
@@ -589,15 +581,6 @@ func (la *locksetAnalysis) problem(entryKey string, f *Func, pos token.Pos, form
 		return
 	}
 	la.reported[key] = true
-	if reason, ok := la.ctx.lockMarkerFor(file, line); ok {
-		la.sups = append(la.sups, Suppression{
-			File: file, Line: line, Analyzer: "lockset", Reason: reason,
-		})
-		if entryKey != "" {
-			la.entryWaived[entryKey] = true
-		}
-		return
-	}
 	la.findings = append(la.findings, Finding{
 		File: file, Line: line, Analyzer: "lockset", Msg: msg,
 	})
@@ -612,9 +595,6 @@ func (la *locksetAnalysis) xvalRows() []XValRow {
 	rows := make([]XValRow, 0, len(la.entries))
 	for _, e := range la.entries {
 		status := "proven"
-		if la.entryWaived[e.Key] {
-			status = "waived"
-		}
 		if la.entryBad[e.Key] {
 			status = "unproven"
 		}

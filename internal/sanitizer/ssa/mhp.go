@@ -118,7 +118,7 @@ func (ctx *modCtx) buildMHP() *mhpInfo {
 }
 
 // checkMHP reports blocking calls reachable in IRQ-handler context.
-func checkMHP(ctx *modCtx) ([]Finding, []Suppression) {
+func checkMHP(ctx *modCtx) []Finding {
 	m := ctx.buildMHP()
 	visited := 0
 	m.prog.eachUnit(func(f *Func) {
@@ -142,7 +142,7 @@ func checkMHP(ctx *modCtx) ([]Finding, []Suppression) {
 	})
 	ctx.visited["mhp"] = visited
 	sortFindings(m.findings)
-	return m.findings, nil
+	return m.findings
 }
 
 // blockingPrimitive classifies callees that park the calling proc.

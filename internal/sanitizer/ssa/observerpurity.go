@@ -65,7 +65,7 @@ func inPurePkg(fn *types.Func) bool {
 	return false
 }
 
-func checkObserverPurity(ctx *modCtx) ([]Finding, []Suppression) {
+func checkObserverPurity(ctx *modCtx) []Finding {
 	mut := buildMutatingSummaries(ctx)
 	impls := buildImplMap(ctx.pkgs)
 	var out []Finding
@@ -78,7 +78,7 @@ func checkObserverPurity(ctx *modCtx) ([]Finding, []Suppression) {
 			return true
 		})
 	}
-	return out, nil
+	return out
 }
 
 // hookLit returns the function literal n installs as a hook — n calls

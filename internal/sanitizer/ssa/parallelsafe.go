@@ -25,12 +25,8 @@ import (
 //   - stores through aliases (field chains, index expressions, pointers
 //     rooted at the var) count as stores.
 //
-// A var that passes the proof needs no waiver, so any remaining
-// "parallel-safe:" marker on it is reported as stale. A var that fails
-// the proof is reported at every undisciplined store site; a marker
-// downgrades those findings to suppressions, exactly like the
-// obligation-transferred flow in flushobligation.
-const parallelSafeMarker = "parallel-safe:"
+// A var that fails the proof is reported at every undisciplined store
+// site.
 
 // parallelScope lists the module-relative directory prefixes that make up
 // the simulated world — the packages whose state must be self-contained
@@ -83,16 +79,6 @@ func isErrorSentinel(vs *ast.ValueSpec) bool {
 	return true
 }
 
-// psVar is one package-level var in a simulated package.
-type psVar struct {
-	obj        *types.Var
-	file       string
-	line       int
-	marker     bool
-	markerLine int
-	reason     string
-}
-
 // psStore is one store to a tracked var.
 type psStore struct {
 	unit  *Func
@@ -100,16 +86,16 @@ type psStore struct {
 }
 
 // checkParallelSafe proves restore discipline for package-level vars in
-// simulated packages and retires stale parallel-safe markers.
-func checkParallelSafe(ctx *modCtx) ([]Finding, []Suppression) {
+// simulated packages.
+func checkParallelSafe(ctx *modCtx) []Finding {
 	prog := ctx.program()
 	vars := collectSimGlobals(ctx)
 	if len(vars) == 0 {
-		return nil, nil
+		return nil
 	}
-	byObj := make(map[*types.Var]*psVar, len(vars))
+	tracked := make(map[*types.Var]bool, len(vars))
 	for _, v := range vars {
-		byObj[v.obj] = v
+		tracked[v] = true
 	}
 
 	// Gather every store to a tracked var, and the unit parentage needed
@@ -132,7 +118,7 @@ func checkParallelSafe(ctx *modCtx) ([]Finding, []Suppression) {
 				if root == nil || root.Kind != VGlobal || root.Obj == nil {
 					continue
 				}
-				if _, tracked := byObj[root.Obj]; tracked {
+				if tracked[root.Obj] {
 					stores[root.Obj] = append(stores[root.Obj], psStore{unit: f, instr: in})
 				}
 			}
@@ -140,106 +126,50 @@ func checkParallelSafe(ctx *modCtx) ([]Finding, []Suppression) {
 	})
 
 	var findings []Finding
-	var sups []Suppression
 	for _, v := range vars {
-		var bad []psStore
-		for _, st := range stores[v.obj] {
-			if storeDisciplined(st, v.obj, parent) {
+		for _, st := range stores[v] {
+			if storeDisciplined(st, v, parent) {
 				continue
 			}
-			bad = append(bad, st)
-		}
-		switch {
-		case len(bad) == 0 && v.marker:
+			file, line := ctx.posLine(st.unit.Decl, st.instr.Pos)
 			findings = append(findings, Finding{
-				File: v.file, Line: v.markerLine, Analyzer: "parallelsafe",
-				Msg: fmt.Sprintf("stale %q marker on %q: every store is inside a restore-disciplined setter, proven whole-program; delete the marker", parallelSafeMarker, v.obj.Name()),
+				File: file, Line: line, Analyzer: "parallelsafe",
+				Msg: fmt.Sprintf("package-level var %q written outside a restore-disciplined setter: worlds run concurrently under internal/sched, so this store races across experiment cells", v.Name()),
 			})
-		case len(bad) > 0 && v.marker:
-			sups = append(sups, Suppression{
-				File: v.file, Line: v.line, Analyzer: "parallelsafe", Reason: v.reason,
-			})
-		case len(bad) > 0:
-			for _, st := range bad {
-				file, line := ctx.posLine(st.unit.Decl, st.instr.Pos)
-				findings = append(findings, Finding{
-					File: file, Line: line, Analyzer: "parallelsafe",
-					Msg: fmt.Sprintf("package-level var %q written outside a restore-disciplined setter: worlds run concurrently under internal/sched, so this store races across experiment cells", v.obj.Name()),
-				})
-			}
 		}
 	}
-	return findings, sups
+	return findings
 }
 
 // collectSimGlobals lists the mutable package-level vars declared in
 // simulated packages (and fixtures), skipping error sentinels.
-func collectSimGlobals(ctx *modCtx) []*psVar {
-	var out []*psVar
+func collectSimGlobals(ctx *modCtx) []*types.Var {
+	var out []*types.Var
 	for _, p := range ctx.pkgs {
 		if dir := p.Dir + "/"; !inParallelScope(dir) && !inFixture(dir) {
 			continue
 		}
-		for i, f := range p.Files {
-			rel := p.FileNames[i]
+		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				gd, ok := decl.(*ast.GenDecl)
 				if !ok || gd.Tok != token.VAR {
 					continue
 				}
-				declReason, declOK := markerReason(gd.Doc)
 				for _, spec := range gd.Specs {
 					vs, ok := spec.(*ast.ValueSpec)
 					if !ok || isErrorSentinel(vs) {
 						continue
 					}
-					reason, has := declReason, declOK
-					doc := gd.Doc
-					if r, ok := markerReason(vs.Doc); ok {
-						reason, has, doc = r, true, vs.Doc
-					}
 					for _, id := range vs.Names {
-						if id.Name == "_" {
-							continue
+						if obj, _ := p.Info.Defs[id].(*types.Var); obj != nil && id.Name != "_" {
+							out = append(out, obj)
 						}
-						obj, _ := p.Info.Defs[id].(*types.Var)
-						if obj == nil {
-							continue
-						}
-						pv := &psVar{
-							obj:    obj,
-							file:   rel,
-							line:   ctx.m.Fset.Position(id.Pos()).Line,
-							marker: has,
-							reason: reason,
-						}
-						if has && doc != nil {
-							pv.markerLine = ctx.m.Fset.Position(doc.End()).Line
-						}
-						out = append(out, pv)
 					}
 				}
 			}
 		}
 	}
 	return out
-}
-
-// markerReason extracts the justification after a parallel-safe marker.
-func markerReason(doc *ast.CommentGroup) (string, bool) {
-	if doc == nil {
-		return "", false
-	}
-	text := doc.Text()
-	idx := strings.Index(text, parallelSafeMarker)
-	if idx < 0 {
-		return "", false
-	}
-	reason := strings.TrimSpace(text[idx+len(parallelSafeMarker):])
-	if nl := strings.IndexByte(reason, '\n'); nl >= 0 {
-		reason = strings.TrimSpace(reason[:nl])
-	}
-	return reason, true
 }
 
 // storeRoot chases a store address through field/index/pointer chains to

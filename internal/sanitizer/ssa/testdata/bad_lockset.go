@@ -1,12 +1,16 @@
-// Fixture: an ack-ordering break the lockset analyzer must report as
-// exactly one finding. The kicked handler reads the freed page-table
-// location ("mm%d.pt-nodes", ack-ordered in the race registry), but the
-// early-ack flag passed to CallMany is an arbitrary caller-supplied
-// boolean — nothing proves it is off while FlushInfo.FreedTables is set,
-// so a responder's read no longer happens-before the initiator's
-// reclaim. Unlike the config-seeded BrokenEarlyAck variant, this unit
-// never consults the seed knob, so the violation is a real finding, not
-// a witness.
+// Fixture: two discipline breaks the lockset analyzer must report as
+// exactly one finding each.
+//
+//   - An ack-ordering break. The kicked handler reads the freed
+//     page-table location ("mm%d.pt-nodes", ack-ordered in the race
+//     registry), but the early-ack flag passed to CallMany is an
+//     arbitrary caller-supplied boolean — nothing proves it is off while
+//     FlushInfo.FreedTables is set, so a responder's read no longer
+//     happens-before the initiator's reclaim. Unlike the config-seeded
+//     BrokenEarlyAck variant, this unit never consults the seed knob, so
+//     the violation is a real finding, not a witness.
+//   - scratchProbe touches a detector variable no registry entry
+//     declares, so no discipline can be proven for it.
 package locksetfix
 
 import (
@@ -28,4 +32,8 @@ func kickWithUnprovenAck(l *smp.Layer, d *race.Detector, p *sim.Proc, from mach.
 		}
 	}, info, wantEarly, nil)
 	l.WaitAll(p, from, rs)
+}
+
+func scratchProbe(d *race.Detector) {
+	d.WriteVar("fixture.scratch")
 }

@@ -1,7 +1,6 @@
 // Fixture: cross-world mutable state in a simulated package. The
-// parallelsafe analyzer must report exactly four findings, one per
-// undisciplined store in touch, and record one suppression for the
-// marker-waived hook.
+// parallelsafe analyzer must report exactly five findings: one per
+// undisciplined store in touch, and setHook's store to hook.
 package parallelfix
 
 import (
@@ -24,8 +23,8 @@ var (
 	ErrWrapped = fmt.Errorf("fixture: wrapped %d", 7)
 )
 
-// hook is set once before any world boots and only read afterwards.
-// parallel-safe: written only while the scheduler pool is idle.
+// hook is set once before any world boots and only read afterwards, but
+// setHook has no restore half, so the proof fails.
 var hook func()
 
 var (

@@ -1,9 +1,7 @@
-// Fixture: the waived counterpart of bad_fabproof.go — the same
-// fabric-shaped struct and the same unprovable append, but under a
-// documented "bounded-by-design:" marker: zero fabproof findings, one
-// consumed suppression. The guarded append alongside it is provable on
-// its own (the length check dominates the append), a positive test that
-// the bound refinement works on fixture fabrics too.
+// Fixture: the guarded counterpart of bad_fabproof.go — the same
+// fabric-shaped struct, with an append the fabproof tier proves bounded
+// on its own (the length check dominates the append): zero findings, a
+// positive test that the bound refinement works on fixture fabrics too.
 package fabprooffix
 
 type inval struct {
@@ -26,10 +24,5 @@ func appendGuarded(rc *ringCPU, inv inval) {
 		rc.flushAll = true
 		return
 	}
-	rc.ring = append(rc.ring, inv)
-}
-
-func appendWaived(rc *ringCPU, inv inval) {
-	// bounded-by-design: the single caller drains the ring before every post, so at most one entry is ever in flight; that protocol invariant is outside the numeric tier's reach.
 	rc.ring = append(rc.ring, inv)
 }

@@ -1,6 +1,5 @@
 // Fixture: every sanctioned way of meeting a flush obligation. The
-// flushobligation analyzer must report nothing here, and must record
-// exactly one suppression (the obligation-transferred marker).
+// flushobligation analyzer must report nothing here.
 package oblgood
 
 import (
@@ -36,13 +35,4 @@ func emptyGuard(ctx *kernel.Ctx, as *mm.AddressSpace, addr, length uint64) {
 		return
 	}
 	ctx.K.Flusher().FlushAfter(ctx, as, fr)
-}
-
-// markerTransfer documents that something outside the analyzable call
-// graph owns the flush; the analyzer records a suppression instead of a
-// finding.
-func markerTransfer(as *mm.AddressSpace, addr, length uint64) {
-	// obligation-transferred: the batch driver full-flushes every TLB after each round
-	fr, err := as.Unmap(addr, length)
-	_, _ = fr, err
 }

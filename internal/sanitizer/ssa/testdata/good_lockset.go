@@ -1,5 +1,5 @@
-// Fixture: the disciplined counterparts of bad_lockset.go — zero lockset
-// findings, one consumed waiver.
+// Fixture: the disciplined counterpart of bad_lockset.go's ack-ordering
+// break — zero lockset findings.
 //
 //   - kickWithGuardedAck suppresses the early ack with the canonical
 //     `early && !info.FreedTables` guard, so the ack-ordering discharge
@@ -8,9 +8,6 @@
 //     kernel.CPU.LocalGen: the handler's CPU argument is the servicing
 //     CPU, so the cpu-confined discipline stays proven (a positive test
 //     of the may-happen-in-parallel self-CPU facts).
-//   - scratchProbe touches a detector variable no registry entry
-//     declares; the lock-free-by-design waiver below is the documented
-//     escape hatch, and must surface as exactly one suppression.
 package locksetfix
 
 import (
@@ -37,9 +34,4 @@ func kickWithGuardedAck(l *smp.Layer, k *kernel.Kernel, d *race.Detector, p *sim
 		_ = k.CPU(target).LocalGen(as)
 	}, info, earlyAck, nil)
 	l.WaitAll(p, from, rs)
-}
-
-func scratchProbe(d *race.Detector) {
-	// lock-free-by-design: fixture-local scratch variable, not simulator state; no discipline to prove.
-	d.WriteVar("fixture.scratch")
 }

@@ -152,6 +152,7 @@ func Boot(m Machine) (*World, error) {
 	case "sync":
 		cfg.AsyncShootdown = false
 		cfg.BrokenAckBeforeDrain = false
+		cfg.BrokenCoalesceShrink = false
 	case "async":
 		if !cfg.SerializedIPIs && !cfg.LazyRemote {
 			cfg.AsyncShootdown = true

@@ -17,6 +17,8 @@ func TestTLBModeOverrideAtBoot(t *testing.T) {
 	allAsync.AsyncShootdown = true
 	ackBeforeDrain := allAsync
 	ackBeforeDrain.BrokenAckBeforeDrain = true
+	coalesceShrink := allAsync
+	coalesceShrink.BrokenCoalesceShrink = true
 	baseAsync := core.Baseline()
 	baseAsync.AsyncShootdown = true
 	serialized := core.Config{SerializedIPIs: true}
@@ -32,6 +34,7 @@ func TestTLBModeOverrideAtBoot(t *testing.T) {
 		{"all", all, [3]core.Config{all, all, allAsync}},
 		{"all+async", allAsync, [3]core.Config{allAsync, all, allAsync}},
 		{"all+async+ackbeforedrain", ackBeforeDrain, [3]core.Config{ackBeforeDrain, all, ackBeforeDrain}},
+		{"all+async+coalesceshrink", coalesceShrink, [3]core.Config{coalesceShrink, all, coalesceShrink}},
 		{"serialized", serialized, [3]core.Config{serialized, serialized, serialized}},
 		{"lazy", lazy, [3]core.Config{lazy, lazy, lazy}},
 	}
