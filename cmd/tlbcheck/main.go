@@ -92,7 +92,6 @@ func runSanitized(run string, opts experiments.Options, verbose bool) int {
 	if !strings.EqualFold(run, "all") {
 		names = strings.Split(run, ",")
 	}
-	summaries := make([]*sanitizer.Summary, 0, len(names))
 	total := &sanitizer.Summary{}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
@@ -104,16 +103,10 @@ func runSanitized(run string, opts experiments.Options, verbose bool) int {
 			fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
 			return 2
 		}
-		summaries = append(summaries, sum)
 		if verbose && !sum.OK() {
 			fmt.Fprintf(os.Stderr, "  %s: %d violation(s)\n", name, len(sum.Violations))
 		}
-	}
-	for _, s := range summaries {
-		total.Worlds += s.Worlds
-		total.Violations = append(total.Violations, s.Violations...)
-		total.Dropped += s.Dropped
-		total.Stats.Add(s.Stats)
+		total.Absorb(sum)
 	}
 	fmt.Print(total.Report())
 	if !total.OK() {

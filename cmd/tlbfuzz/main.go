@@ -17,11 +17,15 @@
 //	tlbfuzz -faults drop,noretry -seed 12345 -parallel 1   # replay one schedule
 //	tlbfuzz -broken coalesce -faults light -runs 200       # oracles must convict
 //
-// With -broken it plants a deliberately broken async-fabric variant
-// (ackdrain: the drain acks before the flush lands; coalesce: in-ring
-// merges adopt the newer entry's end and shrink coverage) and the run
-// is expected to FAIL — the printed repro line pins the convicting
-// schedule, the dynamic half of the fabproof cross-validation contract.
+// With -broken it plants one deliberately broken protocol variant, named
+// as core.Mutant spells it (earlyack: acks before the flush even while
+// page tables are freed; ackdrain: the drain acks before the flush
+// lands; coalesce: in-ring merges adopt the newer entry's end and shrink
+// coverage), and the run is expected to FAIL — the printed repro line
+// pins the convicting schedule, the dynamic half of the cross-validation
+// contract with the static tier. A variant that breaks the async fabric
+// forces -tlbmode async. The fuzz workload frees no page tables, so
+// earlyack runs do not fail yet.
 package main
 
 import (
@@ -60,7 +64,7 @@ func main() {
 		parallel = flag.Int("parallel", 0, "seeds fuzzed concurrently (0 = GOMAXPROCS); each seed is an isolated simulation")
 		faults   = flag.String("faults", "none", "fault schedule per run: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides")
 		tlbmode  = flag.String("tlbmode", "auto", "shootdown dispatch tier: auto (seed-random), sync, or async")
-		broken   = flag.String("broken", "", "plant a deliberately broken fabric variant the oracles must convict: ackdrain or coalesce (forces -tlbmode async)")
+		broken   = flag.String("broken", "", "plant a deliberately broken protocol variant the oracles must convict: earlyack, ackdrain or coalesce (a fabric variant forces -tlbmode async)")
 	)
 	flag.Parse()
 	sched.SetWorkers(*parallel)
@@ -76,14 +80,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlbfuzz: -tlbmode must be auto, sync or async\n")
 		os.Exit(2)
 	}
-	switch *broken {
-	case "", "ackdrain", "coalesce":
-	default:
-		fmt.Fprintf(os.Stderr, "tlbfuzz: -broken must be ackdrain or coalesce\n")
-		os.Exit(2)
-	}
+	var mutant core.Mutant
 	if *broken != "" {
-		// The broken knobs only exist on the async dispatch path.
+		if mutant, err = core.ParseMutant(*broken); err != nil {
+			fmt.Fprintf(os.Stderr, "tlbfuzz: -broken: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	if mutant.NeedsAsync() {
 		*tlbmode = "async"
 	}
 
@@ -104,7 +108,7 @@ func main() {
 		summary string
 	}
 	results := sched.Collect(len(seeds), func(i int) result {
-		errs, summary := fuzzOne(seeds[i], *ops, *verbose, spec, *tlbmode, *broken)
+		errs, summary := fuzzOne(seeds[i], *ops, *verbose, spec, *tlbmode, mutant)
 		return result{errs, summary}
 	})
 	failures := 0
@@ -114,7 +118,7 @@ func main() {
 		}
 		if len(res.errs) > 0 {
 			failures++
-			fmt.Fprintf(os.Stderr, "FAIL seed=%d (repro: %s):\n", seeds[i], reproLine(seeds[i], *ops, spec, *tlbmode, *broken))
+			fmt.Fprintf(os.Stderr, "FAIL seed=%d (repro: %s):\n", seeds[i], reproLine(seeds[i], *ops, spec, *tlbmode, mutant))
 			for _, e := range res.errs {
 				fmt.Fprintf(os.Stderr, "  %s\n", e)
 			}
@@ -153,23 +157,18 @@ func randomConfig(r *sim.Rand, tlbmode string) core.Config {
 // reproLine renders the one-line command that replays a failing run
 // byte-identically: same seed, same ops, same fault schedule, same
 // dispatch tier (and planted breakage, if any), one worker.
-func reproLine(seed uint64, ops int, spec fault.Spec, tlbmode, broken string) string {
+func reproLine(seed uint64, ops int, spec fault.Spec, tlbmode string, mutant core.Mutant) string {
 	line := fmt.Sprintf("tlbfuzz -faults %s -tlbmode %s -seed %d -ops %d -parallel 1", spec, tlbmode, seed, ops)
-	if broken != "" {
-		line += " -broken " + broken
+	if mutant != core.NoMutant {
+		line += " -broken " + mutant.String()
 	}
 	return line
 }
 
-func fuzzOne(seed uint64, opsPerThread int, verbose bool, spec fault.Spec, tlbmode, broken string) (errs []string, summary string) {
+func fuzzOne(seed uint64, opsPerThread int, verbose bool, spec fault.Spec, tlbmode string, mutant core.Mutant) (errs []string, summary string) {
 	r := sim.NewRand(seed)
 	cfg := randomConfig(r, tlbmode)
-	switch broken {
-	case "ackdrain":
-		cfg.BrokenAckBeforeDrain = true
-	case "coalesce":
-		cfg.BrokenCoalesceShrink = true
-	}
+	cfg.Mutant = mutant
 	pti := r.Uint64()&1 == 0
 
 	world, err := workload.Boot(workload.Machine{

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"shootdown/internal/core"
 	"shootdown/internal/fault"
 )
 
@@ -17,7 +18,7 @@ func TestReproLineCarriesFaultSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	line := reproLine(12345, 120, spec, "async", "coalesce")
+	line := reproLine(12345, 120, spec, "async", core.MutantCoalesceShrink)
 	for _, want := range []string{
 		"tlbfuzz ",
 		"-faults " + spec.String(),
@@ -31,7 +32,7 @@ func TestReproLineCarriesFaultSchedule(t *testing.T) {
 			t.Errorf("repro line %q missing %q", line, want)
 		}
 	}
-	if got := reproLine(7, 10, fault.Spec{}, "auto", ""); !strings.Contains(got, "-faults none") || !strings.Contains(got, "-tlbmode auto") || strings.Contains(got, "-broken") {
+	if got := reproLine(7, 10, fault.Spec{}, "auto", core.NoMutant); !strings.Contains(got, "-faults none") || !strings.Contains(got, "-tlbmode auto") || strings.Contains(got, "-broken") {
 		t.Errorf("fault-free repro line %q should spell out '-faults none' and '-tlbmode auto' and omit -broken", got)
 	}
 }
@@ -46,8 +47,8 @@ func TestFuzzOneDeterministicUnderFaults(t *testing.T) {
 		t.Fatal("heavy preset missing")
 	}
 	for _, seed := range []uint64{3, 101} {
-		errs1, sum1 := fuzzOne(seed, 40, true, spec, "auto", "")
-		errs2, sum2 := fuzzOne(seed, 40, true, spec, "auto", "")
+		errs1, sum1 := fuzzOne(seed, 40, true, spec, "auto", core.NoMutant)
+		errs2, sum2 := fuzzOne(seed, 40, true, spec, "auto", core.NoMutant)
 		if fmt.Sprint(errs1) != fmt.Sprint(errs2) {
 			t.Errorf("seed %d: errors differ between identical runs:\n  %v\n  %v", seed, errs1, errs2)
 		}
@@ -66,7 +67,7 @@ func TestFuzzOneCoherentUnderDropSchedule(t *testing.T) {
 	if !ok {
 		t.Fatal("drop preset missing")
 	}
-	errs, sum := fuzzOne(11, 40, true, spec, "auto", "")
+	errs, sum := fuzzOne(11, 40, true, spec, "auto", core.NoMutant)
 	if len(errs) != 0 {
 		t.Fatalf("coherence violated under drop schedule:\n  %s", strings.Join(errs, "\n  "))
 	}
@@ -91,14 +92,14 @@ func TestFuzzOneOverlappingFlushWindows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	errs, _ := fuzzOne(8717488660339093609, 120, false, spec, "sync", "")
+	errs, _ := fuzzOne(8717488660339093609, 120, false, spec, "sync", core.NoMutant)
 	if len(errs) != 0 {
 		t.Fatalf("overlapping writeback/CoW windows misreported:\n  %s", strings.Join(errs, "\n  "))
 	}
 }
 
 // TestFuzzOneBrokenCoalesceRepro pins the bisected one-line repro for
-// the BrokenCoalesceShrink cross-validation contract (EXPERIMENTS.md):
+// the MutantCoalesceShrink cross-validation contract (EXPERIMENTS.md):
 // under this schedule the planted shrink merge loses in-ring coverage of
 // a commonly-mapped page and the shadow oracle convicts it as exactly
 // one stale-translation — while the sound merge on the identical
@@ -110,14 +111,14 @@ func TestFuzzOneBrokenCoalesceRepro(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	const seed = 13811972702172687379
-	errs, _ := fuzzOne(seed, 240, false, spec, "async", "coalesce")
+	errs, _ := fuzzOne(seed, 240, false, spec, "async", core.MutantCoalesceShrink)
 	if len(errs) != 1 {
 		t.Fatalf("broken coalesce errors = %d, want exactly 1:\n  %s", len(errs), strings.Join(errs, "\n  "))
 	}
 	if !strings.Contains(errs[0], "stale-translation") {
 		t.Fatalf("conviction should be a stale-translation: %s", errs[0])
 	}
-	if errs, _ := fuzzOne(seed, 240, false, spec, "async", ""); len(errs) != 0 {
+	if errs, _ := fuzzOne(seed, 240, false, spec, "async", core.NoMutant); len(errs) != 0 {
 		t.Fatalf("sound merge on the same schedule convicted:\n  %s", strings.Join(errs, "\n  "))
 	}
 }

@@ -28,15 +28,18 @@
 //     context are findings
 //   - lockset: RacerD-style discharge proofs for every field the dynamic
 //     race model instruments (internal/race.Registry): atomic hooks,
-//     CPU confinement, ack ordering, single-writer epochs. The seeded
-//     BrokenEarlyAck violation must surface as exactly one witness; the
-//     per-entry statuses are the RACE_XVAL cross-validation artifact
+//     CPU confinement, ack ordering, single-writer epochs. The
+//     violation seeded by core.MutantEarlyAck must surface as exactly
+//     one witness, at the one unit that compares Config.Mutant with that
+//     constant; the per-entry statuses are the RACE_XVAL
+//     cross-validation artifact
 //   - fabproof: numeric abstract-interpretation proofs for the async
 //     shootdown fabric — ring bounds, overflow collapse, sequence and
 //     generation monotonicity, retry caps, coalescing soundness (the
-//     seeded BrokenCoalesceShrink coverage loss must surface as exactly
-//     one witness), callback-once and ring-entry well-formedness. The
-//     per-obligation statuses are the FABPROOF artifact
+//     coverage loss seeded by core.MutantCoalesceShrink must surface as
+//     exactly one witness), callback-once and ring-entry
+//     well-formedness. The per-obligation statuses are the FABPROOF
+//     artifact
 //
 // Every finding is unconditional: no source comment waives one.
 //

@@ -68,14 +68,6 @@ type Config struct {
 	// data travels through shared-memory cachelines (no CFD/CSQ/info
 	// transfers for the payload; the acknowledgement remains in memory).
 	HWMessageIPI bool
-	// BrokenEarlyAck disables the FreedTables early-ack suppression (§3.2),
-	// deliberately reintroducing the use-after-free window the paper's
-	// patch closes: a responder acknowledges before flushing even though
-	// the initiator is about to free page-table pages. UNSAFE by design —
-	// it exists so the happens-before race detector (internal/race) has a
-	// known-bad protocol variant to flag; tests assert it reports exactly
-	// one race.
-	BrokenEarlyAck bool
 	// AsyncShootdown routes non-table-freeing flushes through the
 	// queue-based asynchronous fabric (smp/fabric.go): the initiator
 	// posts the range to each target's per-CPU invalidation ring, kicks
@@ -87,22 +79,80 @@ type Config struct {
 	// §3.2 ack-ordering proof intact. Incompatible with SerializedIPIs
 	// and LazyRemote (they model competing dispatch disciplines).
 	AsyncShootdown bool
-	// BrokenAckBeforeDrain makes the async drain applier defer the
+
+	// Mutant plants at most one deliberately broken protocol variant.
+	// UNSAFE by design; the zero value plants none.
+	Mutant Mutant
+}
+
+// Mutant names one deliberately broken twin of a protocol safety rule.
+// Each exists so a verification tier has a known-bad variant to
+// convict; tests assert each is caught exactly once.
+type Mutant uint8
+
+const (
+	// NoMutant is the correct protocol.
+	NoMutant Mutant = iota
+	// MutantEarlyAck disables the FreedTables early-ack suppression
+	// (§3.2), reintroducing the use-after-free window the paper's patch
+	// closes: a responder acknowledges before flushing even though the
+	// initiator is about to free page-table pages. The happens-before
+	// race detector (internal/race) reports it as one race, and the
+	// static lockset tier as one witness.
+	MutantEarlyAck
+	// MutantAckBeforeDrain makes the async drain applier defer the
 	// actual invalidations to lazy kernel-entry work, so the fabric's
 	// sequence ack — and the batch completion that closes the flush
-	// obligation window — fires before the flush lands. UNSAFE by
-	// design, BrokenEarlyAck-style: it exists so the sanitizer's
-	// deferred-discharge windows have a known-bad async variant to
-	// catch; tests assert exactly one stale-translation violation.
-	BrokenAckBeforeDrain bool
-	// BrokenCoalesceShrink makes in-ring coalescing adopt the newer
+	// obligation window — fires before the flush lands. The sanitizer's
+	// deferred-discharge windows catch it as one stale translation.
+	MutantAckBeforeDrain
+	// MutantCoalesceShrink makes in-ring coalescing adopt the newer
 	// inval's end instead of the max of both ends, so a merge with a
 	// shorter newer entry silently stops covering the older entry's
-	// tail. UNSAFE by design: it exists so the fabproof static tier
-	// (coalescing soundness as interval containment) and the shadow-TLB
-	// oracle convict the same bug; tests assert exactly one static
-	// coverage-loss finding and exactly one stale-translation.
-	BrokenCoalesceShrink bool
+	// tail. The fabproof static tier (coalescing soundness as interval
+	// containment) reports one witness and the shadow-TLB oracle one
+	// stale translation.
+	MutantCoalesceShrink
+)
+
+// Mutants lists every planted variant, NoMutant excluded, in
+// declaration order.
+func Mutants() []Mutant {
+	return []Mutant{MutantEarlyAck, MutantAckBeforeDrain, MutantCoalesceShrink}
+}
+
+// String is the variant's name, as tlbfuzz -broken takes it; a config
+// string spells it with a "BROKEN-" prefix.
+func (m Mutant) String() string {
+	switch m {
+	case NoMutant:
+		return "none"
+	case MutantEarlyAck:
+		return "earlyack"
+	case MutantAckBeforeDrain:
+		return "ackdrain"
+	case MutantCoalesceShrink:
+		return "coalesce"
+	}
+	return fmt.Sprintf("Mutant(%d)", uint8(m))
+}
+
+// NeedsAsync reports whether the variant breaks the async fabric, so
+// it requires AsyncShootdown.
+func (m Mutant) NeedsAsync() bool {
+	return m == MutantAckBeforeDrain || m == MutantCoalesceShrink
+}
+
+// ParseMutant reads a variant name as String writes it.
+func ParseMutant(s string) (Mutant, error) {
+	var names []string
+	for _, m := range Mutants() {
+		if m.String() == s {
+			return m, nil
+		}
+		names = append(names, m.String())
+	}
+	return NoMutant, fmt.Errorf("core: unknown mutant %q (have %s)", s, strings.Join(names, ", "))
 }
 
 // Baseline returns the unmodified Linux protocol configuration.
@@ -147,35 +197,35 @@ func (c *Config) flags() []configFlag {
 		{"lazy", &c.LazyRemote},
 		{"hwmsg", &c.HWMessageIPI},
 		{"async", &c.AsyncShootdown},
-		{"BROKEN-earlyack", &c.BrokenEarlyAck},
-		{"BROKEN-ackdrain", &c.BrokenAckBeforeDrain},
-		{"BROKEN-coalesce", &c.BrokenCoalesceShrink},
 	}
 }
 
-// String lists the enabled optimizations, joined by "+", or "baseline".
-// ParseConfig is its inverse.
+// mutantPrefix marks the planted Mutant in a config string.
+const mutantPrefix = "BROKEN-"
+
+// String lists the enabled optimizations, then the planted mutant,
+// joined by "+", or "baseline". ParseConfig is its inverse.
 func (c Config) String() string {
-	out := ""
+	var names []string
 	for _, f := range c.flags() {
-		if !*f.on {
-			continue
+		if *f.on {
+			names = append(names, f.name)
 		}
-		if out != "" {
-			out += "+"
-		}
-		out += f.name
 	}
-	if out == "" {
+	if c.Mutant != NoMutant {
+		names = append(names, mutantPrefix+c.Mutant.String())
+	}
+	if len(names) == 0 {
 		return "baseline"
 	}
-	return out
+	return strings.Join(names, "+")
 }
 
 // ParseConfig reads a config as String writes it: optimization names
 // joined by "+" (or ","), or "baseline" (also "") for the zero config.
 // "all" names AllGeneral, the four §3 techniques of the figures' "all"
-// bars. ParseConfig(c.String()) == c for every c.
+// bars. A second mutant is an error. ParseConfig(c.String()) == c for
+// every c.
 func ParseConfig(s string) (Config, error) {
 	var c Config
 	switch s {
@@ -186,13 +236,25 @@ func ParseConfig(s string) (Config, error) {
 	}
 	for _, name := range strings.Split(strings.ReplaceAll(s, ",", "+"), "+") {
 		name = strings.TrimSpace(name)
-		if !c.set(name) {
+		if c.set(name) {
+			continue
+		}
+		bare, ok := strings.CutPrefix(name, mutantPrefix)
+		m, err := ParseMutant(bare)
+		if !ok || err != nil {
 			names := []string{"baseline", "all"}
 			for _, f := range c.flags() {
 				names = append(names, f.name)
 			}
+			for _, m := range Mutants() {
+				names = append(names, mutantPrefix+m.String())
+			}
 			return Config{}, fmt.Errorf("core: unknown optimization %q (have %s)", name, strings.Join(names, ", "))
 		}
+		if c.Mutant != NoMutant {
+			return Config{}, fmt.Errorf("core: %q after %q: a config plants at most one mutant", name, mutantPrefix+c.Mutant.String())
+		}
+		c.Mutant = m
 	}
 	return c, nil
 }
@@ -280,11 +342,8 @@ func (c Config) validateAgainst(consolidatedSMP bool) error {
 	if c.AsyncShootdown && c.LazyRemote {
 		return fmt.Errorf("core: AsyncShootdown is incompatible with LazyRemote (competing dispatch disciplines)")
 	}
-	if c.BrokenAckBeforeDrain && !c.AsyncShootdown {
-		return fmt.Errorf("core: BrokenAckBeforeDrain requires AsyncShootdown")
-	}
-	if c.BrokenCoalesceShrink && !c.AsyncShootdown {
-		return fmt.Errorf("core: BrokenCoalesceShrink requires AsyncShootdown")
+	if c.Mutant.NeedsAsync() && !c.AsyncShootdown {
+		return fmt.Errorf("core: mutant %s requires AsyncShootdown", c.Mutant)
 	}
 	return nil
 }

@@ -7,25 +7,33 @@ import (
 )
 
 // TestParseConfigInvertsString sets every combination of Config's boolean
-// toggles by reflection, independently of the name table, and requires
-// ParseConfig(c.String()) == c for all of them.
+// toggles by reflection, independently of the name table, with every
+// mutant, and requires ParseConfig(c.String()) == c for all of them.
 func TestParseConfigInvertsString(t *testing.T) {
-	n := reflect.TypeOf(Config{}).NumField()
-	if n != 13 {
-		t.Fatalf("Config has %d fields; extend this test and the name table together", n)
+	typ := reflect.TypeOf(Config{})
+	var bools []int
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() == reflect.Bool {
+			bools = append(bools, i)
+		}
 	}
-	for mask := 0; mask < 1<<n; mask++ {
-		var c Config
-		v := reflect.ValueOf(&c).Elem()
-		for i := 0; i < n; i++ {
-			v.Field(i).SetBool(mask&(1<<i) != 0)
-		}
-		got, err := ParseConfig(c.String())
-		if err != nil {
-			t.Fatalf("ParseConfig(%q): %v", c.String(), err)
-		}
-		if got != c {
-			t.Fatalf("ParseConfig(%q) = %+v, want %+v", c.String(), got, c)
+	if typ.NumField() != 11 || len(bools) != 10 {
+		t.Fatalf("Config has %d fields, %d of them bools; extend this test and the name table together", typ.NumField(), len(bools))
+	}
+	for _, m := range append([]Mutant{NoMutant}, Mutants()...) {
+		for mask := 0; mask < 1<<len(bools); mask++ {
+			c := Config{Mutant: m}
+			v := reflect.ValueOf(&c).Elem()
+			for bit, field := range bools {
+				v.Field(field).SetBool(mask&(1<<bit) != 0)
+			}
+			got, err := ParseConfig(c.String())
+			if err != nil {
+				t.Fatalf("ParseConfig(%q): %v", c.String(), err)
+			}
+			if got != c {
+				t.Fatalf("ParseConfig(%q) = %+v, want %+v", c.String(), got, c)
+			}
 		}
 	}
 }
@@ -53,9 +61,11 @@ func TestParseConfigSpellings(t *testing.T) {
 }
 
 // TestParseConfigRejectsUnknown: a name outside the table is an error
-// naming it, and so is an empty list element.
+// naming it, and so is an empty list element. A mutant needs its
+// BROKEN- prefix, and a config plants at most one.
 func TestParseConfigRejectsUnknown(t *testing.T) {
-	for _, in := range []string{"bogus", "concurrent+bogus", "concurrent,,earlyack", "Concurrent", "all+cow", "baseline+cow"} {
+	for _, in := range []string{"bogus", "concurrent+bogus", "concurrent,,earlyack", "Concurrent", "all+cow", "baseline+cow",
+		"coalesce", "BROKEN-none", "BROKEN-bogus"} {
 		if c, err := ParseConfig(in); err == nil {
 			t.Errorf("ParseConfig(%q) = %+v, want an error", in, c)
 		}
@@ -63,6 +73,10 @@ func TestParseConfigRejectsUnknown(t *testing.T) {
 	_, err := ParseConfig("concurrent+bogus")
 	if err == nil || !strings.Contains(err.Error(), `unknown optimization "bogus"`) {
 		t.Fatalf("error %v does not name the unknown optimization", err)
+	}
+	c, err := ParseConfig("async+BROKEN-ackdrain+BROKEN-coalesce")
+	if err == nil || !strings.Contains(err.Error(), "at most one mutant") {
+		t.Fatalf("two mutants in one config = %+v, %v; want an error", c, err)
 	}
 }
 

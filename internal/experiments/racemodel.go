@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"sync"
-
 	"shootdown/internal/race"
 	"shootdown/internal/report"
 	"shootdown/internal/workload"
@@ -14,26 +11,16 @@ import (
 // returning the merged race summary alongside the tables. The detector is
 // purely observational, so the tables are identical to an unchecked run.
 func RunRace(name string, o Options) ([]*report.Table, *race.Summary, error) {
-	runner, ok := Registry()[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
-	}
-	// Worlds boot concurrently under the parallel scheduler; guard the
-	// shared slice. Merge sums order-independent counters, so the summary
-	// stays deterministic at any worker count.
-	var mu sync.Mutex
-	var detectors []*race.Detector
-	restore := workload.SetBootHook(func(w *workload.World) {
+	tables, detectors, err := runChecked(name, o, func(w *workload.World) *race.Detector {
 		d := race.New(w.Eng)
 		w.K.EnableRace(d)
 		// The flusher was built before the hook ran; re-wire its own sync
 		// objects (the SerializedIPIs mutex) to the detector.
 		w.F.EnableRace()
-		mu.Lock()
-		detectors = append(detectors, d)
-		mu.Unlock()
+		return d
 	})
-	defer restore()
-	tables := runner(o)
+	if err != nil {
+		return nil, nil, err
+	}
 	return tables, race.Merge(detectors), nil
 }

@@ -81,7 +81,7 @@ func runMunmapPair(t *testing.T, cfg core.Config, withRace bool) (*race.Detector
 // responder's speculative walk of the freed page-table nodes is unordered
 // against the initiator's reclamation.
 func TestBrokenEarlyAckReportsExactlyOneRace(t *testing.T) {
-	cfg := core.Config{ConcurrentFlush: true, EarlyAck: true, BrokenEarlyAck: true}
+	cfg := core.Config{ConcurrentFlush: true, EarlyAck: true, Mutant: core.MutantEarlyAck}
 	d, _, _ := runMunmapPair(t, cfg, true)
 	sum := d.Finish()
 	if len(sum.Races) != 1 {

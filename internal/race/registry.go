@@ -67,7 +67,8 @@ type Field struct {
 	// accesses (accesses only happen when the guard is set, so the ack
 	// edge must be strict whenever it is).
 	Guard, GuardStruct string
-	// SeededBy names the config knob of the deliberately broken variant
+	// SeededBy names the Owner package's mutant constant
+	// (core.MutantEarlyAck) that plants the deliberately broken variant
 	// whose violation the static tier must rediscover (as a witness, not
 	// a finding) to stay cross-validated with the dynamic catch.
 	SeededBy string
@@ -102,7 +103,7 @@ func Registry() []Field {
 			Doc: "mm_cpumask, atomic set/clear/scan"},
 		{Key: "mm.pt-nodes", Var: "mm%d.pt-nodes", Owner: "internal/core", Struct: "Flusher",
 			Discipline: DiscAckOrdered, Guard: "FreedTables", GuardStruct: "FlushInfo",
-			SeededBy: "BrokenEarlyAck",
+			SeededBy: "MutantEarlyAck",
 			Doc:      "freed page-table pages (§3.2): responders read pre-ack, the initiator reclaims post-ack; early ack must be off while FreedTables is set"},
 		{Key: "mm.pte", Var: "mm%d.pte", Owner: "internal/pagetable", Struct: "Table",
 			NameField: "pteVar", Discipline: DiscAtomic,

@@ -24,13 +24,17 @@ func (s *Summary) OK() bool { return len(s.Violations) == 0 && s.Dropped == 0 }
 func Merge(checkers []*Checker) *Summary {
 	sum := &Summary{}
 	for _, c := range checkers {
-		r := c.Finish()
-		sum.Worlds += r.Worlds
-		sum.Violations = append(sum.Violations, r.Violations...)
-		sum.Dropped += r.Dropped
-		sum.Stats.Add(r.Stats)
+		sum.Absorb(c.Finish())
 	}
 	return sum
+}
+
+// Absorb folds another summary into s.
+func (s *Summary) Absorb(o *Summary) {
+	s.Worlds += o.Worlds
+	s.Violations = append(s.Violations, o.Violations...)
+	s.Dropped += o.Dropped
+	s.Stats.Add(o.Stats)
 }
 
 // Report renders the summary as a deterministic human-readable report.

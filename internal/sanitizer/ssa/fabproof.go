@@ -23,7 +23,7 @@ package ssa
 //     every feasible path of the merge function, under each disjunct of
 //     the guard predicate's true-return postcondition, the merged entry
 //     either goes full or keeps [min(Start), max(End)), covering both
-//     inputs. The config-seeded BrokenCoalesceShrink variant fails this
+//     inputs. The config-seeded MutantCoalesceShrink variant fails this
 //     proof on exactly one path, recorded as a witness (the static half
 //     of the cross-validation contract; the shadow-TLB oracle is the
 //     dynamic half).

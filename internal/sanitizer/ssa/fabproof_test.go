@@ -28,13 +28,13 @@ func TestFabproofGoodFixtureClean(t *testing.T) {
 
 // TestFabproofBrokenCoalesceWitness is the static half of the seeded
 // coalesce-shrink cross-validation contract: on the clean module the
-// fabproof tier must rediscover the config-planted BrokenCoalesceShrink
+// fabproof tier must rediscover the config-planted MutantCoalesceShrink
 // coverage loss — as exactly one witness, inside the merge function,
 // on the path only the broken knob enables — while producing zero
 // findings. The dynamic half lives in internal/workload
 // (TestBrokenCoalesceShrinkCaughtExactlyOnce).
 func TestFabproofBrokenCoalesceWitness(t *testing.T) {
-	res := CheckModule(sharedModule(t))
+	res := sharedResult(t)
 	if len(res.Findings) != 0 {
 		t.Fatalf("module should be clean, got %v", res.Findings)
 	}
@@ -62,7 +62,7 @@ func TestFabproofBrokenCoalesceWitness(t *testing.T) {
 // discharged on the clean tree — the rows CI publishes as FABPROOF.txt —
 // in pinned order.
 func TestFabproofAllProven(t *testing.T) {
-	res := CheckModule(sharedModule(t))
+	res := sharedResult(t)
 	wantKeys := []string{
 		fabRingBound, fabRingOverflow, fabSeqMono, fabAckMono, fabGenMono,
 		fabRetryCap, fabCoalesce, fabCallbackOnce, fabFreedFall, fabInvalWF,

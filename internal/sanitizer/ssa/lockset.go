@@ -27,13 +27,15 @@ import (
 // cross-validation artifact (RACE_XVAL, one row per registry entry) is
 // how CI holds the two tiers to the same story.
 //
-// The seeded fault is part of the contract: Config.BrokenEarlyAck
+// The seeded fault is part of the contract: core.MutantEarlyAck
 // deliberately acks before the flush while page tables are being freed,
 // which the dynamic model reports as a race on mm.pt-nodes. Statically,
 // the same violation surfaces as the one ack-ordering discharge this
 // prover cannot complete — recorded as a *witness* (not a finding,
 // because the breakage is intentional and config-gated) and required to
-// exist exactly once, at the seeded site. Zero witnesses would mean the
+// exist exactly once, at the seeded site. A site counts as seeded only
+// when its unit compares a field of the mutant's type with exactly the
+// registry's SeededBy constant. Zero witnesses would mean the
 // static tier lost the bug the dynamic tier still sees; more than one
 // would mean a real violation is hiding behind the seeded one.
 
@@ -308,6 +310,7 @@ func (la *locksetAnalysis) checkAckOrdered(e race.Field, ss []*lockSite) {
 // have fired exactly once.
 func (la *locksetAnalysis) checkEarlyAcks(e race.Field, readUnits map[*Func]bool) {
 	witnessSeen := make(map[string]bool)
+	seed := la.seedConst(e)
 	la.prog.eachUnit(func(f *Func) {
 		if f.Decl.Pkg.Path == racePkg {
 			return
@@ -325,7 +328,7 @@ func (la *locksetAnalysis) checkEarlyAcks(e race.Field, readUnits map[*Func]bool
 					continue // the payload provably never sets the guard
 				}
 				for _, pos := range la.ackViolations(f, call.Args[5], e, nil) {
-					if la.unitReadsConfig(f, e.SeededBy) {
+					if la.unitComparesMutant(f, seed) {
 						file, line := la.ctx.posLine(f.Decl, pos)
 						key := fmt.Sprintf("%s:%d:%s", file, line, e.Key)
 						if witnessSeen[key] {
@@ -473,14 +476,42 @@ func (la *locksetAnalysis) isGuardNegation(v *Value, e race.Field) bool {
 		ownerIs(g, modPath+"/"+e.Owner, e.GuardStruct)
 }
 
-// unitReadsConfig reports whether f reads the named config knob — the
-// marker that an ack violation is the deliberately seeded variant.
-func (la *locksetAnalysis) unitReadsConfig(f *Func, knob string) bool {
-	if knob == "" {
+// seedConst resolves the entry's SeededBy mutant constant in its owner
+// package; nil when the entry has none or the name is not a constant.
+func (la *locksetAnalysis) seedConst(e race.Field) *types.Const {
+	p := la.ctx.m.Lookup(modPath + "/" + e.Owner)
+	if e.SeededBy == "" || p == nil {
+		return nil
+	}
+	c, _ := p.Types.Scope().Lookup(e.SeededBy).(*types.Const)
+	return c
+}
+
+// unitComparesMutant reports whether f compares a field of seed's type
+// with seed itself (== or !=) — the marker that an ack violation is the
+// deliberately seeded variant. A comparison with any other constant of
+// that type marks a different mutant, not this one.
+func (la *locksetAnalysis) unitComparesMutant(f *Func, seed *types.Const) bool {
+	if seed == nil {
 		return false
 	}
+	isSeed := func(v *Value) bool {
+		if v.Kind != VConst {
+			return false
+		}
+		tv, ok := f.info.Types[v.Expr]
+		return ok && tv.Value != nil && types.Identical(tv.Type, seed.Type()) &&
+			constant.Compare(tv.Value, token.EQL, seed.Val())
+	}
+	isField := func(v *Value) bool {
+		return v.Kind == VFieldRead && v.Obj != nil && types.Identical(v.Obj.Type(), seed.Type())
+	}
 	for _, v := range f.Values() {
-		if v.Kind == VFieldRead && v.Obj != nil && v.Obj.Name() == knob {
+		if v.Kind != VOp || (v.Op != token.EQL && v.Op != token.NEQ) || len(v.Args) != 2 {
+			continue
+		}
+		x, y := chase(v.Args[0]), chase(v.Args[1])
+		if x != nil && y != nil && (isField(x) && isSeed(y) || isSeed(x) && isField(y)) {
 			return true
 		}
 	}

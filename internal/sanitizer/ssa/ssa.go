@@ -82,7 +82,7 @@ type Result struct {
 	Findings []Finding
 	// Witnesses are the expected rediscoveries of config-seeded faults:
 	// violations the lockset prover finds at deliberately broken sites
-	// (Config.BrokenEarlyAck). They are not findings — the breakage is
+	// (core.MutantEarlyAck). They are not findings — the breakage is
 	// intentional — but their exact count is part of the cross-validation
 	// contract with the dynamic race model.
 	Witnesses []Finding

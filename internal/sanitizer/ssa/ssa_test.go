@@ -28,6 +28,20 @@ func sharedModule(t *testing.T) *Module {
 	return mod
 }
 
+// The whole-module run is as read-only as the module it reads, so the
+// tests that inspect the clean tree share one result.
+var (
+	resOnce sync.Once
+	modRes  *Result
+)
+
+func sharedResult(t *testing.T) *Result {
+	t.Helper()
+	m := sharedModule(t)
+	resOnce.Do(func() { modRes = CheckModule(m) })
+	return modRes
+}
+
 func checkFixture(t *testing.T, name string) *Result {
 	t.Helper()
 	res, err := CheckFixture(sharedModule(t), filepath.Join("testdata", name))
@@ -140,17 +154,23 @@ func TestDetFlowGoodFixtureClean(t *testing.T) {
 
 func TestLocksetUnprovenAckFires(t *testing.T) {
 	res := checkFixture(t, "bad_lockset.go")
-	if got := countBy(res.Findings, "lockset"); got != 2 {
-		t.Fatalf("lockset findings = %d, want exactly 2: %v", got, res.Findings)
+	if got := countBy(res.Findings, "lockset"); got != 3 {
+		t.Fatalf("lockset findings = %d, want exactly 3: %v", got, res.Findings)
 	}
-	if len(res.Findings) != 2 {
-		t.Fatalf("total findings = %d, want 2: %v", len(res.Findings), res.Findings)
+	if len(res.Findings) != 3 {
+		t.Fatalf("total findings = %d, want 3: %v", len(res.Findings), res.Findings)
 	}
-	// Sorted by line: the handler's read comes before scratchProbe.
-	if f := res.Findings[0]; !strings.Contains(f.Msg, "mm.pt-nodes") || !strings.Contains(f.Msg, "FreedTables") {
-		t.Fatalf("finding should name the ack-ordered entry and its guard: %v", f)
+	// A comparison with another mutant does not mark the seeded site.
+	if len(res.Witnesses) != 0 {
+		t.Fatalf("witnesses = %v, want none", res.Witnesses)
 	}
-	if f := res.Findings[1]; !strings.Contains(f.Msg, "not in the race registry") || !strings.Contains(f.Msg, "WriteVar") {
+	// Sorted by line: the two early acks come before scratchProbe.
+	for _, f := range res.Findings[:2] {
+		if !strings.Contains(f.Msg, "mm.pt-nodes") || !strings.Contains(f.Msg, "FreedTables") {
+			t.Fatalf("finding should name the ack-ordered entry and its guard: %v", f)
+		}
+	}
+	if f := res.Findings[2]; !strings.Contains(f.Msg, "not in the race registry") || !strings.Contains(f.Msg, "WriteVar") {
 		t.Fatalf("finding should name the unregistered access: %v", f)
 	}
 }
@@ -177,12 +197,12 @@ func TestMHPBlockingFixtureFires(t *testing.T) {
 }
 
 // TestLocksetBrokenEarlyAckWitness is the cross-validation contract: on
-// the clean module the lockset prover must rediscover the config-seeded
-// BrokenEarlyAck violation — as exactly one witness, on the same field
-// the dynamic race model blames (mm.pt-nodes), at the forced early-ack
-// assignment in core's Flusher — while producing zero findings.
+// the clean module the lockset prover must rediscover the seeded
+// core.MutantEarlyAck violation — as exactly one witness, on the same
+// field the dynamic race model blames (mm.pt-nodes), at the forced
+// early-ack assignment in core's Flusher — while producing zero findings.
 func TestLocksetBrokenEarlyAckWitness(t *testing.T) {
-	res := CheckModule(sharedModule(t))
+	res := sharedResult(t)
 	if len(res.Findings) != 0 {
 		t.Fatalf("module should be clean, got %v", res.Findings)
 	}
@@ -193,13 +213,13 @@ func TestLocksetBrokenEarlyAckWitness(t *testing.T) {
 		}
 	}
 	if len(lockWits) != 1 {
-		t.Fatalf("lockset witnesses = %d, want exactly 1 (the seeded BrokenEarlyAck site): %v", len(lockWits), res.Witnesses)
+		t.Fatalf("lockset witnesses = %d, want exactly 1 (the seeded MutantEarlyAck site): %v", len(lockWits), res.Witnesses)
 	}
 	w := lockWits[0]
 	if !strings.Contains(w.File, "internal/core/flusher.go") {
 		t.Fatalf("witness should sit in the Flusher: %v", w)
 	}
-	for _, want := range []string{"mm.pt-nodes", "BrokenEarlyAck", "FreedTables"} {
+	for _, want := range []string{"mm.pt-nodes", "MutantEarlyAck", "FreedTables"} {
 		if !strings.Contains(w.Msg, want) {
 			t.Fatalf("witness message should mention %q: %v", want, w)
 		}
@@ -209,7 +229,7 @@ func TestLocksetBrokenEarlyAckWitness(t *testing.T) {
 // TestXValAllProven asserts every race-registry entry is statically
 // discharged on the clean tree — the rows CI publishes as RACE_XVAL.txt.
 func TestXValAllProven(t *testing.T) {
-	res := CheckModule(sharedModule(t))
+	res := sharedResult(t)
 	if len(res.XVal) == 0 {
 		t.Fatal("expected one XVal row per registry entry, got none")
 	}
@@ -220,16 +240,6 @@ func TestXValAllProven(t *testing.T) {
 		if i > 0 && res.XVal[i-1].Key >= r.Key {
 			t.Errorf("XVal rows out of order: %s before %s", res.XVal[i-1].Key, r.Key)
 		}
-	}
-}
-
-// TestRepoIsCleanWithoutWaivers is the tier's bar: the whole tree passes
-// every analyzer with zero findings. No comment can waive a finding, so
-// every discipline is proven.
-func TestRepoIsCleanWithoutWaivers(t *testing.T) {
-	res := CheckModule(sharedModule(t))
-	if len(res.Findings) != 0 {
-		t.Fatalf("repository should be clean, got %d finding(s):\n%v", len(res.Findings), res.Findings)
 	}
 }
 
@@ -305,7 +315,7 @@ func TestWholeProgramCoverageFloor(t *testing.T) {
 	if floor == 0 {
 		t.Fatal("the module lists 0 functions — the floor itself is broken")
 	}
-	res := CheckModule(m)
+	res := sharedResult(t)
 	for _, an := range []string{"ipistate", "detflow", "parallelsafe", "mhp", "lockset", "fabproof"} {
 		if got := res.FuncsVisited[an]; got < floor {
 			t.Fatalf("%s visited %d functions, below the module floor %d", an, got, floor)
@@ -437,11 +447,13 @@ func TestVetOutputOrderedAndParallelStable(t *testing.T) {
 	assertSorted(t, run(m, pkgs, fp, nil).Findings)
 }
 
-// TestRepoIsVetClean checks the result cmd/tlbvet prints: the default
-// CheckModuleOnly run has no findings and exactly the two config-seeded
-// witnesses, lockset's in the Flusher and fabproof's in the fabric.
+// TestRepoIsVetClean checks the result cmd/tlbvet prints: the run of
+// every analyzer (CheckModuleOnly with no names, the same run as
+// CheckModule) has no findings and exactly the two config-seeded
+// witnesses, lockset's in the Flusher and fabproof's in the fabric. No
+// comment can waive a finding, so every discipline is proven.
 func TestRepoIsVetClean(t *testing.T) {
-	res := CheckModuleOnly(sharedModule(t), nil)
+	res := sharedResult(t)
 	if len(res.Findings) != 0 {
 		t.Fatalf("repository should be vet-clean, got %d finding(s):\n%v", len(res.Findings), res.Findings)
 	}

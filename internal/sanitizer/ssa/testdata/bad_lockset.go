@@ -1,14 +1,17 @@
-// Fixture: two discipline breaks the lockset analyzer must report as
-// exactly one finding each.
+// Fixture: three discipline breaks the lockset analyzer must report as
+// exactly one finding each, and no witness.
 //
 //   - An ack-ordering break. The kicked handler reads the freed
 //     page-table location ("mm%d.pt-nodes", ack-ordered in the race
 //     registry), but the early-ack flag passed to CallMany is an
 //     arbitrary caller-supplied boolean — nothing proves it is off while
 //     FlushInfo.FreedTables is set, so a responder's read no longer
-//     happens-before the initiator's reclaim. Unlike the config-seeded
-//     BrokenEarlyAck variant, this unit never consults the seed knob, so
-//     the violation is a real finding, not a witness.
+//     happens-before the initiator's reclaim. Unlike the seeded
+//     core.MutantEarlyAck variant, this unit never compares the config's
+//     mutant, so the violation is a real finding, not a witness.
+//   - The same break in a unit that forces the early ack after comparing
+//     Config.Mutant with a different mutant: only the registry's seed
+//     constant marks the seeded site.
 //   - scratchProbe touches a detector variable no registry entry
 //     declares, so no discipline can be proven for it.
 package locksetfix
@@ -31,6 +34,21 @@ func kickWithUnprovenAck(l *smp.Layer, d *race.Detector, p *sim.Proc, from mach.
 			d.ReadVar(fmt.Sprintf("mm%d.pt-nodes", fi.AS.ID))
 		}
 	}, info, wantEarly, nil)
+	l.WaitAll(p, from, rs)
+}
+
+func kickUnderOtherMutant(l *smp.Layer, d *race.Detector, p *sim.Proc, from mach.CPU,
+	targets mach.CPUMask, info *core.FlushInfo, cfg core.Config) {
+	early := cfg.EarlyAck && !info.FreedTables
+	if cfg.Mutant == core.MutantCoalesceShrink {
+		early = true
+	}
+	rs := l.CallMany(p, from, targets, func(hp *sim.Proc, target mach.CPU, payload any) {
+		fi := payload.(*core.FlushInfo)
+		if fi.FreedTables {
+			d.ReadVar(fmt.Sprintf("mm%d.pt-nodes", fi.AS.ID))
+		}
+	}, info, early, nil)
 	l.WaitAll(p, from, rs)
 }
 

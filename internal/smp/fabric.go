@@ -18,7 +18,7 @@
 //     (one RMW pops everything), applies the batch through the
 //     kernel-registered applier, then stores the highest observed
 //     sequence to its ack line — ack-after-apply is the invariant the
-//     BrokenAckBeforeDrain variant violates and the sanitizer catches;
+//     core.MutantAckBeforeDrain variant violates and the sanitizer catches;
 //   - a lost kick leaves the acked sequence lagging the posted one; the
 //     watchdog proc (armed only under an injected-fault schedule with
 //     recovery enabled) detects the generation gap at the ack deadline,
@@ -126,10 +126,10 @@ func (l *Layer) SetDrainApplier(fn func(p *sim.Proc, cpu mach.CPU, batch []Inval
 // AsyncEnabled reports whether a drain applier is registered.
 func (l *Layer) AsyncEnabled() bool { return l.drainApply != nil }
 
-// SetBrokenCoalesceShrink plants the deliberately broken coalescing
-// variant: merged ring entries adopt the newer inval's end instead of
-// the max of both, silently shrinking coverage. The static fabproof
-// tier and the dynamic shadow-TLB oracle must both convict it.
+// SetBrokenCoalesceShrink plants core.MutantCoalesceShrink: merged ring
+// entries adopt the newer inval's end instead of the max of both,
+// silently shrinking coverage. The static fabproof tier and the dynamic
+// shadow-TLB oracle must both convict it.
 func (l *Layer) SetBrokenCoalesceShrink(on bool) { l.brokenCoalesce = on }
 
 func (l *Layer) fabricOf(cpu mach.CPU) *fabricCPU {
@@ -330,7 +330,7 @@ func (l *Layer) DrainFabric(p *sim.Proc, cpu mach.CPU) {
 	l.stats.AsyncDrains++
 	l.stats.AsyncApplied += uint64(len(batch))
 	// Apply before acking: the ack asserts the invalidations landed. A
-	// broken applier that defers the work (core's BrokenAckBeforeDrain)
+	// broken applier that defers the work (core.MutantAckBeforeDrain)
 	// turns the store below into a premature ack — the exact protocol
 	// violation the sanitizer's deferred obligation windows catch.
 	l.drainApply(p, cpu, batch)

@@ -186,8 +186,9 @@ type Layer struct {
 	batches    []*AsyncBatch
 	wdCond     *sim.Cond
 	// brokenCoalesce plants the deliberately broken coalescing variant
-	// (BrokenCoalesceShrink): merges adopt the newer entry's end instead
-	// of the max, shrinking invalidation coverage. Cross-validation only.
+	// (core.MutantCoalesceShrink): merges adopt the newer entry's end
+	// instead of the max, shrinking invalidation coverage.
+	// Cross-validation only.
 	brokenCoalesce bool
 
 	// rt, when non-nil, receives happens-before events for every modeled

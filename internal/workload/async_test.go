@@ -67,7 +67,7 @@ func runAsyncStaleTouch(w *World) {
 // touch through the unflushed entry.
 func TestBrokenAckBeforeDrainCaughtExactlyOnce(t *testing.T) {
 	cfg := asyncAll()
-	cfg.BrokenAckBeforeDrain = true
+	cfg.Mutant = core.MutantAckBeforeDrain
 	w := NewWorld(Safe, cfg, 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
@@ -138,7 +138,7 @@ var coalesceFaults = fault.Spec{DelayP: 1, DelayMax: 12_000}
 // (covering the responder's cached page), then the page below, adjacent
 // and ending *before* the first inval's end. The two posts merge in the
 // responder's ring; a sound merge keeps [min(Start), max(End)) and the
-// drain flushes everything, while the BrokenCoalesceShrink variant
+// drain flushes everything, while the MutantCoalesceShrink variant
 // adopts the newer end and silently stops covering the older entry's
 // tail — the responder's post-completion touch then goes through the
 // stale entry even though its generation bookkeeping says current.
@@ -191,7 +191,7 @@ func runAsyncCoalesceTouch(w *World) {
 // (ssa.TestFabproofBrokenCoalesceWitness).
 func TestBrokenCoalesceShrinkCaughtExactlyOnce(t *testing.T) {
 	cfg := asyncAll()
-	cfg.BrokenCoalesceShrink = true
+	cfg.Mutant = core.MutantCoalesceShrink
 	w := Template{Faults: coalesceFaults}.boot(Safe, cfg, 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})

@@ -79,7 +79,8 @@ type Template struct {
 	// 56-CPU testbed, mach.DefaultTopology().
 	Topo mach.Topology
 	// TLBMode overrides the shootdown dispatch tier: "" leaves each
-	// config as built, "sync" clears the async fabric knobs, "async" sets
+	// config as built, "sync" clears AsyncShootdown and any mutant that
+	// needs the fabric (core.Mutant.NeedsAsync), "async" sets
 	// AsyncShootdown — except on configs carrying SerializedIPIs or
 	// LazyRemote, which model competing dispatch disciplines and keep
 	// their own tier. CheckTLBMode rejects any other value.
@@ -151,8 +152,9 @@ func Boot(m Machine) (*World, error) {
 	switch m.Base.TLBMode {
 	case "sync":
 		cfg.AsyncShootdown = false
-		cfg.BrokenAckBeforeDrain = false
-		cfg.BrokenCoalesceShrink = false
+		if cfg.Mutant.NeedsAsync() {
+			cfg.Mutant = core.NoMutant
+		}
 	case "async":
 		if !cfg.SerializedIPIs && !cfg.LazyRemote {
 			cfg.AsyncShootdown = true

@@ -8,35 +8,41 @@ import (
 )
 
 // TestTLBModeOverrideAtBoot pins the -tlbmode override as Boot applies
-// it: "" keeps each config's own tier, "sync" clears the async fabric
-// knobs, and "async" turns the fabric on except under SerializedIPIs or
-// LazyRemote, which model competing dispatch disciplines.
+// it: "" keeps each config's own tier, "sync" clears AsyncShootdown and
+// every mutant that needs the fabric, and "async" turns the fabric on
+// except under SerializedIPIs or LazyRemote, which model competing
+// dispatch disciplines. Every mutant core declares boots under each
+// mode.
 func TestTLBModeOverrideAtBoot(t *testing.T) {
 	all := core.All()
 	allAsync := all
 	allAsync.AsyncShootdown = true
-	ackBeforeDrain := allAsync
-	ackBeforeDrain.BrokenAckBeforeDrain = true
-	coalesceShrink := allAsync
-	coalesceShrink.BrokenCoalesceShrink = true
 	baseAsync := core.Baseline()
 	baseAsync.AsyncShootdown = true
 	serialized := core.Config{SerializedIPIs: true}
 	lazy := core.Config{LazyRemote: true}
 
 	modes := []string{"", "sync", "async"}
-	cases := []struct {
+	type bootCase struct {
 		name string
 		cfg  core.Config
 		want [3]core.Config // the booted flusher's Cfg under each of modes
-	}{
+	}
+	cases := []bootCase{
 		{"baseline", core.Baseline(), [3]core.Config{core.Baseline(), core.Baseline(), baseAsync}},
 		{"all", all, [3]core.Config{all, all, allAsync}},
 		{"all+async", allAsync, [3]core.Config{allAsync, all, allAsync}},
-		{"all+async+ackbeforedrain", ackBeforeDrain, [3]core.Config{ackBeforeDrain, all, ackBeforeDrain}},
-		{"all+async+coalesceshrink", coalesceShrink, [3]core.Config{coalesceShrink, all, coalesceShrink}},
 		{"serialized", serialized, [3]core.Config{serialized, serialized, serialized}},
 		{"lazy", lazy, [3]core.Config{lazy, lazy, lazy}},
+	}
+	for _, m := range core.Mutants() {
+		planted := allAsync
+		planted.Mutant = m
+		synced := all
+		if !m.NeedsAsync() {
+			synced.Mutant = m
+		}
+		cases = append(cases, bootCase{"all+async+" + m.String(), planted, [3]core.Config{planted, synced, planted}})
 	}
 	for mi, mode := range modes {
 		for _, c := range cases {
