@@ -1,7 +1,8 @@
 // Command tlbvet is the repository's static-analysis front door: it loads
-// and typechecks the module once (stdlib go/types only) and runs every
-// analyzer of internal/sanitizer/ssa over it — a def-use/SSA IR with
-// interprocedural summaries over a fixpoint call graph:
+// and typechecks the module once (stdlib go/types only), lowers every
+// function into one def-use/SSA IR with interprocedural summaries over a
+// fixpoint call graph, and runs every analyzer of internal/sanitizer/ssa.
+// determinism reads import specs; the other ten run on the shared IR:
 //
 //   - determinism: banned imports (time, math/rand) by path, catching
 //     aliased/dot/blank forms

@@ -160,7 +160,7 @@ func (f *Flusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.FlushRa
 	info := &FlushInfo{
 		AS: as, Start: fr.Start, End: fr.End, Stride: fr.Stride,
 		NewGen: newGen, FreedTables: fr.FreedTables,
-		Full: spanPages > uint64(k.Cfg.FullFlushThreshold),
+		Full: spanPages > kernel.FullFlushThreshold,
 	}
 
 	k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.ShootBegin, MM: uint64(as.ID), Gen: newGen,

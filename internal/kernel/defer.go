@@ -45,7 +45,7 @@ func (c *CPU) DeferUserFlush(start, end uint64, stride pagetable.Size) {
 		}
 	}
 	pages := (c.duEnd - c.duStart) / (c.duStridePages * pagetable.PageSize4K)
-	if pages > uint64(c.K.Cfg.FullFlushThreshold) {
+	if pages > FullFlushThreshold {
 		c.duFull = true
 		c.duValid = false
 	}

@@ -57,18 +57,17 @@ type Config struct {
 	// PTI requires PCIDs to be affordable; DisablePCID with PTI models
 	// the Meltdown-mitigation worst case the paper alludes to.
 	DisablePCID bool
-	// FullFlushThreshold is the PTE count above which a ranged flush is
-	// performed as a full flush (Linux's tlb_single_page_flush_ceiling,
-	// default 33).
-	FullFlushThreshold int
 }
+
+// FullFlushThreshold is the PTE count above which a ranged flush is
+// performed as a full flush (Linux's tlb_single_page_flush_ceiling).
+const FullFlushThreshold = 33
 
 // DefaultConfig returns the safe-mode (PTI on) baseline configuration.
 func DefaultConfig() Config {
 	return Config{
-		PTI:                true,
-		TLB:                tlb.DefaultConfig(),
-		FullFlushThreshold: 33,
+		PTI: true,
+		TLB: tlb.DefaultConfig(),
 	}
 }
 
@@ -140,9 +139,6 @@ type mmLinePair struct {
 func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, cfg Config) *Kernel {
 	if err := topo.Validate(); err != nil {
 		panic(err)
-	}
-	if cfg.FullFlushThreshold <= 0 {
-		cfg.FullFlushThreshold = 33
 	}
 	if cfg.TLB.Cap4K == 0 {
 		cfg.TLB = tlb.DefaultConfig()

@@ -251,7 +251,7 @@ func TestDeferUserFlushEscalations(t *testing.T) {
 	k, _ := newKernel(t, true)
 	c := k.CPU(0)
 	// Span exceeding the threshold escalates to a deferred full flush.
-	c.DeferUserFlush(0, uint64(k.Cfg.FullFlushThreshold+2)*pg, pagetable.Size4K)
+	c.DeferUserFlush(0, (FullFlushThreshold+2)*pg, pagetable.Size4K)
 	if _, _, _, ok := c.PendingUserFlushRange(); ok {
 		t.Fatal("range still selective after exceeding threshold")
 	}

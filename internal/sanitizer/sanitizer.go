@@ -52,10 +52,11 @@ type Config struct {
 	// it measure exactly that window. Without this flag the checker
 	// (correctly) reports the lazy protocol as incoherent.
 	AllowLazyWindow bool
-	// MaxViolations caps recorded violations per checker (default 64);
-	// further violations are counted but dropped from the report.
-	MaxViolations int
 }
+
+// maxViolations caps recorded violations per checker; further violations
+// are counted but dropped from the report.
+const maxViolations = 64
 
 // Violation is one detected protocol violation.
 type Violation struct {
@@ -177,9 +178,6 @@ type Checker struct {
 // subscribers (the trace recorder, further checkers) keep receiving
 // every event. Address spaces created before Attach are not tracked.
 func Attach(k *kernel.Kernel, f *core.Flusher, cfg Config) *Checker {
-	if cfg.MaxViolations <= 0 {
-		cfg.MaxViolations = 64
-	}
 	c := &Checker{
 		K: k, F: f, Cfg: cfg,
 		shadows: make(map[mm.ID]*shadow),
@@ -494,7 +492,7 @@ func (c *Checker) configString() string {
 }
 
 func (c *Checker) addViolation(kind string, cpu int, msg string) {
-	if len(c.violations) >= c.Cfg.MaxViolations {
+	if len(c.violations) >= maxViolations {
 		c.dropped++
 		return
 	}

@@ -1294,7 +1294,7 @@ func absAnalyze(f *Func, prog *Program, sums *absSummaries, hooks absHooks) bool
 	inSig := map[*IRBlock]string{f.Entry: entry.signature()}
 	visits := map[*IRBlock]int{}
 
-	order := rpo(f)
+	order := f.order
 	queue := append([]*IRBlock{}, order...)
 	inQueue := map[*IRBlock]bool{}
 	for _, b := range order {
@@ -1413,28 +1413,6 @@ func (d *absDom) transferBlock(f *Func, b *IRBlock, env *absEnv, hooks *absHooks
 			}
 		}
 	}
-}
-
-// rpo orders blocks reverse-postorder from the entry.
-func rpo(f *Func) []*IRBlock {
-	seen := map[*IRBlock]bool{}
-	var post []*IRBlock
-	var walk func(b *IRBlock)
-	walk = func(b *IRBlock) {
-		if b == nil || seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			walk(s)
-		}
-		post = append(post, b)
-	}
-	walk(f.Entry)
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
 }
 
 // --- interprocedural summaries ---
@@ -1825,17 +1803,4 @@ func fieldAddr(in *Instr, field *types.Var) (*Value, bool) {
 		return nil, false
 	}
 	return a.Base, true
-}
-
-// eachAst walks the syntax of a unit's body (declaration or literal).
-func eachAst(f *Func, visit func(ast.Node) bool) {
-	var body ast.Node
-	if f.Lit != nil {
-		body = f.Lit.Body
-	} else if f.Decl.Decl != nil {
-		body = f.Decl.Decl.Body
-	}
-	if body != nil {
-		ast.Inspect(body, visit)
-	}
 }

@@ -38,9 +38,6 @@ type cfgBlock struct {
 	// element-obligation analyses can detect values leaking across
 	// iterations.
 	isLoopHead bool
-	// rangeStmt, on a loop-head block, is the range statement whose
-	// per-iteration variables are rebound there (nil for plain for loops).
-	rangeStmt *ast.RangeStmt
 	// isSelectComm marks the entry block of a select communication clause:
 	// which arm runs is scheduling-dependent, so values bound there are
 	// nondeterminism sources for the detflow taint analysis.
@@ -208,7 +205,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock, label string) *cfgBlock {
 	case *ast.RangeStmt:
 		head, body, after := b.newBlock(), b.newBlock(), b.newBlock()
 		head.isLoopHead = true
-		head.rangeStmt = v
 		head.nodes = append(head.nodes, v)
 		b.connect(cur, head)
 		b.connect(head, body)

@@ -63,91 +63,99 @@ type costParam struct {
 }
 
 func checkCostLiteral(ctx *modCtx) []Finding {
-	funcs := allFuncs(ctx.pkgs)
+	// Every statically resolved call, with the unit it sits in.
+	type site struct {
+		f    *Func
+		call *Value
+	}
+	var sites []site
+	ctx.program().eachUnit(func(f *Func) {
+		if f.Lit == nil {
+			ctx.visited["costliteral"]++
+		}
+		for _, b := range f.Blocks {
+			for _, call := range b.Calls {
+				if call.Callee != nil {
+					sites = append(sites, site{f, call})
+				}
+			}
+		}
+	})
 
 	// Fixpoint: a parameter is cost-like when its function passes it whole
-	// (modulo parens and conversions) to Delay or to an already cost-like
-	// parameter. Thin wrappers of wrappers converge in a few rounds.
+	// (parens and conversions lower to the operand itself) to Delay or to
+	// an already cost-like parameter, from its own body, from a loop or
+	// join (a phi of the parameter's variable) or from a literal that
+	// captures it. Thin wrappers of wrappers converge in a few rounds.
 	costLike := make(map[costParam]bool)
 	isSink := func(callee *types.Func, i int) bool {
 		return (isDelaySink(callee) && i == 0) || costLike[costParam{fn: callee, idx: i}]
 	}
-	paramIndex := func(fn FuncDecl, v *types.Var) int {
-		sig := fn.Obj.Type().(*types.Signature)
-		for i := 0; i < sig.Params().Len(); i++ {
-			if sig.Params().At(i) == v {
-				return i
-			}
-		}
-		return -1
-	}
-	// eachCall visits every resolved call in fd's body.
-	eachCall := func(fd FuncDecl, visit func(call *ast.CallExpr, callee *types.Func)) {
-		ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if callee := calleeFunc(fd.Pkg.Info, call); callee != nil {
-					visit(call, callee)
-				}
-			}
-			return true
-		})
-	}
 	for changed := true; changed; {
 		changed = false
-		for _, fd := range funcs {
-			info := fd.Pkg.Info
-			eachCall(fd, func(call *ast.CallExpr, callee *types.Func) {
-				for i, arg := range call.Args {
-					v := identObj(info, unwrap(info, arg))
-					if v == nil || !isSink(callee, i) {
-						continue
-					}
-					key := costParam{fn: fd.Obj, idx: paramIndex(fd, v)}
-					if key.idx >= 0 && !costLike[key] {
-						costLike[key] = true
-						changed = true
-					}
+		for _, s := range sites {
+			for i, arg := range s.call.Args {
+				key := costParam{fn: s.f.Decl.Obj, idx: declParamIndex(s.f, arg)}
+				if key.idx >= 0 && isSink(s.call.Callee, i) && !costLike[key] {
+					costLike[key] = true
+					changed = true
 				}
-			})
+			}
 		}
 	}
 
 	// Flag compile-time-constant arguments reaching a sink from cost-scope
-	// code. Zero is exempt: `Delay(0)` is an explicit no-op, not a cost.
+	// code, judged on the argument as written: a constant is one the call
+	// site spells out, not one a local was initialized with. Zero is
+	// exempt: `Delay(0)` is an explicit no-op, not a cost.
 	var out []Finding
-	for _, fd := range funcs {
-		if !inCostScope(fd.File) {
+	for _, s := range sites {
+		if !inCostScope(s.f.Decl.File) {
 			continue
 		}
-		info := fd.Pkg.Info
-		eachCall(fd, func(call *ast.CallExpr, callee *types.Func) {
-			for i, arg := range call.Args {
-				if !isSink(callee, i) {
-					continue
-				}
-				tv, ok := info.Types[arg]
-				if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-					continue
-				}
-				if v, ok := constant.Uint64Val(tv.Value); ok && v == 0 {
-					continue
-				}
-				what := "constant cycle cost"
-				if _, lit := ast.Unparen(arg).(*ast.BasicLit); !lit {
-					what = "named-constant cycle cost"
-				}
-				dest := "Delay"
-				if !isDelaySink(callee) {
-					dest = fmt.Sprintf("cost parameter %d of %s", i, callee.Name())
-				}
-				out = append(out, Finding{
-					File: fd.File, Line: ctx.m.Fset.Position(arg.Pos()).Line,
-					Analyzer: "costliteral",
-					Msg: fmt.Sprintf("%s %s passed to %s; route it through the cost model (internal/mach/costs.go)",
-						what, tv.Value.ExactString(), dest),
-				})
+		for i, arg := range s.call.Call.Args {
+			if !isSink(s.call.Callee, i) {
+				continue
 			}
-		})
+			tv := s.f.info.Types[arg]
+			if tv.Value == nil || tv.Value.Kind() != constant.Int {
+				continue
+			}
+			if v, ok := constant.Uint64Val(tv.Value); ok && v == 0 {
+				continue
+			}
+			what := "constant cycle cost"
+			if _, lit := ast.Unparen(arg).(*ast.BasicLit); !lit {
+				what = "named-constant cycle cost"
+			}
+			dest := "Delay"
+			if !isDelaySink(s.call.Callee) {
+				dest = fmt.Sprintf("cost parameter %d of %s", i, s.call.Callee.Name())
+			}
+			out = append(out, Finding{
+				File: s.f.Decl.File, Line: ctx.m.Fset.Position(arg.Pos()).Line,
+				Analyzer: "costliteral",
+				Msg: fmt.Sprintf("%s %s passed to %s; route it through the cost model (internal/mach/costs.go)",
+					what, tv.Value.ExactString(), dest),
+			})
+		}
 	}
 	return out
+}
+
+// declParamIndex is the index of the enclosing declaration's parameter
+// that v reads, or -1: the parameter itself, the variable captured by a
+// literal, or a phi merging the parameter's variable at a join or loop
+// head (`for ... { p.Delay(cost) }` reads cost through one).
+func declParamIndex(f *Func, v *Value) int {
+	if v.Kind != VParam && v.Kind != VFree && v.Kind != VPhi {
+		return -1
+	}
+	params := f.Decl.Obj.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if params.At(i) == v.Obj {
+			return i
+		}
+	}
+	return -1
 }

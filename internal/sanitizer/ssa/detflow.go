@@ -54,6 +54,18 @@ type dfSummary struct {
 	paramFlow map[int]bool
 }
 
+// keep folds an earlier round's summary into s: a label once given stays
+// (recomputing it from the first tainted return can cycle through mutually
+// recursive sources forever) and parameter flows only accumulate.
+func (s *dfSummary) keep(old *dfSummary) {
+	if old.srcResult != "" {
+		s.srcResult = old.srcResult
+	}
+	for k := range old.paramFlow {
+		s.paramFlow[k] = true
+	}
+}
+
 func (s *dfSummary) equal(o *dfSummary) bool {
 	if s.srcResult != o.srcResult || len(s.paramFlow) != len(o.paramFlow) {
 		return false
@@ -90,9 +102,13 @@ func checkDetFlow(ctx *modCtx) []Finding {
 		fieldTaint:  make(map[*types.Var]string),
 		mapRanges:   make(map[*ast.FuncDecl][]*ast.BlockStmt),
 	}
-	// Fixpoint over summaries and global/field taint.
-	for round := 0; round < 12; round++ {
-		changed := false
+	// Fixpoint over summaries and global/field taint, run until nothing
+	// changes: every fact only grows (a global, field or summary label is
+	// set once, parameter flows accumulate), so the rounds stop, and
+	// stopping early would leave a deep wrapper chain's summaries
+	// unfinished and its sink unreported.
+	for changed := true; changed; {
+		changed = false
 		a.prog.eachUnit(func(f *Func) {
 			taint := a.localTaint(f)
 			if a.recordStores(f, taint) {
@@ -102,14 +118,15 @@ func checkDetFlow(ctx *modCtx) []Finding {
 				return
 			}
 			sum := a.summarize(f, taint)
-			if old := a.sums[f.Decl.Obj]; old == nil || !old.equal(sum) {
-				a.sums[f.Decl.Obj] = sum
-				changed = true
+			if old := a.sums[f.Decl.Obj]; old != nil {
+				sum.keep(old)
+				if old.equal(sum) {
+					return
+				}
 			}
+			a.sums[f.Decl.Obj] = sum
+			changed = true
 		})
-		if !changed {
-			break
-		}
 	}
 	// Final pass: report sinks.
 	var findings []Finding

@@ -30,7 +30,11 @@ import (
 //
 // Any path from a creation to the function's exit with the obligation
 // still live is a finding: a restrictive PTE change some interleaving can
-// translate through stale.
+// translate through stale. The dataflow runs over the shared SSA program's
+// blocks and keys an obligation by the value that carries it, so copies
+// through locals and phis are one obligation; a result that no variable or
+// operand ever holds (assigned to _, or a bare statement call) is reported
+// where it is born.
 
 func isFlushRange(t types.Type) bool {
 	return isNamed(t, modPath+"/internal/mm", "FlushRange")
@@ -45,22 +49,30 @@ func isObligationType(t types.Type) bool {
 	return isFlushRange(t) || isFlushRangeSlice(t)
 }
 
+// oblKey names one obligation: result res of the creating call origin,
+// or (res 0) a seeded parameter or a range element binding. Keying by SSA
+// value makes every copy of the FlushRange the same obligation.
+type oblKey struct {
+	origin *Value
+	res    int
+}
+
 // obligation tracks one live flush obligation.
 type obligation struct {
 	file string
 	line int
 	// desc names the creating call ("as.Unmap") for the report.
 	desc string
-	// errVar is the error result paired with the creation; the obligation
+	// errKey is the error result paired with the creation; the obligation
 	// is released on the path where that error is non-nil.
-	errVar *types.Var
+	errKey oblKey
 	// paramIdx >= 0 marks a summary-mode seed: the obligation entered via
 	// parameter paramIdx and leaking it means "not a discharging param",
 	// not a finding.
 	paramIdx int
 }
 
-type oblState map[*types.Var]*obligation
+type oblState map[oblKey]*obligation
 
 func (s oblState) clone() oblState {
 	out := make(oblState, len(s))
@@ -68,18 +80,6 @@ func (s oblState) clone() oblState {
 		out[k] = v
 	}
 	return out
-}
-
-// mergeInto unions src into dst, reporting whether dst changed.
-func (s oblState) mergeInto(dst oblState, from oblState) bool {
-	changed := false
-	for k, v := range from {
-		if _, ok := dst[k]; !ok {
-			dst[k] = v
-			changed = true
-		}
-	}
-	return changed
 }
 
 // dischargeSet maps a function to the parameter indices it discharges.
@@ -100,57 +100,57 @@ func (d dischargeSet) has(fn *types.Func, idx int) bool { return fn != nil && d[
 
 // checkFlushObligation runs the analyzer over the whole module.
 func checkFlushObligation(ctx *modCtx) []Finding {
-	funcs := allFuncs(ctx.pkgs)
-	discharging := seedDischargers(ctx)
+	prog := ctx.program()
+	discharging := seedDischargers(ctx, prog)
 
 	// Fixpoint over obligation-transfer helpers: a module function with a
 	// FlushRange parameter that discharges it on every path is itself a
 	// discharger, so wrappers around FlushAfter compose.
-	candidates := dischargeCandidates(funcs, discharging)
+	type candidate struct {
+		f       *Func
+		seedIdx []int
+	}
+	var cands []candidate
+	for _, f := range prog.Funcs {
+		var idx []int
+		for i := 0; i < f.Sig.Params().Len(); i++ {
+			if isObligationType(f.Sig.Params().At(i).Type()) && !discharging.has(f.Decl.Obj, i) {
+				idx = append(idx, i)
+			}
+		}
+		if len(idx) > 0 {
+			cands = append(cands, candidate{f, idx})
+		}
+	}
 	for changed := true; changed; {
 		changed = false
-		for _, c := range candidates {
-			leaks := analyzeObligations(ctx, c.fd, c.seedIdx, discharging, nil)
+		for _, c := range cands {
+			leaks := newOblAnalysis(ctx, c.f, discharging, nil).run(c.seedIdx)
 			for _, idx := range c.seedIdx {
-				if !leaks[idx] && discharging.mark(c.fd.Obj, idx) {
+				if !leaks[idx] && discharging.mark(c.f.Decl.Obj, idx) {
 					changed = true
 				}
 			}
 		}
 	}
 
-	// Reporting pass over every function body, then over every function
-	// literal as its own unit (a daemon's Task.Fn closure or a
-	// kernelSection body runs later with its own control flow; its
-	// obligations are not the installing function's).
+	// Reporting pass over every unit: a function literal (a daemon's
+	// Task.Fn closure or a kernelSection body) runs later with its own
+	// control flow, so its obligations are not the installing function's.
 	var findings []Finding
-	for _, fd := range funcs {
-		analyzeObligations(ctx, fd, nil, discharging, &findings)
-		for _, lit := range funcLitsIn(fd.Decl.Body) {
-			a := newOblAnalysis(ctx, fd, discharging, &findings)
-			a.unitName = "the function literal in " + fd.Decl.Name.Name
-			a.analyzeBody(lit.Body, nil)
+	prog.eachUnit(func(f *Func) {
+		if f.Lit == nil {
+			ctx.visited["flushobligation"]++
 		}
-	}
-	return findings
-}
-
-// funcLitsIn lists every function literal nested anywhere in body.
-func funcLitsIn(body *ast.BlockStmt) []*ast.FuncLit {
-	var out []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			out = append(out, lit)
-		}
-		return true
+		newOblAnalysis(ctx, f, discharging, &findings).run(nil)
 	})
-	return out
+	return findings
 }
 
 // seedDischargers marks the protocol's root discharge points: the
 // kernel.Flusher interface's FlushRange parameters and every module
 // implementation of the interface.
-func seedDischargers(ctx *modCtx) dischargeSet {
+func seedDischargers(ctx *modCtx, prog *Program) dischargeSet {
 	d := make(dischargeSet)
 	kp := ctx.m.Lookup(modPath + "/internal/kernel")
 	if kp == nil {
@@ -173,67 +173,25 @@ func seedDischargers(ctx *modCtx) dischargeSet {
 		}
 	}
 	for i := 0; i < iface.NumMethods(); i++ {
-		markFlushParams(iface.Method(i))
-	}
-	// Concrete implementations: their identically named methods discharge
-	// the same parameters.
-	for _, p := range ctx.pkgs {
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || !types.Implements(types.NewPointer(named), iface) {
-				continue
-			}
-			for i := 0; i < iface.NumMethods(); i++ {
-				m := iface.Method(i)
-				impl, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, p.Types, m.Name())
-				if fn, ok := impl.(*types.Func); ok {
-					markFlushParams(fn)
-				}
-			}
+		m := iface.Method(i)
+		markFlushParams(m)
+		for _, impl := range prog.Impls[m] {
+			markFlushParams(impl)
 		}
 	}
 	return d
 }
 
-type dischargeCandidate struct {
-	fd      FuncDecl
-	seedIdx []int
-}
-
-// dischargeCandidates lists functions with FlushRange parameters that are
-// not already root dischargers.
-func dischargeCandidates(funcs []FuncDecl, roots dischargeSet) []dischargeCandidate {
-	var out []dischargeCandidate
-	for _, fd := range funcs {
-		sig := fd.Obj.Type().(*types.Signature)
-		var idx []int
-		for i := 0; i < sig.Params().Len(); i++ {
-			if isObligationType(sig.Params().At(i).Type()) && !roots.has(fd.Obj, i) {
-				idx = append(idx, i)
-			}
-		}
-		if len(idx) > 0 {
-			out = append(out, dischargeCandidate{fd: fd, seedIdx: idx})
-		}
-	}
-	return out
-}
-
-// oblAnalysis carries one function's dataflow run.
+// oblAnalysis carries one unit's dataflow run.
 type oblAnalysis struct {
 	ctx         *modCtx
-	fd          FuncDecl
-	info        *types.Info
+	f           *Func
 	discharging dischargeSet
 	findings    *[]Finding
-	// unitName names the analyzed body in exit-leak reports (the declared
-	// function, or "the function literal in <func>").
-	unitName string
+	// held lists the obligations some variable or operand of f holds;
+	// rangeVal maps a range-loop head to its element binding.
+	held     map[oblKey]bool
+	rangeVal map[*IRBlock]*Value
 	// seen dedupes findings across worklist revisits.
 	seen map[string]bool
 	// leaks collects parameter indices whose seeded obligation escaped
@@ -241,342 +199,256 @@ type oblAnalysis struct {
 	leaks map[int]bool
 }
 
-func newOblAnalysis(ctx *modCtx, fd FuncDecl, discharging dischargeSet, findings *[]Finding) *oblAnalysis {
-	return &oblAnalysis{
-		ctx: ctx, fd: fd, info: fd.Pkg.Info, discharging: discharging,
-		findings: findings, unitName: fd.Decl.Name.Name,
+func newOblAnalysis(ctx *modCtx, f *Func, discharging dischargeSet, findings *[]Finding) *oblAnalysis {
+	a := &oblAnalysis{
+		ctx: ctx, f: f, discharging: discharging, findings: findings,
+		held: make(map[oblKey]bool), rangeVal: make(map[*IRBlock]*Value),
 		seen: make(map[string]bool), leaks: make(map[int]bool),
 	}
-}
-
-// analyzeObligations runs the must-discharge dataflow over fd. seedIdx,
-// when non-empty, seeds the listed FlushRange parameters as obligations
-// (summary mode: findings is nil and the leaked indices are returned). In
-// reporting mode findings are appended.
-func analyzeObligations(ctx *modCtx, fd FuncDecl, seedIdx []int, discharging dischargeSet, findings *[]Finding) map[int]bool {
-	a := newOblAnalysis(ctx, fd, discharging, findings)
-	entry := make(oblState)
-	sig := fd.Obj.Type().(*types.Signature)
-	for _, idx := range seedIdx {
-		pv := sig.Params().At(idx)
-		entry[pv] = &obligation{paramIdx: idx, desc: "parameter " + pv.Name()}
+	hold := func(v *Value) {
+		switch {
+		case v == nil:
+		case v.Kind == VExtract:
+			a.held[oblKey{v.Base, v.ResIdx}] = true
+		case v.Kind == VCall:
+			a.held[oblKey{v, 0}] = true
+		}
 	}
-	return a.analyzeBody(fd.Decl.Body, entry)
-}
-
-// analyzeBody runs the dataflow over one body (a declared function's or a
-// function literal's) with the given entry state.
-func (a *oblAnalysis) analyzeBody(body *ast.BlockStmt, entry oblState) map[int]bool {
-	g := buildCFG(body)
-	if entry == nil {
-		entry = make(oblState)
+	for _, v := range f.values {
+		if v.Kind != VExtract { // a projection does not use the whole call
+			hold(v.Base)
+		}
+		for _, arg := range v.Args {
+			hold(arg)
+		}
+		if v.Kind == VRangeVal {
+			a.rangeVal[v.Block] = v
+		}
 	}
-
-	in := make(map[*cfgBlock]oblState, len(g.blocks))
-	in[g.entry] = entry
-	work := []*cfgBlock{g.entry}
-	inWork := map[*cfgBlock]bool{g.entry: true}
-	for len(work) > 0 {
-		b := work[0]
-		work, inWork[b] = work[1:], false
-		outs := a.flow(b, in[b].clone())
-		for _, eo := range outs {
-			if eo.to == nil {
-				continue
+	for _, b := range f.Blocks {
+		hold(b.CondV)
+		hold(b.Range)
+		for _, in := range b.Instrs {
+			if in.Kind != IExpr && in.Kind != IGo && in.Kind != IDefer {
+				hold(in.Val)
 			}
-			if in[eo.to] == nil {
-				in[eo.to] = make(oblState)
-			}
-			if oblState(nil).mergeInto(in[eo.to], eo.state) && !inWork[eo.to] {
-				work = append(work, eo.to)
-				inWork[eo.to] = true
+			hold(in.Addr)
+			for _, r := range in.Results {
+				hold(r)
 			}
 		}
 	}
+	f.eachBinding(hold)
+	return a
+}
+
+// keysOf visits the obligations v may carry: a creating call's result, a
+// seeded parameter or a range element, through phis, address-of and
+// dereference.
+func (a *oblAnalysis) keysOf(v *Value, visit func(oblKey)) {
+	seen := make(map[*Value]bool)
+	var walk func(v *Value)
+	walk = func(v *Value) {
+		if v == nil || seen[v] {
+			return
+		}
+		seen[v] = true
+		switch v.Kind {
+		case VExtract:
+			visit(oblKey{v.Base, v.ResIdx})
+		case VCall, VParam, VRangeVal:
+			visit(oblKey{v, 0})
+		case VPhi:
+			for _, arg := range v.Args {
+				walk(arg)
+			}
+		case VAddr, VDeref:
+			walk(v.Base)
+		}
+	}
+	walk(v)
+}
+
+// release drops every obligation v carries from st.
+func (a *oblAnalysis) release(v *Value, st oblState) {
+	a.keysOf(v, func(k oblKey) { delete(st, k) })
+}
+
+// run executes the must-discharge dataflow over the unit. seedIdx, when
+// non-empty, seeds the listed FlushRange parameters as obligations
+// (summary mode: findings is nil and the leaked indices are returned).
+// In reporting mode findings are appended.
+func (a *oblAnalysis) run(seedIdx []int) map[int]bool {
+	f := a.f
+	entry := make(oblState)
+	for _, idx := range seedIdx {
+		pv := f.Sig.Params().At(idx)
+		entry[oblKey{f.params[pv], 0}] = &obligation{paramIdx: idx, desc: "parameter " + pv.Name()}
+	}
+	in := flowForward(f, entry, func(b *IRBlock, st oblState) []oblState {
+		return a.flow(b, st.clone())
+	}, unionJoin[oblState])
 
 	// Exit check: apply deferred discharges, then report what is live.
-	exitState := in[g.exit]
-	if exitState == nil {
-		exitState = make(oblState)
+	// Panicking paths end in PanicExit and owe nothing.
+	exit := in[f.Exit].clone()
+	for _, d := range f.Defers {
+		a.discharge(d, exit)
 	}
-	exitState = exitState.clone()
-	for _, df := range g.defers {
-		a.dischargeCallArgs(df.Call, exitState)
-	}
-	for _, ob := range exitState {
+	for _, ob := range exit {
 		a.leak(ob)
 	}
 	return a.leaks
 }
 
-type edgeOut struct {
-	to    *cfgBlock
-	state oblState
-}
-
-// flow pushes state through one block, returning per-edge output states.
-func (a *oblAnalysis) flow(b *cfgBlock, st oblState) []edgeOut {
-	// Range-head blocks: the RangeStmt node is handled edge-sensitively
-	// below; an element obligation arriving back at the head leaked out of
-	// its iteration.
-	if b.rangeStmt != nil {
+// flow pushes st through one block, returning one out-state per successor.
+func (a *oblAnalysis) flow(b *IRBlock, st oblState) []oblState {
+	if b.Range != nil {
 		return a.flowRangeHead(b, st)
 	}
-	for _, n := range b.nodes {
-		a.transferNode(n, st)
-	}
-	if b.cond != nil {
+	a.transfer(b, st)
+	if b.CondV != nil && len(b.Succs) == 2 {
 		tState, fState := st, st.clone()
-		a.applyCondRelease(b.cond, tState, fState)
-		return []edgeOut{{b.tsucc, tState}, {b.fsucc, fState}}
+		a.applyCondRelease(b.CondV, tState, fState)
+		return []oblState{tState, fState}
 	}
-	outs := make([]edgeOut, 0, len(b.succs))
-	for _, s := range b.succs {
-		outs = append(outs, edgeOut{s, st})
+	outs := make([]oblState, len(b.Succs))
+	for i := range outs {
+		outs[i] = st
 	}
 	return outs
 }
 
 // flowRangeHead handles `for _, fr := range frs` over an obligation
 // slice: the slice obligation becomes a per-element obligation inside the
-// body and is considered fully discharged once the loop completes.
-// buildCFG connects the body edge first, then the after edge.
-func (a *oblAnalysis) flowRangeHead(b *cfgBlock, st oblState) []edgeOut {
-	rng := b.rangeStmt
-	elemVar := identObj(a.info, rng.Value)
-	if elemVar != nil {
-		if ob, live := st[elemVar]; live {
+// body and is considered fully discharged once the loop completes. The
+// head's first successor is the body, its second the loop exit.
+func (a *oblAnalysis) flowRangeHead(b *IRBlock, st oblState) []oblState {
+	elem := a.rangeVal[b]
+	if elem != nil {
+		if ob, live := st[oblKey{elem, 0}]; live {
 			a.report(ob, fmt.Sprintf("flush obligation from %s may be dropped by the next loop iteration", ob.desc))
-			delete(st, elemVar)
+			delete(st, oblKey{elem, 0})
 		}
 	}
-	xVar := identObj(a.info, rng.X)
-	body, after := b.succs[0], b.succs[1]
-	bodyState, afterState := st.clone(), st.clone()
-	if xVar != nil {
-		if ob, live := st[xVar]; live && isFlushRangeSlice(xVar.Type()) {
-			delete(bodyState, xVar)
-			delete(afterState, xVar)
-			if elemVar != nil {
-				elemOb := *ob
-				bodyState[elemVar] = &elemOb
-			}
-		}
-	}
-	return []edgeOut{{body, bodyState}, {after, afterState}}
-}
-
-// transferNode applies one statement or expression to the state.
-func (a *oblAnalysis) transferNode(n ast.Node, st oblState) {
-	switch v := n.(type) {
-	case *ast.AssignStmt:
-		a.transferAssign(v, st)
-	case *ast.ReturnStmt:
-		for _, res := range v.Results {
-			a.scanCalls(res, st, true)
-		}
-		for _, res := range v.Results {
-			if rv := identObj(a.info, unwrap(a.info, res)); rv != nil {
-				// Returning the value transfers the obligation: the caller's
-				// own call re-births it under the signature rule.
-				delete(st, rv)
-			}
-		}
-	case *ast.DeferStmt:
-		// Applied at exit by the caller of the dataflow.
-	default:
-		a.scanCalls(n, st, false)
-	}
-}
-
-// transferAssign handles births (creating calls), aliasing moves, and
-// overwrite kills.
-func (a *oblAnalysis) transferAssign(as *ast.AssignStmt, st oblState) {
-	if len(as.Rhs) == 1 {
-		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
-			a.scanCallArgsOnly(call, st)
-			if positions := a.creationResults(call); positions != nil {
-				a.birth(call, as.Lhs, positions, st)
-				return
-			}
-			// Non-creating call result: plain overwrite of the LHS.
-			for _, l := range as.Lhs {
-				if lv := identObj(a.info, l); lv != nil {
-					delete(st, lv)
+	a.transfer(b, st)
+	body, after := st.clone(), st
+	if isFlushRangeSlice(b.Range.Type) {
+		var moved *obligation
+		a.keysOf(b.Range, func(k oblKey) {
+			if ob, live := st[k]; live {
+				if moved == nil {
+					moved = ob
 				}
+				delete(body, k)
+				delete(after, k)
 			}
-			return
+		})
+		if moved != nil && elem != nil {
+			elemOb := *moved
+			body[oblKey{elem, 0}] = &elemOb
 		}
 	}
-	// Value assignments: alias moves and overwrites.
-	for i, r := range as.Rhs {
-		a.scanCalls(r, st, false)
-		if i >= len(as.Lhs) {
-			continue
+	return []oblState{body, after}
+}
+
+// transfer replays a block's calls (births and discharges, in evaluation
+// order; deferred calls wait for exit) and its returns, which transfer
+// the returned obligations to the caller: the caller's own call re-births
+// them under the signature rule.
+func (a *oblAnalysis) transfer(b *IRBlock, st oblState) {
+	for _, call := range b.Calls {
+		if !call.Deferred {
+			a.discharge(call, st)
+			a.birth(call, st)
 		}
-		lv := identObj(a.info, as.Lhs[i])
-		rv := identObj(a.info, unwrap(a.info, r))
-		if lv == nil {
-			continue
-		}
-		if rv != nil {
-			if ob, live := st[rv]; live {
-				// Move semantics: the obligation follows the alias.
-				delete(st, rv)
-				st[lv] = ob
-				continue
+	}
+	for _, in := range b.Instrs {
+		if in.Kind == IReturn {
+			for _, r := range in.Results {
+				a.release(r, st)
 			}
 		}
-		delete(st, lv)
 	}
 }
 
-// creationResults returns the result indices of call that carry
-// obligations, or nil when the call creates none. Only module functions
-// create obligations: FlushRange composite literals are descriptions, not
-// page-table mutations.
-func (a *oblAnalysis) creationResults(call *ast.CallExpr) []int {
-	fn := calleeFunc(a.info, call)
+// birth registers the obligations a creating call returns. Only module
+// functions create obligations: FlushRange composite literals are
+// descriptions, not page-table mutations.
+func (a *oblAnalysis) birth(call *Value, st oblState) {
+	fn := call.Callee
 	if fn == nil || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), modPath) {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	var out []int
-	for i := 0; i < sig.Results().Len(); i++ {
-		if isObligationType(sig.Results().At(i).Type()) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// birth registers the obligations a creating call assigns.
-func (a *oblAnalysis) birth(call *ast.CallExpr, lhs []ast.Expr, positions []int, st oblState) {
-	pos := a.ctx.m.Fset.Position(call.Pos())
-	file, line := a.fileRel(call.Pos()), pos.Line
-	desc := callDesc(call)
-
-	sig := calleeFunc(a.info, call).Type().(*types.Signature)
-	// Pair the error result's variable, if the call returns one.
-	var errVar *types.Var
-	for i := 0; i < sig.Results().Len(); i++ {
-		if i < len(lhs) && types.Identical(sig.Results().At(i).Type(), types.Universe.Lookup("error").Type()) {
-			errVar = identObj(a.info, lhs[i])
-		}
-	}
-
-	for _, i := range positions {
-		if i >= len(lhs) {
-			continue
-		}
-		ob := &obligation{file: file, line: line, desc: desc, errVar: errVar, paramIdx: -1}
-		lv := identObj(a.info, lhs[i])
-		if lv == nil || lv.Name() == "_" {
-			a.report(ob, fmt.Sprintf("flush obligation from %s is discarded; pass it to the Flusher or return it", desc))
-			continue
-		}
-		st[lv] = ob
-	}
-}
-
-// scanCalls walks an expression tree, discharging obligation arguments
-// and flagging creating calls whose results are dropped. consumed marks
-// the root expression's call results as captured (return statements
-// transfer them to the caller).
-func (a *oblAnalysis) scanCalls(n ast.Node, st oblState, consumed bool) {
-	var rootCall *ast.CallExpr
-	if e, ok := n.(ast.Expr); ok && consumed {
-		rootCall, _ = ast.Unparen(e).(*ast.CallExpr)
-	}
-	ast.Inspect(n, func(x ast.Node) bool {
-		if _, isLit := x.(*ast.FuncLit); isLit {
-			// A nested function literal is its own analysis unit; its body
-			// does not execute here.
-			return false
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		a.dischargeCallArgs(call, st)
-		if positions := a.creationResults(call); positions != nil && call != rootCall {
-			file, line := a.fileRel(call.Pos()), a.ctx.m.Fset.Position(call.Pos()).Line
-			ob := &obligation{file: file, line: line, desc: callDesc(call), paramIdx: -1}
-			a.report(ob, fmt.Sprintf("flush obligation from %s is discarded; pass it to the Flusher or return it", ob.desc))
-		}
-		return true
-	})
-}
-
-// scanCallArgsOnly discharges and drop-checks within a call's arguments
-// (used when the call itself is the handled RHS of an assignment).
-func (a *oblAnalysis) scanCallArgsOnly(call *ast.CallExpr, st oblState) {
-	a.dischargeCallArgs(call, st)
-	for _, arg := range call.Args {
-		a.scanCalls(arg, st, false)
-	}
-}
-
-// dischargeCallArgs removes obligations passed whole to a discharging
-// parameter of the callee.
-func (a *oblAnalysis) dischargeCallArgs(call *ast.CallExpr, st oblState) {
-	fn := calleeFunc(a.info, call)
-	if fn == nil {
 		return
 	}
-	for i, arg := range call.Args {
-		if !a.discharging.has(fn, i) {
-			continue
+	results := fn.Type().(*types.Signature).Results()
+	var created []int
+	var errKey oblKey
+	for i := 0; i < results.Len(); i++ {
+		switch t := results.At(i).Type(); {
+		case isObligationType(t):
+			created = append(created, i)
+		case types.Identical(t, types.Universe.Lookup("error").Type()):
+			errKey = oblKey{call, i}
 		}
-		if v := identObj(a.info, unwrap(a.info, arg)); v != nil {
-			delete(st, v)
+	}
+	if created == nil {
+		return
+	}
+	file, line := a.ctx.posLine(a.f.Decl, call.Pos)
+	desc := callDesc(call.Call)
+	for _, i := range created {
+		ob := &obligation{file: file, line: line, desc: desc, errKey: errKey, paramIdx: -1}
+		if k := (oblKey{call, i}); a.held[k] {
+			st[k] = ob
+		} else {
+			a.report(ob, fmt.Sprintf("flush obligation from %s is discarded; pass it to the Flusher or return it", desc))
+		}
+	}
+}
+
+// discharge removes obligations passed to a discharging parameter of the
+// callee.
+func (a *oblAnalysis) discharge(call *Value, st oblState) {
+	for i, arg := range call.Args {
+		if a.discharging.has(call.Callee, i) {
+			a.release(arg, st)
 		}
 	}
 }
 
 // applyCondRelease implements the path-sensitive release rules on an
 // atomic condition's edges.
-func (a *oblAnalysis) applyCondRelease(cond ast.Expr, tState, fState oblState) {
+func (a *oblAnalysis) applyCondRelease(cond *Value, tState, fState oblState) {
 	// err != nil / err == nil: the error path owes no flush.
-	if be, ok := cond.(*ast.BinaryExpr); ok && (be.Op == token.NEQ || be.Op == token.EQL) {
-		var id ast.Expr
+	if cond.Kind == VOp && (cond.Op == token.NEQ || cond.Op == token.EQL) && len(cond.Args) == 2 {
+		var errV *Value
 		switch {
-		case isNilIdent(be.Y):
-			id = be.X
-		case isNilIdent(be.X):
-			id = be.Y
+		case isNilConst(a.f, cond.Args[1]):
+			errV = cond.Args[0]
+		case isNilConst(a.f, cond.Args[0]):
+			errV = cond.Args[1]
 		}
-		if id != nil {
-			if ev := identObj(a.info, id); ev != nil {
-				errSt := tState
-				if be.Op == token.EQL {
-					errSt = fState
-				}
-				for v, ob := range errSt {
-					if ob.errVar == ev {
-						delete(errSt, v)
-					}
+		if errV == nil {
+			return
+		}
+		errSt := tState
+		if cond.Op == token.EQL {
+			errSt = fState
+		}
+		a.keysOf(errV, func(k oblKey) {
+			for ok, ob := range errSt {
+				if ob.errKey == k {
+					delete(errSt, ok)
 				}
 			}
-		}
+		})
 		return
 	}
 	// fr.Empty(): nothing to invalidate on the true edge.
-	if call, ok := cond.(*ast.CallExpr); ok {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Empty" {
-			if recv := identObj(a.info, unwrap(a.info, sel.X)); recv != nil && isFlushRange(recv.Type()) {
-				delete(tState, recv)
-			}
-		}
+	if cond.Kind == VCall && cond.Callee != nil && cond.Callee.Name() == "Empty" &&
+		cond.Base != nil && isFlushRange(cond.Base.Type) {
+		a.release(cond.Base, tState)
 	}
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
 }
 
 // leak records an obligation alive at exit.
@@ -586,7 +458,7 @@ func (a *oblAnalysis) leak(ob *obligation) {
 		return
 	}
 	a.report(ob, fmt.Sprintf("flush obligation from %s may reach %s's exit undischarged: some path performs a restrictive page-table mutation without a TLB shootdown (pass the FlushRange to the Flusher or return it)",
-		ob.desc, a.unitName))
+		ob.desc, a.f.Name()))
 }
 
 func (a *oblAnalysis) report(ob *obligation, msg string) {
@@ -604,14 +476,6 @@ func (a *oblAnalysis) report(ob *obligation, msg string) {
 	*a.findings = append(*a.findings, Finding{
 		File: ob.file, Line: ob.line, Analyzer: "flushobligation", Msg: msg,
 	})
-}
-
-func (a *oblAnalysis) fileRel(pos token.Pos) string {
-	_, rel := a.fd.Pkg.FileOf(pos)
-	if rel == "" {
-		rel = a.fd.File
-	}
-	return rel
 }
 
 // callDesc renders a call like "as.Unmap" for reports.

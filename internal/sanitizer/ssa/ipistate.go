@@ -169,8 +169,8 @@ func checkIPIState(ctx *modCtx) []Finding {
 
 // seedPrimitives installs the protocol root summaries.
 func (ia *ipiAnalysis) seedPrimitives() {
-	for _, fd := range allFuncs(ia.ctx.pkgs) {
-		fn := fd.Obj
+	for _, f := range ia.prog.Funcs {
+		fn := f.Decl.Obj
 		sig, _ := fn.Type().(*types.Signature)
 		if sig == nil || sig.Recv() == nil {
 			continue
@@ -195,14 +195,15 @@ func (ia *ipiAnalysis) seedPrimitives() {
 	}
 }
 
-// fixpoint classifies wrapper functions until stable: a request-typed
-// parameter whose origins reach a discharging call is itself a
-// discharger, and a function returning freshly kicked requests is a
-// CallMany wrapper. A cheap may-analysis: summaries only prevent leak and
-// double-discharge false positives; the path checks run per-unit.
+// fixpoint classifies wrapper functions until nothing changes: a
+// request-typed parameter whose origins reach a discharging call is itself
+// a discharger, and a function returning freshly kicked requests is a
+// CallMany wrapper. Both only ever upgrade, so the rounds stop. A cheap
+// may-analysis: summaries only prevent leak and double-discharge false
+// positives; the path checks run per-unit.
 func (ia *ipiAnalysis) fixpoint() {
-	for round := 0; round < 20; round++ {
-		changed := false
+	for changed := true; changed; {
+		changed = false
 		for _, f := range ia.prog.Funcs {
 			if f.Decl.Pkg.Path == smpPkg {
 				continue
@@ -215,9 +216,6 @@ func (ia *ipiAnalysis) fixpoint() {
 				ia.returnsLive[fn] = true
 				changed = true
 			}
-		}
-		if !changed {
-			return
 		}
 	}
 }
@@ -410,37 +408,24 @@ func initIPIBits(o *Value) ipiBits {
 
 // analyzeUnit runs the path-sensitive DFA over one unit.
 func (ia *ipiAnalysis) analyzeUnit(f *Func) {
-	in := make(map[*IRBlock]ipiState)
-	in[f.Entry] = make(ipiState)
-	work := f.rpo()
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		st, ok := in[b]
-		if !ok {
-			continue
-		}
+	in := flowForward(f, make(ipiState), func(b *IRBlock, st ipiState) []ipiState {
 		out := ia.transferBlock(f, b, st.clone())
-		for _, s := range b.Succs {
-			prev, ok := in[s]
-			if !ok {
-				in[s] = out.clone()
-				work = append(work, s)
-				continue
-			}
-			merged := joinIPI(prev.clone(), out)
-			if !equalIPI(merged, prev) {
-				in[s] = merged
-				work = append(work, s)
-			}
+		outs := make([]ipiState, len(b.Succs))
+		for i := range outs {
+			outs[i] = out
 		}
-	}
+		return outs
+	}, func(prev, out ipiState) (ipiState, bool) {
+		merged := joinIPI(prev.clone(), out)
+		return merged, !equalIPI(merged, prev)
+	})
 	// Normal exit: deferred calls run, then every born-here origin must be
 	// discharged or transferred. Panic exits release obligations.
 	exitSt, ok := in[f.Exit]
 	if !ok {
 		return
 	}
+	exitSt = exitSt.clone()
 	for _, d := range f.Defers {
 		ia.applyCall(f, d, exitSt)
 	}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // This file lowers the per-function CFG into a def-use SSA form. The IR is
@@ -85,6 +86,9 @@ type Value struct {
 	Callee  *types.Func
 	Builtin string
 	ResIdx  int
+	// Deferred marks a VCall that a defer statement postpones to the
+	// unit's exit: it stays in its block's Calls but runs from Func.Defers.
+	Deferred bool
 	// Op is the operator token for VOp values lowered from unary/binary
 	// expressions, ++/-- statements (INC/DEC) and compound assignments
 	// (ADD_ASSIGN, ...); token.ILLEGAL when the op is not operator-shaped.
@@ -99,7 +103,8 @@ type Value struct {
 	// captured or global variable, the field object for VFieldRead, or the
 	// variable a phi merges.
 	Obj *types.Var
-	// Block is the defining block (phis only).
+	// Block is the defining block of a phi, a select-arm receive or a
+	// range binding (the loop head that rebinds it every iteration).
 	Block *IRBlock
 	// Unit is the lowered body of a VClosure.
 	Unit *Func
@@ -148,6 +153,9 @@ type IRBlock struct {
 	SelectComm bool
 	// LoopHead mirrors cfgBlock.isLoopHead.
 	LoopHead bool
+	// Range, on a range-loop head, is the ranged operand; the head rebinds
+	// the loop's VRangeKey/VRangeVal (Base Range) on every iteration.
+	Range *Value
 	// Calls lists the block's VCall values in evaluation order, so
 	// path-sensitive analyses replay call effects without re-walking AST.
 	Calls []*Value
@@ -163,6 +171,8 @@ type Func struct {
 	Sig                    *types.Signature
 	Blocks                 []*IRBlock
 	Entry, Exit, PanicExit *IRBlock
+	// order lists the blocks reachable from Entry in reverse postorder.
+	order []*IRBlock
 	// Defers lists deferred calls in source order (applied at exit).
 	Defers []*Value
 	// Lits lists the literal units nested directly in this body.
@@ -242,8 +252,8 @@ func lowerBody(fd FuncDecl, lit *ast.FuncLit, sig *types.Signature, body *ast.Bl
 
 	// Fill blocks in reverse postorder; only back-edge targets stay
 	// unsealed past their fill, and they are sealed at the end.
-	order := f.rpo()
-	for _, b := range order {
+	f.order = f.rpo()
+	for _, b := range f.order {
 		f.trySeal(b)
 		f.fill(b)
 	}
@@ -299,6 +309,64 @@ func (f *Func) rpo() []*IRBlock {
 	return post
 }
 
+// flowForward runs a forward dataflow over f's blocks until no in-state
+// changes: every reachable block is visited once in reverse postorder, even
+// when the state reaching it is empty, and again whenever its in-state
+// changes after that. transfer maps a block's in-state to one out-state
+// per successor (in Succs order); join folds an out-state into a
+// successor's in-state. Neither may modify a state it is given, since
+// stored states are shared. It returns each reached block's fixpoint
+// in-state.
+func flowForward[S any](f *Func, entry S, transfer func(b *IRBlock, in S) []S, join func(in, out S) (S, bool)) map[*IRBlock]S {
+	in := map[*IRBlock]S{f.Entry: entry}
+	// In reverse postorder a block's first visit follows its first
+	// predecessor's, so every queued block has an in-state.
+	work := append([]*IRBlock(nil), f.order...)
+	queued := make(map[*IRBlock]bool, len(work))
+	for _, b := range work {
+		queued[b] = true
+	}
+	for len(work) > 0 {
+		b := work[0]
+		work = work[1:]
+		queued[b] = false
+		for i, out := range transfer(b, in[b]) {
+			s := b.Succs[i]
+			if prev, seen := in[s]; seen {
+				var changed bool
+				if out, changed = join(prev, out); !changed {
+					continue
+				}
+			}
+			in[s] = out
+			if !queued[s] {
+				queued[s] = true
+				work = append(work, s)
+			}
+		}
+	}
+	return in
+}
+
+// unionJoin is flowForward's join for may-analyses over maps: it adds the
+// entries of out whose keys in lacks, keeping in's entry on a clash, and
+// returns a new map when any was missing.
+func unionJoin[M ~map[K]V, K comparable, V any](in, out M) (M, bool) {
+	var merged M
+	for k, v := range out {
+		if _, ok := in[k]; !ok {
+			if merged == nil {
+				merged = maps.Clone(in)
+			}
+			merged[k] = v
+		}
+	}
+	if merged == nil {
+		return in, false
+	}
+	return merged, true
+}
+
 func (f *Func) trySeal(b *IRBlock) {
 	if f.sealed[b] {
 		return
@@ -327,6 +395,17 @@ func (f *Func) newValue(k ValueKind, t types.Type, pos token.Pos) *Value {
 
 // Values lists every value of the unit.
 func (f *Func) Values() []*Value { return f.values }
+
+// eachBinding visits every value a local variable of f was bound to: its
+// definitions and the phis merging them. A call result outside this set
+// and never used as an operand was dropped where it was computed.
+func (f *Func) eachBinding(visit func(*Value)) {
+	for _, byBlock := range f.defs {
+		for _, v := range byBlock {
+			visit(v)
+		}
+	}
+}
 
 func (f *Func) writeVar(v *types.Var, b *IRBlock, val *Value) {
 	if f.defs[v] == nil {
@@ -481,18 +560,20 @@ func (f *Func) lowerNode(b *IRBlock, n ast.Node) {
 		f.emit(b, &Instr{Kind: IGo, Val: call, Pos: v.Pos()})
 	case *ast.DeferStmt:
 		call := f.evalExpr(b, v.Call)
+		call.Deferred = true
 		f.emit(b, &Instr{Kind: IDefer, Val: call, Pos: v.Pos()})
 	case *ast.RangeStmt:
 		x := f.evalExpr(b, v.X)
+		b.Range = x
 		if kv := identObj(f.info, v.Key); kv != nil {
 			k := f.newValue(VRangeKey, kv.Type(), v.Key.Pos())
-			k.Obj, k.Base, k.Expr = kv, x, v.X
+			k.Obj, k.Base, k.Expr, k.Block = kv, x, v.X, b
 			f.writeVar(kv, b, k)
 		}
 		if v.Value != nil {
 			if vv := identObj(f.info, v.Value); vv != nil {
 				e := f.newValue(VRangeVal, vv.Type(), v.Value.Pos())
-				e.Obj, e.Base, e.Expr = vv, x, v.X
+				e.Obj, e.Base, e.Expr, e.Block = vv, x, v.X, b
 				f.writeVar(vv, b, e)
 			}
 		}

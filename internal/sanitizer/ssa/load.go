@@ -301,26 +301,6 @@ func allFuncs(pkgs []*Package) []FuncDecl {
 	return out
 }
 
-// unwrap strips parentheses and value-preserving conversions, so
-// "uint64(x)" and "(x)" alias x for whole-argument matching.
-func unwrap(info *types.Info, e ast.Expr) ast.Expr {
-	for {
-		switch v := e.(type) {
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.CallExpr:
-			// A conversion parses as a call whose Fun is a type.
-			if len(v.Args) == 1 && info.Types[v.Fun].IsType() {
-				e = v.Args[0]
-				continue
-			}
-			return e
-		default:
-			return e
-		}
-	}
-}
-
 // calleeFunc resolves a call to its *types.Func (methods, interface
 // methods and plain functions). Returns nil for builtins, conversions and
 // function-typed values.

@@ -2,7 +2,6 @@ package ssa
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
@@ -103,30 +102,46 @@ func (s *lockSummary) equal(o *lockSummary) bool {
 	return true
 }
 
+// lockMaxRounds caps the summary fixpoint. A round recomputes every
+// summary from the previous ones, and a callee's new release can shrink a
+// caller's held set, so rounds are not monotone; a run still changing
+// after the cap is reported instead of trusted.
+const lockMaxRounds = 50
+
 // checkLockOrder runs the static lockdep.
 func checkLockOrder(ctx *modCtx) []Finding {
-	lo := &lockOrder{
-		ctx:       ctx,
-		summaries: make(map[*types.Func]*lockSummary),
-		impls:     buildImplMap(ctx.pkgs),
-	}
-	funcs := allFuncs(ctx.pkgs)
+	prog := ctx.program()
+	lo := &lockOrder{ctx: ctx, prog: prog, summaries: make(map[*types.Func]*lockSummary)}
 
 	// Fixpoint over function summaries.
-	for round := 0; ; round++ {
-		changed := false
-		for _, fd := range funcs {
-			if isLockPrimitive(fd.Obj) {
+	var findings []Finding
+	for round := 1; ; round++ {
+		var changed *Func
+		for _, f := range prog.Funcs {
+			if round == 1 {
+				ctx.visited["lockorder"]++
+			}
+			if isLockPrimitive(f.Decl.Obj) {
 				continue
 			}
-			sum := lo.analyzeFunc(fd)
-			old := lo.summaries[fd.Obj]
-			if old == nil || !old.equal(sum) {
-				lo.summaries[fd.Obj] = sum
-				changed = true
+			sum := lo.analyze(f)
+			if old := lo.summaries[f.Decl.Obj]; old == nil || !old.equal(sum) {
+				lo.summaries[f.Decl.Obj] = sum
+				if changed == nil {
+					changed = f
+				}
 			}
 		}
-		if !changed || round > 50 {
+		if changed == nil {
+			break
+		}
+		if round == lockMaxRounds {
+			file, line := ctx.posLine(changed.Decl, changed.Decl.Decl.Pos())
+			findings = append(findings, Finding{
+				File: file, Line: line, Analyzer: "lockorder",
+				Msg: fmt.Sprintf("lock summaries did not stabilize within %d rounds (%s still changing), so the acquisition orders are unproven",
+					lockMaxRounds, funcIdent(changed.Decl)),
+			})
 			break
 		}
 	}
@@ -134,24 +149,22 @@ func checkLockOrder(ctx *modCtx) []Finding {
 	// Function literals (task bodies, hooks) acquire their locks when they
 	// run, not at their installation site; analyze each as its own unit
 	// against the converged summaries.
-	var litSums []*lockSummary
-	for _, fd := range funcs {
-		for _, lit := range funcLitsIn(fd.Decl.Body) {
-			litSums = append(litSums, lo.analyzeBody(fd, lit.Body))
+	var allSums []*lockSummary
+	for _, f := range prog.Funcs {
+		if sum := lo.summaries[f.Decl.Obj]; sum != nil {
+			allSums = append(allSums, sum)
 		}
 	}
+	prog.eachUnit(func(f *Func) {
+		if f.Lit != nil {
+			allSums = append(allSums, lo.analyze(f))
+		}
+	})
 
 	// Collect concrete edges: every summary's pairs plus call-site
 	// instantiations already folded in during analysis.
 	type edge struct{ from, to string }
 	edges := make(map[edge]sitePos)
-	var allSums []*lockSummary
-	for _, fd := range funcs {
-		if sum := lo.summaries[fd.Obj]; sum != nil {
-			allSums = append(allSums, sum)
-		}
-	}
-	allSums = append(allSums, litSums...)
 	for _, sum := range allSums {
 		for _, p := range sum.pairs {
 			if isConcrete(p.from) && isConcrete(p.to) {
@@ -183,7 +196,6 @@ func checkLockOrder(ctx *modCtx) []Finding {
 	}
 	sort.Strings(nodes)
 
-	var findings []Finding
 	reported := make(map[string]bool)
 	for _, start := range nodes {
 		cycle := findCycle(start, adj)
@@ -265,18 +277,15 @@ func isLockPrimitive(fn *types.Func) bool {
 
 type lockOrder struct {
 	ctx       *modCtx
+	prog      *Program
 	summaries map[*types.Func]*lockSummary
-	impls     map[*types.Func][]*types.Func
 }
 
-// lockAnalysis is the per-function held-set dataflow.
+// lockAnalysis is the per-unit held-set dataflow.
 type lockAnalysis struct {
-	lo   *lockOrder
-	fd   FuncDecl
-	info *types.Info
-	sum  *lockSummary
-	// locals maps local variables to the lock reference they alias.
-	locals map[*types.Var]lockRef
+	lo  *lockOrder
+	f   *Func
+	sum *lockSummary
 }
 
 type heldSet map[lockRef]bool
@@ -289,78 +298,37 @@ func (h heldSet) clone() heldSet {
 	return out
 }
 
-// analyzeFunc computes fd's lock summary under the current fixpoint.
-func (lo *lockOrder) analyzeFunc(fd FuncDecl) *lockSummary {
-	return lo.analyzeBody(fd, fd.Decl.Body)
-}
+// analyze runs the held-set dataflow over one unit — a declared
+// function, or a function literal (a daemon Task.Fn closure acquires its
+// locks when the task runs, not when the constructor builds it) — under
+// the current summaries.
+func (lo *lockOrder) analyze(f *Func) *lockSummary {
+	a := &lockAnalysis{lo: lo, f: f, sum: newLockSummary()}
+	in := flowForward(f, make(heldSet), func(b *IRBlock, held heldSet) []heldSet {
+		st := held.clone()
+		// A TryDown* branch condition acquires only on its success edge;
+		// deferred calls run at exit.
+		try := tryDownCond(b)
+		for _, call := range b.Calls {
+			if call != try && !call.Deferred {
+				a.applyCall(call, st)
+			}
+		}
+		outs := make([]heldSet, len(b.Succs))
+		for i := range outs {
+			outs[i] = st
+		}
+		if try != nil && len(outs) == 2 {
+			outs[0] = st.clone()
+			a.acquire(a.ref(try.Base), try.Pos, outs[0])
+		}
+		return outs
+	}, unionJoin[heldSet])
 
-// analyzeBody runs the held-set dataflow over one body — a declared
-// function's, or a function literal's (a daemon Task.Fn closure acquires
-// its locks when the task runs, not when the constructor builds it).
-func (lo *lockOrder) analyzeBody(fd FuncDecl, body *ast.BlockStmt) *lockSummary {
-	a := &lockAnalysis{lo: lo, fd: fd, info: fd.Pkg.Info, sum: newLockSummary(), locals: make(map[*types.Var]lockRef)}
-	a.bindLocals(body)
-	g := buildCFG(body)
-
-	in := make(map[*cfgBlock]heldSet, len(g.blocks))
-	in[g.entry] = make(heldSet)
-	work := []*cfgBlock{g.entry}
-	inWork := map[*cfgBlock]bool{g.entry: true}
-	merge := func(dst *cfgBlock, st heldSet) {
-		if in[dst] == nil {
-			in[dst] = make(heldSet)
-		}
-		changed := false
-		for k := range st {
-			if !in[dst][k] {
-				in[dst][k] = true
-				changed = true
-			}
-		}
-		if changed && !inWork[dst] {
-			work = append(work, dst)
-			inWork[dst] = true
-		}
-	}
-	for len(work) > 0 {
-		b := work[0]
-		work, inWork[b] = work[1:], false
-		st := in[b].clone()
-		condIsTry := false
-		for _, n := range b.nodes {
-			// The trailing atomic condition is handled edge-sensitively.
-			if b.cond != nil && n == ast.Node(b.cond) {
-				continue
-			}
-			a.transfer(n, st)
-		}
-		if b.cond != nil {
-			tState, fState := st.clone(), st
-			if ref, write, ok := a.tryDownCond(b.cond); ok {
-				condIsTry = true
-				a.acquire(ref, write, b.cond.Pos(), tState)
-			}
-			if !condIsTry {
-				a.transfer(b.cond, tState)
-				a.transfer(b.cond, fState)
-			}
-			merge(b.tsucc, tState)
-			merge(b.fsucc, fState)
-			continue
-		}
-		for _, s := range b.succs {
-			merge(s, st)
-		}
-	}
-
-	exit := in[g.exit]
-	if exit == nil {
-		exit = make(heldSet)
-	}
-	exit = exit.clone()
+	exit := in[f.Exit].clone()
 	// Deferred calls run at exit, releasing what they release.
-	for _, df := range g.defers {
-		a.transfer(df.Call, exit)
+	for _, d := range f.Defers {
+		a.applyCall(d, exit)
 	}
 	for ref := range exit {
 		a.sum.heldExit[ref] = true
@@ -368,104 +336,80 @@ func (lo *lockOrder) analyzeBody(fd FuncDecl, body *ast.BlockStmt) *lockSummary 
 	return a.sum
 }
 
-// bindLocals pre-scans for `v := <lock expr>` aliases so later method
-// calls on v resolve to the aliased class.
-func (a *lockAnalysis) bindLocals(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, r := range as.Rhs {
-			if i >= len(as.Lhs) {
-				break
-			}
-			lv := identObj(a.info, as.Lhs[i])
-			if lv == nil || !isLockType(lv.Type()) {
-				continue
-			}
-			if ref := a.exprRef(r); ref != "" {
-				a.locals[lv] = ref
-			}
-		}
-		return true
-	})
-}
+// ref resolves a lock value to its canonical reference: the unit's
+// receiver or parameter, the struct field or accessor that holds it, or
+// "" when its class is unknown. Copies and phis whose operands agree are
+// the same lock.
+func (a *lockAnalysis) ref(v *Value) lockRef { return lockRefOf(v, nil) }
 
-// exprRef resolves an expression of lock type to its canonical reference.
-func (a *lockAnalysis) exprRef(e ast.Expr) lockRef {
-	e = ast.Unparen(e)
-	switch v := e.(type) {
-	case *ast.Ident:
-		obj, ok := a.info.ObjectOf(v).(*types.Var)
-		if !ok {
-			return ""
-		}
-		sig := a.fd.Obj.Type().(*types.Signature)
-		if sig.Recv() == obj {
-			return recvRef
-		}
-		for i := 0; i < sig.Params().Len(); i++ {
-			if sig.Params().At(i) == obj {
-				return paramRef(i)
-			}
-		}
-		if ref, ok := a.locals[obj]; ok {
-			return ref
-		}
+// lockRefOf is ref; seen guards the phi cycles of loops.
+func lockRefOf(v *Value, seen map[*Value]bool) lockRef {
+	v = chase(v)
+	if v == nil {
 		return ""
-	case *ast.SelectorExpr:
-		sel, ok := a.info.Selections[v]
-		if !ok {
-			return ""
+	}
+	switch v.Kind {
+	case VRecv:
+		return recvRef
+	case VParam:
+		return paramRef(v.ResIdx)
+	case VFieldRead:
+		if n := namedType(v.Base.Type); n != nil && n.Obj().Pkg() != nil {
+			return classRef(n.Obj().Pkg().Name() + "." + n.Obj().Name() + "." + v.Obj.Name())
 		}
-		n := namedType(sel.Recv())
-		if n == nil || n.Obj().Pkg() == nil {
-			return ""
-		}
-		return classRef(n.Obj().Pkg().Name() + "." + n.Obj().Name() + "." + sel.Obj().Name())
-	case *ast.CallExpr:
+	case VCall:
 		// Accessor call returning the lock: class by the accessor.
-		if fn := calleeFunc(a.info, v); fn != nil {
-			sig := fn.Type().(*types.Signature)
-			if sig.Recv() != nil {
-				if n := namedType(sig.Recv().Type()); n != nil && n.Obj().Pkg() != nil {
-					return classRef(n.Obj().Pkg().Name() + "." + n.Obj().Name() + "." + fn.Name())
+		if v.Callee != nil {
+			if r := v.Callee.Type().(*types.Signature).Recv(); r != nil {
+				if n := namedType(r.Type()); n != nil && n.Obj().Pkg() != nil {
+					return classRef(n.Obj().Pkg().Name() + "." + n.Obj().Name() + "." + v.Callee.Name())
 				}
 			}
 		}
+	case VPhi:
+		if seen == nil {
+			seen = make(map[*Value]bool)
+		}
+		if seen[v] {
+			return ""
+		}
+		seen[v] = true
+		var agreed lockRef
+		for _, arg := range v.Args {
+			if arg == v {
+				continue
+			}
+			r := lockRefOf(arg, seen)
+			if r == "" || (agreed != "" && r != agreed) {
+				return ""
+			}
+			agreed = r
+		}
+		return agreed
 	}
 	return ""
 }
 
-// tryDownCond matches a branch condition that is a bare TryDown* call.
-func (a *lockAnalysis) tryDownCond(cond ast.Expr) (ref lockRef, write, ok bool) {
-	call, isCall := ast.Unparen(cond).(*ast.CallExpr)
-	if !isCall {
-		return "", false, false
+// tryDownCond returns b's branch condition when it is a bare TryDown*
+// call.
+func tryDownCond(b *IRBlock) *Value {
+	c := b.CondV
+	if c == nil || c.Kind != VCall || c.Callee == nil || !isLockPrimitive(c.Callee) {
+		return nil
 	}
-	fn := calleeFunc(a.info, call)
-	if fn == nil || !isLockPrimitive(fn) {
-		return "", false, false
+	if c.Callee.Name() != "TryDownRead" && c.Callee.Name() != "TryDownWrite" {
+		return nil
 	}
-	if fn.Name() != "TryDownRead" && fn.Name() != "TryDownWrite" {
-		return "", false, false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false
-	}
-	return a.exprRef(sel.X), fn.Name() == "TryDownWrite", true
+	return c
 }
 
 // acquire registers an acquisition: ordering pairs against everything
 // held, then the lock joins the held set.
-func (a *lockAnalysis) acquire(ref lockRef, write bool, pos token.Pos, st heldSet) {
-	_ = write
+func (a *lockAnalysis) acquire(ref lockRef, pos token.Pos, st heldSet) {
 	if ref == "" {
 		return
 	}
-	file, line := a.sitePos(pos)
+	file, line := a.lo.ctx.posLine(a.f.Decl, pos)
 	if _, ok := a.sum.acquires[ref]; !ok {
 		a.sum.acquires[ref] = sitePos{file, line}
 	}
@@ -486,51 +430,20 @@ func (a *lockAnalysis) release(ref lockRef, st heldSet) {
 	delete(st, ref)
 }
 
-func (a *lockAnalysis) sitePos(pos token.Pos) (string, int) {
-	_, rel := a.fd.Pkg.FileOf(pos)
-	if rel == "" {
-		rel = a.fd.File
-	}
-	return rel, a.lo.ctx.m.Fset.Position(pos).Line
-}
-
-// transfer applies one node: lock primitives and call-site summary
-// instantiation.
-func (a *lockAnalysis) transfer(n ast.Node, st heldSet) {
-	ast.Inspect(n, func(x ast.Node) bool {
-		if _, isLit := x.(*ast.FuncLit); isLit {
-			// Nested literals run later, as their own units.
-			return false
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		a.applyCall(call, st)
-		return true
-	})
-}
-
 // applyCall folds a callee's lock effects into the caller's state.
-func (a *lockAnalysis) applyCall(call *ast.CallExpr, st heldSet) {
-	fn := calleeFunc(a.info, call)
+func (a *lockAnalysis) applyCall(call *Value, st heldSet) {
+	fn := call.Callee
 	if fn == nil {
 		return
 	}
 	// Lock primitives.
 	if isLockPrimitive(fn) {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		ref := a.exprRef(sel.X)
+		ref := a.ref(call.Base)
 		switch fn.Name() {
-		case "DownRead", "DownWrite":
-			a.acquire(ref, fn.Name() == "DownWrite", call.Pos(), st)
-		case "TryDownRead", "TryDownWrite":
-			// Not in condition position (handled there): conservatively
-			// treat as acquired.
-			a.acquire(ref, fn.Name() == "TryDownWrite", call.Pos(), st)
+		case "DownRead", "DownWrite", "TryDownRead", "TryDownWrite":
+			// A TryDown* outside condition position (handled there) is
+			// conservatively treated as acquired.
+			a.acquire(ref, call.Pos, st)
 		case "UpRead", "UpWrite":
 			a.release(ref, st)
 		}
@@ -538,19 +451,14 @@ func (a *lockAnalysis) applyCall(call *ast.CallExpr, st heldSet) {
 	}
 
 	// Callee summaries — direct, or the union over interface impls.
-	callees := []*types.Func{fn}
-	if impls := a.lo.impls[fn]; len(impls) > 0 {
-		callees = impls
-	}
-	sub := a.substitution(call, fn)
-	for _, callee := range callees {
+	for _, callee := range a.lo.prog.calleesOf(call) {
 		sum := a.lo.summaries[callee]
 		if sum == nil {
 			continue
 		}
 		// Releases first: unlock helpers drop the caller's lock.
 		for ref := range sum.releases {
-			if r := applySub(ref, sub); r != "" {
+			if r := a.inCaller(call, ref); r != "" {
 				delete(st, r)
 			}
 		}
@@ -560,16 +468,12 @@ func (a *lockAnalysis) applyCall(call *ast.CallExpr, st heldSet) {
 			acqs = append(acqs, ref)
 		}
 		sort.Strings(acqs)
-		file, line := a.sitePos(call.Pos())
 		for _, ref := range acqs {
-			r := applySub(ref, sub)
+			r := a.inCaller(call, ref)
 			if r == "" {
 				continue
 			}
 			site := sum.acquires[ref]
-			if site.file == "" {
-				site = sitePos{file, line}
-			}
 			if _, ok := a.sum.acquires[r]; !ok {
 				a.sum.acquires[r] = site
 			}
@@ -581,7 +485,7 @@ func (a *lockAnalysis) applyCall(call *ast.CallExpr, st heldSet) {
 		}
 		// Pairs discovered inside the callee, instantiated here.
 		for _, p := range sum.pairs {
-			from, to := applySub(p.from, sub), applySub(p.to, sub)
+			from, to := a.inCaller(call, p.from), a.inCaller(call, p.to)
 			if from == "" || to == "" || from == to {
 				continue
 			}
@@ -589,34 +493,29 @@ func (a *lockAnalysis) applyCall(call *ast.CallExpr, st heldSet) {
 		}
 		// Locks the callee leaves held.
 		for ref := range sum.heldExit {
-			if r := applySub(ref, sub); r != "" {
+			if r := a.inCaller(call, ref); r != "" {
 				st[r] = true
 			}
 		}
 	}
 }
 
-// substitution maps the callee's relative refs to the caller's refs.
-func (a *lockAnalysis) substitution(call *ast.CallExpr, fn *types.Func) map[lockRef]lockRef {
-	sub := make(map[lockRef]lockRef)
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() != nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			sub[recvRef] = a.exprRef(sel.X)
-		}
-	}
-	for i := 0; i < sig.Params().Len() && i < len(call.Args); i++ {
-		if isLockType(sig.Params().At(i).Type()) {
-			sub[paramRef(i)] = a.exprRef(call.Args[i])
-		}
-	}
-	return sub
-}
-
-// applySub resolves a callee-relative ref in the caller's frame.
-func applySub(ref lockRef, sub map[lockRef]lockRef) lockRef {
-	if isConcrete(ref) {
+// inCaller resolves a callee-relative ref in the caller's frame at call:
+// the receiver, or the argument of a lock-typed parameter.
+func (a *lockAnalysis) inCaller(call *Value, ref lockRef) lockRef {
+	sig := call.Callee.Type().(*types.Signature)
+	switch {
+	case isConcrete(ref):
 		return ref
+	case ref == recvRef:
+		if sig.Recv() != nil {
+			return a.ref(call.Base)
+		}
+	default:
+		i := atoiSafe(strings.TrimPrefix(ref, "p:"))
+		if i >= 0 && i < sig.Params().Len() && i < len(call.Args) && isLockType(sig.Params().At(i).Type()) {
+			return a.ref(call.Args[i])
+		}
 	}
-	return sub[ref]
+	return ""
 }

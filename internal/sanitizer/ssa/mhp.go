@@ -419,10 +419,11 @@ func ownerIs(fr *Value, pkgPath, structName string) bool {
 
 // propagateContexts floods root contexts over the call graph (and into
 // nested literals, which run at most in their parent's contexts unless
-// independently registered).
+// independently registered) until nothing changes; context bits only
+// accumulate, so the rounds stop.
 func (m *mhpInfo) propagateContexts() {
-	for round := 0; round < 30; round++ {
-		changed := false
+	for changed := true; changed; {
+		changed = false
 		m.prog.eachUnit(func(f *Func) {
 			bits := m.ctxOf[f]
 			// A literal inherits its parent's contexts: unless a spawn
@@ -451,22 +452,20 @@ func (m *mhpInfo) propagateContexts() {
 				}
 			}
 		})
-		if !changed {
-			return
-		}
 	}
 }
 
 // solveSelf runs the demotion fixpoint for the CPU-confinement facts,
-// including the Ctx.CPU witness (3), which itself depends on them.
+// including the Ctx.CPU witness (3), which itself depends on them, until
+// nothing changes; facts only demote from true to false, so the rounds
+// stop.
 func (m *mhpInfo) solveSelf() {
 	m.ctxCPUSelf = true
-	for round := 0; round < 30; round++ {
-		changed := false
+	for changed := true; changed; {
+		changed = false
 		// Witness 3: every kernel.Ctx composite must bind a self CPU.
-		ctxSelf := m.ctxLiteralsSelf()
-		if ctxSelf != m.ctxCPUSelf {
-			m.ctxCPUSelf = ctxSelf
+		if m.ctxCPUSelf && !m.ctxLiteralsSelf() {
+			m.ctxCPUSelf = false
 			changed = true
 		}
 		m.prog.eachUnit(func(f *Func) {
@@ -502,9 +501,6 @@ func (m *mhpInfo) solveSelf() {
 				}
 			}
 		})
-		if !changed {
-			return
-		}
 	}
 }
 

@@ -29,9 +29,9 @@ const obsPkg = modPath + "/internal/obs"
 //     through its receiver — e.g. sem.NoteContention() bumps the
 //     semaphore's contention counter though no assignment appears at the
 //     hook site; and
-//   - aliasing: `s := e.Sem; s.NoteContention()` taints s because it was
-//     derived from a hook parameter, so laundering the state through a
-//     local does not escape the rule.
+//   - aliasing: in `s := e.Sem; s.NoteContention()` the SSA value of s is
+//     e.Sem itself, rooted at the hook parameter, so laundering the state
+//     through a local (or a phi of locals) does not escape the rule.
 //
 // Two carve-outs keep the rule aligned with the simulator's contract:
 //
@@ -66,32 +66,31 @@ func inPurePkg(fn *types.Func) bool {
 }
 
 func checkObserverPurity(ctx *modCtx) []Finding {
-	mut := buildMutatingSummaries(ctx)
-	impls := buildImplMap(ctx.pkgs)
+	prog := ctx.program()
+	mut := buildMutatingSummaries(prog)
 	var out []Finding
-	for _, fd := range allFuncs(ctx.pkgs) {
-		info := fd.Pkg.Info
-		ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
-			if lit, boot := hookLit(info, n); lit != nil {
-				out = append(out, checkHookLit(ctx, fd, lit, boot, mut, impls)...)
+	prog.eachUnit(func(f *Func) {
+		if f.Lit == nil {
+			ctx.visited["observerpurity"]++
+		}
+		for _, b := range f.Blocks {
+			for _, call := range b.Calls {
+				if hook, boot := hookUnit(call); hook != nil {
+					out = append(out, checkHook(ctx, prog, hook, boot, mut)...)
+				}
 			}
-			return true
-		})
-	}
+		}
+	})
 	return out
 }
 
-// hookLit returns the function literal n installs as a hook — n calls
+// hookUnit returns the literal unit call installs as a hook — call is
 // (*obs.Hook).Add, recognized by its receiver type rather than by what the
 // file happens to call the hook, or SetBootHook — and whether it is a boot
 // hook.
-func hookLit(info *types.Info, n ast.Node) (lit *ast.FuncLit, boot bool) {
-	call, ok := n.(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return nil, false
-	}
-	fn := calleeFunc(info, call)
-	if fn == nil {
+func hookUnit(call *Value) (hook *Func, boot bool) {
+	fn := call.Callee
+	if fn == nil || len(call.Args) != 1 || call.Args[0].Kind != VClosure {
 		return nil, false
 	}
 	boot = fn.Name() == "SetBootHook"
@@ -99,126 +98,80 @@ func hookLit(info *types.Info, n ast.Node) (lit *ast.FuncLit, boot bool) {
 	if !boot && (fn.Name() != "Add" || recv == nil || !isNamed(recv.Type(), obsPkg, "Hook")) {
 		return nil, false
 	}
-	lit, _ = call.Args[0].(*ast.FuncLit)
-	return lit, boot
+	return call.Args[0].Unit, boot
 }
 
-// checkHookLit flags impure statements inside one hook literal.
-func checkHookLit(ctx *modCtx, fd FuncDecl, lit *ast.FuncLit, boot bool, mut map[*types.Func]bool, impls map[*types.Func][]*types.Func) []Finding {
-	info := fd.Pkg.Info
-
-	// Taint: the hook's parameters, plus locals derived from them.
-	taint := make(map[*types.Var]bool)
-	for _, field := range lit.Type.Params.List {
-		for _, id := range field.Names {
-			if v, ok := info.Defs[id].(*types.Var); ok {
-				taint[v] = true
-			}
-		}
+// checkHook flags impure effects inside one hook literal and the literals
+// nested in it. Observed state is whatever a place is rooted at a hook
+// parameter: read directly, through a local derived from it (SSA folds the
+// copy away), or captured by a nested literal.
+func checkHook(ctx *modCtx, prog *Program, hook *Func, boot bool, mut map[*types.Func]bool) []Finding {
+	params := make(map[*types.Var]bool)
+	for i := 0; i < hook.Sig.Params().Len(); i++ {
+		params[hook.Sig.Params().At(i)] = true
 	}
-	// Alias closure (flow-insensitive; alias-of-alias converges).
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, r := range as.Rhs {
-				if i >= len(as.Lhs) {
-					break
-				}
-				src := rootVar(info, r)
-				if src == nil || !taint[src] {
-					continue
-				}
-				if dst := identObj(info, as.Lhs[i]); dst != nil && !taint[dst] {
-					taint[dst] = true
-					changed = true
-				}
-			}
-			return true
-		})
+	observed := func(root *Value) bool {
+		return (root.Kind == VParam || root.Kind == VFree) && params[root.Obj]
 	}
 
 	var out []Finding
 	report := func(pos token.Pos, what string) {
 		out = append(out, Finding{
-			File: fd.File, Line: ctx.m.Fset.Position(pos).Line,
+			File: hook.Decl.File, Line: ctx.m.Fset.Position(pos).Line,
 			Analyzer: "observerpurity",
 			Msg:      "hook mutates " + what + "; observers must be purely observational",
 		})
 	}
-	write := func(lhs ast.Expr) {
-		root := rootVar(info, lhs)
-		switch {
-		case root == nil:
-		case taint[root]:
-			report(lhs.Pos(), fmt.Sprintf("observed state %q (write through hook parameter)", root.Name()))
-		case root.Pkg() != nil && root.Parent() == root.Pkg().Scope():
-			report(lhs.Pos(), fmt.Sprintf("package-level variable %q", root.Name()))
-		}
-	}
-	isMutating := func(fn *types.Func) bool {
-		if inPurePkg(fn) {
+	isMutating := func(call *Value) bool {
+		if inPurePkg(call.Callee) {
 			return false
 		}
-		if mut[fn.Origin()] { // a generic method's summary is its origin's
-			return true
-		}
-		for _, impl := range impls[fn] { // interface method: any impl
-			if mut[impl] {
+		for _, t := range prog.calleesOf(call) { // interface method: any impl
+			if mut[t.Origin()] { // a generic method's summary is its origin's
 				return true
 			}
 		}
 		return false
 	}
 
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if v.Tok != token.DEFINE {
-				for _, lhs := range v.Lhs {
-					write(lhs)
+	for _, u := range append([]*Func{hook}, collectLits(hook)...) {
+		for _, b := range u.Blocks {
+			for _, in := range b.Instrs {
+				if in.Kind != IStore {
+					continue
+				}
+				switch root := storeRoot(in.Addr); {
+				case anyRoot(in.Addr, observed):
+					report(in.Pos, fmt.Sprintf("observed state %q (write through hook parameter)", placeName(in.Addr)))
+				case root.Kind == VGlobal:
+					report(in.Pos, fmt.Sprintf("package-level variable %q", root.Obj.Name()))
 				}
 			}
-		case *ast.IncDecStmt:
-			write(v.X)
-		case *ast.CallExpr:
 			if boot {
-				return true // boot hooks attach instrumentation by design
+				continue // boot hooks attach instrumentation by design
 			}
-			fn := calleeFunc(info, v)
-			if fn == nil || !isMutating(fn) {
-				return true
-			}
-			sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if root := rootVar(info, sel.X); root != nil && taint[root] {
-				report(v.Pos(), fmt.Sprintf("observed state %q via call to mutating method %s", root.Name(), fn.Name()))
+			for _, call := range b.Calls {
+				if call.Callee != nil && call.Base != nil && isMutating(call) && anyRoot(call.Base, observed) {
+					sel := ast.Unparen(call.Call.Fun).(*ast.SelectorExpr)
+					report(call.Pos, fmt.Sprintf("observed state %q via call to mutating method %s", exprHead(sel.X), call.Callee.Name()))
+				}
 			}
 		}
-		return true
-	})
+	}
 	return out
 }
 
 // buildMutatingSummaries computes, by fixpoint over the module, which
 // methods write through their receiver — directly (field assignment or
-// ++/--) or by calling another mutating method on receiver-rooted state.
-func buildMutatingSummaries(ctx *modCtx) map[*types.Func]bool {
-	funcs := allFuncs(ctx.pkgs)
+// ++/--), from a literal in their body, or by calling another mutating
+// method on receiver-rooted state.
+func buildMutatingSummaries(prog *Program) map[*types.Func]bool {
 	mut := make(map[*types.Func]bool)
 	for changed := true; changed; {
 		changed = false
-		for _, fd := range funcs {
-			if mut[fd.Obj] {
-				continue
-			}
-			if recv := receiverVar(fd); recv != nil && methodMutates(fd, recv, mut) {
-				mut[fd.Obj] = true
+		for _, f := range prog.Funcs {
+			if !mut[f.Decl.Obj] && f.Sig.Recv() != nil && methodMutates(f, mut) {
+				mut[f.Decl.Obj] = true
 				changed = true
 			}
 		}
@@ -226,74 +179,72 @@ func buildMutatingSummaries(ctx *modCtx) map[*types.Func]bool {
 	return mut
 }
 
-// receiverVar returns the *types.Var bound to fd's receiver name (nil for
-// plain functions and anonymous receivers, which cannot be written
-// through).
-func receiverVar(fd FuncDecl) *types.Var {
-	if fd.Decl.Recv == nil || len(fd.Decl.Recv.List) == 0 || len(fd.Decl.Recv.List[0].Names) == 0 {
-		return nil
+// methodMutates reports whether method f writes through its receiver under
+// the current fixpoint state. Rebinding the bare receiver only changes a
+// local copy: in f itself that is no store at all, and in a literal it is a
+// store to the captured variable itself, which does not count.
+func methodMutates(f *Func, mut map[*types.Func]bool) bool {
+	recv := f.Sig.Recv()
+	isRecv := func(root *Value) bool {
+		return root.Kind == VRecv || (root.Kind == VFree && root.Obj == recv)
 	}
-	v, _ := fd.Pkg.Info.Defs[fd.Decl.Recv.List[0].Names[0]].(*types.Var)
-	return v
+	for _, u := range append([]*Func{f}, collectLits(f)...) {
+		for _, b := range u.Blocks {
+			for _, in := range b.Instrs {
+				if in.Kind == IStore && in.Addr.Kind != VFree && anyRoot(in.Addr, isRecv) {
+					return true
+				}
+			}
+			for _, call := range b.Calls {
+				if call.Callee != nil && mut[call.Callee.Origin()] && anyRoot(call.Base, isRecv) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
-// methodMutates reports whether fd writes through recvVar under the
-// current fixpoint state.
-func methodMutates(fd FuncDecl, recvVar *types.Var, mut map[*types.Func]bool) bool {
-	info := fd.Pkg.Info
-	// writesThrough: a write to the bare receiver variable itself rebinds a
-	// local copy; only writes through it (selector/index/deref) mutate the
-	// object.
-	writesThrough := func(e ast.Expr) bool {
-		if _, bare := ast.Unparen(e).(*ast.Ident); bare {
+// anyRoot reports whether some value the place v may start from — through
+// its chain and every operand of the phis on the way — satisfies pred.
+func anyRoot(v *Value, pred func(*Value) bool) bool {
+	seen := make(map[*Value]bool)
+	var walk func(v *Value) bool
+	walk = func(v *Value) bool {
+		if v == nil || seen[v] {
 			return false
 		}
-		return rootVar(info, e) == recvVar
-	}
-	found := false
-	ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
-		if found {
-			return false
+		seen[v] = true
+		root := storeRoot(v)
+		if root.Kind != VPhi {
+			return pred(root)
 		}
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if v.Tok == token.DEFINE {
+		for _, arg := range root.Args {
+			if walk(arg) {
 				return true
 			}
-			for _, lhs := range v.Lhs {
-				found = found || writesThrough(lhs)
-			}
-		case *ast.IncDecStmt:
-			found = writesThrough(v.X)
-		case *ast.CallExpr:
-			if fn := calleeFunc(info, v); fn != nil && mut[fn.Origin()] {
-				if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok {
-					found = rootVar(info, sel.X) == recvVar
-				}
-			}
 		}
-		return !found
-	})
-	return found
+		return false
+	}
+	return walk(v)
 }
 
-// rootVar walks selector/index/star/paren chains to the base variable: a
-// local, a parameter, or a package-level variable (including one named
-// through its package, pkg.V). It returns nil when the chain bottoms out
-// in a call result or anything else that is not a variable.
-func rootVar(info *types.Info, e ast.Expr) *types.Var {
+// placeName is the variable a written place starts from in the source
+// ("alias" in alias.n[i] = 0). SSA folds copies together, so a message
+// names the variable the source wrote, not the parameter it aliases.
+func placeName(addr *Value) string {
+	if addr.Expr == nil {
+		return addr.Obj.Name() // a store to a captured variable itself
+	}
+	return exprHead(addr.Expr)
+}
+
+// exprHead returns the identifier a selector, index or dereference chain
+// starts from.
+func exprHead(e ast.Expr) string {
 	for {
 		switch v := e.(type) {
-		case *ast.Ident:
-			obj, _ := info.ObjectOf(v).(*types.Var)
-			return obj
 		case *ast.SelectorExpr:
-			if id, ok := v.X.(*ast.Ident); ok {
-				if _, isPkg := info.ObjectOf(id).(*types.PkgName); isPkg {
-					obj, _ := info.ObjectOf(v.Sel).(*types.Var)
-					return obj
-				}
-			}
 			e = v.X
 		case *ast.IndexExpr:
 			e = v.X
@@ -301,8 +252,10 @@ func rootVar(info *types.Info, e ast.Expr) *types.Var {
 			e = v.X
 		case *ast.ParenExpr:
 			e = v.X
+		case *ast.Ident:
+			return v.Name
 		default:
-			return nil
+			return ""
 		}
 	}
 }

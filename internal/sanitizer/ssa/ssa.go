@@ -2,7 +2,8 @@
 // module loader (go/types over the GOROOT source importer), a
 // def-use/SSA-form IR lowered from per-function CFGs, and interprocedural
 // summaries computed over a fixpoint call graph. Every analyzer runs off
-// one shared typecheck:
+// one shared typecheck and, determinism (which reads import specs) aside,
+// off one shared SSA program built from it:
 //
 //   - determinism: banned imports (time, math/rand) by import path, so
 //     aliased, dot and blank imports cannot slip through.
@@ -94,7 +95,7 @@ type Result struct {
 	// mirroring the XVal artifact.
 	FabRows []FabRow
 	// FuncsVisited counts, per analyzer, the function declarations walked;
-	// the coverage-floor test asserts the whole-program analyzers visit
+	// the coverage-floor test asserts every analyzer but determinism visits
 	// every declaration the loader found.
 	FuncsVisited map[string]int
 	// Timings holds per-analyzer wall-clock milliseconds. Reports keep it
@@ -126,11 +127,6 @@ type modCtx struct {
 	mhp *mhpInfo
 }
 
-// CheckModule runs every analyzer over an already-loaded module.
-func CheckModule(m *Module) *Result {
-	return run(m, m.Pkgs, nil, nil)
-}
-
 // CheckModuleOnly runs only the named analyzers (all when names is empty)
 // over an already-loaded module, sharing one typecheck.
 func CheckModuleOnly(m *Module, names []string) *Result {
@@ -148,15 +144,15 @@ func Analyzers() []string {
 }
 
 // CheckFixture typechecks one testdata fixture against the module and runs
-// the analyzers with the fixture in scope, reporting only findings located
-// in the fixture's file.
-func CheckFixture(m *Module, file string) (*Result, error) {
+// the named analyzers (all when names is empty) with the fixture in scope,
+// reporting only findings located in the fixture's file.
+func CheckFixture(m *Module, file string, names []string) (*Result, error) {
 	fp, err := m.LoadFixture(file)
 	if err != nil {
 		return nil, err
 	}
 	pkgs := append(append([]*Package{}, m.Pkgs...), fp)
-	return run(m, pkgs, fp, nil), nil
+	return run(m, pkgs, fp, names), nil
 }
 
 // analyzerTable lists the analyzers in execution order.

@@ -38,13 +38,17 @@ var (
 func sharedResult(t *testing.T) *Result {
 	t.Helper()
 	m := sharedModule(t)
-	resOnce.Do(func() { modRes = CheckModule(m) })
+	resOnce.Do(func() { modRes = CheckModuleOnly(m, nil) })
 	return modRes
 }
 
-func checkFixture(t *testing.T, name string) *Result {
+// checkFixture runs the named analyzers (every analyzer when none are
+// named) over one testdata fixture. A test that reads one analyzer's
+// findings runs only that analyzer; one that asserts a total across
+// analyzers runs them all.
+func checkFixture(t *testing.T, name string, analyzers ...string) *Result {
 	t.Helper()
-	res, err := CheckFixture(sharedModule(t), filepath.Join("testdata", name))
+	res, err := CheckFixture(sharedModule(t), filepath.Join("testdata", name), analyzers)
 	if err != nil {
 		t.Fatalf("CheckFixture(%s): %v", name, err)
 	}
@@ -82,7 +86,7 @@ func TestFlushObligationGoodFixtureClean(t *testing.T) {
 }
 
 func TestLockOrderFixtureFires(t *testing.T) {
-	res := checkFixture(t, "bad_lockorder.go")
+	res := checkFixture(t, "bad_lockorder.go", "lockorder")
 	if got := countBy(res.Findings, "lockorder"); got != 1 {
 		t.Fatalf("lockorder findings = %d, want exactly 1: %v", got, res.Findings)
 	}
@@ -289,7 +293,7 @@ func TestWaiverCommentsChangeNothing(t *testing.T) {
 			if err := os.WriteFile(path, []byte(strings.Join(out, "\n")), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			res, err := CheckFixture(sharedModule(t), path)
+			res, err := CheckFixture(sharedModule(t), path, nil)
 			if err != nil {
 				t.Fatalf("CheckFixture(%s): %v", path, err)
 			}
@@ -306,9 +310,10 @@ func TestWaiverCommentsChangeNothing(t *testing.T) {
 	}
 }
 
-// TestWholeProgramCoverageFloor asserts the interprocedural analyzers
-// visited every function declaration the loader found — a silently
-// narrowed walk (a lost package, an early bail) cannot pass as "clean".
+// TestWholeProgramCoverageFloor asserts every analyzer that reads the
+// SSA program (all but determinism, which reads import specs) visited
+// every function declaration the loader found — a silently narrowed walk
+// (a lost package, an early bail) cannot pass as "clean".
 func TestWholeProgramCoverageFloor(t *testing.T) {
 	m := sharedModule(t)
 	floor := len(allFuncs(m.Pkgs))
@@ -316,7 +321,10 @@ func TestWholeProgramCoverageFloor(t *testing.T) {
 		t.Fatal("the module lists 0 functions — the floor itself is broken")
 	}
 	res := sharedResult(t)
-	for _, an := range []string{"ipistate", "detflow", "parallelsafe", "mhp", "lockset", "fabproof"} {
+	for _, an := range Analyzers() {
+		if an == "determinism" {
+			continue
+		}
 		if got := res.FuncsVisited[an]; got < floor {
 			t.Fatalf("%s visited %d functions, below the module floor %d", an, got, floor)
 		}
@@ -448,10 +456,10 @@ func TestVetOutputOrderedAndParallelStable(t *testing.T) {
 }
 
 // TestRepoIsVetClean checks the result cmd/tlbvet prints: the run of
-// every analyzer (CheckModuleOnly with no names, the same run as
-// CheckModule) has no findings and exactly the two config-seeded
-// witnesses, lockset's in the Flusher and fabproof's in the fabric. No
-// comment can waive a finding, so every discipline is proven.
+// every analyzer (CheckModuleOnly with no names) has no findings and
+// exactly the two config-seeded witnesses, lockset's in the Flusher and
+// fabproof's in the fabric. No comment can waive a finding, so every
+// discipline is proven.
 func TestRepoIsVetClean(t *testing.T) {
 	res := sharedResult(t)
 	if len(res.Findings) != 0 {
@@ -493,7 +501,7 @@ func TestRepoIsCleanUnderPortedRules(t *testing.T) {
 }
 
 func TestDeterminismAnalyzerFires(t *testing.T) {
-	res := checkFixture(t, "bad_determinism.go")
+	res := checkFixture(t, "bad_determinism.go", "determinism")
 	if got := countBy(res.Findings, "determinism"); got != 2 {
 		t.Fatalf("determinism findings = %d, want 2 (time + math/rand): %v", got, res.Findings)
 	}
@@ -503,7 +511,7 @@ func TestDeterminismAnalyzerFires(t *testing.T) {
 // banned packages all fire, because the analyzer keys on the import path,
 // not the name the file binds.
 func TestDeterminismCatchesDisguisedImports(t *testing.T) {
-	res := checkFixture(t, "bad_determinism_alias.go")
+	res := checkFixture(t, "bad_determinism_alias.go", "determinism")
 	if got := countBy(res.Findings, "determinism"); got != 3 {
 		t.Fatalf("determinism findings = %d, want 3 (aliased, blank, dot): %v", got, res.Findings)
 	}
@@ -512,7 +520,7 @@ func TestDeterminismCatchesDisguisedImports(t *testing.T) {
 // TestDeterminismNamesDisguisedImportForms: each disguised import is
 // reported under the form that disguised it.
 func TestDeterminismNamesDisguisedImportForms(t *testing.T) {
-	res := checkFixture(t, "bad_determinism_alias.go")
+	res := checkFixture(t, "bad_determinism_alias.go", "determinism")
 	all := fmt.Sprint(res.Findings)
 	for _, form := range []string{"aliased import", "blank import", "dot-import"} {
 		if !strings.Contains(all, form) {
@@ -532,7 +540,7 @@ func TestCostLiteralAnalyzerFires(t *testing.T) {
 }
 
 func TestCostConstFixtureFires(t *testing.T) {
-	res := checkFixture(t, "bad_costconst.go")
+	res := checkFixture(t, "bad_costconst.go", "costliteral")
 	if got := countBy(res.Findings, "costliteral"); got != 2 {
 		t.Fatalf("costliteral findings = %d, want exactly 2 (direct + wrapper): %v", got, res.Findings)
 	}
@@ -566,7 +574,7 @@ func TestMapOrderAnalyzerFires(t *testing.T) {
 }
 
 func TestObserverPurityAnalyzerFires(t *testing.T) {
-	res := checkFixture(t, "bad_observerpurity.go")
+	res := checkFixture(t, "bad_observerpurity.go", "observerpurity")
 	if got := countBy(res.Findings, "observerpurity"); got != 4 {
 		t.Fatalf("observerpurity findings = %d, want 4 (2 param writes, 1 global, 1 boot hook): %v", got, res.Findings)
 	}
@@ -576,7 +584,7 @@ func TestObserverPurityAnalyzerFires(t *testing.T) {
 }
 
 func TestObserverPurityMethodCallFires(t *testing.T) {
-	res := checkFixture(t, "bad_observerpurity_method.go")
+	res := checkFixture(t, "bad_observerpurity_method.go", "observerpurity")
 	if got := countBy(res.Findings, "observerpurity"); got != 2 {
 		t.Fatalf("observerpurity findings = %d, want 2 (direct write + mutating method via alias): %v", got, res.Findings)
 	}
@@ -655,4 +663,148 @@ func TestLocksetAdjacencyFires(t *testing.T) {
 	if len(fs) != 1 || !strings.Contains(fs[0].Msg, `unprotected access to "cpu.lazy"`) {
 		t.Fatalf("findings = %v, want exactly one unprotected access to \"cpu.lazy\"", fs)
 	}
+}
+
+// ruleFinding is one expected finding of a rule fixture.
+type ruleFinding struct {
+	line int
+	msg  string
+}
+
+// assertRuleFindings runs one analyzer over a rule fixture and checks its
+// findings, in report order, by file, line and message.
+func assertRuleFindings(t *testing.T, fixture, analyzer string, want []ruleFinding) {
+	t.Helper()
+	res := checkFixture(t, fixture, analyzer)
+	file := "internal/sanitizer/ssa/testdata/" + fixture
+	if len(res.Findings) != len(want) {
+		t.Fatalf("%s findings = %d, want %d:\n%v", analyzer, len(res.Findings), len(want), res.Findings)
+	}
+	for i, w := range want {
+		g := res.Findings[i]
+		if g.File != file || g.Line != w.line || g.Analyzer != analyzer || g.Msg != w.msg {
+			t.Errorf("finding %d = %v, want %s:%d: %s: %s", i, g, file, w.line, analyzer, w.msg)
+		}
+	}
+}
+
+// TestFlushObligationRules pins every release, discharge and transfer
+// rule: the error edge, fr.Empty()'s true edge, a panic, a range over the
+// slice, a deferred discharge, a return and a discharging wrapper are
+// clean; an element dropped by the next iteration, a wrapper that leaks
+// on one path, a leaking literal unit, a result assigned to _ and a bare
+// statement call are findings.
+func TestFlushObligationRules(t *testing.T) {
+	const leak = " exit undischarged: some path performs a restrictive page-table mutation without a TLB shootdown (pass the FlushRange to the Flusher or return it)"
+	const discarded = "flush obligation from as.Unmap is discarded; pass it to the Flusher or return it"
+	assertRuleFindings(t, "rules_flushobligation.go", "flushobligation", []ruleFinding{
+		{50, "flush obligation from as.DedupPages may be dropped by the next loop iteration"},
+		{105, "flush obligation from as.Unmap may reach viaLeakyWrapper's" + leak},
+		{116, "flush obligation from as.Unmap may reach the function literal in leakInLiteral's" + leak},
+		{125, discarded},
+		{130, discarded},
+	})
+}
+
+// TestLockOrderRules pins lock classing and the edge-sensitive rules: a
+// lock held across the body by a deferred release, an interface call, a
+// lock parameter, an accessor and a literal unit each close a cycle; a
+// TryDown failure edge and a caller of the deferring function hold
+// nothing.
+func TestLockOrderRules(t *testing.T) {
+	cycle := func(a, b string) string {
+		return "lock-acquisition-order cycle: lockrules." + a + " -> lockrules." + b + " -> lockrules." + a +
+			": two tasks taking these locks in opposite orders can deadlock; pick one global order"
+	}
+	assertRuleFindings(t, "rules_lockorder.go", "lockorder", []ruleFinding{
+		{39, cycle("deferLocks.a", "deferLocks.b")},
+		{84, cycle("ifaceLocks.x", "ifaceLocks.y")},
+		{95, cycle("paramLocks.m", "paramLocks.n")},
+		{118, cycle("accLocks.U", "accLocks.v")},
+		{137, cycle("litLocks.q", "litLocks.r")},
+	})
+}
+
+// TestFlushObligationBranchFires: a block first reached with nothing live
+// still runs, so an obligation born inside an if body is tracked.
+func TestFlushObligationBranchFires(t *testing.T) {
+	assertRuleFindings(t, "bad_flushobligation_branch.go", "flushobligation", []ruleFinding{
+		{14, "flush obligation from as.Protect may reach protectSome's exit undischarged: some path performs a restrictive page-table mutation without a TLB shootdown (pass the FlushRange to the Flusher or return it)"},
+	})
+}
+
+// TestLockOrderBranchFires: blocks first reached with nothing held still
+// run, so acquisitions inside an if body and a loop body are ordered.
+func TestLockOrderBranchFires(t *testing.T) {
+	assertRuleFindings(t, "bad_lockorder_branch.go", "lockorder", []ruleFinding{
+		{17, "lock-acquisition-order cycle: lockbranch.pair.a -> lockbranch.pair.b -> lockbranch.pair.a: two tasks taking these locks in opposite orders can deadlock; pick one global order"},
+	})
+}
+
+// TestLockOrderRoundCapReported: lockorder's summary rounds are not
+// monotone, so they stop at a cap, and a run still changing there is a
+// finding rather than a partial result passed off as clean.
+func TestLockOrderRoundCapReported(t *testing.T) {
+	assertRuleFindings(t, "bad_lockorder_deep.go", "lockorder", []ruleFinding{
+		{15, "lock summaries did not stabilize within 50 rounds (lockdeep.l2 still changing), so the acquisition orders are unproven"},
+	})
+}
+
+// TestObserverPurityRules pins the hook rules: a write through a local
+// alias of the parameter, a mutating method reached through an interface,
+// ++ on a package-level var and a write in a boot hook are findings; a
+// boot hook calling a mutating method and a hook rebinding its parameter
+// or bumping a local copy of a field are clean.
+func TestObserverPurityRules(t *testing.T) {
+	const pure = "; observers must be purely observational"
+	assertRuleFindings(t, "rules_observerpurity.go", "observerpurity", []ruleFinding{
+		{22, `hook mutates observed state "alias" (write through hook parameter)` + pure},
+		{25, `hook mutates observed state "c" via call to mutating method bump` + pure},
+		{28, `hook mutates package-level variable "hits"` + pure},
+		{34, `hook mutates observed state "s" (write through hook parameter)` + pure},
+	})
+}
+
+// TestCostLiteralRules pins the cost rules: a literal inside a func
+// literal, a converted named constant, a constant through a wrapper of a
+// wrapper, through a literal that forwards its enclosing parameter and
+// through wrappers that read the parameter in a loop or after a join, and
+// a converted literal are findings; zero costs and a constant-initialized
+// local are not.
+func TestCostLiteralRules(t *testing.T) {
+	const model = "; route it through the cost model (internal/mach/costs.go)"
+	assertRuleFindings(t, "rules_costliteral.go", "costliteral", []ruleFinding{
+		{11, "constant cycle cost 300 passed to Delay" + model},
+		{16, "named-constant cycle cost 120 passed to Delay" + model},
+		{24, "constant cycle cost 40 passed to cost parameter 1 of delayOuter" + model},
+		{34, "constant cycle cost 7 passed to cost parameter 1 of delayLater" + model},
+		{59, "constant cycle cost 500 passed to cost parameter 2 of delayEach" + model},
+		{60, "constant cycle cost 600 passed to cost parameter 1 of delayCapped" + model},
+		{66, "named-constant cycle cost 300 passed to Delay" + model},
+	})
+}
+
+// TestDetFlowDeepChainFires: the summary fixpoint runs until nothing
+// changes, so a source 13 wrappers below the digest still reaches it.
+func TestDetFlowDeepChainFires(t *testing.T) {
+	assertRuleFindings(t, "bad_detflow_deep.go", "detflow", []ruleFinding{
+		{16, "nondeterministic value (wall clock (time.Now)) flows into StateDigest — digest inputs must be replay-stable (sort map-derived data, use sim time)"},
+	})
+}
+
+// TestDetFlowCycleTerminates: summaries keep their first label, so three
+// mutually recursive sources do not relabel each other forever; the
+// fixpoint stops and the digest is reported once.
+func TestDetFlowCycleTerminates(t *testing.T) {
+	assertRuleFindings(t, "bad_detflow_cycle.go", "detflow", []ruleFinding{
+		{19, "nondeterministic value (wall clock (time.Now)) flows into StateDigest — digest inputs must be replay-stable (sort map-derived data, use sim time)"},
+	})
+}
+
+// TestIPIStateDeepChainFires: the wrapper fixpoint runs until nothing
+// changes, so requests kicked 21 wrappers down still leak in the caller.
+func TestIPIStateDeepChainFires(t *testing.T) {
+	assertRuleFindings(t, "bad_ipistate_deep.go", "ipistate", []ruleFinding{
+		{15, "in-flight shootdown leaked: requests kicked by r1 are neither waited for, returned, nor enqueued on some path to return"},
+	})
 }

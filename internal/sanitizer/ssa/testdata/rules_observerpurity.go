@@ -1,0 +1,44 @@
+// Fixture: one hook per observerpurity rule. TestObserverPurityRules pins
+// every finding by line and message; the boot hook that only calls a
+// mutating method and the hook that only rebinds its locals are clean.
+package purityrules
+
+import "shootdown/internal/obs"
+
+type state struct{ n int }
+
+func (s *state) bump() { s.n++ }
+
+// counter is implemented by *state, whose bump writes its receiver.
+type counter interface{ bump() }
+
+var hits int
+
+func SetBootHook(fn func(s *state)) {}
+
+func install(h *obs.Hook[*state], ch *obs.Hook[counter]) {
+	h.Add(func(s *state) {
+		alias := s
+		alias.n = 1
+	})
+	ch.Add(func(c counter) {
+		c.bump()
+	})
+	h.Add(func(s *state) {
+		hits++
+	})
+	SetBootHook(func(s *state) {
+		s.bump()
+	})
+	SetBootHook(func(s *state) {
+		s.n = 2
+	})
+	// Rebinding the parameter or bumping a local copy of observed state
+	// changes only the hook's own variables: clean.
+	h.Add(func(s *state) {
+		n := s.n
+		n++
+		s = nil
+		_ = n
+	})
+}
