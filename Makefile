@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint vet vetjson xval fabproof sanitize racemodel faultcheck fuzz cover bench check clean
+.PHONY: all build test race lint vet vetjson xval fabproof checked faultcheck fuzz cover bench check clean
 
 all: build
 
@@ -38,7 +38,8 @@ vetjson:
 	$(GO) run ./cmd/tlbvet -json > VET_findings.json || { cat VET_findings.json; exit 1; }
 
 ## xval: race cross-validation table (the RACE_XVAL.txt CI artifact) —
-## every dynamic-race-model field with its static discharge status
+## every field the dynamic race model instruments, with its static
+## discharge status
 xval:
 	$(GO) run ./cmd/tlbvet -xval RACE_XVAL.txt
 	@cat RACE_XVAL.txt
@@ -53,18 +54,14 @@ fabproof:
 	@if grep -q 'unproven' FABPROOF.txt; then \
 		echo "fabproof gate: a fabric obligation has no static proof"; exit 1; fi
 
-## sanitize: run the experiment suite under the shadow-oracle checker
-sanitize:
+## checked: run the experiment suite with the shadow-oracle sanitizer
+## and the happens-before race model attached to every machine
+checked:
 	$(GO) run ./cmd/tlbcheck -quick -v
 
-## racemodel: run the suite under the happens-before race detector
-racemodel:
-	$(GO) run ./cmd/tlbcheck -race-model -quick -v
-
-## faultcheck: sanitizer + HB race model over the suite under fault injection
+## faultcheck: the checked suite under fault injection
 faultcheck:
 	$(GO) run ./cmd/tlbcheck -quick -faults light -v
-	$(GO) run ./cmd/tlbcheck -race-model -quick -faults light -v
 
 ## fuzz: randomized coherence fuzzing with the sanitizer attached
 fuzz:
@@ -83,9 +80,9 @@ cover:
 bench:
 	./scripts/bench.sh
 
-## check: the gates CI runs (build, tests, race, lint, sanitizer and HB
-## model under faults); scripts/ci.sh adds coverage, the proof tables and
-## the -parallel byte-identity gates
+## check: the gates CI runs (build, tests, race, lint, the checked suite
+## under faults); scripts/ci.sh adds coverage, the proof tables and the
+## -parallel byte-identity gates
 check: build test race lint faultcheck
 
 clean:

@@ -1,34 +1,37 @@
 // Command tlbcheck is the repository's coherence and invariant checker.
 //
-// In its default mode it runs the paper's experiment suite with the
-// shadow-oracle TLB coherence sanitizer attached to every simulated
-// machine (see internal/sanitizer): every restrictive page-table change
-// must be covered by a shootdown before any CPU translates through the
-// stale entry, every IPI must be acknowledged, early acks are forbidden
-// on table-freeing flushes, and mm lock ordering must stay acyclic. It
-// exits non-zero on any violation.
+// It runs the paper's experiment suite with both dynamic oracles attached
+// to every simulated machine, in one run:
 //
-// With -race-model it runs the suite with the happens-before race
-// detector attached instead (see internal/race): every access to shared
-// simulated kernel state must be ordered by a modeled synchronization
-// edge (locks, IPI send/ack, context switches), or it is reported as a
-// data race in the protocol model.
+//   - the shadow-oracle TLB coherence sanitizer (see internal/sanitizer):
+//     every restrictive page-table change must be covered by a shootdown
+//     before any CPU translates through the stale entry, every IPI must be
+//     acknowledged, early acks are forbidden on table-freeing flushes, and
+//     mm lock ordering must stay acyclic;
+//   - the happens-before race model (see internal/race): every access to
+//     shared simulated kernel state must be ordered by a modeled
+//     synchronization edge (locks, IPI send/ack, context switches), or it
+//     is reported as a data race in the protocol model.
+//
+// It prints the sanitizer report, then the race report, and exits 1 if
+// either finds a violation (2 on bad usage).
 //
 // The static-analysis tier lives in cmd/tlbvet.
 //
 // Usage:
 //
-//	tlbcheck                     # sanitize the full experiment suite
+//	tlbcheck                     # check the full experiment suite
 //	tlbcheck -quick              # CI-sized runs
 //	tlbcheck -run fig6,table3    # specific experiments
-//	tlbcheck -race-model         # happens-before race check of the suite
-//	tlbcheck -faults light       # sanitize under an injected fault schedule
+//	tlbcheck -faults light       # check under an injected fault schedule
 //	tlbcheck -quick -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -41,20 +44,31 @@ import (
 	"shootdown/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, checks the selected
+// experiments and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tlbcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		raceModel = flag.Bool("race-model", false, "run the happens-before race detector instead of the sanitizer")
-		quick     = flag.Bool("quick", false, "shrink experiment iteration counts (CI size)")
-		run       = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
-		seed      = flag.Uint64("seed", 1, "deterministic simulation seed")
-		verbose   = flag.Bool("v", false, "print per-experiment progress")
-		parallel  = flag.Int("parallel", 0, "experiment-cell worker count (0 = GOMAXPROCS); reports are identical at any setting")
-		faults    = flag.String("faults", "none", "fault schedule for every simulated machine: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides, e.g. 'light,drop=0.3'")
-		tlbmode   = flag.String("tlbmode", "", "shootdown dispatch tier override for every cell except the async and scale sweeps, which compare the tiers: sync or async (default: as each experiment configures)")
-		profiles  = prof.Register(flag.CommandLine)
+		quick    = fs.Bool("quick", false, "shrink experiment iteration counts (CI size)")
+		ids      = fs.String("run", "all", "comma-separated experiment ids, or 'all'")
+		seed     = fs.Uint64("seed", 1, "deterministic simulation seed")
+		verbose  = fs.Bool("v", false, "print per-experiment progress")
+		parallel = fs.Int("parallel", 0, "experiment-cell worker count (0 = GOMAXPROCS); reports are identical at any setting")
+		faults   = fs.String("faults", "none", "fault schedule for every simulated machine: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides, e.g. 'light,drop=0.3'")
+		tlbmode  = fs.String("tlbmode", "", "shootdown dispatch tier override for every cell except the async and scale sweeps, which compare the tiers: sync or async (default: as each experiment configures)")
+		profiles = prof.Register(fs)
 	)
-	flag.Parse()
-	sched.SetWorkers(*parallel)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	prev := sched.SetWorkers(*parallel)
+	defer sched.SetWorkers(prev)
 
 	// The machine flags fill the one template every cell boots.
 	base := workload.Template{TLBMode: *tlbmode}
@@ -62,82 +76,50 @@ func main() {
 	if base.Faults, err = fault.Parse(*faults); err == nil {
 		err = workload.CheckTLBMode(base.TLBMode)
 	}
+	if err == nil {
+		err = profiles.Start()
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tlbcheck: %v\n", err)
+		return 2
 	}
-
-	if err := profiles.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
-		os.Exit(2)
-	}
-	opts := experiments.Options{Quick: *quick, Seed: *seed, Base: base}
-	var code int
-	if *raceModel {
-		code = runRaceModel(*run, opts, *verbose)
-	} else {
-		code = runSanitized(*run, opts, *verbose)
-	}
+	code := check(*ids, experiments.Options{Quick: *quick, Seed: *seed, Base: base}, *verbose, stdout, stderr)
 	if err := profiles.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
+		fmt.Fprintf(stderr, "tlbcheck: %v\n", err)
 		if code == 0 {
 			code = 2
 		}
 	}
-	os.Exit(code)
+	return code
 }
 
-func runSanitized(run string, opts experiments.Options, verbose bool) int {
+// check runs the named experiments (or all) with both oracles attached
+// and prints the merged sanitizer report, then the merged race report.
+func check(ids string, opts experiments.Options, verbose bool, stdout, stderr io.Writer) int {
 	names := experiments.Names()
-	if !strings.EqualFold(run, "all") {
-		names = strings.Split(run, ",")
+	if !strings.EqualFold(ids, "all") {
+		names = strings.Split(ids, ",")
 	}
-	total := &sanitizer.Summary{}
+	san, rc := &sanitizer.Summary{}, &race.Summary{}
 	for _, name := range names {
 		name = strings.TrimSpace(name)
 		if verbose {
-			fmt.Fprintf(os.Stderr, "checking %s...\n", name)
+			fmt.Fprintf(stderr, "checking %s...\n", name)
 		}
-		_, sum, err := experiments.RunSanitized(name, opts)
+		_, s, r, err := experiments.RunChecked(name, opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
+			fmt.Fprintf(stderr, "tlbcheck: %v\n", err)
 			return 2
 		}
-		if verbose && !sum.OK() {
-			fmt.Fprintf(os.Stderr, "  %s: %d violation(s)\n", name, len(sum.Violations))
+		if verbose && !(s.OK() && r.OK()) {
+			fmt.Fprintf(stderr, "  %s: %d violation(s), %d race(s)\n", name, len(s.Violations), len(r.Races))
 		}
-		total.Absorb(sum)
+		san.Absorb(s)
+		rc.Absorb(r)
 	}
-	fmt.Print(total.Report())
-	if !total.OK() {
-		return 1
-	}
-	return 0
-}
-
-func runRaceModel(run string, opts experiments.Options, verbose bool) int {
-	names := experiments.Names()
-	if !strings.EqualFold(run, "all") {
-		names = strings.Split(run, ",")
-	}
-	total := &race.Summary{}
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if verbose {
-			fmt.Fprintf(os.Stderr, "race-checking %s...\n", name)
-		}
-		_, sum, err := experiments.RunRace(name, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tlbcheck: %v\n", err)
-			return 2
-		}
-		if verbose && !sum.OK() {
-			fmt.Fprintf(os.Stderr, "  %s: %d race(s)\n", name, len(sum.Races))
-		}
-		total.Absorb(sum)
-	}
-	fmt.Print(total.Report())
-	if !total.OK() {
+	fmt.Fprint(stdout, san.Report())
+	fmt.Fprint(stdout, rc.Report())
+	if !san.OK() || !rc.OK() {
 		return 1
 	}
 	return 0

@@ -6,7 +6,7 @@ import (
 	"shootdown/internal/race"
 )
 
-// TestRaceReportGolden locks down the -race-model report format, the
+// TestRaceReportGolden locks down the race report format, the
 // happens-before checker's user interface.
 func TestRaceReportGolden(t *testing.T) {
 	sum := &race.Summary{

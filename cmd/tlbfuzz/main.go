@@ -24,8 +24,8 @@
 // coverage), and the run is expected to FAIL — the printed repro line
 // pins the convicting schedule, the dynamic half of the cross-validation
 // contract with the static tier. A variant that breaks the async fabric
-// forces -tlbmode async. The fuzz workload frees no page tables, so
-// earlyack runs do not fail yet.
+// forces -tlbmode async. Each worker unmaps its arena last, freeing a
+// page-table page, so earlyack runs fail too.
 package main
 
 import (
@@ -35,13 +35,12 @@ import (
 
 	"shootdown/internal/core"
 	"shootdown/internal/daemons"
+	"shootdown/internal/experiments"
 	"shootdown/internal/fault"
 	"shootdown/internal/kernel"
 	"shootdown/internal/mach"
 	"shootdown/internal/mm"
 	"shootdown/internal/pagetable"
-	"shootdown/internal/race"
-	"shootdown/internal/sanitizer"
 	"shootdown/internal/sched"
 	"shootdown/internal/sim"
 	"shootdown/internal/syscalls"
@@ -179,16 +178,11 @@ func fuzzOne(seed uint64, opsPerThread int, verbose bool, spec fault.Spec, tlbmo
 	}
 	defer world.Close()
 	eng, k, f, pl := world.Eng, world.K, world.F, world.Fault
-	// The happens-before checker validates the synchronization structure of
-	// every run alongside the shadow-oracle coherence check below. The
-	// flusher was built before it; re-wire its own sync objects.
-	rd := race.New(eng)
-	k.EnableRace(rd)
-	f.EnableRace()
 	// The shadow-oracle sanitizer checks every TLB hit against the page
 	// tables *during* the run — far stronger than the end-state snapshot
-	// check below, which only sees what survived to quiescence.
-	chk := sanitizer.Attach(k, f, sanitizer.Config{})
+	// check below, which only sees what survived to quiescence — and the
+	// happens-before model checks the run's synchronization structure.
+	chk, rd := experiments.AttachOracles(world)
 
 	as := k.NewAddressSpace()
 	file := k.NewFile("fuzz", 64*pg)
@@ -274,6 +268,12 @@ func fuzzOne(seed uint64, opsPerThread int, verbose bool, spec fault.Spec, tlbmo
 				default:
 					ctx.UserRun(1500)
 				}
+			}
+			// The arena has a 2 MiB region to itself, so unmapping it
+			// frees its page-table page, and the covering shootdown
+			// must not ack early (§3.2): the rule earlyack breaks.
+			if err := syscalls.Munmap(ctx, arena.Start, 16*pg); err != nil {
+				fail("munmap arena: %v", err)
 			}
 		}}
 		k.CPU(cpus[w]).Spawn(task)

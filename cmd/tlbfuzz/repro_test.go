@@ -122,3 +122,23 @@ func TestFuzzOneBrokenCoalesceRepro(t *testing.T) {
 		t.Fatalf("sound merge on the same schedule convicted:\n  %s", strings.Join(errs, "\n  "))
 	}
 }
+
+// TestFuzzOneBrokenEarlyAckRepro pins one seed on which both oracles
+// convict MutantEarlyAck: a worker's closing munmap frees its arena's
+// page-table page, the planted variant acks those flush requests early
+// anyway, and the sanitizer reports early-ack-freed-tables while the race
+// model reports the §3.2 race on the freed tables. The sound protocol on
+// the same seed stays coherent.
+func TestFuzzOneBrokenEarlyAckRepro(t *testing.T) {
+	const seed = 7854676376689133885
+	errs, _ := fuzzOne(seed, 120, false, fault.Spec{}, "auto", core.MutantEarlyAck)
+	all := strings.Join(errs, "\n  ")
+	for _, want := range []string{"sanitizer early-ack-freed-tables", "race on mm1.pt-nodes"} {
+		if !strings.Contains(all, want) {
+			t.Errorf("broken early ack not convicted with %q:\n  %s", want, all)
+		}
+	}
+	if errs, _ := fuzzOne(seed, 120, false, fault.Spec{}, "auto", core.NoMutant); len(errs) != 0 {
+		t.Fatalf("sound protocol on the same seed convicted:\n  %s", strings.Join(errs, "\n  "))
+	}
+}

@@ -186,7 +186,7 @@ func printTimings(ms map[string]float64) {
 // tier cannot discharge.
 func renderXVal(rep report) string {
 	var b strings.Builder
-	b.WriteString("# RACE_XVAL: static discharge status of every dynamic-race-model instrumented field\n")
+	b.WriteString("# RACE_XVAL: static discharge status of every field the dynamic race model instruments\n")
 	b.WriteString("# entry | variable | discipline | status | proof\n")
 	for _, r := range rep.XVal {
 		v := r.Var

@@ -5,22 +5,46 @@ import (
 	"fmt"
 	"testing"
 
+	"shootdown/internal/report"
 	"shootdown/internal/sched"
 )
 
-// renderSuite renders the named experiments exactly as `tlbsim -exp all
-// -quick -seed N` writes them to stdout, into one buffer.
-func renderSuite(names []string, seed uint64) []byte {
+// renderTables renders tables exactly as tlbsim writes them to stdout.
+func renderTables(tables []*report.Table) []byte {
 	var buf bytes.Buffer
-	opts := Options{Quick: true, Seed: seed}
-	reg := Registry()
-	for _, name := range names {
-		for _, tab := range reg[name](opts) {
-			tab.Write(&buf)
-			fmt.Fprintln(&buf)
-		}
+	for _, tab := range tables {
+		tab.Write(&buf)
+		fmt.Fprintln(&buf)
 	}
 	return buf.Bytes()
+}
+
+// renderSuite renders the named quick experiments at seed, in order, as
+// `tlbsim -exp all -quick -seed N` does.
+func renderSuite(names []string, seed uint64) []byte {
+	var buf bytes.Buffer
+	reg := Registry()
+	for _, name := range names {
+		buf.Write(renderTables(reg[name](Options{Quick: true, Seed: seed})))
+	}
+	return buf.Bytes()
+}
+
+// serialRenders caches unchecked one-worker renders by "name/seed", so
+// the reference the determinism tests compare against is simulated once
+// per test binary.
+var serialRenders = map[string][]byte{}
+
+// serialRender renders the named quick experiment at seed on one worker.
+func serialRender(name string, seed uint64) []byte {
+	key := fmt.Sprintf("%s/%d", name, seed)
+	if r, ok := serialRenders[key]; ok {
+		return r
+	}
+	prev := sched.SetWorkers(1)
+	defer sched.SetWorkers(prev)
+	serialRenders[key] = renderSuite([]string{name}, seed)
+	return serialRenders[key]
 }
 
 // TestParallelOutputBitIdentical is the scheduler's acceptance contract:
@@ -34,14 +58,14 @@ func TestParallelOutputBitIdentical(t *testing.T) {
 		t.Skip("full-suite comparison is slow; run without -short")
 	}
 	names, seeds := parallelCheckScope()
-	render := func(workers int, seed uint64) []byte {
-		prev := sched.SetWorkers(workers)
-		defer sched.SetWorkers(prev)
-		return renderSuite(names, seed)
-	}
 	for _, seed := range seeds {
-		ref := render(1, seed)
-		got := render(8, seed)
+		var ref []byte
+		for _, name := range names {
+			ref = append(ref, serialRender(name, seed)...)
+		}
+		prev := sched.SetWorkers(8)
+		got := renderSuite(names, seed)
+		sched.SetWorkers(prev)
 		if bytes.Equal(ref, got) {
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 	"shootdown/internal/cache"
 	"shootdown/internal/mach"
 	"shootdown/internal/mm"
+	"shootdown/internal/obs"
 	"shootdown/internal/sim"
 	"shootdown/internal/smp"
 	"shootdown/internal/tlb"
@@ -59,6 +60,11 @@ type CPU struct {
 	// LazyRemote): executed at the CPU's next kernel entry, with no IPI
 	// and no initiator wait. See the extension notes in internal/core.
 	lazyWork []func(p *sim.Proc)
+	// LazyQueue fires with lazyWork's length after every change to it:
+	// a flush queued, or the queue taken for draining. Observers track
+	// the LATR staleness window from it instead of reading the queue,
+	// whose every read the race model records as this CPU's.
+	LazyQueue obs.Hook[int]
 
 	// Precomputed race-variable names for this CPU's shared state (used
 	// only when a detector is attached; see internal/race).
@@ -300,13 +306,8 @@ func (c *CPU) CatchUpGen(p *sim.Proc, as *mm.AddressSpace) {
 func (c *CPU) QueueLazyWork(fn func(p *sim.Proc)) {
 	c.K.Race.AtomicRMW(c.lazyqVar)
 	c.lazyWork = append(c.lazyWork, fn)
+	c.LazyQueue.Emit(len(c.lazyWork))
 	c.wake.Broadcast()
-}
-
-// PendingLazyWork returns the number of queued lazy flushes.
-func (c *CPU) PendingLazyWork() int {
-	c.K.Race.AtomicLoad(c.lazyqVar)
-	return len(c.lazyWork)
 }
 
 // DrainLazyWork runs queued lazy flushes; called at kernel-entry points.
@@ -315,6 +316,7 @@ func (c *CPU) DrainLazyWork(p *sim.Proc) {
 		c.K.Race.AtomicRMW(c.lazyqVar)
 		work := c.lazyWork
 		c.lazyWork = nil
+		c.LazyQueue.Emit(0)
 		for _, fn := range work {
 			fn(p)
 		}
@@ -324,7 +326,8 @@ func (c *CPU) DrainLazyWork(p *sim.Proc) {
 // ServiceIRQs drains all deliverable interrupts, charging entry/exit costs
 // and accounting interruption time against the running task.
 func (c *CPU) ServiceIRQs(p *sim.Proc) {
-	if c.PendingLazyWork() > 0 && !c.inUser {
+	c.K.Race.AtomicLoad(c.lazyqVar)
+	if len(c.lazyWork) > 0 && !c.inUser {
 		// Kernel context reached: lazily deferred flushes run now.
 		c.DrainLazyWork(p)
 	}

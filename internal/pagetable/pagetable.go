@@ -474,6 +474,14 @@ func (t *Table) VisitRange(start, end uint64, fn func(Translation)) {
 	t.visitRec(t.root, 3, 0, start, end, fn)
 }
 
+// Leaves calls fn for every present leaf, in ascending address order.
+// Unlike VisitRange it records no access in the race model: it is the
+// read path of host-side observers such as the sanitizer's shadow, which
+// are not simulated CPUs and must leave no trace in the model.
+func (t *Table) Leaves(fn func(Translation)) {
+	t.visitRec(t.root, 3, 0, 0, MaxVA, fn)
+}
+
 func (t *Table) visitRec(n *node, level int, base, start, end uint64, fn func(Translation)) {
 	span := uint64(1) << (PageShift4K + 9*uint(level))
 	for idx := 0; idx < EntriesPerTable; idx++ {

@@ -163,6 +163,10 @@ type Checker struct {
 	seen    map[vioKey]bool
 	reqs    []reqRec
 
+	// lazyQueued mirrors each CPU's lazy-work queue length, fed by its
+	// LazyQueue hook (tracked only under AllowLazyWindow).
+	lazyQueued map[*kernel.CPU]int
+
 	locks *lockdep
 
 	violations []Violation
@@ -180,13 +184,14 @@ type Checker struct {
 func Attach(k *kernel.Kernel, f *core.Flusher, cfg Config) *Checker {
 	c := &Checker{
 		K: k, F: f, Cfg: cfg,
-		shadows: make(map[mm.ID]*shadow),
-		byPCID:  make(map[tlb.PCID]pcidRef),
-		open:    make(map[obKey]*obligation),
-		closed:  make(map[obKey]*obligation),
-		begins:  make(map[*core.FlushInfo]sim.Time),
-		procCPU: make(map[*sim.Proc]int),
-		seen:    make(map[vioKey]bool),
+		shadows:    make(map[mm.ID]*shadow),
+		byPCID:     make(map[tlb.PCID]pcidRef),
+		open:       make(map[obKey]*obligation),
+		closed:     make(map[obKey]*obligation),
+		begins:     make(map[*core.FlushInfo]sim.Time),
+		procCPU:    make(map[*sim.Proc]int),
+		seen:       make(map[vioKey]bool),
+		lazyQueued: make(map[*kernel.CPU]int),
 	}
 	c.locks = newLockdep(c)
 
@@ -213,6 +218,9 @@ func Attach(k *kernel.Kernel, f *core.Flusher, cfg Config) *Checker {
 	for _, cpu := range k.CPUs() {
 		cpu.TLB.Hit.Add(func(h tlb.Hit) { c.onHit(cpu, h) })
 		cpu.TLB.Flushed.Add(c.onFlush)
+		if cfg.AllowLazyWindow {
+			cpu.LazyQueue.Add(func(n int) { c.lazyQueued[cpu] = n })
+		}
 	}
 	return c
 }
@@ -434,7 +442,7 @@ func (c *Checker) onHit(cpu *kernel.CPU, h tlb.Hit) {
 		c.stats.StaleLegalOpen++
 		return
 	}
-	if c.Cfg.AllowLazyWindow && cpu.PendingLazyWork() > 0 {
+	if c.lazyQueued[cpu] > 0 {
 		c.stats.StaleLegalLazy++
 		return
 	}

@@ -29,7 +29,7 @@ func newShadow(as *mm.AddressSpace) *shadow {
 		p4k: make(map[uint64]pagetable.PTE),
 		p2m: make(map[uint64]pagetable.PTE),
 	}
-	as.PT.VisitRange(0, pagetable.MaxVA, func(tr pagetable.Translation) {
+	as.PT.Leaves(func(tr pagetable.Translation) {
 		pte := pagetable.PTE{Frame: tr.Frame, Flags: tr.Flags}
 		if tr.Size == pagetable.Size2M {
 			sh.p2m[tr.VA] = pte
@@ -98,7 +98,7 @@ func (sh *shadow) diffAgainstPT() string {
 		size pagetable.Size
 	}
 	real := make(map[uint64]leaf)
-	sh.as.PT.VisitRange(0, pagetable.MaxVA, func(tr pagetable.Translation) {
+	sh.as.PT.Leaves(func(tr pagetable.Translation) {
 		real[tr.VA] = leaf{pagetable.PTE{Frame: tr.Frame, Flags: tr.Flags}, tr.Size}
 	})
 	var diffs []string

@@ -23,7 +23,7 @@ const obsPkg = modPath + "/internal/obs"
 //   - writes (assignment, ++/--) through a hook parameter or a package-level
 //     variable; writes to captured function-locals stay legal, since
 //     accumulating results in the installing function is the sanctioned
-//     pattern (see sanitizer.Attach and experiments.RunRace);
+//     pattern (see sanitizer.Attach and experiments.RunChecked);
 //   - mutation through method calls: a call on observed state is flagged
 //     when module-wide summaries prove the method (transitively) writes
 //     through its receiver — e.g. sem.NoteContention() bumps the

@@ -46,10 +46,10 @@ func (m Mode) String() string {
 
 // bootHook, when non-nil, observes every World that Boot assembles, as
 // its last step: the CPU run loops have started and no task has been
-// spawned. tlbcheck uses it to attach the coherence sanitizer or the race
-// model to every machine an experiment creates, extension probes
-// included. Hooks must be observational: they may install observers but
-// not advance simulated time.
+// spawned. experiments.RunChecked uses it to attach the coherence
+// sanitizer and the race model to every machine an experiment creates,
+// extension probes included. Hooks must be observational: they may
+// install observers but not advance simulated time.
 //
 // It is the package's one mutable global. Writes go through SetBootHook's
 // save/restore discipline, proven whole-program by the ssa tier's

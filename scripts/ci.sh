@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: build, tests, race detector, the static-analysis tier, and the
-# shadow-oracle coherence sanitizer and race model over the experiment
-# suite under fault injection. Fails on the first broken step. Mirrors
-# `make check`; the GitHub workflow runs this script.
+# checked experiment suite (shadow-oracle coherence sanitizer and race
+# model attached together) under fault injection. Fails on the first
+# broken step. Mirrors `make check`; the GitHub workflow runs this script.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -87,7 +87,7 @@ go test -race ./...
 # nondeterminism-taint proof, the parallelsafe restore-discipline proof,
 # the mhp may-happen-in-parallel contexts and the lockset race-discipline
 # proofs, and the fabproof numeric obligations over the async fabric) —
-# runs before the long sanitize/race-model suites: a finding
+# runs before the long checked suite: a finding
 # should fail the gate in seconds, not after the simulations. The
 # machine-readable report lands in VET_findings.json as a CI artifact,
 # and the tier carries a wall-clock budget: the whole-program analyses
@@ -145,15 +145,12 @@ fi
 # The oracle stack must stay clean when every machine runs under an
 # injected fault schedule: dropped/delayed kicks, stalled responders,
 # spurious evictions, PCID recycling and preemption storms, recovered by
-# the timeout/rekick/degrade path. The unfaulted suites need no stage of
-# their own: go test already runs them (TestSanitizedQuickSuite,
-# TestRaceModelQuickSuite), and the cmd/tlbcheck golden report tests
-# cover the CLI.
-echo "==> tlbcheck -faults light (sanitized suite under fault injection)"
+# the timeout/rekick/degrade path. One run checks every machine with
+# both oracles. The unfaulted suite needs no stage of its own: go test
+# already runs it (TestCheckedQuickSuite), and the cmd/tlbcheck tests
+# cover the CLI's run loop and report formats.
+echo "==> tlbcheck -faults light (checked suite under fault injection)"
 go run ./cmd/tlbcheck -quick -faults light -v
-
-echo "==> tlbcheck -race-model -faults light"
-go run ./cmd/tlbcheck -race-model -quick -faults light -v
 
 # Async-fabric ablation: the queue-based dispatch tier's sweep gates
 # the initiator-side win and digest equality against the synchronous
