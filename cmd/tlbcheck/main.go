@@ -14,7 +14,8 @@
 //     is reported as a data race in the protocol model.
 //
 // It prints the sanitizer report, then the race report, and exits 1 if
-// either finds a violation (2 on bad usage).
+// either finds a violation (2 on bad usage). -faults, -topo and -tlbmode
+// describe the machine every cell boots, as they do for tlbsim.
 //
 // The static-analysis tier lives in cmd/tlbvet.
 //
@@ -24,6 +25,7 @@
 //	tlbcheck -quick              # CI-sized runs
 //	tlbcheck -run fig6,table3    # specific experiments
 //	tlbcheck -faults light       # check under an injected fault schedule
+//	tlbcheck -quick -topo 2x8x2 -tlbmode async   # check another machine
 //	tlbcheck -quick -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -36,7 +38,6 @@ import (
 	"strings"
 
 	"shootdown/internal/experiments"
-	"shootdown/internal/fault"
 	"shootdown/internal/prof"
 	"shootdown/internal/race"
 	"shootdown/internal/sanitizer"
@@ -57,8 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Uint64("seed", 1, "deterministic simulation seed")
 		verbose  = fs.Bool("v", false, "print per-experiment progress")
 		parallel = fs.Int("parallel", 0, "experiment-cell worker count (0 = GOMAXPROCS); reports are identical at any setting")
-		faults   = fs.String("faults", "none", "fault schedule for every simulated machine: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides, e.g. 'light,drop=0.3'")
-		tlbmode  = fs.String("tlbmode", "", "shootdown dispatch tier override for every cell except the async and scale sweeps, which compare the tiers: sync or async (default: as each experiment configures)")
+		template = workload.TemplateFlags(fs)
 		profiles = prof.Register(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -71,11 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer sched.SetWorkers(prev)
 
 	// The machine flags fill the one template every cell boots.
-	base := workload.Template{TLBMode: *tlbmode}
-	var err error
-	if base.Faults, err = fault.Parse(*faults); err == nil {
-		err = workload.CheckTLBMode(base.TLBMode)
-	}
+	base, err := template()
 	if err == nil {
 		err = profiles.Start()
 	}

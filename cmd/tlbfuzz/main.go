@@ -18,7 +18,7 @@
 //	tlbfuzz -broken coalesce -faults light -runs 200       # oracles must convict
 //
 // With -broken it plants one deliberately broken protocol variant, named
-// as core.Mutant spells it (earlyack: acks before the flush even while
+// as fault.Mutant spells it (earlyack: acks before the flush even while
 // page tables are freed; ackdrain: the drain acks before the flush
 // lands; coalesce: in-ring merges adopt the newer entry's end and shrink
 // coverage), and the run is expected to FAIL — the printed repro line
@@ -79,9 +79,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlbfuzz: -tlbmode must be auto, sync or async\n")
 		os.Exit(2)
 	}
-	var mutant core.Mutant
+	var mutant fault.Mutant
 	if *broken != "" {
-		if mutant, err = core.ParseMutant(*broken); err != nil {
+		if mutant, err = fault.ParseMutant(*broken); err != nil {
 			fmt.Fprintf(os.Stderr, "tlbfuzz: -broken: %v\n", err)
 			os.Exit(2)
 		}
@@ -156,15 +156,15 @@ func randomConfig(r *sim.Rand, tlbmode string) core.Config {
 // reproLine renders the one-line command that replays a failing run
 // byte-identically: same seed, same ops, same fault schedule, same
 // dispatch tier (and planted breakage, if any), one worker.
-func reproLine(seed uint64, ops int, spec fault.Spec, tlbmode string, mutant core.Mutant) string {
+func reproLine(seed uint64, ops int, spec fault.Spec, tlbmode string, mutant fault.Mutant) string {
 	line := fmt.Sprintf("tlbfuzz -faults %s -tlbmode %s -seed %d -ops %d -parallel 1", spec, tlbmode, seed, ops)
-	if mutant != core.NoMutant {
+	if mutant != fault.NoMutant {
 		line += " -broken " + mutant.String()
 	}
 	return line
 }
 
-func fuzzOne(seed uint64, opsPerThread int, verbose bool, spec fault.Spec, tlbmode string, mutant core.Mutant) (errs []string, summary string) {
+func fuzzOne(seed uint64, opsPerThread int, verbose bool, spec fault.Spec, tlbmode string, mutant fault.Mutant) (errs []string, summary string) {
 	r := sim.NewRand(seed)
 	cfg := randomConfig(r, tlbmode)
 	cfg.Mutant = mutant

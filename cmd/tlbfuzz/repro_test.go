@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"shootdown/internal/core"
 	"shootdown/internal/fault"
 )
 
@@ -18,7 +17,7 @@ func TestReproLineCarriesFaultSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	line := reproLine(12345, 120, spec, "async", core.MutantCoalesceShrink)
+	line := reproLine(12345, 120, spec, "async", fault.MutantCoalesceShrink)
 	for _, want := range []string{
 		"tlbfuzz ",
 		"-faults " + spec.String(),
@@ -32,7 +31,7 @@ func TestReproLineCarriesFaultSchedule(t *testing.T) {
 			t.Errorf("repro line %q missing %q", line, want)
 		}
 	}
-	if got := reproLine(7, 10, fault.Spec{}, "auto", core.NoMutant); !strings.Contains(got, "-faults none") || !strings.Contains(got, "-tlbmode auto") || strings.Contains(got, "-broken") {
+	if got := reproLine(7, 10, fault.Spec{}, "auto", fault.NoMutant); !strings.Contains(got, "-faults none") || !strings.Contains(got, "-tlbmode auto") || strings.Contains(got, "-broken") {
 		t.Errorf("fault-free repro line %q should spell out '-faults none' and '-tlbmode auto' and omit -broken", got)
 	}
 }
@@ -47,8 +46,8 @@ func TestFuzzOneDeterministicUnderFaults(t *testing.T) {
 		t.Fatal("heavy preset missing")
 	}
 	for _, seed := range []uint64{3, 101} {
-		errs1, sum1 := fuzzOne(seed, 40, true, spec, "auto", core.NoMutant)
-		errs2, sum2 := fuzzOne(seed, 40, true, spec, "auto", core.NoMutant)
+		errs1, sum1 := fuzzOne(seed, 40, true, spec, "auto", fault.NoMutant)
+		errs2, sum2 := fuzzOne(seed, 40, true, spec, "auto", fault.NoMutant)
 		if fmt.Sprint(errs1) != fmt.Sprint(errs2) {
 			t.Errorf("seed %d: errors differ between identical runs:\n  %v\n  %v", seed, errs1, errs2)
 		}
@@ -67,7 +66,7 @@ func TestFuzzOneCoherentUnderDropSchedule(t *testing.T) {
 	if !ok {
 		t.Fatal("drop preset missing")
 	}
-	errs, sum := fuzzOne(11, 40, true, spec, "auto", core.NoMutant)
+	errs, sum := fuzzOne(11, 40, true, spec, "auto", fault.NoMutant)
 	if len(errs) != 0 {
 		t.Fatalf("coherence violated under drop schedule:\n  %s", strings.Join(errs, "\n  "))
 	}
@@ -92,7 +91,7 @@ func TestFuzzOneOverlappingFlushWindows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	errs, _ := fuzzOne(8717488660339093609, 120, false, spec, "sync", core.NoMutant)
+	errs, _ := fuzzOne(8717488660339093609, 120, false, spec, "sync", fault.NoMutant)
 	if len(errs) != 0 {
 		t.Fatalf("overlapping writeback/CoW windows misreported:\n  %s", strings.Join(errs, "\n  "))
 	}
@@ -111,14 +110,14 @@ func TestFuzzOneBrokenCoalesceRepro(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	const seed = 13811972702172687379
-	errs, _ := fuzzOne(seed, 240, false, spec, "async", core.MutantCoalesceShrink)
+	errs, _ := fuzzOne(seed, 240, false, spec, "async", fault.MutantCoalesceShrink)
 	if len(errs) != 1 {
 		t.Fatalf("broken coalesce errors = %d, want exactly 1:\n  %s", len(errs), strings.Join(errs, "\n  "))
 	}
 	if !strings.Contains(errs[0], "stale-translation") {
 		t.Fatalf("conviction should be a stale-translation: %s", errs[0])
 	}
-	if errs, _ := fuzzOne(seed, 240, false, spec, "async", core.NoMutant); len(errs) != 0 {
+	if errs, _ := fuzzOne(seed, 240, false, spec, "async", fault.NoMutant); len(errs) != 0 {
 		t.Fatalf("sound merge on the same schedule convicted:\n  %s", strings.Join(errs, "\n  "))
 	}
 }
@@ -131,14 +130,14 @@ func TestFuzzOneBrokenCoalesceRepro(t *testing.T) {
 // the same seed stays coherent.
 func TestFuzzOneBrokenEarlyAckRepro(t *testing.T) {
 	const seed = 7854676376689133885
-	errs, _ := fuzzOne(seed, 120, false, fault.Spec{}, "auto", core.MutantEarlyAck)
+	errs, _ := fuzzOne(seed, 120, false, fault.Spec{}, "auto", fault.MutantEarlyAck)
 	all := strings.Join(errs, "\n  ")
 	for _, want := range []string{"sanitizer early-ack-freed-tables", "race on mm1.pt-nodes"} {
 		if !strings.Contains(all, want) {
 			t.Errorf("broken early ack not convicted with %q:\n  %s", want, all)
 		}
 	}
-	if errs, _ := fuzzOne(seed, 120, false, fault.Spec{}, "auto", core.NoMutant); len(errs) != 0 {
+	if errs, _ := fuzzOne(seed, 120, false, fault.Spec{}, "auto", fault.NoMutant); len(errs) != 0 {
 		t.Fatalf("sound protocol on the same seed convicted:\n  %s", strings.Join(errs, "\n  "))
 	}
 }

@@ -19,8 +19,6 @@ import (
 	"strings"
 
 	"shootdown/internal/experiments"
-	"shootdown/internal/fault"
-	"shootdown/internal/mach"
 	"shootdown/internal/prof"
 	"shootdown/internal/sched"
 	"shootdown/internal/workload"
@@ -34,23 +32,14 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		list     = flag.Bool("list", false, "list available experiments")
 		parallel = flag.Int("parallel", 0, "experiment-cell worker count (0 = GOMAXPROCS); output is identical at any setting")
-		faults   = flag.String("faults", "none", "fault schedule for every simulated machine: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides")
-		tlbmode  = flag.String("tlbmode", "", "shootdown dispatch tier override for every cell except the async and scale sweeps, which compare the tiers: sync or async (default: as each experiment configures)")
-		topo     = flag.String("topo", "", "machine topology for every cell: 'default', a preset CPU count (56, 256, 512, 1024) or SxCxT[xN] (default: the paper's 56-CPU testbed)")
+		template = workload.TemplateFlags(flag.CommandLine)
 		profiles = prof.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	sched.SetWorkers(*parallel)
 
 	// The three machine flags fill the one template every cell boots.
-	base := workload.Template{TLBMode: *tlbmode}
-	var err error
-	if base.Faults, err = fault.Parse(*faults); err == nil {
-		err = workload.CheckTLBMode(base.TLBMode)
-	}
-	if err == nil {
-		base.Topo, err = mach.ParseTopology(*topo)
-	}
+	base, err := template()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlbsim: %v\n", err)
 		os.Exit(2)

@@ -8,8 +8,10 @@
 //     aliased/dot/blank forms
 //   - costliteral: constant cycle costs (literals, named constants and
 //     thin Delay wrappers) outside the cost model
-//   - observerpurity: hooks mutating observed or package-level state,
-//     including through mutating method calls and local aliases
+//   - observerpurity: hooks (func literals and method values) mutating
+//     observed or package-level state, including through mutating
+//     method calls and local aliases, or reaching a recording
+//     race.Detector method through the call graph
 //   - flushobligation: every restrictive page-table mutation's returned
 //     mm.FlushRange must reach a shootdown discharge on every path or be
 //     returned to the caller
@@ -30,17 +32,18 @@
 //   - lockset: RacerD-style discharge proofs for every field the dynamic
 //     race model instruments (internal/race.Registry): atomic hooks,
 //     CPU confinement, ack ordering, single-writer epochs. The
-//     violation seeded by core.MutantEarlyAck must surface as exactly
+//     violation seeded by fault.MutantEarlyAck must surface as exactly
 //     one witness, at the one unit that compares Config.Mutant with that
-//     constant; the per-entry statuses are the RACE_XVAL
-//     cross-validation artifact
+//     constant; the per-entry statuses and lockset's witness are the
+//     RACE_XVAL cross-validation artifact
 //   - fabproof: numeric abstract-interpretation proofs for the async
 //     shootdown fabric — ring bounds, overflow collapse, sequence and
 //     generation monotonicity, retry caps, coalescing soundness (the
-//     coverage loss seeded by core.MutantCoalesceShrink must surface as
-//     exactly one witness), callback-once and ring-entry
-//     well-formedness. The per-obligation statuses are the FABPROOF
-//     artifact
+//     coverage loss seeded by fault.MutantCoalesceShrink must surface as
+//     exactly one witness, in the merge comparing smp's fault.Mutant
+//     field with that constant), callback-once and ring-entry
+//     well-formedness. The per-obligation statuses and fabproof's
+//     witness are the FABPROOF artifact
 //
 // Every finding is unconditional: no source comment waives one.
 //
@@ -181,9 +184,9 @@ func printTimings(ms map[string]float64) {
 }
 
 // renderXVal formats the cross-validation table published as
-// RACE_XVAL.txt: one row per race-registry entry. CI fails on any
-// "unproven" row — a field the dynamic model instruments that the static
-// tier cannot discharge.
+// RACE_XVAL.txt: one row per race-registry entry, then lockset's
+// witnesses. CI fails on any "unproven" row — a field the dynamic model
+// instruments that the static tier cannot discharge.
 func renderXVal(rep report) string {
 	var b strings.Builder
 	b.WriteString("# RACE_XVAL: static discharge status of every field the dynamic race model instruments\n")
@@ -195,15 +198,14 @@ func renderXVal(rep report) string {
 		}
 		fmt.Fprintf(&b, "%s | %s | %s | %s | %s\n", r.Key, v, r.Discipline, r.Status, r.Detail)
 	}
-	for _, w := range rep.Witnesses {
-		fmt.Fprintf(&b, "witness | %s:%d | %s\n", w.File, w.Line, w.Msg)
-	}
+	writeWitnesses(&b, rep, "lockset")
 	return b.String()
 }
 
 // renderFabproof formats the fabric obligation table published as
-// FABPROOF.txt: one row per fabproof obligation. CI fails on any
-// "unproven" row — a fabric invariant the numeric tier cannot discharge.
+// FABPROOF.txt: one row per fabproof obligation, then fabproof's
+// witnesses. CI fails on any "unproven" row — a fabric invariant the
+// numeric tier cannot discharge.
 func renderFabproof(rep report) string {
 	var b strings.Builder
 	b.WriteString("# FABPROOF: static proof status of every async-fabric obligation\n")
@@ -211,13 +213,17 @@ func renderFabproof(rep report) string {
 	for _, r := range rep.FabRows {
 		fmt.Fprintf(&b, "%s | %s | %s | %s\n", r.Key, r.Subject, r.Status, r.Detail)
 	}
-	for _, w := range rep.Witnesses {
-		if w.Analyzer != "fabproof" {
-			continue
-		}
-		fmt.Fprintf(&b, "witness | %s:%d | %s\n", w.File, w.Line, w.Msg)
-	}
+	writeWitnesses(&b, rep, "fabproof")
 	return b.String()
+}
+
+// writeWitnesses appends one row per witness the named analyzer found.
+func writeWitnesses(b *strings.Builder, rep report, analyzer string) {
+	for _, w := range rep.Witnesses {
+		if w.Analyzer == analyzer {
+			fmt.Fprintf(b, "witness | %s:%d | %s\n", w.File, w.Line, w.Msg)
+		}
+	}
 }
 
 // parseOnly splits a comma-separated -only list, validating every name

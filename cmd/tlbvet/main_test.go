@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"shootdown/internal/sanitizer/ssa"
 )
 
 // TestParseOnly: -only accepts registered analyzers, trimmed, and rejects
@@ -44,5 +46,25 @@ func TestJSONReportKeys(t *testing.T) {
 	want := []string{"fabproof", "findings", "funcs_visited", "timings_ms", "witnesses", "xval"}
 	if !reflect.DeepEqual(keys, want) {
 		t.Fatalf("report keys = %v, want %v", keys, want)
+	}
+}
+
+// TestTablesKeepTheirOwnWitnesses pins which witnesses each committed
+// table lists: RACE_XVAL.txt only lockset's, FABPROOF.txt only
+// fabproof's.
+func TestTablesKeepTheirOwnWitnesses(t *testing.T) {
+	rep := report{Witnesses: []ssa.Finding{
+		{File: "a.go", Line: 1, Analyzer: "lockset", Msg: "race-tier witness"},
+		{File: "b.go", Line: 2, Analyzer: "fabproof", Msg: "fabric witness"},
+	}}
+	for _, tc := range []struct {
+		name, got, want, not string
+	}{
+		{"RACE_XVAL", renderXVal(rep), "witness | a.go:1 | race-tier witness\n", "fabric witness"},
+		{"FABPROOF", renderFabproof(rep), "witness | b.go:2 | fabric witness\n", "race-tier witness"},
+	} {
+		if !strings.HasSuffix(tc.got, tc.want) || strings.Contains(tc.got, tc.not) {
+			t.Errorf("%s table = %q, want it to end with %q and omit %q", tc.name, tc.got, tc.want, tc.not)
+		}
 	}
 }

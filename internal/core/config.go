@@ -24,6 +24,8 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"shootdown/internal/fault"
 )
 
 // Config toggles the paper's optimizations. The zero value is the baseline
@@ -82,77 +84,7 @@ type Config struct {
 
 	// Mutant plants at most one deliberately broken protocol variant.
 	// UNSAFE by design; the zero value plants none.
-	Mutant Mutant
-}
-
-// Mutant names one deliberately broken twin of a protocol safety rule.
-// Each exists so a verification tier has a known-bad variant to
-// convict; tests assert each is caught exactly once.
-type Mutant uint8
-
-const (
-	// NoMutant is the correct protocol.
-	NoMutant Mutant = iota
-	// MutantEarlyAck disables the FreedTables early-ack suppression
-	// (§3.2), reintroducing the use-after-free window the paper's patch
-	// closes: a responder acknowledges before flushing even though the
-	// initiator is about to free page-table pages. The happens-before
-	// race detector (internal/race) reports it as one race, and the
-	// static lockset tier as one witness.
-	MutantEarlyAck
-	// MutantAckBeforeDrain makes the async drain applier defer the
-	// actual invalidations to lazy kernel-entry work, so the fabric's
-	// sequence ack — and the batch completion that closes the flush
-	// obligation window — fires before the flush lands. The sanitizer's
-	// deferred-discharge windows catch it as one stale translation.
-	MutantAckBeforeDrain
-	// MutantCoalesceShrink makes in-ring coalescing adopt the newer
-	// inval's end instead of the max of both ends, so a merge with a
-	// shorter newer entry silently stops covering the older entry's
-	// tail. The fabproof static tier (coalescing soundness as interval
-	// containment) reports one witness and the shadow-TLB oracle one
-	// stale translation.
-	MutantCoalesceShrink
-)
-
-// Mutants lists every planted variant, NoMutant excluded, in
-// declaration order.
-func Mutants() []Mutant {
-	return []Mutant{MutantEarlyAck, MutantAckBeforeDrain, MutantCoalesceShrink}
-}
-
-// String is the variant's name, as tlbfuzz -broken takes it; a config
-// string spells it with a "BROKEN-" prefix.
-func (m Mutant) String() string {
-	switch m {
-	case NoMutant:
-		return "none"
-	case MutantEarlyAck:
-		return "earlyack"
-	case MutantAckBeforeDrain:
-		return "ackdrain"
-	case MutantCoalesceShrink:
-		return "coalesce"
-	}
-	return fmt.Sprintf("Mutant(%d)", uint8(m))
-}
-
-// NeedsAsync reports whether the variant breaks the async fabric, so
-// it requires AsyncShootdown.
-func (m Mutant) NeedsAsync() bool {
-	return m == MutantAckBeforeDrain || m == MutantCoalesceShrink
-}
-
-// ParseMutant reads a variant name as String writes it.
-func ParseMutant(s string) (Mutant, error) {
-	var names []string
-	for _, m := range Mutants() {
-		if m.String() == s {
-			return m, nil
-		}
-		names = append(names, m.String())
-	}
-	return NoMutant, fmt.Errorf("core: unknown mutant %q (have %s)", s, strings.Join(names, ", "))
+	Mutant fault.Mutant
 }
 
 // Baseline returns the unmodified Linux protocol configuration.
@@ -200,7 +132,7 @@ func (c *Config) flags() []configFlag {
 	}
 }
 
-// mutantPrefix marks the planted Mutant in a config string.
+// mutantPrefix marks the planted mutant in a config string.
 const mutantPrefix = "BROKEN-"
 
 // String lists the enabled optimizations, then the planted mutant,
@@ -212,7 +144,7 @@ func (c Config) String() string {
 			names = append(names, f.name)
 		}
 	}
-	if c.Mutant != NoMutant {
+	if c.Mutant != fault.NoMutant {
 		names = append(names, mutantPrefix+c.Mutant.String())
 	}
 	if len(names) == 0 {
@@ -240,18 +172,18 @@ func ParseConfig(s string) (Config, error) {
 			continue
 		}
 		bare, ok := strings.CutPrefix(name, mutantPrefix)
-		m, err := ParseMutant(bare)
+		m, err := fault.ParseMutant(bare)
 		if !ok || err != nil {
 			names := []string{"baseline", "all"}
 			for _, f := range c.flags() {
 				names = append(names, f.name)
 			}
-			for _, m := range Mutants() {
+			for _, m := range fault.Mutants() {
 				names = append(names, mutantPrefix+m.String())
 			}
 			return Config{}, fmt.Errorf("core: unknown optimization %q (have %s)", name, strings.Join(names, ", "))
 		}
-		if c.Mutant != NoMutant {
+		if c.Mutant != fault.NoMutant {
 			return Config{}, fmt.Errorf("core: %q after %q: a config plants at most one mutant", name, mutantPrefix+c.Mutant.String())
 		}
 		c.Mutant = m

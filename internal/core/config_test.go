@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"shootdown/internal/fault"
 )
 
 // TestParseConfigInvertsString sets every combination of Config's boolean
@@ -20,7 +22,7 @@ func TestParseConfigInvertsString(t *testing.T) {
 	if typ.NumField() != 11 || len(bools) != 10 {
 		t.Fatalf("Config has %d fields, %d of them bools; extend this test and the name table together", typ.NumField(), len(bools))
 	}
-	for _, m := range append([]Mutant{NoMutant}, Mutants()...) {
+	for _, m := range append([]fault.Mutant{fault.NoMutant}, fault.Mutants()...) {
 		for mask := 0; mask < 1<<len(bools); mask++ {
 			c := Config{Mutant: m}
 			v := reflect.ValueOf(&c).Elem()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"shootdown/internal/cache"
+	"shootdown/internal/fault"
 	"shootdown/internal/kernel"
 	"shootdown/internal/mach"
 	"shootdown/internal/mm"
@@ -110,7 +111,7 @@ func NewFlusher(k *kernel.Kernel, cfg Config) (*Flusher, error) {
 	} else {
 		k.SMP.SetDrainApplier(nil)
 	}
-	k.SMP.SetBrokenCoalesceShrink(cfg.Mutant == MutantCoalesceShrink)
+	k.SMP.SetMutant(cfg.Mutant)
 	f.EnableRace()
 	return f, nil
 }
@@ -170,9 +171,8 @@ func (f *Flusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.FlushRa
 
 	earlyAck := f.Cfg.EarlyAck && !info.FreedTables
 	if f.Cfg.EarlyAck && info.FreedTables {
-		if f.Cfg.Mutant == MutantEarlyAck {
-			// Deliberately unsafe variant: ack before flushing even though
-			// page tables are about to be freed (see MutantEarlyAck).
+		if f.Cfg.Mutant == fault.MutantEarlyAck {
+			// Deliberately unsafe: ack before flushing tables about to be freed.
 			earlyAck = true
 		} else {
 			f.stats.EarlyAckSuppressed++
@@ -284,13 +284,13 @@ func (f *Flusher) asyncFlush(ctx *kernel.Ctx, info *FlushInfo, targets mach.CPUM
 
 // drainApply is the batch applier the fabric calls from DrainFabric, on
 // the draining CPU's proc. The real tier applies the invalidations
-// before the fabric acks. MutantAckBeforeDrain instead defers the work
+// before the fabric acks. fault.MutantAckBeforeDrain instead defers the work
 // to lazy kernel-entry time, so the ack — and the batch completion that
 // closes the flush-obligation window — fires with the stale entries
 // still live; the sanitizer catches the resulting user-mode hit.
 func (f *Flusher) drainApply(p *sim.Proc, cpu mach.CPU, batch []smp.Inval) {
 	rc := f.K.CPU(cpu)
-	if f.Cfg.Mutant == MutantAckBeforeDrain {
+	if f.Cfg.Mutant == fault.MutantAckBeforeDrain {
 		rc.QueueLazyWork(func(p *sim.Proc) { f.applyBatch(p, rc, batch) })
 		return
 	}

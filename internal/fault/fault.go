@@ -513,3 +513,74 @@ func (pl *Plane) PreemptDelay() uint64 {
 	pl.stats.Preempts++
 	return d
 }
+
+// Mutant names one deliberately broken twin of a protocol safety rule.
+// Each exists so a verification tier has a known-bad variant to
+// convict; tests assert each is caught exactly once. It lives below
+// every simulated layer, so each layer that plants one (core, smp)
+// holds the enum core.Config carries.
+type Mutant uint8
+
+const (
+	// NoMutant is the correct protocol.
+	NoMutant Mutant = iota
+	// MutantEarlyAck disables the FreedTables early-ack suppression
+	// (§3.2), reintroducing the use-after-free window the paper's patch
+	// closes: a responder acknowledges before flushing even though the
+	// initiator is about to free page-table pages. The happens-before
+	// race detector (internal/race) reports it as one race, and the
+	// static lockset tier as one witness.
+	MutantEarlyAck
+	// MutantAckBeforeDrain makes the async drain applier defer the
+	// actual invalidations to lazy kernel-entry work, so the fabric's
+	// sequence ack — and the batch completion that closes the flush
+	// obligation window — fires before the flush lands. The sanitizer's
+	// deferred-discharge windows catch it as one stale translation.
+	MutantAckBeforeDrain
+	// MutantCoalesceShrink makes in-ring coalescing adopt the newer
+	// inval's end instead of the max of both ends, so a merge with a
+	// shorter newer entry silently stops covering the older entry's
+	// tail. The fabproof static tier (coalescing soundness as interval
+	// containment) reports one witness and the shadow-TLB oracle one
+	// stale translation.
+	MutantCoalesceShrink
+)
+
+// Mutants lists every planted variant, NoMutant excluded, in
+// declaration order.
+func Mutants() []Mutant {
+	return []Mutant{MutantEarlyAck, MutantAckBeforeDrain, MutantCoalesceShrink}
+}
+
+// String is the variant's name, as tlbfuzz -broken takes it.
+func (m Mutant) String() string {
+	switch m {
+	case NoMutant:
+		return "none"
+	case MutantEarlyAck:
+		return "earlyack"
+	case MutantAckBeforeDrain:
+		return "ackdrain"
+	case MutantCoalesceShrink:
+		return "coalesce"
+	}
+	return fmt.Sprintf("Mutant(%d)", uint8(m))
+}
+
+// NeedsAsync reports whether the variant breaks the async fabric, so
+// it requires the async shootdown tier.
+func (m Mutant) NeedsAsync() bool {
+	return m == MutantAckBeforeDrain || m == MutantCoalesceShrink
+}
+
+// ParseMutant reads a variant name as String writes it.
+func ParseMutant(s string) (Mutant, error) {
+	var names []string
+	for _, m := range Mutants() {
+		if m.String() == s {
+			return m, nil
+		}
+		names = append(names, m.String())
+	}
+	return NoMutant, fmt.Errorf("fault: unknown mutant %q (have %s)", s, strings.Join(names, ", "))
+}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -372,5 +373,24 @@ func TestStatsAdd(t *testing.T) {
 	b.Add(a)
 	if b.Delays != 2 || b.ForcedDeliveries != 16 || b.Preempts != 14 {
 		t.Fatalf("Add: %+v", b)
+	}
+}
+
+// TestParseMutantInvertsString: every planted variant reads back from
+// its name, and NoMutant or an unknown name is an error listing the
+// names.
+func TestParseMutantInvertsString(t *testing.T) {
+	for _, m := range Mutants() {
+		if got, err := ParseMutant(m.String()); err != nil || got != m {
+			t.Errorf("ParseMutant(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"none", "bogus", ""} {
+		if _, err := ParseMutant(bad); err == nil || !strings.Contains(err.Error(), "earlyack, ackdrain, coalesce") {
+			t.Errorf("ParseMutant(%q) error = %v, want one listing the names", bad, err)
+		}
+	}
+	if NoMutant.NeedsAsync() || MutantEarlyAck.NeedsAsync() || !MutantAckBeforeDrain.NeedsAsync() || !MutantCoalesceShrink.NeedsAsync() {
+		t.Error("only the two fabric variants need the async tier")
 	}
 }

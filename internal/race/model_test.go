@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"shootdown/internal/core"
+	"shootdown/internal/fault"
 	"shootdown/internal/kernel"
 	"shootdown/internal/mach"
 	"shootdown/internal/mm"
@@ -81,7 +82,7 @@ func runMunmapPair(t *testing.T, cfg core.Config, withRace bool) (*race.Detector
 // responder's speculative walk of the freed page-table nodes is unordered
 // against the initiator's reclamation.
 func TestBrokenEarlyAckReportsExactlyOneRace(t *testing.T) {
-	cfg := core.Config{ConcurrentFlush: true, EarlyAck: true, Mutant: core.MutantEarlyAck}
+	cfg := core.Config{ConcurrentFlush: true, EarlyAck: true, Mutant: fault.MutantEarlyAck}
 	d, _, _ := runMunmapPair(t, cfg, true)
 	sum := d.Finish()
 	if len(sum.Races) != 1 {

@@ -54,23 +54,23 @@ type Field struct {
 	// GoField is the backing Go field; empty when the location is
 	// virtual (e.g. page-table nodes as a whole).
 	GoField string
-	// NameField is the struct field caching the precomputed detector
-	// name; instrumentation sites pass it to the detector, which is how
-	// the static tier maps a call site back to this entry.
+	// NameField is the Owner struct field holding the detector name,
+	// stored when the object is built or a detector attaches;
+	// instrumentation sites pass it to the detector, which is how the
+	// static tier maps a call site back to this entry.
 	NameField string
-	// NameFunc is the method computing the detector name, for per-index
-	// names built on demand (smp's csqVar).
-	NameFunc string
 	// Discipline is one of the Disc* constants.
 	Discipline string
 	// Guard/GuardStruct name the payload field gating DiscAckOrdered
 	// accesses (accesses only happen when the guard is set, so the ack
 	// edge must be strict whenever it is).
 	Guard, GuardStruct string
-	// SeededBy names the Owner package's mutant constant
-	// (core.MutantEarlyAck) that plants the deliberately broken variant
+	// SeededBy names the internal/fault Mutant constant
+	// (MutantEarlyAck) that plants the deliberately broken variant
 	// whose violation the static tier must rediscover (as a witness, not
-	// a finding) to stay cross-validated with the dynamic catch.
+	// a finding) to stay cross-validated with the dynamic catch. The
+	// seeded site is the unit comparing a field of the enum's type with
+	// exactly this constant.
 	SeededBy string
 	// Doc is the one-line discipline rationale, published in RACE_XVAL.
 	Doc string
@@ -115,19 +115,19 @@ func Registry() []Field {
 			GoField: "acked", Discipline: DiscEpoch,
 			Doc: "per-request ack word: single store site, polled racy-by-design with the hand-off ordered via the request sync"},
 		{Key: "smp.csq", Var: "csq[%d]", Owner: "internal/smp", Struct: "perCPU",
-			GoField: "queue", NameFunc: "csqVar", Discipline: DiscAtomic,
+			GoField: "queue", NameField: "csqVar", Discipline: DiscAtomic,
 			Doc: "call-single queue, llist_add/llist_del_all RMW hand-off"},
 		{Key: "smp.faback", Var: "faback[%d]", Owner: "internal/smp", Struct: "fabricCPU",
-			GoField: "fabAckSeq", NameFunc: "fabAckVar", Discipline: DiscAtomic,
+			GoField: "fabAckSeq", NameField: "ackVar", Discipline: DiscAtomic,
 			Doc: "async fabric acked sequence: responder stores after the batch drain, watchdog/completion load for the generation-gap check"},
 		{Key: "smp.fabfull", Var: "fabfull[%d]", Owner: "internal/smp", Struct: "fabricCPU",
-			GoField: "fabFlushAll", NameFunc: "fabFullVar", Discipline: DiscAtomic,
+			GoField: "fabFlushAll", NameField: "fullVar", Discipline: DiscAtomic,
 			Doc: "async fabric flush_all collapse flag, RMW on overflow/degrade, cleared by the drain's ring pop"},
 		{Key: "smp.fabpost", Var: "fabpost[%d]", Owner: "internal/smp", Struct: "fabricCPU",
-			GoField: "fabPostSeq", NameFunc: "fabPostVar", Discipline: DiscAtomic,
+			GoField: "fabPostSeq", NameField: "postVar", Discipline: DiscAtomic,
 			Doc: "async fabric posted sequence, bumped by the initiator's post RMW, loaded by the drain's ack"},
 		{Key: "smp.fabring", Var: "fabring[%d]", Owner: "internal/smp", Struct: "fabricCPU",
-			GoField: "fabRing", NameFunc: "fabRingVar", Discipline: DiscAtomic,
+			GoField: "fabRing", NameField: "ringVar", Discipline: DiscAtomic,
 			Doc: "async fabric invalidation ring, llist-style post RMW / drain del_all hand-off"},
 	}
 }

@@ -23,10 +23,11 @@ package ssa
 //     every feasible path of the merge function, under each disjunct of
 //     the guard predicate's true-return postcondition, the merged entry
 //     either goes full or keeps [min(Start), max(End)), covering both
-//     inputs. The config-seeded MutantCoalesceShrink variant fails this
-//     proof on exactly one path, recorded as a witness (the static half
-//     of the cross-validation contract; the shadow-TLB oracle is the
-//     dynamic half).
+//     inputs. The config-seeded fault.MutantCoalesceShrink variant fails
+//     this proof on exactly one path, recorded as a witness (the static
+//     half of the cross-validation contract; the shadow-TLB oracle is the
+//     dynamic half). The merge function is seeded by type and constant
+//     (comparesSeed, the rule lockset uses).
 //   - fab.callback-once: the batch completion callback fires only with
 //     the done latch provably set, the latch is never cleared, and a
 //     batch is registered for completion at most once — the callback
@@ -93,6 +94,10 @@ const (
 	fabInvalWF      = "fab.inval-wf"
 )
 
+// fabSeed names the mutant constant (internal/fault) whose coverage
+// loss fab.coalesce must witness exactly once.
+const fabSeed = "MutantCoalesceShrink"
+
 var fabProps = map[string]string{
 	fabRingBound:    "ring appends stay under the declared capacity",
 	fabRingOverflow: "every posted sequence lands: append, merge, or full-flush collapse",
@@ -132,10 +137,9 @@ type fabric struct {
 	// every fabric (the mm tier the rings carry generations for).
 	genOwner *types.Named
 	genField *types.Var
-	// brokenField names a "broken"-tagged knob the merge function reads:
-	// the config-seeded variant whose coverage loss must surface as
-	// exactly one witness.
-	brokenField string
+	// seed is fabSeed's constant when merge compares a field with it:
+	// its coverage loss must surface as exactly one witness.
+	seed *types.Const
 }
 
 func (fb *fabric) subject(prop string) string {
@@ -243,9 +247,13 @@ func checkFabproof(ctx *modCtx) []Finding {
 	})
 	ctx.visited["fabproof"] = visited
 	genOwner, genField := findGenCounter(ctx.pkgs)
+	seed := ctx.seedConst(fabSeed)
 	for _, fb := range discoverFabrics(ctx.pkgs) {
 		fb.genOwner, fb.genField = genOwner, genField
 		fa.bindUnits(fb)
+		if fb.merge != nil && comparesSeed(fb.merge, seed) {
+			fb.seed = seed
+		}
 		fa.checkFabric(fb)
 	}
 	ctx.fabRes = &fabResult{witnesses: fa.witnesses, rows: fa.rows}
@@ -481,13 +489,6 @@ func (fa *fabAnalysis) bindUnits(fb *fabric) {
 			}
 		}
 	})
-	if fb.merge != nil {
-		for _, v := range fb.merge.Values() {
-			if v.Kind == VFieldRead && v.Obj != nil && strings.Contains(strings.ToLower(v.Obj.Name()), "broken") {
-				fb.brokenField = v.Obj.Name()
-			}
-		}
-	}
 }
 
 // --- obligation scan and per-unit numeric runs ---
@@ -1079,9 +1080,9 @@ func (fa *fabAnalysis) checkCoalesce(fb *fabric, c *fabCounts) {
 				"the numeric analysis of the merge function did not stabilize, so coalescing soundness is unproven")
 		}
 	}
-	if fb.brokenField != "" && len(witnessSeen) != 1 {
+	if fb.seed != nil && len(witnessSeen) != 1 {
 		fa.problem(fb, fabCoalesce, fb.merge, unitPos(fb.merge),
-			"seeded violation miscount: expected the %s variant to surface exactly one coverage-loss witness, got %d — the static and dynamic tiers no longer agree on the seeded bug", fb.brokenField, len(witnessSeen))
+			"seeded violation miscount: expected the %s variant to surface exactly one coverage-loss witness, got %d — the static and dynamic tiers no longer agree on the seeded bug", fb.seed.Name(), len(witnessSeen))
 	}
 	c.witnessed = len(witnessSeen) == 1
 }
@@ -1116,39 +1117,19 @@ func (fa *fabAnalysis) checkMergeEnd(fb *fabric, e *absEnv, pos token.Pos, p0, p
 		}
 	}
 	file, line := fa.ctx.posLine(fb.merge.Decl, pos)
-	if bk := brokenAtom(e); bk != "" {
+	if fb.seed != nil {
 		key := fmt.Sprintf("%s:%d", file, line)
 		if !witnessSeen[key] {
 			witnessSeen[key] = true
 			fa.witnesses = append(fa.witnesses, Finding{
 				File: file, Line: line, Analyzer: "fabproof",
-				Msg: fmt.Sprintf("coalesce coverage loss seeded by the config-planted %s variant: the merged ring entry adopts the newer end and stops covering the older entry's tail — the exact shrink the shadow-TLB oracle convicts as a stale translation", bk),
+				Msg: fmt.Sprintf("coalesce coverage loss seeded by the config-planted %s variant: the merged ring entry adopts the newer end and stops covering the older entry's tail — the exact shrink the shadow-TLB oracle convicts as a stale translation", fb.seed.Name()),
 			})
 		}
 		return
 	}
 	fa.problem(fb, fabCoalesce, fb.merge, pos,
 		"coalesce merge may lose coverage: on this feasible path the merged entry is neither provably full nor provably spanning both inputs' ranges, so a drained target would skip invalidations the initiator believes posted")
-}
-
-// brokenAtom returns the "broken"-tagged knob the current path proved
-// set, identifying a config-seeded variant path.
-func brokenAtom(e *absEnv) string {
-	keys := make([]string, 0, len(e.bind))
-	for k := range e.bind {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		seg := k
-		if i := strings.LastIndex(k, "."); i >= 0 {
-			seg = k[i+1:]
-		}
-		if strings.Contains(strings.ToLower(seg), "broken") && e.lower(e.bind[k]) >= 1 {
-			return seg
-		}
-	}
-	return ""
 }
 
 // --- entry literal well-formedness ---
@@ -1303,7 +1284,7 @@ func (fa *fabAnalysis) appendRows(fb *fabric, c *fabCounts) {
 		}
 		wit := ""
 		if c.witnessed {
-			wit = fmt.Sprintf("; seeded %s witnessed", fb.brokenField)
+			wit = fmt.Sprintf("; seeded %s witnessed", fb.seed.Name())
 		}
 		add(fabCoalesce, fmt.Sprintf("%d feasible path end(s) proven full-or-containing under %s%s", c.paths, guardName, wit))
 	}

@@ -29,9 +29,9 @@ func TestFabproofGoodFixtureClean(t *testing.T) {
 // TestFabproofBrokenCoalesceWitness is the static half of the seeded
 // coalesce-shrink cross-validation contract: on the clean module the
 // fabproof tier must rediscover the config-planted MutantCoalesceShrink
-// coverage loss — as exactly one witness, inside the merge function,
-// on the path only the broken knob enables — while producing zero
-// findings. The dynamic half lives in internal/workload
+// coverage loss — as exactly one witness, inside the merge function, on
+// the path only a comparison with that constant enables, named by it —
+// while producing zero findings. The dynamic half lives in internal/workload
 // (TestBrokenCoalesceShrinkCaughtExactlyOnce).
 func TestFabproofBrokenCoalesceWitness(t *testing.T) {
 	res := sharedResult(t)
@@ -51,7 +51,7 @@ func TestFabproofBrokenCoalesceWitness(t *testing.T) {
 	if !strings.Contains(w.File, "internal/smp/fabric.go") {
 		t.Fatalf("witness should sit in the fabric's merge: %v", w)
 	}
-	for _, want := range []string{"brokenCoalesce", "coverage loss", "stale translation"} {
+	for _, want := range []string{"MutantCoalesceShrink", "coverage loss", "stale translation"} {
 		if !strings.Contains(w.Msg, want) {
 			t.Fatalf("witness message should mention %q: %v", want, w)
 		}

@@ -27,17 +27,16 @@ import (
 // cross-validation artifact (RACE_XVAL, one row per registry entry) is
 // how CI holds the two tiers to the same story.
 //
-// The seeded fault is part of the contract: core.MutantEarlyAck
+// The seeded fault is part of the contract: fault.MutantEarlyAck
 // deliberately acks before the flush while page tables are being freed,
 // which the dynamic model reports as a race on mm.pt-nodes. Statically,
 // the same violation surfaces as the one ack-ordering discharge this
 // prover cannot complete — recorded as a *witness* (not a finding,
 // because the breakage is intentional and config-gated) and required to
-// exist exactly once, at the seeded site. A site counts as seeded only
-// when its unit compares a field of the mutant's type with exactly the
-// registry's SeededBy constant. Zero witnesses would mean the
-// static tier lost the bug the dynamic tier still sees; more than one
-// would mean a real violation is hiding behind the seeded one.
+// exist exactly once, at the site the registry's SeededBy constant
+// marks (comparesSeed). Zero witnesses would mean the static tier lost
+// the bug the dynamic tier still sees; more than one would mean a real
+// violation is hiding behind the seeded one.
 
 const racePkg = modPath + "/internal/race"
 
@@ -150,8 +149,8 @@ func detectorHook(fn *types.Func) (string, bool) {
 }
 
 // resolveEntry maps a detector-call name argument back to its registry
-// entry via the three site idioms: a precomputed name field, a
-// name-building method, or a Sprintf over the pattern literal.
+// entry via the two site idioms: a stored name field, or a Sprintf over
+// the pattern literal.
 func (la *locksetAnalysis) resolveEntry(f *Func, arg *Value) (race.Field, bool) {
 	v := chase(arg)
 	if v == nil {
@@ -174,12 +173,6 @@ func (la *locksetAnalysis) resolveEntry(f *Func, arg *Value) (race.Field, bool) 
 		if v.Callee.Pkg() != nil && v.Callee.Pkg().Path() == "fmt" && v.Callee.Name() == "Sprintf" && len(v.Args) >= 1 {
 			if s, ok := la.constString(f, v.Args[0]); ok {
 				return race.LookupVar(s)
-			}
-		}
-		for _, e := range la.entries {
-			if e.NameFunc != "" && v.Callee.Name() == e.NameFunc &&
-				v.Callee.Pkg() != nil && v.Callee.Pkg().Path() == modPath+"/"+e.Owner {
-				return e, true
 			}
 		}
 	case VConst:
@@ -310,7 +303,7 @@ func (la *locksetAnalysis) checkAckOrdered(e race.Field, ss []*lockSite) {
 // have fired exactly once.
 func (la *locksetAnalysis) checkEarlyAcks(e race.Field, readUnits map[*Func]bool) {
 	witnessSeen := make(map[string]bool)
-	seed := la.seedConst(e)
+	seed := la.ctx.seedConst(e.SeededBy)
 	la.prog.eachUnit(func(f *Func) {
 		if f.Decl.Pkg.Path == racePkg {
 			return
@@ -328,7 +321,7 @@ func (la *locksetAnalysis) checkEarlyAcks(e race.Field, readUnits map[*Func]bool
 					continue // the payload provably never sets the guard
 				}
 				for _, pos := range la.ackViolations(f, call.Args[5], e, nil) {
-					if la.unitComparesMutant(f, seed) {
+					if comparesSeed(f, seed) {
 						file, line := la.ctx.posLine(f.Decl, pos)
 						key := fmt.Sprintf("%s:%d:%s", file, line, e.Key)
 						if witnessSeen[key] {
@@ -476,22 +469,27 @@ func (la *locksetAnalysis) isGuardNegation(v *Value, e race.Field) bool {
 		ownerIs(g, modPath+"/"+e.Owner, e.GuardStruct)
 }
 
-// seedConst resolves the entry's SeededBy mutant constant in its owner
-// package; nil when the entry has none or the name is not a constant.
-func (la *locksetAnalysis) seedConst(e race.Field) *types.Const {
-	p := la.ctx.m.Lookup(modPath + "/" + e.Owner)
-	if e.SeededBy == "" || p == nil {
+// mutantPkg declares the Mutant enum whose constants seed witnesses.
+const mutantPkg = modPath + "/internal/fault"
+
+// seedConst resolves the named mutant constant in mutantPkg; nil when
+// name is empty or names no constant there.
+func (ctx *modCtx) seedConst(name string) *types.Const {
+	p := ctx.m.Lookup(mutantPkg)
+	if name == "" || p == nil {
 		return nil
 	}
-	c, _ := p.Types.Scope().Lookup(e.SeededBy).(*types.Const)
+	c, _ := p.Types.Scope().Lookup(name).(*types.Const)
 	return c
 }
 
-// unitComparesMutant reports whether f compares a field of seed's type
-// with seed itself (== or !=) — the marker that an ack violation is the
-// deliberately seeded variant. A comparison with any other constant of
-// that type marks a different mutant, not this one.
-func (la *locksetAnalysis) unitComparesMutant(f *Func, seed *types.Const) bool {
+// comparesSeed reports whether f compares (== or !=) a field of seed's
+// type with seed itself — the static tier's one seed rule, shared by
+// lockset and fabproof: a violation in such a unit is the seeded
+// variant, a witness rather than a finding. Field names play no part,
+// and a comparison with any other constant of the type marks a
+// different mutant, whose violation stays a finding.
+func comparesSeed(f *Func, seed *types.Const) bool {
 	if seed == nil {
 		return false
 	}

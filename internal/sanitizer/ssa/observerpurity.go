@@ -15,10 +15,12 @@ const obsPkg = modPath + "/internal/obs"
 // the state handed to it or package-level state silently changes protocol
 // behaviour only when a checker is attached, which is exactly the class of
 // bug the race detector's cycle-identical guarantee (internal/race) exists
-// to exclude. Hook literals are recognized at their one installation
-// shape: a function literal passed to (*obs.Hook).Add, the subscription
-// every observation point shares, or to SetBootHook. Inside a hook body
-// the analyzer flags
+// to exclude. Hooks are recognized at their one installation shape: a
+// function literal or a method value passed to (*obs.Hook).Add, the
+// subscription every observation point shares, or to SetBootHook. A
+// method value's receiver is the observer's own state; its other
+// parameters are the observed state, like a literal's. Inside a hook
+// body the analyzer flags
 //
 //   - writes (assignment, ++/--) through a hook parameter or a package-level
 //     variable; writes to captured function-locals stay legal, since
@@ -28,22 +30,29 @@ const obsPkg = modPath + "/internal/obs"
 //     when module-wide summaries prove the method (transitively) writes
 //     through its receiver — e.g. sem.NoteContention() bumps the
 //     semaphore's contention counter though no assignment appears at the
-//     hook site; and
+//     hook site;
 //   - aliasing: in `s := e.Sem; s.NoteContention()` the SSA value of s is
 //     e.Sem itself, rooted at the hook parameter, so laundering the state
-//     through a local (or a phi of locals) does not escape the rule.
+//     through a local (or a phi of locals) does not escape the rule; and
+//   - recording into the race model: a call that reaches, through the
+//     call graph, a race.Detector method writing the detector's state —
+//     whatever state the call starts from. An instrumented accessor such
+//     as cpu.Lazy() records an atomic load as the calling CPU's, so an
+//     observer calling it adds happens-before edges only checked runs
+//     have.
 //
-// Two carve-outs keep the rule aligned with the simulator's contract:
+// Two carve-outs keep the rules aligned with the simulator's contract:
 //
 //   - Methods declared in the instrumentation packages (obs, race, trace,
-//     stats, sanitizer) are pure by convention — recording into the
-//     observer's own ledger is what observers are for, and subscribing
-//     to a new object's hooks (the sanitizer does so for every address
-//     space it is told about) only grows a subscriber list.
-//   - workload.SetBootHook bodies are exempt from the method-call rule:
-//     the boot hook runs before the world starts, and attaching
-//     instrumentation there (k.EnableRace(d), f.EnableRace()) is its
-//     designed purpose. Direct writes are still flagged.
+//     stats, sanitizer) are pure by convention for the mutation rule —
+//     recording into the observer's own ledger is what observers are
+//     for, and subscribing to a new object's hooks (the sanitizer does so
+//     for every address space it is told about) only grows a subscriber
+//     list. The race-model rule walks through them.
+//   - workload.SetBootHook bodies are exempt from the method-call and
+//     race-model rules: the boot hook runs before the world starts, and
+//     attaching instrumentation there (k.EnableRace(d), f.EnableRace())
+//     is its designed purpose. Direct writes are still flagged.
 var pureDeclPkgs = []string{
 	obsPkg,
 	modPath + "/internal/race",
@@ -68,6 +77,8 @@ func inPurePkg(fn *types.Func) bool {
 func checkObserverPurity(ctx *modCtx) []Finding {
 	prog := ctx.program()
 	mut := buildMutatingSummaries(prog)
+	rec := buildRaceRecorders(prog, mut)
+	checked := make(map[*Func]bool)
 	var out []Finding
 	prog.eachUnit(func(f *Func) {
 		if f.Lit == nil {
@@ -75,8 +86,9 @@ func checkObserverPurity(ctx *modCtx) []Finding {
 		}
 		for _, b := range f.Blocks {
 			for _, call := range b.Calls {
-				if hook, boot := hookUnit(call); hook != nil {
-					out = append(out, checkHook(ctx, prog, hook, boot, mut)...)
+				if hook, boot := hookUnit(prog, f, call); hook != nil && !checked[hook] {
+					checked[hook] = true
+					out = append(out, checkHook(ctx, prog, hook, boot, mut, rec)...)
 				}
 			}
 		}
@@ -84,13 +96,13 @@ func checkObserverPurity(ctx *modCtx) []Finding {
 	return out
 }
 
-// hookUnit returns the literal unit call installs as a hook — call is
+// hookUnit returns the unit call installs as a hook — call is
 // (*obs.Hook).Add, recognized by its receiver type rather than by what the
 // file happens to call the hook, or SetBootHook — and whether it is a boot
-// hook.
-func hookUnit(call *Value) (hook *Func, boot bool) {
+// hook. The hook is a func literal or a method value's method.
+func hookUnit(prog *Program, f *Func, call *Value) (hook *Func, boot bool) {
 	fn := call.Callee
-	if fn == nil || len(call.Args) != 1 || call.Args[0].Kind != VClosure {
+	if fn == nil || len(call.Args) != 1 {
 		return nil, false
 	}
 	boot = fn.Name() == "SetBootHook"
@@ -98,14 +110,27 @@ func hookUnit(call *Value) (hook *Func, boot bool) {
 	if !boot && (fn.Name() != "Add" || recv == nil || !isNamed(recv.Type(), obsPkg, "Hook")) {
 		return nil, false
 	}
-	return call.Args[0].Unit, boot
+	arg := chase(call.Args[0])
+	if arg == nil {
+		return nil, false
+	}
+	if arg.Kind == VClosure {
+		return arg.Unit, boot
+	}
+	if sel, ok := arg.Expr.(*ast.SelectorExpr); ok {
+		if s := f.info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+			return prog.ByObj[s.Obj().(*types.Func).Origin()], boot
+		}
+	}
+	return nil, false
 }
 
-// checkHook flags impure effects inside one hook literal and the literals
+// checkHook flags impure effects inside one hook body and the literals
 // nested in it. Observed state is whatever a place is rooted at a hook
-// parameter: read directly, through a local derived from it (SSA folds the
-// copy away), or captured by a nested literal.
-func checkHook(ctx *modCtx, prog *Program, hook *Func, boot bool, mut map[*types.Func]bool) []Finding {
+// parameter (a method hook's receiver excluded): read directly, through a
+// local derived from it (SSA folds the copy away), or captured by a
+// nested literal.
+func checkHook(ctx *modCtx, prog *Program, hook *Func, boot bool, mut map[*types.Func]bool, rec map[*types.Func]*types.Func) []Finding {
 	params := make(map[*types.Var]bool)
 	for i := 0; i < hook.Sig.Params().Len(); i++ {
 		params[hook.Sig.Params().At(i)] = true
@@ -155,10 +180,59 @@ func checkHook(ctx *modCtx, prog *Program, hook *Func, boot bool, mut map[*types
 					sel := ast.Unparen(call.Call.Fun).(*ast.SelectorExpr)
 					report(call.Pos, fmt.Sprintf("observed state %q via call to mutating method %s", exprHead(sel.X), call.Callee.Name()))
 				}
+				if r := recordsRace(prog, call, mut, rec); r != nil {
+					report(call.Pos, fmt.Sprintf("race-model state via call to %s, which reaches Detector.%s", call.Callee.Name(), r.Name()))
+				}
 			}
 		}
 	}
 	return out
+}
+
+// buildRaceRecorders maps every module function that records into the
+// race model to the race.Detector method it reaches: it calls one
+// directly, from a literal in its body, or through another such
+// function. The detector's own package is the base, not a walk target.
+func buildRaceRecorders(prog *Program, mut map[*types.Func]bool) map[*types.Func]*types.Func {
+	rec := make(map[*types.Func]*types.Func)
+	for changed := true; changed; {
+		changed = false
+		for _, f := range prog.Funcs {
+			if rec[f.Decl.Obj] != nil || f.Decl.Pkg.Path == racePkg {
+				continue
+			}
+		scan:
+			for _, u := range append([]*Func{f}, collectLits(f)...) {
+				for _, b := range u.Blocks {
+					for _, call := range b.Calls {
+						if r := recordsRace(prog, call, mut, rec); r != nil {
+							rec[f.Decl.Obj] = r
+							changed = true
+							break scan
+						}
+					}
+				}
+			}
+		}
+	}
+	return rec
+}
+
+// recordsRace returns the race.Detector method call reaches: the callee
+// itself when it is a Detector method that writes the detector (a
+// recording hook such as AtomicLoad or Acquire), or the one a callee
+// reaches.
+func recordsRace(prog *Program, call *Value, mut map[*types.Func]bool, rec map[*types.Func]*types.Func) *types.Func {
+	for _, t := range prog.calleesOf(call) {
+		t = t.Origin()
+		if r := rec[t]; r != nil {
+			return r
+		}
+		if sig := t.Type().(*types.Signature); mut[t] && sig.Recv() != nil && isNamed(sig.Recv().Type(), racePkg, "Detector") {
+			return t
+		}
+	}
+	return nil
 }
 
 // buildMutatingSummaries computes, by fixpoint over the module, which

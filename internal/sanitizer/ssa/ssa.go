@@ -82,10 +82,11 @@ func inFixture(rel string) bool {
 type Result struct {
 	Findings []Finding
 	// Witnesses are the expected rediscoveries of config-seeded faults:
-	// violations the lockset prover finds at deliberately broken sites
-	// (core.MutantEarlyAck). They are not findings — the breakage is
-	// intentional — but their exact count is part of the cross-validation
-	// contract with the dynamic race model.
+	// violations the lockset and fabproof provers find at deliberately
+	// broken sites (fault.MutantEarlyAck, fault.MutantCoalesceShrink).
+	// They are not findings — the breakage is intentional — but their
+	// exact count is part of the cross-validation contract with the
+	// dynamic oracles.
 	Witnesses []Finding
 	// XVal is the cross-validation report: one row per internal/race
 	// registry entry with its static discharge status.

@@ -202,7 +202,7 @@ func TestMHPBlockingFixtureFires(t *testing.T) {
 
 // TestLocksetBrokenEarlyAckWitness is the cross-validation contract: on
 // the clean module the lockset prover must rediscover the seeded
-// core.MutantEarlyAck violation — as exactly one witness, on the same
+// fault.MutantEarlyAck violation — as exactly one witness, on the same
 // field the dynamic race model blames (mm.pt-nodes), at the forced
 // early-ack assignment in core's Flusher — while producing zero findings.
 func TestLocksetBrokenEarlyAckWitness(t *testing.T) {
@@ -762,6 +762,22 @@ func TestObserverPurityRules(t *testing.T) {
 		{25, `hook mutates observed state "c" via call to mutating method bump` + pure},
 		{28, `hook mutates package-level variable "hits"` + pure},
 		{34, `hook mutates observed state "s" (write through hook parameter)` + pure},
+	})
+}
+
+// TestObserverPurityMethodValue: a method value passed to Hook.Add is
+// checked like a literal, its non-receiver parameters the observed state.
+func TestObserverPurityMethodValue(t *testing.T) {
+	assertRuleFindings(t, "bad_observerpurity_methodvalue.go", "observerpurity", []ruleFinding{
+		{13, `hook mutates observed state "c" (write through hook parameter); observers must be purely observational`},
+	})
+}
+
+// TestObserverPurityRaceModel: a hook whose call reaches a recording
+// race.Detector method is a finding, whatever state the call starts from.
+func TestObserverPurityRaceModel(t *testing.T) {
+	assertRuleFindings(t, "bad_observerpurity_race.go", "observerpurity", []ruleFinding{
+		{15, "hook mutates race-model state via call to Lazy, which reaches Detector.AtomicLoad; observers must be purely observational"},
 	})
 }
 

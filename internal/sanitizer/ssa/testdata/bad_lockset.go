@@ -7,7 +7,7 @@
 //     arbitrary caller-supplied boolean — nothing proves it is off while
 //     FlushInfo.FreedTables is set, so a responder's read no longer
 //     happens-before the initiator's reclaim. Unlike the seeded
-//     core.MutantEarlyAck variant, this unit never compares the config's
+//     fault.MutantEarlyAck variant, this unit never compares the config's
 //     mutant, so the violation is a real finding, not a witness.
 //   - The same break in a unit that forces the early ack after comparing
 //     Config.Mutant with a different mutant: only the registry's seed
@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"shootdown/internal/core"
+	"shootdown/internal/fault"
 	"shootdown/internal/mach"
 	"shootdown/internal/race"
 	"shootdown/internal/sim"
@@ -40,7 +41,7 @@ func kickWithUnprovenAck(l *smp.Layer, d *race.Detector, p *sim.Proc, from mach.
 func kickUnderOtherMutant(l *smp.Layer, d *race.Detector, p *sim.Proc, from mach.CPU,
 	targets mach.CPUMask, info *core.FlushInfo, cfg core.Config) {
 	early := cfg.EarlyAck && !info.FreedTables
-	if cfg.Mutant == core.MutantCoalesceShrink {
+	if cfg.Mutant == fault.MutantCoalesceShrink {
 		early = true
 	}
 	rs := l.CallMany(p, from, targets, func(hp *sim.Proc, target mach.CPU, payload any) {

@@ -18,7 +18,7 @@
 //     (one RMW pops everything), applies the batch through the
 //     kernel-registered applier, then stores the highest observed
 //     sequence to its ack line — ack-after-apply is the invariant the
-//     core.MutantAckBeforeDrain variant violates and the sanitizer catches;
+//     fault.MutantAckBeforeDrain variant violates and the sanitizer catches;
 //   - a lost kick leaves the acked sequence lagging the posted one; the
 //     watchdog proc (armed only under an injected-fault schedule with
 //     recovery enabled) detects the generation gap at the ack deadline,
@@ -38,6 +38,7 @@ import (
 
 	"shootdown/internal/apic"
 	"shootdown/internal/cache"
+	"shootdown/internal/fault"
 	"shootdown/internal/mach"
 	"shootdown/internal/race"
 	"shootdown/internal/sim"
@@ -83,10 +84,10 @@ type fabricCPU struct {
 	fabAckSeq   uint64
 	fabFlushAll bool
 
-	// ringSync is the post→drain happens-before edge; ackSync the
-	// ack→completion edge. Allocated on demand when a detector attaches.
-	ringSync *race.Sync
-	ackSync  *race.Sync
+	// ringSync/ackSync are the post→drain and ack→completion edges, the
+	// *Var fields the race variables' names; set when a detector attaches.
+	ringSync, ackSync                 *race.Sync
+	ringVar, postVar, ackVar, fullVar string
 }
 
 // AsyncBatch tracks one posted batch until every target acks.
@@ -111,11 +112,6 @@ func (b *AsyncBatch) Done() bool { return b.done }
 // Retries reports how many watchdog re-kicks the batch needed.
 func (b *AsyncBatch) Retries() int { return b.retries }
 
-func (l *Layer) fabRingVar(cpu mach.CPU) string { return fmt.Sprintf("fabring[%d]", cpu) }
-func (l *Layer) fabPostVar(cpu mach.CPU) string { return fmt.Sprintf("fabpost[%d]", cpu) }
-func (l *Layer) fabAckVar(cpu mach.CPU) string  { return fmt.Sprintf("faback[%d]", cpu) }
-func (l *Layer) fabFullVar(cpu mach.CPU) string { return fmt.Sprintf("fabfull[%d]", cpu) }
-
 // SetDrainApplier registers the kernel-side batch applier and enables
 // the asynchronous fabric. The applier runs on the draining CPU's proc
 // and performs the actual TLB invalidations; nil disables the fabric.
@@ -126,21 +122,25 @@ func (l *Layer) SetDrainApplier(fn func(p *sim.Proc, cpu mach.CPU, batch []Inval
 // AsyncEnabled reports whether a drain applier is registered.
 func (l *Layer) AsyncEnabled() bool { return l.drainApply != nil }
 
-// SetBrokenCoalesceShrink plants core.MutantCoalesceShrink: merged ring
-// entries adopt the newer inval's end instead of the max of both,
-// silently shrinking coverage. The static fabproof tier and the dynamic
-// shadow-TLB oracle must both convict it.
-func (l *Layer) SetBrokenCoalesceShrink(on bool) { l.brokenCoalesce = on }
+// SetMutant plants the machine's broken variant. Under MutantCoalesceShrink
+// merges keep the newer inval's end, not the max, shrinking coverage; the
+// static fabproof tier and the shadow-TLB oracle must both convict it.
+func (l *Layer) SetMutant(m fault.Mutant) { l.mutant = m }
 
 func (l *Layer) fabricOf(cpu mach.CPU) *fabricCPU {
 	fc := l.fabric[cpu]
-	if fc.ringLine == nil {
-		fc.ringLine = l.dir.NewLine(fmt.Sprintf("fabring[%d]", cpu))
-		fc.ackLine = l.dir.NewLine(fmt.Sprintf("faback[%d]", cpu))
+	if fc == nil {
+		fc = &fabricCPU{
+			ringLine: l.dir.NewLine(fmt.Sprintf("fabring[%d]", cpu)),
+			ackLine:  l.dir.NewLine(fmt.Sprintf("faback[%d]", cpu)),
+		}
+		l.fabric[cpu] = fc
 	}
 	if l.rt != nil && fc.ringSync == nil {
 		fc.ringSync = l.rt.NewSync(fmt.Sprintf("fabring-sync[%d]", cpu))
 		fc.ackSync = l.rt.NewSync(fmt.Sprintf("faback-sync[%d]", cpu))
+		fc.ringVar, fc.ackVar = fc.ringLine.Name(), fc.ackLine.Name()
+		fc.postVar, fc.fullVar = fmt.Sprintf("fabpost[%d]", cpu), fmt.Sprintf("fabfull[%d]", cpu)
 	}
 	return fc
 }
@@ -176,7 +176,7 @@ func (l *Layer) mergeInval(prev, next *Inval) {
 		prev.Full = true
 		return
 	}
-	if l.brokenCoalesce {
+	if l.mutant == fault.MutantCoalesceShrink {
 		// BROKEN-coalesce: adopt next's end instead of the max. When
 		// next ends below prev the merged entry silently stops covering
 		// prev's tail, and a stale translation survives the drain.
@@ -226,8 +226,8 @@ func (l *Layer) PostAsync(p *sim.Proc, from mach.CPU, targets mach.CPUMask, inv 
 		// sequence, and (on overflow) the flush_all flag together.
 		p.Delay(l.dir.Atomic(from, fc.ringLine))
 		if l.rt != nil {
-			l.rt.AtomicRMW(l.fabRingVar(t))
-			l.rt.AtomicRMW(l.fabPostVar(t))
+			l.rt.AtomicRMW(fc.ringVar)
+			l.rt.AtomicRMW(fc.postVar)
 			l.rt.Release(fc.ringSync)
 		}
 		wasIdle := len(fc.fabRing) == 0 && !fc.fabFlushAll
@@ -248,7 +248,7 @@ func (l *Layer) PostAsync(p *sim.Proc, from mach.CPU, targets mach.CPUMask, inv 
 			// precise entries stay queued but the drain widens to a full
 			// flush, which subsumes them.
 			if l.rt != nil {
-				l.rt.AtomicRMW(l.fabFullVar(t))
+				l.rt.AtomicRMW(fc.fullVar)
 			}
 			fc.fabFlushAll = true
 			l.stats.AsyncOverflows++
@@ -277,8 +277,8 @@ func (l *Layer) PostAsync(p *sim.Proc, from mach.CPU, targets mach.CPUMask, inv 
 func (l *Layer) FabricPending(cpu mach.CPU) (entries int, flushAll bool) {
 	fc := l.fabricOf(cpu)
 	if l.rt != nil {
-		l.rt.AtomicLoad(l.fabRingVar(cpu))
-		l.rt.AtomicLoad(l.fabFullVar(cpu))
+		l.rt.AtomicLoad(fc.ringVar)
+		l.rt.AtomicLoad(fc.fullVar)
 	}
 	return len(fc.fabRing), fc.fabFlushAll
 }
@@ -287,8 +287,8 @@ func (l *Layer) FabricPending(cpu mach.CPU) (entries int, flushAll bool) {
 func (l *Layer) FabricSeqs(cpu mach.CPU) (posted, acked uint64) {
 	fc := l.fabricOf(cpu)
 	if l.rt != nil {
-		l.rt.AtomicLoad(l.fabPostVar(cpu))
-		l.rt.AtomicLoad(l.fabAckVar(cpu))
+		l.rt.AtomicLoad(fc.postVar)
+		l.rt.AtomicLoad(fc.ackVar)
 	}
 	return fc.fabPostSeq, fc.fabAckSeq
 }
@@ -303,8 +303,8 @@ func (l *Layer) DrainFabric(p *sim.Proc, cpu mach.CPU) {
 	}
 	fc := l.fabricOf(cpu)
 	if l.rt != nil {
-		l.rt.AtomicLoad(l.fabRingVar(cpu))
-		l.rt.AtomicLoad(l.fabFullVar(cpu))
+		l.rt.AtomicLoad(fc.ringVar)
+		l.rt.AtomicLoad(fc.fullVar)
 	}
 	if len(fc.fabRing) == 0 && !fc.fabFlushAll {
 		return
@@ -313,9 +313,9 @@ func (l *Layer) DrainFabric(p *sim.Proc, cpu mach.CPU) {
 	// the posted sequence come off in one RMW on the head line.
 	p.Delay(l.dir.Atomic(cpu, fc.ringLine))
 	if l.rt != nil {
-		l.rt.AtomicRMW(l.fabRingVar(cpu))
-		l.rt.AtomicRMW(l.fabFullVar(cpu))
-		l.rt.AtomicLoad(l.fabPostVar(cpu))
+		l.rt.AtomicRMW(fc.ringVar)
+		l.rt.AtomicRMW(fc.fullVar)
+		l.rt.AtomicLoad(fc.postVar)
 		l.rt.Acquire(fc.ringSync)
 	}
 	batch := fc.fabRing
@@ -330,7 +330,7 @@ func (l *Layer) DrainFabric(p *sim.Proc, cpu mach.CPU) {
 	l.stats.AsyncDrains++
 	l.stats.AsyncApplied += uint64(len(batch))
 	// Apply before acking: the ack asserts the invalidations landed. A
-	// broken applier that defers the work (core.MutantAckBeforeDrain)
+	// broken applier that defers the work (fault.MutantAckBeforeDrain)
 	// turns the store below into a premature ack — the exact protocol
 	// violation the sanitizer's deferred obligation windows catch.
 	l.drainApply(p, cpu, batch)
@@ -339,7 +339,7 @@ func (l *Layer) DrainFabric(p *sim.Proc, cpu mach.CPU) {
 	}
 	p.Delay(l.dir.Write(cpu, fc.ackLine))
 	if l.rt != nil {
-		l.rt.AtomicStore(l.fabAckVar(cpu))
+		l.rt.AtomicStore(fc.ackVar)
 		l.rt.Release(fc.ackSync)
 	}
 	fc.fabAckSeq = seq
@@ -394,7 +394,7 @@ func (l *Layer) batchAcked(b *AsyncBatch) bool {
 	for i, t := range b.targets {
 		fc := l.fabricOf(t)
 		if l.rt != nil {
-			l.rt.AtomicLoad(l.fabAckVar(t))
+			l.rt.AtomicLoad(fc.ackVar)
 		}
 		if fc.fabAckSeq < b.seqs[i] {
 			return false
@@ -460,7 +460,7 @@ func (l *Layer) rekickBatch(p *sim.Proc, b *AsyncBatch) {
 	for i, t := range b.targets {
 		fc := l.fabricOf(t)
 		if l.rt != nil {
-			l.rt.AtomicLoad(l.fabAckVar(t))
+			l.rt.AtomicLoad(fc.ackVar)
 		}
 		if fc.fabAckSeq >= b.seqs[i] {
 			continue
@@ -468,7 +468,7 @@ func (l *Layer) rekickBatch(p *sim.Proc, b *AsyncBatch) {
 		if b.retries >= MaxKickRetries && !fc.fabFlushAll {
 			p.Delay(l.dir.Atomic(b.from, fc.ringLine))
 			if l.rt != nil {
-				l.rt.AtomicRMW(l.fabFullVar(t))
+				l.rt.AtomicRMW(fc.fullVar)
 				l.rt.Release(fc.ringSync)
 			}
 			fc.fabFlushAll = true

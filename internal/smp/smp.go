@@ -100,6 +100,8 @@ type perCPU struct {
 	// function writes. Baseline: aliases lazyLine. Consolidated: private.
 	genLine *cache.Line
 	queue   []*Request
+	// csqVar is the queue's race-variable name, csqLine's own.
+	csqVar string
 }
 
 // Stats counts SMP-layer activity.
@@ -177,19 +179,18 @@ type Layer struct {
 	stats  Stats
 
 	// fabric is the per-CPU asynchronous invalidation ring state (see
-	// fabric.go); drainApply is the kernel-registered batch applier that
-	// enables the tier, batches the outstanding posted batches, and
-	// wdCond parks the generation-gap watchdog proc (started lazily,
-	// only under an armed fault plane).
+	// fabric.go), allocated on first use; drainApply is the
+	// kernel-registered batch applier that enables the tier, batches the
+	// outstanding posted batches, and wdCond parks the generation-gap
+	// watchdog proc (started lazily, only under an armed fault plane).
 	fabric     []*fabricCPU
 	drainApply func(p *sim.Proc, cpu mach.CPU, batch []Inval)
 	batches    []*AsyncBatch
 	wdCond     *sim.Cond
-	// brokenCoalesce plants the deliberately broken coalescing variant
-	// (core.MutantCoalesceShrink): merges adopt the newer entry's end
-	// instead of the max, shrinking invalidation coverage.
+	// mutant is the machine's planted broken variant; the layer acts
+	// only on fault.MutantCoalesceShrink (see mergeInval).
 	// Cross-validation only.
-	brokenCoalesce bool
+	mutant fault.Mutant
 
 	// rt, when non-nil, receives happens-before events for every modeled
 	// synchronization edge in this layer (see internal/race).
@@ -226,12 +227,9 @@ func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, dir *cache.D
 		ackAgg:      make([][]*cache.Line, n),
 		fabric:      make([]*fabricCPU, n),
 	}
-	for i := range l.fabric {
-		l.fabric[i] = &fabricCPU{}
-	}
 	for i := 0; i < n; i++ {
-		pc := &perCPU{}
-		pc.csqLine = dir.NewLine(fmt.Sprintf("csq[%d]", i))
+		pc := &perCPU{csqVar: fmt.Sprintf("csq[%d]", i)}
+		pc.csqLine = dir.NewLine(pc.csqVar)
 		if consolidated {
 			pc.lazyLine = pc.csqLine
 			pc.genLine = dir.NewLine(fmt.Sprintf("tlbgen[%d]", i))
@@ -262,8 +260,6 @@ func (l *Layer) ObserveDone(req *Request) {
 		l.rt.Acquire(req.hb)
 	}
 }
-
-func (l *Layer) csqVar(cpu mach.CPU) string { return fmt.Sprintf("csq[%d]", cpu) }
 
 // Stats returns a snapshot of the counters.
 func (l *Layer) Stats() Stats { return l.stats }
@@ -377,7 +373,7 @@ func (l *Layer) CallMany(p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn Ha
 		// so the emptiness check happens after the RMW completes.
 		p.Delay(l.dir.Atomic(from, pc.csqLine))
 		if l.rt != nil {
-			l.rt.AtomicRMW(l.csqVar(t))
+			l.rt.AtomicRMW(pc.csqVar)
 		}
 		wasEmpty := len(pc.queue) == 0
 		pc.queue = append(pc.queue, req)
@@ -499,7 +495,7 @@ func (l *Layer) HandleIPI(p *sim.Proc, cpu mach.CPU) {
 		// Pop the whole queue (llist_del_all on the head line).
 		p.Delay(l.dir.Atomic(cpu, pc.csqLine))
 		if l.rt != nil {
-			l.rt.AtomicRMW(l.csqVar(cpu))
+			l.rt.AtomicRMW(pc.csqVar)
 		}
 	}
 	queue := pc.queue
@@ -535,7 +531,7 @@ func (l *Layer) HandleIPI(p *sim.Proc, cpu mach.CPU) {
 // llist_empty's READ_ONCE.
 func (l *Layer) PendingOn(cpu mach.CPU) int {
 	if l.rt != nil {
-		l.rt.AtomicLoad(l.csqVar(cpu))
+		l.rt.AtomicLoad(l.percpu[cpu].csqVar)
 	}
 	return len(l.percpu[cpu].queue)
 }

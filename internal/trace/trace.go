@@ -106,11 +106,13 @@ type Recorder struct {
 func New(eng *sim.Engine) *Recorder { return &Recorder{eng: eng} }
 
 // Observe records e, stamped with the current simulated time. It copies
-// the target mask, so the emitter keeps ownership of its own.
+// the target mask, so the emitter keeps ownership of its own; only the
+// recorded copy is written.
 func (r *Recorder) Observe(e Event) {
-	e.At = r.eng.Now()
-	e.Targets = e.Targets.Clone()
 	r.events = append(r.events, e)
+	rec := &r.events[len(r.events)-1]
+	rec.At = r.eng.Now()
+	rec.Targets = rec.Targets.Clone()
 }
 
 // Events returns the recorded events in order.

@@ -67,7 +67,7 @@ func runAsyncStaleTouch(w *World) {
 // touch through the unflushed entry.
 func TestBrokenAckBeforeDrainCaughtExactlyOnce(t *testing.T) {
 	cfg := asyncAll()
-	cfg.Mutant = core.MutantAckBeforeDrain
+	cfg.Mutant = fault.MutantAckBeforeDrain
 	w := NewWorld(Safe, cfg, 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
@@ -191,7 +191,7 @@ func runAsyncCoalesceTouch(w *World) {
 // (ssa.TestFabproofBrokenCoalesceWitness).
 func TestBrokenCoalesceShrinkCaughtExactlyOnce(t *testing.T) {
 	cfg := asyncAll()
-	cfg.Mutant = core.MutantCoalesceShrink
+	cfg.Mutant = fault.MutantCoalesceShrink
 	w := Template{Faults: coalesceFaults}.boot(Safe, cfg, 7)
 	defer w.Close()
 	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})

@@ -8,6 +8,7 @@ package workload
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 
 	"shootdown/internal/core"
@@ -80,7 +81,7 @@ type Template struct {
 	Topo mach.Topology
 	// TLBMode overrides the shootdown dispatch tier: "" leaves each
 	// config as built, "sync" clears AsyncShootdown and any mutant that
-	// needs the fabric (core.Mutant.NeedsAsync), "async" sets
+	// needs the fabric (fault.Mutant.NeedsAsync), "async" sets
 	// AsyncShootdown — except on configs carrying SerializedIPIs or
 	// LazyRemote, which model competing dispatch disciplines and keep
 	// their own tier. CheckTLBMode rejects any other value.
@@ -88,13 +89,32 @@ type Template struct {
 }
 
 // CheckTLBMode reports an error for a dispatch-tier override other than
-// "", "sync" or "async". Boot and the -tlbmode flags share it.
+// "", "sync" or "async". Boot and the -tlbmode flag share it.
 func CheckTLBMode(mode string) error {
 	switch mode {
 	case "", "sync", "async":
 		return nil
 	}
 	return errors.New("-tlbmode must be sync or async")
+}
+
+// TemplateFlags registers the machine flags -faults, -topo and -tlbmode
+// on fs. After fs.Parse, the returned function yields the Template they
+// describe, or the first invalid flag's error.
+func TemplateFlags(fs *flag.FlagSet) func() (Template, error) {
+	faults := fs.String("faults", "none", "fault schedule for every simulated machine: a preset (none, light, heavy, drop, broken) and/or key=p[:max] overrides, e.g. 'light,drop=0.3'")
+	tlbmode := fs.String("tlbmode", "", "shootdown dispatch tier override for every cell except the async and scale sweeps, which compare the tiers: sync or async (default: as each experiment configures)")
+	topo := fs.String("topo", "", "machine topology for every cell: 'default', a preset CPU count (56, 256, 512, 1024) or SxCxT[xN] (default: the paper's 56-CPU testbed)")
+	return func() (t Template, err error) {
+		t.TLBMode = *tlbmode
+		if t.Faults, err = fault.Parse(*faults); err == nil {
+			err = CheckTLBMode(t.TLBMode)
+		}
+		if err == nil {
+			t.Topo, err = mach.ParseTopology(*topo)
+		}
+		return t, err
+	}
 }
 
 // boot boots t with one run's mode, protocol config and seed.
@@ -153,7 +173,7 @@ func Boot(m Machine) (*World, error) {
 	case "sync":
 		cfg.AsyncShootdown = false
 		if cfg.Mutant.NeedsAsync() {
-			cfg.Mutant = core.NoMutant
+			cfg.Mutant = fault.NoMutant
 		}
 	case "async":
 		if !cfg.SerializedIPIs && !cfg.LazyRemote {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"shootdown/internal/core"
+	"shootdown/internal/fault"
 	"shootdown/internal/mach"
 )
 
@@ -11,7 +12,7 @@ import (
 // it: "" keeps each config's own tier, "sync" clears AsyncShootdown and
 // every mutant that needs the fabric, and "async" turns the fabric on
 // except under SerializedIPIs or LazyRemote, which model competing
-// dispatch disciplines. Every mutant core declares boots under each
+// dispatch disciplines. Every mutant fault declares boots under each
 // mode.
 func TestTLBModeOverrideAtBoot(t *testing.T) {
 	all := core.All()
@@ -35,7 +36,7 @@ func TestTLBModeOverrideAtBoot(t *testing.T) {
 		{"serialized", serialized, [3]core.Config{serialized, serialized, serialized}},
 		{"lazy", lazy, [3]core.Config{lazy, lazy, lazy}},
 	}
-	for _, m := range core.Mutants() {
+	for _, m := range fault.Mutants() {
 		planted := allAsync
 		planted.Mutant = m
 		synced := all

@@ -205,4 +205,12 @@ if ! cmp -s TEMPLATE_1.txt TEMPLATE_8.txt; then
 fi
 rm -f TEMPLATE_1.txt TEMPLATE_8.txt
 
+# The oracles check the machine the template stage simulates: the same
+# flags fill tlbcheck's template, so both oracles watch the quick suite
+# on the 32-CPU async machine under the light schedule.
+echo "==> tlbcheck -quick -topo 2x8x2 -tlbmode async -faults light (checked template suite)"
+check_start=$(date +%s)
+go run ./cmd/tlbcheck -quick -topo 2x8x2 -tlbmode async -faults light -v
+echo "checked template suite completed in $(( $(date +%s) - check_start ))s"
+
 echo "CI: all gates passed"
