@@ -2,16 +2,19 @@
 // and typechecks the module once (stdlib go/types only), lowers every
 // function into one def-use/SSA IR with interprocedural summaries over a
 // fixpoint call graph, and runs every analyzer of internal/sanitizer/ssa.
-// determinism reads import specs; the other ten run on the shared IR:
+// determinism reads import specs; the other ten run on the shared IR,
+// which records the constants, literal fields, function values and
+// map-range blocks they ask about, so none re-derives those from syntax:
 //
 //   - determinism: banned imports (time, math/rand) by path, catching
 //     aliased/dot/blank forms
 //   - costliteral: constant cycle costs (literals, named constants and
 //     thin Delay wrappers) outside the cost model
 //   - observerpurity: hooks (func literals and method values) mutating
-//     observed or package-level state, including through mutating
-//     method calls and local aliases, or reaching a recording
-//     race.Detector method through the call graph
+//     observed state (reached through a pointer, slice or map) or
+//     package-level state, including through mutating method calls and
+//     local aliases, or reaching a recording race.Detector method
+//     through the call graph
 //   - flushobligation: every restrictive page-table mutation's returned
 //     mm.FlushRange must reach a shootdown discharge on every path or be
 //     returned to the caller
@@ -59,6 +62,9 @@
 //	tlbvet -xval FILE       # write the race cross-validation table
 //	tlbvet -fabproof FILE   # write the fabric obligation proof table
 //	tlbvet -only a,b        # run only the named analyzers
+//
+// Both tables are committed as RACE_XVAL.txt and FABPROOF.txt, and go test
+// fails when either differs from what tlbvet writes now.
 package main
 
 import (
@@ -112,16 +118,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlbvet: %v\n", err)
 		os.Exit(2)
 	}
-	r := ssa.CheckModuleOnly(m, names)
-	// Empty sections encode as [] rather than null in -json.
-	rep := report{
-		Findings:     append([]ssa.Finding{}, r.Findings...),
-		Witnesses:    append([]ssa.Finding{}, r.Witnesses...),
-		XVal:         r.XVal,
-		FabRows:      r.FabRows,
-		FuncsVisited: r.FuncsVisited,
-		TimingsMS:    r.Timings,
-	}
+	rep := newReport(ssa.CheckModuleOnly(m, names))
 
 	if *xvalOut != "" {
 		if err := os.WriteFile(*xvalOut, []byte(renderXVal(rep)), 0o644); err != nil {
@@ -161,6 +158,19 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("tlbvet: clean")
+}
+
+// newReport shapes an analysis result as the report; empty sections
+// encode as [] rather than null in -json.
+func newReport(r *ssa.Result) report {
+	return report{
+		Findings:     append([]ssa.Finding{}, r.Findings...),
+		Witnesses:    append([]ssa.Finding{}, r.Witnesses...),
+		XVal:         r.XVal,
+		FabRows:      r.FabRows,
+		FuncsVisited: r.FuncsVisited,
+		TimingsMS:    r.Timings,
+	}
 }
 
 // printTimings emits the wall-clock footer, sorted by analyzer name so

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -65,6 +67,30 @@ func TestTablesKeepTheirOwnWitnesses(t *testing.T) {
 	} {
 		if !strings.HasSuffix(tc.got, tc.want) || strings.Contains(tc.got, tc.not) {
 			t.Errorf("%s table = %q, want it to end with %q and omit %q", tc.name, tc.got, tc.want, tc.not)
+		}
+	}
+}
+
+// TestCommittedProofTables runs every analyzer on the module and requires
+// the committed RACE_XVAL.txt and FABPROOF.txt to be the tables tlbvet
+// writes now, so a change that moves a proof row or a witness line fails
+// until it commits the regenerated tables.
+func TestCommittedProofTables(t *testing.T) {
+	m, err := ssa.LoadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := newReport(ssa.CheckModuleOnly(m, nil))
+	for _, tc := range []struct{ file, got string }{
+		{"RACE_XVAL.txt", renderXVal(rep)},
+		{"FABPROOF.txt", renderFabproof(rep)},
+	} {
+		want, err := os.ReadFile(filepath.Join(m.Root, tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.got != string(want) {
+			t.Errorf("committed %s differs from the table tlbvet writes now; regenerate it with go run ./cmd/tlbvet -xval RACE_XVAL.txt -fabproof FABPROOF.txt. Now:\n%s", tc.file, tc.got)
 		}
 	}
 }

@@ -34,9 +34,6 @@ type Options struct {
 	Base workload.Template
 }
 
-// DefaultOptions returns the full-scale settings.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 func (o Options) seed() uint64 {
 	if o.Seed == 0 {
 		return 1

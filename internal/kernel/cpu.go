@@ -66,8 +66,8 @@ type CPU struct {
 	// whose every read the race model records as this CPU's.
 	LazyQueue obs.Hook[int]
 
-	// Precomputed race-variable names for this CPU's shared state (used
-	// only when a detector is attached; see internal/race).
+	// Race-variable names for this CPU's shared state, set when a
+	// detector attaches (Kernel.EnableRace; see internal/race).
 	runqVar, lazyVar, genVar, lazyqVar, batchedVar, batchqVar string
 
 	// Measurement counters.
@@ -92,12 +92,6 @@ func newCPU(k *Kernel, id mach.CPU) *CPU {
 		localGen:    make(map[mm.ID]uint64),
 		batchedLine: k.Dir.NewLine(fmt.Sprintf("batched[%d]", id)),
 	}
-	c.runqVar = fmt.Sprintf("cpu%d.runq", id)
-	c.lazyVar = fmt.Sprintf("cpu%d.lazy", id)
-	c.genVar = fmt.Sprintf("cpu%d.tlbgen", id)
-	c.lazyqVar = fmt.Sprintf("cpu%d.lazyq", id)
-	c.batchedVar = fmt.Sprintf("cpu%d.batched", id)
-	c.batchqVar = fmt.Sprintf("cpu%d.batchq", id)
 	c.Ctrl.SetNotify(func() { c.wake.Broadcast() })
 	return c
 }
@@ -471,49 +465,6 @@ func (c *CPU) WaitRequests(p *sim.Proc, reqs []*smp.Request) {
 	}
 	// The final ack invalidated our copy of the CFD line; re-read it.
 	p.Delay(c.K.Cost.SpinPoll)
-}
-
-// WaitFirstRequest blocks until at least one request is acknowledged,
-// servicing IPIs meanwhile (used by the §3.4 in-context/concurrent
-// interaction).
-func (c *CPU) WaitFirstRequest(p *sim.Proc, reqs []*smp.Request) {
-	if len(reqs) == 0 {
-		return
-	}
-	if smp.AnyDone(reqs) {
-		c.observeDone(reqs)
-		return
-	}
-	cancels := make([]func(), 0, len(reqs))
-	for _, r := range reqs {
-		cancels = append(cancels, r.AddDoneHook(func() { c.wake.Broadcast() }))
-	}
-	for {
-		c.ServiceIRQs(p)
-		p.Delay(c.K.Cost.SpinPoll)
-		c.ServiceIRQs(p)
-		if smp.AnyDone(reqs) {
-			break
-		}
-		if c.Ctrl.Deliverable() {
-			continue
-		}
-		c.wake.Wait(p)
-	}
-	for i := len(cancels) - 1; i >= 0; i-- {
-		cancels[i]()
-	}
-	c.observeDone(reqs)
-}
-
-// observeDone establishes the acquire edge for every already-acknowledged
-// request (see smp.Layer.ObserveDone).
-func (c *CPU) observeDone(reqs []*smp.Request) {
-	for _, r := range reqs {
-		if r.Done() {
-			c.K.SMP.ObserveDone(r)
-		}
-	}
 }
 
 // blockedIRQPollQuantum bounds how long a task blocked on a semaphore can

@@ -226,12 +226,21 @@ func (k *Kernel) ForkAddressSpace(parent *mm.AddressSpace) (*mm.AddressSpace, mm
 }
 
 // EnableRace attaches the happens-before checker to the machine: the SMP
-// layer reports IPI edges, and every address space created afterwards
+// layer reports IPI edges, each CPU its run queue, lazy state, generation
+// and deferred-flush queues, and every address space created afterwards
 // reports generation, cpumask, semaphore and page-table accesses. Call
 // before creating address spaces (typically right after boot).
 func (k *Kernel) EnableRace(d *race.Detector) {
 	k.Race = d
 	k.SMP.SetRaceDetector(d)
+	for _, c := range k.cpus {
+		c.runqVar = fmt.Sprintf("cpu%d.runq", c.ID)
+		c.lazyVar = fmt.Sprintf("cpu%d.lazy", c.ID)
+		c.genVar = fmt.Sprintf("cpu%d.tlbgen", c.ID)
+		c.lazyqVar = fmt.Sprintf("cpu%d.lazyq", c.ID)
+		c.batchedVar = fmt.Sprintf("cpu%d.batched", c.ID)
+		c.batchqVar = fmt.Sprintf("cpu%d.batchq", c.ID)
+	}
 }
 
 // SetFaultPlane attaches the fault-injection plane to the machine (the

@@ -6,6 +6,7 @@ import (
 	"shootdown/internal/mach"
 	"shootdown/internal/mm"
 	"shootdown/internal/pagetable"
+	"shootdown/internal/race"
 	"shootdown/internal/sim"
 )
 
@@ -522,5 +523,33 @@ func TestDisablePCIDFlushesOnSwitch(t *testing.T) {
 	without := run(true)
 	if without <= withPCID {
 		t.Fatalf("no-PCID misses (%d) not above PCID misses (%d)", without, withPCID)
+	}
+}
+
+// TestEnableRaceNamesCPUVars: a machine without a detector holds no
+// race-variable names; EnableRace names each CPU's six shared variables,
+// and every name resolves to the registry entry of its name field.
+func TestEnableRaceNamesCPUVars(t *testing.T) {
+	k, _ := newKernel(t, false)
+	names := func(c *CPU) map[string]string {
+		return map[string]string{
+			"runqVar": c.runqVar, "lazyVar": c.lazyVar, "genVar": c.genVar,
+			"lazyqVar": c.lazyqVar, "batchedVar": c.batchedVar, "batchqVar": c.batchqVar,
+		}
+	}
+	for _, c := range k.CPUs() {
+		for field, name := range names(c) {
+			if name != "" {
+				t.Fatalf("cpu%d.%s = %q before EnableRace, want unset", c.ID, field, name)
+			}
+		}
+	}
+	k.EnableRace(race.New(k.Eng))
+	for _, c := range k.CPUs() {
+		for field, name := range names(c) {
+			if e, ok := race.LookupVar(name); !ok || e.NameField != field {
+				t.Errorf("cpu%d.%s = %q resolves to %+v, %v; want the %s entry", c.ID, field, name, e, ok, field)
+			}
+		}
 	}
 }

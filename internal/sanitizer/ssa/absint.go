@@ -30,7 +30,6 @@ package ssa
 // before an intervening store can not leak past it.
 
 import (
-	"go/ast"
 	"go/constant"
 	"go/token"
 	"go/types"
@@ -196,7 +195,10 @@ func samePlace(a, b *Value) bool {
 		}
 		return true
 	case VConst:
-		return constLitEq(a, b)
+		if a.Const == nil || b.Const == nil {
+			return a.Const == b.Const // both the nil constant
+		}
+		return a.Const.Kind() == b.Const.Kind() && constant.Compare(a.Const, token.EQL, b.Const)
 	case VOp:
 		if a.Op != b.Op || len(a.Args) != len(b.Args) {
 			return false
@@ -207,23 +209,6 @@ func samePlace(a, b *Value) bool {
 			}
 		}
 		return true
-	}
-	return false
-}
-
-// constLitEq compares two constant values syntactically: equal literals
-// or the same named constant. Conservative (false on mismatch shapes).
-func constLitEq(a, b *Value) bool {
-	if a.Expr == nil || b.Expr == nil {
-		return false
-	}
-	switch x := a.Expr.(type) {
-	case *ast.BasicLit:
-		y, ok := b.Expr.(*ast.BasicLit)
-		return ok && x.Kind == y.Kind && x.Value == y.Value
-	case *ast.Ident:
-		y, ok := b.Expr.(*ast.Ident)
-		return ok && x.Name == y.Name
 	}
 	return false
 }
@@ -454,42 +439,26 @@ func isNumericType(t types.Type) bool {
 	return ok && b.Info()&(types.IsInteger|types.IsUntyped) != 0
 }
 
-// constInt extracts v's folded integer constant via the type info.
-func constInt(f *Func, v *Value) (int64, bool) {
-	if v == nil {
+// constInt extracts v's integer constant, a bool's as 0 or 1.
+func constInt(v *Value) (int64, bool) {
+	switch {
+	case v == nil:
 		return 0, false
-	}
-	if v.Kind == VZero {
+	case v.Kind == VZero:
 		return 0, true
-	}
-	if v.Expr == nil {
+	case v.Const == nil:
 		return 0, false
-	}
-	tv, ok := f.info.Types[v.Expr]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	cv := constant.ToInt(tv.Value)
-	if cv.Kind() == constant.Int {
-		if c, exact := constant.Int64Val(cv); exact {
-			return c, true
-		}
-	}
-	if tv.Value.Kind() == constant.Bool {
-		if constant.BoolVal(tv.Value) {
+	case v.Const.Kind() == constant.Bool:
+		if constant.BoolVal(v.Const) {
 			return 1, true
 		}
 		return 0, true
 	}
-	return 0, false
+	return constant.Int64Val(constant.ToInt(v.Const))
 }
 
-func isNilConst(f *Func, v *Value) bool {
-	if v == nil || v.Kind != VConst || v.Expr == nil {
-		return false
-	}
-	tv, ok := f.info.Types[v.Expr]
-	return ok && tv.IsNil()
+func isNilConst(v *Value) bool {
+	return v != nil && v.Kind == VConst && v.Const == nil
 }
 
 // lenArgKey returns the atom key of len(x)'s operand when x is keyable.
@@ -513,7 +482,7 @@ func (e *absEnv) termOf(f *Func, v *Value) int {
 	if v == nil {
 		return e.dom.valTerm(&Value{ID: -1})
 	}
-	if c, ok := constInt(f, v); ok {
+	if c, ok := constInt(v); ok {
 		t := e.dom.constTerm(c)
 		if !e.known[t] {
 			e.known[t] = true
@@ -567,14 +536,14 @@ func (e *absEnv) opTerm(f *Func, v *Value) int {
 		if len(v.Args) == 2 {
 			neg := v.Op == token.SUB || v.Op == token.SUB_ASSIGN
 			x, y := v.Args[0], v.Args[1]
-			if c, ok := constInt(f, y); ok {
+			if c, ok := constInt(y); ok {
 				if neg {
 					c = -c
 				}
 				a := e.termOf(f, x)
 				e.addLE(t, a, c)
 				e.addLE(a, t, -c)
-			} else if c, ok := constInt(f, x); ok && !neg {
+			} else if c, ok := constInt(x); ok && !neg {
 				a := e.termOf(f, y)
 				e.addLE(t, a, c)
 				e.addLE(a, t, -c)
@@ -593,8 +562,8 @@ func (e *absEnv) opTerm(f *Func, v *Value) int {
 // condIsFresh reports whether b's condition value is written at the
 // branch itself (and may therefore be decomposed into operand facts).
 func condIsFresh(b *IRBlock) bool {
-	return b.cfg != nil && b.cfg.cond != nil && b.CondV != nil &&
-		b.CondV.Pos == b.cfg.cond.Pos()
+	return b.cond != nil && b.CondV != nil &&
+		b.CondV.Pos == b.cond.Pos()
 }
 
 // refine narrows e with "cond == want".
@@ -611,7 +580,7 @@ func (e *absEnv) refine(f *Func, b *IRBlock, want bool) {
 }
 
 func (e *absEnv) refineValue(f *Func, cond *Value, want bool) {
-	if c, ok := constInt(f, cond); ok && isBoolType(cond.Type) {
+	if c, ok := constInt(cond); ok && isBoolType(cond.Type) {
 		if (c != 0) != want {
 			e.setInfeasible()
 		}
@@ -745,8 +714,8 @@ func (e *absEnv) refineCompare(f *Func, cond *Value, want bool) {
 	}
 	// Boolean equality folds into bool refinement.
 	if isBoolType(x.Type) || isBoolType(y.Type) {
-		cx, okx := constInt(f, x)
-		cy, oky := constInt(f, y)
+		cx, okx := constInt(x)
+		cy, oky := constInt(y)
 		switch {
 		case okx && !oky:
 			e.refineValue(f, y, (cx != 0) == (op == token.EQL))
@@ -871,7 +840,7 @@ func (e *absEnv) applyStore(f *Func, ev absEvent) {
 	}
 	// Evaluate the stored value against the pre-store state.
 	var nt int
-	if isNilConst(f, val) && isSliceType(addrType(addr)) {
+	if isNilConst(val) && isSliceType(addrType(addr)) {
 		e.havocSubtree(key, ev.key, false)
 		lt := e.dom.eventTerm(ev.key + "|#len")
 		e.havocTerm(lt)
@@ -1658,7 +1627,7 @@ func (s *absSummaries) trueFacts(f *Func) [][]absFact {
 			if r == nil || !isBoolType(r.Type) {
 				return
 			}
-			if c, ok := constInt(f, r); ok && c == 0 {
+			if c, ok := constInt(r); ok && c == 0 {
 				return // returns false: not a true-path
 			}
 			path := e.clone()
@@ -1789,7 +1758,7 @@ func storeConstBool(f *Func, in *Instr) (bool, bool) {
 	if v == nil || !isBoolType(v.Type) {
 		return false, false
 	}
-	if c, ok := constInt(f, v); ok {
+	if c, ok := constInt(v); ok {
 		return c != 0, true
 	}
 	return false, false

@@ -3,11 +3,12 @@ package ssa
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
-// This file implements the intraprocedural control-flow graph the typed
-// analyzers run their dataflow on. The builder makes two choices that the
-// analyses rely on:
+// This file builds the intraprocedural control-flow graph of one function
+// body as the IRBlocks the SSA lowering then fills. The builder makes two
+// choices that the analyses rely on:
 //
 //   - Short-circuit conditions are desugared: `a && b`, `a || b` and `!a`
 //     become chains of single-condition branch blocks, so an analysis sees
@@ -18,94 +19,63 @@ import (
 //
 //   - `panic(...)` and calls to functions that the builder cannot see
 //     through are ordinary nodes, but panic terminates its block into the
-//     dedicated panicExit block, so analyses can decide separately what an
+//     dedicated PanicExit block, so analyses can decide separately what an
 //     obligation means on a crashing path.
 //
-// The graph is deliberately small: blocks hold AST nodes in evaluation
-// order; a block either ends in an atomic condition (tsucc/fsucc) or in
-// zero or more unconditional successors.
-
-// cfgBlock is one straight-line run of AST nodes.
-type cfgBlock struct {
-	nodes []ast.Node
-	// cond, when non-nil, is the atomic branch condition ending the block;
-	// tsucc/fsucc are its outcome edges. When nil, succs lists the
-	// unconditional successors (empty for exit blocks).
-	cond         ast.Expr
-	tsucc, fsucc *cfgBlock
-	succs        []*cfgBlock
-	// isLoopHead marks blocks that re-evaluate a for/range header, so
-	// element-obligation analyses can detect values leaking across
-	// iterations.
-	isLoopHead bool
-	// isSelectComm marks the entry block of a select communication clause:
-	// which arm runs is scheduling-dependent, so values bound there are
-	// nondeterminism sources for the detflow taint analysis.
-	isSelectComm bool
-}
-
-func (b *cfgBlock) successors() []*cfgBlock {
-	if b.cond != nil {
-		return []*cfgBlock{b.tsucc, b.fsucc}
-	}
-	return b.succs
-}
-
-// funcCFG is the graph of one function body.
-type funcCFG struct {
-	entry *cfgBlock
-	// exit collects normal termination (returns and falling off the end).
-	exit *cfgBlock
-	// panicExit collects panicking paths.
-	panicExit *cfgBlock
-	blocks    []*cfgBlock
-	// defers lists the deferred calls in source order.
-	defers []*ast.DeferStmt
-}
+// The graph is deliberately small: a block holds AST nodes in evaluation
+// order and either ends in an atomic condition (Succs is its true and
+// false edge) or has zero or more unconditional successors.
 
 type loopFrame struct {
 	label           string
-	breakTo, contTo *cfgBlock
+	breakTo, contTo *IRBlock
 }
 
 type cfgBuilder struct {
-	g     *funcCFG
+	f     *Func
 	loops []loopFrame
-	// switchBreak tracks the innermost breakable non-loop statement
+	// breakables tracks the innermost breakable non-loop statement
 	// (switch/select) target per label.
 	breakables []loopFrame
+	// mapRange marks the blocks made while lowering a map-range body.
+	mapRange bool
 }
 
-// buildCFG constructs the graph for one function body.
-func buildCFG(body *ast.BlockStmt) *funcCFG {
-	b := &cfgBuilder{g: &funcCFG{}}
-	b.g.exit = b.newBlock()
-	b.g.panicExit = b.newBlock()
-	b.g.entry = b.newBlock()
-	end := b.stmts(body.List, b.g.entry, "")
-	if end != nil {
-		b.connect(end, b.g.exit)
+// buildCFG makes f's blocks for body, Exit, PanicExit and Entry first.
+// Preds list predecessors in block creation order, so phi operands do
+// too. mapRange is set for a literal written in a map-range body.
+func buildCFG(f *Func, body *ast.BlockStmt, mapRange bool) {
+	b := &cfgBuilder{f: f, mapRange: mapRange}
+	f.Exit = b.newBlock()
+	f.PanicExit = b.newBlock()
+	f.Entry = b.newBlock()
+	if end := b.stmts(body.List, f.Entry, ""); end != nil {
+		b.connect(end, f.Exit)
 	}
-	return b.g
+	for _, blk := range f.Blocks {
+		for _, s := range blk.Succs {
+			s.Preds = append(s.Preds, blk)
+		}
+	}
 }
 
-func (b *cfgBuilder) newBlock() *cfgBlock {
-	blk := &cfgBlock{}
-	b.g.blocks = append(b.g.blocks, blk)
+func (b *cfgBuilder) newBlock() *IRBlock {
+	blk := &IRBlock{Index: len(b.f.Blocks), MapRange: b.mapRange}
+	b.f.Blocks = append(b.f.Blocks, blk)
 	return blk
 }
 
-func (b *cfgBuilder) connect(from, to *cfgBlock) {
+func (b *cfgBuilder) connect(from, to *IRBlock) {
 	if from == nil || from.cond != nil {
 		return
 	}
-	from.succs = append(from.succs, to)
+	from.Succs = append(from.Succs, to)
 }
 
 // stmts lowers a statement list starting in cur; it returns the block
 // control falls out of, or nil when every path terminated (return/panic/
 // branch).
-func (b *cfgBuilder) stmts(list []ast.Stmt, cur *cfgBlock, label string) *cfgBlock {
+func (b *cfgBuilder) stmts(list []ast.Stmt, cur *IRBlock, label string) *IRBlock {
 	for i, s := range list {
 		lbl := ""
 		if i == 0 {
@@ -127,7 +97,7 @@ func (b *cfgBuilder) stmts(list []ast.Stmt, cur *cfgBlock, label string) *cfgBlo
 
 // stmt lowers one statement; label propagates through LabeledStmt so
 // labeled loops can be targeted by break/continue.
-func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock, label string) *cfgBlock {
+func (b *cfgBuilder) stmt(s ast.Stmt, cur *IRBlock, label string) *IRBlock {
 	if cur == nil {
 		return nil
 	}
@@ -140,20 +110,15 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock, label string) *cfgBlock {
 
 	case *ast.ReturnStmt:
 		cur.nodes = append(cur.nodes, v)
-		b.connect(cur, b.g.exit)
+		b.connect(cur, b.f.Exit)
 		return nil
 
 	case *ast.ExprStmt:
 		cur.nodes = append(cur.nodes, v)
 		if isPanicCall(v.X) {
-			b.connect(cur, b.g.panicExit)
+			b.connect(cur, b.f.PanicExit)
 			return nil
 		}
-		return cur
-
-	case *ast.DeferStmt:
-		cur.nodes = append(cur.nodes, v)
-		b.g.defers = append(b.g.defers, v)
 		return cur
 
 	case *ast.IfStmt:
@@ -179,7 +144,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock, label string) *cfgBlock {
 			cur = b.stmt(v.Init, cur, "")
 		}
 		head, body, after := b.newBlock(), b.newBlock(), b.newBlock()
-		head.isLoopHead = true
+		head.LoopHead = true
 		b.connect(cur, head)
 		if v.Cond != nil {
 			b.cond(v.Cond, head, body, after)
@@ -204,14 +169,21 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock, label string) *cfgBlock {
 
 	case *ast.RangeStmt:
 		head, body, after := b.newBlock(), b.newBlock(), b.newBlock()
-		head.isLoopHead = true
+		head.LoopHead = true
 		head.nodes = append(head.nodes, v)
 		b.connect(cur, head)
 		b.connect(head, body)
 		b.connect(head, after)
+		outer := b.mapRange
+		if t := b.f.info.TypeOf(v.X); t != nil {
+			if _, isMap := t.Underlying().(*types.Map); isMap {
+				b.mapRange, body.MapRange = true, true
+			}
+		}
 		b.loops = append(b.loops, loopFrame{label: label, breakTo: after, contTo: head})
 		end := b.stmts(v.Body.List, body, "")
 		b.loops = b.loops[:len(b.loops)-1]
+		b.mapRange = outer
 		if end != nil {
 			b.connect(end, head)
 		}
@@ -270,10 +242,10 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock, label string) *cfgBlock {
 
 // switchClauses lowers switch/type-switch/select bodies: the head fans out
 // to every clause (and to after when no default exists).
-func (b *cfgBuilder) switchClauses(clauses []ast.Stmt, head *cfgBlock, label string, isSelect bool) *cfgBlock {
+func (b *cfgBuilder) switchClauses(clauses []ast.Stmt, head *IRBlock, label string, isSelect bool) *IRBlock {
 	after := b.newBlock()
 	hasDefault := false
-	entries := make([]*cfgBlock, len(clauses))
+	entries := make([]*IRBlock, len(clauses))
 	var bodies [][]ast.Stmt
 	for i, cs := range clauses {
 		entry := b.newBlock()
@@ -289,7 +261,7 @@ func (b *cfgBuilder) switchClauses(clauses []ast.Stmt, head *cfgBlock, label str
 			}
 			bodies = append(bodies, c.Body)
 		case *ast.CommClause:
-			entry.isSelectComm = true
+			entry.SelectComm = true
 			if c.Comm == nil {
 				hasDefault = true
 			} else {
@@ -306,9 +278,7 @@ func (b *cfgBuilder) switchClauses(clauses []ast.Stmt, head *cfgBlock, label str
 		// for the may-analyses built on this graph.
 		b.connect(head, after)
 	}
-	b.loops = append(b.loops, loopFrame{})
 	b.breakables = append(b.breakables, loopFrame{label: label, breakTo: after})
-	b.loops = b.loops[:len(b.loops)-1]
 	for i, body := range bodies {
 		end := b.stmts(body, entries[i], "")
 		if end != nil {
@@ -331,7 +301,7 @@ func fallsThrough(body []ast.Stmt) bool {
 	return ok && br.Tok == token.FALLTHROUGH
 }
 
-func (b *cfgBuilder) findBreak(label string) *cfgBlock {
+func (b *cfgBuilder) findBreak(label string) *IRBlock {
 	// Nearest breakable (switch/select) wins for unlabeled breaks when it
 	// is inner to the nearest loop; the builder pushes breakables after
 	// loops, so scan both stacks by recency.
@@ -357,11 +327,8 @@ func (b *cfgBuilder) findBreak(label string) *cfgBlock {
 	return nil
 }
 
-func (b *cfgBuilder) findContinue(label string) *cfgBlock {
+func (b *cfgBuilder) findContinue(label string) *IRBlock {
 	for i := len(b.loops) - 1; i >= 0; i-- {
-		if b.loops[i].contTo == nil {
-			continue
-		}
 		if label == "" || b.loops[i].label == label {
 			return b.loops[i].contTo
 		}
@@ -371,7 +338,7 @@ func (b *cfgBuilder) findContinue(label string) *cfgBlock {
 
 // cond lowers a branch condition with short-circuit desugaring: every
 // atomic condition gets its own block ending in tsucc/fsucc edges.
-func (b *cfgBuilder) cond(e ast.Expr, cur, tsucc, fsucc *cfgBlock) {
+func (b *cfgBuilder) cond(e ast.Expr, cur, tsucc, fsucc *IRBlock) {
 	switch v := e.(type) {
 	case *ast.ParenExpr:
 		b.cond(v.X, cur, tsucc, fsucc)
@@ -397,8 +364,7 @@ func (b *cfgBuilder) cond(e ast.Expr, cur, tsucc, fsucc *cfgBlock) {
 	}
 	cur.nodes = append(cur.nodes, e)
 	cur.cond = e
-	cur.tsucc = tsucc
-	cur.fsucc = fsucc
+	cur.Succs = []*IRBlock{tsucc, fsucc}
 }
 
 func isPanicCall(e ast.Expr) bool {

@@ -2,8 +2,6 @@ package ssa
 
 import (
 	"fmt"
-	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -88,8 +86,6 @@ type dfAnalysis struct {
 	// fields some unit stored a tainted value into.
 	globalTaint map[string]string
 	fieldTaint  map[*types.Var]string
-	// mapRanges caches the map-range loop bodies of each declaration.
-	mapRanges map[*ast.FuncDecl][]*ast.BlockStmt
 }
 
 // checkDetFlow runs the nondeterminism-taint analysis.
@@ -100,7 +96,6 @@ func checkDetFlow(ctx *modCtx) []Finding {
 		sums:        make(map[*types.Func]*dfSummary),
 		globalTaint: make(map[string]string),
 		fieldTaint:  make(map[*types.Var]string),
-		mapRanges:   make(map[*ast.FuncDecl][]*ast.BlockStmt),
 	}
 	// Fixpoint over summaries and global/field taint, run until nothing
 	// changes: every fact only grows (a global, field or summary label is
@@ -448,41 +443,13 @@ func (a *dfAnalysis) reportSinks(f *Func, taint map[*Value]string, report func(*
 				report(f, call, fmt.Sprintf(
 					"nondeterministic value (%s) used as an event timestamp in %s — simulated time must come from the deterministic engine",
 					taint[call.Args[idx]], call.Callee.Name()))
-			case a.inMapRange(f, call.Pos):
+			case b.MapRange:
 				report(f, call, fmt.Sprintf(
 					"%s inside iteration over a map: map order is random, so the interleaving of charged time becomes irreproducible — iterate a sorted copy",
 					call.Callee.Name()))
 			}
 		}
 	}
-}
-
-// inMapRange reports whether pos lies in the body of a range over a map
-// anywhere in the declaration enclosing f (so literal units nested in
-// such a loop body count too). The map ranges of each declaration are
-// collected once.
-func (a *dfAnalysis) inMapRange(f *Func, pos token.Pos) bool {
-	decl := f.Decl.Decl
-	bodies, ok := a.mapRanges[decl]
-	if !ok {
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			if rng, ok := n.(*ast.RangeStmt); ok {
-				if t := f.Decl.Pkg.Info.TypeOf(rng.X); t != nil {
-					if _, isMap := t.Underlying().(*types.Map); isMap {
-						bodies = append(bodies, rng.Body)
-					}
-				}
-			}
-			return true
-		})
-		a.mapRanges[decl] = bodies
-	}
-	for _, b := range bodies {
-		if b.Pos() <= pos && pos < b.End() {
-			return true
-		}
-	}
-	return false
 }
 
 // simulatedStateDesc names the simulated-state location addr writes, or ""

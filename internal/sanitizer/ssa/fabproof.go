@@ -50,7 +50,6 @@ package ssa
 
 import (
 	"fmt"
-	"go/ast"
 	"go/constant"
 	"go/token"
 	"go/types"
@@ -1147,33 +1146,14 @@ func (fa *fabAnalysis) checkInvalWF(fb *fabric, c *fabCounts) {
 }
 
 func (fa *fabAnalysis) checkElemComposite(fb *fabric, f *Func, v *Value) {
-	cl, ok := v.Expr.(*ast.CompositeLit)
-	if !ok {
-		return
-	}
 	elt := func(field *types.Var) *Value {
 		if field == nil {
 			return nil
 		}
-		st, _ := fb.elem.Underlying().(*types.Struct)
-		for i, el := range cl.Elts {
-			if i >= len(v.Args) {
-				break
-			}
-			if kv, isKV := el.(*ast.KeyValueExpr); isKV {
-				if id, isID := kv.Key.(*ast.Ident); isID && id.Name == field.Name() {
-					return v.Args[i]
-				}
-				continue
-			}
-			if st != nil && i < st.NumFields() && st.Field(i) == field {
-				return v.Args[i]
-			}
-		}
-		return nil
+		return v.field(field.Name())
 	}
 	if fv := elt(fb.elemFull); fv != nil {
-		if cb, ok := constInt(f, chase(fv)); ok && cb != 0 {
+		if cb, ok := constInt(chase(fv)); ok && cb != 0 {
 			return // a full entry's range and generations are vacuous
 		}
 	}
@@ -1186,14 +1166,14 @@ func (fa *fabAnalysis) checkElemComposite(fb *fabric, f *Func, v *Value) {
 	case lo == nil:
 		// zero GenLo is ≤ any unsigned GenHi
 	case hi == nil:
-		if cv, ok := constInt(f, chase(lo)); !ok || cv != 0 {
+		if cv, ok := constInt(chase(lo)); !ok || cv != 0 {
 			bad()
 		}
 	case samePlace(lo, hi):
 		// identical generation expressions: a single-generation run
 	default:
-		cl, okl := constInt(f, chase(lo))
-		ch, okh := constInt(f, chase(hi))
+		cl, okl := constInt(chase(lo))
+		ch, okh := constInt(chase(hi))
 		if !okl || !okh || cl > ch {
 			bad()
 		}

@@ -423,9 +423,9 @@ func (a *oblAnalysis) applyCondRelease(cond *Value, tState, fState oblState) {
 	if cond.Kind == VOp && (cond.Op == token.NEQ || cond.Op == token.EQL) && len(cond.Args) == 2 {
 		var errV *Value
 		switch {
-		case isNilConst(a.f, cond.Args[1]):
+		case isNilConst(cond.Args[1]):
 			errV = cond.Args[0]
-		case isNilConst(a.f, cond.Args[0]):
+		case isNilConst(cond.Args[0]):
 			errV = cond.Args[1]
 		}
 		if errV == nil {

@@ -186,11 +186,8 @@ func (ia *ipiAnalysis) seedPrimitives() {
 			case "DegradeToFull":
 				ia.summaries[fn] = ipiSummary{0: effDegrade}
 			}
-		case isNamed(recv, modPath+"/internal/kernel", "CPU"):
-			switch fn.Name() {
-			case "WaitRequests", "WaitFirstRequest":
-				ia.summaries[fn] = ipiSummary{1: effWait}
-			}
+		case isNamed(recv, modPath+"/internal/kernel", "CPU") && fn.Name() == "WaitRequests":
+			ia.summaries[fn] = ipiSummary{1: effWait}
 		}
 	}
 }

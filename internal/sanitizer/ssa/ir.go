@@ -1,17 +1,22 @@
 package ssa
 
 import (
+	"cmp"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"maps"
+	"slices"
 )
 
-// This file lowers the per-function CFG into a def-use SSA form. The IR is
-// built with the marker-free variant of Braun et al.'s simple-and-efficient
-// SSA construction: variables are read on demand, phi nodes appear only at
-// joins that actually merge distinct definitions, and loop headers are
-// sealed once every back edge has been filled.
+// This file lowers the per-function CFG (cfg.go builds its IRBlocks) into
+// a def-use SSA form. The IR is built with the marker-free variant of
+// Braun et al.'s simple-and-efficient SSA construction: variables are read
+// on demand, and loop headers are sealed once every back edge has been
+// filled. Once every block is sealed, each phi that merges only one value
+// is replaced by that value, so the phis left are the minimal ones: they
+// stand at joins that actually merge distinct definitions.
 //
 // Design choices the analyzers rely on:
 //
@@ -29,6 +34,11 @@ import (
 //     params ("p:0"), receivers ("r"), globals ("g:pkg.name") and field
 //     chains off those ("r.queue") — giving interprocedural summaries a
 //     common vocabulary without a points-to analysis.
+//   - What type info and syntax know about an expression is recorded once,
+//     here: a value's constant (Const), the fields a struct literal sets
+//     (Fields), the function a function or method value names (Func), and
+//     whether a block lies in a map-range body (IRBlock.MapRange). The
+//     analyzers read these instead of re-reading the syntax.
 
 // ValueKind discriminates Value.
 type ValueKind uint8
@@ -86,6 +96,15 @@ type Value struct {
 	Callee  *types.Func
 	Builtin string
 	ResIdx  int
+	// Const is the value type info gives a literal, a named constant or a
+	// constant-valued operator or call; nil for the nil constant and for
+	// every value that is not constant.
+	Const constant.Value
+	// Fields, on a struct VComposite, is the field each element sets,
+	// keyed or positional, aligned with Args.
+	Fields []*types.Var
+	// Func is the function a function or method value names.
+	Func *types.Func
 	// Deferred marks a VCall that a defer statement postpones to the
 	// unit's exit: it stays in its block's Calls but runs from Func.Defers.
 	Deferred bool
@@ -108,6 +127,17 @@ type Value struct {
 	Block *IRBlock
 	// Unit is the lowered body of a VClosure.
 	Unit *Func
+}
+
+// field returns the element a struct literal sets for the named field, or
+// nil when the literal leaves the field out.
+func (v *Value) field(name string) *Value {
+	for i, fld := range v.Fields {
+		if fld != nil && fld.Name() == name {
+			return v.Args[i]
+		}
+	}
+	return nil
 }
 
 // InstrKind discriminates Instr.
@@ -137,10 +167,10 @@ type Instr struct {
 	Pos     token.Pos
 }
 
-// IRBlock parallels one cfgBlock.
+// IRBlock is one straight-line run of the unit: Index is its creation
+// order, and a block ending in a condition has Succs {true, false}.
 type IRBlock struct {
 	Index int
-	cfg   *cfgBlock
 	Preds []*IRBlock
 	Succs []*IRBlock
 	// Phis are the join values defined at this block head.
@@ -149,16 +179,27 @@ type IRBlock struct {
 	Instrs []*Instr
 	// CondV is the value of the atomic branch condition ending the block.
 	CondV *Value
-	// SelectComm marks select communication-clause entries (see cfg).
+	// SelectComm marks the entry of a select communication clause: which
+	// arm runs is scheduling-dependent, so values bound there are
+	// nondeterminism sources for the detflow taint analysis.
 	SelectComm bool
-	// LoopHead mirrors cfgBlock.isLoopHead.
+	// LoopHead marks blocks that re-evaluate a for/range header, so
+	// analyses can tell values that cross iterations.
 	LoopHead bool
+	// MapRange marks a block in the body of a range over a map, or in a
+	// func literal written there.
+	MapRange bool
 	// Range, on a range-loop head, is the ranged operand; the head rebinds
 	// the loop's VRangeKey/VRangeVal (Base Range) on every iteration.
 	Range *Value
 	// Calls lists the block's VCall values in evaluation order, so
 	// path-sensitive analyses replay call effects without re-walking AST.
 	Calls []*Value
+
+	// nodes are the block's AST nodes in evaluation order; cond, when
+	// set, is the atomic branch condition ending the block.
+	nodes []ast.Node
+	cond  ast.Expr
 }
 
 // Func is the SSA form of one function body (declaration or literal).
@@ -178,14 +219,12 @@ type Func struct {
 	// Lits lists the literal units nested directly in this body.
 	Lits []*Func
 
-	info       *types.Info
-	values     []*Value
-	defs       map[*types.Var]map[*IRBlock]*Value
-	incomplete map[*IRBlock]map[*types.Var]*Value
-	sealed     map[*IRBlock]bool
-	filled     map[*IRBlock]bool
-	params     map[*types.Var]*Value
-	byBlock    map[*cfgBlock]*IRBlock
+	info   *types.Info
+	values []*Value
+	defs   map[*types.Var]map[*IRBlock]*Value
+	sealed map[*IRBlock]bool
+	filled map[*IRBlock]bool
+	params map[*types.Var]*Value
 }
 
 // Name labels the unit for reports.
@@ -199,38 +238,21 @@ func (f *Func) Name() string {
 // buildFunc lowers one declared function body.
 func buildFunc(fd FuncDecl) *Func {
 	sig, _ := fd.Obj.Type().(*types.Signature)
-	return lowerBody(fd, nil, sig, fd.Decl.Body)
+	return lowerBody(fd, nil, sig, fd.Decl.Body, false)
 }
 
 // lowerBody builds the CFG and SSA form for body; lit is non-nil for
-// literal units.
-func lowerBody(fd FuncDecl, lit *ast.FuncLit, sig *types.Signature, body *ast.BlockStmt) *Func {
+// literal units, and mapRange marks one written in a map-range body.
+func lowerBody(fd FuncDecl, lit *ast.FuncLit, sig *types.Signature, body *ast.BlockStmt, mapRange bool) *Func {
 	f := &Func{
 		Decl: fd, Lit: lit, Sig: sig,
-		info:       fd.Pkg.Info,
-		defs:       make(map[*types.Var]map[*IRBlock]*Value),
-		incomplete: make(map[*IRBlock]map[*types.Var]*Value),
-		sealed:     make(map[*IRBlock]bool),
-		filled:     make(map[*IRBlock]bool),
-		params:     make(map[*types.Var]*Value),
-		byBlock:    make(map[*cfgBlock]*IRBlock),
+		info:   fd.Pkg.Info,
+		defs:   make(map[*types.Var]map[*IRBlock]*Value),
+		sealed: make(map[*IRBlock]bool),
+		filled: make(map[*IRBlock]bool),
+		params: make(map[*types.Var]*Value),
 	}
-	g := buildCFG(body)
-	for i, cb := range g.blocks {
-		b := &IRBlock{Index: i, cfg: cb, SelectComm: cb.isSelectComm, LoopHead: cb.isLoopHead}
-		f.Blocks = append(f.Blocks, b)
-		f.byBlock[cb] = b
-	}
-	for _, b := range f.Blocks {
-		for _, s := range b.cfg.successors() {
-			sb := f.byBlock[s]
-			b.Succs = append(b.Succs, sb)
-			sb.Preds = append(sb.Preds, b)
-		}
-	}
-	f.Entry = f.byBlock[g.entry]
-	f.Exit = f.byBlock[g.exit]
-	f.PanicExit = f.byBlock[g.panicExit]
+	buildCFG(f, body, mapRange)
 
 	// Bind the receiver and parameters in the entry block.
 	if sig != nil {
@@ -267,24 +289,9 @@ func lowerBody(fd FuncDecl, lit *ast.FuncLit, sig *types.Signature, body *ast.Bl
 			f.seal(b)
 		}
 	}
-	for _, d := range g.defers {
-		if v := f.deferValue(d); v != nil {
-			f.Defers = append(f.Defers, v)
-		}
-	}
+	f.removeTrivialPhis()
+	slices.SortFunc(f.Defers, func(a, b *Value) int { return cmp.Compare(a.Pos, b.Pos) })
 	return f
-}
-
-// deferValue finds the lowered call value of a defer statement.
-func (f *Func) deferValue(d *ast.DeferStmt) *Value {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Kind == IDefer && in.Pos == d.Pos() {
-				return in.Val
-			}
-		}
-	}
-	return nil
 }
 
 // rpo returns the reachable blocks in reverse postorder from entry.
@@ -379,11 +386,12 @@ func (f *Func) trySeal(b *IRBlock) {
 	f.seal(b)
 }
 
+// seal gives the phis of b, all read before b was sealed, their operands
+// in the order they were made, so value IDs do not depend on map order.
 func (f *Func) seal(b *IRBlock) {
-	for v, phi := range f.incomplete[b] {
-		f.addPhiOperands(v, phi)
+	for _, phi := range b.Phis {
+		f.addPhiOperands(phi.Obj, phi)
 	}
-	delete(f.incomplete, b)
 	f.sealed[b] = true
 }
 
@@ -422,26 +430,18 @@ func (f *Func) readVar(v *types.Var, b *IRBlock) *Value {
 	}
 	var val *Value
 	switch {
-	case !f.sealed[b]:
-		phi := f.newValue(VPhi, v.Type(), v.Pos())
-		phi.Obj, phi.Block = v, b
-		b.Phis = append(b.Phis, phi)
-		if f.incomplete[b] == nil {
-			f.incomplete[b] = make(map[*types.Var]*Value)
-		}
-		f.incomplete[b][v] = phi
-		val = phi
-	case len(b.Preds) == 1:
+	case f.sealed[b] && len(b.Preds) == 1:
 		val = f.readVar(v, b.Preds[0])
-	case len(b.Preds) == 0:
+	case f.sealed[b] && len(b.Preds) == 0:
 		val = f.initialValue(v)
 	default:
-		phi := f.newValue(VPhi, v.Type(), v.Pos())
-		phi.Obj, phi.Block = v, b
-		b.Phis = append(b.Phis, phi)
-		f.writeVar(v, b, phi) // break read cycles through loops
-		f.addPhiOperands(v, phi)
-		val = triviallyResolved(phi)
+		val = f.newValue(VPhi, v.Type(), v.Pos())
+		val.Obj, val.Block = v, b
+		b.Phis = append(b.Phis, val)
+		f.writeVar(v, b, val) // break read cycles through loops
+		if f.sealed[b] {
+			f.addPhiOperands(v, val)
+		}
 	}
 	f.writeVar(v, b, val)
 	return val
@@ -453,23 +453,76 @@ func (f *Func) addPhiOperands(v *types.Var, phi *Value) {
 	}
 }
 
-// triviallyResolved collapses a phi whose operands all agree (or refer to
-// the phi itself) into the single merged value.
-func triviallyResolved(phi *Value) *Value {
-	var same *Value
-	for _, a := range phi.Args {
-		if a == phi || a == same {
-			continue
+// removeTrivialPhis replaces every phi that merges only one value by that
+// value, until none is left: wherever it is an operand, a condition, a
+// ranged operand or a variable's definition. The phi then leaves Phis and
+// Values; every other value keeps its ID. A phi merges one value when its
+// operands are itself, that value, or undefined: a phi reachable only
+// from a block without predecessors merges none and stays, in dead code.
+// On the reducible graphs of Go code without goto, what remains is
+// minimal.
+func (f *Func) removeTrivialPhis() {
+	repl := make(map[*Value]*Value)
+	undef := make(map[*Value]bool)
+	sub := func(v *Value) *Value {
+		for v != nil && repl[v] != nil {
+			v = repl[v]
 		}
-		if same != nil {
-			return phi
+		return v
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, b := range f.Blocks {
+		next:
+			for _, phi := range b.Phis {
+				if repl[phi] != nil || undef[phi] {
+					continue
+				}
+				var same *Value
+				for _, a := range phi.Args {
+					if a = sub(a); a == phi || a == same || undef[a] {
+						continue
+					}
+					if same != nil {
+						continue next // merges two values
+					}
+					same = a
+				}
+				if same == nil {
+					undef[phi] = true
+				} else {
+					repl[phi] = same
+				}
+				changed = true
+			}
 		}
-		same = a
 	}
-	if same == nil {
-		return phi
+	if len(repl) == 0 {
+		return
 	}
-	return same
+	gone := func(v *Value) bool { return repl[v] != nil }
+	f.values = slices.DeleteFunc(f.values, gone)
+	for _, v := range f.values {
+		for i, a := range v.Args {
+			v.Args[i] = sub(a)
+		}
+		v.Base = sub(v.Base)
+	}
+	for _, b := range f.Blocks {
+		b.Phis = slices.DeleteFunc(b.Phis, gone)
+		for _, in := range b.Instrs {
+			in.Val, in.Addr = sub(in.Val), sub(in.Addr)
+			for i, r := range in.Results {
+				in.Results[i] = sub(r)
+			}
+		}
+		b.CondV, b.Range = sub(b.CondV), sub(b.Range)
+	}
+	for _, byBlock := range f.defs {
+		for b, v := range byBlock {
+			byBlock[b] = sub(v)
+		}
+	}
 }
 
 // initialValue models a variable read that reaches the unit's entry with
@@ -498,11 +551,11 @@ func (f *Func) fill(b *IRBlock) {
 		return
 	}
 	f.filled[b] = true
-	for _, n := range b.cfg.nodes {
+	for _, n := range b.nodes {
 		f.lowerNode(b, n)
 	}
-	if b.cfg.cond != nil {
-		b.CondV = f.evalExpr(b, b.cfg.cond)
+	if b.cond != nil {
+		b.CondV = f.evalExpr(b, b.cond)
 	}
 }
 
@@ -512,7 +565,7 @@ func (f *Func) emit(b *IRBlock, in *Instr) { b.Instrs = append(b.Instrs, in) }
 func (f *Func) lowerNode(b *IRBlock, n ast.Node) {
 	switch v := n.(type) {
 	case ast.Expr:
-		if v != b.cfg.cond { // conditions are evaluated once, at block end
+		if v != b.cond { // conditions are evaluated once, at block end
 			f.evalExpr(b, v)
 		}
 	case *ast.AssignStmt:
@@ -561,6 +614,7 @@ func (f *Func) lowerNode(b *IRBlock, n ast.Node) {
 	case *ast.DeferStmt:
 		call := f.evalExpr(b, v.Call)
 		call.Deferred = true
+		f.Defers = append(f.Defers, call) // sorted into source order at the end
 		f.emit(b, &Instr{Kind: IDefer, Val: call, Pos: v.Pos()})
 	case *ast.RangeStmt:
 		x := f.evalExpr(b, v.X)
@@ -715,6 +769,28 @@ func typeOf(info *types.Info, e ast.Expr) types.Type {
 	return nil
 }
 
+// structOf returns the struct type t stands for, or *t does for an
+// elided &T in a []*T literal; nil for any other type.
+func structOf(t types.Type) *types.Struct {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if t == nil {
+		return nil
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
+}
+
+// exprValue makes the value e defines, with e's type and, when type info
+// folds e to a constant, its constant.
+func (f *Func) exprValue(k ValueKind, e ast.Expr) *Value {
+	tv := f.info.Types[e]
+	v := f.newValue(k, tv.Type, e.Pos())
+	v.Expr, v.Const = e, tv.Value
+	return v
+}
+
 // evalExpr lowers an expression to its Value at the current point of b.
 func (f *Func) evalExpr(b *IRBlock, e ast.Expr) *Value {
 	switch v := e.(type) {
@@ -723,9 +799,7 @@ func (f *Func) evalExpr(b *IRBlock, e ast.Expr) *Value {
 	case *ast.Ident:
 		return f.evalIdent(b, v)
 	case *ast.BasicLit:
-		c := f.newValue(VConst, typeOf(f.info, v), v.Pos())
-		c.Expr = v
-		return c
+		return f.exprValue(VConst, v)
 	case *ast.CallExpr:
 		return f.evalCall(b, v)
 	case *ast.SelectorExpr:
@@ -733,23 +807,23 @@ func (f *Func) evalExpr(b *IRBlock, e ast.Expr) *Value {
 	case *ast.IndexExpr:
 		base := f.evalExpr(b, v.X)
 		idx := f.evalExpr(b, v.Index)
-		r := f.newValue(VIndexRead, typeOf(f.info, v), v.Pos())
-		r.Expr, r.Base, r.Args = v, base, []*Value{idx}
+		r := f.exprValue(VIndexRead, v)
+		r.Base, r.Args = base, []*Value{idx}
 		return r
 	case *ast.StarExpr:
 		base := f.evalExpr(b, v.X)
-		r := f.newValue(VDeref, typeOf(f.info, v), v.Pos())
-		r.Expr, r.Base = v, base
+		r := f.exprValue(VDeref, v)
+		r.Base = base
 		return r
 	case *ast.UnaryExpr:
 		base := f.evalExpr(b, v.X)
 		if v.Op == token.AND {
-			r := f.newValue(VAddr, typeOf(f.info, v), v.Pos())
-			r.Expr, r.Base = v, base
+			r := f.exprValue(VAddr, v)
+			r.Base = base
 			return r
 		}
-		r := f.newValue(VOp, typeOf(f.info, v), v.Pos())
-		r.Expr, r.Op, r.Args = v, v.Op, []*Value{base}
+		r := f.exprValue(VOp, v)
+		r.Op, r.Args = v.Op, []*Value{base}
 		if v.Op == token.ARROW && b.SelectComm {
 			// Receives chosen by a select arm are order-dependent.
 			r.Block = b
@@ -758,28 +832,34 @@ func (f *Func) evalExpr(b *IRBlock, e ast.Expr) *Value {
 	case *ast.BinaryExpr:
 		x := f.evalExpr(b, v.X)
 		y := f.evalExpr(b, v.Y)
-		r := f.newValue(VOp, typeOf(f.info, v), v.Pos())
-		r.Expr, r.Op, r.Args = v, v.Op, []*Value{x, y}
+		r := f.exprValue(VOp, v)
+		r.Op, r.Args = v.Op, []*Value{x, y}
 		return r
 	case *ast.CompositeLit:
-		r := f.newValue(VComposite, typeOf(f.info, v), v.Pos())
-		r.Expr = v
-		for _, el := range v.Elts {
+		r := f.exprValue(VComposite, v)
+		st := structOf(r.Type)
+		for i, el := range v.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				if st != nil {
+					fld, _ := f.info.ObjectOf(kv.Key.(*ast.Ident)).(*types.Var)
+					r.Fields = append(r.Fields, fld)
+				}
 				el = kv.Value
+			} else if st != nil {
+				r.Fields = append(r.Fields, st.Field(i))
 			}
 			r.Args = append(r.Args, f.evalExpr(b, el))
 		}
 		return r
 	case *ast.TypeAssertExpr:
 		base := f.evalExpr(b, v.X)
-		r := f.newValue(VOp, typeOf(f.info, v), v.Pos())
-		r.Expr, r.Args = v, []*Value{base}
+		r := f.exprValue(VOp, v)
+		r.Args = []*Value{base}
 		return r
 	case *ast.SliceExpr:
 		base := f.evalExpr(b, v.X)
-		r := f.newValue(VOp, typeOf(f.info, v), v.Pos())
-		r.Expr, r.Args = v, []*Value{base}
+		r := f.exprValue(VOp, v)
+		r.Args = []*Value{base}
 		for _, bound := range []ast.Expr{v.Low, v.High, v.Max} {
 			if bound != nil {
 				r.Args = append(r.Args, f.evalExpr(b, bound))
@@ -787,17 +867,14 @@ func (f *Func) evalExpr(b *IRBlock, e ast.Expr) *Value {
 		}
 		return r
 	case *ast.FuncLit:
-		r := f.newValue(VClosure, typeOf(f.info, v), v.Pos())
-		r.Expr = v
-		sig, _ := typeOf(f.info, v).(*types.Signature)
-		unit := lowerBody(f.Decl, v, sig, v.Body)
+		r := f.exprValue(VClosure, v)
+		sig, _ := r.Type.(*types.Signature)
+		unit := lowerBody(f.Decl, v, sig, v.Body, b.MapRange)
 		r.Unit = unit
 		f.Lits = append(f.Lits, unit)
 		return r
 	default:
-		r := f.newValue(VUnknown, typeOf(f.info, e), e.Pos())
-		r.Expr = e
-		return r
+		return f.exprValue(VUnknown, e)
 	}
 }
 
@@ -817,16 +894,14 @@ func (f *Func) evalIdent(b *IRBlock, id *ast.Ident) *Value {
 		fv.Obj, fv.Expr = o, id
 		return fv
 	case *types.Const:
-		c := f.newValue(VConst, o.Type(), id.Pos())
-		c.Expr = id
+		c := f.exprValue(VConst, id)
+		c.Type = o.Type()
 		return c
 	case *types.Nil:
-		c := f.newValue(VConst, typeOf(f.info, id), id.Pos())
-		c.Expr = id
-		return c
+		return f.exprValue(VConst, id)
 	default:
-		r := f.newValue(VUnknown, typeOf(f.info, id), id.Pos())
-		r.Expr = id
+		r := f.exprValue(VUnknown, id)
+		r.Func, _ = o.(*types.Func)
 		return r
 	}
 }
@@ -841,25 +916,26 @@ func (f *Func) evalSelector(b *IRBlock, sel *ast.SelectorExpr) *Value {
 				g.Obj, g.Expr = o, sel
 				return g
 			case *types.Const:
-				c := f.newValue(VConst, o.Type(), sel.Pos())
-				c.Expr = sel
+				c := f.exprValue(VConst, sel)
+				c.Type = o.Type()
 				return c
 			default:
-				r := f.newValue(VUnknown, typeOf(f.info, sel), sel.Pos())
-				r.Expr = sel
+				r := f.exprValue(VUnknown, sel)
+				r.Func, _ = o.(*types.Func)
 				return r
 			}
 		}
 	}
 	base := f.evalExpr(b, sel.X)
 	if fieldVar, ok := f.info.ObjectOf(sel.Sel).(*types.Var); ok {
-		r := f.newValue(VFieldRead, typeOf(f.info, sel), sel.Pos())
-		r.Expr, r.Base, r.Obj = sel, base, fieldVar
+		r := f.exprValue(VFieldRead, sel)
+		r.Base, r.Obj = base, fieldVar
 		return r
 	}
 	// Method value or embedded method selection.
-	r := f.newValue(VOp, typeOf(f.info, sel), sel.Pos())
-	r.Expr, r.Base = sel, base
+	r := f.exprValue(VOp, sel)
+	r.Base = base
+	r.Func, _ = f.info.ObjectOf(sel.Sel).(*types.Func)
 	return r
 }
 
@@ -868,8 +944,8 @@ func (f *Func) evalCall(b *IRBlock, call *ast.CallExpr) *Value {
 	if len(call.Args) == 1 && f.info.Types[call.Fun].IsType() {
 		return f.evalExpr(b, call.Args[0])
 	}
-	r := f.newValue(VCall, typeOf(f.info, call), call.Pos())
-	r.Expr, r.Call = call, call
+	r := f.exprValue(VCall, call)
+	r.Call = call
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if bi, ok := f.info.ObjectOf(id).(*types.Builtin); ok {
 			r.Builtin = bi.Name()

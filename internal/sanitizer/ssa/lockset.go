@@ -2,7 +2,6 @@ package ssa
 
 import (
 	"fmt"
-	"go/ast"
 	"go/constant"
 	"go/token"
 	"go/types"
@@ -121,7 +120,7 @@ func (la *locksetAnalysis) collectSites(f *Func) {
 			if !ok || len(call.Args) < 1 {
 				continue
 			}
-			e, ok := la.resolveEntry(f, call.Args[0])
+			e, ok := la.resolveEntry(call.Args[0])
 			if !ok {
 				la.problem("", f, call.Pos,
 					"shared-state access not in the race registry: the variable passed to Detector.%s does not resolve to any internal/race.Registry entry, so no discipline can be proven for it", flavor)
@@ -151,7 +150,7 @@ func detectorHook(fn *types.Func) (string, bool) {
 // resolveEntry maps a detector-call name argument back to its registry
 // entry via the two site idioms: a stored name field, or a Sprintf over
 // the pattern literal.
-func (la *locksetAnalysis) resolveEntry(f *Func, arg *Value) (race.Field, bool) {
+func (la *locksetAnalysis) resolveEntry(arg *Value) (race.Field, bool) {
 	v := chase(arg)
 	if v == nil {
 		return race.Field{}, false
@@ -171,29 +170,25 @@ func (la *locksetAnalysis) resolveEntry(f *Func, arg *Value) (race.Field, bool) 
 			break
 		}
 		if v.Callee.Pkg() != nil && v.Callee.Pkg().Path() == "fmt" && v.Callee.Name() == "Sprintf" && len(v.Args) >= 1 {
-			if s, ok := la.constString(f, v.Args[0]); ok {
+			if s, ok := constString(v.Args[0]); ok {
 				return race.LookupVar(s)
 			}
 		}
 	case VConst:
-		if s, ok := la.constString(f, v); ok {
+		if s, ok := constString(v); ok {
 			return race.LookupVar(s)
 		}
 	}
 	return race.Field{}, false
 }
 
-// constString extracts the constant string value of v, if any.
-func (la *locksetAnalysis) constString(f *Func, v *Value) (string, bool) {
+// constString returns v's string constant, if it has one.
+func constString(v *Value) (string, bool) {
 	v = chase(v)
-	if v == nil || v.Kind != VConst || v.Expr == nil {
+	if v == nil || v.Kind != VConst || v.Const == nil || v.Const.Kind() != constant.String {
 		return "", false
 	}
-	tv, ok := f.info.Types[v.Expr]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
+	return constant.StringVal(v.Const), true
 }
 
 // checkEntry proves one registry entry's declared discipline.
@@ -313,14 +308,14 @@ func (la *locksetAnalysis) checkEarlyAcks(e race.Field, readUnits map[*Func]bool
 				if call.Callee == nil || !isCallMany(call.Callee) || len(call.Args) < 6 {
 					continue
 				}
-				h := la.mhp.unitOfFuncValue(f, call.Args[3])
+				h := la.mhp.unitOfFuncValue(call.Args[3])
 				if h == nil || !la.reaches(h, readUnits) {
 					continue
 				}
-				if la.payloadGuardFree(f, call.Args[4], e) {
+				if payloadGuardFree(call.Args[4], e) {
 					continue // the payload provably never sets the guard
 				}
-				for _, pos := range la.ackViolations(f, call.Args[5], e, nil) {
+				for _, pos := range la.ackViolations(call.Args[5], e, nil) {
 					if comparesSeed(f, seed) {
 						file, line := la.ctx.posLine(f.Decl, pos)
 						key := fmt.Sprintf("%s:%d:%s", file, line, e.Key)
@@ -364,54 +359,27 @@ func (la *locksetAnalysis) reaches(h *Func, targets map[*Func]bool) bool {
 }
 
 // payloadGuardFree reports whether the kick's payload provably has the
-// guard field unset: a composite literal of the guard struct that never
-// mentions the guard (zero value) or sets it to literal false.
-func (la *locksetAnalysis) payloadGuardFree(f *Func, payload *Value, e race.Field) bool {
+// guard field unset: a composite literal of the guard struct that leaves
+// the guard out (zero value) or sets it to the constant false.
+func payloadGuardFree(payload *Value, e race.Field) bool {
 	v := chase(payload)
 	if v == nil || v.Kind != VComposite || !isNamed(v.Type, modPath+"/"+e.Owner, e.GuardStruct) {
 		return false
 	}
-	cl, ok := v.Expr.(*ast.CompositeLit)
-	if !ok {
-		return false
-	}
-	for i, el := range cl.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			return false // positional literal: assume the guard may be set
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok || key.Name != e.Guard {
-			continue
-		}
-		if i < len(v.Args) {
-			if c := chase(v.Args[i]); c != nil && c.Kind == VConst {
-				if s, ok := la.constBool(f, c); ok && !s {
-					continue
-				}
-			}
-		}
-		return false
-	}
-	return true
+	g := v.field(e.Guard)
+	return g == nil || isFalse(chase(g))
 }
 
-func (la *locksetAnalysis) constBool(f *Func, v *Value) (bool, bool) {
-	if v.Expr == nil {
-		return false, false
-	}
-	tv, ok := f.info.Types[v.Expr]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Bool {
-		return false, false
-	}
-	return constant.BoolVal(tv.Value), true
+// isFalse reports whether v is the constant false.
+func isFalse(v *Value) bool {
+	return v != nil && v.Kind == VConst && v.Const != nil && v.Const.Kind() == constant.Bool && !constant.BoolVal(v.Const)
 }
 
 // ackViolations returns the positions where the early-ack flag may be
 // true without the guard negation dominating it. Safe shapes: literal
 // false, `x && !payload.Guard` (either operand the negation), or the
 // negation alone. Everything else on some phi path is a violation.
-func (la *locksetAnalysis) ackViolations(f *Func, ack *Value, e race.Field, visiting map[*Value]bool) []token.Pos {
+func (la *locksetAnalysis) ackViolations(ack *Value, e race.Field, visiting map[*Value]bool) []token.Pos {
 	v := chase(ack)
 	if v == nil {
 		return nil
@@ -421,7 +389,7 @@ func (la *locksetAnalysis) ackViolations(f *Func, ack *Value, e race.Field, visi
 	}
 	switch v.Kind {
 	case VConst:
-		if b, ok := la.constBool(f, v); ok && !b {
+		if isFalse(v) {
 			return nil
 		}
 		return []token.Pos{v.Pos}
@@ -432,23 +400,13 @@ func (la *locksetAnalysis) ackViolations(f *Func, ack *Value, e race.Field, visi
 		visiting[v] = true
 		var out []token.Pos
 		for _, a := range v.Args {
-			out = append(out, la.ackViolations(f, a, e, visiting)...)
+			out = append(out, la.ackViolations(a, e, visiting)...)
 		}
 		return out
 	case VOp:
-		switch expr := v.Expr.(type) {
-		case *ast.BinaryExpr:
-			if expr.Op == token.LAND {
-				for _, a := range v.Args {
-					if la.isGuardNegation(a, e) {
-						return nil
-					}
-				}
-			}
-		case *ast.UnaryExpr:
-			if expr.Op == token.NOT && la.isGuardNegation(v, e) {
-				return nil
-			}
+		if la.isGuardNegation(v, e) ||
+			v.Op == token.LAND && (la.isGuardNegation(v.Args[0], e) || la.isGuardNegation(v.Args[1], e)) {
+			return nil
 		}
 	}
 	return []token.Pos{v.Pos}
@@ -457,11 +415,7 @@ func (la *locksetAnalysis) ackViolations(f *Func, ack *Value, e race.Field, visi
 // isGuardNegation recognizes `!x.Guard` over the guard struct.
 func (la *locksetAnalysis) isGuardNegation(v *Value, e race.Field) bool {
 	v = chase(v)
-	if v == nil || v.Kind != VOp {
-		return false
-	}
-	expr, ok := v.Expr.(*ast.UnaryExpr)
-	if !ok || expr.Op != token.NOT || len(v.Args) != 1 {
+	if v == nil || v.Kind != VOp || v.Op != token.NOT {
 		return false
 	}
 	g := chase(v.Args[0])
@@ -494,12 +448,8 @@ func comparesSeed(f *Func, seed *types.Const) bool {
 		return false
 	}
 	isSeed := func(v *Value) bool {
-		if v.Kind != VConst {
-			return false
-		}
-		tv, ok := f.info.Types[v.Expr]
-		return ok && tv.Value != nil && types.Identical(tv.Type, seed.Type()) &&
-			constant.Compare(tv.Value, token.EQL, seed.Val())
+		return v.Kind == VConst && v.Const != nil && types.Identical(v.Type, seed.Type()) &&
+			constant.Compare(v.Const, token.EQL, seed.Val())
 	}
 	isField := func(v *Value) bool {
 		return v.Kind == VFieldRead && v.Obj != nil && types.Identical(v.Obj.Type(), seed.Type())

@@ -158,7 +158,7 @@ func blockingPrimitive(fn *types.Func) (string, bool) {
 	switch {
 	case isNamed(recv, kernelPkg, "CPU"):
 		switch fn.Name() {
-		case "WaitRequests", "WaitFirstRequest", "DownRead", "DownWrite", "KernelRun", "UserRun":
+		case "WaitRequests", "DownRead", "DownWrite", "KernelRun", "UserRun":
 			return "kernel.CPU." + fn.Name(), true
 		}
 	case isNamed(recv, kernelPkg, "Task"):
@@ -218,32 +218,14 @@ func isCPUID(t types.Type) bool {
 // unitOfFuncValue resolves a value used in function position (closure,
 // method value, or function identifier) to its unit, if it is one the
 // module declares.
-func (m *mhpInfo) unitOfFuncValue(f *Func, v *Value) *Func {
-	v = chase(v)
-	if v == nil {
+func (m *mhpInfo) unitOfFuncValue(v *Value) *Func {
+	switch v = chase(v); {
+	case v == nil:
 		return nil
-	}
-	if v.Kind == VClosure {
+	case v.Kind == VClosure:
 		return v.Unit
 	}
-	var obj types.Object
-	switch e := ast.Unparen(exprOf(v)).(type) {
-	case *ast.SelectorExpr:
-		obj = f.info.ObjectOf(e.Sel)
-	case *ast.Ident:
-		obj = f.info.ObjectOf(e)
-	}
-	if fn, ok := obj.(*types.Func); ok {
-		return m.prog.ByObj[fn]
-	}
-	return nil
-}
-
-func exprOf(v *Value) ast.Expr {
-	if v == nil {
-		return nil
-	}
-	return v.Expr
+	return m.prog.ByObj[v.Func]
 }
 
 // collectRoots scans every unit for spawn-edge registrations, assigning
@@ -263,7 +245,7 @@ func (m *mhpInfo) collectRoots() {
 		// kernel.Task composite literals: the Fn element is a task body.
 		for _, v := range f.Values() {
 			if v.Kind == VComposite && isNamed(v.Type, kernelPkg, "Task") {
-				if fn := m.taskFnOf(f, v); fn != nil {
+				if fn := m.unitOfFuncValue(v.field("Fn")); fn != nil {
 					m.ctxOf[fn] |= cxTask
 				}
 			}
@@ -276,7 +258,7 @@ func (m *mhpInfo) collectRoots() {
 				}
 				if fr := chase(in.Addr); fr != nil && fr.Kind == VFieldRead &&
 					fr.Obj != nil && fr.Obj.Name() == "Fn" && ownerIs(fr, kernelPkg, "Task") {
-					if u := m.unitOfFuncValue(f, in.Val); u != nil {
+					if u := m.unitOfFuncValue(in.Val); u != nil {
 						m.ctxOf[u] |= cxTask
 					}
 				}
@@ -288,26 +270,14 @@ func (m *mhpInfo) collectRoots() {
 	// demotes its receiver's self fact.
 	m.prog.eachUnit(func(f *Func) {
 		for _, v := range f.Values() {
-			if v.Kind != VOp || blessed[v] {
+			if v.Kind != VOp || v.Func == nil || blessed[v] {
 				continue
 			}
-			sel, ok := exprOf(v).(*ast.SelectorExpr)
-			if !ok {
-				continue
-			}
-			s, ok := f.info.Selections[sel]
-			if !ok || s.Kind() != types.MethodVal {
-				continue
-			}
-			fn, _ := s.Obj().(*types.Func)
-			if fn == nil {
-				continue
-			}
-			sig, _ := fn.Type().(*types.Signature)
+			sig, _ := v.Func.Type().(*types.Signature)
 			if sig == nil || sig.Recv() == nil || !isCPUPtr(sig.Recv().Type()) {
 				continue
 			}
-			if u := m.prog.ByObj[fn]; u != nil {
+			if u := m.prog.ByObj[v.Func]; u != nil {
 				m.selfRecv[u] = false
 			}
 		}
@@ -328,7 +298,7 @@ func (m *mhpInfo) rootsFromCall(f *Func, call *Value, blessed map[*Value]bool) {
 	switch {
 	case recv != nil && isNamed(recv, simPkg, "Engine") && fn.Name() == "Go" && len(call.Args) >= 2:
 		arg := chase(call.Args[1])
-		if u := m.unitOfFuncValue(f, arg); u != nil {
+		if u := m.unitOfFuncValue(arg); u != nil {
 			m.ctxOf[u] |= cxProc
 			// Witness 1: a CPU method registered as a proc body runs on
 			// its own CPU's execution context.
@@ -337,7 +307,7 @@ func (m *mhpInfo) rootsFromCall(f *Func, call *Value, blessed map[*Value]bool) {
 			}
 		}
 	case isCallMany(fn) && len(call.Args) >= 6:
-		if u := m.unitOfFuncValue(f, call.Args[3]); u != nil {
+		if u := m.unitOfFuncValue(call.Args[3]); u != nil {
 			m.ctxOf[u] |= cxIRQ
 			m.handlerRoots[u] = true
 			// Witness 2: the handler's mach.CPU parameter is the
@@ -352,54 +322,35 @@ func (m *mhpInfo) rootsFromCall(f *Func, call *Value, blessed map[*Value]bool) {
 		}
 	case recv != nil && isNamed(recv, kernelPkg, "CPU") &&
 		(fn.Name() == "QueueLazyWork" || fn.Name() == "QueueBatchedFlush") && len(call.Args) >= 1:
-		u := m.unitOfFuncValue(f, call.Args[0])
+		u := m.unitOfFuncValue(call.Args[0])
 		if u == nil {
 			return
 		}
 		m.ctxOf[u] |= cxDeferred
 		// Witness 4: the deferred closure is drained by the receiver
 		// CPU's own kernel entry, so the captured receiver is self
-		// inside the closure.
-		if ce, ok := exprOf(call).(*ast.CallExpr); ok {
-			if sel, ok := ast.Unparen(ce.Fun).(*ast.SelectorExpr); ok {
-				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-					if obj, ok := f.info.ObjectOf(id).(*types.Var); ok && isCPUPtr(obj.Type()) {
-						if m.selfFree[u] == nil {
-							m.selfFree[u] = make(map[*types.Var]bool)
-						}
-						m.selfFree[u][obj] = true
+		// inside the closure. The closure captures the receiver's
+		// variable, which SSA folds away into whatever value the
+		// variable holds, so the variable is read from the call as
+		// written.
+		if sel, ok := ast.Unparen(call.Call.Fun).(*ast.SelectorExpr); ok {
+			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
+				if obj, ok := f.info.ObjectOf(id).(*types.Var); ok && isCPUPtr(obj.Type()) {
+					if m.selfFree[u] == nil {
+						m.selfFree[u] = make(map[*types.Var]bool)
 					}
+					m.selfFree[u][obj] = true
 				}
 			}
 		}
 	case fn.Pkg() != nil && fn.Pkg().Path() == schedPkg &&
 		(fn.Name() == "Collect" || fn.Name() == "Map"):
 		for _, a := range call.Args {
-			if u := m.unitOfFuncValue(f, a); u != nil {
+			if u := m.unitOfFuncValue(a); u != nil {
 				m.ctxOf[u] |= cxPool
 			}
 		}
 	}
-}
-
-// taskFnOf extracts the unit bound to a Task composite's Fn element.
-func (m *mhpInfo) taskFnOf(f *Func, comp *Value) *Func {
-	cl, ok := exprOf(comp).(*ast.CompositeLit)
-	if !ok {
-		return nil
-	}
-	for i, el := range cl.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok || key.Name != "Fn" || i >= len(comp.Args) {
-			continue
-		}
-		return m.unitOfFuncValue(f, comp.Args[i])
-	}
-	return nil
 }
 
 func ownerIs(fr *Value, pkgPath, structName string) bool {
@@ -514,24 +465,8 @@ func (m *mhpInfo) ctxLiteralsSelf() bool {
 				continue
 			}
 			found = true
-			cl, isCl := exprOf(v).(*ast.CompositeLit)
-			if !isCl {
+			if c := v.field("CPU"); c != nil && !m.isSelfCPU(f, c, nil) {
 				ok = false
-				continue
-			}
-			for i, el := range cl.Elts {
-				kv, isKV := el.(*ast.KeyValueExpr)
-				if !isKV {
-					ok = false // positional Ctx literal: not worth proving
-					continue
-				}
-				key, isID := kv.Key.(*ast.Ident)
-				if !isID || key.Name != "CPU" || i >= len(v.Args) {
-					continue
-				}
-				if !m.isSelfCPU(f, v.Args[i], nil) {
-					ok = false
-				}
 			}
 		}
 		for _, b := range f.Blocks {

@@ -22,10 +22,13 @@ const obsPkg = modPath + "/internal/obs"
 // parameters are the observed state, like a literal's. Inside a hook
 // body the analyzer flags
 //
-//   - writes (assignment, ++/--) through a hook parameter or a package-level
-//     variable; writes to captured function-locals stay legal, since
-//     accumulating results in the installing function is the sanctioned
-//     pattern (see sanitizer.Attach and experiments.RunChecked);
+//   - writes (assignment, ++/--) through a hook parameter or to a
+//     package-level variable. A write goes through the parameter when the
+//     way from it to the written place passes a pointer, slice or map: a
+//     by-value parameter's own fields are the hook's copy. Writes to
+//     captured function-locals stay legal, since accumulating results in
+//     the installing function is the sanctioned pattern (see
+//     sanitizer.Attach and experiments.RunChecked);
 //   - mutation through method calls: a call on observed state is flagged
 //     when module-wide summaries prove the method (transitively) writes
 //     through its receiver — e.g. sem.NoteContention() bumps the
@@ -86,7 +89,7 @@ func checkObserverPurity(ctx *modCtx) []Finding {
 		}
 		for _, b := range f.Blocks {
 			for _, call := range b.Calls {
-				if hook, boot := hookUnit(prog, f, call); hook != nil && !checked[hook] {
+				if hook, boot := hookUnit(prog, call); hook != nil && !checked[hook] {
 					checked[hook] = true
 					out = append(out, checkHook(ctx, prog, hook, boot, mut, rec)...)
 				}
@@ -100,7 +103,7 @@ func checkObserverPurity(ctx *modCtx) []Finding {
 // (*obs.Hook).Add, recognized by its receiver type rather than by what the
 // file happens to call the hook, or SetBootHook — and whether it is a boot
 // hook. The hook is a func literal or a method value's method.
-func hookUnit(prog *Program, f *Func, call *Value) (hook *Func, boot bool) {
+func hookUnit(prog *Program, call *Value) (hook *Func, boot bool) {
 	fn := call.Callee
 	if fn == nil || len(call.Args) != 1 {
 		return nil, false
@@ -110,17 +113,13 @@ func hookUnit(prog *Program, f *Func, call *Value) (hook *Func, boot bool) {
 	if !boot && (fn.Name() != "Add" || recv == nil || !isNamed(recv.Type(), obsPkg, "Hook")) {
 		return nil, false
 	}
-	arg := chase(call.Args[0])
-	if arg == nil {
+	switch arg := chase(call.Args[0]); {
+	case arg == nil:
 		return nil, false
-	}
-	if arg.Kind == VClosure {
+	case arg.Kind == VClosure:
 		return arg.Unit, boot
-	}
-	if sel, ok := arg.Expr.(*ast.SelectorExpr); ok {
-		if s := f.info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
-			return prog.ByObj[s.Obj().(*types.Func).Origin()], boot
-		}
+	case arg.Kind == VOp && arg.Func != nil:
+		return prog.ByObj[arg.Func.Origin()], boot
 	}
 	return nil, false
 }
@@ -166,7 +165,7 @@ func checkHook(ctx *modCtx, prog *Program, hook *Func, boot bool, mut map[*types
 					continue
 				}
 				switch root := storeRoot(in.Addr); {
-				case anyRoot(in.Addr, observed):
+				case writesThrough(in.Addr, observed):
 					report(in.Pos, fmt.Sprintf("observed state %q (write through hook parameter)", placeName(in.Addr)))
 				case root.Kind == VGlobal:
 					report(in.Pos, fmt.Sprintf("package-level variable %q", root.Obj.Name()))
@@ -301,6 +300,55 @@ func anyRoot(v *Value, pred func(*Value) bool) bool {
 		return false
 	}
 	return walk(v)
+}
+
+// writesThrough reports whether a store to place v writes state that a root
+// satisfying pred shares with others: the way from such a root to v (through
+// the operands of the phis on it) passes a pointer, slice or map — a
+// dereference, or a field or index read on a base of such a type.
+func writesThrough(v *Value, pred func(*Value) bool) bool {
+	seen := make(map[*Value]bool)
+	var walk func(v *Value) bool
+	walk = func(v *Value) bool {
+		for ; v != nil; v = v.Base {
+			switch v.Kind {
+			case VDeref:
+				return anyRoot(v.Base, pred)
+			case VFieldRead, VIndexRead:
+				if isReference(v.Base.Type) {
+					return anyRoot(v.Base, pred)
+				}
+			case VAddr:
+			case VPhi:
+				if seen[v] {
+					return false
+				}
+				seen[v] = true
+				for _, arg := range v.Args {
+					if walk(arg) {
+						return true
+					}
+				}
+				return false
+			default:
+				return false // a root reached without passing a reference
+			}
+		}
+		return false
+	}
+	return walk(v)
+}
+
+// isReference reports whether values of type t share what they refer to.
+func isReference(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map:
+		return true
+	}
+	return false
 }
 
 // placeName is the variable a written place starts from in the source

@@ -1,9 +1,12 @@
 // Package ssa is the repository's static-analysis tier: a stdlib-only
 // module loader (go/types over the GOROOT source importer), a
-// def-use/SSA-form IR lowered from per-function CFGs, and interprocedural
-// summaries computed over a fixpoint call graph. Every analyzer runs off
-// one shared typecheck and, determinism (which reads import specs) aside,
-// off one shared SSA program built from it:
+// def-use/SSA-form IR with minimal phis, lowered from per-function CFGs
+// built as the IR's own blocks, and interprocedural summaries computed
+// over a fixpoint call graph. Every analyzer runs off one shared
+// typecheck and, determinism (which reads import specs) aside, off one
+// shared SSA program built from it; the lowering records the constants,
+// struct-literal fields, function values and map-range blocks the
+// analyzers ask about, so they do not re-derive those from syntax:
 //
 //   - determinism: banned imports (time, math/rand) by import path, so
 //     aliased, dot and blank imports cannot slip through.
@@ -11,8 +14,9 @@
 //     packages — literals, named constants and constants routed through
 //     thin Delay wrappers — must come from the cost model instead.
 //   - observerpurity: hook/observer/probe literals must not mutate the
-//     state they observe or package-level variables, even through
-//     mutating method calls or local aliases.
+//     state they observe (reached through a pointer, slice or map) or
+//     package-level variables, even through mutating method calls or
+//     local aliases.
 //   - flushobligation: every value of type mm.FlushRange returned by a
 //     module call must reach a shootdown discharge (kernel.Flusher's
 //     FlushAfter, or a callee proven to discharge it) on every path or be

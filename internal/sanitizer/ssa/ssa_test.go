@@ -752,9 +752,11 @@ func TestLockOrderRoundCapReported(t *testing.T) {
 
 // TestObserverPurityRules pins the hook rules: a write through a local
 // alias of the parameter, a mutating method reached through an interface,
-// ++ on a package-level var and a write in a boot hook are findings; a
-// boot hook calling a mutating method and a hook rebinding its parameter
-// or bumping a local copy of a field are clean.
+// ++ on a package-level var, a write in a boot hook and a write to an
+// element of a by-value parameter's slice field are findings; a boot hook
+// calling a mutating method, a hook rebinding its parameter or bumping a
+// local copy of a field, and a write to a by-value parameter's own field
+// are clean.
 func TestObserverPurityRules(t *testing.T) {
 	const pure = "; observers must be purely observational"
 	assertRuleFindings(t, "rules_observerpurity.go", "observerpurity", []ruleFinding{
@@ -762,6 +764,7 @@ func TestObserverPurityRules(t *testing.T) {
 		{25, `hook mutates observed state "c" via call to mutating method bump` + pure},
 		{28, `hook mutates package-level variable "hits"` + pure},
 		{34, `hook mutates observed state "s" (write through hook parameter)` + pure},
+		{59, `hook mutates observed state "e" (write through hook parameter)` + pure},
 	})
 }
 

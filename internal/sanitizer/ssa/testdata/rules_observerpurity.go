@@ -42,3 +42,20 @@ func install(h *obs.Hook[*state], ch *obs.Hook[counter]) {
 		_ = n
 	})
 }
+
+// event reaches its hooks by value.
+type event struct {
+	at   int
+	seen []int
+}
+
+// A by-value parameter is the hook's own copy: writing its field is clean,
+// while writing an element of its slice field writes the caller's array.
+func installByValue(h *obs.Hook[event]) {
+	h.Add(func(e event) {
+		e.at = 1
+	})
+	h.Add(func(e event) {
+		e.seen[0] = 1
+	})
+}

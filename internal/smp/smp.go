@@ -294,10 +294,6 @@ func (l *Layer) cfdLine(from, to mach.CPU) *cache.Line {
 	return row[to]
 }
 
-// ClusterAcksEnabled reports whether ack stores are aggregated onto
-// per-cluster lines (wide machines only).
-func (l *Layer) ClusterAcksEnabled() bool { return l.clusterAcks }
-
 // ackLine returns the cacheline the ack traffic between from and to is
 // charged to: the request's own CFD line normally, the shared
 // per-(initiator, cluster) line under aggregation.

@@ -24,11 +24,6 @@ type CoWConfig struct {
 	Seed uint64
 }
 
-// DefaultCoWConfig returns the paper's shape.
-func DefaultCoWConfig() CoWConfig {
-	return CoWConfig{Mode: Safe, Pages: 64, Runs: 5, Seed: 1}
-}
-
 // RunCoW measures the mean cycles of a write that triggers a CoW fault.
 func RunCoW(cfg CoWConfig) stats.Summary {
 	if cfg.Pages <= 0 {

@@ -26,11 +26,6 @@ type DaemonStormConfig struct {
 	Seed   uint64
 }
 
-// DefaultDaemonStormConfig returns simulation-sized defaults.
-func DefaultDaemonStormConfig() DaemonStormConfig {
-	return DaemonStormConfig{Mode: Safe, AppThreads: 4, Rounds: 60, Seed: 1}
-}
-
 // DaemonStormResult reports the app makespan and per-daemon activity.
 type DaemonStormResult struct {
 	Makespan uint64

@@ -27,15 +27,6 @@ type FractureConfig struct {
 	FullFlush bool
 }
 
-// DefaultFractureConfig returns the simulation-scaled setup (the paper
-// runs ~100k iterations; ratios are preserved at lower counts).
-func DefaultFractureConfig() FractureConfig {
-	return FractureConfig{
-		VM: true, GuestSize: pagetable.Size4K, HostSize: pagetable.Size4K,
-		BufferBytes: 4 << 20, Iterations: 400,
-	}
-}
-
 // FractureResult reports the measured dTLB misses.
 type FractureResult struct {
 	// Misses is the total dTLB misses over all iterations (excluding the

@@ -36,15 +36,6 @@ type MicroConfig struct {
 	Seed uint64
 }
 
-// DefaultMicroConfig returns the paper's shape with simulation-sized
-// iteration counts.
-func DefaultMicroConfig() MicroConfig {
-	return MicroConfig{
-		Mode: Safe, Placement: mach.PlaceSameSocket,
-		PTEs: 1, Iterations: 50, Warmup: 5, Runs: 5, Seed: 1,
-	}
-}
-
 // MicroResult reports initiator and responder cycles, summarized over
 // runs (mean of per-iteration means; std across runs, as in the paper).
 type MicroResult struct {

@@ -44,16 +44,6 @@ func Scenarios() []Scenario {
 	}
 }
 
-// ScenarioByName returns the named scenario, ok=false when unknown.
-func ScenarioByName(name string) (Scenario, bool) {
-	for _, s := range Scenarios() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Scenario{}, false
-}
-
 // scenarioWorkers is the worker fan-out; with the driver on CPU 0 the
 // scenarios keep shootdown traffic crossing at least one socket of the
 // default topology.
