@@ -59,9 +59,11 @@ fabproof:
 checked:
 	$(GO) run ./cmd/tlbcheck -quick -v
 
-## faultcheck: the checked suite under fault injection
+## faultcheck: the checked suite under fault injection, on the sync tier
+## and on the async fabric
 faultcheck:
 	$(GO) run ./cmd/tlbcheck -quick -faults light -v
+	$(GO) run ./cmd/tlbcheck -quick -faults light -tlbmode async -v
 
 ## fuzz: randomized coherence fuzzing with the sanitizer attached
 fuzz:

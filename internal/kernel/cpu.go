@@ -25,8 +25,9 @@ type CPU struct {
 	Ctrl *apic.Controller
 
 	proc *sim.Proc
-	// wake is broadcast on IRQ arrival, task enqueue and shootdown-ack
-	// hooks; every blocking loop on this CPU waits on it.
+	// wake is broadcast on IRQ arrival, task enqueue and the ack of every
+	// request WaitRequests waits on; every blocking loop on this CPU waits
+	// on it.
 	wake *sim.Cond
 
 	runq    []*Task
@@ -408,9 +409,8 @@ func (c *CPU) WaitRequests(p *sim.Proc, reqs []*smp.Request) {
 	if len(reqs) == 0 {
 		return
 	}
-	cancels := make([]func(), 0, len(reqs))
 	for _, r := range reqs {
-		cancels = append(cancels, r.AddDoneHook(func() { c.wake.Broadcast() }))
+		r.SetWaker(c.wake)
 	}
 	// Recovery path (armed only when a fault plane is attached and not
 	// deliberately broken): bound each sleep by a timeout; on expiry with
@@ -454,9 +454,6 @@ func (c *CPU) WaitRequests(p *sim.Proc, reqs []*smp.Request) {
 	}
 	if armed {
 		c.K.SMP.NoteAckStall(uint64(p.Now() - waitStart))
-	}
-	for i := len(cancels) - 1; i >= 0; i-- {
-		cancels[i]()
 	}
 	// Observing the acks is the initiator's acquire side of the IPI edge:
 	// everything each responder did before acking happens-before here.
@@ -510,27 +507,16 @@ func (c *CPU) KernelRun(p *sim.Proc, d uint64) {
 	if c.inUser {
 		panic("kernel: KernelRun in user mode")
 	}
-	remaining := d
-	for remaining > 0 {
-		c.ServiceIRQs(p)
-		if c.Ctrl.Deliverable() {
-			continue
-		}
-		start := p.Now()
-		c.wake.WaitTimeout(p, remaining)
-		elapsed := uint64(p.Now() - start)
-		if elapsed >= remaining {
-			remaining = 0
-		} else {
-			remaining -= elapsed
-		}
-	}
-	c.ServiceIRQs(p)
+	c.runInterruptible(p, d)
 }
 
 // UserRun executes d cycles of user-mode computation, interruptible by
 // IPIs; interruption time is accounted to the task, not to d.
-func (c *CPU) UserRun(p *sim.Proc, d uint64) {
+func (c *CPU) UserRun(p *sim.Proc, d uint64) { c.runInterruptible(p, d) }
+
+// runInterruptible spends d cycles servicing every interrupt that arrives
+// meanwhile; the time an interrupt takes does not count against d.
+func (c *CPU) runInterruptible(p *sim.Proc, d uint64) {
 	remaining := d
 	for remaining > 0 {
 		c.ServiceIRQs(p)

@@ -179,8 +179,6 @@ func (ia *ipiAnalysis) seedPrimitives() {
 		switch {
 		case isNamed(recv, smpPkg, "Layer"):
 			switch fn.Name() {
-			case "WaitAll", "WaitFirst":
-				ia.summaries[fn] = ipiSummary{2: effWait}
 			case "Rekick":
 				ia.summaries[fn] = ipiSummary{2: effRekick}
 			case "DegradeToFull":

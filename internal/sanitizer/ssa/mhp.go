@@ -165,11 +165,6 @@ func blockingPrimitive(fn *types.Func) (string, bool) {
 		if fn.Name() == "Join" {
 			return "kernel.Task.Join", true
 		}
-	case isNamed(recv, smpPkg, "Layer"):
-		switch fn.Name() {
-		case "WaitAll", "WaitFirst":
-			return "smp.Layer." + fn.Name(), true
-		}
 	case isNamed(recv, simPkg, "Cond"):
 		switch fn.Name() {
 		case "Wait", "WaitTimeout":

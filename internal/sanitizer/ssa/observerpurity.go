@@ -175,7 +175,7 @@ func checkHook(ctx *modCtx, prog *Program, hook *Func, boot bool, mut map[*types
 				continue // boot hooks attach instrumentation by design
 			}
 			for _, call := range b.Calls {
-				if call.Callee != nil && call.Base != nil && isMutating(call) && anyRoot(call.Base, observed) {
+				if call.Callee != nil && call.Base != nil && isMutating(call) && callWritesThrough(call, observed) {
 					sel := ast.Unparen(call.Call.Fun).(*ast.SelectorExpr)
 					report(call.Pos, fmt.Sprintf("observed state %q via call to mutating method %s", exprHead(sel.X), call.Callee.Name()))
 				}
@@ -253,9 +253,10 @@ func buildMutatingSummaries(prog *Program) map[*types.Func]bool {
 }
 
 // methodMutates reports whether method f writes through its receiver under
-// the current fixpoint state. Rebinding the bare receiver only changes a
-// local copy: in f itself that is no store at all, and in a literal it is a
-// store to the captured variable itself, which does not count.
+// the current fixpoint state, by the rules a hook's writes are judged by: a
+// value receiver is the method's own copy, so only a write or a mutating
+// call through a pointer, slice or map it holds counts. Rebinding the bare
+// receiver, in f or in a literal, changes only a local variable.
 func methodMutates(f *Func, mut map[*types.Func]bool) bool {
 	recv := f.Sig.Recv()
 	isRecv := func(root *Value) bool {
@@ -264,18 +265,31 @@ func methodMutates(f *Func, mut map[*types.Func]bool) bool {
 	for _, u := range append([]*Func{f}, collectLits(f)...) {
 		for _, b := range u.Blocks {
 			for _, in := range b.Instrs {
-				if in.Kind == IStore && in.Addr.Kind != VFree && anyRoot(in.Addr, isRecv) {
+				if in.Kind == IStore && writesThrough(in.Addr, isRecv) {
 					return true
 				}
 			}
 			for _, call := range b.Calls {
-				if call.Callee != nil && mut[call.Callee.Origin()] && anyRoot(call.Base, isRecv) {
+				if call.Callee != nil && call.Base != nil && mut[call.Callee.Origin()] && callWritesThrough(call, isRecv) {
 					return true
 				}
 			}
 		}
 	}
 	return false
+}
+
+// callWritesThrough reports whether a call of a mutating method writes
+// state that a root satisfying pred shares. A pointer method called on an
+// addressable place writes that place, shared only when the way to it
+// passes a reference (writesThrough); any other base hands the callee the
+// references it holds, so any such root counts.
+func callWritesThrough(call *Value, pred func(*Value) bool) bool {
+	_, ptrRecv := call.Callee.Type().(*types.Signature).Recv().Type().(*types.Pointer)
+	if ptrRecv && !isReference(call.Base.Type) {
+		return writesThrough(call.Base, pred)
+	}
+	return anyRoot(call.Base, pred)
 }
 
 // anyRoot reports whether some value the place v may start from — through

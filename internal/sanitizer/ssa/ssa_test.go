@@ -752,11 +752,13 @@ func TestLockOrderRoundCapReported(t *testing.T) {
 
 // TestObserverPurityRules pins the hook rules: a write through a local
 // alias of the parameter, a mutating method reached through an interface,
-// ++ on a package-level var, a write in a boot hook and a write to an
-// element of a by-value parameter's slice field are findings; a boot hook
+// ++ on a package-level var, a write in a boot hook, a write to an element
+// of a by-value parameter's slice field and a call of a value method that
+// writes through a pointer its receiver holds are findings; a boot hook
 // calling a mutating method, a hook rebinding its parameter or bumping a
-// local copy of a field, and a write to a by-value parameter's own field
-// are clean.
+// local copy of a field, a write to a by-value parameter's own field, a
+// call of a value method that writes only its receiver copy and a pointer
+// method called on a field of a by-value parameter are clean.
 func TestObserverPurityRules(t *testing.T) {
 	const pure = "; observers must be purely observational"
 	assertRuleFindings(t, "rules_observerpurity.go", "observerpurity", []ruleFinding{
@@ -765,6 +767,7 @@ func TestObserverPurityRules(t *testing.T) {
 		{28, `hook mutates package-level variable "hits"` + pure},
 		{34, `hook mutates observed state "s" (write through hook parameter)` + pure},
 		{59, `hook mutates observed state "e" (write through hook parameter)` + pure},
+		{93, `hook mutates observed state "p" via call to mutating method set` + pure},
 	})
 }
 

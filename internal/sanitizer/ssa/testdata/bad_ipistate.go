@@ -1,16 +1,16 @@
 // Fixture: a wait on a hand-built request set. The ipistate analyzer must
 // report exactly one finding — the DFA edge new → waited skips kicked:
-// nothing was ever sent through smp.CallMany, so WaitAll blocks on acks
-// that can never arrive.
+// nothing was ever sent through smp.CallMany, so WaitRequests blocks on
+// acks that can never arrive.
 package ipifix
 
 import (
-	"shootdown/internal/mach"
+	"shootdown/internal/kernel"
 	"shootdown/internal/sim"
 	"shootdown/internal/smp"
 )
 
-func waitWithoutKick(l *smp.Layer, p *sim.Proc, from mach.CPU) {
+func waitWithoutKick(c *kernel.CPU, p *sim.Proc) {
 	var reqs []*smp.Request
-	l.WaitAll(p, from, reqs)
+	c.WaitRequests(p, reqs)
 }

@@ -21,13 +21,14 @@ import (
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
+	"shootdown/internal/kernel"
 	"shootdown/internal/mach"
 	"shootdown/internal/race"
 	"shootdown/internal/sim"
 	"shootdown/internal/smp"
 )
 
-func kickWithUnprovenAck(l *smp.Layer, d *race.Detector, p *sim.Proc, from mach.CPU,
+func kickWithUnprovenAck(l *smp.Layer, c *kernel.CPU, d *race.Detector, p *sim.Proc, from mach.CPU,
 	targets mach.CPUMask, info *core.FlushInfo, wantEarly bool) {
 	rs := l.CallMany(p, from, targets, func(hp *sim.Proc, target mach.CPU, payload any) {
 		fi := payload.(*core.FlushInfo)
@@ -35,10 +36,10 @@ func kickWithUnprovenAck(l *smp.Layer, d *race.Detector, p *sim.Proc, from mach.
 			d.ReadVar(fmt.Sprintf("mm%d.pt-nodes", fi.AS.ID))
 		}
 	}, info, wantEarly, nil)
-	l.WaitAll(p, from, rs)
+	c.WaitRequests(p, rs)
 }
 
-func kickUnderOtherMutant(l *smp.Layer, d *race.Detector, p *sim.Proc, from mach.CPU,
+func kickUnderOtherMutant(l *smp.Layer, c *kernel.CPU, d *race.Detector, p *sim.Proc, from mach.CPU,
 	targets mach.CPUMask, info *core.FlushInfo, cfg core.Config) {
 	early := cfg.EarlyAck && !info.FreedTables
 	if cfg.Mutant == fault.MutantCoalesceShrink {
@@ -50,7 +51,7 @@ func kickUnderOtherMutant(l *smp.Layer, d *race.Detector, p *sim.Proc, from mach
 			d.ReadVar(fmt.Sprintf("mm%d.pt-nodes", fi.AS.ID))
 		}
 	}, info, early, nil)
-	l.WaitAll(p, from, rs)
+	c.WaitRequests(p, rs)
 }
 
 func scratchProbe(d *race.Detector) {

@@ -20,5 +20,5 @@ func sleepyHandler(l *smp.Layer, k *kernel.Kernel, p *sim.Proc, from mach.CPU,
 		rc.DownRead(hp, sem)
 		defer sem.UpRead(hp)
 	}, payload, false, nil)
-	l.WaitAll(p, from, rs)
+	k.CPU(from).WaitRequests(p, rs)
 }

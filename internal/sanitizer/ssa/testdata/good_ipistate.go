@@ -7,24 +7,25 @@
 package ipifixok
 
 import (
+	"shootdown/internal/kernel"
 	"shootdown/internal/mach"
 	"shootdown/internal/sim"
 	"shootdown/internal/smp"
 )
 
-func kickAndWait(l *smp.Layer, p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn smp.HandlerFunc) {
+func kickAndWait(l *smp.Layer, c *kernel.CPU, p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn smp.HandlerFunc) {
 	reqs := l.CallMany(p, from, targets, fn, nil, false, nil)
-	l.WaitAll(p, from, reqs)
+	c.WaitRequests(p, reqs)
 }
 
-func recoveryLadder(l *smp.Layer, p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn smp.HandlerFunc) {
+func recoveryLadder(l *smp.Layer, c *kernel.CPU, p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn smp.HandlerFunc) {
 	reqs := l.CallMany(p, from, targets, fn, nil, false, nil)
 	// The recovery edges are legal only after the layer observed an ack
 	// timeout on this path.
 	l.NoteAckTimeout()
 	l.Rekick(p, from, reqs)
 	l.DegradeToFull(reqs)
-	l.WaitAll(p, from, reqs)
+	c.WaitRequests(p, reqs)
 }
 
 // transferOut hands freshly kicked requests to the caller: the deferred
@@ -44,7 +45,7 @@ func (q *shootdownQueue) enqueue(l *smp.Layer, p *sim.Proc, from mach.CPU, targe
 	q.pending = l.CallMany(p, from, targets, fn, nil, false, nil)
 }
 
-func (q *shootdownQueue) drain(l *smp.Layer, p *sim.Proc, from mach.CPU) {
-	l.WaitAll(p, from, q.pending)
+func (q *shootdownQueue) drain(c *kernel.CPU, p *sim.Proc) {
+	c.WaitRequests(p, q.pending)
 	q.pending = nil
 }

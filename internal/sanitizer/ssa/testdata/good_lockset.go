@@ -33,5 +33,5 @@ func kickWithGuardedAck(l *smp.Layer, k *kernel.Kernel, d *race.Detector, p *sim
 		// The servicing CPU reading its own generation: confinement holds.
 		_ = k.CPU(target).LocalGen(as)
 	}, info, earlyAck, nil)
-	l.WaitAll(p, from, rs)
+	k.CPU(from).WaitRequests(p, rs)
 }

@@ -59,3 +59,40 @@ func installByValue(h *obs.Hook[event]) {
 		e.seen[0] = 1
 	})
 }
+
+// tally's set writes only its own copy, a field of it included; link's set
+// writes through the pointer its copy holds.
+type tally struct {
+	n  int
+	st state
+}
+
+func (t tally) set() {
+	t.n = 1
+	t.st.bump()
+}
+
+type link struct{ to *state }
+
+func (l link) set() { l.to.n = 1 }
+
+type pair struct {
+	t tally
+	l link
+}
+
+// A value receiver is the method's own copy: calling a method that writes
+// only the copy is clean, and so is a pointer method on a field of the
+// hook's own by-value copy; a method that writes through a pointer its copy
+// holds mutates observed state.
+func installValueReceivers(h *obs.Hook[*pair], hv *obs.Hook[pair]) {
+	h.Add(func(p *pair) {
+		p.t.set()
+	})
+	h.Add(func(p *pair) {
+		p.l.set()
+	})
+	hv.Add(func(p pair) {
+		p.t.st.bump()
+	})
+}

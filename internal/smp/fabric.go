@@ -12,8 +12,10 @@
 //     run allow it; a full ring collapses to the flush_all flag instead
 //     of blocking (graceful degradation, counted);
 //   - each post takes the next per-target sequence number; the batch
-//     completes when every target's acked sequence has reached the
-//     sequence it was posted;
+//     owes one ack per target and completes when every target's acked
+//     sequence has reached the sequence it was posted: each drain counts
+//     its ack off the batches whose sequence for it the drain covers, so
+//     no ack rescans the outstanding list;
 //   - the target drains the *whole* ring at IRQ entry and return-to-user
 //     (one RMW pops everything), applies the batch through the
 //     kernel-registered applier, then stores the highest observed
@@ -35,6 +37,7 @@ package smp
 
 import (
 	"fmt"
+	"slices"
 
 	"shootdown/internal/apic"
 	"shootdown/internal/cache"
@@ -92,9 +95,14 @@ type fabricCPU struct {
 
 // AsyncBatch tracks one posted batch until every target acks.
 type AsyncBatch struct {
-	from    mach.CPU
+	from mach.CPU
+	// targets is ascending (CPUMask order), so a drain finds its CPU by
+	// binary search; seqs[i] is the sequence posted to targets[i].
 	targets []mach.CPU
 	seqs    []uint64
+	// owed counts the targets whose acked sequence has not yet reached
+	// the posted one; the batch completes when it drops to zero.
+	owed int
 	// kickedAt is the time of the last (re)kick; the watchdog deadline
 	// rebases on it so the capped-backoff phase keeps real intervals.
 	kickedAt sim.Time
@@ -262,6 +270,17 @@ func (l *Layer) PostAsync(p *sim.Proc, from mach.CPU, targets mach.CPUMask, inv 
 			l.stats.AsyncKicksElided++
 		}
 	}
+	// A target that drained while later targets were still being posted
+	// acked before the batch was registered, so no drain counts it off.
+	for i, t := range cpus {
+		fc := l.fabricOf(t)
+		if l.rt != nil {
+			l.rt.AtomicLoad(fc.ackVar)
+		}
+		if fc.fabAckSeq < b.seqs[i] {
+			b.owed++
+		}
+	}
 	l.stats.AsyncBatches++
 	l.batches = append(l.batches, b)
 	l.bus.SendIPI(p, from, kick, apic.VectorCallFunction)
@@ -342,8 +361,9 @@ func (l *Layer) DrainFabric(p *sim.Proc, cpu mach.CPU) {
 		l.rt.AtomicStore(fc.ackVar)
 		l.rt.Release(fc.ackSync)
 	}
+	prev := fc.fabAckSeq
 	fc.fabAckSeq = seq
-	l.completeBatches(p)
+	l.retireBatches(p, cpu, prev, seq)
 }
 
 func maxGenHi(batch []Inval) uint64 {
@@ -356,15 +376,21 @@ func maxGenHi(batch []Inval) uint64 {
 	return max
 }
 
-// completeBatches retires every outstanding batch whose targets have
-// all acked, firing completion callbacks in posting order. The list is
-// repartitioned before any callback runs, so a callback that posts new
-// work cannot corrupt the scan.
-func (l *Layer) completeBatches(p *sim.Proc) {
+// retireBatches counts cpu's ack, which moved from prev to seq, off every
+// outstanding batch that posted cpu a sequence in (prev, seq], and
+// completes the batches that owe no more acks, in posting order. A CPU's
+// drains run on its own proc one at a time, so its ack only grows and
+// each posted sequence is counted off once. The list is repartitioned
+// before any callback runs, so a callback that posts new work cannot
+// corrupt the scan.
+func (l *Layer) retireBatches(p *sim.Proc, cpu mach.CPU, prev, seq uint64) {
 	var completed []*AsyncBatch
 	live := l.batches[:0]
 	for _, b := range l.batches {
-		if l.batchAcked(b) {
+		if i, ok := slices.BinarySearch(b.targets, cpu); ok && prev < b.seqs[i] && b.seqs[i] <= seq {
+			b.owed--
+		}
+		if b.owed == 0 {
 			completed = append(completed, b)
 		} else {
 			live = append(live, b)
@@ -373,11 +399,13 @@ func (l *Layer) completeBatches(p *sim.Proc) {
 	l.batches = live
 	for _, b := range completed {
 		if l.rt != nil {
-			// Completion joins every target's ack edge: the callback
-			// (and the initiator-side window close it performs) is
-			// ordered after all responder flushes.
+			// Completion observes every target's ack and joins its ack
+			// edge: the callback (and the initiator-side window close it
+			// performs) is ordered after all responder flushes.
 			for _, t := range b.targets {
-				l.rt.Acquire(l.fabricOf(t).ackSync)
+				fc := l.fabricOf(t)
+				l.rt.AtomicLoad(fc.ackVar)
+				l.rt.Acquire(fc.ackSync)
 			}
 		}
 		b.done = true
@@ -388,19 +416,6 @@ func (l *Layer) completeBatches(p *sim.Proc) {
 	if len(completed) > 0 && l.wdCond != nil {
 		l.wdCond.Broadcast()
 	}
-}
-
-func (l *Layer) batchAcked(b *AsyncBatch) bool {
-	for i, t := range b.targets {
-		fc := l.fabricOf(t)
-		if l.rt != nil {
-			l.rt.AtomicLoad(fc.ackVar)
-		}
-		if fc.fabAckSeq < b.seqs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // OutstandingBatches reports the number of posted batches not yet fully
@@ -483,12 +498,6 @@ func (l *Layer) rekickBatch(p *sim.Proc, b *AsyncBatch) {
 	}
 	if degraded {
 		l.stats.AsyncDegrades++
-	}
-	if kick.Empty() {
-		// Everything acked between the deadline and now; completion will
-		// retire the batch on the next drain.
-		l.completeBatches(p)
-		return
 	}
 	if b.retries < MaxKickRetries {
 		b.retries++

@@ -118,7 +118,7 @@ func TestAckDelayFaultSlowsAck(t *testing.T) {
 		var at sim.Time
 		r.eng.Go("init", func(p *sim.Proc) {
 			reqs := r.l.CallMany(p, 0, mach.MaskOf(2), func(*sim.Proc, mach.CPU, any) {}, nil, false, nil)
-			r.l.WaitAll(p, 0, reqs)
+			r.waitAcks(p, reqs)
 			at = p.Now()
 		})
 		r.eng.Run()
@@ -145,10 +145,7 @@ func TestRaceDetectorEdgesOnRekick(t *testing.T) {
 	r.spawnResponder(2, 1)
 	r.eng.Go("recover", func(p *sim.Proc) {
 		r.l.Rekick(p, 0, []*Request{req})
-		for !req.Done() {
-			req.doneCond.Wait(p)
-		}
-		r.l.ObserveDone(req)
+		r.waitAcks(p, []*Request{req})
 	})
 	r.eng.Run()
 	if sum := d.Finish(); !sum.OK() {

@@ -69,8 +69,9 @@ type Request struct {
 	ackLine  *cache.Line // where the ack store/spin-read traffic lands
 	infoLine *cache.Line // nil under the consolidated layout
 	acked    bool
-	doneCond *sim.Cond
-	onDone   func()
+	// waker, when set, is broadcast at ack time: the one way a waiting
+	// initiator learns the ack landed.
+	waker *sim.Cond
 	// hb is the request's happens-before sync object (non-nil only when a
 	// race detector is attached): released at queue time and at ack time,
 	// acquired on IRQ receipt and when the initiator observes the ack.
@@ -86,6 +87,10 @@ func (r *Request) Target() mach.CPU { return r.target }
 // initiator's spin read gains ordering only from the CFD line's
 // acquire semantics on the final poll.
 func (r *Request) Done() bool { return r.acked }
+
+// SetWaker makes the ack broadcast c (kernel.WaitRequests passes the
+// waiting CPU's wake cond). A broadcast with no waiter schedules nothing.
+func (r *Request) SetWaker(c *sim.Cond) { r.waker = c }
 
 type perCPU struct {
 	// csqLine is the call-single-queue head cacheline.
@@ -169,7 +174,7 @@ type Layer struct {
 	// x2APIC cluster store their acks to a shared per-(initiator,
 	// cluster) line instead of each request's own CFD line, so a
 	// broadcast initiator spin-reads ~targets/ClusterSize lines instead
-	// of one per target. Done()/doneCond control flow is untouched —
+	// of one per target. Done() and the waker broadcast are untouched —
 	// only which cacheline the ack store and the spin reads are charged
 	// to changes, which keeps every narrower machine byte-identical.
 	clusterAcks bool
@@ -315,8 +320,9 @@ func (l *Layer) ackLine(from, to mach.CPU) *cache.Line {
 
 // CallMany queues fn on every CPU in targets and kicks the ones whose
 // queues were empty. It returns the per-target requests; the caller decides
-// when to WaitAll (this split is what lets the shootdown protocol overlap
-// the local flush with IPI delivery, §3.1).
+// when to wait for their acks (kernel.WaitRequests, the one ack wait: this
+// split is what lets the shootdown protocol overlap the local flush with
+// IPI delivery, §3.1).
 //
 // infoLine is the flush-info cacheline under the baseline layout; pass nil
 // to model inlined info (consolidated layout). The initiator must not be in
@@ -338,7 +344,6 @@ func (l *Layer) CallMany(p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn Ha
 			cfdLine:  l.cfdLine(from, t),
 			ackLine:  l.ackLine(from, t),
 			infoLine: infoLine,
-			doneCond: l.eng.NewCond(),
 		}
 		l.stats.Calls++
 		l.Queued.Emit(Call{from, req})
@@ -383,82 +388,6 @@ func (l *Layer) CallMany(p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn Ha
 	}
 	l.bus.SendIPI(p, from, kick, apic.VectorCallFunction)
 	return reqs
-}
-
-// WaitAll spins until every request is acknowledged, charging the
-// spin-wait reads of each CFD line.
-func (l *Layer) WaitAll(p *sim.Proc, from mach.CPU, reqs []*Request) {
-	for _, r := range reqs {
-		for !r.Done() {
-			p.Delay(l.cost.SpinPoll)
-			r.doneCond.Wait(p)
-			// The ack invalidated our copy; the next poll re-reads it.
-			p.Delay(l.dir.Read(from, r.ackLine))
-		}
-		l.ObserveDone(r)
-	}
-}
-
-// WaitFirst blocks until at least one of reqs is acknowledged (used by the
-// in-context/concurrent interaction, §3.4: the initiator flushes user PTEs
-// until the first remote ack arrives). It returns immediately if one is
-// already done.
-func (l *Layer) WaitFirst(p *sim.Proc, from mach.CPU, reqs []*Request) {
-	if len(reqs) == 0 {
-		return
-	}
-	for _, r := range reqs {
-		if r.Done() {
-			l.ObserveDone(r)
-			return
-		}
-	}
-	// Register a shared waiter on every request; the first ack wins.
-	woken := false
-	ch := l.eng.NewCond()
-	cancel := make([]func(), 0, len(reqs))
-	for _, r := range reqs {
-		cancel = append(cancel, r.AddDoneHook(func() {
-			if !woken {
-				woken = true
-				ch.Broadcast()
-			}
-		}))
-	}
-	ch.Wait(p)
-	for _, c := range cancel {
-		c()
-	}
-	for _, r := range reqs {
-		if r.Done() {
-			l.ObserveDone(r)
-		}
-	}
-	p.Delay(l.dir.Read(from, reqs[0].ackLine))
-}
-
-// AddDoneHook registers fn to run when the request is acknowledged. The
-// returned cancel function detaches it. Hooks run on the engine goroutine
-// at ack time, before the request's cond is broadcast.
-func (r *Request) AddDoneHook(fn func()) (cancel func()) {
-	prev := r.onDone
-	r.onDone = func() {
-		if prev != nil {
-			prev()
-		}
-		fn()
-	}
-	cancelled := false
-	return func() {
-		if cancelled {
-			return
-		}
-		cancelled = true
-		// Rebuild the chain without fn by restoring prev; later hooks
-		// were layered on top of us, so only the common LIFO
-		// (register/cancel in stack order) pattern is supported.
-		r.onDone = prev
-	}
 }
 
 // AnyDone reports whether any request has been acknowledged.
@@ -608,8 +537,7 @@ func (l *Layer) ack(p *sim.Proc, cpu mach.CPU, req *Request) {
 	}
 	req.acked = true
 	l.Acked.Emit(req)
-	if req.onDone != nil {
-		req.onDone()
+	if req.waker != nil {
+		req.waker.Broadcast()
 	}
-	req.doneCond.Broadcast()
 }

@@ -48,6 +48,22 @@ func (r *rig) spawnResponder(cpu mach.CPU, quota int) {
 	})
 }
 
+// waitAcks parks p until every request is acknowledged, woken through the
+// requests' waker, and observes the acks: kernel.WaitRequests without its
+// IRQ servicing and recovery ladder.
+func (r *rig) waitAcks(p *sim.Proc, reqs []*Request) {
+	wake := r.eng.NewCond()
+	for _, q := range reqs {
+		q.SetWaker(wake)
+	}
+	for !AllDone(reqs) {
+		wake.Wait(p)
+	}
+	for _, q := range reqs {
+		r.l.ObserveDone(q)
+	}
+}
+
 func TestCallManyRoundTrip(t *testing.T) {
 	r := newRig(false)
 	r.spawnResponder(2, 1)
@@ -59,7 +75,7 @@ func TestCallManyRoundTrip(t *testing.T) {
 			ranOn = cpu
 			payloadGot = payload
 		}, "info", false, r.dir.NewLine("info"))
-		r.l.WaitAll(p, 0, reqs)
+		r.waitAcks(p, reqs)
 		done = AllDone(reqs)
 	})
 	r.eng.Run()
@@ -67,7 +83,7 @@ func TestCallManyRoundTrip(t *testing.T) {
 		t.Fatalf("handler ran on %d with %v", ranOn, payloadGot)
 	}
 	if !done {
-		t.Fatal("WaitAll returned before ack")
+		t.Fatal("waitAcks returned before ack")
 	}
 	s := r.l.Stats()
 	if s.Calls != 1 || s.Kicks != 1 || s.LateAcks != 1 || s.EarlyAcks != 0 {
@@ -86,7 +102,7 @@ func TestEarlyAckOrdering(t *testing.T) {
 				p.Delay(5000) // slow remote flush
 				fnDone = p.Now()
 			}, nil, early, nil)
-			r.l.WaitAll(p, 0, reqs)
+			r.waitAcks(p, reqs)
 			waitDone = p.Now()
 		})
 		r.eng.Run()
@@ -161,7 +177,7 @@ func TestConsolidatedLayoutSharesLines(t *testing.T) {
 				p.Delay(r.dir.Write(0, infoLine))
 			}
 			reqs := r.l.CallMany(p, 0, mach.MaskOf(30), handler, nil, false, infoLine)
-			r.l.WaitAll(p, 0, reqs)
+			r.waitAcks(p, reqs)
 		})
 		r.eng.Run()
 		return r.dir.Stats().Transfers()
@@ -171,44 +187,6 @@ func TestConsolidatedLayoutSharesLines(t *testing.T) {
 	if cons >= base {
 		t.Fatalf("consolidated transfers (%d) not fewer than baseline (%d)", cons, base)
 	}
-}
-
-func TestWaitFirst(t *testing.T) {
-	r := newRig(false)
-	r.spawnResponder(2, 1)  // same socket: acks first
-	r.spawnResponder(30, 1) // cross socket: acks later
-	var firstAt, allAt sim.Time
-	r.eng.Go("init", func(p *sim.Proc) {
-		reqs := r.l.CallMany(p, 0, mach.MaskOf(2, 30), func(p *sim.Proc, _ mach.CPU, _ any) {
-			p.Delay(500)
-		}, nil, false, nil)
-		r.l.WaitFirst(p, 0, reqs)
-		firstAt = p.Now()
-		if !AnyDone(reqs) {
-			t.Error("WaitFirst returned with nothing done")
-		}
-		r.l.WaitAll(p, 0, reqs)
-		allAt = p.Now()
-	})
-	r.eng.Run()
-	if firstAt >= allAt {
-		t.Fatalf("WaitFirst at %d, WaitAll at %d", firstAt, allAt)
-	}
-}
-
-func TestWaitFirstImmediateWhenDone(t *testing.T) {
-	r := newRig(false)
-	r.spawnResponder(2, 1)
-	r.eng.Go("init", func(p *sim.Proc) {
-		reqs := r.l.CallMany(p, 0, mach.MaskOf(2), func(*sim.Proc, mach.CPU, any) {}, nil, false, nil)
-		r.l.WaitAll(p, 0, reqs)
-		before := p.Now()
-		r.l.WaitFirst(p, 0, reqs) // already done: must not block
-		if p.Now() != before {
-			t.Error("WaitFirst blocked on completed requests")
-		}
-	})
-	r.eng.Run()
 }
 
 func TestSelfTargetPanics(t *testing.T) {
@@ -240,7 +218,7 @@ func TestHWMessageIPIRoundTrip(t *testing.T) {
 		reqs := r.l.CallMany(p, 0, mach.MaskOf(2, 4), func(_ *sim.Proc, cpu mach.CPU, _ any) {
 			ran[cpu] = true
 		}, nil, false, nil)
-		r.l.WaitAll(p, 0, reqs)
+		r.waitAcks(p, reqs)
 	})
 	r.eng.Run()
 	if len(ran) != 2 {
@@ -272,7 +250,7 @@ func TestMultiTargetAllHandled(t *testing.T) {
 		reqs := r.l.CallMany(p, 0, targets, func(_ *sim.Proc, cpu mach.CPU, _ any) {
 			ran[cpu] = true
 		}, nil, false, nil)
-		r.l.WaitAll(p, 0, reqs)
+		r.waitAcks(p, reqs)
 	})
 	r.eng.Run()
 	if len(ran) != 5 {

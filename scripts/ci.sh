@@ -143,6 +143,14 @@ fi
 echo "==> tlbcheck -faults light (checked suite under fault injection)"
 go run ./cmd/tlbcheck -quick -faults light -v
 
+# The same oracles on the async tier at the paper's width: every machine
+# of the quick suite posts its shootdowns to the fabric rings of the
+# default 56-CPU machine, so ring coalescing, overflow collapse, batch
+# completion and the watchdog's rekick/degrade ladder run under both
+# oracles and the light fault schedule.
+echo "==> tlbcheck -faults light -tlbmode async (checked async suite, 56 CPUs)"
+go run ./cmd/tlbcheck -quick -faults light -tlbmode async -v
+
 # Async-fabric ablation: the queue-based dispatch tier's sweep gates
 # the initiator-side win and digest equality against the synchronous
 # tier internally (its match-sync column); here CI additionally pins
