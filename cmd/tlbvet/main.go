@@ -28,10 +28,10 @@
 //     stats or event timestamps, and no time is charged inside a map range
 //   - parallelsafe: whole-program restore-discipline proof for
 //     package-level vars in simulated packages
-//   - mhp: may-happen-in-parallel contexts over every spawn edge
-//     (Engine.Go procs, Task bodies, IPI handlers, deferred-flush
-//     closures, sched pool fan-out); blocking calls in IPI-handler
-//     context are findings
+//   - mhp: what IPI handlers reach over the call graph, and which CPU
+//     values are provably the executing CPU (from Engine.Go procs, IPI
+//     handlers and deferred-flush closures); blocking calls in handler
+//     reach are findings
 //   - lockset: RacerD-style discharge proofs for every field the dynamic
 //     race model instruments (internal/race.Registry): atomic hooks,
 //     CPU confinement, ack ordering, single-writer epochs. The
@@ -45,8 +45,10 @@
 //     coverage loss seeded by fault.MutantCoalesceShrink must surface as
 //     exactly one witness, in the merge comparing smp's fault.Mutant
 //     field with that constant), callback-once and ring-entry
-//     well-formedness. The per-obligation statuses and fabproof's
-//     witness are the FABPROOF artifact
+//     well-formedness, over the fabric bound by the names internal/smp
+//     declares (a name that does not resolve is a finding). The
+//     per-obligation statuses and fabproof's witness are the FABPROOF
+//     artifact
 //
 // Every finding is unconditional: no source comment waives one.
 //

@@ -85,9 +85,11 @@ type CPU struct {
 }
 
 func newCPU(k *Kernel, id mach.CPU) *CPU {
+	tcfg := tlb.DefaultConfig()
+	tcfg.FractureRule = k.Cfg.NestedPaging
 	c := &CPU{
 		K: k, ID: id,
-		TLB:         tlb.New(k.Cfg.TLB),
+		TLB:         tlb.New(tcfg),
 		Ctrl:        k.Bus.Controller(id),
 		wake:        k.Eng.NewCond(),
 		localGen:    make(map[mm.ID]uint64),

@@ -37,8 +37,6 @@ type Config struct {
 	// ConsolidatedCachelines selects the §3.3 cacheline layout in the SMP
 	// layer.
 	ConsolidatedCachelines bool
-	// TLB sizes each core's TLB.
-	TLB tlb.Config
 	// NestedPaging marks the machine as a VM with EPT-style nested
 	// translation: page walks cost more and the TLB honours the
 	// page-fracturing rule (paper §7).
@@ -65,10 +63,7 @@ const FullFlushThreshold = 33
 
 // DefaultConfig returns the safe-mode (PTI on) baseline configuration.
 func DefaultConfig() Config {
-	return Config{
-		PTI: true,
-		TLB: tlb.DefaultConfig(),
-	}
+	return Config{PTI: true}
 }
 
 // Flusher is the TLB-maintenance policy the shootdown protocol implements
@@ -139,12 +134,6 @@ type mmLinePair struct {
 func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, cfg Config) *Kernel {
 	if err := topo.Validate(); err != nil {
 		panic(err)
-	}
-	if cfg.TLB.Cap4K == 0 {
-		cfg.TLB = tlb.DefaultConfig()
-	}
-	if cfg.NestedPaging {
-		cfg.TLB.FractureRule = true
 	}
 	dir := cache.New(topo, cost)
 	bus := apic.NewBus(eng, topo, cost)

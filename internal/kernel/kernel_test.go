@@ -268,6 +268,29 @@ func TestDeferUserFlushEscalations(t *testing.T) {
 	}
 }
 
+// TestNMIDispatch sends an NMI to a CPU running a task in user mode: the
+// CPU services it once, through the NMI handler, and charges the task
+// the handler, the user-mode entry and exit and both PTI trampolines.
+func TestNMIDispatch(t *testing.T) {
+	k, _ := newKernel(t, true)
+	c := k.CPU(1)
+	c.Spawn(&Task{Name: "t", MM: k.NewAddressSpace(), Fn: func(ctx *Ctx) {
+		ctx.UserRun(100000)
+	}})
+	k.Eng.Go("nmi", func(p *sim.Proc) {
+		p.Delay(10000)
+		k.Bus.SendNMI(p, 0, c.ID)
+	})
+	k.Eng.Run()
+	if c.IRQsHandled != 1 {
+		t.Fatalf("IRQsHandled = %d, want 1 (the NMI)", c.IRQsHandled)
+	}
+	cost := k.Cost
+	if want := cost.NMIHandler + cost.IRQEntryUser + cost.IRQExit + 2*cost.PTITrampoline; c.Interrupted < want {
+		t.Fatalf("Interrupted = %d cycles, want at least %d (handler, user entry and exit, two PTI trampolines)", c.Interrupted, want)
+	}
+}
+
 func TestNMIUaccessOkay(t *testing.T) {
 	k, _ := newKernel(t, true)
 	c := k.CPU(0)

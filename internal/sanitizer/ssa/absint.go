@@ -135,38 +135,6 @@ func (d *absDom) constTerm(c int64) int {
 	return t
 }
 
-// atomKey returns a stable storage key for v: a chain of field selections
-// rooted at the receiver ("r"), a parameter ("p:<i>"), a global
-// ("g:<pkg>.<name>") or, failing those, the root value's own identity
-// ("v<id>" — reads of one local resolve to one SSA value, so this is
-// stable). ok is false only for nil values.
-func atomKey(v *Value) (string, bool) {
-	if v == nil {
-		return "", false
-	}
-	switch v.Kind {
-	case VRecv:
-		return "r", true
-	case VParam:
-		return "p:" + itoa(v.ResIdx), true
-	case VGlobal:
-		if v.Obj != nil && v.Obj.Pkg() != nil {
-			return "g:" + v.Obj.Pkg().Path() + "." + v.Obj.Name(), true
-		}
-		return "v" + itoa(v.ID), true
-	case VFieldRead:
-		base, ok := atomKey(v.Base)
-		if !ok || v.Obj == nil {
-			return "", false
-		}
-		return base + "." + v.Obj.Name(), true
-	case VAddr, VDeref:
-		return atomKey(v.Base)
-	default:
-		return "v" + itoa(v.ID), true
-	}
-}
-
 // samePlace reports whether a and b denote the same storage location or
 // the same constant: identical values, or structurally identical
 // field/index/addr chains over samePlace bases and indexes.

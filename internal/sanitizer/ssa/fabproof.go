@@ -40,13 +40,15 @@ package ssa
 //   - fab.inval-wf: every ring-entry literal is well-formed: full, or
 //     GenLo ≤ GenHi (missing elements are zero).
 //
-// Fabrics are discovered structurally, not by name binding to one
-// package: a struct with a slice-typed ring field plus posted/acked
-// sequence counters and a full-flush flag is a fabric, so fixtures
-// exercise the prover with their own rings. An obligation the engine
-// cannot discharge is a finding. The per-obligation rows
-// (proven/unproven) form the FABPROOF artifact CI fails on, mirroring
-// RACE_XVAL.
+// The fabric is bound by the names the code declares (fabDecl), each
+// resolved exactly in the package that declares the per-CPU ring type,
+// as lockset binds its subjects through the race registry's names.
+// internal/smp must declare every name; a fixture package declaring the
+// ring type must declare at least its four ring fields. A name that does
+// not resolve is a finding, so a rename fails the tier instead of
+// dropping rows. An obligation the engine cannot discharge is a finding
+// too. The per-obligation rows (proven/unproven) form the FABPROOF
+// artifact CI fails on, mirroring RACE_XVAL.
 
 import (
 	"fmt"
@@ -110,71 +112,85 @@ var fabProps = map[string]string{
 	fabInvalWF:      "ring entry literals are well-formed (GenLo ≤ GenHi or full)",
 }
 
-// fabric is one discovered ring structure with its companion state.
+// fabDecl is the async fabric as internal/smp declares it: the names
+// fabproof proves its obligations about, and no others.
+var fabDecl = struct {
+	// owner is the per-CPU ring type; ring, postSeq, ackSeq and full its
+	// ring fields, the ones every package declaring owner must declare.
+	owner, ring, postSeq, ackSeq, full string
+	// The ring entry's fields (its type is the ring's element type).
+	start, end, genLo, genHi, entryFull string
+	// ringCap and retryCap are the declared capacity and re-kick cap.
+	ringCap, retryCap string
+	// batch is the completion record: its callback, done latch and
+	// watchdog retry counter.
+	batch, cb, done, retries string
+	// merge folds one entry into another in-ring; guard decides whether
+	// merge applies; post owns the posted-sequence increment.
+	merge, guard, post string
+	// gen is mm's TLB generation counter, which the entries carry.
+	genPkg, genOwner, genField string
+	// freed is the flush field whose clear fact keeps a post legal.
+	freed string
+}{
+	owner: "fabricCPU", ring: "fabRing", postSeq: "fabPostSeq", ackSeq: "fabAckSeq", full: "fabFlushAll",
+	start: "Start", end: "End", genLo: "GenLo", genHi: "GenHi", entryFull: "Full",
+	ringCap: "RingSize", retryCap: "MaxKickRetries",
+	batch: "AsyncBatch", cb: "onComplete", done: "done", retries: "retries",
+	merge: "mergeInval", guard: "canCoalesce", post: "PostAsync",
+	genPkg: "mm", genOwner: "AddressSpace", genField: "tlbGen",
+	freed: "FreedTables",
+}
+
+// fabAnchor locates findings that have no source position of their own.
+const fabAnchor = "internal/smp/fabric.go"
+
+// fabric is fabDecl bound in one package. A nil field is a name the
+// package does not declare.
 type fabric struct {
-	pkg   *Package
-	owner *types.Named
-	// ring/postSeq/ackSeq/full are the fabric struct's fields.
+	pkg                         *Package
 	ring, postSeq, ackSeq, full *types.Var
-	// elem is the ring element struct and its role fields.
+	// elem is the ring's element type and its fields.
 	elem                                               *types.Named
 	elemStart, elemEnd, elemGenLo, elemGenHi, elemFull *types.Var
-	// ringCap is the declared ring capacity const (0 when absent).
-	ringCap int64
-	// merge folds one element into another in-ring; guard is the boolean
-	// predicate deciding whether merge applies; post owns the posted-
-	// sequence increment.
+	// ringCap and retryCap are the declared caps (0 when absent).
+	ringCap, retryCap  int64
 	merge, guard, post *Func
-	// mergeP0/mergeP1 are the merge/guard element parameter indices.
-	mergeP0, mergeP1 int
-	// batch is the completion-tracking struct with its callback field,
-	// done latch and (optional) retry counter.
-	batch             *types.Named
-	cb, done, retries *types.Var
-	retryCap          int64
-	// genOwner/genField are the module generation counter, shared by
-	// every fabric (the mm tier the rings carry generations for).
-	genOwner *types.Named
-	genField *types.Var
+	batch              *types.Named
+	cb, done, retries  *types.Var
+	genField           *types.Var
 	// seed is fabSeed's constant when merge compares a field with it:
 	// its coverage loss must surface as exactly one witness.
 	seed *types.Const
 }
 
 func (fb *fabric) subject(prop string) string {
-	pkg := fb.pkg.Types.Name()
-	owner := pkg + "." + fb.owner.Obj().Name()
+	d, pkg := fabDecl, fb.pkg.Types.Name()+"."
 	switch prop {
-	case fabRingBound, fabRingOverflow:
-		return owner + "." + fb.ring.Name()
 	case fabSeqMono:
-		return owner + "." + fb.postSeq.Name()
+		return pkg + d.owner + "." + d.postSeq
 	case fabAckMono:
-		return owner + "." + fb.ackSeq.Name()
+		return pkg + d.owner + "." + d.ackSeq
 	case fabGenMono:
-		if fb.genOwner != nil && fb.genField != nil {
-			return fb.genOwner.Obj().Pkg().Name() + "." + fb.genOwner.Obj().Name() + "." + fb.genField.Name()
-		}
+		return d.genPkg + "." + d.genOwner + "." + d.genField
 	case fabRetryCap:
-		if fb.batch != nil && fb.retries != nil {
-			return pkg + "." + fb.batch.Obj().Name() + "." + fb.retries.Name()
-		}
+		return pkg + d.batch + "." + d.retries
 	case fabCoalesce:
 		if fb.merge != nil {
 			return funcIdent(fb.merge.Decl)
 		}
+		return pkg + d.merge
 	case fabCallbackOnce:
-		if fb.batch != nil && fb.cb != nil {
-			return pkg + "." + fb.batch.Obj().Name() + "." + fb.cb.Name()
-		}
+		return pkg + d.batch + "." + d.cb
 	case fabFreedFall:
 		if fb.post != nil {
 			return funcIdent(fb.post.Decl)
 		}
+		return pkg + d.post
 	case fabInvalWF:
-		return pkg + "." + fb.elem.Obj().Name()
+		return pkg + fb.elem.Obj().Name()
 	}
-	return owner
+	return pkg + d.owner + "." + d.ring
 }
 
 // fabOb is one obligation bound to a store or call event.
@@ -245,11 +261,8 @@ func checkFabproof(ctx *modCtx) []Finding {
 		}
 	})
 	ctx.visited["fabproof"] = visited
-	genOwner, genField := findGenCounter(ctx.pkgs)
 	seed := ctx.seedConst(fabSeed)
-	for _, fb := range discoverFabrics(ctx.pkgs) {
-		fb.genOwner, fb.genField = genOwner, genField
-		fa.bindUnits(fb)
+	for _, fb := range fa.bindFabrics() {
 		if fb.merge != nil && comparesSeed(fb.merge, seed) {
 			fb.seed = seed
 		}
@@ -261,233 +274,103 @@ func checkFabproof(ctx *modCtx) []Finding {
 	return fa.findings
 }
 
-// --- discovery ---
+// --- binding ---
 
-// discoverFabrics finds every fabric-shaped struct: a slice-typed ring
-// field plus posted/acked sequence counters and a full-flush flag.
-func discoverFabrics(pkgs []*Package) []*fabric {
+// bindFabrics binds fabDecl in every package that declares its owner
+// type, and reports each name such a package must declare but does not,
+// at the owner's declaration.
+func (fa *fabAnalysis) bindFabrics() []*fabric {
 	var out []*fabric
-	for _, p := range pkgs {
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
+	for _, p := range fa.ctx.pkgs {
+		tn, _ := p.Types.Scope().Lookup(fabDecl.owner).(*types.TypeName)
+		if tn == nil {
+			if p.Path == smpPkg {
+				fa.report(fabAnchor, 1, fmt.Sprintf(unresolvedMsg, p.Types.Name()+"."+fabDecl.owner))
 			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			st, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			if fb := classifyFabric(p, named, st); fb != nil {
-				out = append(out, fb)
-			}
+			continue
+		}
+		fb, missing := fa.bindFabric(p)
+		_, file := p.FileOf(tn.Pos())
+		for _, name := range missing {
+			fa.report(file, fa.ctx.m.Fset.Position(tn.Pos()).Line, fmt.Sprintf(unresolvedMsg, name))
+		}
+		if fb != nil {
+			out = append(out, fb)
 		}
 	}
 	return out
 }
 
-func classifyFabric(p *Package, owner *types.Named, st *types.Struct) *fabric {
-	fb := &fabric{pkg: p, owner: owner}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		low := strings.ToLower(f.Name())
-		switch {
-		case fb.ring == nil && strings.Contains(low, "ring") && isSliceType(f.Type()):
-			fb.ring = f
-		case fb.postSeq == nil && strings.Contains(low, "postseq") && isUnsignedType(f.Type()):
-			fb.postSeq = f
-		case fb.ackSeq == nil && strings.Contains(low, "ackseq") && isUnsignedType(f.Type()):
-			fb.ackSeq = f
-		case fb.full == nil && (strings.Contains(low, "full") || strings.Contains(low, "flushall")) && isBoolType(f.Type()):
-			fb.full = f
-		}
-	}
-	if fb.ring == nil || fb.postSeq == nil || fb.ackSeq == nil || fb.full == nil {
-		return nil
-	}
-	sl, ok := fb.ring.Type().Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	fb.elem = namedType(sl.Elem())
-	if fb.elem == nil {
-		return nil
-	}
-	es, ok := fb.elem.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < es.NumFields(); i++ {
-		f := es.Field(i)
-		switch strings.ToLower(f.Name()) {
-		case "start":
-			fb.elemStart = f
-		case "end":
-			fb.elemEnd = f
-		case "genlo":
-			fb.elemGenLo = f
-		case "genhi":
-			fb.elemGenHi = f
-		case "full":
-			fb.elemFull = f
-		}
-	}
-	fb.ringCap = scopeConst(p, "ringsize")
-	fb.retryCap = scopeConst(p, "retries")
-	fb.batch, fb.cb, fb.done, fb.retries = classifyBatch(p)
-	return fb
-}
+const unresolvedMsg = "declared fabric name %s does not resolve: fabproof binds the fabric by these names, so the obligations on it go unproven"
 
-// scopeConst finds the package const whose lowercase name contains frag.
-func scopeConst(p *Package, frag string) int64 {
-	scope := p.Types.Scope()
-	for _, name := range scope.Names() {
-		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok || !strings.Contains(strings.ToLower(name), frag) {
-			continue
-		}
-		if v, exact := constant.Int64Val(constant.ToInt(c.Val())); exact {
-			return v
-		}
-	}
-	return 0
-}
-
-// classifyBatch finds the package's completion-tracking struct: a
-// func-typed callback field plus a "done" bool latch. Structs that also
-// carry a retry counter win ties.
-func classifyBatch(p *Package) (*types.Named, *types.Var, *types.Var, *types.Var) {
-	type cand struct {
-		named             *types.Named
-		cb, done, retries *types.Var
-	}
-	var cands []cand
-	scope := p.Types.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		c := cand{named: named}
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			low := strings.ToLower(f.Name())
-			if _, isFn := f.Type().Underlying().(*types.Signature); isFn && c.cb == nil {
-				c.cb = f
-			}
-			if strings.Contains(low, "done") && isBoolType(f.Type()) && c.done == nil {
-				c.done = f
-			}
-			if strings.Contains(low, "retr") && isNumericType(f.Type()) && c.retries == nil {
-				c.retries = f
-			}
-		}
-		if c.cb != nil && c.done != nil {
-			cands = append(cands, c)
+// bindFabric resolves fabDecl in p, which declares the owner type, and
+// returns the names p must declare but does not: every name in
+// internal/smp, the four ring fields and a named entry type elsewhere.
+// Without the ring fields or the entry type, p binds no fabric.
+func (fa *fabAnalysis) bindFabric(p *Package) (*fabric, []string) {
+	d, q := fabDecl, p.Types.Name()+"."
+	var missing []string
+	need := func(found, required bool, name string) {
+		if !found && (required || p.Path == smpPkg) {
+			missing = append(missing, name)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		ri, rj := cands[i].retries != nil, cands[j].retries != nil
-		if ri != rj {
-			return ri
-		}
-		return cands[i].named.Obj().Name() < cands[j].named.Obj().Name()
-	})
-	if len(cands) == 0 {
-		return nil, nil, nil, nil
+	field := func(typ, name string, required bool) *types.Var {
+		v := declField(p, typ, name)
+		need(v != nil, required, q+typ+"."+name)
+		return v
 	}
-	c := cands[0]
-	return c.named, c.cb, c.done, c.retries
-}
-
-// findGenCounter locates the module's TLB generation counter field.
-func findGenCounter(pkgs []*Package) (*types.Named, *types.Var) {
-	for _, p := range pkgs {
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			st, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				f := st.Field(i)
-				if strings.Contains(strings.ToLower(f.Name()), "tlbgen") && isNumericType(f.Type()) {
-					return named, f
-				}
-			}
+	cnst := func(name string) int64 {
+		c := declConst(p, name)
+		need(c != nil, false, q+name)
+		if c == nil {
+			return 0
 		}
+		v, _ := constant.Int64Val(constant.ToInt(c.Val()))
+		return v
 	}
-	return nil, nil
-}
-
-// bindUnits resolves the fabric's merge/guard/post units by shape.
-func (fa *fabAnalysis) bindUnits(fb *fabric) {
-	elemPtr := func(t types.Type) bool {
-		p, ok := t.Underlying().(*types.Pointer)
-		return ok && namedType(p.Elem()) == fb.elem
+	// A function resolves to the one function or method p declares
+	// under its name.
+	fn := func(name string) (out *Func) {
+		n := 0
+		for _, f := range fa.prog.Funcs {
+			if f.Decl.Pkg.Path == p.Path && f.Decl.Obj.Name() == name {
+				out, n = f, n+1
+			}
+		}
+		need(n == 1, false, q+name)
+		if n != 1 {
+			return nil
+		}
+		return out
 	}
-	fa.prog.eachUnit(func(f *Func) {
-		if f.Lit != nil || f.Decl.Pkg.Path != fb.pkg.Path || f.Sig == nil {
-			return
-		}
-		params := f.Sig.Params()
-		var idx []int
-		for i := 0; i < params.Len(); i++ {
-			if elemPtr(params.At(i).Type()) {
-				idx = append(idx, i)
-			}
-		}
-		if len(idx) >= 2 {
-			p0 := "p:" + itoa(idx[0]) + "."
-			stores := false
-			for _, b := range f.Blocks {
-				for _, in := range b.Instrs {
-					if in.Kind != IStore || in.Addr == nil {
-						continue
-					}
-					if key, ok := atomKey(in.Addr); ok && strings.HasPrefix(key, p0) {
-						stores = true
-					}
-				}
-			}
-			isBool := f.Sig.Results().Len() == 1 && isBoolType(f.Sig.Results().At(0).Type())
-			if stores && fb.merge == nil {
-				fb.merge, fb.mergeP0, fb.mergeP1 = f, idx[0], idx[1]
-			} else if !stores && isBool && fb.guard == nil {
-				fb.guard = f
-			}
-		}
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Kind != IStore {
-					continue
-				}
-				if _, ok := fieldAddr(in, fb.postSeq); ok && fb.post == nil {
-					fb.post = f
-				}
-			}
-		}
-	})
+	fb := &fabric{pkg: p, ringCap: cnst(d.ringCap), retryCap: cnst(d.retryCap)}
+	fb.ring, fb.postSeq = field(d.owner, d.ring, true), field(d.owner, d.postSeq, true)
+	fb.ackSeq, fb.full = field(d.owner, d.ackSeq, true), field(d.owner, d.full, true)
+	fb.merge, fb.guard, fb.post = fn(d.merge), fn(d.guard), fn(d.post)
+	fb.genField = declField(fa.ctx.m.Lookup(modPath+"/internal/"+d.genPkg), d.genOwner, d.genField)
+	need(fb.genField != nil, false, d.genPkg+"."+d.genOwner+"."+d.genField)
+	if bt, _ := p.Types.Scope().Lookup(d.batch).(*types.TypeName); bt != nil {
+		fb.batch = namedType(bt.Type())
+		fb.cb, fb.done, fb.retries = field(d.batch, d.cb, false), field(d.batch, d.done, false), field(d.batch, d.retries, false)
+	} else {
+		need(false, false, q+d.batch)
+	}
+	if fb.ring == nil {
+		return nil, missing
+	}
+	if sl, ok := fb.ring.Type().Underlying().(*types.Slice); ok {
+		fb.elem = namedType(sl.Elem())
+	}
+	need(fb.elem != nil, true, q+d.owner+"."+d.ring+"'s named entry type")
+	if fb.elem == nil || fb.postSeq == nil || fb.ackSeq == nil || fb.full == nil {
+		return nil, missing
+	}
+	en := fb.elem.Obj().Name()
+	fb.elemStart, fb.elemEnd = field(en, d.start, false), field(en, d.end, false)
+	fb.elemGenLo, fb.elemGenHi = field(en, d.genLo, false), field(en, d.genHi, false)
+	fb.elemFull = field(en, d.entryFull, false)
+	return fb, missing
 }
 
 // --- obligation scan and per-unit numeric runs ---
@@ -815,7 +698,7 @@ func (fa *fabAnalysis) checkCallOb(fb *fabric, f *Func, e *absEnv, ob fabOb, c *
 }
 
 // envProvesFreedClear reports whether the path proves some freed-tables
-// flag is off (upper bound ≤ 0 on a "freed"-named atom).
+// flag off: an upper bound ≤ 0 on an atom ending in the declared field.
 func envProvesFreedClear(e *absEnv) bool {
 	keys := make([]string, 0, len(e.bind))
 	for k := range e.bind {
@@ -823,14 +706,7 @@ func envProvesFreedClear(e *absEnv) bool {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		seg := k
-		if i := strings.LastIndex(k, "."); i >= 0 {
-			seg = k[i+1:]
-		}
-		if !strings.Contains(strings.ToLower(seg), "freed") {
-			continue
-		}
-		if e.upper(e.bind[k]) <= 0 {
+		if strings.HasSuffix(k, "."+fabDecl.freed) && e.upper(e.bind[k]) <= 0 {
 			return true
 		}
 	}
@@ -1015,8 +891,8 @@ func (fa *fabAnalysis) checkCoalesce(fb *fabric, c *fabCounts) {
 	if fb.merge == nil {
 		return
 	}
-	p0 := "p:" + itoa(fb.mergeP0)
-	p1 := "p:" + itoa(fb.mergeP1)
+	// merge(prev, next): prev is parameter 0, next parameter 1.
+	p0, p1 := "p:0", "p:1"
 	var ghost []string
 	for _, fld := range []*types.Var{fb.elemStart, fb.elemEnd, fb.elemFull} {
 		if fld == nil {
@@ -1210,14 +1086,18 @@ func blockPos(b *IRBlock, f *Func) token.Pos {
 	return pos
 }
 
-// problem records one obligation failure as a finding.
+// problem records one obligation failure as a finding and marks its row.
 func (fa *fabAnalysis) problem(fb *fabric, prop string, f *Func, pos token.Pos, format string, args ...any) {
-	rk := prop + "|" + fb.subject(prop)
-	file, line := "internal/smp/fabric.go", 1
+	file, line := fabAnchor, 1
 	if f != nil && pos.IsValid() {
 		file, line = fa.ctx.posLine(f.Decl, pos)
 	}
-	msg := fmt.Sprintf(format, args...)
+	fa.rowBad[prop+"|"+fb.subject(prop)] = true
+	fa.report(file, line, fmt.Sprintf(format, args...))
+}
+
+// report records one finding, once per file, line and message.
+func (fa *fabAnalysis) report(file string, line int, msg string) {
 	key := fmt.Sprintf("%s:%d:%s", file, line, msg)
 	if fa.reported[key] {
 		return
@@ -1226,7 +1106,6 @@ func (fa *fabAnalysis) problem(fb *fabric, prop string, f *Func, pos token.Pos, 
 	fa.findings = append(fa.findings, Finding{
 		File: file, Line: line, Analyzer: "fabproof", Msg: msg,
 	})
-	fa.rowBad[rk] = true
 }
 
 func (fa *fabAnalysis) appendRows(fb *fabric, c *fabCounts) {

@@ -26,6 +26,20 @@ func TestFabproofGoodFixtureClean(t *testing.T) {
 	}
 }
 
+// TestFabproofUnresolvedNameFires: fabproof binds the fabric by smp's
+// declared names, so a ring type missing one of its ring fields is
+// exactly one finding, at the type, naming the field.
+func TestFabproofUnresolvedNameFires(t *testing.T) {
+	res := checkFixture(t, "bad_fabproof_unbound.go")
+	if len(res.Findings) != 1 || res.Findings[0].Analyzer != "fabproof" {
+		t.Fatalf("findings = %v, want exactly 1 fabproof finding", res.Findings)
+	}
+	f := res.Findings[0]
+	if f.Line != 13 || !strings.Contains(f.Msg, "fabricCPU.fabAckSeq does not resolve") {
+		t.Fatalf("finding should name the missing field at the type: %v", f)
+	}
+}
+
 // TestFabproofBrokenCoalesceWitness is the static half of the seeded
 // coalesce-shrink cross-validation contract: on the clean module the
 // fabproof tier must rediscover the config-planted MutantCoalesceShrink

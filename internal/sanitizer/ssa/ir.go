@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"maps"
 	"slices"
+	"strings"
 )
 
 // This file lowers the per-function CFG (cfg.go builds its IRBlocks) into
@@ -30,10 +31,12 @@ import (
 //     expressions and captured variables), sends, returns, go and defer
 //     each produce an Instr in block order, so path-sensitive analyses
 //     replay a block by folding its Instrs.
-//   - Alias classes: AliasClass maps a Value to a stable string key —
-//     params ("p:0"), receivers ("r"), globals ("g:pkg.name") and field
-//     chains off those ("r.queue") — giving interprocedural summaries a
-//     common vocabulary without a points-to analysis.
+//   - One place key: atomKey maps a Value to a storage key — params
+//     ("p:0"), receivers ("r"), globals ("g:pkg.name"), a local value's
+//     own identity ("v12") and field chains off those ("r.queue").
+//     AliasClass is its rooted form, the keys without a local root,
+//     giving interprocedural summaries a common vocabulary without a
+//     points-to analysis.
 //   - What type info and syntax know about an expression is recorded once,
 //     here: a value's constant (Const), the fields a struct literal sets
 //     (Fields), the function a function or method value names (Func), and
@@ -968,33 +971,44 @@ func (f *Func) evalCall(b *IRBlock, call *ast.CallExpr) *Value {
 	return r
 }
 
-// AliasClass returns a stable interprocedural key for v: "r" (receiver),
-// "p:<i>" (parameter), "g:<pkg>.<name>" (global), a ".field" chain off one
-// of those, or "" when v has no stable identity across calls. Passthrough
-// kinds (addr, deref, extract of a single result) are looked through.
-func AliasClass(v *Value) string {
-	for v != nil {
-		switch v.Kind {
-		case VRecv:
-			return "r"
-		case VParam:
-			return "p:" + itoa(v.ResIdx)
-		case VGlobal:
-			if v.Obj != nil && v.Obj.Pkg() != nil {
-				return "g:" + v.Obj.Pkg().Path() + "." + v.Obj.Name()
-			}
-			return ""
-		case VFieldRead:
-			base := AliasClass(v.Base)
-			if base == "" || v.Obj == nil {
-				return ""
-			}
-			return base + "." + v.Obj.Name()
-		case VAddr, VDeref:
-			v = v.Base
-		default:
-			return ""
+// atomKey returns a stable storage key for v: a chain of field selections
+// rooted at the receiver ("r"), a parameter ("p:<i>"), a global
+// ("g:<pkg>.<name>") or, failing those, the root value's own identity
+// ("v<id>" — reads of one local resolve to one SSA value, so this is
+// stable). ok is false only for nil values.
+func atomKey(v *Value) (string, bool) {
+	if v == nil {
+		return "", false
+	}
+	switch v.Kind {
+	case VRecv:
+		return "r", true
+	case VParam:
+		return "p:" + itoa(v.ResIdx), true
+	case VGlobal:
+		if v.Obj != nil && v.Obj.Pkg() != nil {
+			return "g:" + v.Obj.Pkg().Path() + "." + v.Obj.Name(), true
 		}
+		return "v" + itoa(v.ID), true
+	case VFieldRead:
+		base, ok := atomKey(v.Base)
+		if !ok || v.Obj == nil {
+			return "", false
+		}
+		return base + "." + v.Obj.Name(), true
+	case VAddr, VDeref:
+		return atomKey(v.Base)
+	default:
+		return "v" + itoa(v.ID), true
+	}
+}
+
+// AliasClass is atomKey's rooted form: the key of a place rooted at the
+// receiver, a parameter or a global, which names the same storage in
+// every call, or "" for a place rooted at a local value.
+func AliasClass(v *Value) string {
+	if k, _ := atomKey(v); !strings.HasPrefix(k, "v") {
+		return k
 	}
 	return ""
 }

@@ -353,6 +353,38 @@ func isNamed(t types.Type, pkgPath, name string) bool {
 	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
 }
 
+// declField resolves the field name of the struct type typ that p
+// declares; nil when p, the type or the field is missing.
+func declField(p *Package, typ, name string) *types.Var {
+	if p == nil {
+		return nil
+	}
+	tn, _ := p.Types.Scope().Lookup(typ).(*types.TypeName)
+	if tn == nil {
+		return nil
+	}
+	st, _ := tn.Type().Underlying().(*types.Struct)
+	if st == nil {
+		return nil
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Field(i).Name() == name {
+			return st.Field(i)
+		}
+	}
+	return nil
+}
+
+// declConst resolves the constant name that p declares; nil when p or
+// the constant is missing.
+func declConst(p *Package, name string) *types.Const {
+	if p == nil {
+		return nil
+	}
+	c, _ := p.Types.Scope().Lookup(name).(*types.Const)
+	return c
+}
+
 // buildImplMap maps each interface method declared in the module to the
 // concrete module methods implementing it.
 func buildImplMap(pkgs []*Package) map[*types.Func][]*types.Func {

@@ -429,12 +429,7 @@ const mutantPkg = modPath + "/internal/fault"
 // seedConst resolves the named mutant constant in mutantPkg; nil when
 // name is empty or names no constant there.
 func (ctx *modCtx) seedConst(name string) *types.Const {
-	p := ctx.m.Lookup(mutantPkg)
-	if name == "" || p == nil {
-		return nil
-	}
-	c, _ := p.Types.Scope().Lookup(name).(*types.Const)
-	return c
+	return declConst(ctx.m.Lookup(mutantPkg), name)
 }
 
 // comparesSeed reports whether f compares (== or !=) a field of seed's
@@ -524,27 +519,7 @@ func (la *locksetAnalysis) checkAdjacency(e race.Field, ss []*lockSite) {
 
 // fieldVar resolves the registry entry's backing *types.Var.
 func (la *locksetAnalysis) fieldVar(e race.Field) *types.Var {
-	if e.GoField == "" {
-		return nil
-	}
-	p := la.ctx.m.Lookup(modPath + "/" + e.Owner)
-	if p == nil {
-		return nil
-	}
-	obj := p.Types.Scope().Lookup(e.Struct)
-	if obj == nil {
-		return nil
-	}
-	st, ok := obj.Type().Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i).Name() == e.GoField {
-			return st.Field(i)
-		}
-	}
-	return nil
+	return declField(la.ctx.m.Lookup(modPath+"/"+e.Owner), e.Struct, e.GoField)
 }
 
 // problem records one discipline violation as a finding. Position-less

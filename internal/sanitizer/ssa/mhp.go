@@ -10,26 +10,25 @@ import (
 // mhp is the whole-program may-happen-in-parallel analysis. The simulator
 // multiplexes logical concurrency over engine procs, so "what can run in
 // parallel with what" is decided by a small set of spawn edges, all
-// statically visible:
+// statically visible. mhp reads three of them:
 //
 //   - sim.Engine.Go registers a proc body (CPU run loops, workload
 //     drivers, daemon collectors);
-//   - kernel.Task{Fn: ...} bodies run when a run loop dequeues the task;
 //   - smp.Layer.CallMany registers an IPI handler that runs on each
 //     target CPU's IRQ dispatch (the send→HandleIPI edge; the matching
 //     join is the ack wait);
 //   - kernel.CPU.QueueLazyWork / QueueBatchedFlush enqueue deferred
-//     closures the owning CPU drains at its next kernel entry;
-//   - sched.Collect / sched.Map fan work out over the host worker pool.
+//     closures the owning CPU drains at its next kernel entry.
 //
-// mhp assigns every unit the set of execution contexts it is reachable
-// from (propagated over the call graph with interface fan-out) and, on
-// top of that, a CPU-confinement proof: for receivers and parameters of
+// From them mhp derives two facts. Handler reach is every unit reachable
+// over the call graph (with interface fan-out) from a CallMany handler:
+// the code a responder runs while its initiator spins on the ack. The
+// CPU-confinement proof decides, for receivers and parameters of
 // kernel.CPU type, whether the value is provably the CPU whose execution
 // context the code is running in ("self"). Both facts feed the lockset
-// analyzer's discharge proofs; mhp's own finding is blocking-in-IRQ
-// context (a shootdown responder must never sleep, or the ack-timeout
-// recovery ladder becomes the common path).
+// analyzer's discharge proofs; mhp's own finding is a blocking call in
+// handler reach (a shootdown responder must never sleep, or the
+// ack-timeout recovery ladder becomes the common path).
 //
 // The self-CPU proof is an optimistic call-site-closed-world fixpoint:
 // every CPU-typed receiver/parameter starts "self" and is demoted by any
@@ -52,26 +51,13 @@ import (
 // exactly the cross-validation bargain: the dynamic tier certifies the
 // trusted base on sampled schedules, the static tier extends it to all.
 
-type mhpCtx uint8
-
-const (
-	cxProc     mhpCtx = 1 << iota // an Engine.Go proc body
-	cxTask                        // a kernel.Task body (runs on a run loop)
-	cxIRQ                         // an IPI-handler registration (CallMany fn)
-	cxDeferred                    // a lazy/batched deferred-flush closure
-	cxPool                        // a sched worker-pool closure
-)
-
 const kernelPkg = modPath + "/internal/kernel"
 const simPkg = modPath + "/internal/sim"
-const schedPkg = modPath + "/internal/sched"
 
 type mhpInfo struct {
 	ctx  *modCtx
 	prog *Program
 
-	// ctxOf holds the context bitsets after propagation.
-	ctxOf map[*Func]mhpCtx
 	// selfRecv / selfParam / selfIDParam are the CPU-confinement facts:
 	// receiver (or *kernel.CPU / mach.CPU parameter i) is provably the
 	// executing CPU.
@@ -99,7 +85,6 @@ func (ctx *modCtx) buildMHP() *mhpInfo {
 	}
 	m := &mhpInfo{
 		ctx: ctx, prog: ctx.program(),
-		ctxOf:        make(map[*Func]mhpCtx),
 		selfRecv:     make(map[*Func]bool),
 		selfParam:    make(map[*Func]map[int]bool),
 		selfIDParam:  make(map[*Func]map[int]bool),
@@ -110,14 +95,13 @@ func (ctx *modCtx) buildMHP() *mhpInfo {
 	}
 	m.initOptimistic()
 	m.collectRoots()
-	m.propagateContexts()
 	m.solveSelf()
 	m.handlerReach = m.reach(m.handlerRoots)
 	ctx.mhp = m
 	return m
 }
 
-// checkMHP reports blocking calls reachable in IRQ-handler context.
+// checkMHP reports blocking calls in handler reach.
 func checkMHP(ctx *modCtx) []Finding {
 	m := ctx.buildMHP()
 	visited := 0
@@ -128,7 +112,7 @@ func checkMHP(ctx *modCtx) []Finding {
 		if f.Decl.Pkg.Path == smpPkg {
 			return // trusted base: HandleIPI's own dispatch
 		}
-		if m.ctxOf[f]&cxIRQ == 0 {
+		if !m.handlerReach[f] {
 			return
 		}
 		for _, b := range f.Blocks {
@@ -223,8 +207,8 @@ func (m *mhpInfo) unitOfFuncValue(v *Value) *Func {
 	return m.prog.ByObj[v.Func]
 }
 
-// collectRoots scans every unit for spawn-edge registrations, assigning
-// root contexts, self seeds, and method-value escape demotions.
+// collectRoots scans every unit for spawn-edge registrations, collecting
+// handler roots, self seeds, and method-value escape demotions.
 func (m *mhpInfo) collectRoots() {
 	// blessed marks CPU-method values consumed by an Engine.Go
 	// registration (witness 1); any other method-value escape of a CPU
@@ -235,28 +219,6 @@ func (m *mhpInfo) collectRoots() {
 		for _, b := range f.Blocks {
 			for _, call := range b.Calls {
 				m.rootsFromCall(f, call, blessed)
-			}
-		}
-		// kernel.Task composite literals: the Fn element is a task body.
-		for _, v := range f.Values() {
-			if v.Kind == VComposite && isNamed(v.Type, kernelPkg, "Task") {
-				if fn := m.unitOfFuncValue(v.field("Fn")); fn != nil {
-					m.ctxOf[fn] |= cxTask
-				}
-			}
-		}
-		// Stores to a Task's Fn field register a body too.
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Kind != IStore || in.Addr == nil {
-					continue
-				}
-				if fr := chase(in.Addr); fr != nil && fr.Kind == VFieldRead &&
-					fr.Obj != nil && fr.Obj.Name() == "Fn" && ownerIs(fr, kernelPkg, "Task") {
-					if u := m.unitOfFuncValue(in.Val); u != nil {
-						m.ctxOf[u] |= cxTask
-					}
-				}
 			}
 		}
 	})
@@ -293,17 +255,13 @@ func (m *mhpInfo) rootsFromCall(f *Func, call *Value, blessed map[*Value]bool) {
 	switch {
 	case recv != nil && isNamed(recv, simPkg, "Engine") && fn.Name() == "Go" && len(call.Args) >= 2:
 		arg := chase(call.Args[1])
-		if u := m.unitOfFuncValue(arg); u != nil {
-			m.ctxOf[u] |= cxProc
-			// Witness 1: a CPU method registered as a proc body runs on
-			// its own CPU's execution context.
-			if arg != nil && arg.Kind == VOp {
-				blessed[arg] = true
-			}
+		// Witness 1: a CPU method registered as a proc body runs on its
+		// own CPU's execution context.
+		if arg != nil && arg.Kind == VOp {
+			blessed[arg] = true
 		}
 	case isCallMany(fn) && len(call.Args) >= 6:
 		if u := m.unitOfFuncValue(call.Args[3]); u != nil {
-			m.ctxOf[u] |= cxIRQ
 			m.handlerRoots[u] = true
 			// Witness 2: the handler's mach.CPU parameter is the
 			// servicing CPU's ID. This is a seed, not a grant: a direct
@@ -321,7 +279,6 @@ func (m *mhpInfo) rootsFromCall(f *Func, call *Value, blessed map[*Value]bool) {
 		if u == nil {
 			return
 		}
-		m.ctxOf[u] |= cxDeferred
 		// Witness 4: the deferred closure is drained by the receiver
 		// CPU's own kernel entry, so the captured receiver is self
 		// inside the closure. The closure captures the receiver's
@@ -336,13 +293,6 @@ func (m *mhpInfo) rootsFromCall(f *Func, call *Value, blessed map[*Value]bool) {
 					}
 					m.selfFree[u][obj] = true
 				}
-			}
-		}
-	case fn.Pkg() != nil && fn.Pkg().Path() == schedPkg &&
-		(fn.Name() == "Collect" || fn.Name() == "Map"):
-		for _, a := range call.Args {
-			if u := m.unitOfFuncValue(a); u != nil {
-				m.ctxOf[u] |= cxPool
 			}
 		}
 	}
@@ -361,44 +311,6 @@ func ownerIs(fr *Value, pkgPath, structName string) bool {
 		t = p.Elem()
 	}
 	return isNamed(t, pkgPath, structName)
-}
-
-// propagateContexts floods root contexts over the call graph (and into
-// nested literals, which run at most in their parent's contexts unless
-// independently registered) until nothing changes; context bits only
-// accumulate, so the rounds stop.
-func (m *mhpInfo) propagateContexts() {
-	for changed := true; changed; {
-		changed = false
-		m.prog.eachUnit(func(f *Func) {
-			bits := m.ctxOf[f]
-			// A literal inherits its parent's contexts: unless a spawn
-			// edge re-registers it, it runs where it was created.
-			for _, lit := range f.Lits {
-				if m.ctxOf[lit]|bits != m.ctxOf[lit] {
-					m.ctxOf[lit] |= bits
-					changed = true
-				}
-			}
-			if bits == 0 {
-				return
-			}
-			for _, b := range f.Blocks {
-				for _, call := range b.Calls {
-					for _, t := range m.prog.calleesOf(call) {
-						cf := m.prog.ByObj[t]
-						if cf == nil {
-							continue
-						}
-						if m.ctxOf[cf]|bits != m.ctxOf[cf] {
-							m.ctxOf[cf] |= bits
-							changed = true
-						}
-					}
-				}
-			}
-		})
-	}
 }
 
 // solveSelf runs the demotion fixpoint for the CPU-confinement facts,

@@ -147,15 +147,7 @@ func checkHook(ctx *modCtx, prog *Program, hook *Func, boot bool, mut map[*types
 		})
 	}
 	isMutating := func(call *Value) bool {
-		if inPurePkg(call.Callee) {
-			return false
-		}
-		for _, t := range prog.calleesOf(call) { // interface method: any impl
-			if mut[t.Origin()] { // a generic method's summary is its origin's
-				return true
-			}
-		}
-		return false
+		return !inPurePkg(call.Callee) && callsMutator(prog, call, mut)
 	}
 
 	for _, u := range append([]*Func{hook}, collectLits(hook)...) {
@@ -243,7 +235,7 @@ func buildMutatingSummaries(prog *Program) map[*types.Func]bool {
 	for changed := true; changed; {
 		changed = false
 		for _, f := range prog.Funcs {
-			if !mut[f.Decl.Obj] && f.Sig.Recv() != nil && methodMutates(f, mut) {
+			if !mut[f.Decl.Obj] && f.Sig.Recv() != nil && methodMutates(prog, f, mut) {
 				mut[f.Decl.Obj] = true
 				changed = true
 			}
@@ -257,7 +249,7 @@ func buildMutatingSummaries(prog *Program) map[*types.Func]bool {
 // value receiver is the method's own copy, so only a write or a mutating
 // call through a pointer, slice or map it holds counts. Rebinding the bare
 // receiver, in f or in a literal, changes only a local variable.
-func methodMutates(f *Func, mut map[*types.Func]bool) bool {
+func methodMutates(prog *Program, f *Func, mut map[*types.Func]bool) bool {
 	recv := f.Sig.Recv()
 	isRecv := func(root *Value) bool {
 		return root.Kind == VRecv || (root.Kind == VFree && root.Obj == recv)
@@ -270,10 +262,21 @@ func methodMutates(f *Func, mut map[*types.Func]bool) bool {
 				}
 			}
 			for _, call := range b.Calls {
-				if call.Callee != nil && call.Base != nil && mut[call.Callee.Origin()] && callWritesThrough(call, isRecv) {
+				if call.Callee != nil && call.Base != nil && callsMutator(prog, call, mut) && callWritesThrough(call, isRecv) {
 					return true
 				}
 			}
+		}
+	}
+	return false
+}
+
+// callsMutator reports whether call may run a mutating method: its callee,
+// or for an interface method any module implementation.
+func callsMutator(prog *Program, call *Value, mut map[*types.Func]bool) bool {
+	for _, t := range prog.calleesOf(call) {
+		if mut[t.Origin()] { // a generic method's summary is its origin's
+			return true
 		}
 	}
 	return false

@@ -39,10 +39,11 @@
 //     range; sorting sanitizes iteration-order taint.
 //   - parallelsafe: a whole-program restore-discipline proof for
 //     package-level mutable vars in simulated packages.
-//   - mhp, lockset: may-happen-in-parallel contexts and RacerD-style
-//     discharge proofs for every field the dynamic race model instruments.
+//   - mhp, lockset: IPI-handler reach and CPU confinement (no blocking
+//     call in a responder's handler), and RacerD-style discharge proofs
+//     for every field the dynamic race model instruments.
 //   - fabproof: numeric abstract-interpretation proofs for the async
-//     shootdown fabric.
+//     shootdown fabric, bound by the names internal/smp declares.
 //
 // No comment waives a finding: an access, obligation or bound the tier
 // cannot prove is reported, and the fix is a proof the analyzer can
@@ -127,8 +128,9 @@ type modCtx struct {
 	fabRes *fabResult
 	// prog caches the whole-module SSA form shared by the analyzers.
 	prog *Program
-	// mhp caches the may-happen-in-parallel facts (built by checkMHP,
-	// reused by lockset's confinement and handler-reachability proofs).
+	// mhp caches the handler-reach and CPU-confinement facts (built by
+	// checkMHP, which reports blocking calls in handler reach, and reused
+	// by lockset's confinement and handler-reachability proofs).
 	mhp *mhpInfo
 }
 

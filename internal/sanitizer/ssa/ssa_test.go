@@ -753,8 +753,9 @@ func TestLockOrderRoundCapReported(t *testing.T) {
 // TestObserverPurityRules pins the hook rules: a write through a local
 // alias of the parameter, a mutating method reached through an interface,
 // ++ on a package-level var, a write in a boot hook, a write to an element
-// of a by-value parameter's slice field and a call of a value method that
-// writes through a pointer its receiver holds are findings; a boot hook
+// of a by-value parameter's slice field, a call of a value method that
+// writes through a pointer its receiver holds and a call of a method that
+// mutates through an interface-typed field are findings; a boot hook
 // calling a mutating method, a hook rebinding its parameter or bumping a
 // local copy of a field, a write to a by-value parameter's own field, a
 // call of a value method that writes only its receiver copy and a pointer
@@ -768,6 +769,7 @@ func TestObserverPurityRules(t *testing.T) {
 		{34, `hook mutates observed state "s" (write through hook parameter)` + pure},
 		{59, `hook mutates observed state "e" (write through hook parameter)` + pure},
 		{93, `hook mutates observed state "p" via call to mutating method set` + pure},
+		{108, `hook mutates observed state "v" via call to mutating method poke` + pure},
 	})
 }
 

@@ -1,7 +1,7 @@
 // Fixture: an unbounded ring append the fabproof tier must report as
-// exactly one finding. The struct below is fabric-shaped (ring slice,
-// posted/acked sequence counters, full-flush flag), so discovery picks
-// it up, and the append never consults the ring's length — there is no
+// exactly one finding. The package declares the fabric's ring type under
+// smp's names (fabricCPU with its four ring fields), so fabproof binds
+// it, and the append never consults the ring's length — there is no
 // capacity check and no full-flush collapse, so the pre-append length
 // bound is unprovable and the ring can grow without limit.
 package fabprooffix
@@ -12,13 +12,13 @@ type inval struct {
 	Full         bool
 }
 
-type ringCPU struct {
-	ring     []inval
-	postSeq  uint64
-	ackSeq   uint64
-	flushAll bool
+type fabricCPU struct {
+	fabRing     []inval
+	fabPostSeq  uint64
+	fabAckSeq   uint64
+	fabFlushAll bool
 }
 
-func appendUnchecked(rc *ringCPU, inv inval) {
-	rc.ring = append(rc.ring, inv)
+func appendUnchecked(rc *fabricCPU, inv inval) {
+	rc.fabRing = append(rc.fabRing, inv)
 }

@@ -1,7 +1,8 @@
-// Fixture: the guarded counterpart of bad_fabproof.go — the same
-// fabric-shaped struct, with an append the fabproof tier proves bounded
-// on its own (the length check dominates the append): zero findings, a
-// positive test that the bound refinement works on fixture fabrics too.
+// Fixture: the guarded counterpart of bad_fabproof.go — the same ring
+// type under smp's names, with an append the fabproof tier proves
+// bounded by the declared RingSize (the length check dominates the
+// append): zero findings, a positive test that the bound refinement
+// works on fixture fabrics too.
 package fabprooffix
 
 type inval struct {
@@ -10,19 +11,19 @@ type inval struct {
 	Full         bool
 }
 
-type ringCPU struct {
-	ring     []inval
-	postSeq  uint64
-	ackSeq   uint64
-	flushAll bool
+type fabricCPU struct {
+	fabRing     []inval
+	fabPostSeq  uint64
+	fabAckSeq   uint64
+	fabFlushAll bool
 }
 
-const ringSize = 8
+const RingSize = 8
 
-func appendGuarded(rc *ringCPU, inv inval) {
-	if len(rc.ring) >= ringSize {
-		rc.flushAll = true
+func appendGuarded(rc *fabricCPU, inv inval) {
+	if len(rc.fabRing) >= RingSize {
+		rc.fabFlushAll = true
 		return
 	}
-	rc.ring = append(rc.ring, inv)
+	rc.fabRing = append(rc.fabRing, inv)
 }

@@ -96,3 +96,15 @@ func installValueReceivers(h *obs.Hook[*pair], hv *obs.Hook[pair]) {
 		p.t.st.bump()
 	})
 }
+
+// viaIface mutates through an interface-typed field: poke's summary
+// resolves c.bump to every implementation, *state's among them.
+type viaIface struct{ c counter }
+
+func (v *viaIface) poke() { v.c.bump() }
+
+func installViaIface(h *obs.Hook[*viaIface]) {
+	h.Add(func(v *viaIface) {
+		v.poke()
+	})
+}

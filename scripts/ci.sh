@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate: build, tests, race detector, the static-analysis tier, and the
+# CI gate: build, the static-analysis tier, tests, race detector, and the
 # checked experiment suite (shadow-oracle coherence sanitizer and race
 # model attached together) under fault injection. Fails on the first
 # broken step. Mirrors `make check`; the GitHub workflow runs this script.
@@ -23,6 +23,64 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
+
+# The static tier — every internal/sanitizer/ssa analyzer off one
+# typecheck (banned imports, cost constants, observer purity, flush
+# obligations, lock order, the ipistate shootdown DFA, the detflow
+# nondeterminism-taint proof, the parallelsafe restore-discipline proof,
+# mhp's handler reach and CPU-confinement facts with the lockset
+# race-discipline proofs, and the fabproof numeric obligations over the
+# async fabric smp declares) — runs right after the stock gates: a
+# finding should fail the gate in seconds, not after minutes of tests and
+# simulations. The machine-readable report lands in VET_findings.json as
+# a CI artifact, and the tier carries a wall-clock budget: the
+# whole-program analyses must stay interactive (< 60s) or they will rot
+# out of the edit loop. The two proof tables are written to a temporary
+# directory, not over the committed RACE_XVAL.txt and FABPROOF.txt:
+# go test's TestCommittedProofTables pins the committed copies to what
+# tlbvet writes, which is what the workflow then uploads.
+echo "==> tlbvet (static analysis)"
+vet_start=$(date +%s)
+tables=$(mktemp -d)
+if ! go run ./cmd/tlbvet -json -xval "$tables/RACE_XVAL.txt" -fabproof "$tables/FABPROOF.txt" > VET_findings.json 2> VET_errors.txt; then
+    cat VET_errors.txt VET_findings.json
+    exit 1
+fi
+rm -f VET_errors.txt
+cat VET_findings.json
+vet_elapsed=$(( $(date +%s) - vet_start ))
+echo "tlbvet tier completed in ${vet_elapsed}s"
+if [ "$vet_elapsed" -ge 60 ]; then
+    echo "vet budget gate: static tier took ${vet_elapsed}s, budget is <60s"
+    exit 1
+fi
+
+# Cross-validation gate: RACE_XVAL.txt lists every field the dynamic
+# race model instruments alongside its static discharge status. Any
+# "unproven" row means a shared location the happens-before detector
+# watches at runtime that the lockset tier cannot prove disciplined —
+# the two models have diverged, and that is a gate failure, not a TODO.
+echo "==> race cross-validation (RACE_XVAL.txt)"
+cat "$tables/RACE_XVAL.txt"
+if grep -q 'unproven' "$tables/RACE_XVAL.txt"; then
+    echo "xval gate: a race-instrumented field has no static discharge proof"
+    exit 1
+fi
+
+# Fabric proof gate: FABPROOF.txt lists every numeric obligation on the
+# async shootdown fabric (ring bounds, overflow collapse, seq/ack/gen
+# monotonicity, retry cap, coalescing containment, callback-once, the
+# freed-tables fallback, inval well-formedness) with its proof status.
+# Any "unproven" row means the abstract interpreter can no longer
+# discharge an invariant the fabric's safety rests on — a gate failure,
+# not a TODO.
+echo "==> fabric proof obligations (FABPROOF.txt)"
+cat "$tables/FABPROOF.txt"
+if grep -q 'unproven' "$tables/FABPROOF.txt"; then
+    echo "fabproof gate: a fabric obligation has no static proof"
+    exit 1
+fi
+rm -rf "$tables"
 
 echo "==> go test ./..."
 go test ./...
@@ -80,58 +138,6 @@ rm -f coverage.out
 
 echo "==> go test -race ./..."
 go test -race ./...
-
-# The static tier — every internal/sanitizer/ssa analyzer off one
-# typecheck (banned imports, cost constants, observer purity, flush
-# obligations, lock order, the ipistate shootdown DFA, the detflow
-# nondeterminism-taint proof, the parallelsafe restore-discipline proof,
-# the mhp may-happen-in-parallel contexts and the lockset race-discipline
-# proofs, and the fabproof numeric obligations over the async fabric) —
-# runs before the long checked suite: a finding
-# should fail the gate in seconds, not after the simulations. The
-# machine-readable report lands in VET_findings.json as a CI artifact,
-# and the tier carries a wall-clock budget: the whole-program analyses
-# must stay interactive (< 60s) or they will rot out of the edit loop.
-echo "==> tlbvet (static analysis)"
-vet_start=$(date +%s)
-if ! go run ./cmd/tlbvet -json -xval RACE_XVAL.txt -fabproof FABPROOF.txt > VET_findings.json 2> VET_errors.txt; then
-    cat VET_errors.txt VET_findings.json
-    exit 1
-fi
-rm -f VET_errors.txt
-cat VET_findings.json
-vet_elapsed=$(( $(date +%s) - vet_start ))
-echo "tlbvet tier completed in ${vet_elapsed}s"
-if [ "$vet_elapsed" -ge 60 ]; then
-    echo "vet budget gate: static tier took ${vet_elapsed}s, budget is <60s"
-    exit 1
-fi
-
-# Cross-validation gate: RACE_XVAL.txt lists every field the dynamic
-# race model instruments alongside its static discharge status. Any
-# "unproven" row means a shared location the happens-before detector
-# watches at runtime that the lockset tier cannot prove disciplined —
-# the two models have diverged, and that is a gate failure, not a TODO.
-echo "==> race cross-validation (RACE_XVAL.txt)"
-cat RACE_XVAL.txt
-if grep -q 'unproven' RACE_XVAL.txt; then
-    echo "xval gate: a race-instrumented field has no static discharge proof"
-    exit 1
-fi
-
-# Fabric proof gate: FABPROOF.txt lists every numeric obligation on the
-# async shootdown fabric (ring bounds, overflow collapse, seq/ack/gen
-# monotonicity, retry cap, coalescing containment, callback-once, the
-# freed-tables fallback, inval well-formedness) with its proof status.
-# Any "unproven" row means the abstract interpreter can no longer
-# discharge an invariant the fabric's safety rests on — a gate failure,
-# not a TODO.
-echo "==> fabric proof obligations (FABPROOF.txt)"
-cat FABPROOF.txt
-if grep -q 'unproven' FABPROOF.txt; then
-    echo "fabproof gate: a fabric obligation has no static proof"
-    exit 1
-fi
 
 # The oracle stack must stay clean when every machine runs under an
 # injected fault schedule: dropped/delayed kicks, stalled responders,
