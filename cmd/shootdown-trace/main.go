@@ -80,9 +80,7 @@ func run(args []string, stdout io.Writer) error {
 	respCPU := k.Topo.ResponderFor(0, pl)
 	stop := false
 	k.CPU(respCPU).Spawn(&kernel.Task{Name: "responder", MM: as, Fn: func(ctx *kernel.Ctx) {
-		for !stop {
-			ctx.UserRun(2000)
-		}
+		ctx.SpinUntil(func() bool { return stop }, 2000)
 	}})
 	const pg = pagetable.PageSize4K
 	k.CPU(0).Spawn(&kernel.Task{Name: "initiator", MM: as, Fn: func(ctx *kernel.Ctx) {

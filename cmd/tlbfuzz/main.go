@@ -224,9 +224,7 @@ func fuzzOne(seed uint64, opsPerThread int, verbose bool, spec fault.Spec, tlbmo
 				return
 			}
 			ready++
-			for ready < nworkers {
-				ctx.UserRun(1000)
-			}
+			ctx.SpinUntil(func() bool { return ready >= nworkers }, 1000)
 			for i := 0; i < opsPerThread; i++ {
 				page := tr.Uint64n(8)
 				switch tr.Uint64n(13) {

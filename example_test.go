@@ -20,9 +20,7 @@ func ExampleNewMachine() {
 	proc := m.NewProcess("demo")
 	stop := false
 	proc.Go(28, "responder", func(t *shootdown.Thread) {
-		for !stop {
-			t.Compute(2000)
-		}
+		t.SpinUntil(func() bool { return stop }, 2000)
 	})
 	proc.Go(0, "initiator", func(t *shootdown.Thread) {
 		t.Compute(10_000)

@@ -57,9 +57,7 @@ func run(cfg shootdown.Config, seed uint64) (makespan uint64, stats string) {
 				region = v.Start
 			}
 			ready++
-			for ready < workers || region == 0 {
-				t.Compute(500)
-			}
+			t.SpinUntil(func() bool { return ready >= workers && region != 0 }, 500)
 			if startAt == 0 {
 				startAt = t.Now()
 			}

@@ -28,13 +28,9 @@ func run(cfg shootdown.Config) (forkCycles, parentWrites, childWrites uint64, tr
 	// fork's write-protect flush becomes a real shootdown.
 	stop := false
 	parent.Go(2, "sibling", func(t *shootdown.Thread) {
-		for start == 0 {
-			t.Compute(1000)
-		}
+		t.SpinUntil(func() bool { return start != 0 }, 1000)
 		t.Write(start) // cache a writable translation
-		for !stop {
-			t.Compute(2000)
-		}
+		t.SpinUntil(func() bool { return stop }, 2000)
 	})
 
 	parent.Go(0, "main", func(t *shootdown.Thread) {

@@ -28,9 +28,7 @@ func measure(cfg shootdown.Config) (init, resp uint64) {
 	const respCPU = shootdown.CPU(28) // first CPU of the other socket
 	stop := false
 	proc.Go(respCPU, "responder", func(t *shootdown.Thread) {
-		for !stop {
-			t.Compute(2000)
-		}
+		t.SpinUntil(func() bool { return stop }, 2000)
 	})
 	proc.Go(0, "initiator", func(t *shootdown.Thread) {
 		t.Compute(10_000) // let the responder start

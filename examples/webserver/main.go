@@ -38,9 +38,7 @@ func serve(cfg shootdown.Config, workers int) (reqPerSec float64) {
 		cpu := shootdown.CPU(w * 2) // one worker per physical core
 		apache.Go(cpu, fmt.Sprintf("worker%d", w), func(t *shootdown.Thread) {
 			ready++
-			for ready < workers {
-				t.Compute(500)
-			}
+			t.SpinUntil(func() bool { return ready >= workers }, 500)
 			if startAt == 0 {
 				startAt = t.Now()
 			}

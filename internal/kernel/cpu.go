@@ -71,6 +71,12 @@ type CPU struct {
 	// detector attaches (Kernel.EnableRace; see internal/race).
 	runqVar, lazyVar, genVar, lazyqVar, batchedVar, batchqVar string
 
+	// poll is what the CPU's latest poll waits for, read by quiet. Polls
+	// never nest: no interrupt handler or deferred flush blocks (the mhp
+	// analyzer proves it). quietFn is c.quiet, bound once.
+	poll    pollState
+	quietFn func() bool
+
 	// Measurement counters.
 
 	// Interrupted accumulates cycles spent handling IRQs while a task was
@@ -96,6 +102,7 @@ func newCPU(k *Kernel, id mach.CPU) *CPU {
 		batchedLine: k.Dir.NewLine(fmt.Sprintf("batched[%d]", id)),
 	}
 	c.Ctrl.SetNotify(func() { c.wake.Broadcast() })
+	c.quietFn = c.quiet
 	return c
 }
 
@@ -476,29 +483,74 @@ const blockedIRQPollQuantum = 800
 
 // DownRead acquires sem for reading while keeping this CPU IRQ-responsive.
 func (c *CPU) DownRead(p *sim.Proc, sem *mm.RWSem) {
-	first := true
-	for !sem.TryDownRead() {
-		if first {
-			sem.NoteContention()
-			first = false
-		}
-		sem.Changed().WaitTimeout(p, blockedIRQPollQuantum)
-		c.ServiceIRQs(p)
+	if !sem.TryDownRead() {
+		c.downPoll(p, sem, sem.TryDownRead, sem.CanDownRead)
 	}
 }
 
 // DownWrite acquires sem exclusively while keeping this CPU
 // IRQ-responsive.
 func (c *CPU) DownWrite(p *sim.Proc, sem *mm.RWSem) {
-	first := true
-	for !sem.TryDownWrite() {
-		if first {
-			sem.NoteContention()
-			first = false
-		}
-		sem.Changed().WaitTimeout(p, blockedIRQPollQuantum)
-		c.ServiceIRQs(p)
+	if !sem.TryDownWrite() {
+		c.downPoll(p, sem, sem.TryDownWrite, sem.CanDownWrite)
 	}
+}
+
+// downPoll waits for a contended sem: it sleeps on the release broadcast
+// for at most blockedIRQPollQuantum cycles at a time, services interrupts
+// after every wakeup and retries try. A poll that would find no interrupt
+// and can still not take sem re-arms in the engine (see quiet).
+func (c *CPU) downPoll(p *sim.Proc, sem *mm.RWSem, try, can func() bool) {
+	sem.NoteContention()
+	c.poll = pollState{done: can, loads: 1}
+	for {
+		sem.Changed().WaitPoll(p, blockedIRQPollQuantum, blockedIRQPollQuantum, c.quietFn)
+		c.ServiceIRQs(p)
+		if try() {
+			return
+		}
+	}
+}
+
+// SpinUntil spins in user mode until done reports true, checking it every
+// quantum cycles and servicing interrupts meanwhile: the simulated
+// `while (!done) pause;` loop, with each quantum run as UserRun(quantum).
+// done must read only plain workload state. A poll that would find no
+// interrupt and done still false re-arms in the engine (see quiet), with
+// no coroutine switch. A zero quantum would never let time pass, so
+// SpinUntil panics on it.
+func (c *CPU) SpinUntil(p *sim.Proc, done func() bool, quantum uint64) {
+	if quantum == 0 {
+		panic("kernel: SpinUntil with a zero quantum")
+	}
+	c.poll = pollState{done: done, loads: 2}
+	for !done() {
+		c.runInterruptible(p, quantum, c.quietFn)
+	}
+}
+
+// pollState is a parked poll's quiet check: what it waits for, and how
+// many ServiceIRQs calls (each one lazyq load) a skipped wakeup would
+// have made.
+type pollState struct {
+	done  func() bool
+	loads int
+}
+
+// quiet is the engine-side check at a poll's timeout (sim.Cond.WaitPoll).
+// It holds when the polling proc, resumed, would find no interrupt
+// deliverable, no lazy work due and the poll not done, and so would only
+// wait again. It then records the lazyq loads of the ServiceIRQs calls it
+// skips: the one ending a SpinUntil quantum and the one starting the
+// next, or the one after a semaphore wait (see TestIdleServiceIRQsIsPure).
+func (c *CPU) quiet() bool {
+	if c.Ctrl.Deliverable() || len(c.lazyWork) > 0 && !c.inUser || c.poll.done() {
+		return false
+	}
+	for range c.poll.loads {
+		c.K.Race.AtomicLoad(c.lazyqVar)
+	}
+	return true
 }
 
 // KernelRun executes d cycles of kernel-mode work (e.g. writeback page
@@ -509,30 +561,26 @@ func (c *CPU) KernelRun(p *sim.Proc, d uint64) {
 	if c.inUser {
 		panic("kernel: KernelRun in user mode")
 	}
-	c.runInterruptible(p, d)
+	c.runInterruptible(p, d, nil)
 }
 
 // UserRun executes d cycles of user-mode computation, interruptible by
 // IPIs; interruption time is accounted to the task, not to d.
-func (c *CPU) UserRun(p *sim.Proc, d uint64) { c.runInterruptible(p, d) }
+func (c *CPU) UserRun(p *sim.Proc, d uint64) { c.runInterruptible(p, d, nil) }
 
 // runInterruptible spends d cycles servicing every interrupt that arrives
-// meanwhile; the time an interrupt takes does not count against d.
-func (c *CPU) runInterruptible(p *sim.Proc, d uint64) {
+// meanwhile; the time an interrupt takes does not count against d. A
+// non-nil quiet is a spin's check: where it holds at the end of the d
+// cycles, the engine starts the next d itself (sim.Cond.WaitPoll), and a
+// wakeup then leaves the rest of that d to run.
+func (c *CPU) runInterruptible(p *sim.Proc, d uint64, quiet func() bool) {
 	remaining := d
 	for remaining > 0 {
 		c.ServiceIRQs(p)
 		if c.Ctrl.Deliverable() {
 			continue
 		}
-		start := p.Now()
-		c.wake.WaitTimeout(p, remaining)
-		elapsed := uint64(p.Now() - start)
-		if elapsed >= remaining {
-			remaining = 0
-		} else {
-			remaining -= elapsed
-		}
+		remaining = c.wake.WaitPoll(p, remaining, d, quiet)
 	}
 	c.ServiceIRQs(p)
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"strings"
 	"testing"
 
 	"shootdown/internal/mach"
@@ -458,6 +459,67 @@ func TestDownReadServicesIRQsWhileBlocked(t *testing.T) {
 	if !handledWhileBlocked {
 		t.Fatal("IRQ not serviced while blocked on rwsem")
 	}
+}
+
+// TestIdleServiceIRQsIsPure pins the premise of the quiet poll (CPU.quiet
+// skips ServiceIRQs calls it records only a load for): with no
+// interrupt deliverable and no lazy work due, ServiceIRQs moves no
+// clock, schedules no event, handles and charges nothing, and records
+// exactly one race-model access, an atomic load. It checks user mode with
+// lazy work queued (not due until kernel entry) and kernel mode with none.
+func TestIdleServiceIRQsIsPure(t *testing.T) {
+	k, _ := newKernel(t, true)
+	d := race.New(k.Eng)
+	k.EnableRace(d)
+	as := k.NewAddressSpace()
+	c := k.CPU(3)
+	checks := 0
+	idle := func(ctx *Ctx, mode string) {
+		if c.Ctrl.Deliverable() || len(c.lazyWork) > 0 && !c.inUser {
+			t.Fatalf("%s: CPU not idle", mode)
+		}
+		now, pending := k.Eng.Now(), k.Eng.Pending()
+		irqs, interrupted := c.IRQsHandled, c.Interrupted
+		before := d.Finish().Stats
+		c.ServiceIRQs(ctx.P)
+		after := d.Finish().Stats
+		if k.Eng.Now() != now || k.Eng.Pending() != pending {
+			t.Errorf("%s: Now/Pending went %d/%d -> %d/%d", mode, now, pending, k.Eng.Now(), k.Eng.Pending())
+		}
+		if c.IRQsHandled != irqs || c.Interrupted != interrupted {
+			t.Errorf("%s: IRQsHandled/Interrupted went %d/%d -> %d/%d", mode, irqs, interrupted, c.IRQsHandled, c.Interrupted)
+		}
+		before.AtomicLoads++
+		if after != before {
+			t.Errorf("%s: race stats %+v, want one more atomic load than %+v", mode, after, before)
+		}
+		checks++
+	}
+	c.Spawn(&Task{Name: "idle", MM: as, Fn: func(ctx *Ctx) {
+		ctx.UserRun(1000)
+		c.QueueLazyWork(func(*sim.Proc) {})
+		idle(ctx, "user mode, lazy work queued")
+		ctx.EnterSyscall() // drains the lazy work
+		idle(ctx, "kernel mode")
+		ctx.ExitSyscall()
+	}})
+	k.Eng.Run()
+	if checks != 2 {
+		t.Fatalf("ran %d of 2 checks", checks)
+	}
+}
+
+// TestSpinUntilZeroQuantumPanics: a zero quantum never lets time pass,
+// so SpinUntil refuses it before it polls (no engine runs here, so a
+// missing check cannot hang).
+func TestSpinUntilZeroQuantumPanics(t *testing.T) {
+	k, _ := newKernel(t, true)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "SpinUntil") || !strings.Contains(msg, "zero quantum") {
+			t.Fatalf("recovered %q, want the zero-quantum panic naming SpinUntil", msg)
+		}
+	}()
+	k.CPU(0).SpinUntil(nil, func() bool { return false }, 0)
 }
 
 func TestInterruptedAccounting(t *testing.T) {

@@ -87,6 +87,12 @@ func (ctx *Ctx) ExitSyscall() {
 // UserRun executes d cycles of user computation (see CPU.UserRun).
 func (ctx *Ctx) UserRun(d uint64) { ctx.CPU.UserRun(ctx.P, d) }
 
+// SpinUntil spins in user mode until done reports true, polling it every
+// quantum cycles (see CPU.SpinUntil).
+func (ctx *Ctx) SpinUntil(done func() bool, quantum uint64) {
+	ctx.CPU.SpinUntil(ctx.P, done, quantum)
+}
+
 func (k *Kernel) chargeEntry(p *sim.Proc) {
 	p.Delay(k.Cost.SyscallEntry)
 	if k.Cfg.PTI {

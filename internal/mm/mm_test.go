@@ -411,6 +411,40 @@ func TestRWSemMisuse(t *testing.T) {
 	eng.Run()
 }
 
+// TestRWSemCanDownIsPure: CanDownRead and CanDownWrite answer what the
+// Try variants would do in every holder state, and fire no hook.
+func TestRWSemCanDownIsPure(t *testing.T) {
+	sem := NewRWSem(sim.NewEngine(1), "s")
+	fired := 0
+	sem.Acquired.Add(func(*RWSem) { fired++ })
+	sem.Released.Add(func(*RWSem) { fired++ })
+	check := func(state string, read, write bool) {
+		t.Helper()
+		before := fired
+		if sem.CanDownRead() != read || sem.CanDownWrite() != write {
+			t.Fatalf("%s: CanDownRead/CanDownWrite = %v/%v, want %v/%v",
+				state, sem.CanDownRead(), sem.CanDownWrite(), read, write)
+		}
+		if fired != before {
+			t.Fatalf("%s: a Can check fired a hook", state)
+		}
+	}
+	check("free", true, true)
+	sem.TryDownRead()
+	check("one reader", true, false)
+	if sem.TryDownWrite() {
+		t.Fatal("TryDownWrite succeeded under a reader")
+	}
+	sem.UpRead(nil)
+	sem.TryDownWrite()
+	check("writer", false, false)
+	if sem.TryDownRead() {
+		t.Fatal("TryDownRead succeeded under a writer")
+	}
+	sem.UpWrite(nil)
+	check("free again", true, true)
+}
+
 // TestRWSemUncontendedReadAllocatesNothing: with no race detector and no
 // subscriber, an uncontended read acquire/release pair costs no
 // allocation (the detector's sync name is built once, when it attaches).

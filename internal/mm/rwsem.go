@@ -59,9 +59,17 @@ func NewRWSem(eng *sim.Engine, name string) *RWSem {
 // Name returns the diagnostic name.
 func (s *RWSem) Name() string { return s.name }
 
+// CanDownRead reports whether TryDownRead would succeed now. It records
+// nothing: no hook fires and no race edge is drawn.
+func (s *RWSem) CanDownRead() bool { return !s.writer }
+
+// CanDownWrite reports whether TryDownWrite would succeed now. Like
+// CanDownRead it records nothing.
+func (s *RWSem) CanDownWrite() bool { return !s.writer && s.readers == 0 }
+
 // TryDownRead acquires for reading without blocking; it reports success.
 func (s *RWSem) TryDownRead() bool {
-	if s.writer {
+	if !s.CanDownRead() {
 		return false
 	}
 	s.readers++
@@ -71,7 +79,7 @@ func (s *RWSem) TryDownRead() bool {
 
 // TryDownWrite acquires exclusively without blocking; it reports success.
 func (s *RWSem) TryDownWrite() bool {
-	if s.writer || s.readers > 0 {
+	if !s.CanDownWrite() {
 		return false
 	}
 	s.writer = true

@@ -28,7 +28,8 @@ import (
 //   - arguments to any module function whose name contains "Digest"
 //     (StateDigest and friends must be replay-stable by definition)
 //   - event timestamps: sim.Proc.Delay, sim.Cond.WaitTimeout,
-//     sim.Engine.At, sim.Engine.After — and any call of those inside a
+//     sim.Cond.WaitPoll (its timeout and its period), sim.Engine.At,
+//     sim.Engine.After — and any call of those inside a
 //     map range, whatever its argument: map order decides which
 //     iteration charges time first, so even a constant cost reorders
 //     the events interleaved with it
@@ -436,13 +437,21 @@ func (a *dfAnalysis) reportSinks(f *Func, taint map[*Value]string, report func(*
 					}
 				}
 			}
-			idx, ok := timingSinkArg(call.Callee)
+			lo, hi, ok := timingSinkArgs(call.Callee)
+			if !ok || hi >= len(call.Args) {
+				continue
+			}
+			tainted := ""
+			for _, arg := range call.Args[lo : hi+1] {
+				if tainted = taint[arg]; tainted != "" {
+					break
+				}
+			}
 			switch {
-			case !ok || idx >= len(call.Args):
-			case taint[call.Args[idx]] != "":
+			case tainted != "":
 				report(f, call, fmt.Sprintf(
 					"nondeterministic value (%s) used as an event timestamp in %s — simulated time must come from the deterministic engine",
-					taint[call.Args[idx]], call.Callee.Name()))
+					tainted, call.Callee.Name()))
 			case b.MapRange:
 				report(f, call, fmt.Sprintf(
 					"%s inside iteration over a map: map order is random, so the interleaving of charged time becomes irreproducible — iterate a sorted copy",
@@ -497,11 +506,11 @@ func moduleFunc(fn *types.Func) bool {
 		strings.HasPrefix(fn.Pkg().Path(), modPath+"/"))
 }
 
-// timingSinkArg returns the argument index carrying a simulated timestamp
-// or delay for the sim-layer timing primitives.
-func timingSinkArg(fn *types.Func) (int, bool) {
+// timingSinkArgs returns the argument indices lo..hi carrying a simulated
+// timestamp or delay for the sim-layer timing primitives.
+func timingSinkArgs(fn *types.Func) (lo, hi int, ok bool) {
 	if fn.Pkg() == nil || fn.Pkg().Path() != modPath+"/internal/sim" {
-		return 0, false
+		return 0, 0, false
 	}
 	recv := ""
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
@@ -511,11 +520,13 @@ func timingSinkArg(fn *types.Func) (int, bool) {
 	}
 	switch recv + "." + fn.Name() {
 	case "Proc.Delay", "Engine.At", "Engine.After":
-		return 0, true
+		return 0, 0, true
 	case "Cond.WaitTimeout":
-		return 1, true
+		return 1, 1, true
+	case "Cond.WaitPoll":
+		return 1, 2, true
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // paramIndexOf maps argument position i at a call to fn onto fn's

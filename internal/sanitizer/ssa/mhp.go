@@ -142,7 +142,7 @@ func blockingPrimitive(fn *types.Func) (string, bool) {
 	switch {
 	case isNamed(recv, kernelPkg, "CPU"):
 		switch fn.Name() {
-		case "WaitRequests", "DownRead", "DownWrite", "KernelRun", "UserRun":
+		case "WaitRequests", "DownRead", "DownWrite", "KernelRun", "UserRun", "SpinUntil":
 			return "kernel.CPU." + fn.Name(), true
 		}
 	case isNamed(recv, kernelPkg, "Task"):
@@ -151,7 +151,7 @@ func blockingPrimitive(fn *types.Func) (string, bool) {
 		}
 	case isNamed(recv, simPkg, "Cond"):
 		switch fn.Name() {
-		case "Wait", "WaitTimeout":
+		case "Wait", "WaitTimeout", "WaitPoll":
 			return "sim.Cond." + fn.Name(), true
 		}
 	}

@@ -149,6 +149,18 @@ func TestDetFlowDigestFixtureFires(t *testing.T) {
 	}
 }
 
+// TestDetFlowWaitPollPeriodFires: WaitPoll's period times every re-arm,
+// so a wall-clock period is an event timestamp like WaitTimeout's.
+func TestDetFlowWaitPollPeriodFires(t *testing.T) {
+	res := checkFixture(t, "bad_detflow_waitpoll.go", "detflow")
+	if len(res.Findings) != 1 {
+		t.Fatalf("findings = %v, want exactly 1 detflow finding", res.Findings)
+	}
+	if f := res.Findings[0]; !strings.Contains(f.Msg, "event timestamp in WaitPoll") || !strings.Contains(f.Msg, "wall clock") {
+		t.Fatalf("finding should name the WaitPoll sink and the clock source: %v", f)
+	}
+}
+
 func TestDetFlowGoodFixtureClean(t *testing.T) {
 	res := checkFixture(t, "good_detflow.go")
 	if len(res.Findings) != 0 {
@@ -197,6 +209,24 @@ func TestMHPBlockingFixtureFires(t *testing.T) {
 	f := res.Findings[0]
 	if !strings.Contains(f.Msg, "DownRead") || !strings.Contains(f.Msg, "IPI-handler") {
 		t.Fatalf("finding should name the blocking primitive and the context: %v", f)
+	}
+}
+
+// TestMHPSpinFixturesFire: a quiet poll parks the proc like any other
+// wait, so kernel.CPU.SpinUntil and sim.Cond.WaitPoll inside an IPI
+// handler are exactly one finding each.
+func TestMHPSpinFixturesFire(t *testing.T) {
+	for fixture, name := range map[string]string{
+		"bad_mhp_spin.go":     "kernel.CPU.SpinUntil",
+		"bad_mhp_waitpoll.go": "sim.Cond.WaitPoll",
+	} {
+		res := checkFixture(t, fixture)
+		if len(res.Findings) != 1 || countBy(res.Findings, "mhp") != 1 {
+			t.Fatalf("%s: findings = %v, want exactly 1 mhp finding", fixture, res.Findings)
+		}
+		if f := res.Findings[0]; !strings.Contains(f.Msg, "blocking call "+name+" in IPI-handler context") {
+			t.Fatalf("%s: finding should name %s and the context: %v", fixture, name, f)
+		}
 	}
 }
 

@@ -29,6 +29,12 @@ type condWaiter struct {
 	// timeoutFn is the process's WaitTimeout expiry callback, bound once
 	// at spawn like resumeFn.
 	timeoutFn func()
+	// deadline is when the pending timeout is due. quiet and period are a
+	// WaitPoll's quiet check and re-arm interval; quiet is nil for a
+	// WaitTimeout.
+	deadline Time
+	quiet    func() bool
+	period   uint64
 }
 
 // NewCond returns a condition variable bound to the engine.
@@ -48,18 +54,57 @@ func (c *Cond) Wait(p *Proc) {
 // WaitTimeout blocks p until the cond is signaled or d cycles elapse.
 // It reports whether the wakeup was a signal (true) or a timeout (false).
 func (c *Cond) WaitTimeout(p *Proc, d uint64) (signaled bool) {
+	return c.waitTimeout(p, d, 0, nil)
+}
+
+// WaitPoll is WaitTimeout(p, d) for a process that polls: each time its
+// wait times out it would call quiet's check and, finding nothing to do,
+// WaitTimeout(p, period) again. The engine runs that check in the expiry
+// callback instead, as p (Current returns p). While quiet reports true,
+// the callback re-arms the timeout period cycles on and moves p to the
+// FIFO's tail, the (time, sequence) and FIFO place p's own re-wait would
+// take, and p stays parked: no switch. Once quiet reports false, p
+// resumes as from a timeout. quiet must not change simulated state beyond
+// what p's skipped steps would have recorded, and must not read the
+// cond's waiters. A nil quiet makes WaitPoll WaitTimeout(p, d). A zero
+// period would re-arm at the same time forever, so WaitPoll panics on it.
+//
+// WaitPoll returns the cycles the timeout in effect had left when p
+// resumed: 0 after a timeout, else the rest of d or of the latest period.
+func (c *Cond) WaitPoll(p *Proc, d, period uint64, quiet func() bool) (left uint64) {
+	if period == 0 {
+		panic("sim: Cond.WaitPoll with a zero period")
+	}
+	c.waitTimeout(p, d, period, quiet)
+	if now := c.eng.now; p.waiter.deadline > now {
+		return uint64(p.waiter.deadline - now)
+	}
+	return 0
+}
+
+func (c *Cond) waitTimeout(p *Proc, d, period uint64, quiet func() bool) bool {
 	w := &p.waiter
 	w.cond, w.signaled = c, false
-	w.timeoutEv = c.eng.After(d, w.timeoutFn)
+	w.quiet, w.period = quiet, period
+	w.deadline = c.eng.now + Time(d)
+	w.timeoutEv = c.eng.At(w.deadline, w.timeoutFn)
 	c.waiters = append(c.waiters, p)
 	p.yield()
 	w.timeoutEv = nil
 	return w.signaled
 }
 
-// timedOut is the WaitTimeout expiry: drop p from the FIFO and resume it.
+// timedOut is the WaitTimeout expiry: drop p from the FIFO and resume it,
+// unless a WaitPoll's quiet check holds (see WaitPoll).
 func (p *Proc) timedOut() {
-	p.waiter.cond.remove(p)
+	w := &p.waiter
+	if w.quiet != nil && p.asCurrent(w.quiet) {
+		w.deadline = p.eng.now + Time(w.period)
+		w.timeoutEv = p.eng.At(w.deadline, w.timeoutFn)
+		w.cond.requeue(p)
+		return
+	}
+	w.cond.remove(p)
 	p.resumeFn()
 }
 
@@ -96,4 +141,14 @@ func (c *Cond) remove(p *Proc) {
 	if i := slices.Index(c.waiters, p); i >= 0 {
 		c.waiters = slices.Delete(c.waiters, i, i+1)
 	}
+}
+
+// requeue moves p to the FIFO's tail, where a remove and a fresh append
+// would leave it. A lone or last waiter is there already.
+func (c *Cond) requeue(p *Proc) {
+	if n := len(c.waiters); n > 0 && c.waiters[n-1] == p {
+		return
+	}
+	c.remove(p)
+	c.waiters = append(c.waiters, p)
 }

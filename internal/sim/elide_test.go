@@ -16,6 +16,29 @@ func switchDelay(p *Proc, d uint64) {
 	p.yield()
 }
 
+// loopWaitPoll is WaitPoll as the process's own loop: wait, and on each
+// timeout check quiet and wait again for period. It is the reference
+// TestCondWaitPollDifferential compares the engine-side re-arm against.
+func loopWaitPoll(c *Cond, p *Proc, d, period uint64, quiet func() bool) (left uint64) {
+	for {
+		deadline := p.Now() + Time(d)
+		if c.WaitTimeout(p, d) {
+			return uint64(deadline - p.Now())
+		}
+		if !quiet() {
+			return 0
+		}
+		d = period
+	}
+}
+
+// diffImpl is the pair of primitives one run of a differential program
+// uses.
+type diffImpl struct {
+	delay func(p *Proc, d uint64)
+	poll  func(c *Cond, p *Proc, d, period uint64, quiet func() bool) uint64
+}
+
 // Program operations of the differential test.
 const (
 	opDelay        = iota // Delay(arg)
@@ -30,6 +53,8 @@ const (
 	opCancel              // cancel a pending callback event
 	opCancelHead          // queue an event at the head, cancel it, Delay past it
 	opYield               // Proc.Yield
+	opWaitPoll            // Cond.WaitPoll(arg, period) with a quiet check on a flag
+	opFlip                // toggle the flag the cond's quiet checks read
 	numOps
 )
 
@@ -44,21 +69,28 @@ type diffOp struct {
 }
 
 // diffEntry is one line of a run's log: who did step at what time. who is
-// a proc index, or -1-n for callback n; step -1 marks a proc's unwind.
+// a proc index, or -1-n for callback n; step -1 marks a proc's unwind, -2
+// a quiet check that held, -3 one that failed, -4 a quiet check that ran
+// with Current() not its proc, and -5 a WaitPoll's return with its left
+// cycles in val.
 type diffEntry struct {
 	at   Time
 	who  int
 	step int
+	val  uint64
 }
 
 // diffResult is everything the two runs must agree on, plus how often the
 // program cancelled an event at the head of the queue.
 type diffResult struct {
-	log   []diffEntry
-	nows  []Time // Now() after every RunUntil, then after Shutdown
-	lives []int  // LiveProcs() after every RunUntil, then after Shutdown
+	log      []diffEntry
+	nows     []Time // Now() after every RunUntil, then after Shutdown
+	lives    []int  // LiveProcs() after every RunUntil, then after Shutdown
+	pendings []int  // Pending() after every RunUntil and Run
 
 	cancelledHeads int
+	// parkedInPoll counts the procs Shutdown found blocked in a WaitPoll.
+	parkedInPoll int
 }
 
 func genDiffProgram(rng *rand.Rand) [][]diffOp {
@@ -84,13 +116,18 @@ func genDiffProgram(rng *rand.Rand) [][]diffOp {
 	return procs
 }
 
-// runDiffProgram runs prog on a fresh engine with delay as the Delay
-// implementation, driving it through RunUntil horizons drawn from seed.
-func runDiffProgram(prog [][]diffOp, seed int64, delay func(*Proc, uint64)) diffResult {
+// runDiffProgram runs prog on a fresh engine with impl's Delay and
+// WaitPoll, driving it through RunUntil horizons drawn from seed.
+func runDiffProgram(prog [][]diffOp, seed int64, impl diffImpl) diffResult {
 	e := NewEngine(1)
 	conds := []*Cond{e.NewCond(), e.NewCond(), e.NewCond()}
+	// flags[i] holds every quiet check on conds[i] off while set.
+	var flags [3]bool
+	polling := make([]bool, len(prog))
 	var res diffResult
-	logf := func(who, step int) { res.log = append(res.log, diffEntry{e.Now(), who, step}) }
+	logv := func(who, step int, val uint64) { res.log = append(res.log, diffEntry{e.Now(), who, step, val}) }
+	logf := func(who, step int) { logv(who, step, 0) }
+	delay := impl.delay
 
 	type pending struct {
 		id int
@@ -115,8 +152,11 @@ func runDiffProgram(prog [][]diffOp, seed int64, delay func(*Proc, uint64)) diff
 			case 2:
 				conds[cond].Broadcast()
 			case 3:
-				if sel%16 == 3 { // a short chain, sometimes at the same instant
+				switch sel % 16 {
+				case 3: // a short chain, sometimes at the same instant
 					at(e.Now()+Time(sel%3), cond, sel/4)
+				case 7:
+					flags[cond] = !flags[cond]
 				}
 			}
 		})
@@ -187,6 +227,28 @@ func runDiffProgram(prog [][]diffOp, seed int64, delay func(*Proc, uint64)) diff
 					}
 				case opYield:
 					p.Yield()
+				case opWaitPoll:
+					// Quiet while the cond's flag is clear, for at most
+					// budget re-arms, so every poll ends.
+					budget := op.sel % 7
+					quiet := func() bool {
+						if e.Current() != p {
+							logf(i, -4)
+						}
+						if flags[op.cond] || budget == 0 {
+							logf(i, -3)
+							return false
+						}
+						budget--
+						logf(i, -2)
+						return true
+					}
+					polling[i] = true
+					left := impl.poll(conds[op.cond], p, op.arg, 1+uint64(op.sel%700), quiet)
+					polling[i] = false
+					logv(i, -5, left)
+				case opFlip:
+					flags[op.cond] = !flags[op.cond]
 				}
 				logf(i, step)
 			}
@@ -194,7 +256,13 @@ func runDiffProgram(prog [][]diffOp, seed int64, delay func(*Proc, uint64)) diff
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	for round := 0; round < 400 && e.Pending() > 0; round++ {
+	// A third of the runs stop early, leaving whatever is still parked
+	// (a WaitPoll included) to Shutdown.
+	rounds, finish := 400, true
+	if rng.Intn(3) == 0 {
+		rounds, finish = 1+rng.Intn(30), false
+	}
+	for round := 0; round < rounds && e.Pending() > 0; round++ {
 		h := e.Now()
 		next, _ := e.q.nextTime()
 		switch rng.Intn(6) {
@@ -216,13 +284,22 @@ func runDiffProgram(prog [][]diffOp, seed int64, delay func(*Proc, uint64)) diff
 		e.RunUntil(h)
 		res.nows = append(res.nows, e.Now())
 		res.lives = append(res.lives, e.LiveProcs())
+		res.pendings = append(res.pendings, e.Pending())
 		if rng.Intn(4) == 0 {
 			conds[rng.Intn(len(conds))].Broadcast()
 		}
 	}
-	e.Run()
+	if finish {
+		e.Run()
+	}
 	res.nows = append(res.nows, e.Now())
 	res.lives = append(res.lives, e.LiveProcs())
+	res.pendings = append(res.pendings, e.Pending())
+	for _, in := range polling {
+		if in {
+			res.parkedInPoll++
+		}
+	}
 	e.Shutdown()
 	res.nows = append(res.nows, e.Now())
 	res.lives = append(res.lives, e.LiveProcs())
@@ -232,9 +309,10 @@ func runDiffProgram(prog [][]diffOp, seed int64, delay func(*Proc, uint64)) diff
 // TestDelayElisionDifferential proves event elision exact: one seeded
 // random program — 2 to 6 procs mixing Delay (ties at exactly now+d, one
 // cycle either side, and targets at, just below and just above the
-// running horizon), Cond Wait/WaitTimeout/Signal/Broadcast, Engine.At
-// callbacks that wake conds or chain more events, cancellations of pending
-// callbacks and of an event at the head of the queue, and Yield — runs
+// running horizon), Cond Wait/WaitTimeout/WaitPoll/Signal/Broadcast,
+// Engine.At callbacks that wake conds, flip quiet flags or chain more
+// events, cancellations of pending callbacks and of an event at the head
+// of the queue, and Yield — runs
 // under RunUntil horizons at, just below and above the next queued event,
 // once with Delay and once with the always-switch reference. The log of
 // (time, proc, step), Now() after every RunUntil and LiveProcs() must
@@ -267,8 +345,8 @@ func TestDelayElisionDifferential(t *testing.T) {
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		prog := genDiffProgram(rand.New(rand.NewSource(seed)))
-		got := runDiffProgram(prog, seed, counting)
-		want := runDiffProgram(prog, seed, switchDelay)
+		got := runDiffProgram(prog, seed, diffImpl{counting, (*Cond).WaitPoll})
+		want := runDiffProgram(prog, seed, diffImpl{switchDelay, (*Cond).WaitPoll})
 		cov.cancelledHeads += got.cancelledHeads
 		if i := firstDiff(got.log, want.log); i >= 0 {
 			t.Fatalf("seed %d: logs diverge at entry %d of %d/%d: elided %+v, switched %+v",
@@ -284,6 +362,75 @@ func TestDelayElisionDifferential(t *testing.T) {
 	t.Logf("coverage: %+v", cov)
 	if cov.elided == 0 || cov.ties == 0 || cov.pastHorizon == 0 || cov.cancelledHeads == 0 {
 		t.Fatalf("program missed a case of the rule: %+v", cov)
+	}
+}
+
+// TestCondWaitPollDifferential proves the engine-side quiet re-arm exact:
+// the programs of TestDelayElisionDifferential, whose WaitPoll ops poll a
+// quiet check that reads flags other procs and callbacks flip (on a
+// budget, so every poll ends), run once with WaitPoll and once with
+// loopWaitPoll, the proc's own WaitTimeout-and-check loop. The (time,
+// proc, step) logs (quiet checks, whether each ran as its proc, and each
+// poll's left cycles included), Now(), Pending() and LiveProcs() after
+// every RunUntil and after Shutdown, and the procs Shutdown found parked
+// in a poll must match. The run checks that re-arms of a lone or last
+// waiter and of one with waiters behind it, re-arms past the horizon,
+// failed checks, wakeups after a re-arm and Shutdown of a parked poller
+// all occurred.
+func TestCondWaitPollDifferential(t *testing.T) {
+	var cov struct{ rearms, notLast, pastHorizon, failed, wokenAfterRearm, parkedAtShutdown int }
+	counting := func(c *Cond, p *Proc, d, period uint64, quiet func() bool) uint64 {
+		rearmed := false
+		left := c.WaitPoll(p, d, period, func() bool {
+			if !quiet() {
+				cov.failed++
+				return false
+			}
+			cov.rearms++
+			if c.waiters[len(c.waiters)-1] != p {
+				cov.notLast++
+			}
+			if p.eng.now+Time(period) > p.eng.horizon {
+				cov.pastHorizon++
+			}
+			rearmed = true
+			return true
+		})
+		if rearmed && left > 0 {
+			cov.wokenAfterRearm++
+		}
+		return left
+	}
+	seeds := 300
+	if testing.Short() {
+		seeds = 60
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		prog := genDiffProgram(rand.New(rand.NewSource(seed)))
+		got := runDiffProgram(prog, seed, diffImpl{(*Proc).Delay, counting})
+		want := runDiffProgram(prog, seed, diffImpl{(*Proc).Delay, loopWaitPoll})
+		cov.parkedAtShutdown += got.parkedInPoll
+		if i := firstDiff(got.log, want.log); i >= 0 {
+			t.Fatalf("seed %d: logs diverge at entry %d of %d/%d: engine re-arm %+v, loop %+v",
+				seed, i, len(got.log), len(want.log), entryAt(got.log, i), entryAt(want.log, i))
+		}
+		if i := firstDiff(got.nows, want.nows); i >= 0 {
+			t.Fatalf("seed %d: Now() after RunUntil %d: engine re-arm %v, loop %v", seed, i, got.nows, want.nows)
+		}
+		if i := firstDiff(got.pendings, want.pendings); i >= 0 {
+			t.Fatalf("seed %d: Pending() after RunUntil %d: engine re-arm %v, loop %v", seed, i, got.pendings, want.pendings)
+		}
+		if i := firstDiff(got.lives, want.lives); i >= 0 {
+			t.Fatalf("seed %d: LiveProcs() after RunUntil %d: engine re-arm %v, loop %v", seed, i, got.lives, want.lives)
+		}
+		if got.parkedInPoll != want.parkedInPoll {
+			t.Fatalf("seed %d: %d procs parked in a poll at Shutdown, loop %d", seed, got.parkedInPoll, want.parkedInPoll)
+		}
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.rearms == 0 || cov.notLast == 0 || cov.pastHorizon == 0 || cov.failed == 0 ||
+		cov.wokenAfterRearm == 0 || cov.parkedAtShutdown == 0 {
+		t.Fatalf("program missed a case of the re-arm: %+v", cov)
 	}
 }
 

@@ -148,6 +148,32 @@ func BenchmarkProcDelaySwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkCondWaitPoll measures one quiet re-arm: a proc parked in a
+// 500-cycle WaitPoll whose quiet check holds at every timeout, so the
+// expiry callback re-arms the wait itself and the proc is never resumed.
+// It is the engine-side replacement for a spinning proc's switch per poll
+// (BenchmarkProcDelaySwitch) and must stay at 0 allocs/op.
+func BenchmarkCondWaitPoll(b *testing.B) {
+	e := NewEngine(1)
+	c := e.NewCond()
+	n := 0
+	quiet := func() bool {
+		n++
+		return n < b.N
+	}
+	e.Go("poller", func(p *Proc) {
+		c.WaitPoll(p, 500, 500, quiet)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	e.Shutdown()
+	if n != b.N {
+		b.Fatalf("%d quiet checks for %d polls", n, b.N)
+	}
+}
+
 // BenchmarkProcPingPong measures two processes alternating via a Cond —
 // the signal/wakeup pattern the simulated kernel's CPU loops use. Like
 // BenchmarkProcDelay it must stay at 0 allocs/op.
@@ -223,15 +249,20 @@ func TestDelayIsAllocationFree(t *testing.T) {
 
 // TestCondWaitIsAllocationFree extends TestDelayIsAllocationFree to every
 // Cond blocking path: Wait woken by Signal, WaitTimeout both signaled and
-// timed out, and Wait woken by Broadcast. Waiter state lives in the Proc,
-// the timeout callback is bound once per process and the FIFO keeps its
+// timed out, Wait woken by Broadcast, and a WaitPoll re-armed twice by its
+// quiet check and then resumed. Waiter state lives in the Proc, the
+// timeout callback is bound once per process and the FIFO keeps its
 // backing array, so warm rounds allocate nothing. A per-wait waiter and
 // timeout closure would cost about 9000 objects here, far above the gate.
 func TestCondWaitIsAllocationFree(t *testing.T) {
-	const rounds = 1100
+	const rounds = 1300
 	e := NewEngine(1)
 	c := e.NewCond()
-	var signaled, timedOut, woken int
+	var signaled, timedOut, woken, polled, checks int
+	quiet := func() bool {
+		checks++
+		return checks%3 != 0
+	}
 	e.Go("waiter", func(p *Proc) {
 		for i := 0; i < rounds; i++ {
 			c.Wait(p)                // Signal at +1
@@ -243,6 +274,10 @@ func TestCondWaitIsAllocationFree(t *testing.T) {
 			}
 			c.Wait(p) // Broadcast at +5
 			woken++
+			// Re-armed at +6 and +7, resumed at +8.
+			if c.WaitPoll(p, 1, 1, quiet) == 0 && p.Now()%10 == 8 {
+				polled++
+			}
 		}
 	})
 	e.Go("driver", func(p *Proc) {
@@ -256,16 +291,19 @@ func TestCondWaitIsAllocationFree(t *testing.T) {
 			p.Delay(5)
 		}
 	})
-	// Warm up: the first rounds grow the event queue, free list and FIFO.
-	e.RunUntil(1000)
+	// Warm up: the first rounds grow the event queue, free list and FIFO,
+	// and give every level-0 wheel slot a backing array (the round's
+	// event offsets reach every slot only after 128 rounds).
+	e.RunUntil(3000)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	e.RunUntil(11_000)
+	e.RunUntil(13_000)
 	runtime.ReadMemStats(&after)
 	e.Run()
 	e.Shutdown()
-	if signaled != rounds || timedOut != rounds || woken != rounds {
-		t.Fatalf("signaled/timed out/woken = %d/%d/%d, want %d each", signaled, timedOut, woken, rounds)
+	if signaled != rounds || timedOut != rounds || woken != rounds || polled != rounds || checks != 3*rounds {
+		t.Fatalf("signaled/timed out/woken/polled = %d/%d/%d/%d after %d quiet checks, want %d each and %d checks",
+			signaled, timedOut, woken, polled, checks, rounds, 3*rounds)
 	}
 	if allocs := after.Mallocs - before.Mallocs; allocs > 100 {
 		t.Fatalf("1000 warm Cond rounds allocated %d objects, want ~0", allocs)

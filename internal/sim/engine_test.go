@@ -296,6 +296,23 @@ func TestCondWaitTimeoutSignalRace(t *testing.T) {
 	}
 }
 
+// TestCondWaitPollZeroPeriodPanics: a zero period would re-arm at the
+// same instant forever, so WaitPoll refuses it before it schedules
+// anything (no engine runs here, so a missing check cannot hang).
+func TestCondWaitPollZeroPeriodPanics(t *testing.T) {
+	e := NewEngine(1)
+	c := e.NewCond()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "Cond.WaitPoll") || !strings.Contains(msg, "zero period") {
+			t.Fatalf("recovered %q, want the zero-period panic naming Cond.WaitPoll", msg)
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("%d events scheduled before the panic", e.Pending())
+		}
+	}()
+	c.WaitPoll(nil, 10, 0, func() bool { return true })
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		e := NewEngine(42)

@@ -89,9 +89,7 @@ func RunApache(cfg ApacheConfig) ApacheResult {
 	for _, cpu := range workers {
 		task := &kernel.Task{Name: "worker", MM: as, Fn: func(ctx *kernel.Ctx) {
 			ready++
-			for ready < len(workers) {
-				ctx.UserRun(500)
-			}
+			ctx.SpinUntil(func() bool { return ready >= len(workers) }, 500)
 			if startedAt == 0 {
 				startedAt = ctx.P.Now()
 			}

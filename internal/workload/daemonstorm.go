@@ -86,9 +86,7 @@ func RunDaemonStorm(cfg DaemonStormConfig) DaemonStormResult {
 				}
 			}
 			ready++
-			for ready < cfg.AppThreads || fileV == nil {
-				ctx.UserRun(2000)
-			}
+			ctx.SpinUntil(func() bool { return ready >= cfg.AppThreads && fileV != nil }, 2000)
 			if startAt == 0 {
 				startAt = ctx.P.Now()
 			}

@@ -42,9 +42,7 @@ func RunContention(cfg ContentionConfig) uint64 {
 	stop := false
 	// A responder keeps the mm active everywhere.
 	w.K.CPU(mach.CPU(cfg.Initiators * 2)).Spawn(&kernel.Task{Name: "resp", MM: as, Fn: func(ctx *kernel.Ctx) {
-		for !stop {
-			ctx.UserRun(1000)
-		}
+		ctx.SpinUntil(func() bool { return stop }, 1000)
 	}})
 	finished := 0
 	var start, end sim.Time
@@ -99,16 +97,12 @@ func RunLazyProbe(base Template, mode Mode, cfg core.Config, seed uint64) LazyPr
 	var probeVA uint64
 	phase := 0
 	w.K.CPU(2).Spawn(&kernel.Task{Name: "victim", MM: as, Fn: func(ctx *kernel.Ctx) {
-		for probeVA == 0 {
-			ctx.UserRun(500)
-		}
+		ctx.SpinUntil(func() bool { return probeVA != 0 }, 500)
 		if err := ctx.Touch(probeVA, mm.AccessRead); err != nil {
 			panic(err)
 		}
 		phase = 1
-		for phase == 1 {
-			ctx.UserRun(200)
-		}
+		ctx.SpinUntil(func() bool { return phase != 1 }, 200)
 		_, stillCached := w.K.CPU(2).TLB.Lookup(w.K.PCIDOf(as, true), probeVA)
 		before := ctx.P.Now()
 		if err := ctx.Touch(probeVA, mm.AccessRead); err != nil {
@@ -126,18 +120,14 @@ func RunLazyProbe(base Template, mode Mode, cfg core.Config, seed uint64) LazyPr
 			panic(err)
 		}
 		probeVA = v.Start
-		for phase == 0 {
-			ctx.UserRun(500)
-		}
+		ctx.SpinUntil(func() bool { return phase != 0 }, 500)
 		start := ctx.P.Now()
 		if err := syscalls.MadviseDontneed(ctx, v.Start, pg); err != nil {
 			panic(err)
 		}
 		out.MadviseCycles = uint64(ctx.P.Now() - start)
 		phase = 2
-		for phase != 3 {
-			ctx.UserRun(500)
-		}
+		ctx.SpinUntil(func() bool { return phase == 3 }, 500)
 	}})
 	w.Eng.Run()
 	out.Deferred = w.F.Stats().LazyDeferred
@@ -162,9 +152,7 @@ func RunHWMessageProbe(base Template, hw bool, seed uint64) HWMessageProbeResult
 	stop := false
 	var out HWMessageProbeResult
 	k.CPU(28).Spawn(&kernel.Task{Name: "resp", MM: as, Fn: func(ctx *kernel.Ctx) {
-		for !stop {
-			ctx.UserRun(1000)
-		}
+		ctx.SpinUntil(func() bool { return stop }, 1000)
 	}})
 	k.CPU(0).Spawn(&kernel.Task{Name: "init", MM: as, Fn: func(ctx *kernel.Ctx) {
 		ctx.UserRun(5000)

@@ -88,9 +88,7 @@ func runMicroOn(w *World, cfg MicroConfig) (initMean, respMean float64) {
 
 	stop := false
 	responder := &kernel.Task{Name: "responder", MM: as, Fn: func(ctx *kernel.Ctx) {
-		for !stop {
-			ctx.UserRun(2000)
-		}
+		ctx.SpinUntil(func() bool { return stop }, 2000)
 	}}
 	w.K.CPU(respCPU).Spawn(responder)
 

@@ -38,9 +38,7 @@ func RunAckProbe(cfg AckProbeConfig) AckProbeResult {
 	as := w.K.NewAddressSpace()
 	stop := false
 	responder := &kernel.Task{Name: "responder", MM: as, Fn: func(ctx *kernel.Ctx) {
-		for !stop {
-			ctx.UserRun(2000)
-		}
+		ctx.SpinUntil(func() bool { return stop }, 2000)
 	}}
 	w.K.CPU(2).Spawn(responder)
 	initiator := &kernel.Task{Name: "initiator", MM: as, Fn: func(ctx *kernel.Ctx) {

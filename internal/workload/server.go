@@ -115,9 +115,8 @@ func RunServer(cfg ServerConfig) ServerResult {
 	if cfg.EventsPerTask <= 0 {
 		cfg.EventsPerTask = 16
 	}
-	// ProcessCycles must be positive: the overtime phase spins on
-	// UserRun(ProcessCycles) and a zero-cycle run would never advance
-	// the clock.
+	// ProcessCycles must be positive: the overtime phase spins with a
+	// 2*ProcessCycles quantum, and SpinUntil rejects a zero quantum.
 	if cfg.ProcessCycles == 0 {
 		cfg.ProcessCycles = 3000
 	}
@@ -190,9 +189,7 @@ func RunServer(cfg ServerConfig) ServerResult {
 			}
 			startedTasks++
 			if recycles {
-				for startedTasks < firstWave {
-					ctx.UserRun(500)
-				}
+				ctx.SpinUntil(func() bool { return startedTasks >= firstWave }, 500)
 			}
 			for ev := 0; ev < cfg.EventsPerTask; ev++ {
 				c := &shard[(ev*7+ti)%len(shard)]
@@ -222,9 +219,7 @@ func RunServer(cfg ServerConfig) ServerResult {
 				} else {
 					// Overtime: keep the CPU serving (and therefore a
 					// shootdown target) until every storm has landed.
-					for recyclersDone < recyclerTotal {
-						ctx.UserRun(2 * cfg.ProcessCycles)
-					}
+					ctx.SpinUntil(func() bool { return recyclersDone >= recyclerTotal }, 2*cfg.ProcessCycles)
 				}
 			}
 			finished++

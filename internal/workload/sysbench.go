@@ -124,9 +124,7 @@ func RunSysbench(cfg SysbenchConfig) SysbenchResult {
 			}
 			// Synchronized start: wait for the mapping and all peers.
 			ready++
-			for ready < cfg.Threads || region == nil {
-				ctx.UserRun(500)
-			}
+			ctx.SpinUntil(func() bool { return ready >= cfg.Threads && region != nil }, 500)
 			if startedAt == 0 {
 				startedAt = ctx.P.Now()
 			}

@@ -5,7 +5,8 @@
 # sequential harness) and at -parallel <all cores> — and records the
 # wall-clock of each, plus sync-vs-async dispatch-tier cells (the same
 # experiments re-run under -tlbmode sync and -tlbmode async) and the
-# sim package's event-loop microbenchmarks (ns/event and allocs/event).
+# sim package's event-loop microbenchmarks (ns/event and allocs/event,
+# per switching Delay and per quiet poll).
 # Emits BENCH_parallel.json in the repo root and fails if the file does
 # not parse as JSON; CI uploads it as an artifact.
 #
@@ -76,7 +77,7 @@ done
 exp_json=${exp_json%,}
 
 echo "==> event-loop microbenchmarks" >&2
-${GO} test -run '^$' -bench '^(BenchmarkEventLoop|BenchmarkProcDelay|BenchmarkProcDelaySwitch|BenchmarkEngineChurn)$' -benchmem ./internal/sim/ >"$BENCH_OUT"
+${GO} test -run '^$' -bench '^(BenchmarkEventLoop|BenchmarkProcDelay|BenchmarkProcDelaySwitch|BenchmarkCondWaitPoll|BenchmarkEngineChurn)$' -benchmem ./internal/sim/ >"$BENCH_OUT"
 
 # bench_line <name>: the result line of exactly that benchmark,
 # "BenchmarkEventLoop-8  85503980  12.64 ns/op  0 B/op  0 allocs/op"
@@ -85,6 +86,7 @@ bench_line() { grep -E "^$1(-[0-9]+)?[[:space:]]" "$BENCH_OUT" | head -1; }
 loop_line=$(bench_line BenchmarkEventLoop)
 delay_line=$(bench_line BenchmarkProcDelay)
 switch_line=$(bench_line BenchmarkProcDelaySwitch)
+poll_line=$(bench_line BenchmarkCondWaitPoll)
 loop_ns=$(echo "$loop_line" | awk '{print $3}')
 loop_allocs=$(echo "$loop_line" | awk '{print $7}')
 # ns_per_delay is the elided Delay (one proc, nothing else queued);
@@ -93,6 +95,10 @@ delay_ns=$(echo "$delay_line" | awk '{print $3}')
 delay_allocs=$(echo "$delay_line" | awk '{print $7}')
 switch_ns=$(echo "$switch_line" | awk '{print $3}')
 switch_allocs=$(echo "$switch_line" | awk '{print $7}')
+# ns_per_quiet_poll is one poll the engine re-arms without resuming the
+# waiting proc (Cond.WaitPoll), the switch a spin loop no longer pays.
+poll_ns=$(echo "$poll_line" | awk '{print $3}')
+poll_allocs=$(echo "$poll_line" | awk '{print $7}')
 
 # Scale grid: "BenchmarkEngineChurn/cpus=512-8  N  42.1 ns/op  0 B/op  0 allocs/op"
 # -> one row per width; ns/event must stay flat with width and
@@ -109,8 +115,8 @@ churn_json=$(grep '^BenchmarkEngineChurn/' "$BENCH_OUT" | awk '{
     printf '  "workers": %s,\n' "$WORKERS"
     printf '  "note": "speedup needs spare cores: on a 1-CPU host parallel==serial by design; outputs are byte-identical at every worker count",\n'
     printf '  "experiments": [%s],\n' "$exp_json"
-    printf '  "event_loop": {"ns_per_event": %s, "allocs_per_event": %s, "ns_per_delay": %s, "allocs_per_delay": %s, "ns_per_delay_switch": %s, "allocs_per_delay_switch": %s},\n' \
-        "$loop_ns" "$loop_allocs" "$delay_ns" "$delay_allocs" "$switch_ns" "$switch_allocs"
+    printf '  "event_loop": {"ns_per_event": %s, "allocs_per_event": %s, "ns_per_delay": %s, "allocs_per_delay": %s, "ns_per_delay_switch": %s, "allocs_per_delay_switch": %s, "ns_per_quiet_poll": %s, "allocs_per_quiet_poll": %s},\n' \
+        "$loop_ns" "$loop_allocs" "$delay_ns" "$delay_allocs" "$switch_ns" "$switch_allocs" "$poll_ns" "$poll_allocs"
     printf '  "engine_churn": [%s]\n' "$churn_json"
     printf '}\n'
 } >"$OUT"

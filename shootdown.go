@@ -199,6 +199,13 @@ func (t *Thread) CPU() CPU { return t.ctx.CPU.ID }
 // Compute runs d cycles of user computation (interruptible by IPIs).
 func (t *Thread) Compute(d uint64) { t.ctx.UserRun(d) }
 
+// SpinUntil spins in user mode until done reports true, checking it every
+// quantum cycles and taking IPIs meanwhile. It simulates exactly
+// `for !done() { Compute(quantum) }`, but a check that finds nothing to do
+// costs the host no coroutine switch. done must read only the program's
+// own variables. It panics on a zero quantum.
+func (t *Thread) SpinUntil(done func() bool, quantum uint64) { t.ctx.SpinUntil(done, quantum) }
+
 // MMap creates a mapping; file may be nil for MapAnon.
 func (t *Thread) MMap(length uint64, prot Prot, kind MapKind, file *mm.File, off uint64) (*mm.VMA, error) {
 	return syscalls.MMap(t.ctx, length, prot, kind, file, off)

@@ -17,9 +17,7 @@ func TestQuickstartFlow(t *testing.T) {
 	proc := m.NewProcess("app")
 	stop := false
 	proc.Go(2, "responder", func(th *Thread) {
-		for !stop {
-			th.Compute(2000)
-		}
+		th.SpinUntil(func() bool { return stop }, 2000)
 	})
 	var madviseCycles uint64
 	main := proc.Go(0, "main", func(th *Thread) {
