@@ -66,10 +66,13 @@ faultcheck:
 	$(GO) run ./cmd/tlbcheck -quick -faults light -v
 	$(GO) run ./cmd/tlbcheck -quick -faults light -tlbmode async -v
 
-## fuzz: randomized coherence fuzzing with the sanitizer attached
+## fuzz: randomized coherence fuzzing with both oracles attached, then
+## both tiers' ack-recovery ladders under dropped kicks
 fuzz:
 	$(GO) run ./cmd/tlbfuzz -runs 50
 	$(GO) run ./cmd/tlbfuzz -runs 25 -faults heavy
+	$(GO) run ./cmd/tlbfuzz -runs 25 -faults drop -tlbmode sync
+	$(GO) run ./cmd/tlbfuzz -runs 25 -faults drop -tlbmode async
 
 ## cover: coverage summary for the fault plane, the layers it perturbs,
 ## the dynamic race model the static lockset tier cross-validates, the

@@ -37,8 +37,8 @@ type Config struct {
 	// EarlyAck lets responders acknowledge on IRQ entry (§3.2). It is
 	// automatically suppressed for flushes that free page tables.
 	EarlyAck bool
-	// CachelineConsolidation enables the §3.3 layout. It must match the
-	// SMP layer's layout; NewFlusher validates this.
+	// CachelineConsolidation enables the §3.3 layout; NewFlusher sets the
+	// SMP layer's layout from it.
 	CachelineConsolidation bool
 	// InContextFlush defers selective user-PCID flushes to kernel exit
 	// (§3.4). Only meaningful with PTI.
@@ -263,11 +263,7 @@ type Stats struct {
 	AsyncSyncFallbacks uint64
 }
 
-func (c Config) validateAgainst(consolidatedSMP bool) error {
-	if c.CachelineConsolidation != consolidatedSMP {
-		return fmt.Errorf("core: config consolidation=%v but SMP layer built with %v",
-			c.CachelineConsolidation, consolidatedSMP)
-	}
+func (c Config) validate() error {
 	if c.AsyncShootdown && c.SerializedIPIs {
 		return fmt.Errorf("core: AsyncShootdown is incompatible with SerializedIPIs (competing dispatch disciplines)")
 	}

@@ -83,19 +83,15 @@ type Shootdown struct {
 // extension is enabled); exposed so checkers can watch its lock order.
 func (f *Flusher) IPIMutex() *mm.RWSem { return f.ipiMtx }
 
-// NewFlusher builds the protocol implementation and validates that the
-// configured cacheline layout matches the SMP layer's.
+// NewFlusher builds the protocol implementation and sets the SMP layer's
+// layout, fabric applier and mutant from cfg.
 func NewFlusher(k *kernel.Kernel, cfg Config) (*Flusher, error) {
-	if err := cfg.validateAgainst(k.SMP.Consolidated()); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.InContextFlush && !k.Cfg.PTI {
 		// Harmless but meaningless; normalize so stats stay comparable.
 		cfg.InContextFlush = false
-	}
-	if cfg.HWMessageIPI != k.Cfg.HWMessageIPI {
-		return nil, fmt.Errorf("core: config HWMessageIPI=%v but kernel built with %v",
-			cfg.HWMessageIPI, k.Cfg.HWMessageIPI)
 	}
 	n := k.Topo.NumCPUs()
 	f := &Flusher{
@@ -111,6 +107,7 @@ func NewFlusher(k *kernel.Kernel, cfg Config) (*Flusher, error) {
 	} else {
 		k.SMP.SetDrainApplier(nil)
 	}
+	k.SMP.SetLayout(cfg.CachelineConsolidation, cfg.HWMessageIPI)
 	k.SMP.SetMutant(cfg.Mutant)
 	f.EnableRace()
 	return f, nil
@@ -351,11 +348,7 @@ func (f *Flusher) applyInval(p *sim.Proc, rc *kernel.CPU, inv *smp.Inval) {
 		// A generation gap below the run (a dropped kick's entries were
 		// collapsed away, or the run started above local+1): full
 		// catch-up, straight to the current mm generation.
-		p.Delay(k.Cost.CR3WriteFlush)
-		rc.TLB.FlushPCID(as.KernelPCID)
-		if k.Cfg.PTI {
-			rc.DeferUserFullFlush()
-		}
+		rc.FlushMM(p, as)
 		rc.SetLocalGen(as, mmGen)
 		f.stats.RemoteFull++
 	}
@@ -487,11 +480,7 @@ func (f *Flusher) flushOnCPU(p *sim.Proc, rc *kernel.CPU, info *FlushInfo, initi
 		}
 	default:
 		// Catch up with a full flush.
-		p.Delay(k.Cost.CR3WriteFlush)
-		rc.TLB.FlushPCID(as.KernelPCID)
-		if k.Cfg.PTI {
-			rc.DeferUserFullFlush()
-		}
+		rc.FlushMM(p, as)
 		rc.SetLocalGen(as, mmGen)
 		if !initiator {
 			f.stats.RemoteFull++
@@ -514,11 +503,7 @@ func (f *Flusher) rangedFlush(p *sim.Proc, rc *kernel.CPU, info *FlushInfo, init
 		// selective flush would escalate to a full flush anyway — issue
 		// one full flush up front instead of N useless INVLPGs.
 		f.stats.ParavirtFullFlushes++
-		p.Delay(k.Cost.CR3WriteFlush)
-		rc.TLB.FlushPCID(as.KernelPCID)
-		if k.Cfg.PTI {
-			rc.DeferUserFullFlush()
-		}
+		rc.FlushMM(p, as)
 		return
 	}
 	stride := info.Stride.Bytes()
@@ -552,7 +537,7 @@ func (f *Flusher) rangedFlush(p *sim.Proc, rc *kernel.CPU, info *FlushInfo, init
 // PTEs with INVLPG; whatever remains when the first ack arrives stays
 // deferred to kernel exit.
 func (f *Flusher) flushUserWhileWaiting(ctx *kernel.Ctx, info *FlushInfo, reqs []*smp.Request) {
-	if !f.Cfg.InContextFlush || !f.K.Cfg.PTI {
+	if !f.Cfg.InContextFlush {
 		return
 	}
 	c, p := ctx.CPU, ctx.P

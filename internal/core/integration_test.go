@@ -26,7 +26,6 @@ func newWorld(t *testing.T, pti bool, cfg core.Config, seed uint64) *world {
 	eng := sim.NewEngine(seed)
 	kcfg := kernel.DefaultConfig()
 	kcfg.PTI = pti
-	kcfg.ConsolidatedCachelines = cfg.CachelineConsolidation
 	k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
 	f, err := core.NewFlusher(k, cfg)
 	if err != nil {
@@ -492,12 +491,27 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	eng := sim.NewEngine(1)
-	kcfg := kernel.DefaultConfig() // SMP layer baseline layout
-	k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
-	if _, err := core.NewFlusher(k, core.Config{CachelineConsolidation: true}); err == nil {
-		t.Fatal("mismatched cacheline layout not rejected")
+// TestConfigPicksSMPLayout: the protocol config alone picks the SMP
+// layer's cacheline layout. Consolidated, the lazy flag shares the CSQ
+// head line and the generation state has a line of its own; baseline,
+// the lazy flag and the generation state share one line (§3.3).
+func TestConfigPicksSMPLayout(t *testing.T) {
+	for _, consolidated := range []bool{false, true} {
+		k := kernel.New(sim.NewEngine(1), mach.DefaultTopology(), mach.DefaultCosts(), kernel.DefaultConfig())
+		if _, err := core.NewFlusher(k, core.Config{CachelineConsolidation: consolidated}); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []mach.CPU{0, 5} {
+			lazy, gen, csq := k.SMP.LazyLine(c), k.SMP.GenLine(c), k.SMP.CSQLine(c)
+			if consolidated && (lazy != csq || gen == csq) {
+				t.Errorf("consolidated cpu %d: lazy %s, gen %s, csq %s; want lazy on the CSQ line and gen apart",
+					c, lazy.Name(), gen.Name(), csq.Name())
+			}
+			if !consolidated && (lazy != gen || lazy == csq) {
+				t.Errorf("baseline cpu %d: lazy %s, gen %s, csq %s; want lazy and gen on one line off the CSQ",
+					c, lazy.Name(), gen.Name(), csq.Name())
+			}
+		}
 	}
 }
 

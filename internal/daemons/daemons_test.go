@@ -22,7 +22,6 @@ func newWorld(t *testing.T, cfg core.Config) (*sim.Engine, *kernel.Kernel, *core
 	t.Helper()
 	eng := sim.NewEngine(5)
 	kcfg := kernel.DefaultConfig()
-	kcfg.ConsolidatedCachelines = cfg.CachelineConsolidation
 	k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
 	f, err := core.NewFlusher(k, cfg)
 	if err != nil {

@@ -292,13 +292,21 @@ func (c *CPU) CatchUpGen(p *sim.Proc, as *mm.AddressSpace) {
 	if c.LocalGen(as) >= gen {
 		return
 	}
+	c.FlushMM(p, as)
+	p.Delay(c.K.Dir.Write(c.ID, c.K.SMP.GenLine(c.ID)))
+	c.SetLocalGen(as, gen)
+}
+
+// FlushMM fully flushes as from this CPU's TLB (__native_flush_tlb): a
+// CR3 write that drops the kernel PCID's entries. Under PTI the whole
+// user PCID is flushed at the next return to user mode, folded into that
+// CR3 reload (nearly free: baseline Linux behaviour for full flushes).
+func (c *CPU) FlushMM(p *sim.Proc, as *mm.AddressSpace) {
 	p.Delay(c.K.Cost.CR3WriteFlush)
 	c.TLB.FlushPCID(as.KernelPCID)
 	if c.K.Cfg.PTI {
-		c.DeferUserFullFlush()
+		c.duFull, c.duValid = true, false
 	}
-	p.Delay(c.K.Dir.Write(c.ID, c.K.SMP.GenLine(c.ID)))
-	c.SetLocalGen(as, gen)
 }
 
 // --- Interrupt servicing ---
@@ -422,17 +430,17 @@ func (c *CPU) WaitRequests(p *sim.Proc, reqs []*smp.Request) {
 		r.SetWaker(c.wake)
 	}
 	// Recovery path (armed only when a fault plane is attached and not
-	// deliberately broken): bound each sleep by a timeout; on expiry with
-	// acks outstanding, suspect a lost kick — re-kick with exponential
-	// backoff, and after MaxKickRetries escalations degrade the remaining
-	// precise flushes to full flushes (over-flushing is always coherent).
+	// deliberately broken): bound each sleep by the ack deadline; on
+	// expiry with acks outstanding, smp's recovery step (AckTimedOut)
+	// re-kicks, degrades once it has backed off far enough, and returns
+	// the next deadline.
 	// Termination: the fabric's drop-burst bound forces every
 	// (burst+1)-th kick through, so some rekick eventually lands, the
 	// responder drains its CSQ, and AllDone flips. Unarmed runs take
 	// exactly the pre-recovery wait path, cycle-identically.
 	armed := c.K.Fault.RecoveryArmed()
-	timeout := c.K.Cost.IPIAckTimeout
-	retries := 0
+	timeouts := 0
+	timeout := c.K.SMP.AckTimeout(timeouts)
 	waitStart := p.Now()
 	for {
 		c.ServiceIRQs(p)
@@ -452,14 +460,8 @@ func (c *CPU) WaitRequests(p *sim.Proc, reqs []*smp.Request) {
 		if c.wake.WaitTimeout(p, timeout) {
 			continue
 		}
-		c.K.SMP.NoteAckTimeout()
-		retries++
-		if retries <= smp.MaxKickRetries {
-			timeout *= 2
-		} else if retries == smp.MaxKickRetries+1 {
-			c.K.SMP.DegradeToFull(reqs)
-		}
-		c.K.SMP.Rekick(p, c.ID, reqs)
+		timeouts++
+		timeout = c.K.SMP.AckTimedOut(p, c.ID, reqs, timeouts)
 	}
 	if armed {
 		c.K.SMP.NoteAckStall(uint64(p.Now() - waitStart))

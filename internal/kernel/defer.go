@@ -51,14 +51,6 @@ func (c *CPU) DeferUserFlush(start, end uint64, stride pagetable.Size) {
 	}
 }
 
-// DeferUserFullFlush records that the whole user PCID must be flushed at
-// the next return to user mode (folded into the CR3 reload, nearly free —
-// this is baseline Linux behaviour for full flushes under PTI).
-func (c *CPU) DeferUserFullFlush() {
-	c.duFull = true
-	c.duValid = false
-}
-
 // HasPendingUserFlush reports whether any user-PCID flush is pending.
 func (c *CPU) HasPendingUserFlush() bool { return c.duValid || c.duFull }
 

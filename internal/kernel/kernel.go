@@ -34,9 +34,6 @@ type Config struct {
 	// two PCIDs per process, trampoline surcharges on kernel entry/exit
 	// from user mode, and user-space flush obligations on every TLB flush.
 	PTI bool
-	// ConsolidatedCachelines selects the §3.3 cacheline layout in the SMP
-	// layer.
-	ConsolidatedCachelines bool
 	// NestedPaging marks the machine as a VM with EPT-style nested
 	// translation: page walks cost more and the TLB honours the
 	// page-fracturing rule (paper §7).
@@ -46,9 +43,6 @@ type Config struct {
 	// guest kernel issues one full flush instead of multiple selective
 	// flushes that would each escalate to a full flush anyway.
 	ParavirtFractureHint bool
-	// HWMessageIPI enables the §6 hypothetical hardware where the IPI
-	// carries the flush information (see internal/smp).
-	HWMessageIPI bool
 	// DisablePCID models a pre-Westmere CPU without process-context
 	// identifiers (§2.1): every address-space switch fully flushes the
 	// TLB, so context-switch-heavy workloads pay constant refill costs.
@@ -139,7 +133,7 @@ func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, cfg Config) 
 	bus := apic.NewBus(eng, topo, cost)
 	k := &Kernel{
 		Eng: eng, Topo: topo, Cost: cost, Dir: dir, Bus: bus,
-		SMP:   smp.New(eng, topo, cost, dir, bus, cfg.ConsolidatedCachelines, cfg.HWMessageIPI),
+		SMP:   smp.New(eng, topo, cost, dir, bus),
 		Cfg:   cfg,
 		Alloc: pagetable.NewFrameAlloc(),
 	}

@@ -9,6 +9,7 @@ import (
 	"shootdown/internal/pagetable"
 	"shootdown/internal/race"
 	"shootdown/internal/sim"
+	"shootdown/internal/tlb"
 )
 
 // nopFlusher satisfies Flusher with minimal behaviour: it flushes the
@@ -394,6 +395,40 @@ func TestSwitchMMFlushesStaleGenerations(t *testing.T) {
 	// during t2 it must have been cleared.
 	if !asA.ActiveCPUs().Has(0) {
 		t.Fatal("cpu not active in asA after reload")
+	}
+}
+
+// TestFlushMM: a full mm flush charges exactly one flushing CR3 write
+// and empties the kernel PCID's entries. Under PTI, and only then, the
+// user PCID's entries stay until the return to user mode, whose deferred
+// flush is then pending.
+func TestFlushMM(t *testing.T) {
+	for _, pti := range []bool{false, true} {
+		k, _ := newKernel(t, pti)
+		as := k.NewAddressSpace()
+		c := k.CPU(0)
+		e := tlb.Entry{VA: 4 * pg, Frame: 9, Size: pagetable.Size4K, Flags: pagetable.Present | pagetable.User}
+		c.TLB.Fill(as.KernelPCID, e)
+		c.TLB.Fill(as.UserPCID, e)
+		var charged uint64
+		k.Eng.Go("flush", func(p *sim.Proc) {
+			start := p.Now()
+			c.FlushMM(p, as)
+			charged = uint64(p.Now() - start)
+		})
+		k.Eng.Run()
+		if charged != k.Cost.CR3WriteFlush {
+			t.Errorf("pti=%v: FlushMM charged %d cycles, want CR3WriteFlush = %d", pti, charged, k.Cost.CR3WriteFlush)
+		}
+		if _, ok := c.TLB.Lookup(as.KernelPCID, e.VA); ok {
+			t.Errorf("pti=%v: kernel-PCID entry survived the full flush", pti)
+		}
+		if _, ok := c.TLB.Lookup(as.UserPCID, e.VA); !ok {
+			t.Errorf("pti=%v: user-PCID entry flushed before the return to user mode", pti)
+		}
+		if c.HasPendingUserFlush() != pti {
+			t.Errorf("pti=%v: deferred user flush pending = %v", pti, c.HasPendingUserFlush())
+		}
 	}
 }
 

@@ -78,8 +78,8 @@ type CostModel struct {
 	NMIHandler uint64
 	// IPIAckTimeout is the initiator's patience while waiting for
 	// shootdown acknowledgements before suspecting a lost or stalled kick
-	// and re-sending it (exponential backoff doubles it per retry, see
-	// internal/smp). Only consulted when a fault plane arms the recovery
+	// and re-sending it (smp.Layer.AckTimeout doubles it per retry, for
+	// both tiers). Only consulted when a fault plane arms the recovery
 	// path; several times the worst-case delivery + drain latency so it
 	// never fires on a healthy machine.
 	IPIAckTimeout uint64

@@ -27,9 +27,9 @@ type Topology struct {
 	// SNCPerSocket partitions each socket into sub-NUMA clusters
 	// (Intel SNC / AMD NPS style), numbered core-contiguously within the
 	// socket. 0 or 1 means the socket is one monolithic NUMA domain; the
-	// value must divide CoresPerSocket. It refines locality bookkeeping
-	// on the wide scale-out topologies and leaves the default 56-CPU
-	// machine untouched.
+	// value must divide CoresPerSocket. It is parsed, validated and
+	// printed (SNCOf and SameSNC answer queries), but no distance class,
+	// cost or placement reads it.
 	SNCPerSocket int
 }
 

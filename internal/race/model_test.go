@@ -21,8 +21,6 @@ func boot(t *testing.T, pti bool, cfg core.Config, seed uint64, withRace bool) (
 	eng := sim.NewEngine(seed)
 	kcfg := kernel.DefaultConfig()
 	kcfg.PTI = pti
-	kcfg.ConsolidatedCachelines = cfg.CachelineConsolidation
-	kcfg.HWMessageIPI = cfg.HWMessageIPI
 	k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
 	var d *race.Detector
 	if withRace {

@@ -27,7 +27,6 @@ func newCheckedWorld(t *testing.T, pti bool, cfg core.Config, seed uint64) *worl
 	eng := sim.NewEngine(seed)
 	kcfg := kernel.DefaultConfig()
 	kcfg.PTI = pti
-	kcfg.ConsolidatedCachelines = cfg.CachelineConsolidation
 	k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
 	f, err := core.NewFlusher(k, cfg)
 	if err != nil {
@@ -411,7 +410,6 @@ func TestCheckedRunIsCycleIdentical(t *testing.T) {
 		eng := sim.NewEngine(42)
 		cfg := core.AllGeneral()
 		kcfg := kernel.DefaultConfig()
-		kcfg.ConsolidatedCachelines = cfg.CachelineConsolidation
 		k := kernel.New(eng, mach.DefaultTopology(), mach.DefaultCosts(), kcfg)
 		f, err := core.NewFlusher(k, cfg)
 		if err != nil {

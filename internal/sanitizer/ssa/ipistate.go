@@ -9,8 +9,7 @@ import (
 // ipistate is the typestate checker for the shootdown request lifecycle.
 // Every smp.Request (and request slice) must follow the DFA
 //
-//	new → kicked → waited → (acked |
-//	        timeout → rekick{≤MaxKickRetries} → degrade-to-full) → discharged
+//	new → kicked → waited → discharged
 //
 // on every path through a protocol user:
 //
@@ -18,23 +17,22 @@ import (
 //     or zero value) that was never kicked through CallMany;
 //   - double-discharge: waiting again on a request set that is already
 //     discharged on every incoming path;
-//   - rekick/degrade without timeout: Rekick and DegradeToFull are
-//     recovery edges, legal only after NoteAckTimeout observed an ack
-//     timeout on the same path;
 //   - leak: a request set born from CallMany that reaches a normal exit
 //     still in flight — neither discharged, returned, nor enqueued.
 //
 // Deferred-discharge edges transfer the obligation instead of requiring a
 // local wait: returning the requests, storing them into a struct field or
 // global (enqueue-transfer), or sending them on a channel all hand the
-// discharge duty to the consumer. This is exactly the lifecycle shape the
-// ROADMAP-1 queue-based async fabric needs, so it lands checker-first.
+// discharge duty to the consumer.
+//
+// The ack-timeout recovery (rekick, degrade-to-full) is not an edge here:
+// only smp can take it, inside the wait (smp.Layer.AckTimedOut), so the
+// compiler rejects a recovery step out of order.
 //
 // Package smp itself is exempt: it implements the Request internals (ack
-// delivery, queue drain), so its bodies are the trusted base the DFA is
-// defined against — the same stance lockorder takes for RWSem primitives.
-// Kernel's WaitRequests recovery loop is NOT exempt: the checker proves
-// its NoteAckTimeout-dominates-Rekick discipline like any other user's.
+// delivery, queue drain, recovery), so its bodies are the trusted base the
+// DFA is defined against — the same stance lockorder takes for RWSem
+// primitives.
 //
 // Panic paths release obligations: a crashing run owes no acks.
 
@@ -57,16 +55,15 @@ func isRequestType(t types.Type) bool {
 }
 
 // ipiBits is the per-origin abstract state. Live/unkicked/moved are
-// may-bits (joined with OR); discharged/timeout are must-bits (joined
-// with AND), so double-discharge and recovery checks only fire when the
-// property holds on every incoming path.
+// may-bits (joined with OR); discharged is a must-bit (joined with AND),
+// so the double-discharge check only fires when it holds on every
+// incoming path.
 type ipiBits uint8
 
 const (
 	ipiLive ipiBits = 1 << iota
 	ipiDisch
 	ipiUnkicked
-	ipiTimeout
 	ipiMoved
 )
 
@@ -91,7 +88,7 @@ func joinIPI(a, b ipiState) ipiState {
 			continue
 		}
 		may := (ab | bb) & (ipiLive | ipiUnkicked | ipiMoved)
-		must := ab & bb & (ipiDisch | ipiTimeout)
+		must := ab & bb & ipiDisch
 		a[o] = may | must
 	}
 	return a
@@ -119,9 +116,6 @@ const (
 	effDischarge
 	// effWait discharges the argument and checks the wait edges.
 	effWait
-	// effRekick and effDegrade are the recovery edges.
-	effRekick
-	effDegrade
 )
 
 // ipiSummary maps request-typed parameter index → effect for one callee.
@@ -167,24 +161,14 @@ func checkIPIState(ctx *modCtx) []Finding {
 	return ia.findings
 }
 
-// seedPrimitives installs the protocol root summaries.
+// seedPrimitives installs the protocol root summary: the one ack wait,
+// kernel.CPU.WaitRequests, discharges its request argument.
 func (ia *ipiAnalysis) seedPrimitives() {
 	for _, f := range ia.prog.Funcs {
 		fn := f.Decl.Obj
 		sig, _ := fn.Type().(*types.Signature)
-		if sig == nil || sig.Recv() == nil {
-			continue
-		}
-		recv := sig.Recv().Type()
-		switch {
-		case isNamed(recv, smpPkg, "Layer"):
-			switch fn.Name() {
-			case "Rekick":
-				ia.summaries[fn] = ipiSummary{2: effRekick}
-			case "DegradeToFull":
-				ia.summaries[fn] = ipiSummary{0: effDegrade}
-			}
-		case isNamed(recv, modPath+"/internal/kernel", "CPU") && fn.Name() == "WaitRequests":
+		if sig != nil && sig.Recv() != nil && fn.Name() == "WaitRequests" &&
+			isNamed(sig.Recv().Type(), modPath+"/internal/kernel", "CPU") {
 			ia.summaries[fn] = ipiSummary{1: effWait}
 		}
 	}
@@ -289,12 +273,6 @@ func (ia *ipiAnalysis) bornHere(o *Value) bool {
 func isCallMany(fn *types.Func) bool {
 	sig, _ := fn.Type().(*types.Signature)
 	return fn.Name() == "CallMany" && sig != nil && sig.Recv() != nil &&
-		isNamed(sig.Recv().Type(), smpPkg, "Layer")
-}
-
-func isNoteAckTimeout(fn *types.Func) bool {
-	sig, _ := fn.Type().(*types.Signature)
-	return fn.Name() == "NoteAckTimeout" && sig != nil && sig.Recv() != nil &&
 		isNamed(sig.Recv().Type(), smpPkg, "Layer")
 }
 
@@ -474,14 +452,6 @@ func (ia *ipiAnalysis) applyCall(f *Func, call *Value, st ipiState) {
 		st[call] = ipiLive
 		return
 	}
-	if isNoteAckTimeout(call.Callee) {
-		// The layer observed an ack timeout: the recovery edge opens for
-		// every request set this path tracks.
-		for o := range st {
-			st[o] |= ipiTimeout
-		}
-		return
-	}
 	sum := ia.summaryFor(call)
 	for idx, eff := range sum {
 		if idx >= len(call.Args) {
@@ -496,30 +466,17 @@ func (ia *ipiAnalysis) applyCall(f *Func, call *Value, st ipiState) {
 			if !ok {
 				bits = initIPIBits(o)
 			}
-			switch eff {
-			case effWait, effDischarge:
-				if eff == effWait {
-					if bits&ipiUnkicked != 0 && bits&(ipiLive|ipiDisch) == 0 {
-						ia.report(f, call.Pos, "ipistate",
-							"wait before kick: waiting on a hand-built request set that was never kicked through smp.CallMany (typestate new -> waited skips kicked)")
-					}
-					if bits&ipiDisch != 0 && bits&ipiLive == 0 {
-						ia.report(f, call.Pos, "ipistate",
-							"double discharge: this request set is already acked and discharged on every path reaching this wait")
-					}
-				}
-				bits = (bits &^ (ipiLive | ipiUnkicked)) | ipiDisch
-			case effRekick, effDegrade:
-				if bits&ipiTimeout == 0 && bits&ipiLive != 0 {
-					verb := "rekick"
-					if eff == effDegrade {
-						verb = "degrade-to-full"
-					}
+			if eff == effWait {
+				if bits&ipiUnkicked != 0 && bits&(ipiLive|ipiDisch) == 0 {
 					ia.report(f, call.Pos, "ipistate",
-						"%s without an observed ack timeout: the recovery edge requires NoteAckTimeout on every path (typestate waited -> timeout -> %s)", verb, verb)
+						"wait before kick: waiting on a hand-built request set that was never kicked through smp.CallMany (typestate new -> waited skips kicked)")
+				}
+				if bits&ipiDisch != 0 && bits&ipiLive == 0 {
+					ia.report(f, call.Pos, "ipistate",
+						"double discharge: this request set is already acked and discharged on every path reaching this wait")
 				}
 			}
-			st[o] = bits
+			st[o] = (bits &^ (ipiLive | ipiUnkicked)) | ipiDisch
 		}
 	}
 }

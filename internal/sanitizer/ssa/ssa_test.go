@@ -125,7 +125,7 @@ func TestIPIStateDoubleDischargeFires(t *testing.T) {
 func TestIPIStateGoodFixtureClean(t *testing.T) {
 	res := checkFixture(t, "good_ipistate.go")
 	if len(res.Findings) != 0 {
-		t.Fatalf("lifecycle fixture should be clean (kick+wait, recovery ladder, both transfer edges), got %v", res.Findings)
+		t.Fatalf("lifecycle fixture should be clean (kick+wait, both transfer edges), got %v", res.Findings)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Fixture: every legal shape of the shootdown request lifecycle. The
 // ipistate analyzer must stay silent — the DFA covers the plain
-// kick-then-wait path, the timeout → rekick → degrade-to-full recovery
-// ladder, and both deferred-discharge edges (returning the requests and
-// enqueueing them into a field) that transfer the obligation to a
-// consumer.
+// kick-then-wait path and both deferred-discharge edges (returning the
+// requests and enqueueing them into a field) that transfer the
+// obligation to a consumer.
 package ipifixok
 
 import (
@@ -18,16 +17,6 @@ func kickAndWait(l *smp.Layer, c *kernel.CPU, p *sim.Proc, from mach.CPU, target
 	c.WaitRequests(p, reqs)
 }
 
-func recoveryLadder(l *smp.Layer, c *kernel.CPU, p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn smp.HandlerFunc) {
-	reqs := l.CallMany(p, from, targets, fn, nil, false, nil)
-	// The recovery edges are legal only after the layer observed an ack
-	// timeout on this path.
-	l.NoteAckTimeout()
-	l.Rekick(p, from, reqs)
-	l.DegradeToFull(reqs)
-	c.WaitRequests(p, reqs)
-}
-
 // transferOut hands freshly kicked requests to the caller: the deferred
 // discharge edge. The fixpoint also classifies transferOut itself as a
 // CallMany wrapper, so callers inherit the discharge duty.
@@ -35,8 +24,8 @@ func transferOut(l *smp.Layer, p *sim.Proc, from mach.CPU, targets mach.CPUMask,
 	return l.CallMany(p, from, targets, fn, nil, false, nil)
 }
 
-// shootdownQueue is the enqueue-transfer shape the async fabric needs:
-// the producer parks in-flight requests, the consumer discharges them.
+// shootdownQueue is the enqueue-transfer shape: the producer parks
+// in-flight requests, the consumer discharges them.
 type shootdownQueue struct {
 	pending []*smp.Request
 }

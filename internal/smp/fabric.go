@@ -23,10 +23,10 @@
 //     fault.MutantAckBeforeDrain variant violates and the sanitizer catches;
 //   - a lost kick leaves the acked sequence lagging the posted one; the
 //     watchdog proc (armed only under an injected-fault schedule with
-//     recovery enabled) detects the generation gap at the ack deadline,
-//     re-kicks with exponential backoff, and after MaxKickRetries
-//     degrades the target's ring to flush_all — the sync recovery
-//     ladder (kernel.WaitRequests) extended to batched acks.
+//     recovery enabled) detects the generation gap at the ack deadline
+//     (AckTimeout), re-kicks with the sync tier's backoff, and after
+//     MaxKickRetries degrades the target's ring to flush_all — the one
+//     recovery ladder (see AckTimedOut) applied to batched acks.
 //
 // Happens-before edges mirror the sync protocol: post releases the
 // target's ring sync (the drain acquires it: everything before the post
@@ -436,10 +436,11 @@ func (l *Layer) ensureWatchdog() {
 // initiator detects loss by its own spin-wait timing out
 // (kernel.WaitRequests), nobody spins on the fabric — so a dedicated
 // proc watches for posted-vs-acked sequence gaps that outlive the ack
-// deadline, re-kicks with exponential backoff, and after MaxKickRetries
-// collapses the lagging target's ring to flush_all (degrade: a full
-// flush subsumes whatever the lost kicks stranded). The burst-bounded
-// drop fault guarantees a re-kick eventually lands.
+// deadline (AckTimeout after the batch's retries, the sync tier's
+// backoff), re-kicks, and after MaxKickRetries collapses the lagging
+// target's ring to flush_all (degrade: a full flush subsumes whatever
+// the lost kicks stranded). The burst-bounded drop fault guarantees a
+// re-kick eventually lands.
 func (l *Layer) watchdog(p *sim.Proc) {
 	for {
 		if len(l.batches) == 0 {
@@ -450,7 +451,7 @@ func (l *Layer) watchdog(p *sim.Proc) {
 		var due *AsyncBatch
 		earliest := sim.Time(^uint64(0))
 		for _, b := range l.batches {
-			d := sim.Time(uint64(b.kickedAt) + (l.cost.IPIAckTimeout << uint(b.retries)))
+			d := sim.Time(uint64(b.kickedAt) + l.AckTimeout(b.retries))
 			if d < earliest {
 				earliest, due = d, b
 			}

@@ -43,7 +43,7 @@ func TestRekickResendsOnlyUnacked(t *testing.T) {
 	r.bus.Controller(2).SetMasked(false)
 	r.spawnResponder(2, 1)
 	r.eng.Go("recover", func(p *sim.Proc) {
-		r.l.Rekick(p, 0, []*Request{req})
+		r.l.rekick(p, 0, []*Request{req})
 	})
 	r.eng.Run()
 	if !req.Done() {
@@ -58,7 +58,7 @@ func TestRekickResendsOnlyUnacked(t *testing.T) {
 	}
 	// A rekick of fully acked requests is a no-op: no IPI, no counter.
 	r.eng.Go("noop", func(p *sim.Proc) {
-		r.l.Rekick(p, 0, []*Request{req})
+		r.l.rekick(p, 0, []*Request{req})
 	})
 	r.eng.Run()
 	if got := r.l.Stats().Rekicks; got != 1 {
@@ -71,12 +71,12 @@ func TestDegradeToFullWidensUnackedOnly(t *testing.T) {
 	pay := &fullable{}
 	req := r.queueStranded(t, 2, pay)
 	// Non-degradable payloads are skipped without counting.
-	r.l.DegradeToFull([]*Request{{Payload: "opaque"}})
+	r.l.degradeToFull([]*Request{{Payload: "opaque"}})
 	if got := r.l.Stats().DegradedFulls; got != 0 {
 		t.Fatalf("non-degradable payload counted an escalation: %d", got)
 	}
 	// One escalation event, however many requests it widens.
-	r.l.DegradeToFull([]*Request{req})
+	r.l.degradeToFull([]*Request{req})
 	if !pay.widened {
 		t.Fatal("unacked Degradable payload was not widened")
 	}
@@ -86,7 +86,7 @@ func TestDegradeToFullWidensUnackedOnly(t *testing.T) {
 	// Acked requests keep their precise payload.
 	req.acked = true
 	pay.widened = false
-	r.l.DegradeToFull([]*Request{req})
+	r.l.degradeToFull([]*Request{req})
 	if pay.widened {
 		t.Fatal("acked request was degraded")
 	}
@@ -95,19 +95,90 @@ func TestDegradeToFullWidensUnackedOnly(t *testing.T) {
 	}
 }
 
-func TestRecoveryCounters(t *testing.T) {
+// TestAckTimedOutClimbsTheLadder drives the sync recovery step through
+// six timeouts of one wait on a stranded and an acked request: the next
+// deadline doubles up to the cap and stays there, the stranded payload
+// degrades once, at timeout MaxKickRetries+1, and each step re-rings the
+// stranded target's doorbell only.
+func TestAckTimedOutClimbsTheLadder(t *testing.T) {
 	r := newRig(false)
-	r.l.NoteAckTimeout()
-	r.l.NoteAckTimeout()
+	stranded, acked := &fullable{}, &fullable{}
+	reqs := []*Request{r.queueStranded(t, 2, stranded)}
+	r.spawnResponder(4, 1)
+	r.eng.Go("acked", func(p *sim.Proc) {
+		q := r.l.CallMany(p, 0, mach.MaskOf(4), func(*sim.Proc, mach.CPU, any) {}, acked, false, nil)
+		r.waitAcks(p, q)
+		reqs = append(reqs, q...)
+	})
+	r.eng.Run()
+	T := r.cost.IPIAckTimeout
+	want := []uint64{2 * T, 4 * T, 8 * T, 8 * T, 8 * T, 8 * T}
+	r.eng.Go("initiator", func(p *sim.Proc) {
+		for i, next := range want {
+			n := i + 1
+			if got := r.l.AckTimedOut(p, 0, reqs, n); got != next {
+				t.Errorf("timeout %d: next deadline %d, want %d", n, got, next)
+			}
+			degraded := n >= MaxKickRetries+1
+			s := r.l.Stats()
+			if s.AckTimeouts != uint64(n) || s.Rekicks != uint64(n) {
+				t.Errorf("timeout %d: AckTimeouts %d, Rekicks %d; want %d each (one rekick, of the stranded target)",
+					n, s.AckTimeouts, s.Rekicks, n)
+			}
+			if (s.DegradedFulls == 1) != degraded || s.DegradedFulls > 1 || stranded.widened != degraded {
+				t.Errorf("timeout %d: DegradedFulls %d, stranded payload widened %v; want degraded=%v",
+					n, s.DegradedFulls, stranded.widened, degraded)
+			}
+		}
+	})
+	r.eng.Run()
+	if acked.widened {
+		t.Error("the acked request's payload was degraded")
+	}
+	if r.bus.Controller(4).Pending() != 0 {
+		t.Error("the acked target was rekicked")
+	}
 	r.l.NoteAckStall(700)
 	r.l.NoteAckStall(300) // below the max: ignored
-	s := r.l.Stats()
-	if s.AckTimeouts != 2 {
-		t.Fatalf("AckTimeouts = %d, want 2", s.AckTimeouts)
+	if got := r.l.Stats().MaxAckStall; got != 700 {
+		t.Fatalf("MaxAckStall = %d, want 700 (max, not sum)", got)
 	}
-	if s.MaxAckStall != 700 {
-		t.Fatalf("MaxAckStall = %d, want 700 (max, not sum)", s.MaxAckStall)
+}
+
+// TestWatchdogDeadlinesFollowAckTimeout: the async watchdog backs off by
+// the sync tier's function. With the target masked every kick is lost,
+// and each rekick fires exactly AckTimeout(k) cycles after the k-th
+// kick, never a cycle before: T, 2T, 4T, 8T, then 8T again.
+func TestWatchdogDeadlinesFollowAckTimeout(t *testing.T) {
+	r := newRig(false)
+	r.recordApplier()
+	r.l.SetFaultPlane(fault.New(7, fault.Spec{})) // armed, injects nothing
+	r.bus.Controller(2).SetMasked(true)
+	var b *AsyncBatch
+	r.eng.Go("initiator", func(p *sim.Proc) {
+		b = r.l.PostAsync(p, 0, mach.MaskOf(2),
+			Inval{ASID: 1, Start: 0, End: 0x1000, Stride: 4096, GenLo: 1, GenHi: 1}, nil)
+	})
+	T := r.cost.IPIAckTimeout
+	r.eng.RunUntil(sim.Time(T / 2)) // the post returns well before its deadline
+	for k, wait := range []uint64{T, 2 * T, 4 * T, 8 * T, 8 * T, 8 * T} {
+		if got := r.l.AckTimeout(k); got != wait {
+			t.Fatalf("AckTimeout(%d) = %d, want %d", k, got, wait)
+		}
+		due := b.kickedAt + sim.Time(wait)
+		r.eng.RunUntil(due - 1)
+		if got := r.l.Stats().AckTimeouts; got != uint64(k) {
+			t.Fatalf("kick %d: %d timeouts before its deadline %d, want %d", k, got, due, k)
+		}
+		r.eng.RunUntil(due + sim.Time(T/2))
+		if got := r.l.Stats().AckTimeouts; got != uint64(k+1) {
+			t.Fatalf("kick %d: %d timeouts by its deadline %d, want %d", k, got, due, k+1)
+		}
+		if b.kickedAt < due {
+			t.Fatalf("kick %d: rekick at %d, before its deadline %d", k, b.kickedAt, due)
+		}
 	}
+	r.eng.Shutdown()
 }
 
 func TestAckDelayFaultSlowsAck(t *testing.T) {
@@ -135,16 +206,13 @@ func TestRaceDetectorEdgesOnRekick(t *testing.T) {
 	// With the happens-before checker attached, the full
 	// strand→rekick→handle→ack exchange must model clean sync edges.
 	r := newRig(true)
-	if !r.l.Consolidated() {
-		t.Fatal("Consolidated() lost the layout flag")
-	}
 	d := race.New(r.eng)
 	r.l.SetRaceDetector(d)
 	req := r.queueStranded(t, 2, nil)
 	r.bus.Controller(2).SetMasked(false)
 	r.spawnResponder(2, 1)
 	r.eng.Go("recover", func(p *sim.Proc) {
-		r.l.Rekick(p, 0, []*Request{req})
+		r.l.rekick(p, 0, []*Request{req})
 		r.waitAcks(p, []*Request{req})
 	})
 	r.eng.Run()

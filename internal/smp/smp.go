@@ -30,10 +30,11 @@ import (
 )
 
 // MaxKickRetries bounds the exponential-backoff re-kick sequence of the
-// shootdown recovery path: after this many timed-out retries the
-// initiator degrades outstanding requests to a full flush (losing
-// precision, never correctness) and keeps re-kicking at the capped
-// timeout until the burst-bounded fabric delivers. See kernel.WaitRequests.
+// shootdown recovery path: the ack deadline doubles on each of the first
+// MaxKickRetries timeouts (AckTimeout), and the next one degrades the
+// outstanding requests to a full flush (losing precision, never
+// correctness); re-kicks go on at the capped deadline until the
+// burst-bounded fabric delivers. See AckTimedOut and the watchdog.
 const MaxKickRetries = 3
 
 // clusterAckThreshold is the machine width above which acknowledgement
@@ -103,6 +104,8 @@ type perCPU struct {
 	lazyLine *cache.Line
 	// genLine is the per-CPU TLB-generation state the responder's flush
 	// function writes. Baseline: aliases lazyLine. Consolidated: private.
+	// Both are allocated on first use (layoutOf), under the layout
+	// SetLayout picked.
 	genLine *cache.Line
 	queue   []*Request
 	// csqVar is the queue's race-variable name, csqLine's own.
@@ -120,13 +123,16 @@ type Stats struct {
 	KicksElided uint64
 	// EarlyAcks / LateAcks split acknowledgements by protocol.
 	EarlyAcks, LateAcks uint64
-	// AckTimeouts counts initiator waits that hit the IPIAckTimeout
-	// deadline with unacknowledged requests outstanding (recovery path).
+	// AckTimeouts counts ack deadlines (AckTimeout) that expired with
+	// acknowledgements outstanding, on both tiers: a sync initiator's
+	// timed-out wait (AckTimedOut) and the async watchdog's deadline for
+	// a lagging batch.
 	AckTimeouts uint64
 	// Rekicks counts re-sent shootdown kicks after a timeout.
 	Rekicks uint64
-	// DegradedFulls counts recovery escalations that widened outstanding
-	// precise flushes to full flushes after MaxKickRetries timeouts.
+	// DegradedFulls counts sync recovery escalations that widened
+	// outstanding precise flushes to full flushes after MaxKickRetries
+	// timeouts.
 	DegradedFulls uint64
 	// MaxAckStall is the longest cycles any initiator spent waiting for
 	// acknowledgements on the recovery path.
@@ -154,16 +160,16 @@ type Stats struct {
 
 // Layer is the machine-wide SMP function-call subsystem.
 type Layer struct {
-	eng          *sim.Engine
-	topo         mach.Topology
-	cost         *mach.CostModel
-	dir          *cache.Directory
-	bus          *apic.Bus
-	consolidated bool
-	// hwMessage models the §6 hardware extension: the IPI carries the
-	// function and payload, so queueing and reading them costs no
-	// shared-memory cacheline traffic (the ack stays in memory).
-	hwMessage bool
+	eng  *sim.Engine
+	topo mach.Topology
+	cost *mach.CostModel
+	dir  *cache.Directory
+	bus  *apic.Bus
+	// consolidated selects the §3.3 cacheline layout; hwMessage models the
+	// §6 hardware extension: the IPI carries the function and payload, so
+	// queueing and reading them costs no shared-memory cacheline traffic
+	// (the ack stays in memory). SetLayout sets both.
+	consolidated, hwMessage bool
 
 	percpu []*perCPU
 	// cfd[i][t] is the CFD line initiator i uses for target t, allocated
@@ -218,14 +224,11 @@ type Call struct {
 	Req  *Request
 }
 
-// New builds the SMP layer. consolidated selects the paper's cacheline
-// layout (§3.3) instead of the baseline Linux layout; hwMessage enables
-// the §6 message-carrying-IPI hardware model.
-func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, dir *cache.Directory, bus *apic.Bus, consolidated, hwMessage bool) *Layer {
+// New builds the SMP layer with the baseline Linux layout (see SetLayout).
+func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, dir *cache.Directory, bus *apic.Bus) *Layer {
 	n := topo.NumCPUs()
 	l := &Layer{
 		eng: eng, topo: topo, cost: cost, dir: dir, bus: bus,
-		consolidated: consolidated, hwMessage: hwMessage,
 		percpu:      make([]*perCPU, n),
 		cfd:         make([][]*cache.Line, n),
 		clusterAcks: n > clusterAckThreshold,
@@ -235,20 +238,19 @@ func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, dir *cache.D
 	for i := 0; i < n; i++ {
 		pc := &perCPU{csqVar: fmt.Sprintf("csq[%d]", i)}
 		pc.csqLine = dir.NewLine(pc.csqVar)
-		if consolidated {
-			pc.lazyLine = pc.csqLine
-			pc.genLine = dir.NewLine(fmt.Sprintf("tlbgen[%d]", i))
-		} else {
-			pc.lazyLine = dir.NewLine(fmt.Sprintf("tlbstate[%d]", i))
-			pc.genLine = pc.lazyLine
-		}
 		l.percpu[i] = pc
 	}
 	return l
 }
 
-// Consolidated reports which cacheline layout is active.
-func (l *Layer) Consolidated() bool { return l.consolidated }
+// SetLayout picks the layer's layout: consolidated selects the paper's
+// cacheline layout (§3.3) instead of the baseline Linux one, and
+// hwMessage the §6 message-carrying-IPI hardware model. core.NewFlusher
+// sets both from the protocol config; a layer nobody sets keeps the
+// baseline. Call it before the first shootdown.
+func (l *Layer) SetLayout(consolidated, hwMessage bool) {
+	l.consolidated, l.hwMessage = consolidated, hwMessage
+}
 
 // SetRaceDetector attaches (or, with nil, detaches) the happens-before
 // checker. All reported events are observational; timing is unchanged.
@@ -272,13 +274,29 @@ func (l *Layer) Stats() Stats { return l.stats }
 // LazyLine returns the line holding cpu's lazy-mode indication; the
 // shootdown protocol charges a read of it when filtering the target mask.
 func (l *Layer) LazyLine(cpu mach.CPU) *cache.Line {
-	return l.percpu[cpu].lazyLine
+	return l.layoutOf(cpu).lazyLine
 }
 
 // GenLine returns the line holding cpu's frequently written per-CPU TLB
 // generation state; the responder's flush function charges writes to it.
 func (l *Layer) GenLine(cpu mach.CPU) *cache.Line {
-	return l.percpu[cpu].genLine
+	return l.layoutOf(cpu).genLine
+}
+
+// layoutOf returns cpu's per-CPU state, allocating its layout-dependent
+// lines on first use.
+func (l *Layer) layoutOf(cpu mach.CPU) *perCPU {
+	pc := l.percpu[cpu]
+	if pc.genLine == nil {
+		if l.consolidated {
+			pc.lazyLine = pc.csqLine
+			pc.genLine = l.dir.NewLine(fmt.Sprintf("tlbgen[%d]", cpu))
+		} else {
+			pc.lazyLine = l.dir.NewLine(fmt.Sprintf("tlbstate[%d]", cpu))
+			pc.genLine = pc.lazyLine
+		}
+	}
+	return pc
 }
 
 // CSQLine returns the call-single-queue head line of cpu (exposed so tests
@@ -461,13 +479,36 @@ func (l *Layer) PendingOn(cpu mach.CPU) int {
 	return len(l.percpu[cpu].queue)
 }
 
-// Rekick re-sends the shootdown kick for every unacknowledged request in
-// reqs (recovery path: the initiator's ack wait timed out, so a kick may
-// have been lost in the fabric or elided against a queue another
-// initiator's lost kick stranded). The requests are still on their CSQs —
-// only the doorbell is re-rung, so a spurious rekick of a merely slow
-// responder is harmless (the extra IRQ finds an empty queue).
-func (l *Layer) Rekick(p *sim.Proc, from mach.CPU, reqs []*Request) {
+// AckTimeout is the recovery ladder's ack deadline after n timeouts:
+// IPIAckTimeout, doubled per timeout up to MaxKickRetries doublings. Both
+// tiers back off by it: the sync initiator's wait (AckTimedOut) and the
+// async watchdog's per-batch deadline.
+func (l *Layer) AckTimeout(n int) uint64 {
+	return l.cost.IPIAckTimeout << min(n, MaxKickRetries)
+}
+
+// AckTimedOut is the sync tier's recovery step, taken when an initiator's
+// wait on reqs (kernel.WaitRequests) hits its deadline for the n-th time
+// with acks outstanding: a kick may have been lost in the fabric, or
+// elided against a queue another initiator's lost kick stranded. It
+// counts the timeout; at timeout MaxKickRetries+1 it widens the
+// unacknowledged payloads to full flushes, once; it re-rings the doorbell
+// of every unacknowledged target; and it returns the deadline of the next
+// wait.
+func (l *Layer) AckTimedOut(p *sim.Proc, from mach.CPU, reqs []*Request, n int) uint64 {
+	l.stats.AckTimeouts++
+	if n == MaxKickRetries+1 {
+		l.degradeToFull(reqs)
+	}
+	l.rekick(p, from, reqs)
+	return l.AckTimeout(n)
+}
+
+// rekick re-sends the shootdown kick for every unacknowledged request in
+// reqs. The requests are still on their CSQs — only the doorbell is
+// re-rung, so a spurious rekick of a merely slow responder is harmless
+// (the extra IRQ finds an empty queue).
+func (l *Layer) rekick(p *sim.Proc, from mach.CPU, reqs []*Request) {
 	var kick mach.CPUMask
 	for _, r := range reqs {
 		if r.Done() {
@@ -488,10 +529,9 @@ func (l *Layer) Rekick(p *sim.Proc, from mach.CPU, reqs []*Request) {
 	l.bus.SendIPI(p, from, kick, apic.VectorCallFunction)
 }
 
-// DegradeToFull widens the payload of every unacknowledged Degradable
-// request in reqs to a full flush (recovery escalation after
-// MaxKickRetries timed-out retries). Counted once per escalation event.
-func (l *Layer) DegradeToFull(reqs []*Request) {
+// degradeToFull widens the payload of every unacknowledged Degradable
+// request in reqs to a full flush. Counted once per escalation event.
+func (l *Layer) degradeToFull(reqs []*Request) {
 	degraded := false
 	for _, r := range reqs {
 		if r.Done() {
@@ -506,9 +546,6 @@ func (l *Layer) DegradeToFull(reqs []*Request) {
 		l.stats.DegradedFulls++
 	}
 }
-
-// NoteAckTimeout records one timed-out acknowledgement wait.
-func (l *Layer) NoteAckTimeout() { l.stats.AckTimeouts++ }
 
 // NoteAckStall records the total cycles one initiator spent waiting for
 // acks on the recovery path; the maximum is reported.

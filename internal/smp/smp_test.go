@@ -24,7 +24,9 @@ func newRig(consolidated bool) *rig {
 	cost := mach.DefaultCosts()
 	dir := cache.New(topo, cost)
 	bus := apic.NewBus(eng, topo, cost)
-	return &rig{eng, topo, cost, dir, bus, New(eng, topo, cost, dir, bus, consolidated, false)}
+	l := New(eng, topo, cost, dir, bus)
+	l.SetLayout(consolidated, false)
+	return &rig{eng, topo, cost, dir, bus, l}
 }
 
 // spawnResponder runs a minimal IRQ loop on cpu: it sleeps until the APIC
@@ -205,12 +207,8 @@ func TestSelfTargetPanics(t *testing.T) {
 func TestHWMessageIPIRoundTrip(t *testing.T) {
 	// The §6 hardware model: the IPI carries fn+payload, so queueing and
 	// reading cost no shared cacheline traffic and every target is kicked.
-	eng := sim.NewEngine(1)
-	topo := mach.DefaultTopology()
-	cost := mach.DefaultCosts()
-	dir := cache.New(topo, cost)
-	bus := apic.NewBus(eng, topo, cost)
-	r := &rig{eng, topo, cost, dir, bus, New(eng, topo, cost, dir, bus, false, true)}
+	r := newRig(false)
+	r.l.SetLayout(false, true)
 	r.spawnResponder(2, 1)
 	r.spawnResponder(4, 1)
 	ran := map[mach.CPU]bool{}

@@ -145,9 +145,8 @@ type Machine struct {
 	Seed uint64
 	// Kernel carries the kernel knobs no protocol config implies (nested
 	// paging, the §7 fracture hint, PCIDs); its zero value is the default
-	// kernel. Boot sets PTI from Mode and the SMP layout
-	// (ConsolidatedCachelines, HWMessageIPI) from Core, so the kernel and
-	// the protocol cannot disagree on it.
+	// kernel. Boot sets PTI from Mode; the SMP layout is Core's alone
+	// (core.NewFlusher sets it).
 	Kernel kernel.Config
 }
 
@@ -182,8 +181,6 @@ func Boot(m Machine) (*World, error) {
 	}
 	kcfg := m.Kernel
 	kcfg.PTI = bool(m.Mode)
-	kcfg.ConsolidatedCachelines = cfg.CachelineConsolidation
-	kcfg.HWMessageIPI = cfg.HWMessageIPI
 	eng := sim.NewEngine(m.Seed)
 	k := kernel.New(eng, topo, mach.DefaultCosts(), kcfg)
 	f, err := core.NewFlusher(k, cfg)

@@ -157,6 +157,14 @@ go run ./cmd/tlbcheck -quick -faults light -v
 echo "==> tlbcheck -faults light -tlbmode async (checked async suite, 56 CPUs)"
 go run ./cmd/tlbcheck -quick -faults light -tlbmode async -v
 
+# Both tiers' recovery under dropped kicks: the drop schedule loses kicks
+# until its burst bound forces one through, so every seed drives the
+# sync wait's timeout/rekick/degrade steps or the async watchdog, with
+# both oracles checking every run.
+echo "==> tlbfuzz -faults drop (sync and async recovery under both oracles)"
+go run ./cmd/tlbfuzz -runs 25 -faults drop -tlbmode sync
+go run ./cmd/tlbfuzz -runs 25 -faults drop -tlbmode async
+
 # Async-fabric ablation: the queue-based dispatch tier's sweep gates
 # the initiator-side win and digest equality against the synchronous
 # tier internally (its match-sync column); here CI additionally pins
