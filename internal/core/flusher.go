@@ -544,7 +544,7 @@ func (f *Flusher) flushUserWhileWaiting(ctx *kernel.Ctx, info *FlushInfo, reqs [
 	as := info.AS
 	flushed := false
 	for !smp.AnyDone(reqs) {
-		start, _, stridePages, ok := c.PendingUserFlushRange()
+		start, ok := c.PendingUserFlushStart()
 		if !ok {
 			break
 		}
@@ -553,7 +553,6 @@ func (f *Flusher) flushUserWhileWaiting(ctx *kernel.Ctx, info *FlushInfo, reqs [
 		c.ConsumeDeferredUserPages(1)
 		f.stats.UserPTEsFlushedWhileWaiting++
 		flushed = true
-		_ = stridePages
 	}
 	if flushed {
 		// These INVLPGs also dumped the page-structure cache.

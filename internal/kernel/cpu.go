@@ -75,7 +75,7 @@ type CPU struct {
 	// never nest: no interrupt handler or deferred flush blocks (the mhp
 	// analyzer proves it). quietFn is c.quiet, bound once.
 	poll    pollState
-	quietFn func() bool
+	quietFn func(signaled bool) bool
 
 	// Measurement counters.
 
@@ -500,11 +500,13 @@ func (c *CPU) DownWrite(p *sim.Proc, sem *mm.RWSem) {
 
 // downPoll waits for a contended sem: it sleeps on the release broadcast
 // for at most blockedIRQPollQuantum cycles at a time, services interrupts
-// after every wakeup and retries try. A poll that would find no interrupt
-// and can still not take sem re-arms in the engine (see quiet).
+// after every wakeup and retries try. A wakeup, by a release or the
+// timeout, after which the proc would find no interrupt and could still
+// not take sem re-arms in the engine (see quiet): on a wide machine most
+// waiters a release broadcast wakes find the semaphore taken again.
 func (c *CPU) downPoll(p *sim.Proc, sem *mm.RWSem, try, can func() bool) {
 	sem.NoteContention()
-	c.poll = pollState{done: can, loads: 1}
+	c.poll = pollState{done: can}
 	for {
 		sem.Changed().WaitPoll(p, blockedIRQPollQuantum, blockedIRQPollQuantum, c.quietFn)
 		c.ServiceIRQs(p)
@@ -517,39 +519,50 @@ func (c *CPU) downPoll(p *sim.Proc, sem *mm.RWSem, try, can func() bool) {
 // SpinUntil spins in user mode until done reports true, checking it every
 // quantum cycles and servicing interrupts meanwhile: the simulated
 // `while (!done) pause;` loop, with each quantum run as UserRun(quantum).
-// done must read only plain workload state. A poll that would find no
-// interrupt and done still false re-arms in the engine (see quiet), with
-// no coroutine switch. A zero quantum would never let time pass, so
-// SpinUntil panics on it.
+// done must read only plain workload state. A quantum's end at which the
+// proc would find no interrupt and done still false re-arms in the engine
+// (see quiet), with no coroutine switch. A zero quantum would never let
+// time pass, so SpinUntil panics on it.
 func (c *CPU) SpinUntil(p *sim.Proc, done func() bool, quantum uint64) {
 	if quantum == 0 {
 		panic("kernel: SpinUntil with a zero quantum")
 	}
-	c.poll = pollState{done: done, loads: 2}
+	c.poll = pollState{done: done, spin: true}
 	for !done() {
 		c.runInterruptible(p, quantum, c.quietFn)
 	}
 }
 
-// pollState is a parked poll's quiet check: what it waits for, and how
-// many ServiceIRQs calls (each one lazyq load) a skipped wakeup would
-// have made.
+// pollState is a parked poll's quiet check: what it waits for, and
+// whether it is a SpinUntil quantum rather than a semaphore wait. The two
+// skip different steps at a quiet wake: a semaphore wait skips one
+// ServiceIRQs call, and re-waits a full period after a signal as after a
+// timeout; a quantum's timeout skips two (ending the quantum and starting
+// the next), and after a signal its re-wait keeps the quantum's deadline,
+// which the engine's re-arm does not, so a spin's check declines signals.
 type pollState struct {
-	done  func() bool
-	loads int
+	done func() bool
+	spin bool
 }
 
-// quiet is the engine-side check at a poll's timeout (sim.Cond.WaitPoll).
-// It holds when the polling proc, resumed, would find no interrupt
+// quiet is the engine-side check when a poll's wait ends
+// (sim.Cond.WaitPoll), told whether a signal or the timeout ended it. It
+// holds when the polling proc, resumed, would find no interrupt
 // deliverable, no lazy work due and the poll not done, and so would only
-// wait again. It then records the lazyq loads of the ServiceIRQs calls it
-// skips: the one ending a SpinUntil quantum and the one starting the
-// next, or the one after a semaphore wait (see TestIdleServiceIRQsIsPure).
-func (c *CPU) quiet() bool {
-	if c.Ctrl.Deliverable() || len(c.lazyWork) > 0 && !c.inUser || c.poll.done() {
+// wait again as the engine re-arms it (never after a signal to a spin;
+// see pollState). It then records the lazyq loads of the ServiceIRQs calls
+// the proc skips: the one after a semaphore wait, or the one ending a
+// SpinUntil quantum and the one starting the next (see
+// TestIdleServiceIRQsIsPure).
+func (c *CPU) quiet(signaled bool) bool {
+	if signaled && c.poll.spin || c.Ctrl.Deliverable() || len(c.lazyWork) > 0 && !c.inUser || c.poll.done() {
 		return false
 	}
-	for range c.poll.loads {
+	loads := 1
+	if c.poll.spin {
+		loads = 2
+	}
+	for range loads {
 		c.K.Race.AtomicLoad(c.lazyqVar)
 	}
 	return true
@@ -575,7 +588,7 @@ func (c *CPU) UserRun(p *sim.Proc, d uint64) { c.runInterruptible(p, d, nil) }
 // non-nil quiet is a spin's check: where it holds at the end of the d
 // cycles, the engine starts the next d itself (sim.Cond.WaitPoll), and a
 // wakeup then leaves the rest of that d to run.
-func (c *CPU) runInterruptible(p *sim.Proc, d uint64, quiet func() bool) {
+func (c *CPU) runInterruptible(p *sim.Proc, d uint64, quiet func(signaled bool) bool) {
 	remaining := d
 	for remaining > 0 {
 		c.ServiceIRQs(p)

@@ -54,14 +54,15 @@ func (c *CPU) DeferUserFlush(start, end uint64, stride pagetable.Size) {
 // HasPendingUserFlush reports whether any user-PCID flush is pending.
 func (c *CPU) HasPendingUserFlush() bool { return c.duValid || c.duFull }
 
-// PendingUserFlushRange returns the merged deferred selective range, if
-// one is pending (used by the §3.4 interaction: the initiator keeps
-// flushing user PTEs from this range while waiting for the first ack).
-func (c *CPU) PendingUserFlushRange() (start, end uint64, stridePages uint64, ok bool) {
+// PendingUserFlushStart returns the first page of the merged deferred
+// selective range, if one is pending (used by the §3.4 interaction: the
+// initiator keeps flushing user PTEs from the front of this range while
+// waiting for the first ack).
+func (c *CPU) PendingUserFlushStart() (start uint64, ok bool) {
 	if !c.duValid {
-		return 0, 0, 0, false
+		return 0, false
 	}
-	return c.duStart, c.duEnd, c.duStridePages, true
+	return c.duStart, true
 }
 
 // ConsumeDeferredUserPages removes up to n pages from the front of the

@@ -229,17 +229,16 @@ func TestDeferUserFlushMerging(t *testing.T) {
 	c := k.CPU(0)
 	c.DeferUserFlush(0x4000, 0x6000, pagetable.Size4K)
 	c.DeferUserFlush(0x1000, 0x2000, pagetable.Size4K)
-	start, end, stride, ok := c.PendingUserFlushRange()
-	if !ok || start != 0x1000 || end != 0x6000 || stride != 1 {
-		t.Fatalf("merged range = %#x..%#x stride %d ok=%v", start, end, stride, ok)
+	start, ok := c.PendingUserFlushStart()
+	if !ok || start != 0x1000 || c.duEnd != 0x6000 || c.duStridePages != 1 {
+		t.Fatalf("merged range = %#x..%#x stride %d ok=%v", start, c.duEnd, c.duStridePages, ok)
 	}
 	// Consuming pages shrinks the range from the front.
 	if n := c.ConsumeDeferredUserPages(2); n != 2 {
 		t.Fatalf("consumed %d", n)
 	}
-	start, _, _, _ = c.PendingUserFlushRange()
-	if start != 0x3000 {
-		t.Fatalf("start after consume = %#x", start)
+	if start, _ = c.PendingUserFlushStart(); start != 0x3000 || c.duEnd != 0x6000 {
+		t.Fatalf("range after consume = %#x..%#x", start, c.duEnd)
 	}
 	// Over-consume caps at what is available.
 	if n := c.ConsumeDeferredUserPages(100); n != 3 {
@@ -255,7 +254,7 @@ func TestDeferUserFlushEscalations(t *testing.T) {
 	c := k.CPU(0)
 	// Span exceeding the threshold escalates to a deferred full flush.
 	c.DeferUserFlush(0, (FullFlushThreshold+2)*pg, pagetable.Size4K)
-	if _, _, _, ok := c.PendingUserFlushRange(); ok {
+	if _, ok := c.PendingUserFlushStart(); ok {
 		t.Fatal("range still selective after exceeding threshold")
 	}
 	if !c.HasPendingUserFlush() {
@@ -265,7 +264,7 @@ func TestDeferUserFlushEscalations(t *testing.T) {
 	c2 := k.CPU(1)
 	c2.DeferUserFlush(0, pg, pagetable.Size4K)
 	c2.DeferUserFlush(0, pagetable.PageSize2M, pagetable.Size2M)
-	if _, _, _, ok := c2.PendingUserFlushRange(); ok {
+	if _, ok := c2.PendingUserFlushStart(); ok {
 		t.Fatal("mixed strides kept a selective range")
 	}
 }

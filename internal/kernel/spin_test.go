@@ -168,9 +168,12 @@ type gridKey struct {
 	cpu mach.CPU
 }
 
-// spinCov counts the cases of the quiet check the programs reached.
+// spinCov counts the cases of the quiet check the programs reached:
+// semSignalRearms are release broadcasts the check re-arms, and
+// spinSignals are signals (an IRQ, lazy work queued mid-spin) a spin's
+// check declines.
 type spinCov struct {
-	spinRearms, semRearms, irq, lazy, done, irqOnGrid, flipOnGrid int
+	spinRearms, semRearms, semSignalRearms, spinSignals, irq, lazy, done, irqOnGrid, flipOnGrid int
 }
 
 // runSpinProgram boots an 8-CPU machine with the race model (and, for a
@@ -213,21 +216,27 @@ func runSpinProgram(prog spinProgram, seed int64, engine bool, cov *spinCov) spi
 	if cov != nil {
 		quiets = map[gridKey]bool{}
 		for _, c := range k.CPUs() {
-			c.quietFn = func() bool {
-				quiets[gridKey{eng.Now(), c.ID}] = true
+			c.quietFn = func(signaled bool) bool {
+				if !signaled {
+					quiets[gridKey{eng.Now(), c.ID}] = true
+				}
 				switch {
+				case signaled && c.poll.spin:
+					cov.spinSignals++
 				case c.Ctrl.Deliverable():
 					cov.irq++
 				case len(c.lazyWork) > 0 && !c.inUser:
 					cov.lazy++
 				case c.poll.done():
 					cov.done++
-				case c.poll.loads == 2:
+				case c.poll.spin:
 					cov.spinRearms++
+				case signaled:
+					cov.semSignalRearms++
 				default:
 					cov.semRearms++
 				}
-				return c.quiet()
+				return c.quiet(signaled)
 			}
 		}
 	}
@@ -415,8 +424,8 @@ func TestSpinUntilDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("coverage: %+v", cov)
-	if cov.spinRearms == 0 || cov.semRearms == 0 || cov.irq == 0 || cov.lazy == 0 || cov.done == 0 ||
-		cov.irqOnGrid == 0 || cov.flipOnGrid == 0 {
+	if cov.spinRearms == 0 || cov.semRearms == 0 || cov.semSignalRearms == 0 || cov.spinSignals == 0 ||
+		cov.irq == 0 || cov.lazy == 0 || cov.done == 0 || cov.irqOnGrid == 0 || cov.flipOnGrid == 0 {
 		t.Fatalf("programs missed a case of the quiet check: %+v", cov)
 	}
 }

@@ -10,7 +10,10 @@ import (
 // mm->mmap_sem. Acquisition order is not strictly FIFO, but writers cannot
 // be starved indefinitely in the closed workloads this repository runs:
 // waiters recheck on every release broadcast, deterministically ordered by
-// the engine.
+// the engine. A kernel waiter (kernel.CPU.DownRead/DownWrite) polls
+// through sim.Cond.WaitPoll, so its recheck runs in the engine's wake
+// callback, which resumes the waiter only when it can take the semaphore
+// or has interrupts or lazy work to service.
 type RWSem struct {
 	eng     *sim.Engine
 	name    string

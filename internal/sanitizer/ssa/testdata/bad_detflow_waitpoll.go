@@ -10,7 +10,7 @@ import (
 	"shootdown/internal/sim"
 )
 
-func skewedPoll(c *sim.Cond, p *sim.Proc, quiet func() bool) {
+func skewedPoll(c *sim.Cond, p *sim.Proc, quiet func(signaled bool) bool) {
 	period := 1 + uint64(time.Now().UnixNano()%800)
 	c.WaitPoll(p, 800, period, quiet)
 }

@@ -14,7 +14,7 @@ import (
 func pollingHandler(l *smp.Layer, k *kernel.Kernel, p *sim.Proc, from mach.CPU,
 	targets mach.CPUMask, c *sim.Cond, ready *bool, payload any) {
 	rs := l.CallMany(p, from, targets, func(hp *sim.Proc, target mach.CPU, pl any) {
-		c.WaitPoll(hp, 800, 800, func() bool { return !*ready })
+		c.WaitPoll(hp, 800, 800, func(bool) bool { return !*ready })
 	}, payload, false, nil)
 	k.CPU(from).WaitRequests(p, rs)
 }

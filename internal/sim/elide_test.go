@@ -17,15 +17,17 @@ func switchDelay(p *Proc, d uint64) {
 }
 
 // loopWaitPoll is WaitPoll as the process's own loop: wait, and on each
-// timeout check quiet and wait again for period. It is the reference
-// TestCondWaitPollDifferential compares the engine-side re-arm against.
-func loopWaitPoll(c *Cond, p *Proc, d, period uint64, quiet func() bool) (left uint64) {
+// signal or timeout check quiet, told which woke it, and wait again for
+// period. It is the reference TestCondWaitPollDifferential compares the
+// engine-side re-arm against.
+func loopWaitPoll(c *Cond, p *Proc, d, period uint64, quiet func(signaled bool) bool) (left uint64) {
 	for {
 		deadline := p.Now() + Time(d)
-		if c.WaitTimeout(p, d) {
-			return uint64(deadline - p.Now())
-		}
-		if !quiet() {
+		signaled := c.WaitTimeout(p, d)
+		if !quiet(signaled) {
+			if signaled {
+				return uint64(deadline - p.Now())
+			}
 			return 0
 		}
 		d = period
@@ -36,7 +38,7 @@ func loopWaitPoll(c *Cond, p *Proc, d, period uint64, quiet func() bool) (left u
 // uses.
 type diffImpl struct {
 	delay func(p *Proc, d uint64)
-	poll  func(c *Cond, p *Proc, d, period uint64, quiet func() bool) uint64
+	poll  func(c *Cond, p *Proc, d, period uint64, quiet func(signaled bool) bool) uint64
 }
 
 // Program operations of the differential test.
@@ -70,9 +72,9 @@ type diffOp struct {
 
 // diffEntry is one line of a run's log: who did step at what time. who is
 // a proc index, or -1-n for callback n; step -1 marks a proc's unwind, -2
-// a quiet check that held, -3 one that failed, -4 a quiet check that ran
-// with Current() not its proc, and -5 a WaitPoll's return with its left
-// cycles in val.
+// a quiet check that held, -3 one that failed (each with val 1 when a
+// signal woke the poll), -4 a quiet check that ran with Current() not its
+// proc, and -5 a WaitPoll's return with its left cycles in val.
 type diffEntry struct {
 	at   Time
 	who  int
@@ -231,16 +233,20 @@ func runDiffProgram(prog [][]diffOp, seed int64, impl diffImpl) diffResult {
 					// Quiet while the cond's flag is clear, for at most
 					// budget re-arms, so every poll ends.
 					budget := op.sel % 7
-					quiet := func() bool {
+					quiet := func(signaled bool) bool {
 						if e.Current() != p {
 							logf(i, -4)
 						}
+						var woke uint64
+						if signaled {
+							woke = 1
+						}
 						if flags[op.cond] || budget == 0 {
-							logf(i, -3)
+							logv(i, -3, woke)
 							return false
 						}
 						budget--
-						logf(i, -2)
+						logv(i, -2, woke)
 						return true
 					}
 					polling[i] = true
@@ -370,25 +376,31 @@ func TestDelayElisionDifferential(t *testing.T) {
 // quiet check that reads flags other procs and callbacks flip (on a
 // budget, so every poll ends), run once with WaitPoll and once with
 // loopWaitPoll, the proc's own WaitTimeout-and-check loop. The (time,
-// proc, step) logs (quiet checks, whether each ran as its proc, and each
-// poll's left cycles included), Now(), Pending() and LiveProcs() after
-// every RunUntil and after Shutdown, and the procs Shutdown found parked
-// in a poll must match. The run checks that re-arms of a lone or last
-// waiter and of one with waiters behind it, re-arms past the horizon,
-// failed checks, wakeups after a re-arm and Shutdown of a parked poller
-// all occurred.
+// proc, step) logs (quiet checks with the wake each was told of, whether
+// each ran as its proc, and each poll's left cycles included), Now(),
+// Pending() and LiveProcs() after every RunUntil and after Shutdown, and
+// the procs Shutdown found parked in a poll must match. The run checks
+// that timeout re-arms of a lone or last waiter and of one with waiters
+// behind it, signal re-arms, re-arms past the horizon, failed checks,
+// wakeups after a re-arm and Shutdown of a parked poller all occurred.
 func TestCondWaitPollDifferential(t *testing.T) {
-	var cov struct{ rearms, notLast, pastHorizon, failed, wokenAfterRearm, parkedAtShutdown int }
-	counting := func(c *Cond, p *Proc, d, period uint64, quiet func() bool) uint64 {
+	var cov struct {
+		rearms, notLast, signalRearms, pastHorizon, failed, wokenAfterRearm, parkedAtShutdown int
+	}
+	counting := func(c *Cond, p *Proc, d, period uint64, quiet func(bool) bool) uint64 {
 		rearmed := false
-		left := c.WaitPoll(p, d, period, func() bool {
-			if !quiet() {
+		left := c.WaitPoll(p, d, period, func(signaled bool) bool {
+			if !quiet(signaled) {
 				cov.failed++
 				return false
 			}
-			cov.rearms++
-			if c.waiters[len(c.waiters)-1] != p {
-				cov.notLast++
+			if signaled {
+				cov.signalRearms++ // the wake took p off the FIFO
+			} else {
+				cov.rearms++
+				if c.waiters[len(c.waiters)-1] != p {
+					cov.notLast++
+				}
 			}
 			if p.eng.now+Time(period) > p.eng.horizon {
 				cov.pastHorizon++
@@ -428,8 +440,8 @@ func TestCondWaitPollDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("coverage: %+v", cov)
-	if cov.rearms == 0 || cov.notLast == 0 || cov.pastHorizon == 0 || cov.failed == 0 ||
-		cov.wokenAfterRearm == 0 || cov.parkedAtShutdown == 0 {
+	if cov.rearms == 0 || cov.notLast == 0 || cov.signalRearms == 0 || cov.pastHorizon == 0 ||
+		cov.failed == 0 || cov.wokenAfterRearm == 0 || cov.parkedAtShutdown == 0 {
 		t.Fatalf("program missed a case of the re-arm: %+v", cov)
 	}
 }

@@ -23,20 +23,23 @@
 // Outside RunUntil the horizon is zero, so a process unwinding under
 // Shutdown still parks and is poisoned.
 //
-// Quiet polls: a process that polls (waits, and at each timeout checks
-// for work and, finding none, waits again) blocks in Cond.WaitPoll with
-// its check. The timeout callback runs the check itself. While it finds
-// nothing to do, the callback re-arms the timeout with the call the
-// process would have made, at the same time and so with the same
-// sequence number, and moves the process to the cond's FIFO tail, where
+// Quiet polls: a process that polls (waits, and at each wake checks for
+// work and, finding none, waits again) blocks in Cond.WaitPoll with its
+// check. The callback of the wake, a Signal or Broadcast's or the
+// timeout's, runs the check itself and tells it which wake it is. While
+// it finds nothing to do, the callback re-arms the timeout with the call
+// the process would have made, at the same time and so with the same
+// sequence number, and puts the process at the cond's FIFO tail, where
 // its re-wait would have appended it. The process stays parked, with no
-// switch. The re-arm is exact because nothing else runs between a timeout
+// switch. The re-arm is exact because nothing else runs between a wake
 // and the process's re-wait: the check sees the state the process would
 // have seen, and must change nothing but what the skipped steps would have
-// recorded (TestCondWaitPollDifferential). That is also why Current()
-// reports the waiting process during the check: a race model that
-// attributes the check's loads by Current() then charges them to the
-// process that would have made them.
+// recorded (TestCondWaitPollDifferential). A check whose process would
+// re-wait differently after a signal declines it, and the process resumes.
+// That the check runs in the process's stead is also why Current()
+// reports the waiting process during it: a race model that attributes
+// the check's loads by Current() then charges them to the process that
+// would have made them.
 //
 // The package is the foundation for every other simulated component in this
 // repository: cores, TLBs, APICs and kernel code are all expressed as
@@ -229,16 +232,6 @@ func (e *Engine) Shutdown() {
 // from events). Observational tooling uses this to attribute actions —
 // lock acquisitions, PTE writes — to the simulated actor performing them.
 func (e *Engine) Current() *Proc { return e.current }
-
-// asCurrent runs fn with Current() reporting p, as if p's body called it.
-func (p *Proc) asCurrent(fn func() bool) bool {
-	e := p.eng
-	prev := e.current
-	e.current = p
-	ok := fn()
-	e.current = prev
-	return ok
-}
 
 // resume switches to p's coroutine and returns when p blocks or returns.
 func (e *Engine) resume(p *Proc) {

@@ -157,7 +157,7 @@ func BenchmarkCondWaitPoll(b *testing.B) {
 	e := NewEngine(1)
 	c := e.NewCond()
 	n := 0
-	quiet := func() bool {
+	quiet := func(bool) bool {
 		n++
 		return n < b.N
 	}
@@ -171,6 +171,47 @@ func BenchmarkCondWaitPoll(b *testing.B) {
 	e.Shutdown()
 	if n != b.N {
 		b.Fatalf("%d quiet checks for %d polls", n, b.N)
+	}
+}
+
+// BenchmarkCondQuietWake measures one quiet wake: 64 procs parked in
+// 1000-cycle WaitPolls on one cond, which another proc broadcasts every
+// 100 cycles, so each wake's callback runs the woken proc's check, finds
+// it holding and re-arms the wait without resuming the proc. It is the
+// engine-side replacement for the switch a semaphore waiter pays on every
+// release broadcast that leaves the semaphore taken, and must stay at 0
+// allocs/op.
+func BenchmarkCondQuietWake(b *testing.B) {
+	const pollers = 64
+	e := NewEngine(1)
+	c := e.NewCond()
+	wakes, timeouts := 0, 0
+	quiet := func(signaled bool) bool {
+		if !signaled {
+			timeouts++
+		}
+		wakes++
+		return wakes < b.N
+	}
+	for range pollers {
+		e.Go("poller", func(p *Proc) {
+			c.WaitPoll(p, 1000, 1000, quiet)
+		})
+	}
+	e.Go("releaser", func(p *Proc) {
+		for wakes < b.N {
+			p.Delay(100)
+			c.Broadcast()
+		}
+	})
+	e.RunUntil(0) // park every poller
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	e.Shutdown()
+	if wakes < b.N || timeouts > 0 {
+		b.Fatalf("%d quiet checks (%d at a timeout) for %d wakes", wakes, timeouts, b.N)
 	}
 }
 
@@ -249,19 +290,26 @@ func TestDelayIsAllocationFree(t *testing.T) {
 
 // TestCondWaitIsAllocationFree extends TestDelayIsAllocationFree to every
 // Cond blocking path: Wait woken by Signal, WaitTimeout both signaled and
-// timed out, Wait woken by Broadcast, and a WaitPoll re-armed twice by its
-// quiet check and then resumed. Waiter state lives in the Proc, the
-// timeout callback is bound once per process and the FIFO keeps its
-// backing array, so warm rounds allocate nothing. A per-wait waiter and
-// timeout closure would cost about 9000 objects here, far above the gate.
+// timed out, Wait woken by Broadcast, a WaitPoll re-armed twice at its
+// timeout by its quiet check and then resumed, and a WaitPoll whose check
+// re-arms a Broadcast and then declines a Signal. Waiter state lives in
+// the Proc, the timeout and wake callbacks are bound once per process and
+// the FIFO keeps its backing array, so warm rounds allocate nothing. A
+// per-wait waiter and timeout closure would cost about 9000 objects here,
+// far above the gate.
 func TestCondWaitIsAllocationFree(t *testing.T) {
-	const rounds = 1300
+	const rounds = 7700
 	e := NewEngine(1)
 	c := e.NewCond()
-	var signaled, timedOut, woken, polled, checks int
-	quiet := func() bool {
+	var signaled, timedOut, woken, polled, checks, quietWoken, wakeChecks int
+	quiet := func(bool) bool {
 		checks++
 		return checks%3 != 0
+	}
+	// Holds at the Broadcast at +9, fails at the Signal at +10.
+	wakeQuiet := func(signaled bool) bool {
+		wakeChecks++
+		return signaled && wakeChecks%2 == 1
 	}
 	e.Go("waiter", func(p *Proc) {
 		for i := 0; i < rounds; i++ {
@@ -278,6 +326,10 @@ func TestCondWaitIsAllocationFree(t *testing.T) {
 			if c.WaitPoll(p, 1, 1, quiet) == 0 && p.Now()%10 == 8 {
 				polled++
 			}
+			// Re-armed at +9 until +11, resumed at +10.
+			if c.WaitPoll(p, 2, 2, wakeQuiet) == 1 && p.Now()%10 == 0 {
+				quietWoken++
+			}
 		}
 	})
 	e.Go("driver", func(p *Proc) {
@@ -288,22 +340,29 @@ func TestCondWaitIsAllocationFree(t *testing.T) {
 			c.Signal()
 			p.Delay(3)
 			c.Broadcast()
-			p.Delay(5)
+			p.Delay(4)
+			c.Broadcast()
+			p.Delay(1)
+			c.Signal()
 		}
 	})
 	// Warm up: the first rounds grow the event queue, free list and FIFO,
-	// and give every level-0 wheel slot a backing array (the round's
-	// event offsets reach every slot only after 128 rounds).
-	e.RunUntil(3000)
+	// and the wheel's slot arrays. Level-1 slots are indexed by a
+	// timestamp's second byte, so until the clock passes 65,536 cycles
+	// every 256-cycle block files the events that cross into it in a slot
+	// no event used before (about 100 objects over a window of 1000
+	// rounds that starts at 3000 cycles).
+	e.RunUntil(67_000)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	e.RunUntil(13_000)
+	e.RunUntil(77_000)
 	runtime.ReadMemStats(&after)
 	e.Run()
 	e.Shutdown()
-	if signaled != rounds || timedOut != rounds || woken != rounds || polled != rounds || checks != 3*rounds {
-		t.Fatalf("signaled/timed out/woken/polled = %d/%d/%d/%d after %d quiet checks, want %d each and %d checks",
-			signaled, timedOut, woken, polled, checks, rounds, 3*rounds)
+	if signaled != rounds || timedOut != rounds || woken != rounds || polled != rounds || quietWoken != rounds ||
+		checks != 3*rounds || wakeChecks != 2*rounds {
+		t.Fatalf("signaled/timed out/woken/polled/quiet-woken = %d/%d/%d/%d/%d after %d+%d quiet checks, want %d each and %d+%d checks",
+			signaled, timedOut, woken, polled, quietWoken, checks, wakeChecks, rounds, 3*rounds, 2*rounds)
 	}
 	if allocs := after.Mallocs - before.Mallocs; allocs > 100 {
 		t.Fatalf("1000 warm Cond rounds allocated %d objects, want ~0", allocs)

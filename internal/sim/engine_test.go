@@ -310,7 +310,7 @@ func TestCondWaitPollZeroPeriodPanics(t *testing.T) {
 			t.Fatalf("%d events scheduled before the panic", e.Pending())
 		}
 	}()
-	c.WaitPoll(nil, 10, 0, func() bool { return true })
+	c.WaitPoll(nil, 10, 0, func(bool) bool { return true })
 }
 
 func TestDeterminism(t *testing.T) {

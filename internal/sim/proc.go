@@ -33,9 +33,10 @@ type Proc struct {
 	yieldFn func(struct{}) bool
 
 	// resumeFn is the one resume closure this process ever needs: binding
-	// it once at spawn keeps Delay/Yield/cond wakeups from allocating a
-	// fresh closure per block, which together with the engine's event free
-	// list makes steady-state scheduling allocation-free.
+	// it once at spawn (with the cond callbacks in waiter) keeps
+	// Delay/Yield/cond wakeups from allocating a fresh closure per block,
+	// which together with the engine's event free list makes steady-state
+	// scheduling allocation-free.
 	resumeFn func()
 
 	// waiter is the process's Cond wait state. A process blocks on at most
@@ -58,7 +59,7 @@ func (p *Proc) Done() bool { return p.done }
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{Name: name, eng: e}
 	p.resumeFn = func() { e.resume(p) }
-	p.waiter.timeoutFn = p.timedOut
+	p.waiter.timeoutFn, p.waiter.wakeFn = p.timedOut, p.woken
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yieldFn = yield
 		defer func() {

@@ -6,7 +6,8 @@
 # wall-clock of each, plus sync-vs-async dispatch-tier cells (the same
 # experiments re-run under -tlbmode sync and -tlbmode async) and the
 # sim package's event-loop microbenchmarks (ns/event and allocs/event,
-# per switching Delay and per quiet poll).
+# per switching Delay, per quiet poll and, from BenchmarkCondQuietWake,
+# per quiet wake).
 # Emits BENCH_parallel.json in the repo root and fails if the file does
 # not parse as JSON; CI uploads it as an artifact.
 #
@@ -77,7 +78,7 @@ done
 exp_json=${exp_json%,}
 
 echo "==> event-loop microbenchmarks" >&2
-${GO} test -run '^$' -bench '^(BenchmarkEventLoop|BenchmarkProcDelay|BenchmarkProcDelaySwitch|BenchmarkCondWaitPoll|BenchmarkEngineChurn)$' -benchmem ./internal/sim/ >"$BENCH_OUT"
+${GO} test -run '^$' -bench '^(BenchmarkEventLoop|BenchmarkProcDelay|BenchmarkProcDelaySwitch|BenchmarkCondWaitPoll|BenchmarkCondQuietWake|BenchmarkEngineChurn)$' -benchmem ./internal/sim/ >"$BENCH_OUT"
 
 # bench_line <name>: the result line of exactly that benchmark,
 # "BenchmarkEventLoop-8  85503980  12.64 ns/op  0 B/op  0 allocs/op"
@@ -87,6 +88,7 @@ loop_line=$(bench_line BenchmarkEventLoop)
 delay_line=$(bench_line BenchmarkProcDelay)
 switch_line=$(bench_line BenchmarkProcDelaySwitch)
 poll_line=$(bench_line BenchmarkCondWaitPoll)
+wake_line=$(bench_line BenchmarkCondQuietWake)
 loop_ns=$(echo "$loop_line" | awk '{print $3}')
 loop_allocs=$(echo "$loop_line" | awk '{print $7}')
 # ns_per_delay is the elided Delay (one proc, nothing else queued);
@@ -99,6 +101,11 @@ switch_allocs=$(echo "$switch_line" | awk '{print $7}')
 # waiting proc (Cond.WaitPoll), the switch a spin loop no longer pays.
 poll_ns=$(echo "$poll_line" | awk '{print $3}')
 poll_allocs=$(echo "$poll_line" | awk '{print $7}')
+# ns_per_quiet_wake is one Signal/Broadcast wake the engine re-arms without
+# resuming the woken proc, the switch a semaphore waiter no longer pays
+# when a release leaves the semaphore taken.
+wake_ns=$(echo "$wake_line" | awk '{print $3}')
+wake_allocs=$(echo "$wake_line" | awk '{print $7}')
 
 # Scale grid: "BenchmarkEngineChurn/cpus=512-8  N  42.1 ns/op  0 B/op  0 allocs/op"
 # -> one row per width; ns/event must stay flat with width and
@@ -115,8 +122,8 @@ churn_json=$(grep '^BenchmarkEngineChurn/' "$BENCH_OUT" | awk '{
     printf '  "workers": %s,\n' "$WORKERS"
     printf '  "note": "speedup needs spare cores: on a 1-CPU host parallel==serial by design; outputs are byte-identical at every worker count",\n'
     printf '  "experiments": [%s],\n' "$exp_json"
-    printf '  "event_loop": {"ns_per_event": %s, "allocs_per_event": %s, "ns_per_delay": %s, "allocs_per_delay": %s, "ns_per_delay_switch": %s, "allocs_per_delay_switch": %s, "ns_per_quiet_poll": %s, "allocs_per_quiet_poll": %s},\n' \
-        "$loop_ns" "$loop_allocs" "$delay_ns" "$delay_allocs" "$switch_ns" "$switch_allocs" "$poll_ns" "$poll_allocs"
+    printf '  "event_loop": {"ns_per_event": %s, "allocs_per_event": %s, "ns_per_delay": %s, "allocs_per_delay": %s, "ns_per_delay_switch": %s, "allocs_per_delay_switch": %s, "ns_per_quiet_poll": %s, "allocs_per_quiet_poll": %s, "ns_per_quiet_wake": %s, "allocs_per_quiet_wake": %s},\n' \
+        "$loop_ns" "$loop_allocs" "$delay_ns" "$delay_allocs" "$switch_ns" "$switch_allocs" "$poll_ns" "$poll_allocs" "$wake_ns" "$wake_allocs"
     printf '  "engine_churn": [%s]\n' "$churn_json"
     printf '}\n'
 } >"$OUT"
