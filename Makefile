@@ -76,10 +76,11 @@ fuzz:
 
 ## cover: coverage summary for the fault plane, the layers it perturbs,
 ## the dynamic race model the static lockset tier cross-validates, the
-## TLB every simulated memory access goes through, and the cacheline
-## directory every shootdown's cacheline cost comes from
+## TLB every simulated memory access goes through, the cacheline
+## directory every shootdown's cacheline cost comes from, and the page
+## table every range operation walks
 cover:
-	$(GO) test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/ ./internal/cache/
+	$(GO) test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/ ./internal/cache/ ./internal/pagetable/
 	$(GO) tool cover -func=coverage.out
 
 ## bench: parallel-harness wall-clock + event-loop allocs -> BENCH_parallel.json

@@ -482,14 +482,19 @@ func (t *Table) Leaves(fn func(Translation)) {
 	t.visitRec(t.root, 3, 0, 0, MaxVA, fn)
 }
 
+// visitRec visits the entries [first, last) of n whose span meets
+// [start, end): those that end after start and begin before end.
 func (t *Table) visitRec(n *node, level int, base, start, end uint64, fn func(Translation)) {
-	span := uint64(1) << (PageShift4K + 9*uint(level))
-	for idx := 0; idx < EntriesPerTable; idx++ {
-		lo := base + uint64(idx)*span
-		hi := lo + span
-		if hi <= start || lo >= end {
-			continue
-		}
+	shift := PageShift4K + 9*uint(level)
+	var first, last uint64
+	if start > base {
+		first = (start - base) >> shift
+	}
+	if end > base {
+		last = min(EntriesPerTable, (end-base+1<<shift-1)>>shift)
+	}
+	for idx := first; idx < last; idx++ {
+		lo := base + idx<<shift
 		pte := n.ptes[idx]
 		if pte.Flags.Has(Present) {
 			size := Size4K

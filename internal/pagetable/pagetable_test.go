@@ -3,6 +3,8 @@ package pagetable
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -320,6 +322,118 @@ func TestVisitRangePartialOverlap(t *testing.T) {
 	pt.VisitRange(PageSize2M+0x1000, PageSize2M+0x2000, func(Translation) { n++ })
 	if n != 1 {
 		t.Fatalf("visited %d leaves, want 1", n)
+	}
+}
+
+// visitScan is the range walk before it was indexed, kept as the
+// reference for TestVisitRangeDifferential: it tests all 512 entries of
+// every table it visits against [start, end).
+func visitScan(n *node, level int, base, start, end uint64, fn func(Translation)) {
+	span := uint64(1) << (PageShift4K + 9*uint(level))
+	for idx := 0; idx < EntriesPerTable; idx++ {
+		lo := base + uint64(idx)*span
+		hi := lo + span
+		if hi <= start || lo >= end {
+			continue
+		}
+		pte := n.ptes[idx]
+		if pte.Flags.Has(Present) {
+			size := Size4K
+			if pte.Flags.Has(Huge) {
+				size = Size2M
+			}
+			fn(Translation{VA: lo, Frame: pte.Frame, Flags: pte.Flags, Size: size, Steps: 4 - level})
+			continue
+		}
+		if child := n.children[idx]; child != nil {
+			visitScan(child, level-1, lo, start, end, fn)
+		}
+	}
+}
+
+// TestVisitRangeDifferential checks the indexed range walk against the
+// full scan it replaced (visitScan): seeded tables of random 4K and 2M
+// mappings, clustered at the bottom of the address space, around a
+// 2 MiB, a 1 GiB and a 512 GiB table boundary and below MaxVA, are
+// walked over random ranges — bounds on, beside and between leaves,
+// empty and reversed ranges, and ranges that end or start past MaxVA —
+// and VisitRange and Leaves must visit the same leaves, in the same
+// order, as the scan.
+func TestVisitRangeDifferential(t *testing.T) {
+	regions := []uint64{0, 5 * PageSize2M, 1 << 30, 1 << 39, MaxVA - 4*PageSize2M}
+	var cov struct{ visits, empty, reversed, pastMax int }
+	collect := func(walk func(func(Translation))) []Translation {
+		var got []Translation
+		walk(func(tr Translation) { got = append(got, tr) })
+		return got
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pt := New()
+		var vas []uint64
+		for i := rng.Intn(120); i >= 0; i-- {
+			va := regions[rng.Intn(len(regions))] + uint64(rng.Intn(4*EntriesPerTable))*PageSize4K
+			size := Size4K
+			if rng.Intn(4) == 0 {
+				va &^= PageSize2M - 1
+				size = Size2M
+			}
+			if va < MaxVA && pt.Map(va, uint64(i), size, Write) == nil {
+				vas = append(vas, va)
+			}
+		}
+		bound := func() uint64 {
+			switch rng.Intn(5) {
+			case 0: // on, just below or just above a leaf's first byte
+				if len(vas) > 0 {
+					return vas[rng.Intn(len(vas))] + uint64(rng.Intn(3)) - 1
+				}
+				return 0
+			case 1:
+				return regions[rng.Intn(len(regions))] + uint64(rng.Int63n(8*PageSize2M))
+			case 2: // past MaxVA
+				return MaxVA + uint64(rng.Int63n(1<<40))
+			case 3:
+				return uint64(rng.Int63n(int64(MaxVA)))
+			default:
+				return MaxVA
+			}
+		}
+		for i := 0; i < 200; i++ {
+			start, end := bound(), bound()
+			switch rng.Intn(6) {
+			case 0:
+				end = start
+			case 1:
+				end = start + uint64(rng.Intn(3*PageSize4K))
+			case 2:
+				start = 0
+			}
+			switch {
+			case start == end:
+				cov.empty++
+			case start > end:
+				cov.reversed++
+			}
+			if end > MaxVA {
+				cov.pastMax++
+			}
+			got := collect(func(fn func(Translation)) { pt.VisitRange(start, end, fn) })
+			want := collect(func(fn func(Translation)) { visitScan(pt.root, 3, 0, start, min(end, MaxVA), fn) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d: VisitRange(%#x, %#x) visited %v, scan %v", seed, start, end, got, want)
+			}
+			cov.visits += len(got)
+		}
+		got := collect(pt.Leaves)
+		want := collect(func(fn func(Translation)) { visitScan(pt.root, 3, 0, 0, MaxVA, fn) })
+		if !slices.Equal(got, want) || len(got) != pt.LeafCount() {
+			t.Fatalf("seed %d: Leaves visited %d leaves, scan %d, table holds %d", seed, len(got), len(want), pt.LeafCount())
+		}
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.visits == 0 || cov.empty == 0 || cov.reversed == 0 || cov.pastMax == 0 {
+		t.Fatalf("coverage %+v: a range case never occurred", cov)
 	}
 }
 

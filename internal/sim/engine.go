@@ -3,13 +3,17 @@
 //
 // The engine maintains a virtual clock measured in CPU cycles and an event
 // queue ordered by (time, insertion sequence): a hierarchical timer wheel
-// (wheel.go). Simulated activities run as processes (Proc): coroutines
-// (iter.Pull) that execute strictly one at a time, handing control back to
-// the engine whenever they block (Delay, Cond.Wait, ...). The engine and a process pass the running thread to
-// each other directly (the runtime's coroutine switch), so no switch goes
-// through the Go scheduler. Because at most one process runs at any
-// instant and ties in the event queue are broken by insertion order, a
-// simulation with a fixed seed is fully deterministic.
+// (wheel.go) over a slab of events, whose slots are FIFOs linked through
+// the events themselves and whose levels keep summary bits that find the
+// first occupied slot in two steps. RunUntil takes each event with one
+// pop that also checks its horizon (popUntil). Simulated activities run
+// as processes (Proc): coroutines (iter.Pull) that execute strictly one
+// at a time, handing control back to the engine whenever they block
+// (Delay, Cond.Wait, ...). The engine and a process pass the running
+// thread to each other directly (the runtime's coroutine switch), so no
+// switch goes through the Go scheduler. Because at most one process runs
+// at any instant and ties in the event queue are broken by insertion
+// order, a simulation with a fixed seed is fully deterministic.
 //
 // Event elision: a process that calls Delay(d) is the only runner until the
 // next queued event. When that event is strictly later than now+d and
@@ -62,12 +66,14 @@ type Time uint64
 //
 // An Event handle is only valid until the event fires (or, if cancelled,
 // until the engine drains it from the queue): fired events are recycled
-// into the engine's free list, so retaining a handle past its firing and
-// calling Cancel on it later would act on an unrelated event.
+// into the free list of the engine's event slab, so retaining a handle
+// past its firing and calling Cancel on it later would act on an
+// unrelated event.
 type Event struct {
 	at        Time
 	seq       uint64
 	fn        func()
+	next      uint32 // id of the next event in its slot, batch or free list; 0 ends it
 	cancelled bool
 }
 
@@ -87,14 +93,13 @@ func (ev *Event) Cancelled() bool { return ev.cancelled }
 // Distinct Engines share nothing and may run concurrently.
 type Engine struct {
 	now Time
+	// q is the event queue and owns the event slab: every fired or
+	// drained-cancelled event is recycled into its free list, so
+	// steady-state scheduling (Delay, Yield, cond wakeups) allocates
+	// nothing.
 	q   timerWheel
 	seq uint64
 	rng *Rand
-
-	// free is the event free list: every fired or drained-cancelled event
-	// is recycled here, so steady-state scheduling (Delay, Yield, cond
-	// wakeups) allocates nothing.
-	free []*Event
 
 	liveProcs int
 	procs     []*Proc
@@ -109,7 +114,11 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero and a deterministic
 // random source derived from seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRand(seed)}
+	e := &Engine{rng: NewRand(seed)}
+	// Room to index a 2,048-event slab, so a fresh engine allocates only
+	// its chunks until it holds that many events at once.
+	e.q.chunks = make([]*[slabChunk]Event, 0, 8)
+	return e
 }
 
 // Now returns the current virtual time.
@@ -132,28 +141,15 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.cancelled = t, e.seq, fn, false
-	} else {
-		ev = &Event{at: t, seq: e.seq, fn: fn}
-	}
-	e.q.push(ev)
+	id, ev := e.q.alloc()
+	ev.at, ev.seq, ev.fn, ev.cancelled = t, e.seq, fn, false
+	e.q.push(id, ev)
 	return ev
 }
 
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d uint64, fn func()) *Event {
 	return e.At(e.now+Time(d), fn)
-}
-
-// release returns a drained event to the free list.
-func (e *Engine) release(ev *Event) {
-	ev.fn = nil
-	e.free = append(e.free, ev)
 }
 
 // Run executes events until the queue is empty. Processes that are blocked on
@@ -169,18 +165,18 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(horizon Time) {
 	e.horizon = horizon
 	defer func() { e.horizon = 0 }()
-	for e.q.len() > 0 {
-		if t, ok := e.q.nextTime(); !ok || t > horizon {
+	for {
+		id, ev := e.q.popUntil(horizon)
+		if id == 0 {
 			return
 		}
-		next := e.q.pop()
-		if next.cancelled {
-			e.release(next)
+		if ev.cancelled {
+			e.q.release(id, ev)
 			continue
 		}
-		e.now = next.at
-		fn := next.fn
-		e.release(next)
+		e.now = ev.at
+		fn := ev.fn
+		e.q.release(id, ev)
 		fn()
 		if e.procErr != nil {
 			panic(e.procErr)
@@ -223,7 +219,6 @@ func (e *Engine) Shutdown() {
 	e.current = nil
 	e.procs = nil
 	e.q.clear()
-	e.free = nil
 	e.procErr = nil
 }
 

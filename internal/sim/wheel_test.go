@@ -6,13 +6,17 @@ import (
 )
 
 // TestWheelHeapOrderEquivalence is the wheel's differential test: one
-// random sequence of push, nextTime and pop drives the timer wheel and the
-// reference binary heap (heap_test.go) side by side, and every pop and
-// every nextTime must agree. The sequence mixes same-timestamp bursts,
-// pushes at the just-popped time, horizon peeks that pop nothing (so later
-// pushes land below the peeked minimum, as after a RunUntil), and
-// far-future pushes whose pops cascade through the upper levels.
+// random sequence of push, nextTime, popUntil and unbounded pops drives the
+// timer wheel and the reference binary heap (heap_test.go) side by side,
+// and every pop and every nextTime must agree. The sequence mixes
+// same-timestamp bursts, pushes at the just-popped time, horizon peeks
+// that pop nothing, and far-future pushes whose pops cascade through the
+// upper levels. popUntil's horizon falls below, at or above the heap's
+// minimum: a refused pop must leave the wheel as it was, and after one
+// the sequence pushes below the refused minimum (as after a RunUntil that
+// stopped at its horizon), which must still come out first.
 func TestWheelHeapOrderEquivalence(t *testing.T) {
+	var refused, refusedHigh int // refusals, and those at a level above 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var w timerWheel
@@ -21,7 +25,9 @@ func TestWheelHeapOrderEquivalence(t *testing.T) {
 		var now Time // time of the last pop: the engine never schedules earlier
 		push := func(at Time) {
 			seq++
-			w.push(&Event{at: at, seq: seq})
+			id, ev := w.alloc()
+			ev.at, ev.seq = at, seq
+			w.push(id, ev)
 			h.push(&Event{at: at, seq: seq})
 		}
 		peek := func(step int) {
@@ -30,27 +36,55 @@ func TestWheelHeapOrderEquivalence(t *testing.T) {
 			if wt != ht || wok != hok {
 				t.Fatalf("seed %d step %d: nextTime wheel (%d, %v), heap (%d, %v)", seed, step, wt, wok, ht, hok)
 			}
-		}
-		pop := func(step int) {
-			peek(step)
 			if w.len() != len(h) {
 				t.Fatalf("seed %d step %d: len wheel %d, heap %d", seed, step, w.len(), len(h))
 			}
-			if len(h) == 0 {
+		}
+		pop := func(step int, horizon Time) {
+			peek(step)
+			min, ok := h.nextTime()
+			high := w.batch == 0 && w.lvMask&1 == 0
+			id, we := w.popUntil(horizon)
+			if !ok || min > horizon {
+				if id != 0 {
+					t.Fatalf("seed %d step %d: popUntil(%d) popped (%d, seq %d) past the horizon",
+						seed, step, horizon, we.at, we.seq)
+				}
+				peek(step) // popped nothing
+				if !ok {
+					return
+				}
+				refused++
+				if high {
+					refusedHigh++
+				}
+				for i := rng.Intn(3); i >= 0 && min > now; i-- {
+					push(now + Time(rng.Int63n(int64(min-now))))
+				}
 				return
 			}
-			we, he := w.pop(), h.pop()
+			if id == 0 {
+				t.Fatalf("seed %d step %d: popUntil(%d) refused the minimum %d", seed, step, horizon, min)
+			}
+			he := h.pop()
 			if we.at != he.at || we.seq != he.seq {
 				t.Fatalf("seed %d step %d: pop wheel (%d, seq %d), heap (%d, seq %d)",
 					seed, step, we.at, we.seq, he.at, he.seq)
 			}
 			now = we.at
+			w.release(id, we)
 		}
 		for step := 0; step < 4000; step++ {
 			switch op := rng.Intn(10); {
 			case op < 4:
+				// Even seeds push no nearer than 300 cycles ahead, so the
+				// wheel's minimum often sits above level 0.
+				class := rng.Intn(5)
+				if seed%2 == 0 {
+					class = 2 + rng.Intn(3)
+				}
 				var d Time
-				switch rng.Intn(5) {
+				switch class {
 				case 0: // at the just-popped time
 				case 1:
 					d = Time(rng.Intn(3))
@@ -68,15 +102,35 @@ func TestWheelHeapOrderEquivalence(t *testing.T) {
 				for i := 0; i < n; i++ {
 					push(now + d)
 				}
-			case op < 6:
+			case op < 5:
 				peek(step) // a horizon check that pops nothing
+			case op < 7:
+				horizon := now + Time(rng.Int63n(1<<41))
+				if min, ok := h.nextTime(); ok {
+					switch rng.Intn(4) {
+					case 0:
+						horizon = min
+					case 1:
+						horizon = min + Time(rng.Intn(300))
+					case 2: // between the last pop and the minimum
+						horizon = now + Time(rng.Int63n(int64(min-now)+1))
+					default:
+						horizon = min - 1
+					}
+				}
+				pop(step, horizon)
 			default:
-				pop(step)
+				pop(step, ^Time(0))
 			}
 		}
 		for len(h) > 0 || w.len() > 0 {
-			pop(-1)
+			pop(-1, ^Time(0))
 		}
+	}
+	t.Logf("coverage: %d refused pops, %d of them at a level above 0", refused, refusedHigh)
+	if refused == 0 || refusedHigh == 0 {
+		t.Fatalf("popUntil refused %d pops, %d of them at a level above 0: the sequence lost its horizon cases",
+			refused, refusedHigh)
 	}
 }
 

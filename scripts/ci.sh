@@ -117,8 +117,12 @@ go -C bench test ./...
 # shootdown's cacheline cost comes from its directory, and its
 # differential test against the per-sharer walk it replaced must keep
 # reaching every state transition.
-echo "==> coverage floor (fault, smp, apic, mm, race, sanitizer/ssa, mach, sim, tlb, cache >= 80%; smp >= 92%)"
-go test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/ ./internal/cache/ > COVERAGE.txt
+# pagetable joins the floor with its indexed range walk: every range
+# operation (munmap's zap, mprotect, fork's copy, the daemons' scans)
+# walks it, and its differential test against the full scan it replaced
+# must keep reaching the range bounds.
+echo "==> coverage floor (fault, smp, apic, mm, race, sanitizer/ssa, mach, sim, tlb, cache, pagetable >= 80%; smp >= 92%)"
+go test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/ ./internal/cache/ ./internal/pagetable/ > COVERAGE.txt
 go tool cover -func=coverage.out >> COVERAGE.txt
 cat COVERAGE.txt
 awk '
