@@ -27,7 +27,7 @@ lint:
 
 ## vet: the static tier alone — every internal/sanitizer/ssa analyzer
 ## (banned imports, cost constants, observer purity, flush obligations,
-## lock order, ipistate DFA, detflow taint, parallelsafe, mhp's handler
+## lock order, detflow taint, parallelsafe, mhp's handler
 ## reach and CPU confinement, lockset race-discipline proofs, and the
 ## fabproof numeric obligations over the fabric smp declares by name)
 ## off one typecheck

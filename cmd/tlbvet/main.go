@@ -2,7 +2,7 @@
 // and typechecks the module once (stdlib go/types only), lowers every
 // function into one def-use/SSA IR with interprocedural summaries over a
 // fixpoint call graph, and runs every analyzer of internal/sanitizer/ssa.
-// determinism reads import specs; the other ten run on the shared IR,
+// determinism reads import specs; the other nine run on the shared IR,
 // which records the constants, literal fields, function values and
 // map-range blocks they ask about, so none re-derives those from syntax:
 //
@@ -20,9 +20,6 @@
 //     returned to the caller
 //   - lockorder: static lockdep — acquisition-order cycles between
 //     mm.RWSem lock classes anywhere in the call graph
-//   - ipistate: typestate DFA for the shootdown request lifecycle
-//     (new → kicked → waited → acked/timeout-recovery → discharged,
-//     with deferred-discharge and enqueue-transfer edges)
 //   - detflow: nondeterminism-taint — time.Now, math/rand, map-range
 //     order and select arms must never reach simulated state, digests,
 //     stats or event timestamps, and no time is charged inside a map range

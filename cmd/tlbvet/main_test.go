@@ -22,7 +22,7 @@ func TestParseOnly(t *testing.T) {
 	if names, err := parseOnly(""); err != nil || names != nil {
 		t.Fatalf("empty -only = %v, %v; want every analyzer (nil)", names, err)
 	}
-	for _, bad := range []string{"stalemarker", "lockset,stalemarker", "Lockset"} {
+	for _, bad := range []string{"stalemarker", "ipistate", "lockset,stalemarker", "Lockset"} {
 		if _, err := parseOnly(bad); err == nil || !strings.Contains(err.Error(), "unknown analyzer") {
 			t.Errorf("parseOnly(%q) error = %v, want unknown analyzer", bad, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"shootdown/internal/kernel"
 	"shootdown/internal/mm"
 	"shootdown/internal/pagetable"
+	"shootdown/internal/smp"
 	"shootdown/internal/tlb"
 	"shootdown/internal/trace"
 )
@@ -48,13 +49,12 @@ func (f *Flusher) CoWFixup(ctx *kernel.Ctx, as *mm.AddressSpace, res mm.FaultRes
 	f.stats.Shootdowns++
 	infoLine := f.cowInfoLine(ctx)
 	if f.Cfg.ConcurrentFlush {
-		rs := k.SMP.CallMany(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine)
-		f.cowLocal(ctx, as, info, useTrick)
-		c.WaitRequests(p, rs)
+		k.SMP.Shoot(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine, func([]*smp.Request) {
+			f.cowLocal(ctx, as, info, useTrick)
+		})
 	} else {
 		f.cowLocal(ctx, as, info, useTrick)
-		rs := k.SMP.CallMany(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine)
-		c.WaitRequests(p, rs)
+		k.SMP.Shoot(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine, nil)
 	}
 	f.ShootEnd.Emit(Shootdown{c.ID, info})
 }

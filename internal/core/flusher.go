@@ -235,18 +235,18 @@ func (f *Flusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.FlushRa
 
 	if f.Cfg.ConcurrentFlush {
 		// §3.1: IPIs first; the local flush overlaps their delivery.
-		reqs := k.SMP.CallMany(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine)
-		k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.IPISent, Targets: targets, Early: earlyAck})
-		f.localFlush(ctx, info, reqs)
-		k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.LocalFlush, Text: "done (overlapped with IPIs)"})
-		c.WaitRequests(p, reqs)
+		k.SMP.Shoot(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine, func(reqs []*smp.Request) {
+			k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.IPISent, Targets: targets, Early: earlyAck})
+			f.localFlush(ctx, info, reqs)
+			k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.LocalFlush, Text: "done (overlapped with IPIs)"})
+		})
 	} else {
 		// Baseline: local flush, then IPIs, then synchronous wait.
 		f.localFlush(ctx, info, nil)
 		k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.LocalFlush, Text: "done (before IPIs)"})
-		reqs := k.SMP.CallMany(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine)
-		k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.IPISent, Targets: targets, Early: earlyAck})
-		c.WaitRequests(p, reqs)
+		k.SMP.Shoot(p, c.ID, targets, f.remoteFlushFn, info, earlyAck, infoLine, func([]*smp.Request) {
+			k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.IPISent, Targets: targets, Early: earlyAck})
+		})
 	}
 	k.Trace.Emit(trace.Event{CPU: c.ID, Kind: trace.ShootEnd, Text: "all acks received"})
 	f.notePTFree(info)

@@ -16,7 +16,7 @@ import (
 // asyncTierConfigs returns the sweep's two dispatch tiers: the paper's
 // concurrent+early-ack synchronous protocol, and the same protocol with
 // dispatch routed through the per-CPU invalidation rings instead of the
-// CallMany spin-wait.
+// spin-wait smp.Layer.Shoot ends in.
 func asyncTierConfigs() (syncCfg, asyncCfg core.Config) {
 	syncCfg = core.Config{ConcurrentFlush: true, EarlyAck: true}
 	asyncCfg = syncCfg

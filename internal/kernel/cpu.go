@@ -26,7 +26,7 @@ type CPU struct {
 
 	proc *sim.Proc
 	// wake is broadcast on IRQ arrival, task enqueue and the ack of every
-	// request WaitRequests waits on; every blocking loop on this CPU waits
+	// request waitRequests waits on; every blocking loop on this CPU waits
 	// on it.
 	wake *sim.Cond
 
@@ -418,11 +418,12 @@ func (c *CPU) NMIUaccessOkay() bool {
 
 // --- Blocking helpers (IRQ-responsive waits) ---
 
-// WaitRequests blocks until every request is acknowledged, servicing
-// incoming IPIs meanwhile. An initiator spin-waiting with interrupts
+// waitRequests blocks until every request is acknowledged, servicing
+// incoming IPIs meanwhile: the ack wait New hands smp, which every
+// smp.Layer.Shoot ends in. An initiator spin-waiting with interrupts
 // disabled would deadlock against concurrent shootdowns, exactly as in
 // Linux, so the wait loop keeps IRQs flowing.
-func (c *CPU) WaitRequests(p *sim.Proc, reqs []*smp.Request) {
+func (c *CPU) waitRequests(p *sim.Proc, reqs []*smp.Request) {
 	if len(reqs) == 0 {
 		return
 	}

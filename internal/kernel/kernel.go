@@ -133,10 +133,12 @@ func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, cfg Config) 
 	bus := apic.NewBus(eng, topo, cost)
 	k := &Kernel{
 		Eng: eng, Topo: topo, Cost: cost, Dir: dir, Bus: bus,
-		SMP:   smp.New(eng, topo, cost, dir, bus),
 		Cfg:   cfg,
 		Alloc: pagetable.NewFrameAlloc(),
 	}
+	k.SMP = smp.New(eng, topo, cost, dir, bus, func(p *sim.Proc, from mach.CPU, reqs []*smp.Request) {
+		k.CPU(from).waitRequests(p, reqs)
+	})
 	k.mmLines = make(map[mm.ID]*mmLinePair)
 	k.cpus = make([]*CPU, topo.NumCPUs())
 	for i := range k.cpus {

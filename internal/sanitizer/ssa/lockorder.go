@@ -28,8 +28,9 @@ import (
 // Summaries (acquires / releases / held-at-exit / inner ordered pairs,
 // with parameter-relative lock references) propagate through the call
 // graph by fixpoint; interface-method calls (kernel.Flusher) resolve to
-// every module implementation. Function-typed values (callbacks passed to
-// smp.CallMany) are not traced — the runtime lockdep covers those.
+// every module implementation. Function-typed values (the handlers and
+// overlaps passed to smp.Layer.Shoot) are not traced — the runtime
+// lockdep covers those.
 
 const lockTypePkg = modPath + "/internal/mm"
 const lockTypeName = "RWSem"

@@ -291,7 +291,7 @@ func (la *locksetAnalysis) checkAckOrdered(e race.Field, ss []*lockSite) {
 	la.checkEarlyAcks(e, readUnits)
 }
 
-// checkEarlyAcks walks every CallMany kick whose handler reaches a
+// checkEarlyAcks walks every Shoot kick whose handler reaches a
 // responder read of e and proves its early-ack flag is off while the
 // guard field is set. The config-seeded broken variant is recorded as a
 // witness instead of a finding; checkEntryWitnesses then requires it to
@@ -305,7 +305,7 @@ func (la *locksetAnalysis) checkEarlyAcks(e race.Field, readUnits map[*Func]bool
 		}
 		for _, b := range f.Blocks {
 			for _, call := range b.Calls {
-				if call.Callee == nil || !isCallMany(call.Callee) || len(call.Args) < 6 {
+				if call.Callee == nil || !isShoot(call.Callee) || len(call.Args) < 6 {
 					continue
 				}
 				h := la.mhp.unitOfFuncValue(call.Args[3])

@@ -14,14 +14,14 @@ import (
 //
 //   - sim.Engine.Go registers a proc body (CPU run loops, workload
 //     drivers, daemon collectors);
-//   - smp.Layer.CallMany registers an IPI handler that runs on each
+//   - smp.Layer.Shoot registers an IPI handler that runs on each
 //     target CPU's IRQ dispatch (the send→HandleIPI edge; the matching
-//     join is the ack wait);
+//     join is the ack wait Shoot ends in);
 //   - kernel.CPU.QueueLazyWork / QueueBatchedFlush enqueue deferred
 //     closures the owning CPU drains at its next kernel entry.
 //
 // From them mhp derives two facts. Handler reach is every unit reachable
-// over the call graph (with interface fan-out) from a CallMany handler:
+// over the call graph (with interface fan-out) from a Shoot handler:
 // the code a responder runs while its initiator spins on the ack. The
 // CPU-confinement proof decides, for receivers and parameters of
 // kernel.CPU type, whether the value is provably the CPU whose execution
@@ -53,6 +53,16 @@ import (
 
 const kernelPkg = modPath + "/internal/kernel"
 const simPkg = modPath + "/internal/sim"
+const smpPkg = modPath + "/internal/smp"
+
+// isShoot reports whether fn is smp.Layer.Shoot, the one kick. Its
+// arguments 3, 4 and 5 are the handler, the payload and the early-ack
+// flag.
+func isShoot(fn *types.Func) bool {
+	sig, _ := fn.Type().(*types.Signature)
+	return fn.Name() == "Shoot" && sig != nil && sig.Recv() != nil &&
+		isNamed(sig.Recv().Type(), smpPkg, "Layer")
+}
 
 type mhpInfo struct {
 	ctx  *modCtx
@@ -69,7 +79,7 @@ type mhpInfo struct {
 	selfFree map[*Func]map[*types.Var]bool
 	// ctxCPUSelf is witness 3: every kernel.Ctx literal binds a self CPU.
 	ctxCPUSelf bool
-	// handlerRoots are the units registered as CallMany handlers;
+	// handlerRoots are the units registered as Shoot handlers;
 	// handlerReach is everything reachable from them.
 	handlerRoots map[*Func]bool
 	handlerReach map[*Func]bool
@@ -130,6 +140,8 @@ func checkMHP(ctx *modCtx) []Finding {
 }
 
 // blockingPrimitive classifies callees that park the calling proc.
+// smp.Layer.Shoot parks in the ack wait it calls through a func field,
+// an edge the call graph does not follow, so it is listed itself.
 func blockingPrimitive(fn *types.Func) (string, bool) {
 	if fn == nil {
 		return "", false
@@ -140,9 +152,11 @@ func blockingPrimitive(fn *types.Func) (string, bool) {
 	}
 	recv := sig.Recv().Type()
 	switch {
+	case isShoot(fn):
+		return "smp.Layer.Shoot", true
 	case isNamed(recv, kernelPkg, "CPU"):
 		switch fn.Name() {
-		case "WaitRequests", "DownRead", "DownWrite", "KernelRun", "UserRun", "SpinUntil":
+		case "DownRead", "DownWrite", "KernelRun", "UserRun", "SpinUntil":
 			return "kernel.CPU." + fn.Name(), true
 		}
 	case isNamed(recv, kernelPkg, "Task"):
@@ -260,7 +274,7 @@ func (m *mhpInfo) rootsFromCall(f *Func, call *Value, blessed map[*Value]bool) {
 		if arg != nil && arg.Kind == VOp {
 			blessed[arg] = true
 		}
-	case isCallMany(fn) && len(call.Args) >= 6:
+	case isShoot(fn) && len(call.Args) >= 6:
 		if u := m.unitOfFuncValue(call.Args[3]); u != nil {
 			m.handlerRoots[u] = true
 			// Witness 2: the handler's mach.CPU parameter is the

@@ -24,13 +24,6 @@
 //   - lockorder: a static lockdep over the call graph — acquisition-order
 //     cycles between mm.RWSem classes are reported without running a
 //     single seed.
-//   - ipistate: a typestate checker for the shootdown request lifecycle.
-//     Every smp.Request born from CallMany must follow the DFA
-//     new → kicked → waited → discharged on every path: no
-//     wait-before-kick, no double-discharge, no leaked in-flight request.
-//     Deferred-discharge edges (return or enqueue to a field) transfer the
-//     obligation to the consumer. The ack-timeout recovery is smp's own
-//     step inside the wait, so it is no edge of the DFA.
 //   - detflow: a nondeterminism-taint analysis proving the parallel
 //     harness guarantee statically. Sources (time.Now, math/rand outside
 //     fault.Decide, map-range order, select arms, goroutine identity)
@@ -172,7 +165,6 @@ var analyzerTable = []struct {
 	{"observerpurity", checkObserverPurity},
 	{"flushobligation", checkFlushObligation},
 	{"lockorder", checkLockOrder},
-	{"ipistate", checkIPIState},
 	{"detflow", checkDetFlow},
 	{"parallelsafe", checkParallelSafe},
 	{"mhp", checkMHP},

@@ -96,36 +96,22 @@ func TestLockOrderFixtureFires(t *testing.T) {
 	}
 }
 
-func TestIPIStateWaitWithoutKickFires(t *testing.T) {
-	res := checkFixture(t, "bad_ipistate.go")
-	if got := countBy(res.Findings, "ipistate"); got != 1 {
-		t.Fatalf("ipistate findings = %d, want exactly 1: %v", got, res.Findings)
-	}
-	if len(res.Findings) != 1 {
-		t.Fatalf("total findings = %d, want 1: %v", len(res.Findings), res.Findings)
-	}
-	if !strings.Contains(res.Findings[0].Msg, "wait before kick") {
-		t.Fatalf("finding should name the skipped DFA edge: %v", res.Findings[0])
-	}
-}
-
-func TestIPIStateDoubleDischargeFires(t *testing.T) {
-	res := checkFixture(t, "bad_ipistate_double.go")
-	if got := countBy(res.Findings, "ipistate"); got != 1 {
-		t.Fatalf("ipistate findings = %d, want exactly 1: %v", got, res.Findings)
-	}
-	if len(res.Findings) != 1 {
-		t.Fatalf("total findings = %d, want 1: %v", len(res.Findings), res.Findings)
-	}
-	if !strings.Contains(res.Findings[0].Msg, "double discharge") {
-		t.Fatalf("finding should name the repeated discharge: %v", res.Findings[0])
-	}
-}
-
-func TestIPIStateGoodFixtureClean(t *testing.T) {
-	res := checkFixture(t, "good_ipistate.go")
-	if len(res.Findings) != 0 {
-		t.Fatalf("lifecycle fixture should be clean (kick+wait, both transfer edges), got %v", res.Findings)
+// TestShootLifecycleTypeErrors: the shootdown request lifecycle is kept
+// by the compiler, not by an analyzer. Outside smp nothing can kick
+// without waiting, and outside kernel nothing can wait on requests it
+// did not kick, because the two halves of smp.Layer.Shoot are
+// unexported. Each fixture must fail to type-check on exactly that.
+func TestShootLifecycleTypeErrors(t *testing.T) {
+	for _, tc := range []struct{ name, fixture, want string }{
+		{"kick", "bad_shoot_kick.go", "unexported method callMany"},
+		{"wait", "bad_shoot_wait.go", "unexported method waitRequests"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := sharedModule(t).LoadFixture(filepath.Join("testdata", tc.fixture))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("LoadFixture(%s) = %v, want a type error naming the %s", tc.fixture, err, tc.want)
+			}
+		})
 	}
 }
 
@@ -227,6 +213,18 @@ func TestMHPSpinFixturesFire(t *testing.T) {
 		if f := res.Findings[0]; !strings.Contains(f.Msg, "blocking call "+name+" in IPI-handler context") {
 			t.Fatalf("%s: finding should name %s and the context: %v", fixture, name, f)
 		}
+	}
+}
+
+// TestMHPNestedShootFires: a handler that starts its own shootdown parks
+// in the ack wait Shoot ends in, so the Shoot call is the one finding.
+func TestMHPNestedShootFires(t *testing.T) {
+	res := checkFixture(t, "bad_mhp_shoot.go")
+	if len(res.Findings) != 1 || countBy(res.Findings, "mhp") != 1 {
+		t.Fatalf("findings = %v, want exactly 1 mhp finding", res.Findings)
+	}
+	if f := res.Findings[0]; f.Line != 18 || !strings.Contains(f.Msg, "blocking call smp.Layer.Shoot in IPI-handler context") {
+		t.Fatalf("finding should name smp.Layer.Shoot at the nested kick (line 18): %v", f)
 	}
 }
 
@@ -408,7 +406,7 @@ func renderReport(res *Result) string {
 func TestVetOutputParallelGolden(t *testing.T) {
 	m := sharedModule(t)
 	pkgs := append([]*Package{}, m.Pkgs...)
-	for _, name := range []string{"bad_ipistate.go", "bad_detflow.go", "bad_fabproof.go", "bad_determinism_alias.go"} {
+	for _, name := range []string{"bad_lockorder.go", "bad_detflow.go", "bad_fabproof.go", "bad_determinism_alias.go"} {
 		fp, err := m.LoadFixture(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
@@ -852,13 +850,5 @@ func TestDetFlowDeepChainFires(t *testing.T) {
 func TestDetFlowCycleTerminates(t *testing.T) {
 	assertRuleFindings(t, "bad_detflow_cycle.go", "detflow", []ruleFinding{
 		{19, "nondeterministic value (wall clock (time.Now)) flows into StateDigest — digest inputs must be replay-stable (sort map-derived data, use sim time)"},
-	})
-}
-
-// TestIPIStateDeepChainFires: the wrapper fixpoint runs until nothing
-// changes, so requests kicked 21 wrappers down still leak in the caller.
-func TestIPIStateDeepChainFires(t *testing.T) {
-	assertRuleFindings(t, "bad_ipistate_deep.go", "ipistate", []ruleFinding{
-		{15, "in-flight shootdown leaked: requests kicked by r1 are neither waited for, returned, nor enqueued on some path to return"},
 	})
 }

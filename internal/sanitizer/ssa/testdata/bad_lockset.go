@@ -1,9 +1,10 @@
 // Fixture: three discipline breaks the lockset analyzer must report as
-// exactly one finding each, and no witness.
+// exactly one finding each, and no witness. Each kick binds its handler
+// to a local first, which the analyzers chase to the closure.
 //
 //   - An ack-ordering break. The kicked handler reads the freed
 //     page-table location ("mm%d.pt-nodes", ack-ordered in the race
-//     registry), but the early-ack flag passed to CallMany is an
+//     registry), but the early-ack flag passed to Shoot is an
 //     arbitrary caller-supplied boolean — nothing proves it is off while
 //     FlushInfo.FreedTables is set, so a responder's read no longer
 //     happens-before the initiator's reclaim. Unlike the seeded
@@ -21,37 +22,36 @@ import (
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
-	"shootdown/internal/kernel"
 	"shootdown/internal/mach"
 	"shootdown/internal/race"
 	"shootdown/internal/sim"
 	"shootdown/internal/smp"
 )
 
-func kickWithUnprovenAck(l *smp.Layer, c *kernel.CPU, d *race.Detector, p *sim.Proc, from mach.CPU,
+func kickWithUnprovenAck(l *smp.Layer, d *race.Detector, p *sim.Proc, from mach.CPU,
 	targets mach.CPUMask, info *core.FlushInfo, wantEarly bool) {
-	rs := l.CallMany(p, from, targets, func(hp *sim.Proc, target mach.CPU, payload any) {
+	handler := func(hp *sim.Proc, target mach.CPU, payload any) {
 		fi := payload.(*core.FlushInfo)
 		if fi.FreedTables {
 			d.ReadVar(fmt.Sprintf("mm%d.pt-nodes", fi.AS.ID))
 		}
-	}, info, wantEarly, nil)
-	c.WaitRequests(p, rs)
+	}
+	l.Shoot(p, from, targets, handler, info, wantEarly, nil, nil)
 }
 
-func kickUnderOtherMutant(l *smp.Layer, c *kernel.CPU, d *race.Detector, p *sim.Proc, from mach.CPU,
+func kickUnderOtherMutant(l *smp.Layer, d *race.Detector, p *sim.Proc, from mach.CPU,
 	targets mach.CPUMask, info *core.FlushInfo, cfg core.Config) {
 	early := cfg.EarlyAck && !info.FreedTables
 	if cfg.Mutant == fault.MutantCoalesceShrink {
 		early = true
 	}
-	rs := l.CallMany(p, from, targets, func(hp *sim.Proc, target mach.CPU, payload any) {
+	handler := func(hp *sim.Proc, target mach.CPU, payload any) {
 		fi := payload.(*core.FlushInfo)
 		if fi.FreedTables {
 			d.ReadVar(fmt.Sprintf("mm%d.pt-nodes", fi.AS.ID))
 		}
-	}, info, early, nil)
-	c.WaitRequests(p, rs)
+	}
+	l.Shoot(p, from, targets, handler, info, early, nil, nil)
 }
 
 func scratchProbe(d *race.Detector) {

@@ -1,6 +1,6 @@
 // Fixture: a blocking call inside an IPI handler. The mhp analyzer must
 // report exactly one finding in this file: the closure registered
-// through smp.CallMany runs in the responder's IRQ dispatch, where
+// through smp.Layer.Shoot runs in the responder's IRQ dispatch, where
 // taking mmap_sem (kernel.CPU.DownRead parks the proc) would deadlock
 // the shootdown — the initiator is spinning on this very CPU's ack.
 package mhpfix
@@ -15,10 +15,9 @@ import (
 
 func sleepyHandler(l *smp.Layer, k *kernel.Kernel, p *sim.Proc, from mach.CPU,
 	targets mach.CPUMask, sem *mm.RWSem, payload any) {
-	rs := l.CallMany(p, from, targets, func(hp *sim.Proc, target mach.CPU, pl any) {
+	l.Shoot(p, from, targets, func(hp *sim.Proc, target mach.CPU, pl any) {
 		rc := k.CPU(target)
 		rc.DownRead(hp, sem)
 		defer sem.UpRead(hp)
-	}, payload, false, nil)
-	k.CPU(from).WaitRequests(p, rs)
+	}, payload, false, nil, nil)
 }

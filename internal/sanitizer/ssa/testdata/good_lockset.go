@@ -25,13 +25,12 @@ import (
 func kickWithGuardedAck(l *smp.Layer, k *kernel.Kernel, d *race.Detector, p *sim.Proc,
 	from mach.CPU, targets mach.CPUMask, as *mm.AddressSpace, info *core.FlushInfo, early bool) {
 	earlyAck := early && !info.FreedTables
-	rs := l.CallMany(p, from, targets, func(hp *sim.Proc, target mach.CPU, payload any) {
+	l.Shoot(p, from, targets, func(hp *sim.Proc, target mach.CPU, payload any) {
 		fi := payload.(*core.FlushInfo)
 		if fi.FreedTables {
 			d.ReadVar(fmt.Sprintf("mm%d.pt-nodes", fi.AS.ID))
 		}
 		// The servicing CPU reading its own generation: confinement holds.
 		_ = k.CPU(target).LocalGen(as)
-	}, info, earlyAck, nil)
-	k.CPU(from).WaitRequests(p, rs)
+	}, info, earlyAck, nil, nil)
 }

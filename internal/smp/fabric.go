@@ -433,8 +433,8 @@ func (l *Layer) ensureWatchdog() {
 }
 
 // watchdog is the async arm of the recovery ladder. Where the sync
-// initiator detects loss by its own spin-wait timing out
-// (kernel.WaitRequests), nobody spins on the fabric — so a dedicated
+// initiator detects loss by its own spin-wait timing out (the ack
+// wait Shoot ends in), nobody spins on the fabric — so a dedicated
 // proc watches for posted-vs-acked sequence gaps that outlive the ack
 // deadline (AckTimeout after the batch's retries, the sync tier's
 // backoff), re-kicks, and after MaxKickRetries collapses the lagging

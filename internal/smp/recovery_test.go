@@ -21,7 +21,7 @@ func (r *rig) queueStranded(t *testing.T, target mach.CPU, payload any) *Request
 	r.bus.Controller(target).SetMasked(true)
 	var req *Request
 	r.eng.Go("strander", func(p *sim.Proc) {
-		reqs := r.l.CallMany(p, 0, mach.MaskOf(target), func(*sim.Proc, mach.CPU, any) {}, payload, false, nil)
+		reqs := r.l.callMany(p, 0, mach.MaskOf(target), func(*sim.Proc, mach.CPU, any) {}, payload, false, nil)
 		req = reqs[0]
 	})
 	r.eng.Run()
@@ -106,9 +106,9 @@ func TestAckTimedOutClimbsTheLadder(t *testing.T) {
 	reqs := []*Request{r.queueStranded(t, 2, stranded)}
 	r.spawnResponder(4, 1)
 	r.eng.Go("acked", func(p *sim.Proc) {
-		q := r.l.CallMany(p, 0, mach.MaskOf(4), func(*sim.Proc, mach.CPU, any) {}, acked, false, nil)
-		r.waitAcks(p, q)
-		reqs = append(reqs, q...)
+		r.l.Shoot(p, 0, mach.MaskOf(4), func(*sim.Proc, mach.CPU, any) {}, acked, false, nil, func(q []*Request) {
+			reqs = append(reqs, q...)
+		})
 	})
 	r.eng.Run()
 	T := r.cost.IPIAckTimeout
@@ -188,8 +188,7 @@ func TestAckDelayFaultSlowsAck(t *testing.T) {
 		r.spawnResponder(2, 1)
 		var at sim.Time
 		r.eng.Go("init", func(p *sim.Proc) {
-			reqs := r.l.CallMany(p, 0, mach.MaskOf(2), func(*sim.Proc, mach.CPU, any) {}, nil, false, nil)
-			r.waitAcks(p, reqs)
+			r.l.Shoot(p, 0, mach.MaskOf(2), func(*sim.Proc, mach.CPU, any) {}, nil, false, nil, nil)
 			at = p.Now()
 		})
 		r.eng.Run()
@@ -213,7 +212,7 @@ func TestRaceDetectorEdgesOnRekick(t *testing.T) {
 	r.spawnResponder(2, 1)
 	r.eng.Go("recover", func(p *sim.Proc) {
 		r.l.rekick(p, 0, []*Request{req})
-		r.waitAcks(p, []*Request{req})
+		r.waitAcks(p, 0, []*Request{req})
 	})
 	r.eng.Run()
 	if sum := d.Finish(); !sum.OK() {

@@ -89,7 +89,7 @@ func (r *Request) Target() mach.CPU { return r.target }
 // acquire semantics on the final poll.
 func (r *Request) Done() bool { return r.acked }
 
-// SetWaker makes the ack broadcast c (kernel.WaitRequests passes the
+// SetWaker makes the ack broadcast c (the kernel's ack wait passes the
 // waiting CPU's wake cond). A broadcast with no waiter schedules nothing.
 func (r *Request) SetWaker(c *sim.Cond) { r.waker = c }
 
@@ -211,7 +211,13 @@ type Layer struct {
 	// recovery path in the kernel's wait loop).
 	fault *fault.Plane
 
-	// Queued fires for every request CallMany queues (the sanitizer
+	// wait is the one sync ack wait, the kernel's: it blocks CPU from
+	// until every request in reqs is acknowledged, servicing its IRQs
+	// and climbing the recovery ladder (AckTimedOut) meanwhile. Shoot is
+	// its only caller.
+	wait func(p *sim.Proc, from mach.CPU, reqs []*Request)
+
+	// Queued fires for every request Shoot queues (the sanitizer
 	// tracks IPI protocol obligations with it); Acked fires when a target
 	// acknowledges a request, before the initiator can observe it.
 	Queued obs.Hook[Call]
@@ -225,10 +231,11 @@ type Call struct {
 }
 
 // New builds the SMP layer with the baseline Linux layout (see SetLayout).
-func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, dir *cache.Directory, bus *apic.Bus) *Layer {
+// wait is the ack wait every Shoot ends in.
+func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, dir *cache.Directory, bus *apic.Bus, wait func(p *sim.Proc, from mach.CPU, reqs []*Request)) *Layer {
 	n := topo.NumCPUs()
 	l := &Layer{
-		eng: eng, topo: topo, cost: cost, dir: dir, bus: bus,
+		eng: eng, topo: topo, cost: cost, dir: dir, bus: bus, wait: wait,
 		percpu:      make([]*perCPU, n),
 		cfd:         make([][]*cache.Line, n),
 		clusterAcks: n > clusterAckThreshold,
@@ -336,16 +343,26 @@ func (l *Layer) ackLine(from, to mach.CPU) *cache.Line {
 	return row[cluster]
 }
 
-// CallMany queues fn on every CPU in targets and kicks the ones whose
-// queues were empty. It returns the per-target requests; the caller decides
-// when to wait for their acks (kernel.WaitRequests, the one ack wait: this
-// split is what lets the shootdown protocol overlap the local flush with
-// IPI delivery, §3.1).
+// Shoot is a sync-tier shootdown: it queues fn on every CPU in targets,
+// kicks the ones whose queues were empty, calls overlap (when non-nil)
+// with the requests while the IPIs are in flight, and returns once every
+// target has acknowledged. overlap is where the initiator's own work runs
+// concurrently with delivery: the §3.1 local flush.
 //
 // infoLine is the flush-info cacheline under the baseline layout; pass nil
 // to model inlined info (consolidated layout). The initiator must not be in
 // targets.
-func (l *Layer) CallMany(p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn HandlerFunc, payload any, ackEarly bool, infoLine *cache.Line) []*Request {
+func (l *Layer) Shoot(p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn HandlerFunc, payload any, ackEarly bool, infoLine *cache.Line, overlap func(reqs []*Request)) {
+	reqs := l.callMany(p, from, targets, fn, payload, ackEarly, infoLine)
+	if overlap != nil {
+		overlap(reqs)
+	}
+	l.wait(p, from, reqs)
+}
+
+// callMany queues and kicks: Shoot without the overlap and the ack wait.
+// It returns the per-target requests.
+func (l *Layer) callMany(p *sim.Proc, from mach.CPU, targets mach.CPUMask, fn HandlerFunc, payload any, ackEarly bool, infoLine *cache.Line) []*Request {
 	if targets.Has(from) {
 		panic("smp: initiator cannot target itself")
 	}
@@ -487,10 +504,10 @@ func (l *Layer) AckTimeout(n int) uint64 {
 	return l.cost.IPIAckTimeout << min(n, MaxKickRetries)
 }
 
-// AckTimedOut is the sync tier's recovery step, taken when an initiator's
-// wait on reqs (kernel.WaitRequests) hits its deadline for the n-th time
-// with acks outstanding: a kick may have been lost in the fabric, or
-// elided against a queue another initiator's lost kick stranded. It
+// AckTimedOut is the sync tier's recovery step, taken when the ack wait
+// Shoot ends in hits its deadline on reqs for the n-th time with acks
+// outstanding: a kick may have been lost in the fabric, or elided
+// against a queue another initiator's lost kick stranded. It
 // counts the timeout; at timeout MaxKickRetries+1 it widens the
 // unacknowledged payloads to full flushes, once; it re-rings the doorbell
 // of every unacknowledged target; and it returns the deadline of the next

@@ -24,9 +24,10 @@ func newRig(consolidated bool) *rig {
 	cost := mach.DefaultCosts()
 	dir := cache.New(topo, cost)
 	bus := apic.NewBus(eng, topo, cost)
-	l := New(eng, topo, cost, dir, bus)
-	l.SetLayout(consolidated, false)
-	return &rig{eng, topo, cost, dir, bus, l}
+	r := &rig{eng: eng, topo: topo, cost: cost, dir: dir, bus: bus}
+	r.l = New(eng, topo, cost, dir, bus, r.waitAcks)
+	r.l.SetLayout(consolidated, false)
+	return r
 }
 
 // spawnResponder runs a minimal IRQ loop on cpu: it sleeps until the APIC
@@ -50,10 +51,11 @@ func (r *rig) spawnResponder(cpu mach.CPU, quota int) {
 	})
 }
 
-// waitAcks parks p until every request is acknowledged, woken through the
-// requests' waker, and observes the acks: kernel.WaitRequests without its
-// IRQ servicing and recovery ladder.
-func (r *rig) waitAcks(p *sim.Proc, reqs []*Request) {
+// waitAcks is the rig's ack wait, the one every Shoot ends in: it parks p
+// until every request is acknowledged, woken through the requests' waker,
+// and observes the acks. It is the kernel's wait without its IRQ
+// servicing and recovery ladder.
+func (r *rig) waitAcks(p *sim.Proc, _ mach.CPU, reqs []*Request) {
 	wake := r.eng.NewCond()
 	for _, q := range reqs {
 		q.SetWaker(wake)
@@ -66,30 +68,77 @@ func (r *rig) waitAcks(p *sim.Proc, reqs []*Request) {
 	}
 }
 
-func TestCallManyRoundTrip(t *testing.T) {
+func TestShootRoundTrip(t *testing.T) {
 	r := newRig(false)
 	r.spawnResponder(2, 1)
 	var ranOn mach.CPU = -1
 	var payloadGot any
-	done := false
+	var reqs []*Request
 	r.eng.Go("initiator", func(p *sim.Proc) {
-		reqs := r.l.CallMany(p, 0, mach.MaskOf(2), func(p *sim.Proc, cpu mach.CPU, payload any) {
+		r.l.Shoot(p, 0, mach.MaskOf(2), func(p *sim.Proc, cpu mach.CPU, payload any) {
 			ranOn = cpu
 			payloadGot = payload
-		}, "info", false, r.dir.NewLine("info"))
-		r.waitAcks(p, reqs)
-		done = AllDone(reqs)
+		}, "info", false, r.dir.NewLine("info"), func(q []*Request) { reqs = q })
+		if !AllDone(reqs) {
+			t.Error("Shoot returned before ack")
+		}
 	})
 	r.eng.Run()
 	if ranOn != 2 || payloadGot != "info" {
 		t.Fatalf("handler ran on %d with %v", ranOn, payloadGot)
 	}
-	if !done {
-		t.Fatal("waitAcks returned before ack")
-	}
 	s := r.l.Stats()
 	if s.Calls != 1 || s.Kicks != 1 || s.LateAcks != 1 || s.EarlyAcks != 0 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestShootOverlapsThenWaits: Shoot calls overlap once every request is
+// queued and kicked and before any is acknowledged, and returns only
+// after the last ack; with a nil overlap it is a plain kick then wait.
+func TestShootOverlapsThenWaits(t *testing.T) {
+	const flush = 5000 // the responder's handler: a slow remote flush
+	run := func(shoot func(r *rig, p *sim.Proc, fn HandlerFunc)) (s Stats, handled, returned sim.Time) {
+		r := newRig(false)
+		r.spawnResponder(2, 1)
+		r.eng.Go("initiator", func(p *sim.Proc) {
+			shoot(r, p, func(p *sim.Proc, _ mach.CPU, _ any) {
+				p.Delay(flush)
+				handled = p.Now()
+			})
+			returned = p.Now()
+		})
+		r.eng.Run()
+		return r.l.Stats(), handled, returned
+	}
+	var reqs []*Request
+	s, handled, returned := run(func(r *rig, p *sim.Proc, fn HandlerFunc) {
+		r.l.Shoot(p, 0, mach.MaskOf(2), fn, nil, false, nil, func(q []*Request) {
+			reqs = q
+			if s := r.l.Stats(); len(q) != 1 || q[0].Target() != 2 || s.Calls != 1 || s.Kicks != 1 {
+				t.Errorf("overlap ran before the request was queued and kicked: %d requests, stats %+v", len(q), s)
+			}
+			if AnyDone(q) {
+				t.Error("overlap ran after an ack")
+			}
+		})
+	})
+	if reqs == nil {
+		t.Fatal("overlap never ran")
+	}
+	if !AllDone(reqs) || returned < handled || s.LateAcks != 1 {
+		t.Fatalf("Shoot returned at %d, handler done at %d, acked %v, stats %+v: want a return after the ack", returned, handled, AllDone(reqs), s)
+	}
+
+	sNil, _, returnedNil := run(func(r *rig, p *sim.Proc, fn HandlerFunc) {
+		r.l.Shoot(p, 0, mach.MaskOf(2), fn, nil, false, nil, nil)
+	})
+	sPlain, _, returnedPlain := run(func(r *rig, p *sim.Proc, fn HandlerFunc) {
+		r.waitAcks(p, 0, r.l.callMany(p, 0, mach.MaskOf(2), fn, nil, false, nil))
+	})
+	if returnedNil != returnedPlain || sNil != sPlain || returned != returnedPlain {
+		t.Fatalf("nil overlap: returned at %d with %+v; kick then wait: %d with %+v (overlap: %d)",
+			returnedNil, sNil, returnedPlain, sPlain, returned)
 	}
 }
 
@@ -100,11 +149,10 @@ func TestEarlyAckOrdering(t *testing.T) {
 		r := newRig(false)
 		r.spawnResponder(2, 1)
 		r.eng.Go("initiator", func(p *sim.Proc) {
-			reqs := r.l.CallMany(p, 0, mach.MaskOf(2), func(p *sim.Proc, cpu mach.CPU, _ any) {
+			r.l.Shoot(p, 0, mach.MaskOf(2), func(p *sim.Proc, cpu mach.CPU, _ any) {
 				p.Delay(5000) // slow remote flush
 				fnDone = p.Now()
-			}, nil, early, nil)
-			r.waitAcks(p, reqs)
+			}, nil, early, nil, nil)
 			waitDone = p.Now()
 		})
 		r.eng.Run()
@@ -128,11 +176,11 @@ func TestKickElidedWhenQueueBusy(t *testing.T) {
 	// Responder that never runs: queue stays populated.
 	r.bus.Controller(2).SetMasked(true)
 	r.eng.Go("a", func(p *sim.Proc) {
-		r.l.CallMany(p, 0, mach.MaskOf(2), func(*sim.Proc, mach.CPU, any) {}, nil, false, nil)
+		r.l.callMany(p, 0, mach.MaskOf(2), func(*sim.Proc, mach.CPU, any) {}, nil, false, nil)
 	})
 	r.eng.Go("b", func(p *sim.Proc) {
 		p.Delay(10)
-		r.l.CallMany(p, 1, mach.MaskOf(2), func(*sim.Proc, mach.CPU, any) {}, nil, false, nil)
+		r.l.callMany(p, 1, mach.MaskOf(2), func(*sim.Proc, mach.CPU, any) {}, nil, false, nil)
 	})
 	r.eng.Run()
 	s := r.l.Stats()
@@ -178,8 +226,7 @@ func TestConsolidatedLayoutSharesLines(t *testing.T) {
 			if infoLine != nil {
 				p.Delay(r.dir.Write(0, infoLine))
 			}
-			reqs := r.l.CallMany(p, 0, mach.MaskOf(30), handler, nil, false, infoLine)
-			r.waitAcks(p, reqs)
+			r.l.Shoot(p, 0, mach.MaskOf(30), handler, nil, false, infoLine, nil)
 		})
 		r.eng.Run()
 		return r.dir.Stats().Transfers()
@@ -199,7 +246,7 @@ func TestSelfTargetPanics(t *testing.T) {
 				t.Error("self-target did not panic")
 			}
 		}()
-		r.l.CallMany(p, 0, mach.MaskOf(0), func(*sim.Proc, mach.CPU, any) {}, nil, false, nil)
+		r.l.Shoot(p, 0, mach.MaskOf(0), func(*sim.Proc, mach.CPU, any) {}, nil, false, nil, nil)
 	})
 	r.eng.Run()
 }
@@ -213,10 +260,9 @@ func TestHWMessageIPIRoundTrip(t *testing.T) {
 	r.spawnResponder(4, 1)
 	ran := map[mach.CPU]bool{}
 	r.eng.Go("init", func(p *sim.Proc) {
-		reqs := r.l.CallMany(p, 0, mach.MaskOf(2, 4), func(_ *sim.Proc, cpu mach.CPU, _ any) {
+		r.l.Shoot(p, 0, mach.MaskOf(2, 4), func(_ *sim.Proc, cpu mach.CPU, _ any) {
 			ran[cpu] = true
-		}, nil, false, nil)
-		r.waitAcks(p, reqs)
+		}, nil, false, nil, nil)
 	})
 	r.eng.Run()
 	if len(ran) != 2 {
@@ -245,10 +291,9 @@ func TestMultiTargetAllHandled(t *testing.T) {
 	}
 	ran := map[mach.CPU]bool{}
 	r.eng.Go("init", func(p *sim.Proc) {
-		reqs := r.l.CallMany(p, 0, targets, func(_ *sim.Proc, cpu mach.CPU, _ any) {
+		r.l.Shoot(p, 0, targets, func(_ *sim.Proc, cpu mach.CPU, _ any) {
 			ran[cpu] = true
-		}, nil, false, nil)
-		r.waitAcks(p, reqs)
+		}, nil, false, nil, nil)
 	})
 	r.eng.Run()
 	if len(ran) != 5 {
