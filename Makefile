@@ -27,9 +27,9 @@ lint:
 
 ## vet: the static tier alone — every internal/sanitizer/ssa analyzer
 ## (banned imports, cost constants, observer purity, flush obligations,
-## lock order, detflow taint, parallelsafe, mhp's handler
-## reach and CPU confinement, lockset race-discipline proofs, and the
-## fabproof numeric obligations over the fabric smp declares by name)
+## lock order, detflow taint, parallelsafe, mhp (handler reach only),
+## lockset race-discipline proofs, and the fabproof numeric
+## obligations over the fabric smp declares by name)
 ## off one typecheck
 vet:
 	$(GO) run ./cmd/tlbvet

@@ -25,13 +25,13 @@
 //     stats or event timestamps, and no time is charged inside a map range
 //   - parallelsafe: whole-program restore-discipline proof for
 //     package-level vars in simulated packages
-//   - mhp: what IPI handlers reach over the call graph, and which CPU
-//     values are provably the executing CPU (from Engine.Go procs, IPI
-//     handlers and deferred-flush closures); blocking calls in handler
-//     reach are findings
+//   - mhp: what IPI handlers reach over the call graph, its one fact;
+//     blocking calls in handler reach are findings
 //   - lockset: RacerD-style discharge proofs for every field the dynamic
 //     race model instruments (internal/race.Registry): atomic hooks,
-//     CPU confinement, ack ordering, single-writer epochs. The
+//     CPU confinement (every site's unit first calls kernel.CPU's owner
+//     check on the CPU it accesses), ack ordering, single-writer
+//     epochs. The
 //     violation seeded by fault.MutantEarlyAck must surface as exactly
 //     one witness, at the one unit that compares Config.Mutant with that
 //     constant; the per-entry statuses and lockset's witness are the

@@ -12,7 +12,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"shootdown/internal/mach"
 )
@@ -46,24 +45,16 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// Line is one 64-byte cacheline of simulated kernel data.
+// Line is one 64-byte cacheline of simulated kernel data: its MESI state
+// alone. Traffic is counted per Directory (Stats), not per line.
 type Line struct {
-	name    string
 	state   State
 	owner   mach.CPU // valid when state is Exclusive or Modified
 	sharers mach.CPUMask
-
-	reads, writes, transfers uint64
 }
-
-// Name returns the diagnostic name given at allocation.
-func (l *Line) Name() string { return l.name }
 
 // State returns the current coherence state.
 func (l *Line) State() State { return l.state }
-
-// Transfers returns how many accesses required moving the line between CPUs.
-func (l *Line) Transfers() uint64 { return l.transfers }
 
 // Stats aggregates coherence traffic across all lines of a Directory.
 type Stats struct {
@@ -81,11 +72,11 @@ func (s Stats) Transfers() uint64 {
 	return n
 }
 
-// Directory tracks every simulated cacheline and charges access costs.
+// Directory charges access costs to simulated cachelines and counts the
+// traffic.
 type Directory struct {
 	topo  mach.Topology
 	cost  *mach.CostModel
-	lines []*Line
 	stats Stats
 }
 
@@ -97,31 +88,14 @@ func New(topo mach.Topology, cost *mach.CostModel) *Directory {
 // Stats returns a snapshot of aggregate coherence traffic.
 func (d *Directory) Stats() Stats { return d.stats }
 
-// ResetStats zeroes aggregate and per-line counters.
-func (d *Directory) ResetStats() {
-	d.stats = Stats{}
-	for _, l := range d.lines {
-		l.reads, l.writes, l.transfers = 0, 0, 0
-	}
-}
+// ResetStats zeroes the aggregate counters.
+func (d *Directory) ResetStats() { d.stats = Stats{} }
 
-// NewLine allocates a fresh cacheline with a diagnostic name.
-func (d *Directory) NewLine(name string) *Line {
-	l := &Line{name: name}
-	d.lines = append(d.lines, l)
-	return l
-}
-
-// Lines returns all allocated lines sorted by name (for reports).
-func (d *Directory) Lines() []*Line {
-	out := append([]*Line(nil), d.lines...)
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
+// NewLine allocates a fresh cacheline.
+func (d *Directory) NewLine() *Line { return &Line{} }
 
 // Read charges a load of line by cpu and returns its latency in cycles.
 func (d *Directory) Read(cpu mach.CPU, l *Line) uint64 {
-	l.reads++
 	d.stats.Reads++
 	switch l.state {
 	case Invalid:
@@ -136,7 +110,7 @@ func (d *Directory) Read(cpu mach.CPU, l *Line) uint64 {
 		}
 		dist := d.topo.NearestIn(cpu, l.sharers)
 		l.sharers.Set(cpu)
-		d.recordTransfer(l, dist)
+		d.stats.TransfersByDist[dist]++
 		return d.cost.TransferCost(dist)
 	case Exclusive, Modified:
 		if l.owner == cpu {
@@ -149,7 +123,7 @@ func (d *Directory) Read(cpu mach.CPU, l *Line) uint64 {
 		l.sharers.Set(l.owner)
 		l.sharers.Set(cpu)
 		l.state = Shared
-		d.recordTransfer(l, dist)
+		d.stats.TransfersByDist[dist]++
 		return d.cost.TransferCost(dist)
 	}
 	panic("cache: invalid line state")
@@ -158,7 +132,6 @@ func (d *Directory) Read(cpu mach.CPU, l *Line) uint64 {
 // Write charges a store to line by cpu and returns its latency in cycles.
 // All other copies are invalidated (request-for-ownership).
 func (d *Directory) Write(cpu mach.CPU, l *Line) uint64 {
-	l.writes++
 	d.stats.Writes++
 	var cycles uint64
 	switch l.state {
@@ -169,7 +142,7 @@ func (d *Directory) Write(cpu mach.CPU, l *Line) uint64 {
 			cycles = d.cost.L1Hit
 		} else {
 			dist := d.topo.DistanceBetween(cpu, l.owner)
-			d.recordTransfer(l, dist)
+			d.stats.TransfersByDist[dist]++
 			cycles = d.cost.TransferCost(dist)
 		}
 	case Shared:
@@ -179,7 +152,7 @@ func (d *Directory) Write(cpu mach.CPU, l *Line) uint64 {
 			// Invalidate every other copy; the farthest holder dominates
 			// the RFO latency.
 			dist := d.topo.FarthestIn(cpu, l.sharers)
-			d.recordTransfer(l, dist)
+			d.stats.TransfersByDist[dist]++
 			cycles = d.cost.TransferCost(dist)
 		}
 	}
@@ -193,9 +166,4 @@ func (d *Directory) Write(cpu mach.CPU, l *Line) uint64 {
 // refcount) and returns its latency.
 func (d *Directory) Atomic(cpu mach.CPU, l *Line) uint64 {
 	return d.Write(cpu, l) + d.cost.AtomicRMW
-}
-
-func (d *Directory) recordTransfer(l *Line, dist mach.Distance) {
-	l.transfers++
-	d.stats.TransfersByDist[dist]++
 }

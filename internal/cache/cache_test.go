@@ -13,7 +13,7 @@ func newDir() *Directory {
 
 func TestFirstTouchIsCheap(t *testing.T) {
 	d := newDir()
-	l := d.NewLine("x")
+	l := d.NewLine()
 	if got := d.Read(0, l); got != mach.DefaultCosts().L1Hit {
 		t.Fatalf("first read cost = %d, want L1 hit", got)
 	}
@@ -25,7 +25,7 @@ func TestFirstTouchIsCheap(t *testing.T) {
 func TestReadAfterRemoteWrite(t *testing.T) {
 	c := mach.DefaultCosts()
 	d := newDir()
-	l := d.NewLine("x")
+	l := d.NewLine()
 	d.Write(0, l)
 	if l.State() != Modified {
 		t.Fatalf("state = %v, want M", l.State())
@@ -46,7 +46,7 @@ func TestReadAfterRemoteWrite(t *testing.T) {
 func TestCrossSocketCostsDominate(t *testing.T) {
 	c := mach.DefaultCosts()
 	d := newDir()
-	l := d.NewLine("x")
+	l := d.NewLine()
 	d.Write(0, l)
 	if got := d.Read(28, l); got != c.CrossTransfer {
 		t.Fatalf("cross read = %d, want %d", got, c.CrossTransfer)
@@ -56,7 +56,7 @@ func TestCrossSocketCostsDominate(t *testing.T) {
 func TestSMTSiblingIsCheap(t *testing.T) {
 	c := mach.DefaultCosts()
 	d := newDir()
-	l := d.NewLine("x")
+	l := d.NewLine()
 	d.Write(0, l)
 	if got := d.Read(1, l); got != c.SMTTransfer {
 		t.Fatalf("SMT read = %d, want %d", got, c.SMTTransfer)
@@ -66,7 +66,7 @@ func TestSMTSiblingIsCheap(t *testing.T) {
 func TestWriteInvalidatesSharers(t *testing.T) {
 	c := mach.DefaultCosts()
 	d := newDir()
-	l := d.NewLine("x")
+	l := d.NewLine()
 	d.Read(0, l)
 	d.Read(2, l)
 	d.Read(28, l)
@@ -86,13 +86,13 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 func TestSoleSharerWriteUpgradesInPlace(t *testing.T) {
 	c := mach.DefaultCosts()
 	d := newDir()
-	l := d.NewLine("x")
+	l := d.NewLine()
 	d.Write(0, l)
 	d.Read(2, l) // S with sharers {0,2}
 	d.Write(2, l)
 	d.Read(2, l)
 	// Now re-share and collapse to a single sharer scenario.
-	l2 := d.NewLine("y")
+	l2 := d.NewLine()
 	d.Read(3, l2) // E owned by 3
 	d.Read(3, l2)
 	if got := d.Write(3, l2); got != c.L1Hit {
@@ -103,7 +103,7 @@ func TestSoleSharerWriteUpgradesInPlace(t *testing.T) {
 func TestAtomicAddsRMWCost(t *testing.T) {
 	c := mach.DefaultCosts()
 	d := newDir()
-	l := d.NewLine("x")
+	l := d.NewLine()
 	d.Write(0, l)
 	if got := d.Atomic(0, l); got != c.L1Hit+c.AtomicRMW {
 		t.Fatalf("local atomic = %d, want %d", got, c.L1Hit+c.AtomicRMW)
@@ -115,7 +115,7 @@ func TestAtomicAddsRMWCost(t *testing.T) {
 
 func TestStatsAndTransferCounting(t *testing.T) {
 	d := newDir()
-	l := d.NewLine("x")
+	l := d.NewLine()
 	d.Write(0, l)
 	d.Read(28, l)
 	d.Write(2, l)
@@ -129,22 +129,9 @@ func TestStatsAndTransferCounting(t *testing.T) {
 	if s.TransfersByDist[mach.DistCross] != 2 {
 		t.Fatalf("cross transfers = %d, want 2 (read from 28, RFO paying for 28)", s.TransfersByDist[mach.DistCross])
 	}
-	if l.Transfers() != 2 {
-		t.Fatalf("line transfers = %d", l.Transfers())
-	}
 	d.ResetStats()
-	if d.Stats().Transfers() != 0 || l.Transfers() != 0 {
+	if d.Stats() != (Stats{}) {
 		t.Fatal("ResetStats did not clear")
-	}
-}
-
-func TestLinesSorted(t *testing.T) {
-	d := newDir()
-	d.NewLine("b")
-	d.NewLine("a")
-	ls := d.Lines()
-	if len(ls) != 2 || ls[0].Name() != "a" || ls[1].Name() != "b" {
-		t.Fatalf("Lines() not sorted: %v, %v", ls[0].Name(), ls[1].Name())
 	}
 }
 
@@ -155,7 +142,7 @@ func TestAccessCostProperties(t *testing.T) {
 	c := mach.DefaultCosts()
 	f := func(ops []uint16) bool {
 		d := New(topo, c)
-		l := d.NewLine("p")
+		l := d.NewLine()
 		var last mach.CPU = -1
 		for _, op := range ops {
 			cpu := mach.CPU(int(op>>1) % topo.NumCPUs())
@@ -194,7 +181,7 @@ func TestWriteOwnershipProperty(t *testing.T) {
 	topo := mach.DefaultTopology()
 	f := func(ops []uint16) bool {
 		d := New(topo, mach.DefaultCosts())
-		l := d.NewLine("p")
+		l := d.NewLine()
 		for _, op := range ops {
 			cpu := mach.CPU(int(op>>1) % topo.NumCPUs())
 			if op&1 == 0 {
@@ -236,7 +223,7 @@ func newDir512(tb testing.TB) (*Directory, int) {
 // queries never copy the mask.
 func TestBroadcastReadAllocs(t *testing.T) {
 	d, n := newDir512(t)
-	l := d.NewLine("broadcast")
+	l := d.NewLine()
 	if allocs := testing.AllocsPerRun(10, func() { broadcastRound(d, l, n) }); allocs != 0 {
 		t.Fatalf("warm broadcast round allocated %.0f times, want 0", allocs)
 	}
@@ -244,7 +231,7 @@ func TestBroadcastReadAllocs(t *testing.T) {
 
 func BenchmarkBroadcastRead512(b *testing.B) {
 	d, n := newDir512(b)
-	l := d.NewLine("broadcast")
+	l := d.NewLine()
 	broadcastRound(d, l, n)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -18,10 +18,9 @@ type walkDirectory struct {
 }
 
 type walkLine struct {
-	state     State
-	owner     mach.CPU
-	sharers   mach.CPUMask
-	transfers uint64
+	state   State
+	owner   mach.CPU
+	sharers mach.CPUMask
 }
 
 func (d *walkDirectory) Read(cpu mach.CPU, l *walkLine) uint64 {
@@ -37,7 +36,7 @@ func (d *walkDirectory) Read(cpu mach.CPU, l *walkLine) uint64 {
 		}
 		dist := d.nearestHolder(cpu, l.sharers)
 		l.sharers.Set(cpu)
-		d.recordTransfer(l, dist)
+		d.recordTransfer(dist)
 		return d.cost.TransferCost(dist)
 	}
 	if l.owner == cpu {
@@ -46,7 +45,7 @@ func (d *walkDirectory) Read(cpu mach.CPU, l *walkLine) uint64 {
 	dist := d.topo.DistanceBetween(cpu, l.owner)
 	l.sharers = mach.MaskOf(l.owner, cpu)
 	l.state = Shared
-	d.recordTransfer(l, dist)
+	d.recordTransfer(dist)
 	return d.cost.TransferCost(dist)
 }
 
@@ -61,7 +60,7 @@ func (d *walkDirectory) Write(cpu mach.CPU, l *walkLine) uint64 {
 			cycles = d.cost.L1Hit
 		} else {
 			dist := d.topo.DistanceBetween(cpu, l.owner)
-			d.recordTransfer(l, dist)
+			d.recordTransfer(dist)
 			cycles = d.cost.TransferCost(dist)
 		}
 	case Shared:
@@ -71,7 +70,7 @@ func (d *walkDirectory) Write(cpu mach.CPU, l *walkLine) uint64 {
 			others := l.sharers.Clone()
 			others.Clear(cpu)
 			dist := d.farthestHolder(cpu, others)
-			d.recordTransfer(l, dist)
+			d.recordTransfer(dist)
 			cycles = d.cost.TransferCost(dist)
 		}
 	}
@@ -81,8 +80,7 @@ func (d *walkDirectory) Write(cpu mach.CPU, l *walkLine) uint64 {
 	return cycles
 }
 
-func (d *walkDirectory) recordTransfer(l *walkLine, dist mach.Distance) {
-	l.transfers++
+func (d *walkDirectory) recordTransfer(dist mach.Distance) {
 	d.stats.TransfersByDist[dist]++
 }
 
@@ -108,8 +106,8 @@ func (d *walkDirectory) farthestHolder(cpu mach.CPU, holders mach.CPUMask) mach.
 
 // TestDirectoryDifferential runs seeded random Read/Write/Atomic programs
 // over a few lines through Directory and walkDirectory in lock-step and
-// compares the charged cycles, each line's state, owner, sharers and
-// transfer count, and the aggregate Stats after every operation. CPUs are
+// compares the charged cycles, each line's state, owner and sharers, and
+// the aggregate Stats after every operation. CPUs are
 // drawn near the previous one as often as at random, and occasional
 // broadcast bursts give lines hundreds of sharers.
 func TestDirectoryDifferential(t *testing.T) {
@@ -129,7 +127,7 @@ func TestDirectoryDifferential(t *testing.T) {
 				lines := make([]*Line, 1+rng.Intn(4))
 				refs := make([]*walkLine, len(lines))
 				for i := range lines {
-					lines[i] = d.NewLine("l")
+					lines[i] = d.NewLine()
 					refs[i] = &walkLine{}
 				}
 				var cpu mach.CPU
@@ -159,9 +157,9 @@ func TestDirectoryDifferential(t *testing.T) {
 					if got != want {
 						t.Fatalf("program %d, op %d by CPU %d on line %d: %d cycles, walk charges %d", prog, op, c, li, got, want)
 					}
-					if l.State() != rl.state || l.owner != rl.owner || !l.sharers.Equal(rl.sharers) || l.Transfers() != rl.transfers {
-						t.Fatalf("program %d, op %d by CPU %d on line %d: line %v owner %d sharers %v transfers %d, walk has %v owner %d sharers %v transfers %d",
-							prog, op, c, li, l.State(), l.owner, l.sharers, l.Transfers(), rl.state, rl.owner, rl.sharers, rl.transfers)
+					if l.State() != rl.state || l.owner != rl.owner || !l.sharers.Equal(rl.sharers) {
+						t.Fatalf("program %d, op %d by CPU %d on line %d: line %v owner %d sharers %v, walk has %v owner %d sharers %v",
+							prog, op, c, li, l.State(), l.owner, l.sharers, rl.state, rl.owner, rl.sharers)
 					}
 					if d.Stats() != ref.stats {
 						t.Fatalf("program %d: Stats %+v, walk has %+v", prog, d.Stats(), ref.stats)

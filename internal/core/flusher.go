@@ -134,7 +134,7 @@ func (f *Flusher) ResetStats() { f.stats = Stats{} }
 
 func (f *Flusher) stackLine(cpu mach.CPU) *cache.Line {
 	if f.stackInfo[cpu] == nil {
-		f.stackInfo[cpu] = f.K.Dir.NewLine(fmt.Sprintf("flush_info[%d]", cpu))
+		f.stackInfo[cpu] = f.K.Dir.NewLine()
 	}
 	return f.stackInfo[cpu]
 }

@@ -99,7 +99,7 @@ func newCPU(k *Kernel, id mach.CPU) *CPU {
 		Ctrl:        k.Bus.Controller(id),
 		wake:        k.Eng.NewCond(),
 		localGen:    make(map[mm.ID]uint64),
-		batchedLine: k.Dir.NewLine(fmt.Sprintf("batched[%d]", id)),
+		batchedLine: k.Dir.NewLine(),
 	}
 	c.Ctrl.SetNotify(func() { c.wake.Broadcast() })
 	c.quietFn = c.quiet
@@ -129,10 +129,24 @@ func (c *CPU) setLazy(v bool) {
 // InUser reports whether the CPU is executing user-mode code.
 func (c *CPU) InUser() bool { return c.inUser }
 
+// checkOwner panics unless the running proc is this CPU's own, or no
+// proc runs at all (code outside the simulation, such as a test reading
+// state after Eng.Run returns). Every accessor of state only this CPU may
+// touch calls it first, as Linux's flush_tlb_func asserts its context
+// (lockdep_assert_irqs_disabled) instead of trusting its callers; the
+// lockset analyzer requires the call at every cpu-confined site.
+func (c *CPU) checkOwner() {
+	if cur := c.K.Eng.Current(); cur != nil && cur != c.proc {
+		panic(fmt.Sprintf("kernel: cpu%d state touched from proc %q", c.ID, cur.Name))
+	}
+}
+
 // LocalGen returns this CPU's TLB generation for as. The per-CPU
 // generation table is plain (unsynchronized) state: only code running on
-// this CPU may touch it, and the race detector checks exactly that.
+// this CPU may touch it, which checkOwner enforces and the race detector
+// checks.
 func (c *CPU) LocalGen(as *mm.AddressSpace) uint64 {
+	c.checkOwner()
 	c.K.Race.ReadVar(c.genVar)
 	return c.localGen[as.ID]
 }
@@ -140,6 +154,7 @@ func (c *CPU) LocalGen(as *mm.AddressSpace) uint64 {
 // SetLocalGen records that this CPU's TLB is synchronized with as up to
 // gen. The shootdown responder calls it after flushing.
 func (c *CPU) SetLocalGen(as *mm.AddressSpace, gen uint64) {
+	c.checkOwner()
 	c.K.Race.WriteVar(c.genVar)
 	c.localGen[as.ID] = gen
 }
@@ -422,8 +437,11 @@ func (c *CPU) NMIUaccessOkay() bool {
 // incoming IPIs meanwhile: the ack wait New hands smp, which every
 // smp.Layer.Shoot ends in. An initiator spin-waiting with interrupts
 // disabled would deadlock against concurrent shootdowns, exactly as in
-// Linux, so the wait loop keeps IRQs flowing.
+// Linux, so the wait loop keeps IRQs flowing. It services this CPU's
+// IRQs, so only this CPU's proc may wait here (checkOwner): smp reaches
+// it through a func field, by the initiator's CPU id.
 func (c *CPU) waitRequests(p *sim.Proc, reqs []*smp.Request) {
+	c.checkOwner()
 	if len(reqs) == 0 {
 		return
 	}

@@ -151,8 +151,8 @@ func (k *Kernel) linesOf(as *mm.AddressSpace) *mmLinePair {
 	lp, ok := k.mmLines[as.ID]
 	if !ok {
 		lp = &mmLinePair{
-			gen:     k.Dir.NewLine(fmt.Sprintf("mm[%d].tlb_gen", as.ID)),
-			cpumask: k.Dir.NewLine(fmt.Sprintf("mm[%d].cpumask", as.ID)),
+			gen:     k.Dir.NewLine(),
+			cpumask: k.Dir.NewLine(),
 		}
 		k.mmLines[as.ID] = lp
 	}

@@ -672,3 +672,42 @@ func TestEnableRaceNamesCPUVars(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnerCheckConfinesCPUState: a CPU's TLB generation and its ack wait
+// belong to its own proc. A task on CPU 0 that reads or writes CPU 1's
+// generation, or runs a shootdown whose ack wait is CPU 1's (Shoot told
+// the initiator is CPU 1), fails the run naming both; reading the
+// generation after Run returns is outside every proc and passes.
+func TestOwnerCheckConfinesCPUState(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		touch func(ctx *Ctx)
+	}{
+		{"LocalGen", func(ctx *Ctx) { ctx.K.CPU(1).LocalGen(ctx.MM()) }},
+		{"SetLocalGen", func(ctx *Ctx) { ctx.K.CPU(1).SetLocalGen(ctx.MM(), 1) }},
+		{"Shoot", func(ctx *Ctx) {
+			ctx.K.SMP.Shoot(ctx.P, 1, mach.MaskOf(2), func(*sim.Proc, mach.CPU, any) {}, nil, false, nil, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, _ := newKernel(t, false)
+			defer k.Eng.Shutdown()
+			as := k.NewAddressSpace()
+			k.CPU(0).Spawn(&Task{Name: tc.name, MM: as, Fn: tc.touch})
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), `kernel: cpu1 state touched from proc "cpu0"`) {
+					t.Fatalf("run ended with %v, want the owner check naming cpu1 and proc cpu0", err)
+				}
+			}()
+			k.Eng.Run()
+		})
+	}
+	k, _ := newKernel(t, false)
+	as := k.NewAddressSpace()
+	k.CPU(0).Spawn(&Task{Name: "own", MM: as, Fn: func(ctx *Ctx) { ctx.CPU.SetLocalGen(as, 7) }})
+	k.Eng.Run()
+	if got := k.CPU(0).LocalGen(as); got != 7 {
+		t.Fatalf("cpu0 generation after Run = %d, want 7", got)
+	}
+}

@@ -298,44 +298,17 @@ func (as *AddressSpace) releaseAnonFrame(frame uint64, size pagetable.Size) {
 }
 
 // ownsFrame reports whether the frame mapped at va is private to this mm
-// (anonymous or a CoW copy) rather than a shared page-cache frame.
+// (anonymous or a CoW copy) rather than a shared page-cache frame. Unmap
+// removes VMAs before zapping and records them in lastRemoved, so a va
+// with no VMA is resolved by the VMA just removed; one in neither is not
+// owned.
 func (as *AddressSpace) ownsFrame(va, frame uint64) bool {
-	v := as.vmas.find(va)
-	if v == nil {
-		// VMA already removed (munmap path): a frame differing from the
-		// page cache can no longer be distinguished; treat anon-looking
-		// frames conservatively as owned only if no file once backed it.
-		// Unmap removes VMAs before zapping, so it passes the pre-removal
-		// check below via removedOwnership.
-		return as.removedOwnership(va, frame)
+	if v := as.vmas.find(va); v != nil {
+		return v.ownsFrame(va, frame)
 	}
-	switch v.Kind {
-	case Anon:
-		return true
-	case FilePrivate:
-		idx := v.fileOffsetOf(va) / pagetable.PageSize4K
-		cached, ok := v.File.frames[idx]
-		return !ok || cached != frame
-	default:
-		return false
-	}
-}
-
-// removedOwnership resolves frame ownership for pages whose VMA was just
-// removed: Unmap records the removed VMAs here before zapping.
-func (as *AddressSpace) removedOwnership(va, frame uint64) bool {
 	for _, v := range as.lastRemoved {
 		if v.Contains(va) {
-			switch v.Kind {
-			case Anon:
-				return true
-			case FilePrivate:
-				idx := v.fileOffsetOf(va) / pagetable.PageSize4K
-				cached, ok := v.File.frames[idx]
-				return !ok || cached != frame
-			default:
-				return false
-			}
+			return v.ownsFrame(va, frame)
 		}
 	}
 	return false
@@ -364,14 +337,10 @@ func (as *AddressSpace) Protect(start, length uint64, prot Prot) (FlushRange, er
 	var pages int
 	as.PT.VisitRange(start, end, func(tr pagetable.Translation) {
 		va := tr.VA
-		if prot.Has(ProtWrite) {
-			// Write permission is granted lazily (CoW / dirty tracking):
-			// do not set Write here, only wider read/exec bits.
-			_ = va
-		} else {
-			if tr.Flags.Has(pagetable.Write) {
-				must(as.PT.ClearFlags(va, pagetable.Write))
-			}
+		// Write permission is granted lazily (CoW / dirty tracking), so a
+		// writable prot sets no Write bit here; only revoking clears it.
+		if !prot.Has(ProtWrite) && tr.Flags.Has(pagetable.Write) {
+			must(as.PT.ClearFlags(va, pagetable.Write))
 		}
 		if !prot.Has(ProtExec) {
 			must(as.PT.SetFlags(va, pagetable.NX))

@@ -98,6 +98,21 @@ func (v *VMA) Contains(va uint64) bool { return va >= v.Start && va < v.End }
 // fileOffsetOf maps va to its backing-file offset.
 func (v *VMA) fileOffsetOf(va uint64) uint64 { return v.FileOff + (va - v.Start) }
 
+// ownsFrame reports whether frame, mapped at va inside v, is private to
+// the mapping mm (anonymous or a CoW copy) rather than a shared
+// page-cache frame.
+func (v *VMA) ownsFrame(va, frame uint64) bool {
+	switch v.Kind {
+	case Anon:
+		return true
+	case FilePrivate:
+		cached, ok := v.File.frames[v.fileOffsetOf(va)/pagetable.PageSize4K]
+		return !ok || cached != frame
+	default:
+		return false
+	}
+}
+
 // Errors reported by the mm layer.
 var (
 	// ErrNoVMA is a fault on an unmapped address (SIGSEGV).

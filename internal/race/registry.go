@@ -15,15 +15,19 @@ import (
 
 // Synchronization disciplines a registered field may declare. The static
 // lockset analyzer proves exactly the declared discipline; any mismatch
-// (a plain access to an atomic field, a non-self receiver on a confined
-// field, an unguarded early ack on an ack-ordered field) is a finding.
+// (a plain access to an atomic field, a confined access with no owner
+// check before it, an unguarded early ack on an ack-ordered field) is a
+// finding.
 const (
 	// DiscAtomic: every access goes through the detector's Atomic* hooks
 	// (C11 atomics / READ_ONCE–WRITE_ONCE in the modeled kernel).
 	DiscAtomic = "atomic"
 	// DiscConfined: plain accesses, legal because only the owning CPU's
 	// run loop (and code it calls synchronously, including its IRQ
-	// dispatch) ever touches the field.
+	// dispatch) ever touches the field. The accessors check it: each
+	// first calls its owner type's owner check (kernel.CPU.checkOwner),
+	// which panics when another proc runs it, and lockset requires that
+	// call at every site.
 	DiscConfined = "cpu-confined"
 	// DiscAckOrdered: plain accesses ordered by the shootdown ack edge —
 	// the initiator may write only after every responder acked, and a

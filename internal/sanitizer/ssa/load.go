@@ -353,9 +353,9 @@ func isNamed(t types.Type, pkgPath, name string) bool {
 	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
 }
 
-// declField resolves the field name of the struct type typ that p
-// declares; nil when p, the type or the field is missing.
-func declField(p *Package, typ, name string) *types.Var {
+// declNamed resolves the named type typ that p declares; nil when p or
+// the type is missing.
+func declNamed(p *Package, typ string) *types.Named {
 	if p == nil {
 		return nil
 	}
@@ -363,13 +363,33 @@ func declField(p *Package, typ, name string) *types.Var {
 	if tn == nil {
 		return nil
 	}
-	st, _ := tn.Type().Underlying().(*types.Struct)
-	if st == nil {
+	n, _ := tn.Type().(*types.Named)
+	return n
+}
+
+// declField resolves the field name of the struct type typ that p
+// declares; nil when p, the type or the field is missing.
+func declField(p *Package, typ, name string) *types.Var {
+	n := declNamed(p, typ)
+	if n == nil {
 		return nil
 	}
-	for i := 0; i < st.NumFields(); i++ {
+	st, _ := n.Underlying().(*types.Struct)
+	for i := 0; st != nil && i < st.NumFields(); i++ {
 		if st.Field(i).Name() == name {
 			return st.Field(i)
+		}
+	}
+	return nil
+}
+
+// declMethod resolves the method name that p's named type typ declares;
+// nil when p, the type or the method is missing.
+func declMethod(p *Package, typ, name string) *types.Func {
+	n := declNamed(p, typ)
+	for i := 0; n != nil && i < n.NumMethods(); i++ {
+		if n.Method(i).Name() == name {
+			return n.Method(i)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"path"
 
 	"shootdown/internal/race"
 )
@@ -226,23 +227,46 @@ func (la *locksetAnalysis) checkAtomic(e race.Field, ss []*lockSite) {
 	}
 }
 
+// ownerCheck is the method a cpu-confined entry's owner type declares to
+// assert, at run time, that the running proc is the owner's own
+// (kernel.CPU.checkOwner). checkConfined binds it by this name, as
+// fabproof binds fabDecl's, so a renamed check is a finding, not a
+// silent pass.
+const ownerCheck = "checkOwner"
+
 // checkConfined: plain accesses, legal only because the accessing code
-// provably runs on the owning CPU. The proof leans on mhp's self-CPU
-// facts: the name-field's base (the CPU the access belongs to) must be
-// the executing CPU on every path reaching the site.
+// runs on the owning CPU. The accessor asserts that itself: the first
+// call in every site's unit is the owner type's ownerCheck, on the value
+// the site's name field hangs off (siteBase), so no path reaches the
+// access unchecked.
 func (la *locksetAnalysis) checkConfined(e race.Field, ss []*lockSite) {
+	check := declMethod(la.ctx.m.Lookup(modPath+"/"+e.Owner), e.Struct, ownerCheck)
+	if check == nil {
+		la.problem(e.Key, nil, token.NoPos,
+			"declared owner check %s.%s.%s does not resolve: lockset binds the cpu-confined check by this name, so no access to %q can be discharged", path.Base(e.Owner), e.Struct, ownerCheck, e.Key)
+		return
+	}
 	for _, s := range ss {
 		if s.atomic() {
 			la.problem(e.Key, s.f, s.call.Pos,
 				"atomic %s access to %q: the registry declares it %s (plain, owner-only); an atomic hook here would mask a confinement break instead of proving it cannot happen", s.flavor, e.Key, e.Discipline)
 			continue
 		}
-		base := la.siteBase(s)
-		if base == nil || !la.mhp.isSelfCPU(s.f, base, nil) {
+		if base := la.siteBase(s); base == nil || !checksFirst(s.f, check, base) {
 			la.problem(e.Key, s.f, s.call.Pos,
-				"unprotected access to %q: the accessing CPU is not provably the executing CPU, so the cpu-confined discipline cannot be discharged (a cross-CPU caller would race the owner's plain accesses)", e.Key)
+				"unprotected access to %q: the unit does not call %s first on the CPU it accesses, so the cpu-confined discipline cannot be discharged (a cross-CPU caller would race the owner's plain accesses)", e.Key, ownerCheck)
 		}
 	}
+}
+
+// checksFirst reports whether the first call in f's entry block, made
+// when the block runs and not deferred, is check on base.
+func checksFirst(f *Func, check *types.Func, base *Value) bool {
+	if len(f.Entry.Calls) == 0 {
+		return false
+	}
+	c := f.Entry.Calls[0]
+	return c.Callee == check && !c.Deferred && chase(c.Base) == chase(base)
 }
 
 // siteBase resolves the owner value a site's name argument hangs off
@@ -423,6 +447,23 @@ func (la *locksetAnalysis) isGuardNegation(v *Value, e race.Field) bool {
 		ownerIs(g, modPath+"/"+e.Owner, e.GuardStruct)
 }
 
+// ownerIs reports whether fr reads a field that pkgPath declares, off a
+// value of the named struct type (or a pointer to it).
+func ownerIs(fr *Value, pkgPath, structName string) bool {
+	if fr.Obj == nil || fr.Obj.Pkg() == nil || fr.Obj.Pkg().Path() != pkgPath {
+		return false
+	}
+	base := chase(fr.Base)
+	if base == nil || base.Type == nil {
+		return false
+	}
+	t := base.Type
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return isNamed(t, pkgPath, structName)
+}
+
 // mutantPkg declares the Mutant enum whose constants seed witnesses.
 const mutantPkg = modPath + "/internal/fault"
 
@@ -577,7 +618,7 @@ func (la *locksetAnalysis) detailFor(e race.Field) string {
 	case race.DiscEpoch:
 		return "single store site proven module-wide; readers poll racy-by-design"
 	case race.DiscConfined:
-		return fmt.Sprintf("%d plain sites, all on the provably executing CPU", len(ss))
+		return fmt.Sprintf("%d plain sites, each behind %s.%s's owner check on the same CPU", len(ss), path.Base(e.Owner), e.Struct)
 	default:
 		return fmt.Sprintf("%d sites, all through Atomic* hooks", len(ss))
 	}

@@ -32,9 +32,10 @@
 //     range; sorting sanitizes iteration-order taint.
 //   - parallelsafe: a whole-program restore-discipline proof for
 //     package-level mutable vars in simulated packages.
-//   - mhp, lockset: IPI-handler reach and CPU confinement (no blocking
-//     call in a responder's handler), and RacerD-style discharge proofs
-//     for every field the dynamic race model instruments.
+//   - mhp, lockset: IPI-handler reach (no blocking call in a
+//     responder's handler), and RacerD-style discharge proofs for every
+//     field the dynamic race model instruments, CPU confinement among
+//     them: kernel.CPU's owner check before every confined access.
 //   - fabproof: numeric abstract-interpretation proofs for the async
 //     shootdown fabric, bound by the names internal/smp declares.
 //
@@ -121,9 +122,9 @@ type modCtx struct {
 	fabRes *fabResult
 	// prog caches the whole-module SSA form shared by the analyzers.
 	prog *Program
-	// mhp caches the handler-reach and CPU-confinement facts (built by
-	// checkMHP, which reports blocking calls in handler reach, and reused
-	// by lockset's confinement and handler-reachability proofs).
+	// mhp caches the handler-reach fact (built by checkMHP, which reports
+	// blocking calls in handler reach, and reused by lockset's
+	// ack-ordering proofs).
 	mhp *mhpInfo
 }
 

@@ -1,6 +1,7 @@
 package ssa
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -174,6 +175,18 @@ func TestLocksetUnprovenAckFires(t *testing.T) {
 	}
 	if f := res.Findings[2]; !strings.Contains(f.Msg, "not in the race registry") || !strings.Contains(f.Msg, "WriteVar") {
 		t.Fatalf("finding should name the unregistered access: %v", f)
+	}
+}
+
+// TestLocksetConfinedFires: a cpu-confined site whose unit does not call
+// the owner check first is exactly one lockset finding.
+func TestLocksetConfinedFires(t *testing.T) {
+	res := checkFixture(t, "bad_lockset_confined.go")
+	if len(res.Findings) != 1 || countBy(res.Findings, "lockset") != 1 {
+		t.Fatalf("findings = %v, want exactly 1 lockset finding", res.Findings)
+	}
+	if f := res.Findings[0]; f.Line != 16 || !strings.Contains(f.Msg, `unprotected access to "cpu.tlbgen"`) || !strings.Contains(f.Msg, "checkOwner") {
+		t.Fatalf("finding should name cpu.tlbgen and the owner check at the ReadVar (line 16): %v", f)
 	}
 }
 
@@ -659,38 +672,79 @@ func TestLocksetAdjacencyFires(t *testing.T) {
 	if fs := CheckModuleOnly(m, []string{"lockset"}).Findings; len(fs) != 0 {
 		t.Fatalf("unmodified tree should be lockset-clean, got %v", fs)
 	}
+	mod := copyModule(t, m, "internal/kernel/cpu.go", func(src []byte) []byte {
+		return append(src, "\nfunc (c *CPU) peekLazy() bool { return c.lazy }\n"...)
+	})
+	fs := CheckModuleOnly(mod, []string{"lockset"}).Findings
+	if len(fs) != 1 || !strings.Contains(fs[0].Msg, `unprotected access to "cpu.lazy"`) {
+		t.Fatalf("findings = %v, want exactly one unprotected access to \"cpu.lazy\"", fs)
+	}
+}
+
+// TestLocksetOwnerCheckFires pins checkConfined on copies of the tree: a
+// renamed owner check is exactly one finding (lockset binds it by its
+// declared name), and so is an access to another CPU's generation from a
+// unit that checks only its receiver.
+func TestLocksetOwnerCheckFires(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(src []byte) []byte
+		want string
+	}{
+		{"renamed", func(src []byte) []byte {
+			return bytes.ReplaceAll(src, []byte(ownerCheck), []byte("assertOwner"))
+		}, "owner check kernel.CPU.checkOwner does not resolve"},
+		{"other-cpu", func(src []byte) []byte {
+			return append(src, `
+func (c *CPU) peerGen(o *CPU, as *mm.AddressSpace) uint64 {
+	c.checkOwner()
+	c.K.Race.ReadVar(o.genVar)
+	return o.localGen[as.ID]
+}
+`...)
+		}, `unprotected access to "cpu.tlbgen": the unit does not call checkOwner first on the CPU it accesses`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mod := copyModule(t, sharedModule(t), "internal/kernel/cpu.go", tc.edit)
+			fs := CheckModuleOnly(mod, []string{"lockset"}).Findings
+			if len(fs) != 1 || !strings.Contains(fs[0].Msg, tc.want) {
+				t.Fatalf("findings = %v, want exactly one: %s", fs, tc.want)
+			}
+		})
+	}
+}
+
+// copyModule loads a copy of m's tree in which the file rel is edited.
+func copyModule(t *testing.T, m *Module, rel string, edit func(src []byte) []byte) *Module {
+	t.Helper()
 	tmp := t.TempDir()
-	copyFile := func(rel string, extra string) {
-		src, err := os.ReadFile(filepath.Join(m.Root, filepath.FromSlash(rel)))
+	copyFile := func(name string) {
+		src, err := os.ReadFile(filepath.Join(m.Root, filepath.FromSlash(name)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := filepath.Join(tmp, filepath.FromSlash(rel))
+		if name == rel {
+			src = edit(src)
+		}
+		dst := filepath.Join(tmp, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(dst, append(src, extra...), 0o644); err != nil {
+		if err := os.WriteFile(dst, src, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	copyFile("go.mod", "")
+	copyFile("go.mod")
 	for _, p := range m.Pkgs {
-		for _, rel := range p.FileNames {
-			extra := ""
-			if rel == "internal/kernel/cpu.go" {
-				extra = "\nfunc (c *CPU) peekLazy() bool { return c.lazy }\n"
-			}
-			copyFile(rel, extra)
+		for _, name := range p.FileNames {
+			copyFile(name)
 		}
 	}
 	mod, err := LoadModuleAt(tmp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := CheckModuleOnly(mod, []string{"lockset"}).Findings
-	if len(fs) != 1 || !strings.Contains(fs[0].Msg, `unprotected access to "cpu.lazy"`) {
-		t.Fatalf("findings = %v, want exactly one unprotected access to \"cpu.lazy\"", fs)
-	}
+	return mod
 }
 
 // ruleFinding is one expected finding of a rule fixture.

@@ -4,10 +4,10 @@
 //   - kickWithGuardedAck suppresses the early ack with the canonical
 //     `early && !info.FreedTables` guard, so the ack-ordering discharge
 //     succeeds even though the handler reads the ack-ordered location.
-//   - The handler also reads the responder's own TLB generation through
-//     kernel.CPU.LocalGen: the handler's CPU argument is the servicing
-//     CPU, so the cpu-confined discipline stays proven (a positive test
-//     of the may-happen-in-parallel self-CPU facts).
+//   - The handler also reads the responder's TLB generation through
+//     kernel.CPU.LocalGen, whose owner check asserts at run time that
+//     the servicing CPU's proc runs it, so the call needs no proof
+//     here and the cpu-confined discipline stays proven.
 package locksetfix
 
 import (
@@ -30,7 +30,7 @@ func kickWithGuardedAck(l *smp.Layer, k *kernel.Kernel, d *race.Detector, p *sim
 		if fi.FreedTables {
 			d.ReadVar(fmt.Sprintf("mm%d.pt-nodes", fi.AS.ID))
 		}
-		// The servicing CPU reading its own generation: confinement holds.
+		// The servicing CPU reading its own generation: LocalGen checks it.
 		_ = k.CPU(target).LocalGen(as)
 	}, info, earlyAck, nil, nil)
 }

@@ -139,15 +139,15 @@ func (l *Layer) fabricOf(cpu mach.CPU) *fabricCPU {
 	fc := l.fabric[cpu]
 	if fc == nil {
 		fc = &fabricCPU{
-			ringLine: l.dir.NewLine(fmt.Sprintf("fabring[%d]", cpu)),
-			ackLine:  l.dir.NewLine(fmt.Sprintf("faback[%d]", cpu)),
+			ringLine: l.dir.NewLine(),
+			ackLine:  l.dir.NewLine(),
 		}
 		l.fabric[cpu] = fc
 	}
 	if l.rt != nil && fc.ringSync == nil {
 		fc.ringSync = l.rt.NewSync(fmt.Sprintf("fabring-sync[%d]", cpu))
 		fc.ackSync = l.rt.NewSync(fmt.Sprintf("faback-sync[%d]", cpu))
-		fc.ringVar, fc.ackVar = fc.ringLine.Name(), fc.ackLine.Name()
+		fc.ringVar, fc.ackVar = fmt.Sprintf("fabring[%d]", cpu), fmt.Sprintf("faback[%d]", cpu)
 		fc.postVar, fc.fullVar = fmt.Sprintf("fabpost[%d]", cpu), fmt.Sprintf("fabfull[%d]", cpu)
 	}
 	return fc

@@ -108,7 +108,8 @@ type perCPU struct {
 	// SetLayout picked.
 	genLine *cache.Line
 	queue   []*Request
-	// csqVar is the queue's race-variable name, csqLine's own.
+	// csqVar is the queue's race-variable name, set when a detector
+	// attaches (SetRaceDetector).
 	csqVar string
 }
 
@@ -242,10 +243,8 @@ func New(eng *sim.Engine, topo mach.Topology, cost *mach.CostModel, dir *cache.D
 		ackAgg:      make([][]*cache.Line, n),
 		fabric:      make([]*fabricCPU, n),
 	}
-	for i := 0; i < n; i++ {
-		pc := &perCPU{csqVar: fmt.Sprintf("csq[%d]", i)}
-		pc.csqLine = dir.NewLine(pc.csqVar)
-		l.percpu[i] = pc
+	for i := range l.percpu {
+		l.percpu[i] = &perCPU{csqLine: dir.NewLine()}
 	}
 	return l
 }
@@ -260,8 +259,16 @@ func (l *Layer) SetLayout(consolidated, hwMessage bool) {
 }
 
 // SetRaceDetector attaches (or, with nil, detaches) the happens-before
-// checker. All reported events are observational; timing is unchanged.
-func (l *Layer) SetRaceDetector(d *race.Detector) { l.rt = d }
+// checker, naming each CPU's call-single queue for it. All reported
+// events are observational; timing is unchanged.
+func (l *Layer) SetRaceDetector(d *race.Detector) {
+	l.rt = d
+	if d != nil {
+		for i, pc := range l.percpu {
+			pc.csqVar = fmt.Sprintf("csq[%d]", i)
+		}
+	}
+}
 
 // SetFaultPlane attaches the fault plane; nil detaches it.
 func (l *Layer) SetFaultPlane(pl *fault.Plane) { l.fault = pl }
@@ -297,9 +304,9 @@ func (l *Layer) layoutOf(cpu mach.CPU) *perCPU {
 	if pc.genLine == nil {
 		if l.consolidated {
 			pc.lazyLine = pc.csqLine
-			pc.genLine = l.dir.NewLine(fmt.Sprintf("tlbgen[%d]", cpu))
+			pc.genLine = l.dir.NewLine()
 		} else {
-			pc.lazyLine = l.dir.NewLine(fmt.Sprintf("tlbstate[%d]", cpu))
+			pc.lazyLine = l.dir.NewLine()
 			pc.genLine = pc.lazyLine
 		}
 	}
@@ -319,7 +326,7 @@ func (l *Layer) cfdLine(from, to mach.CPU) *cache.Line {
 		l.cfd[from] = row
 	}
 	if row[to] == nil {
-		row[to] = l.dir.NewLine(fmt.Sprintf("cfd[%d->%d]", from, to))
+		row[to] = l.dir.NewLine()
 	}
 	return row[to]
 }
@@ -338,7 +345,7 @@ func (l *Layer) ackLine(from, to mach.CPU) *cache.Line {
 		l.ackAgg[from] = row
 	}
 	if row[cluster] == nil {
-		row[cluster] = l.dir.NewLine(fmt.Sprintf("ackagg[%d->c%d]", from, cluster))
+		row[cluster] = l.dir.NewLine()
 	}
 	return row[cluster]
 }

@@ -78,7 +78,7 @@ func TestShootRoundTrip(t *testing.T) {
 		r.l.Shoot(p, 0, mach.MaskOf(2), func(p *sim.Proc, cpu mach.CPU, payload any) {
 			ranOn = cpu
 			payloadGot = payload
-		}, "info", false, r.dir.NewLine("info"), func(q []*Request) { reqs = q })
+		}, "info", false, r.dir.NewLine(), func(q []*Request) { reqs = q })
 		if !AllDone(reqs) {
 			t.Error("Shoot returned before ack")
 		}
@@ -212,7 +212,7 @@ func TestConsolidatedLayoutSharesLines(t *testing.T) {
 		r.spawnResponder(30, 1)
 		var infoLine *cache.Line
 		if !consolidated {
-			infoLine = r.dir.NewLine("flush_info")
+			infoLine = r.dir.NewLine()
 		}
 		handler := func(p *sim.Proc, cpu mach.CPU, _ any) {
 			// The flush function updates per-CPU TLB generation state.

@@ -27,9 +27,9 @@ go vet ./...
 # The static tier — every internal/sanitizer/ssa analyzer off one
 # typecheck (banned imports, cost constants, observer purity, flush
 # obligations, lock order, the detflow nondeterminism-taint proof, the
-# parallelsafe restore-discipline proof, mhp's handler reach and
-# CPU-confinement facts with the lockset race-discipline proofs, and the
-# fabproof numeric obligations over the async fabric smp declares) —
+# parallelsafe restore-discipline proof, mhp (handler reach only) with
+# the lockset race-discipline proofs, and the fabproof numeric
+# obligations over the async fabric smp declares) —
 # runs right after the stock gates: a finding should fail the gate in
 # seconds, not after minutes of tests and simulations. The
 # machine-readable report lands in VET_findings.json as
