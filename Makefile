@@ -77,10 +77,11 @@ fuzz:
 ## cover: coverage summary for the fault plane, the layers it perturbs,
 ## the dynamic race model the static lockset tier cross-validates, the
 ## TLB every simulated memory access goes through, the cacheline
-## directory every shootdown's cacheline cost comes from, and the page
-## table every range operation walks
+## directory every shootdown's cacheline cost comes from, the page
+## table every range operation walks, and the kernel that owns the
+## page-flush loop and the CPU's run-time checks
 cover:
-	$(GO) test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/ ./internal/cache/ ./internal/pagetable/
+	$(GO) test -coverprofile=coverage.out ./internal/fault/ ./internal/smp/ ./internal/apic/ ./internal/mm/ ./internal/race/ ./internal/sanitizer/ssa/ ./internal/mach/ ./internal/sim/ ./internal/tlb/ ./internal/cache/ ./internal/pagetable/ ./internal/kernel/
 	$(GO) tool cover -func=coverage.out
 
 ## bench: parallel-harness wall-clock + event-loop allocs -> BENCH_parallel.json

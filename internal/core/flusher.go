@@ -507,10 +507,7 @@ func (f *Flusher) rangedFlush(p *sim.Proc, rc *kernel.CPU, info *FlushInfo, init
 		return
 	}
 	stride := info.Stride.Bytes()
-	for va := info.Start; va < info.End; va += stride {
-		p.Delay(k.Cost.Invlpg)
-		rc.TLB.FlushPage(as.KernelPCID, va)
-	}
+	rc.FlushPages(p, as.KernelPCID, info.Start, info.End, stride, k.Cost.Invlpg)
 	// INVLPG flushes the whole page-structure cache as a side effect.
 	rc.TLB.InvalidateWalkCache()
 
@@ -525,10 +522,7 @@ func (f *Flusher) rangedFlush(p *sim.Proc, rc *kernel.CPU, info *FlushInfo, init
 	} else {
 		// Baseline: eagerly invalidate the user PCID with INVPCID, which
 		// is slower per entry and does not touch the page-walk cache.
-		for va := info.Start; va < info.End; va += stride {
-			p.Delay(k.Cost.InvpcidSingle)
-			rc.TLB.FlushPage(as.UserPCID, va)
-		}
+		rc.FlushPages(p, as.UserPCID, info.Start, info.End, stride, k.Cost.InvpcidSingle)
 	}
 }
 

@@ -71,11 +71,16 @@ type CPU struct {
 	// detector attaches (Kernel.EnableRace; see internal/race).
 	runqVar, lazyVar, genVar, lazyqVar, batchedVar, batchqVar string
 
-	// poll is what the CPU's latest poll waits for, read by quiet. Polls
-	// never nest: no interrupt handler or deferred flush blocks (the mhp
-	// analyzer proves it). quietFn is c.quiet, bound once.
+	// poll is what the CPU's active poll waits for, read by quiet, and
+	// zero when none is active. Polls do not nest (startPoll checks it).
+	// quietFn is c.quiet, bound once.
 	poll    pollState
 	quietFn func(signaled bool) bool
+
+	// flush is the running FlushPages loop, read by its step;
+	// flushStepFn is c.flushStep, bound once.
+	flush       pageFlush
+	flushStepFn func(i int)
 
 	// Measurement counters.
 
@@ -103,6 +108,7 @@ func newCPU(k *Kernel, id mach.CPU) *CPU {
 	}
 	c.Ctrl.SetNotify(func() { c.wake.Broadcast() })
 	c.quietFn = c.quiet
+	c.flushStepFn = c.flushStep
 	return c
 }
 
@@ -324,6 +330,44 @@ func (c *CPU) FlushMM(p *sim.Proc, as *mm.AddressSpace) {
 	}
 }
 
+// FlushPages invalidates pcid's translations of the pages from start up
+// to end, stride bytes apart, in this CPU's TLB, charging cost cycles
+// before each: the INVLPG (or INVPCID) loop of a ranged flush. It is the
+// one per-page flush loop, and its steps run in the engine
+// (sim.Proc.DelayEach), so a flush switches at most once. The loop's
+// state lives on the CPU, so only the CPU's own proc may run it
+// (checkOwner).
+func (c *CPU) FlushPages(p *sim.Proc, pcid tlb.PCID, start, end, stride, cost uint64) {
+	c.flushPages(p, pageFlush{pcid: pcid, start: start, stride: stride}, end, cost)
+}
+
+// pageFlush is a FlushPages loop: the pages from start, stride bytes
+// apart, of pcid. A deferred loop is the return-to-user flush of a
+// deferred user range, which counts each page in DeferredFlushes.
+type pageFlush struct {
+	pcid          tlb.PCID
+	start, stride uint64
+	deferred      bool
+}
+
+func (c *CPU) flushPages(p *sim.Proc, f pageFlush, end, cost uint64) {
+	c.checkOwner()
+	if end <= f.start {
+		return
+	}
+	c.flush = f
+	p.DelayEach(int((end-f.start+f.stride-1)/f.stride), cost, c.flushStepFn)
+}
+
+// flushStep is a FlushPages loop's step i: one page.
+func (c *CPU) flushStep(i int) {
+	f := &c.flush
+	c.TLB.FlushPage(f.pcid, f.start+uint64(i)*f.stride)
+	if f.deferred {
+		c.DeferredFlushes++
+	}
+}
+
 // --- Interrupt servicing ---
 
 // QueueLazyWork defers fn to this CPU's next kernel entry (LATR-style
@@ -525,11 +569,12 @@ func (c *CPU) DownWrite(p *sim.Proc, sem *mm.RWSem) {
 // waiters a release broadcast wakes find the semaphore taken again.
 func (c *CPU) downPoll(p *sim.Proc, sem *mm.RWSem, try, can func() bool) {
 	sem.NoteContention()
-	c.poll = pollState{done: can}
+	c.startPoll(pollState{done: can})
 	for {
 		sem.Changed().WaitPoll(p, blockedIRQPollQuantum, blockedIRQPollQuantum, c.quietFn)
 		c.ServiceIRQs(p)
 		if try() {
+			c.poll = pollState{}
 			return
 		}
 	}
@@ -546,10 +591,25 @@ func (c *CPU) SpinUntil(p *sim.Proc, done func() bool, quantum uint64) {
 	if quantum == 0 {
 		panic("kernel: SpinUntil with a zero quantum")
 	}
-	c.poll = pollState{done: done, spin: true}
+	c.startPoll(pollState{done: done, spin: true})
 	for !done() {
 		c.runInterruptible(p, quantum, c.quietFn)
 	}
+	c.poll = pollState{}
+}
+
+// startPoll makes ps the CPU's active poll, which its caller clears when
+// the poll ends. Polls must not nest: a poll services interrupts and runs
+// deferred flushes (ServiceIRQs), and one of those that polled in turn
+// would replace the check the outer poll is parked with. No static check
+// covers every such path (mhp roots only at Shoot's handlers, not at the
+// deferred-flush closures ServiceIRQs drains), so startPoll panics,
+// naming the CPU, when a poll is already active.
+func (c *CPU) startPoll(ps pollState) {
+	if c.poll.done != nil {
+		panic(fmt.Sprintf("kernel: cpu%d started a poll inside another", c.ID))
+	}
+	c.poll = ps
 }
 
 // pollState is a parked poll's quiet check: what it waits for, and

@@ -113,14 +113,9 @@ func (c *CPU) runDeferredUserFlushes(p *sim.Proc) {
 	if !c.duValid {
 		return
 	}
-	strideBytes := c.duStridePages * pagetable.PageSize4K
-	for va := c.duStart; va < c.duEnd; va += strideBytes {
-		p.Delay(c.K.Cost.Invlpg)
-		if as != nil {
-			c.TLB.FlushPage(as.UserPCID, va)
-		}
-		c.DeferredFlushes++
-	}
+	// Every return to user has a task's mm loaded.
+	c.flushPages(p, pageFlush{pcid: as.UserPCID, start: c.duStart,
+		stride: c.duStridePages * pagetable.PageSize4K, deferred: true}, c.duEnd, c.K.Cost.Invlpg)
 	// INVLPG dumps the page-structure cache as a side effect.
 	c.TLB.InvalidateWalkCache()
 	// Spectre-v1 guard on the flush loop (§3.4).

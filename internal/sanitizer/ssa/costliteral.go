@@ -13,15 +13,17 @@ import (
 // calibratable. The analyzer flags
 //
 //   - integer literals, named constants and constant expressions at a
-//     Delay call (go/types constant folding evaluates them, so
-//     `p.Delay(fixedCost)` is as visible as `p.Delay(123)`), and
+//     Delay call, or as DelayEach's per-step cost (go/types constant
+//     folding evaluates them, so `p.Delay(fixedCost)` is as visible as
+//     `p.Delay(123)`), and
 //   - constants passed to thin wrappers: a parameter that a function
-//     forwards whole to Delay (or to another cost-like parameter) is
+//     forwards whole to a sink (or to another cost-like parameter) is
 //     itself cost-like, so a constant passed to the wrapper is flagged at
-//     the wrapper's call site.
+//     the wrapper's call site (kernel.CPU.FlushPages' cost is one).
 //
-// The sink is (*sim.Proc).Delay resolved by callee identity, not method
-// name, so an unrelated Delay method elsewhere cannot confuse the pass.
+// The sinks are (*sim.Proc).Delay's d and (*sim.Proc).DelayEach's d,
+// resolved by callee identity, not method name, so an unrelated Delay
+// method elsewhere cannot confuse the pass.
 
 // costScope lists the machine-model directories where every cycle cost
 // must come from the cost model, never a constant. Workload scripts and
@@ -44,16 +46,24 @@ func inCostScope(rel string) bool {
 	return false
 }
 
-// isDelaySink reports whether fn is (*sim.Proc).Delay.
-func isDelaySink(fn *types.Func) bool {
-	if fn == nil || fn.Name() != "Delay" {
-		return false
+// sinkCostArg returns the index of fn's cycle-cost parameter when fn is
+// a sink: 0 for (*sim.Proc).Delay(d), 1 for (*sim.Proc).DelayEach(n, d,
+// step). Otherwise it returns -1.
+func sinkCostArg(fn *types.Func) int {
+	if fn == nil {
+		return -1
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
+	if !ok || sig.Recv() == nil || !isNamed(sig.Recv().Type(), modPath+"/internal/sim", "Proc") {
+		return -1
 	}
-	return isNamed(sig.Recv().Type(), modPath+"/internal/sim", "Proc")
+	switch fn.Name() {
+	case "Delay":
+		return 0
+	case "DelayEach":
+		return 1
+	}
+	return -1
 }
 
 // costParam identifies one cost-like parameter of a module function.
@@ -83,13 +93,13 @@ func checkCostLiteral(ctx *modCtx) []Finding {
 	})
 
 	// Fixpoint: a parameter is cost-like when its function passes it whole
-	// (parens and conversions lower to the operand itself) to Delay or to
+	// (parens and conversions lower to the operand itself) to a sink or to
 	// an already cost-like parameter, from its own body, from a loop or
 	// join (a phi of the parameter's variable) or from a literal that
 	// captures it. Thin wrappers of wrappers converge in a few rounds.
 	costLike := make(map[costParam]bool)
 	isSink := func(callee *types.Func, i int) bool {
-		return (isDelaySink(callee) && i == 0) || costLike[costParam{fn: callee, idx: i}]
+		return sinkCostArg(callee) == i || costLike[costParam{fn: callee, idx: i}]
 	}
 	for changed := true; changed; {
 		changed = false
@@ -128,9 +138,9 @@ func checkCostLiteral(ctx *modCtx) []Finding {
 			if _, lit := ast.Unparen(arg).(*ast.BasicLit); !lit {
 				what = "named-constant cycle cost"
 			}
-			dest := "Delay"
-			if !isDelaySink(s.call.Callee) {
-				dest = fmt.Sprintf("cost parameter %d of %s", i, s.call.Callee.Name())
+			dest := s.call.Callee.Name()
+			if sinkCostArg(s.call.Callee) != i {
+				dest = fmt.Sprintf("cost parameter %d of %s", i, dest)
 			}
 			out = append(out, Finding{
 				File: s.f.Decl.File, Line: ctx.m.Fset.Position(arg.Pos()).Line,

@@ -27,7 +27,8 @@ import (
 //     stats: counters are simulated state too)
 //   - arguments to any module function whose name contains "Digest"
 //     (StateDigest and friends must be replay-stable by definition)
-//   - event timestamps: sim.Proc.Delay, sim.Cond.WaitTimeout,
+//   - event timestamps: sim.Proc.Delay, sim.Proc.DelayEach (its step
+//     count and its cost), sim.Cond.WaitTimeout,
 //     sim.Cond.WaitPoll (its timeout and its period), sim.Engine.At,
 //     sim.Engine.After — and any call of those inside a
 //     map range, whatever its argument: map order decides which
@@ -521,6 +522,8 @@ func timingSinkArgs(fn *types.Func) (lo, hi int, ok bool) {
 	switch recv + "." + fn.Name() {
 	case "Proc.Delay", "Engine.At", "Engine.After":
 		return 0, 0, true
+	case "Proc.DelayEach":
+		return 0, 1, true
 	case "Cond.WaitTimeout":
 		return 1, 1, true
 	case "Cond.WaitPoll":

@@ -148,6 +148,18 @@ func TestDetFlowWaitPollPeriodFires(t *testing.T) {
 	}
 }
 
+// TestDetFlowDelayEachFires: a DelayEach in a map range times its steps
+// in map order, so it is an event-timestamp sink like Delay.
+func TestDetFlowDelayEachFires(t *testing.T) {
+	res := checkFixture(t, "bad_detflow_delayeach.go", "detflow")
+	if len(res.Findings) != 1 {
+		t.Fatalf("findings = %v, want exactly 1 detflow finding", res.Findings)
+	}
+	if f := res.Findings[0]; f.Line != 10 || !strings.Contains(f.Msg, "DelayEach") {
+		t.Fatalf("finding should name the DelayEach sink at line 10: %v", f)
+	}
+}
+
 func TestDetFlowGoodFixtureClean(t *testing.T) {
 	res := checkFixture(t, "good_detflow.go")
 	if len(res.Findings) != 0 {
@@ -585,6 +597,20 @@ func TestCostConstFixtureFires(t *testing.T) {
 	if got := countBy(res.Findings, "costliteral"); got != 2 {
 		t.Fatalf("costliteral findings = %d, want exactly 2 (direct + wrapper): %v", got, res.Findings)
 	}
+}
+
+// TestCostLiteralDelayEach: DelayEach's per-step cost is a sink like
+// Delay's, and so reaches through wrappers: a literal passed to
+// DelayEach, and one passed to a FlushPages-style wrapper whose cost
+// reaches DelayEach through a second wrapper, are one finding each.
+func TestCostLiteralDelayEach(t *testing.T) {
+	const model = "; route it through the cost model (internal/mach/costs.go)"
+	assertRuleFindings(t, "bad_costliteral_each.go", "costliteral", []ruleFinding{
+		{9, "constant cycle cost 220 passed to DelayEach" + model},
+	})
+	assertRuleFindings(t, "bad_costliteral_flushwrapper.go", "costliteral", []ruleFinding{
+		{21, "constant cycle cost 150 passed to cost parameter 4 of FlushPages" + model},
+	})
 }
 
 // TestCostLiteralScopedToMachineModel: only the machine-model packages

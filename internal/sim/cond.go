@@ -134,9 +134,9 @@ func (p *Proc) rearm(signaled bool) bool {
 	}
 	e := p.eng
 	prev := e.current
-	e.current = p
+	e.current, e.side = p, p
 	ok := w.quiet(signaled)
-	e.current = prev
+	e.current, e.side = prev, nil
 	if ok {
 		w.signaled = false
 		w.deadline = e.now + Time(w.period)

@@ -34,11 +34,25 @@ func loopWaitPoll(c *Cond, p *Proc, d, period uint64, quiet func(signaled bool) 
 	}
 }
 
-// diffImpl is the pair of primitives one run of a differential program
+// loopDelayEach is DelayEach as the process's own loop over delay, the
+// reference TestDelayEachDifferential compares the engine-side steps
+// against (with Delay); the other differential tests run it over the
+// delay they compare.
+func loopDelayEach(delay func(p *Proc, d uint64)) func(p *Proc, n int, d uint64, step func(i int)) {
+	return func(p *Proc, n int, d uint64, step func(i int)) {
+		for i := range n {
+			delay(p, d)
+			step(i)
+		}
+	}
+}
+
+// diffImpl is the set of primitives one run of a differential program
 // uses.
 type diffImpl struct {
 	delay func(p *Proc, d uint64)
 	poll  func(c *Cond, p *Proc, d, period uint64, quiet func(signaled bool) bool) uint64
+	each  func(p *Proc, n int, d uint64, step func(i int))
 }
 
 // Program operations of the differential test.
@@ -57,6 +71,7 @@ const (
 	opYield               // Proc.Yield
 	opWaitPoll            // Cond.WaitPoll(arg, period) with a quiet check on a flag
 	opFlip                // toggle the flag the cond's quiet checks read
+	opDelayEach           // DelayEach of 0 to 8 steps that signal, flip or schedule
 	numOps
 )
 
@@ -74,7 +89,8 @@ type diffOp struct {
 // a proc index, or -1-n for callback n; step -1 marks a proc's unwind, -2
 // a quiet check that held, -3 one that failed (each with val 1 when a
 // signal woke the poll), -4 a quiet check that ran with Current() not its
-// proc, and -5 a WaitPoll's return with its left cycles in val.
+// proc, -5 a WaitPoll's return with its left cycles in val, and -10-i
+// step i of a DelayEach, with val 1 when Current() was its proc.
 type diffEntry struct {
 	at   Time
 	who  int
@@ -91,8 +107,9 @@ type diffResult struct {
 	pendings []int  // Pending() after every RunUntil and Run
 
 	cancelledHeads int
-	// parkedInPoll counts the procs Shutdown found blocked in a WaitPoll.
-	parkedInPoll int
+	// parkedInPoll and parkedInEach count the procs Shutdown found
+	// blocked in a WaitPoll and in a DelayEach.
+	parkedInPoll, parkedInEach int
 }
 
 func genDiffProgram(rng *rand.Rand) [][]diffOp {
@@ -118,14 +135,15 @@ func genDiffProgram(rng *rand.Rand) [][]diffOp {
 	return procs
 }
 
-// runDiffProgram runs prog on a fresh engine with impl's Delay and
-// WaitPoll, driving it through RunUntil horizons drawn from seed.
+// runDiffProgram runs prog on a fresh engine with impl's Delay, WaitPoll
+// and DelayEach, driving it through RunUntil horizons drawn from seed.
 func runDiffProgram(prog [][]diffOp, seed int64, impl diffImpl) diffResult {
 	e := NewEngine(1)
 	conds := []*Cond{e.NewCond(), e.NewCond(), e.NewCond()}
 	// flags[i] holds every quiet check on conds[i] off while set.
 	var flags [3]bool
 	polling := make([]bool, len(prog))
+	eaching := make([]bool, len(prog))
 	var res diffResult
 	logv := func(who, step int, val uint64) { res.log = append(res.log, diffEntry{e.Now(), who, step, val}) }
 	logf := func(who, step int) { logv(who, step, 0) }
@@ -255,6 +273,35 @@ func runDiffProgram(prog [][]diffOp, seed int64, impl diffImpl) diffResult {
 					logv(i, -5, left)
 				case opFlip:
 					flags[op.cond] = !flags[op.cond]
+				case opDelayEach:
+					// n = 0 and d = 0 included; sometimes the first
+					// Delay ties with the next queued event.
+					n, d := op.sel%9, op.arg
+					if op.sel%5 == 0 && queued && next > e.now {
+						d = uint64(next - e.now)
+					}
+					eaching[i] = true
+					impl.each(p, n, d, func(s int) {
+						var cur uint64
+						if e.Current() == p {
+							cur = 1
+						}
+						logv(i, -10-s, cur)
+						// Steps do what steps may: no blocking, but
+						// wakes, flag flips and events, one of them a
+						// tie with the next step's Delay.
+						switch (op.sel>>4 + s) % 6 {
+						case 1:
+							conds[op.cond].Signal()
+						case 2:
+							flags[op.cond] = !flags[op.cond]
+						case 3:
+							at(e.now+Time(d), op.cond, op.sel>>3)
+						case 4:
+							at(e.now+Time(op.arg%3), op.cond, op.sel>>2)
+						}
+					})
+					eaching[i] = false
 				}
 				logf(i, step)
 			}
@@ -301,9 +348,12 @@ func runDiffProgram(prog [][]diffOp, seed int64, impl diffImpl) diffResult {
 	res.nows = append(res.nows, e.Now())
 	res.lives = append(res.lives, e.LiveProcs())
 	res.pendings = append(res.pendings, e.Pending())
-	for _, in := range polling {
+	for i, in := range polling {
 		if in {
 			res.parkedInPoll++
+		}
+		if eaching[i] {
+			res.parkedInEach++
 		}
 	}
 	e.Shutdown()
@@ -351,8 +401,8 @@ func TestDelayElisionDifferential(t *testing.T) {
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		prog := genDiffProgram(rand.New(rand.NewSource(seed)))
-		got := runDiffProgram(prog, seed, diffImpl{counting, (*Cond).WaitPoll})
-		want := runDiffProgram(prog, seed, diffImpl{switchDelay, (*Cond).WaitPoll})
+		got := runDiffProgram(prog, seed, diffImpl{counting, (*Cond).WaitPoll, loopDelayEach(counting)})
+		want := runDiffProgram(prog, seed, diffImpl{switchDelay, (*Cond).WaitPoll, loopDelayEach(switchDelay)})
 		cov.cancelledHeads += got.cancelledHeads
 		if i := firstDiff(got.log, want.log); i >= 0 {
 			t.Fatalf("seed %d: logs diverge at entry %d of %d/%d: elided %+v, switched %+v",
@@ -419,8 +469,9 @@ func TestCondWaitPollDifferential(t *testing.T) {
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		prog := genDiffProgram(rand.New(rand.NewSource(seed)))
-		got := runDiffProgram(prog, seed, diffImpl{(*Proc).Delay, counting})
-		want := runDiffProgram(prog, seed, diffImpl{(*Proc).Delay, loopWaitPoll})
+		each := loopDelayEach((*Proc).Delay)
+		got := runDiffProgram(prog, seed, diffImpl{(*Proc).Delay, counting, each})
+		want := runDiffProgram(prog, seed, diffImpl{(*Proc).Delay, loopWaitPoll, each})
 		cov.parkedAtShutdown += got.parkedInPoll
 		if i := firstDiff(got.log, want.log); i >= 0 {
 			t.Fatalf("seed %d: logs diverge at entry %d of %d/%d: engine re-arm %+v, loop %+v",
@@ -443,6 +494,90 @@ func TestCondWaitPollDifferential(t *testing.T) {
 	if cov.rearms == 0 || cov.notLast == 0 || cov.signalRearms == 0 || cov.pastHorizon == 0 ||
 		cov.failed == 0 || cov.wokenAfterRearm == 0 || cov.parkedAtShutdown == 0 {
 		t.Fatalf("program missed a case of the re-arm: %+v", cov)
+	}
+}
+
+// TestDelayEachDifferential proves the engine-side steps exact: the
+// programs of TestDelayElisionDifferential, whose DelayEach ops run 0 to
+// 8 steps (d = 0 and ties at now+d included) that signal conds, flip
+// quiet flags and schedule events (one a tie with the next step's
+// Delay) beside procs that Delay, Yield and WaitPoll, run once with
+// DelayEach and once with loopDelayEach, the proc's own loop. The (time,
+// proc, step, Current()) logs, Now(), Pending() and LiveProcs() after
+// every RunUntil and after Shutdown, and the procs Shutdown found parked
+// in a DelayEach must match. The run checks that inline steps, engine
+// steps, ties, Delays held back only by the horizon, Shutdown in the
+// middle of a range, empty loops and free (d = 0) steps all occurred.
+func TestDelayEachDifferential(t *testing.T) {
+	var cov struct {
+		inlineSteps, engineSteps, ties, pastHorizon, parkedAtShutdown, empty, free int
+	}
+	counting := func(p *Proc, n int, d uint64, step func(int)) {
+		e := p.eng
+		// classify files the Delay(d) about to run by the case it hits.
+		classify := func() {
+			t := e.now + Time(d)
+			if d == 0 || t <= e.now {
+				return
+			}
+			switch next, ok := e.q.nextTime(); {
+			case ok && next < t:
+			case ok && next == t:
+				cov.ties++
+			case t > e.horizon:
+				cov.pastHorizon++
+			}
+		}
+		switch {
+		case n == 0:
+			cov.empty++
+		case d == 0:
+			cov.free += n
+		default:
+			classify()
+		}
+		p.DelayEach(n, d, func(i int) {
+			if p.each.step != nil {
+				cov.engineSteps++
+			} else {
+				cov.inlineSteps++
+			}
+			step(i)
+			if i+1 < n && d > 0 {
+				classify()
+			}
+		})
+	}
+	seeds := 300
+	if testing.Short() {
+		seeds = 60
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		prog := genDiffProgram(rand.New(rand.NewSource(seed)))
+		got := runDiffProgram(prog, seed, diffImpl{(*Proc).Delay, (*Cond).WaitPoll, counting})
+		want := runDiffProgram(prog, seed, diffImpl{(*Proc).Delay, (*Cond).WaitPoll, loopDelayEach((*Proc).Delay)})
+		cov.parkedAtShutdown += got.parkedInEach
+		if i := firstDiff(got.log, want.log); i >= 0 {
+			t.Fatalf("seed %d: logs diverge at entry %d of %d/%d: engine steps %+v, loop %+v",
+				seed, i, len(got.log), len(want.log), entryAt(got.log, i), entryAt(want.log, i))
+		}
+		if i := firstDiff(got.nows, want.nows); i >= 0 {
+			t.Fatalf("seed %d: Now() after RunUntil %d: engine steps %v, loop %v", seed, i, got.nows, want.nows)
+		}
+		if i := firstDiff(got.pendings, want.pendings); i >= 0 {
+			t.Fatalf("seed %d: Pending() after RunUntil %d: engine steps %v, loop %v", seed, i, got.pendings, want.pendings)
+		}
+		if i := firstDiff(got.lives, want.lives); i >= 0 {
+			t.Fatalf("seed %d: LiveProcs() after RunUntil %d: engine steps %v, loop %v", seed, i, got.lives, want.lives)
+		}
+		if got.parkedInEach != want.parkedInEach {
+			t.Fatalf("seed %d: %d procs parked in a DelayEach at Shutdown, loop %d", seed, got.parkedInEach, want.parkedInEach)
+		}
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.inlineSteps == 0 || cov.engineSteps == 0 || cov.ties == 0 || cov.pastHorizon == 0 ||
+		cov.parkedAtShutdown == 0 || cov.empty == 0 || cov.free == 0 {
+		t.Fatalf("program missed a case of the engine-side steps: %+v", cov)
 	}
 }
 

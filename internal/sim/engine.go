@@ -45,6 +45,18 @@
 // the check's loads by Current() then charges them to the process that
 // would have made them.
 //
+// Engine-side steps: a process that charges a cost before each of n
+// steps (a TLB flush loop's INVLPG per page) calls DelayEach(n, d, step)
+// instead of looping over Delay. Steps whose Delay elides run inline; from
+// the first Delay that would switch, that Delay's event runs the step and
+// the ones after it itself, as the process, eliding each Delay that would
+// elide and re-arming with the call the process would have made where it
+// would not, and resumes the process only after the last step. Nothing of
+// the process runs between its Delay and its step, so the steps see the
+// state it would have seen (TestDelayEachDifferential), and the loop
+// switches at most once. Engine-side code, a step or a quiet check, must
+// not block: the engine panics, naming the process, if it does.
+//
 // The package is the foundation for every other simulated component in this
 // repository: cores, TLBs, APICs and kernel code are all expressed as
 // processes and events on a shared Engine.
@@ -105,6 +117,10 @@ type Engine struct {
 	procs     []*Proc
 	procErr   error
 	current   *Proc
+	// side is the process whose engine-side code (a DelayEach step or a
+	// WaitPoll quiet check) is running, and nil at every other time: such
+	// code must not block (see yield).
+	side *Proc
 
 	// horizon is RunUntil's horizon while it runs and zero otherwise: the
 	// latest time a Delay may advance the clock to without a switch.
@@ -203,6 +219,7 @@ var errShutdown = errors.New("sim: engine shut down")
 func (e *Engine) Shutdown() {
 	// Index loop: a dying process could in principle spawn another during
 	// unwind; appended procs are drained in the same pass.
+	e.side = nil // a quiet check that panicked leaves it set
 	for i := 0; i < len(e.procs); i++ {
 		p := e.procs[i]
 		if p.done {

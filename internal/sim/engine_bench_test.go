@@ -203,6 +203,33 @@ func BenchmarkProcDelaySwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkDelayEachStep measures one engine-side DelayEach step: two
+// procs in lockstep, as in BenchmarkProcDelaySwitch, each in one
+// DelayEach(b.N/2, 1, step), so the other's event is always due and
+// every step's Delay would switch. The engine runs each step in the
+// Delay's event and resumes each proc once, after its last step. It is
+// the engine-side replacement for a flush loop's switch per page and must
+// stay at 0 allocs/op.
+func BenchmarkDelayEachStep(b *testing.B) {
+	e := NewEngine(1)
+	steps := 0
+	step := func(int) { steps++ }
+	for _, name := range []string{"a", "b"} {
+		e.Go(name, func(p *Proc) { p.DelayEach(b.N/2, 1, step) })
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	e.Shutdown()
+	if want := b.N / 2 * 2; steps != want {
+		b.Fatalf("%d steps, want %d", steps, want)
+	}
+	if events := e.seq - 2; events != uint64(steps) {
+		b.Fatalf("%d step events for %d steps, want every step's Delay in the engine", events, steps)
+	}
+}
+
 // BenchmarkCondWaitPoll measures one quiet re-arm: a proc parked in a
 // 500-cycle WaitPoll whose quiet check holds at every timeout, so the
 // expiry callback re-arms the wait itself and the proc is never resumed.
@@ -338,6 +365,57 @@ func TestDelayIsAllocationFree(t *testing.T) {
 			allocs := after.Mallocs - before.Mallocs
 			if allocs > 500 {
 				t.Fatalf("10000 warm Delay round trips allocated %d objects, want ~0", allocs)
+			}
+		})
+	}
+}
+
+// TestDelayEachIsAllocationFree: a warm DelayEach allocates nothing,
+// whether its steps run inline (one proc: every Delay elides) or in the
+// engine (two procs in lockstep: every Delay would switch). The loop's
+// state lives in the Proc and its callback is bound on first use, so
+// only the first engine-side loop of a proc allocates.
+func TestDelayEachIsAllocationFree(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		procs int
+	}{{"inline", 1}, {"engine", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const loops, n = 1100, 10
+			e := NewEngine(1)
+			steps, engineSteps := 0, 0
+			for i := 0; i < tc.procs; i++ {
+				e.Go("worker", func(p *Proc) {
+					step := func(int) {
+						steps++
+						if p.each.step != nil {
+							engineSteps++
+						}
+					}
+					for k := 0; k < loops; k++ {
+						p.DelayEach(n, 1, step)
+					}
+				})
+			}
+			// Warm up: the first window grows the event slab and binds
+			// each proc's callback.
+			e.RunUntil(1000)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e.RunUntil(loops * n)
+			runtime.ReadMemStats(&after)
+			e.Run()
+			e.Shutdown()
+			if want := tc.procs * loops * n; steps != want {
+				t.Fatalf("ran %d steps, want %d", steps, want)
+			}
+			// A window's horizon holds back one Delay, and the rest of
+			// its loop then runs in the engine.
+			if tc.procs == 1 && engineSteps > 2*n || tc.procs == 2 && engineSteps != steps {
+				t.Fatalf("%d of %d steps ran in the engine", engineSteps, steps)
+			}
+			if allocs := after.Mallocs - before.Mallocs; allocs > 10 {
+				t.Fatalf("%d warm DelayEach steps allocated %d objects, want ~0", loops*n-1000, allocs)
 			}
 		})
 	}

@@ -157,6 +157,100 @@ func TestProcPanicNamesProc(t *testing.T) {
 	e.Run()
 }
 
+// TestDelayEachStepPanicNamesProc: a step that panics in the engine (its
+// Delay would have switched) surfaces from Run as its proc's panic, as
+// it would inside the proc, and the proc's own deferred calls run.
+func TestDelayEachStepPanicNamesProc(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("busy", func(p *Proc) {
+		for {
+			p.Delay(1)
+		}
+	})
+	unwound := false
+	e.Go("cpu7", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.DelayEach(5, 1, func(i int) {
+			if i == 3 {
+				if p.each.step == nil {
+					t.Error("step 3 ran inline, want it in the engine")
+				}
+				panic("kaboom")
+			}
+		})
+	})
+	defer func() {
+		err, _ := recover().(error)
+		if err == nil || err.Error() != `sim: proc "cpu7" panicked: kaboom` {
+			t.Fatalf("Run panicked with %v, want the step's panic attributed to cpu7", err)
+		}
+		if !unwound || e.LiveProcs() != 1 {
+			t.Fatalf("cpu7 unwound %v, LiveProcs %d: want it unwound and only busy left", unwound, e.LiveProcs())
+		}
+		e.Shutdown()
+	}()
+	e.Run()
+}
+
+// TestEngineSideBlockPanics: engine-side code must not block. A DelayEach
+// step whose own Delay would switch, one that waits on a cond, one that
+// delays after running a DelayEach of its own, and a WaitPoll quiet check
+// that delays each panic with a message naming the proc, where blocking
+// from the engine's goroutine would be a fatal runtime error.
+func TestEngineSideBlockPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		body       func(p *Proc, c *Cond)
+	}{
+		{"step delays", `sim: proc "cpu3" panicked: sim: proc "cpu3" blocked in engine-side code`,
+			func(p *Proc, c *Cond) { p.DelayEach(3, 1, func(int) { p.Delay(5) }) }},
+		{"step waits", `sim: proc "cpu3" panicked: sim: proc "cpu3" blocked in engine-side code`,
+			func(p *Proc, c *Cond) { p.DelayEach(3, 1, func(int) { c.Wait(p) }) }},
+		{"step delays after a nested loop", `sim: proc "cpu3" panicked: sim: proc "cpu3" blocked in engine-side code`,
+			func(p *Proc, c *Cond) {
+				p.DelayEach(3, 1, func(int) {
+					p.DelayEach(2, 0, func(int) {})
+					p.Delay(5)
+				})
+			}},
+		{"quiet check delays", `sim: proc "cpu3" blocked in engine-side code`,
+			func(p *Proc, c *Cond) {
+				c.WaitPoll(p, 10, 10, func(bool) bool {
+					p.Delay(5)
+					return true
+				})
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			c := e.NewCond()
+			e.Go("busy", func(p *Proc) {
+				for {
+					p.Delay(1)
+				}
+			})
+			e.Go("cpu3", func(p *Proc) { tc.body(p, c) })
+			defer func() {
+				var msg string
+				switch r := recover().(type) {
+				case error:
+					msg = r.Error()
+				case string:
+					msg = r
+				}
+				if !strings.HasPrefix(msg, tc.want) {
+					t.Fatalf("Run panicked with %q, want %q...", msg, tc.want)
+				}
+				e.Shutdown()
+				if e.LiveProcs() != 0 {
+					t.Fatalf("LiveProcs after Shutdown = %d, want 0", e.LiveProcs())
+				}
+			}()
+			e.RunUntil(1000)
+		})
+	}
+}
+
 func TestCondSignalFIFO(t *testing.T) {
 	e := NewEngine(1)
 	c := e.NewCond()

@@ -43,6 +43,11 @@ type Proc struct {
 	// one Cond at a time, so the state lives here rather than in a per-wait
 	// allocation.
 	waiter condWaiter
+
+	// each is the DelayEach loop the engine runs for the process, and
+	// eachFn (stepEach, bound on first use) the callback that runs it.
+	each   eachState
+	eachFn func()
 }
 
 // Engine returns the engine this process runs under.
@@ -68,6 +73,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 				// Shutdown poison unwinds silently.
 				e.procErr = fmt.Errorf("sim: proc %q panicked: %v", p.Name, r)
 			}
+			e.side = nil // a DelayEach step that ran inline panicked
 			p.done = true
 			e.liveProcs--
 		}()
@@ -83,6 +89,9 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 // resumed by a scheduled event. Under Shutdown the coroutine's yield
 // reports false, and the process unwinds with the errShutdown poison.
 func (p *Proc) yield() {
+	if side := p.eng.side; side != nil {
+		panic(fmt.Sprintf("sim: proc %q blocked in engine-side code (a DelayEach step or a WaitPoll quiet check)", side.Name))
+	}
 	if !p.yieldFn(struct{}{}) {
 		panic(errShutdown)
 	}
@@ -98,15 +107,108 @@ func (p *Proc) Delay(d uint64) {
 		return
 	}
 	e := p.eng
-	// t > e.now rules out overflow; next == t is a tie, which must switch.
-	if t := e.now + Time(d); t > e.now && t <= e.horizon {
-		if next, ok := e.q.nextTime(); !ok || next > t {
-			e.now = t
-			return
-		}
+	// t > e.now rules out overflow; an event due at t is a tie, which
+	// must switch. (elide is this test for DelayEach; Delay spells it out
+	// to save a call on the hottest path.)
+	if t := e.now + Time(d); t > e.now && t <= e.horizon && !e.q.dueBy(t) {
+		e.now = t
+		return
 	}
 	e.After(d, p.resumeFn)
 	p.yield()
+}
+
+// elide is Delay(d) where it needs no switch: it reports true for a zero
+// d, and for one it elides after moving the clock to now+d.
+func (p *Proc) elide(d uint64) bool {
+	if d == 0 {
+		return true
+	}
+	e := p.eng
+	if t := e.now + Time(d); t > e.now && t <= e.horizon && !e.q.dueBy(t) {
+		e.now = t
+		return true
+	}
+	return false
+}
+
+// DelayEach is exactly
+//
+//	for i := range n { p.Delay(d); step(i) }
+//
+// for a step that does not block: the per-page charges of a TLB flush
+// loop, say. A step whose Delay elides runs inline. From the first Delay
+// that would switch, the engine's callback runs that step and the rest as
+// p (Current returns p), re-arming itself with the (time, sequence) p's
+// own Delay would have used and eliding where that Delay would, and
+// resumes p only after the last step: the loop switches at most once
+// (see the package doc). A step that blocks panics, naming p; a step that
+// panics surfaces from Run as p's panic, as it would inside p.
+func (p *Proc) DelayEach(n int, d uint64, step func(i int)) {
+	e := p.eng
+	side := e.side // set when a step itself runs a DelayEach
+	for i := 0; i < n; i++ {
+		if !p.elide(d) {
+			if p.eachFn == nil {
+				p.eachFn = p.stepEach
+			}
+			p.each = eachState{step: step, i: i, n: n, d: d}
+			e.After(d, p.eachFn)
+			p.yield()
+			r := p.each.panicked
+			p.each = eachState{}
+			if r != nil {
+				panic(r)
+			}
+			return
+		}
+		e.side = p
+		step(i)
+		e.side = side
+	}
+}
+
+// eachState is a DelayEach loop the engine runs: step i is next, after
+// its Delay; panicked is what a step panicked with.
+type eachState struct {
+	step     func(i int)
+	i, n     int
+	d        uint64
+	panicked any
+}
+
+// stepEach is the callback of a DelayEach loop's switching Delay: it runs
+// the steps on from there and resumes p after the last one or a panic.
+func (p *Proc) stepEach() {
+	if p.runSteps() {
+		p.eng.resume(p)
+	}
+}
+
+// runSteps runs p's pending DelayEach steps as p, eliding each Delay that
+// Delay would elide. At one that would switch it re-arms stepEach with
+// the call p's Delay would have made and reports false; it reports true
+// after the last step, or after a step panicked (kept for p to re-panic).
+func (p *Proc) runSteps() (done bool) {
+	e, s := p.eng, &p.each
+	prev := e.current
+	e.current, e.side = p, p
+	defer func() {
+		e.current, e.side = prev, nil
+		if r := recover(); r != nil {
+			s.panicked, done = r, true
+		}
+	}()
+	for {
+		s.step(s.i)
+		if s.i++; s.i == s.n {
+			return true
+		}
+		if !p.elide(s.d) {
+			e.After(s.d, p.eachFn)
+			return false
+		}
+	}
 }
 
 // Yield lets every other runnable process and event at the current time run

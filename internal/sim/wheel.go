@@ -30,7 +30,7 @@ import "math/bits"
 //
 // The cursor cur is a lower bound on every pending timestamp, advanced
 // only when the engine commits to dispatching an event (popUntil), never
-// by nextTime or a refused popUntil — RunUntil may stop at a horizon and
+// by dueBy or a refused popUntil — RunUntil may stop at a horizon and
 // later accept events between now and the wheel's former tentative
 // minimum, so a cursor that crept forward past the horizon would reject
 // legal schedules. popUntil therefore cascades a higher slot only when
@@ -177,23 +177,39 @@ func (w *timerWheel) file(id uint32, ev *Event) {
 // len returns the number of pending events (cancelled included).
 func (w *timerWheel) len() int { return w.count }
 
-// nextTime returns the minimum pending timestamp without advancing the
-// cursor. At level 0 the slot index is the timestamp; at higher levels
-// the minimum slot's list must be scanned.
-func (w *timerWheel) nextTime() (Time, bool) {
+// dueBy reports whether some pending event (cancelled ones included) is
+// due at or before t, without advancing the cursor: Delay's elision test.
+// At level 0 the slot index is the timestamp. At a higher level a lone
+// event in the earliest slot is the minimum; a longer list is judged by
+// the slot's bounds, as popUntil judges its horizon, and walked only when
+// t falls inside them.
+func (w *timerWheel) dueBy(t Time) bool {
 	if w.batch != 0 {
-		return w.cur, true
+		return w.cur <= t
 	}
 	if w.lvMask == 0 {
-		return 0, false
+		return false
 	}
 	l := bits.TrailingZeros(w.lvMask)
 	lv := &w.levels[l]
 	idx := lv.minOcc()
 	if l == 0 {
-		return w.cur&^Time(wheelSlots-1) | Time(idx), true
+		return w.cur&^Time(wheelSlots-1)|Time(idx) <= t
 	}
-	return w.minAt(lv.slots[idx].head), true
+	s := lv.slots[idx]
+	if s.head == s.tail {
+		return w.ev(s.head).at <= t
+	}
+	lo, hi := w.span(l, idx)
+	return lo <= t && (hi <= t || w.minAt(s.head) <= t)
+}
+
+// span returns the bounds [lo, hi] of the timestamps slot idx of level
+// l > 0 can hold, given the cursor.
+func (w *timerWheel) span(l, idx int) (lo, hi Time) {
+	shift := uint(l) * wheelBits
+	lo = w.cur&^Time(1<<(shift+wheelBits)-1) | Time(idx)<<shift
+	return lo, lo | (1<<shift - 1)
 }
 
 // minAt returns the earliest timestamp in the non-empty list at head.
@@ -245,9 +261,7 @@ func (w *timerWheel) popUntil(horizon Time) (uint32, *Event) {
 		}
 		// The slot spans [lo, hi]. Refuse it if it begins past the horizon,
 		// or if the horizon splits it and its earliest event is past it.
-		shift := uint(l) * wheelBits
-		lo := w.cur&^Time(1<<(shift+wheelBits)-1) | Time(idx)<<shift
-		hi := lo | (1<<shift - 1)
+		lo, hi := w.span(l, idx)
 		id := lv.slots[idx].head
 		if lo > horizon || hi > horizon && w.minAt(id) > horizon {
 			return 0, nil

@@ -1,14 +1,37 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
 
+// nextTime returns the minimum pending timestamp without advancing the
+// cursor: the tests' view of the queue head (the engine itself asks only
+// dueBy). At level 0 the slot index is the timestamp; at higher levels
+// the minimum slot's list is scanned.
+func (w *timerWheel) nextTime() (Time, bool) {
+	if w.batch != 0 {
+		return w.cur, true
+	}
+	if w.lvMask == 0 {
+		return 0, false
+	}
+	l := bits.TrailingZeros(w.lvMask)
+	lv := &w.levels[l]
+	idx := lv.minOcc()
+	if l == 0 {
+		return w.cur&^Time(wheelSlots-1) | Time(idx), true
+	}
+	return w.minAt(lv.slots[idx].head), true
+}
+
 // TestWheelHeapOrderEquivalence is the wheel's differential test: one
 // random sequence of push, nextTime, popUntil and unbounded pops drives the
 // timer wheel and the reference binary heap (heap_test.go) side by side,
-// and every pop and every nextTime must agree. The sequence mixes
+// and every pop and every nextTime must agree, as must dueBy at every
+// peek, asked at times below, at and above the heap's minimum (one cycle
+// either side, and anywhere between the last pop and it). The sequence mixes
 // same-timestamp bursts, pushes at the just-popped time, horizon peeks
 // that pop nothing, and far-future pushes whose pops cascade through the
 // upper levels. popUntil's horizon falls below, at or above the heap's
@@ -17,6 +40,10 @@ import (
 // stopped at its horizon), which must still come out first.
 func TestWheelHeapOrderEquivalence(t *testing.T) {
 	var refused, refusedHigh int // refusals, and those at a level above 0
+	// dueBy answers at a level above 0: from a lone event in the earliest
+	// slot, from a longer slot's bounds alone, and by walking the slot (t
+	// inside its bounds).
+	var lone, bounded, walked int
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var w timerWheel
@@ -38,6 +65,30 @@ func TestWheelHeapOrderEquivalence(t *testing.T) {
 			}
 			if w.len() != len(h) {
 				t.Fatalf("seed %d step %d: len wheel %d, heap %d", seed, step, w.len(), len(h))
+			}
+			ts := []Time{now + Time(rng.Int63n(1<<41))}
+			if hok {
+				ts = append(ts, ht, ht+1, now+Time(rng.Int63n(int64(ht-now)+1)))
+				if ht > 0 {
+					ts = append(ts, ht-1)
+				}
+			}
+			for _, at := range ts {
+				if got, want := w.dueBy(at), hok && ht <= at; got != want {
+					t.Fatalf("seed %d step %d: dueBy(%d) = %v with the minimum at (%d, %v)", seed, step, at, got, ht, hok)
+				}
+				if w.batch != 0 || w.lvMask&^1 == 0 || w.lvMask&1 != 0 {
+					continue
+				}
+				l := bits.TrailingZeros(w.lvMask)
+				idx := w.levels[l].minOcc()
+				if sl := w.levels[l].slots[idx]; sl.head == sl.tail {
+					lone++
+				} else if lo, hi := w.span(l, idx); lo <= at && at < hi {
+					walked++
+				} else {
+					bounded++
+				}
 			}
 		}
 		pop := func(step int, horizon Time) {
@@ -127,10 +178,15 @@ func TestWheelHeapOrderEquivalence(t *testing.T) {
 			pop(-1, ^Time(0))
 		}
 	}
-	t.Logf("coverage: %d refused pops, %d of them at a level above 0", refused, refusedHigh)
+	t.Logf("coverage: %d refused pops, %d of them at a level above 0; %d dueBy answers above level 0 from a lone event, %d from slot bounds, %d by a walk",
+		refused, refusedHigh, lone, bounded, walked)
 	if refused == 0 || refusedHigh == 0 {
 		t.Fatalf("popUntil refused %d pops, %d of them at a level above 0: the sequence lost its horizon cases",
 			refused, refusedHigh)
+	}
+	if lone == 0 || bounded == 0 || walked == 0 {
+		t.Fatalf("dueBy answered %d times from a lone event, %d from slot bounds and %d by a walk: the sequence lost a case",
+			lone, bounded, walked)
 	}
 }
 
