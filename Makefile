@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint vet vetjson xval fabproof checked faultcheck fuzz cover bench check clean
+.PHONY: all build test race lint vet vetjson xval checked faultcheck fuzz cover bench check clean
 
 all: build
 
@@ -27,10 +27,8 @@ lint:
 
 ## vet: the static tier alone — every internal/sanitizer/ssa analyzer
 ## (banned imports, cost constants, observer purity, flush obligations,
-## lock order, detflow taint, parallelsafe, mhp (handler reach only),
-## lockset race-discipline proofs, and the fabproof numeric
-## obligations over the fabric smp declares by name)
-## off one typecheck
+## lock order, detflow taint, parallelsafe, mhp (handler reach only)
+## and lockset race-discipline proofs) off one typecheck
 vet:
 	$(GO) run ./cmd/tlbvet
 
@@ -46,14 +44,6 @@ xval:
 	@cat RACE_XVAL.txt
 	@if grep -q 'unproven' RACE_XVAL.txt; then \
 		echo "xval gate: a race-instrumented field has no static discharge proof"; exit 1; fi
-
-## fabproof: fabric proof-obligation table (the FABPROOF.txt CI artifact) —
-## every numeric invariant of the async shootdown fabric with its status
-fabproof:
-	$(GO) run ./cmd/tlbvet -only fabproof -fabproof FABPROOF.txt
-	@cat FABPROOF.txt
-	@if grep -q 'unproven' FABPROOF.txt; then \
-		echo "fabproof gate: a fabric obligation has no static proof"; exit 1; fi
 
 ## checked: run the experiment suite with the shadow-oracle sanitizer
 ## and the happens-before race model attached to every machine
@@ -89,7 +79,7 @@ bench:
 	./scripts/bench.sh
 
 ## check: the gates CI runs (build, tests, race, lint, the checked suite
-## under faults); scripts/ci.sh adds coverage, the proof tables and the
+## under faults); scripts/ci.sh adds coverage, the proof table and the
 ## -parallel byte-identity gates
 check: build test race lint faultcheck
 

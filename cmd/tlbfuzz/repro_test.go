@@ -102,8 +102,8 @@ func TestFuzzOneOverlappingFlushWindows(t *testing.T) {
 // under this schedule the planted shrink merge loses in-ring coverage of
 // a commonly-mapped page and the shadow oracle convicts it as exactly
 // one stale-translation — while the sound merge on the identical
-// schedule stays coherent. The static half of the contract is
-// ssa.TestFabproofBrokenCoalesceWitness.
+// schedule stays coherent. smp's TestMergeInval convicts the same
+// merge without a machine, on every endpoint ordering.
 func TestFuzzOneBrokenCoalesceRepro(t *testing.T) {
 	spec, err := fault.Parse("delay=1:12000")
 	if err != nil {
@@ -119,6 +119,22 @@ func TestFuzzOneBrokenCoalesceRepro(t *testing.T) {
 	}
 	if errs, _ := fuzzOne(seed, 240, false, spec, "async", fault.NoMutant); len(errs) != 0 {
 		t.Fatalf("sound merge on the same schedule convicted:\n  %s", strings.Join(errs, "\n  "))
+	}
+}
+
+// TestFuzzOneBrokenAckDrainRepro pins one seed on which the fuzzer
+// convicts MutantAckBeforeDrain: a responder acks its fabric batch before
+// the deferred flush lands, so a CPU still hits a page another CPU
+// unmapped, and the sanitizer reports the stale translation. The sound
+// fabric on the same seed stays coherent.
+func TestFuzzOneBrokenAckDrainRepro(t *testing.T) {
+	const seed = 173646068889557805
+	errs, _ := fuzzOne(seed, 120, false, fault.Spec{}, "async", fault.MutantAckBeforeDrain)
+	if all := strings.Join(errs, "\n  "); !strings.Contains(all, "sanitizer stale-translation") {
+		t.Errorf("broken ack-before-drain not convicted as a stale translation:\n  %s", all)
+	}
+	if errs, _ := fuzzOne(seed, 120, false, fault.Spec{}, "async", fault.NoMutant); len(errs) != 0 {
+		t.Fatalf("sound fabric on the same seed convicted:\n  %s", strings.Join(errs, "\n  "))
 	}
 }
 

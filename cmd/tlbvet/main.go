@@ -2,7 +2,7 @@
 // and typechecks the module once (stdlib go/types only), lowers every
 // function into one def-use/SSA IR with interprocedural summaries over a
 // fixpoint call graph, and runs every analyzer of internal/sanitizer/ssa.
-// determinism reads import specs; the other nine run on the shared IR,
+// determinism reads import specs; the other eight run on the shared IR,
 // which records the constants, literal fields, function values and
 // map-range blocks they ask about, so none re-derives those from syntax:
 //
@@ -36,16 +36,6 @@
 //     one witness, at the one unit that compares Config.Mutant with that
 //     constant; the per-entry statuses and lockset's witness are the
 //     RACE_XVAL cross-validation artifact
-//   - fabproof: numeric abstract-interpretation proofs for the async
-//     shootdown fabric — ring bounds, overflow collapse, sequence and
-//     generation monotonicity, retry caps, coalescing soundness (the
-//     coverage loss seeded by fault.MutantCoalesceShrink must surface as
-//     exactly one witness, in the merge comparing smp's fault.Mutant
-//     field with that constant), callback-once and ring-entry
-//     well-formedness, over the fabric bound by the names internal/smp
-//     declares (a name that does not resolve is a finding). The
-//     per-obligation statuses and fabproof's witness are the FABPROOF
-//     artifact
 //
 // Every finding is unconditional: no source comment waives one.
 //
@@ -59,11 +49,10 @@
 //	tlbvet                  # vet the enclosing module
 //	tlbvet -json            # machine-readable report (CI artifact)
 //	tlbvet -xval FILE       # write the race cross-validation table
-//	tlbvet -fabproof FILE   # write the fabric obligation proof table
 //	tlbvet -only a,b        # run only the named analyzers
 //
-// Both tables are committed as RACE_XVAL.txt and FABPROOF.txt, and go test
-// fails when either differs from what tlbvet writes now.
+// The table is committed as RACE_XVAL.txt, and go test fails when it
+// differs from what tlbvet writes now.
 package main
 
 import (
@@ -82,14 +71,11 @@ import (
 type report struct {
 	Findings []ssa.Finding `json:"findings"`
 	// Witnesses are expected rediscoveries of config-seeded faults (the
-	// lockset and fabproof cross-validation).
+	// lockset cross-validation).
 	Witnesses []ssa.Finding `json:"witnesses"`
 	// XVal is the race cross-validation table: one row per registry
 	// entry with its static discharge status.
 	XVal []ssa.XValRow `json:"xval"`
-	// FabRows is the fabric obligation proof table: one row per fabproof
-	// obligation with its status (proven / unproven).
-	FabRows []ssa.FabRow `json:"fabproof"`
 	// FuncsVisited records per-analyzer whole-program coverage, so
 	// dashboards can spot a silently narrowed walk.
 	FuncsVisited map[string]int `json:"funcs_visited"`
@@ -102,7 +88,6 @@ func main() {
 	var (
 		jsonOut = flag.Bool("json", false, "emit the report as JSON on stdout")
 		xvalOut = flag.String("xval", "", "write the race cross-validation table (RACE_XVAL) to this file")
-		fabOut  = flag.String("fabproof", "", "write the fabric obligation proof table (FABPROOF) to this file")
 		only    = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	)
 	flag.Parse()
@@ -121,12 +106,6 @@ func main() {
 
 	if *xvalOut != "" {
 		if err := os.WriteFile(*xvalOut, []byte(renderXVal(rep)), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "tlbvet: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if *fabOut != "" {
-		if err := os.WriteFile(*fabOut, []byte(renderFabproof(rep)), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "tlbvet: %v\n", err)
 			os.Exit(2)
 		}
@@ -166,7 +145,6 @@ func newReport(r *ssa.Result) report {
 		Findings:     append([]ssa.Finding{}, r.Findings...),
 		Witnesses:    append([]ssa.Finding{}, r.Witnesses...),
 		XVal:         r.XVal,
-		FabRows:      r.FabRows,
 		FuncsVisited: r.FuncsVisited,
 		TimingsMS:    r.Timings,
 	}
@@ -207,32 +185,12 @@ func renderXVal(rep report) string {
 		}
 		fmt.Fprintf(&b, "%s | %s | %s | %s | %s\n", r.Key, v, r.Discipline, r.Status, r.Detail)
 	}
-	writeWitnesses(&b, rep, "lockset")
-	return b.String()
-}
-
-// renderFabproof formats the fabric obligation table published as
-// FABPROOF.txt: one row per fabproof obligation, then fabproof's
-// witnesses. CI fails on any "unproven" row — a fabric invariant the
-// numeric tier cannot discharge.
-func renderFabproof(rep report) string {
-	var b strings.Builder
-	b.WriteString("# FABPROOF: static proof status of every async-fabric obligation\n")
-	b.WriteString("# obligation | subject | status | proof\n")
-	for _, r := range rep.FabRows {
-		fmt.Fprintf(&b, "%s | %s | %s | %s\n", r.Key, r.Subject, r.Status, r.Detail)
-	}
-	writeWitnesses(&b, rep, "fabproof")
-	return b.String()
-}
-
-// writeWitnesses appends one row per witness the named analyzer found.
-func writeWitnesses(b *strings.Builder, rep report, analyzer string) {
 	for _, w := range rep.Witnesses {
-		if w.Analyzer == analyzer {
-			fmt.Fprintf(b, "witness | %s:%d | %s\n", w.File, w.Line, w.Msg)
+		if w.Analyzer == "lockset" {
+			fmt.Fprintf(&b, "witness | %s:%d | %s\n", w.File, w.Line, w.Msg)
 		}
 	}
+	return b.String()
 }
 
 // parseOnly splits a comma-separated -only list, validating every name

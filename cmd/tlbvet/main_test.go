@@ -15,14 +15,14 @@ import (
 // TestParseOnly: -only accepts registered analyzers, trimmed, and rejects
 // any name Analyzers does not list.
 func TestParseOnly(t *testing.T) {
-	names, err := parseOnly(" lockset,,fabproof ")
-	if err != nil || !reflect.DeepEqual(names, []string{"lockset", "fabproof"}) {
-		t.Fatalf("parseOnly = %v, %v; want [lockset fabproof]", names, err)
+	names, err := parseOnly(" lockset,,mhp ")
+	if err != nil || !reflect.DeepEqual(names, []string{"lockset", "mhp"}) {
+		t.Fatalf("parseOnly = %v, %v; want [lockset mhp]", names, err)
 	}
 	if names, err := parseOnly(""); err != nil || names != nil {
 		t.Fatalf("empty -only = %v, %v; want every analyzer (nil)", names, err)
 	}
-	for _, bad := range []string{"stalemarker", "ipistate", "lockset,stalemarker", "Lockset"} {
+	for _, bad := range []string{"stalemarker", "ipistate", "fabproof", "lockset,stalemarker", "Lockset"} {
 		if _, err := parseOnly(bad); err == nil || !strings.Contains(err.Error(), "unknown analyzer") {
 			t.Errorf("parseOnly(%q) error = %v, want unknown analyzer", bad, err)
 		}
@@ -45,52 +45,40 @@ func TestJSONReportKeys(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	want := []string{"fabproof", "findings", "funcs_visited", "timings_ms", "witnesses", "xval"}
+	want := []string{"findings", "funcs_visited", "timings_ms", "witnesses", "xval"}
 	if !reflect.DeepEqual(keys, want) {
 		t.Fatalf("report keys = %v, want %v", keys, want)
 	}
 }
 
-// TestTablesKeepTheirOwnWitnesses pins which witnesses each committed
-// table lists: RACE_XVAL.txt only lockset's, FABPROOF.txt only
-// fabproof's.
+// TestTablesKeepTheirOwnWitnesses pins which witnesses the committed
+// table lists: RACE_XVAL.txt only lockset's, not another analyzer's.
 func TestTablesKeepTheirOwnWitnesses(t *testing.T) {
 	rep := report{Witnesses: []ssa.Finding{
 		{File: "a.go", Line: 1, Analyzer: "lockset", Msg: "race-tier witness"},
-		{File: "b.go", Line: 2, Analyzer: "fabproof", Msg: "fabric witness"},
+		{File: "b.go", Line: 2, Analyzer: "mhp", Msg: "other witness"},
 	}}
-	for _, tc := range []struct {
-		name, got, want, not string
-	}{
-		{"RACE_XVAL", renderXVal(rep), "witness | a.go:1 | race-tier witness\n", "fabric witness"},
-		{"FABPROOF", renderFabproof(rep), "witness | b.go:2 | fabric witness\n", "race-tier witness"},
-	} {
-		if !strings.HasSuffix(tc.got, tc.want) || strings.Contains(tc.got, tc.not) {
-			t.Errorf("%s table = %q, want it to end with %q and omit %q", tc.name, tc.got, tc.want, tc.not)
-		}
+	got, want := renderXVal(rep), "witness | a.go:1 | race-tier witness\n"
+	if !strings.HasSuffix(got, want) || strings.Contains(got, "other witness") {
+		t.Errorf("RACE_XVAL table = %q, want it to end with %q and omit the mhp witness", got, want)
 	}
 }
 
 // TestCommittedProofTables runs every analyzer on the module and requires
-// the committed RACE_XVAL.txt and FABPROOF.txt to be the tables tlbvet
-// writes now, so a change that moves a proof row or a witness line fails
-// until it commits the regenerated tables.
+// the committed RACE_XVAL.txt to be the table tlbvet writes now, so a
+// change that moves a proof row or a witness line fails until it commits
+// the regenerated table.
 func TestCommittedProofTables(t *testing.T) {
 	m, err := ssa.LoadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := newReport(ssa.CheckModuleOnly(m, nil))
-	for _, tc := range []struct{ file, got string }{
-		{"RACE_XVAL.txt", renderXVal(rep)},
-		{"FABPROOF.txt", renderFabproof(rep)},
-	} {
-		want, err := os.ReadFile(filepath.Join(m.Root, tc.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.got != string(want) {
-			t.Errorf("committed %s differs from the table tlbvet writes now; regenerate it with go run ./cmd/tlbvet -xval RACE_XVAL.txt -fabproof FABPROOF.txt. Now:\n%s", tc.file, tc.got)
-		}
+	got := renderXVal(newReport(ssa.CheckModuleOnly(m, nil)))
+	want, err := os.ReadFile(filepath.Join(m.Root, "RACE_XVAL.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("committed RACE_XVAL.txt differs from the table tlbvet writes now; regenerate it with go run ./cmd/tlbvet -xval RACE_XVAL.txt. Now:\n%s", got)
 	}
 }

@@ -256,8 +256,13 @@ func (f *Flusher) FlushAfter(ctx *kernel.Ctx, as *mm.AddressSpace, fr mm.FlushRa
 // asyncFlush is the fabric tier of FlushAfter: post the range to every
 // target's invalidation ring, kick once, flush locally, return. Nobody
 // spins; the batch completion (fired from the last-acking responder's
-// drain) discharges the initiator's flush obligation.
+// drain) discharges the initiator's flush obligation. A flush that frees
+// page tables never comes here: the initiator must not return before
+// every responder flushed.
 func (f *Flusher) asyncFlush(ctx *kernel.Ctx, info *FlushInfo, targets mach.CPUMask) {
+	if info.FreedTables {
+		panic("core: freed page tables must take the synchronous ack path, not the fabric")
+	}
 	c, p, k := ctx.CPU, ctx.P, f.K
 	f.stats.Shootdowns++
 	f.stats.AsyncShootdowns++

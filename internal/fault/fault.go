@@ -540,9 +540,9 @@ const (
 	// MutantCoalesceShrink makes in-ring coalescing adopt the newer
 	// inval's end instead of the max of both ends, so a merge with a
 	// shorter newer entry silently stops covering the older entry's
-	// tail. The fabproof static tier (coalescing soundness as interval
-	// containment) reports one witness and the shadow-TLB oracle one
-	// stale translation.
+	// tail. The shadow-TLB oracle reports one stale translation, and
+	// smp's exhaustive merge test finds the lost coverage on every
+	// endpoint ordering that loses it.
 	MutantCoalesceShrink
 )
 

@@ -34,10 +34,10 @@ type CPU struct {
 	curTask *Task
 	// inUser is true while the current task executes user-mode code.
 	inUser bool
-	// curMM is the loaded address space (persists while idle: lazy TLB).
-	curMM *mm.AddressSpace
 	// lazy is the lazy-TLB indication initiators read to skip IPIs.
 	lazy bool
+	// curMM is the loaded address space (persists while idle: lazy TLB).
+	curMM *mm.AddressSpace
 	// localGen is this CPU's per-address-space TLB generation: entries of
 	// an mm cached under its PCID are valid up to localGen[mm]. Mirrors
 	// Linux's per-ASID ctx/tlb_gen tracking.
@@ -47,9 +47,9 @@ type CPU struct {
 	// range flushed with INVLPG on return to user (§3.4 in-context
 	// flushing), or a full deferred flush folded into the CR3 reload
 	// (baseline Linux behaviour for full flushes).
-	duValid        bool
 	duStart, duEnd uint64
 	duStridePages  uint64 // stride in 4 KiB units
+	duValid        bool
 	duFull         bool
 
 	// Userspace-safe batching state (§4.2).
@@ -77,10 +77,9 @@ type CPU struct {
 	poll    pollState
 	quietFn func(signaled bool) bool
 
-	// flush is the running FlushPages loop, read by its step;
-	// flushStepFn is c.flushStep, bound once.
-	flush       pageFlush
-	flushStepFn func(i int)
+	// flush is the running FlushPages loop, read by its step; allocated
+	// at the CPU's first FlushPages, since many CPUs never make one.
+	flush *flushLoop
 
 	// Measurement counters.
 
@@ -108,7 +107,6 @@ func newCPU(k *Kernel, id mach.CPU) *CPU {
 	}
 	c.Ctrl.SetNotify(func() { c.wake.Broadcast() })
 	c.quietFn = c.quiet
-	c.flushStepFn = c.flushStep
 	return c
 }
 
@@ -350,18 +348,28 @@ type pageFlush struct {
 	deferred      bool
 }
 
+// flushLoop is the CPU's running pageFlush and the step that reads it,
+// c.flushStep, bound once.
+type flushLoop struct {
+	pageFlush
+	step func(i int)
+}
+
 func (c *CPU) flushPages(p *sim.Proc, f pageFlush, end, cost uint64) {
 	c.checkOwner()
 	if end <= f.start {
 		return
 	}
-	c.flush = f
-	p.DelayEach(int((end-f.start+f.stride-1)/f.stride), cost, c.flushStepFn)
+	if c.flush == nil {
+		c.flush = &flushLoop{step: c.flushStep}
+	}
+	c.flush.pageFlush = f
+	p.DelayEach(int((end-f.start+f.stride-1)/f.stride), cost, c.flush.step)
 }
 
 // flushStep is a FlushPages loop's step i: one page.
 func (c *CPU) flushStep(i int) {
-	f := &c.flush
+	f := &c.flush.pageFlush
 	c.TLB.FlushPage(f.pcid, f.start+uint64(i)*f.stride)
 	if f.deferred {
 		c.DeferredFlushes++

@@ -144,7 +144,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *IRBlock, label string) *IRBlock {
 			cur = b.stmt(v.Init, cur, "")
 		}
 		head, body, after := b.newBlock(), b.newBlock(), b.newBlock()
-		head.LoopHead = true
 		b.connect(cur, head)
 		if v.Cond != nil {
 			b.cond(v.Cond, head, body, after)
@@ -169,7 +168,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *IRBlock, label string) *IRBlock {
 
 	case *ast.RangeStmt:
 		head, body, after := b.newBlock(), b.newBlock(), b.newBlock()
-		head.LoopHead = true
 		head.nodes = append(head.nodes, v)
 		b.connect(cur, head)
 		b.connect(head, body)

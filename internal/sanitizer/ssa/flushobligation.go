@@ -416,6 +416,11 @@ func (a *oblAnalysis) discharge(call *Value, st oblState) {
 	}
 }
 
+// isNilConst reports whether v is the untyped nil constant.
+func isNilConst(v *Value) bool {
+	return v != nil && v.Kind == VConst && v.Const == nil
+}
+
 // applyCondRelease implements the path-sensitive release rules on an
 // atomic condition's edges.
 func (a *oblAnalysis) applyCondRelease(cond *Value, tState, fState oblState) {

@@ -186,9 +186,6 @@ type IRBlock struct {
 	// arm runs is scheduling-dependent, so values bound there are
 	// nondeterminism sources for the detflow taint analysis.
 	SelectComm bool
-	// LoopHead marks blocks that re-evaluate a for/range header, so
-	// analyses can tell values that cross iterations.
-	LoopHead bool
 	// MapRange marks a block in the body of a range over a map, or in a
 	// func literal written there.
 	MapRange bool

@@ -78,8 +78,8 @@ func TestModulePhisMinimal(t *testing.T) {
 }
 
 // TestLoweringDeterministic lowers the module twice and requires every
-// unit to number its values alike, with the same kinds and operands:
-// absint names its terms by value ID.
+// unit to number its values alike, with the same kinds and operands, so
+// a value ID names the same value in every run.
 func TestLoweringDeterministic(t *testing.T) {
 	m := sharedModule(t)
 	shapes := func() []string {

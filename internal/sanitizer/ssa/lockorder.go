@@ -520,3 +520,15 @@ func (a *lockAnalysis) inCaller(call *Value, ref lockRef) lockRef {
 	}
 	return ""
 }
+
+// atoiSafe parses a parameter ref's decimal index, -1 when it is not one.
+func atoiSafe(s string) int {
+	n := 0
+	for _, r := range s {
+		if r < '0' || r > '9' {
+			return -1
+		}
+		n = n*10 + int(r-'0')
+	}
+	return n
+}

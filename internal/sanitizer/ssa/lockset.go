@@ -229,9 +229,8 @@ func (la *locksetAnalysis) checkAtomic(e race.Field, ss []*lockSite) {
 
 // ownerCheck is the method a cpu-confined entry's owner type declares to
 // assert, at run time, that the running proc is the owner's own
-// (kernel.CPU.checkOwner). checkConfined binds it by this name, as
-// fabproof binds fabDecl's, so a renamed check is a finding, not a
-// silent pass.
+// (kernel.CPU.checkOwner). checkConfined binds it by this name, so a
+// renamed check is a finding, not a silent pass.
 const ownerCheck = "checkOwner"
 
 // checkConfined: plain accesses, legal only because the accessing code
@@ -474,9 +473,9 @@ func (ctx *modCtx) seedConst(name string) *types.Const {
 }
 
 // comparesSeed reports whether f compares (== or !=) a field of seed's
-// type with seed itself — the static tier's one seed rule, shared by
-// lockset and fabproof: a violation in such a unit is the seeded
-// variant, a witness rather than a finding. Field names play no part,
+// type with seed itself — the static tier's one seed rule: a violation
+// in such a unit is the seeded variant, a witness rather than a
+// finding. Field names play no part,
 // and a comparison with any other constant of the type marks a
 // different mutant, whose violation stays a finding.
 func comparesSeed(f *Func, seed *types.Const) bool {

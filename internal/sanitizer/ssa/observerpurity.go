@@ -180,6 +180,20 @@ func checkHook(ctx *modCtx, prog *Program, hook *Func, boot bool, mut map[*types
 	return out
 }
 
+// collectLits lists f's function literals, nested ones included.
+func collectLits(f *Func) []*Func {
+	var out []*Func
+	var walk func(u *Func)
+	walk = func(u *Func) {
+		for _, l := range u.Lits {
+			out = append(out, l)
+			walk(l)
+		}
+	}
+	walk(f)
+	return out
+}
+
 // buildRaceRecorders maps every module function that records into the
 // race model to the race.Detector method it reaches: it calls one
 // directly, from a literal in its body, or through another such

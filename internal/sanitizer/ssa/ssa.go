@@ -36,8 +36,6 @@
 //     responder's handler), and RacerD-style discharge proofs for every
 //     field the dynamic race model instruments, CPU confinement among
 //     them: kernel.CPU's owner check before every confined access.
-//   - fabproof: numeric abstract-interpretation proofs for the async
-//     shootdown fabric, bound by the names internal/smp declares.
 //
 // No comment waives a finding: an access, obligation or bound the tier
 // cannot prove is reported, and the fix is a proof the analyzer can
@@ -81,19 +79,14 @@ func inFixture(rel string) bool {
 type Result struct {
 	Findings []Finding
 	// Witnesses are the expected rediscoveries of config-seeded faults:
-	// violations the lockset and fabproof provers find at deliberately
-	// broken sites (fault.MutantEarlyAck, fault.MutantCoalesceShrink).
-	// They are not findings — the breakage is intentional — but their
-	// exact count is part of the cross-validation contract with the
-	// dynamic oracles.
+	// violations the lockset prover finds at a deliberately broken site
+	// (fault.MutantEarlyAck). They are not findings — the breakage is
+	// intentional — but their exact count is part of the
+	// cross-validation contract with the dynamic oracles.
 	Witnesses []Finding
 	// XVal is the cross-validation report: one row per internal/race
 	// registry entry with its static discharge status.
 	XVal []XValRow
-	// FabRows is the fabproof report: one row per fabric obligation with
-	// its proof status (proven / unproven). CI fails on any unproven row,
-	// mirroring the XVal artifact.
-	FabRows []FabRow
 	// FuncsVisited counts, per analyzer, the function declarations walked;
 	// the coverage-floor test asserts every analyzer but determinism visits
 	// every declaration the loader found.
@@ -118,8 +111,6 @@ type modCtx struct {
 	visited map[string]int
 	// lockRes is filled by checkLockset for run() to lift into Result.
 	lockRes *lockResult
-	// fabRes is filled by checkFabproof for run() to lift into Result.
-	fabRes *fabResult
 	// prog caches the whole-module SSA form shared by the analyzers.
 	prog *Program
 	// mhp caches the handler-reach fact (built by checkMHP, which reports
@@ -170,7 +161,6 @@ var analyzerTable = []struct {
 	{"parallelsafe", checkParallelSafe},
 	{"mhp", checkMHP},
 	{"lockset", checkLockset},
-	{"fabproof", checkFabproof},
 }
 
 // run executes the analyzers over pkgs. When only is non-nil, findings are
@@ -196,10 +186,6 @@ func run(m *Module, pkgs []*Package, only *Package, names []string) *Result {
 	if ctx.lockRes != nil {
 		res.Witnesses = append(res.Witnesses, ctx.lockRes.witnesses...)
 		res.XVal = ctx.lockRes.xval
-	}
-	if ctx.fabRes != nil {
-		res.Witnesses = append(res.Witnesses, ctx.fabRes.witnesses...)
-		res.FabRows = ctx.fabRes.rows
 	}
 	res.FuncsVisited = ctx.visited
 	if only != nil {

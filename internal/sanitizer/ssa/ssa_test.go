@@ -311,7 +311,6 @@ func TestWaiverCommentsChangeNothing(t *testing.T) {
 	for _, tc := range []struct{ marker, fixture string }{
 		{"obligation-transferred:", "bad_flushobligation.go"},
 		{"lock-free-by-design:", "bad_lockset.go"},
-		{"bounded-by-design:", "bad_fabproof.go"},
 		{"parallel-safe:", "bad_parallelsafety.go"},
 	} {
 		t.Run(strings.TrimSuffix(tc.marker, ":"), func(t *testing.T) {
@@ -418,9 +417,6 @@ func renderReport(res *Result) string {
 	for _, w := range res.Witnesses {
 		fmt.Fprintf(&b, "%s:%d: %s: witness: %s\n", w.File, w.Line, w.Analyzer, w.Msg)
 	}
-	for _, r := range res.FabRows {
-		fmt.Fprintf(&b, "%s | %s | %s | %s\n", r.Key, r.Subject, r.Status, r.Detail)
-	}
 	return b.String()
 }
 
@@ -431,7 +427,7 @@ func renderReport(res *Result) string {
 func TestVetOutputParallelGolden(t *testing.T) {
 	m := sharedModule(t)
 	pkgs := append([]*Package{}, m.Pkgs...)
-	for _, name := range []string{"bad_lockorder.go", "bad_detflow.go", "bad_fabproof.go", "bad_determinism_alias.go"} {
+	for _, name := range []string{"bad_lockorder.go", "bad_detflow.go", "bad_flushobligation.go", "bad_determinism_alias.go"} {
 		fp, err := m.LoadFixture(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
@@ -510,26 +506,18 @@ func TestVetOutputOrderedAndParallelStable(t *testing.T) {
 
 // TestRepoIsVetClean checks the result cmd/tlbvet prints: the run of
 // every analyzer (CheckModuleOnly with no names) has no findings and
-// exactly the two config-seeded witnesses, lockset's in the Flusher and
-// fabproof's in the fabric. No comment can waive a finding, so every
-// discipline is proven.
+// exactly one config-seeded witness, lockset's in the Flusher. No
+// comment can waive a finding, so every discipline is proven.
 func TestRepoIsVetClean(t *testing.T) {
 	res := sharedResult(t)
 	if len(res.Findings) != 0 {
 		t.Fatalf("repository should be vet-clean, got %d finding(s):\n%v", len(res.Findings), res.Findings)
 	}
-	want := map[string]string{
-		"lockset":  "internal/core/flusher.go",
-		"fabproof": "internal/smp/fabric.go",
+	if len(res.Witnesses) != 1 {
+		t.Fatalf("witnesses = %v, want exactly one, lockset's", res.Witnesses)
 	}
-	if len(res.Witnesses) != len(want) {
-		t.Fatalf("witnesses = %v, want exactly one lockset and one fabproof", res.Witnesses)
-	}
-	for _, w := range res.Witnesses {
-		if file, ok := want[w.Analyzer]; !ok || !strings.Contains(w.File, file) {
-			t.Fatalf("unexpected witness %v, want %v", w, want)
-		}
-		delete(want, w.Analyzer)
+	if w := res.Witnesses[0]; w.Analyzer != "lockset" || !strings.Contains(w.File, "internal/core/flusher.go") {
+		t.Fatalf("unexpected witness %v, want lockset's in internal/core/flusher.go", w)
 	}
 }
 

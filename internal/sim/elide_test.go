@@ -537,7 +537,7 @@ func TestDelayEachDifferential(t *testing.T) {
 			classify()
 		}
 		p.DelayEach(n, d, func(i int) {
-			if p.each.step != nil {
+			if p.each != nil && p.each.step != nil {
 				cov.engineSteps++
 			} else {
 				cov.inlineSteps++

@@ -373,8 +373,8 @@ func TestDelayIsAllocationFree(t *testing.T) {
 // TestDelayEachIsAllocationFree: a warm DelayEach allocates nothing,
 // whether its steps run inline (one proc: every Delay elides) or in the
 // engine (two procs in lockstep: every Delay would switch). The loop's
-// state lives in the Proc and its callback is bound on first use, so
-// only the first engine-side loop of a proc allocates.
+// state and its callback are allocated on first use, so only the first
+// engine-side loop of a proc allocates.
 func TestDelayEachIsAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -388,7 +388,7 @@ func TestDelayEachIsAllocationFree(t *testing.T) {
 				e.Go("worker", func(p *Proc) {
 					step := func(int) {
 						steps++
-						if p.each.step != nil {
+						if p.each != nil && p.each.step != nil {
 							engineSteps++
 						}
 					}

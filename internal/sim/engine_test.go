@@ -172,7 +172,7 @@ func TestDelayEachStepPanicNamesProc(t *testing.T) {
 		defer func() { unwound = true }()
 		p.DelayEach(5, 1, func(i int) {
 			if i == 3 {
-				if p.each.step == nil {
+				if p.each == nil || p.each.step == nil {
 					t.Error("step 3 ran inline, want it in the engine")
 				}
 				panic("kaboom")

@@ -44,10 +44,10 @@ type Proc struct {
 	// allocation.
 	waiter condWaiter
 
-	// each is the DelayEach loop the engine runs for the process, and
-	// eachFn (stepEach, bound on first use) the callback that runs it.
-	each   eachState
-	eachFn func()
+	// each is the DelayEach loop the engine runs for the process, with
+	// the callback that runs it; allocated at the process's first
+	// switching DelayEach, since most processes never make one.
+	each *eachLoop
 }
 
 // Engine returns the engine this process runs under.
@@ -149,14 +149,15 @@ func (p *Proc) DelayEach(n int, d uint64, step func(i int)) {
 	side := e.side // set when a step itself runs a DelayEach
 	for i := 0; i < n; i++ {
 		if !p.elide(d) {
-			if p.eachFn == nil {
-				p.eachFn = p.stepEach
+			if p.each == nil {
+				p.each = &eachLoop{fn: p.stepEach}
 			}
-			p.each = eachState{step: step, i: i, n: n, d: d}
-			e.After(d, p.eachFn)
+			s := p.each
+			s.step, s.i, s.n, s.d = step, i, n, d
+			e.After(d, s.fn)
 			p.yield()
-			r := p.each.panicked
-			p.each = eachState{}
+			r := s.panicked
+			s.step, s.panicked = nil, nil
 			if r != nil {
 				panic(r)
 			}
@@ -168,13 +169,15 @@ func (p *Proc) DelayEach(n int, d uint64, step func(i int)) {
 	}
 }
 
-// eachState is a DelayEach loop the engine runs: step i is next, after
-// its Delay; panicked is what a step panicked with.
-type eachState struct {
+// eachLoop is a DelayEach loop the engine runs: step i is next, after
+// its Delay; panicked is what a step panicked with. step is nil while no
+// loop runs; fn is the process's stepEach, bound once.
+type eachLoop struct {
 	step     func(i int)
 	i, n     int
 	d        uint64
 	panicked any
+	fn       func()
 }
 
 // stepEach is the callback of a DelayEach loop's switching Delay: it runs
@@ -190,7 +193,7 @@ func (p *Proc) stepEach() {
 // the call p's Delay would have made and reports false; it reports true
 // after the last step, or after a step panicked (kept for p to re-panic).
 func (p *Proc) runSteps() (done bool) {
-	e, s := p.eng, &p.each
+	e, s := p.eng, p.each
 	prev := e.current
 	e.current, e.side = p, p
 	defer func() {
@@ -205,7 +208,7 @@ func (p *Proc) runSteps() (done bool) {
 			return true
 		}
 		if !p.elide(s.d) {
-			e.After(s.d, p.eachFn)
+			e.After(s.d, s.fn)
 			return false
 		}
 	}

@@ -132,7 +132,7 @@ func (l *Layer) AsyncEnabled() bool { return l.drainApply != nil }
 
 // SetMutant plants the machine's broken variant. Under MutantCoalesceShrink
 // merges keep the newer inval's end, not the max, shrinking coverage; the
-// static fabproof tier and the shadow-TLB oracle must both convict it.
+// shadow-TLB oracle and the exhaustive merge test must both convict it.
 func (l *Layer) SetMutant(m fault.Mutant) { l.mutant = m }
 
 func (l *Layer) fabricOf(cpu mach.CPU) *fabricCPU {
@@ -171,10 +171,11 @@ func canCoalesce(prev, next *Inval) bool {
 	return next.Start <= prev.End && prev.Start <= next.End
 }
 
-// mergeInval folds next into prev in-ring. Soundness contract (proved
-// statically by fabproof): on every path the merged entry either goes
-// full or keeps [min(Start), max(End)) — covering both inputs — while
-// GenHi advances to next's run.
+// mergeInval folds next into prev in-ring. Soundness contract: the
+// merged entry either goes full or keeps [min(Start), max(End)) —
+// covering both inputs — while GenHi advances to next's run. It reads
+// the endpoints only through comparisons, so TestMergeInval's
+// enumeration over six page numbers checks it on every ordering.
 func (l *Layer) mergeInval(prev, next *Inval) {
 	prev.GenHi = next.GenHi
 	if prev.Full {
@@ -213,6 +214,9 @@ func (l *Layer) PostAsync(p *sim.Proc, from mach.CPU, targets mach.CPUMask, inv 
 	if l.drainApply == nil {
 		panic("smp: PostAsync without a drain applier")
 	}
+	if !inv.Full && inv.GenLo > inv.GenHi {
+		panic(fmt.Sprintf("smp: malformed inval: generation run [%d, %d] is empty", inv.GenLo, inv.GenHi))
+	}
 	cpus := targets.CPUs()
 	b := &AsyncBatch{
 		from: from, targets: cpus,
@@ -242,11 +246,8 @@ func (l *Layer) PostAsync(p *sim.Proc, from mach.CPU, targets mach.CPUMask, inv 
 		fc.fabPostSeq++
 		b.seqs[i] = fc.fabPostSeq
 		l.stats.AsyncPosts++
-		// Guard shapes are deliberately interval-friendly: the ring
-		// length is named once and compared against the named bound, so
-		// the fabproof tier can prove the append stays under RingSize
-		// and that every posted sequence lands in the ring, a merge, or
-		// the flush_all collapse.
+		// Every posted sequence lands in a merge, the ring (which never
+		// grows past RingSize) or the flush_all collapse.
 		n := len(fc.fabRing)
 		if n > 0 && canCoalesce(&fc.fabRing[n-1], &inv) {
 			l.mergeInval(&fc.fabRing[n-1], &inv)
@@ -362,6 +363,9 @@ func (l *Layer) DrainFabric(p *sim.Proc, cpu mach.CPU) {
 		l.rt.Release(fc.ackSync)
 	}
 	prev := fc.fabAckSeq
+	if seq < prev {
+		panic(fmt.Sprintf("smp: cpu%d acks sequence %d below its previous ack %d", cpu, seq, prev))
+	}
 	fc.fabAckSeq = seq
 	l.retireBatches(p, cpu, prev, seq)
 }
@@ -379,14 +383,19 @@ func maxGenHi(batch []Inval) uint64 {
 // retireBatches counts cpu's ack, which moved from prev to seq, off every
 // outstanding batch that posted cpu a sequence in (prev, seq], and
 // completes the batches that owe no more acks, in posting order. A CPU's
-// drains run on its own proc one at a time, so its ack only grows and
-// each posted sequence is counted off once. The list is repartitioned
-// before any callback runs, so a callback that posts new work cannot
-// corrupt the scan.
+// drains run on its own proc one at a time, so its ack only grows
+// (DrainFabric checks it) and each posted sequence is counted off once.
+// A completed batch leaves the list, so finding one here means its
+// callback would run twice. The list is repartitioned before any
+// callback runs, so a callback that posts new work cannot corrupt the
+// scan.
 func (l *Layer) retireBatches(p *sim.Proc, cpu mach.CPU, prev, seq uint64) {
 	var completed []*AsyncBatch
 	live := l.batches[:0]
 	for _, b := range l.batches {
+		if b.done {
+			panic(fmt.Sprintf("smp: batch from cpu%d completed twice", b.from))
+		}
 		if i, ok := slices.BinarySearch(b.targets, cpu); ok && prev < b.seqs[i] && b.seqs[i] <= seq {
 			b.owed--
 		}

@@ -1,6 +1,7 @@
 package smp
 
 import (
+	"strings"
 	"testing"
 
 	"shootdown/internal/fault"
@@ -91,6 +92,84 @@ func TestMergeInval(t *testing.T) {
 	if !prev.Full || prev.GenHi != 2 {
 		t.Fatalf("widening merge = %+v", prev)
 	}
+
+	// mergeInval reads the endpoints only through comparisons, so pages
+	// 0-5 realise every ordering of two ranges' four endpoints, ties
+	// included: the enumeration covers every merge the ring can make.
+	t.Run("exhaustive", func(t *testing.T) {
+		pairs := 0
+		forEachMergeablePair(func(prev, next Inval) {
+			pairs++
+			got := prev
+			l.mergeInval(&got, &next)
+			if msg := mergeBreaks(prev, next, got); msg != "" {
+				t.Errorf("merge of %+v into %+v = %+v: %s", next, prev, got, msg)
+			}
+		})
+		if pairs == 0 {
+			t.Fatal("no pair coalesces")
+		}
+		t.Logf("%d mergeable pairs", pairs)
+	})
+	// The seeded shrink keeps next's end, so the same enumeration must
+	// find merges that drop prev's tail.
+	t.Run("shrink-mutant", func(t *testing.T) {
+		broken := Layer{mutant: fault.MutantCoalesceShrink}
+		losses := 0
+		forEachMergeablePair(func(prev, next Inval) {
+			got := prev
+			broken.mergeInval(&got, &next)
+			if mergeBreaks(prev, next, got) != "" {
+				losses++
+			}
+		})
+		if losses == 0 {
+			t.Fatal("the shrink mutant passed every merge")
+		}
+		t.Logf("%d merges lose coverage", losses)
+	})
+}
+
+// forEachMergeablePair calls fn with every prev/next pair canCoalesce
+// accepts among non-empty ranges with endpoints on pages 0-5, under
+// both Full flags, with next's generation run following prev's.
+func forEachMergeablePair(fn func(prev, next Inval)) {
+	var ranges [][2]uint64
+	for lo := uint64(0); lo < 6; lo++ {
+		for hi := lo + 1; hi < 6; hi++ {
+			ranges = append(ranges, [2]uint64{lo << 12, hi << 12})
+		}
+	}
+	for _, pr := range ranges {
+		for _, nr := range ranges {
+			for _, full := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+				prev := Inval{ASID: 1, Start: pr[0], End: pr[1], Stride: 4096, GenLo: 1, GenHi: 2, Full: full[0]}
+				next := Inval{ASID: 1, Start: nr[0], End: nr[1], Stride: 4096, GenLo: 3, GenHi: 4, Full: full[1]}
+				if canCoalesce(&prev, &next) {
+					fn(prev, next)
+				}
+			}
+		}
+	}
+}
+
+// mergeBreaks checks mergeInval's contract on one merge: got is full or
+// spans exactly [min Start, max End), and its generation run starts at
+// prev's and ends at next's. It returns what broke, "" when nothing did.
+func mergeBreaks(prev, next, got Inval) string {
+	if got.GenLo != prev.GenLo || got.GenHi != next.GenHi {
+		return "generation run is not prev's start to next's end"
+	}
+	if got.Full {
+		return ""
+	}
+	if prev.Full || next.Full {
+		return "a full input merged into a ranged entry"
+	}
+	if got.Start != min(prev.Start, next.Start) || got.End != max(prev.End, next.End) {
+		return "span is not [min Start, max End)"
+	}
+	return ""
 }
 
 func TestPostAsyncRoundTrip(t *testing.T) {
@@ -434,6 +513,73 @@ func TestPostAsyncSelfTargetPanics(t *testing.T) {
 	r.eng.Run()
 }
 
+// TestPostAsyncMalformedInvalPanics: a ranged entry whose generation
+// run is empty cannot advance any target's local generation, so posting
+// one panics.
+func TestPostAsyncMalformedInvalPanics(t *testing.T) {
+	r := newRig(false)
+	r.recordApplier()
+	r.eng.Go("init", func(p *sim.Proc) {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "malformed inval") {
+				t.Errorf("malformed post panicked with %q, want a malformed inval panic", msg)
+			}
+		}()
+		r.l.PostAsync(p, 0, mach.MaskOf(2), Inval{ASID: 1, Start: 0, End: 0x1000, Stride: 4096, GenLo: 3, GenHi: 2}, nil)
+	})
+	r.eng.Run()
+}
+
+// TestDrainAckBelowPreviousPanics: a drain acks the posted sequence, so
+// an ack already above it would move the acked sequence backwards; the
+// drain panics, naming the CPU.
+func TestDrainAckBelowPreviousPanics(t *testing.T) {
+	r := newRig(false)
+	r.recordApplier()
+	r.bus.Controller(2).SetMasked(true) // only the test drains
+	r.eng.Go("init", func(p *sim.Proc) {
+		r.l.PostAsync(p, 0, mach.MaskOf(2), Inval{ASID: 1, Start: 0, End: 0x1000, Stride: 4096, GenLo: 1, GenHi: 1}, nil)
+		r.l.fabricOf(2).fabAckSeq = 5
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "cpu2 acks sequence 1 below its previous ack 5") {
+				t.Errorf("drain panicked with %q, want the cpu2 ack regression", msg)
+			}
+		}()
+		r.l.DrainFabric(p, 2)
+	})
+	r.eng.Run()
+}
+
+// TestRetireDoneBatchPanics: a completed batch leaves the outstanding
+// list, so retiring one found there would run its callback a second
+// time; retireBatches panics instead.
+func TestRetireDoneBatchPanics(t *testing.T) {
+	r := newRig(false)
+	r.recordApplier()
+	r.bus.Controller(2).SetMasked(true) // only the test drains
+	completions := 0
+	r.eng.Go("init", func(p *sim.Proc) {
+		b := r.l.PostAsync(p, 0, mach.MaskOf(2), Inval{ASID: 1, Start: 0, End: 0x1000, Stride: 4096, GenLo: 1, GenHi: 1},
+			func(*sim.Proc) { completions++ })
+		r.l.DrainFabric(p, 2)
+		if !b.Done() || completions != 1 {
+			t.Errorf("drain left the batch done=%v after %d completions", b.Done(), completions)
+			return
+		}
+		r.l.batches = append(r.l.batches, b)
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "batch from cpu0 completed twice") {
+				t.Errorf("retirement panicked with %q, want the double completion", msg)
+			}
+		}()
+		r.l.retireBatches(p, 2, 1, 1)
+	})
+	r.eng.Run()
+	if completions != 1 {
+		t.Fatalf("callback ran %d times, want once", completions)
+	}
+}
+
 func TestPostAsyncWithoutApplierPanics(t *testing.T) {
 	r := newRig(false)
 	r.eng.Go("init", func(p *sim.Proc) {
@@ -492,11 +638,10 @@ func TestFabricRaceModelClean(t *testing.T) {
 	}
 }
 
-// TestPostAsyncExactlyAtRingSizeNoOverflow pins the boundary the
-// fabproof tier proves: the append guard admits exactly RingSize
-// distinct entries — the post that lands the ring at capacity is an
-// append, not an overflow — and only the RingSize+1'th distinct post
-// trips the flush_all collapse.
+// TestPostAsyncExactlyAtRingSizeNoOverflow pins the ring bound: the
+// append guard admits exactly RingSize distinct entries — the post that
+// lands the ring at capacity is an append, not an overflow — and only
+// the RingSize+1'th distinct post trips the flush_all collapse.
 func TestPostAsyncExactlyAtRingSizeNoOverflow(t *testing.T) {
 	r := newRig(false)
 	r.recordApplier()

@@ -104,6 +104,43 @@ func TestAsyncTierStaleTouchClean(t *testing.T) {
 	}
 }
 
+// TestAsyncFreedTablesTakeShoot: on the async tier, an munmap that
+// frees page tables while a remote CPU runs the mm must not go through
+// the fabric, which would let the initiator free the tables before the
+// responder flushed; it falls back to the synchronous Shoot.
+func TestAsyncFreedTablesTakeShoot(t *testing.T) {
+	w := NewWorld(Safe, asyncAll(), 7)
+	defer w.Close()
+	chk := sanitizer.Attach(w.K, w.F, sanitizer.Config{AllowLazyWindow: w.F.Cfg.LazyRemote})
+	as := w.K.NewAddressSpace()
+	w.K.CPU(1).Spawn(&kernel.Task{Name: "responder", MM: as, Fn: func(ctx *kernel.Ctx) {
+		ctx.UserRun(2_000_000)
+	}})
+	w.K.CPU(0).Spawn(&kernel.Task{Name: "initiator", MM: as, Fn: func(ctx *kernel.Ctx) {
+		v, err := syscalls.MMap(ctx, pg, mm.ProtRead|mm.ProtWrite, mm.Anon, nil, 0)
+		if err != nil {
+			panic(err)
+		}
+		if err := ctx.Touch(v.Start, mm.AccessWrite); err != nil {
+			panic(err)
+		}
+		ctx.UserRun(200_000)
+		if err := syscalls.Munmap(ctx, v.Start, pg); err != nil {
+			panic(err)
+		}
+	}})
+	w.Eng.Run()
+	if got := w.F.Stats().AsyncSyncFallbacks; got != 1 {
+		t.Fatalf("AsyncSyncFallbacks = %d, want the one table-freeing munmap", got)
+	}
+	if st := w.K.SMP.Stats(); st.AsyncPosts != 0 || st.Calls != 1 {
+		t.Fatalf("AsyncPosts = %d, Calls = %d, want 0 and 1: freed tables must go through Shoot, not the fabric", st.AsyncPosts, st.Calls)
+	}
+	if sum := chk.Finish(); !sum.OK() {
+		t.Fatalf("sync fallback convicted:\n%s", sum.Report())
+	}
+}
+
 // TestAsyncTierPreservesState pins the fabric's semantic neutrality as
 // a unit test (the experiments sweep checks it too, under faults):
 // every scenario's canonical final state under the async tier must be
@@ -185,10 +222,9 @@ func runAsyncCoalesceTouch(w *World) {
 
 // TestBrokenCoalesceShrinkCaughtExactlyOnce plants the deliberately
 // broken coalescing variant and demands the shadow-TLB oracle convict
-// it as exactly one stale-translation — the dynamic half of the
-// cross-validation contract whose static half is the fabproof tier's
-// single coalesce coverage-loss witness
-// (ssa.TestFabproofBrokenCoalesceWitness).
+// it as exactly one stale-translation. The merge itself is checked on
+// every endpoint ordering by smp's TestMergeInval, which finds the
+// same mutant's losses without running a machine.
 func TestBrokenCoalesceShrinkCaughtExactlyOnce(t *testing.T) {
 	cfg := asyncAll()
 	cfg.Mutant = fault.MutantCoalesceShrink

@@ -27,22 +27,20 @@ go vet ./...
 # The static tier — every internal/sanitizer/ssa analyzer off one
 # typecheck (banned imports, cost constants, observer purity, flush
 # obligations, lock order, the detflow nondeterminism-taint proof, the
-# parallelsafe restore-discipline proof, mhp (handler reach only) with
-# the lockset race-discipline proofs, and the fabproof numeric
-# obligations over the async fabric smp declares) —
-# runs right after the stock gates: a finding should fail the gate in
-# seconds, not after minutes of tests and simulations. The
-# machine-readable report lands in VET_findings.json as
-# a CI artifact, and the tier carries a wall-clock budget: the
-# whole-program analyses must stay interactive (< 60s) or they will rot
-# out of the edit loop. The two proof tables are written to a temporary
-# directory, not over the committed RACE_XVAL.txt and FABPROOF.txt:
-# go test's TestCommittedProofTables pins the committed copies to what
-# tlbvet writes, which is what the workflow then uploads.
+# parallelsafe restore-discipline proof, and mhp (handler reach only)
+# with the lockset race-discipline proofs) — runs right after the stock
+# gates: a finding should fail the gate in seconds, not after minutes of
+# tests and simulations. The machine-readable report lands in
+# VET_findings.json as a CI artifact, and the tier carries a wall-clock
+# budget: the whole-program analyses must stay interactive (< 60s) or
+# they will rot out of the edit loop. The proof table is written to a
+# temporary directory, not over the committed RACE_XVAL.txt: go test's
+# TestCommittedProofTables pins the committed copy to what tlbvet
+# writes, which is what the workflow then uploads.
 echo "==> tlbvet (static analysis)"
 vet_start=$(date +%s)
 tables=$(mktemp -d)
-if ! go run ./cmd/tlbvet -json -xval "$tables/RACE_XVAL.txt" -fabproof "$tables/FABPROOF.txt" > VET_findings.json 2> VET_errors.txt; then
+if ! go run ./cmd/tlbvet -json -xval "$tables/RACE_XVAL.txt" > VET_findings.json 2> VET_errors.txt; then
     cat VET_errors.txt VET_findings.json
     exit 1
 fi
@@ -66,20 +64,6 @@ if grep -q 'unproven' "$tables/RACE_XVAL.txt"; then
     echo "xval gate: a race-instrumented field has no static discharge proof"
     exit 1
 fi
-
-# Fabric proof gate: FABPROOF.txt lists every numeric obligation on the
-# async shootdown fabric (ring bounds, overflow collapse, seq/ack/gen
-# monotonicity, retry cap, coalescing containment, callback-once, the
-# freed-tables fallback, inval well-formedness) with its proof status.
-# Any "unproven" row means the abstract interpreter can no longer
-# discharge an invariant the fabric's safety rests on — a gate failure,
-# not a TODO.
-echo "==> fabric proof obligations (FABPROOF.txt)"
-cat "$tables/FABPROOF.txt"
-if grep -q 'unproven' "$tables/FABPROOF.txt"; then
-    echo "fabproof gate: a fabric obligation has no static proof"
-    exit 1
-fi
 rm -rf "$tables"
 
 echo "==> go test ./..."
@@ -101,10 +85,8 @@ go -C bench test ./...
 # batch/watchdog paths are the newest protocol surface and must keep
 # dedicated unit coverage. The per-package summary lands in
 # COVERAGE.txt as a CI artifact.
-# The ssa package joins the floor with the fabproof tier: the numeric
-# abstract-interpretation engine (absint.go) and the fabric obligations
-# built on it (fabproof.go) are proof code — an untested proof rule is a
-# soundness hole, not a coverage gap.
+# The ssa package is on the floor because its analyzers are proof code:
+# an untested proof rule is a soundness hole, not a coverage gap.
 # mach and sim join the floor with the scale-out tier: the sparse
 # cpumask and the timer-wheel scheduler are load-bearing for every
 # simulation at every width, and both carry property/equivalence suites
